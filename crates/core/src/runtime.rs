@@ -11,7 +11,7 @@
 //!
 //! ```text
 //!  submit(bits) ──▶ bounded pending buffer ──▶ micro-batcher
-//!       │                (backpressure)    (lane-width full │ deadline)
+//!       │                (backpressure)   (lane-width full │ worker idle)
 //!       ▼                                          │
 //!  RequestHandle ◀── per-request outputs ◀── worker pool (N threads,
 //!   .wait()            (lane j = request j)   each: own EngineScratch,
@@ -23,12 +23,16 @@
 //!   (or a shared [`CompiledModel`]) through `&self`; only
 //!   [`EngineScratch`] is per-worker.
 //! * [`Runtime::submit`] enqueues one *single-sample* request and
-//!   returns a [`RequestHandle`]. The dynamic micro-batcher packs
-//!   pending requests into full bit-sliced frames, flushing when a
-//!   batch reaches the serving engine's lane width (or an explicit
-//!   [`RuntimeOptions::max_batch`] override) or when the oldest pending
-//!   request ages past [`RuntimeOptions::flush_after`] — the classic
-//!   size-or-deadline trigger.
+//!   returns a [`RequestHandle`]. The dynamic micro-batcher is
+//!   **work-conserving**: a batch leaves the moment it reaches the
+//!   serving engine's lane width (or an explicit
+//!   [`RuntimeOptions::max_batch`] override), *or* the moment a worker
+//!   is free to run it — on `submit` when fewer micro-batches are
+//!   outstanding than there are workers, otherwise by the next worker to
+//!   finish, which pulls whatever accumulated and runs it in the same
+//!   job. Requests therefore wait only while every worker is busy,
+//!   which is exactly when batching costs nothing; there is no timer
+//!   and no flusher thread.
 //! * The submission path is **bounded**: when the job queue is full,
 //!   `submit` blocks until a worker drains it (backpressure instead of
 //!   unbounded memory growth).
@@ -393,10 +397,6 @@ pub struct RuntimeOptions {
     /// the hardware's `2m`-sample operand. Any positive value overrides
     /// the width explicitly.
     pub max_batch: usize,
-    /// Deadline flush trigger: a partial batch is dispatched once its
-    /// oldest request has waited this long, bounding tail latency under
-    /// light traffic.
-    pub flush_after: Duration,
     /// Admission limit for [`Runtime::try_submit`]: the in-flight
     /// request count at which new requests are shed instead of queued.
     /// The default `0` means "auto": `flush_target × (queue_capacity +
@@ -413,7 +413,6 @@ impl Default for RuntimeOptions {
             workers: 0,
             queue_capacity: 32,
             max_batch: 0,
-            flush_after: Duration::from_micros(200),
             admission_limit: 0,
         }
     }
@@ -442,13 +441,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Sets the deadline flush trigger (builder style).
-    #[must_use]
-    pub fn flush_after(mut self, flush_after: Duration) -> Self {
-        self.flush_after = flush_after;
-        self
-    }
-
     /// Sets the [`Runtime::try_submit`] admission limit (builder style).
     /// `0` = auto (see [`RuntimeOptions::admission_limit`]).
     #[must_use]
@@ -468,8 +460,11 @@ pub struct RuntimeStats {
     pub micro_batches: u64,
     /// Micro-batches dispatched by the size trigger (batch filled).
     pub full_flushes: u64,
-    /// Micro-batches dispatched by the deadline trigger or an explicit
-    /// [`Runtime::flush`]/shutdown drain.
+    /// Micro-batches dispatched before filling: idle dispatch (a worker
+    /// was free at `submit`), worker pull (a finishing worker took what
+    /// had accumulated), or an explicit [`Runtime::flush`] /
+    /// [`Runtime::drain`] / shutdown. (The name predates the
+    /// work-conserving batcher; there is no deadline.)
     pub deadline_flushes: u64,
     /// Mean lanes per executed micro-batch (packing efficiency; 64 means
     /// every bit-sliced word was full).
@@ -505,8 +500,9 @@ pub struct RuntimeStats {
 
 struct RuntimeShared {
     batcher: Mutex<BatchState>,
-    /// Wakes the deadline flusher when the pending set changes.
-    kick: Condvar,
+    /// Pool size, fixed at construction: the `busy` level below which a
+    /// partial batch is dispatched instead of left to accumulate.
+    workers: usize,
     stats: StatsShared,
     swap: SwapState,
 }
@@ -544,7 +540,19 @@ impl RuntimeShared {
 struct BatchState {
     pending: Vec<Request>,
     next_id: u64,
-    shutdown: bool,
+    /// Micro-batches dispatched and not yet finished (queued or
+    /// running). Invariant, outside this lock: `pending` is non-empty
+    /// only while `busy >= workers` — so some batch is still to finish,
+    /// and the worker finishing it pulls `pending`.
+    busy: usize,
+}
+
+impl BatchState {
+    /// Takes everything pending as one micro-batch and counts it busy.
+    fn take_batch(&mut self) -> Vec<Request> {
+        self.busy += 1;
+        std::mem::take(&mut self.pending)
+    }
 }
 
 /// Latency samples kept for percentile estimation, bounded so a
@@ -660,10 +668,11 @@ impl StatsShared {
 /// A persistent serving runtime over a resident compiled block
 /// ([`Engine`]) or whole model ([`CompiledModel`]).
 ///
-/// Construction spawns the worker pool and the deadline flusher; from
-/// then on [`Runtime::submit`] is the only per-request cost. Dropping
-/// the runtime flushes every pending request, drains the job queue, and
-/// joins all threads — every issued [`RequestHandle`] resolves.
+/// Construction spawns the worker pool — the runtime's only threads;
+/// from then on [`Runtime::submit`] is the only per-request cost.
+/// Dropping the runtime flushes every pending request, drains the job
+/// queue, and joins the workers — every issued [`RequestHandle`]
+/// resolves.
 ///
 /// ```
 /// use lbnn_core::runtime::{Runtime, RuntimeOptions};
@@ -676,7 +685,6 @@ impl StatsShared {
 /// let handles: Vec<_> = (0..100)
 ///     .map(|i| runtime.submit(&[i % 2 == 0; 6]))
 ///     .collect::<Result<_, _>>()?;
-/// runtime.flush(); // don't wait out the deadline in a doctest
 /// for handle in handles {
 ///     assert_eq!(handle.wait()?.len(), 2);
 /// }
@@ -689,9 +697,8 @@ pub struct Runtime {
     /// `options.admission_limit`, or the auto formula when 0. Fixed at
     /// construction — a hot swap does not renegotiate admission.
     admission_limit: usize,
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
     shared: Arc<RuntimeShared>,
-    flusher: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Runtime {
@@ -742,11 +749,6 @@ impl Runtime {
         } else {
             options.max_batch
         };
-        if options.flush_after.is_zero() {
-            return Err(CoreError::BadConfig {
-                reason: "runtime flush_after must be positive".to_string(),
-            });
-        }
         if options.queue_capacity == 0 {
             return Err(CoreError::BadConfig {
                 reason: "runtime queue_capacity must be at least 1".to_string(),
@@ -770,14 +772,14 @@ impl Runtime {
         } else {
             options.admission_limit
         };
-        let pool = Arc::new(WorkerPool::spawn(workers, options.queue_capacity));
+        let pool = WorkerPool::spawn(workers, options.queue_capacity);
         let shared = Arc::new(RuntimeShared {
             batcher: Mutex::new(BatchState {
                 pending: Vec::new(),
                 next_id: 0,
-                shutdown: false,
+                busy: 0,
             }),
-            kick: Condvar::new(),
+            workers: pool.workers(),
             stats: StatsShared::default(),
             swap: SwapState {
                 target: RwLock::new(target),
@@ -786,51 +788,11 @@ impl Runtime {
                 flush_target: AtomicUsize::new(flush_target),
             },
         });
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            let pool = Arc::clone(&pool);
-            let flush_after = options.flush_after;
-            std::thread::spawn(move || {
-                let mut st = shared.batcher.lock().expect("batcher lock");
-                loop {
-                    if st.pending.is_empty() {
-                        if st.shutdown {
-                            return;
-                        }
-                        st = shared.kick.wait(st).expect("batcher lock");
-                        continue;
-                    }
-                    let deadline = st.pending[0].submitted + flush_after;
-                    let now = Instant::now();
-                    if st.shutdown || now >= deadline {
-                        let reqs = std::mem::take(&mut st.pending);
-                        drop(st);
-                        shared
-                            .stats
-                            .deadline_flushes
-                            .fetch_add(1, Ordering::Relaxed);
-                        // Resolve the target per flush, not once at
-                        // spawn: the deadline flusher must dispatch onto
-                        // whatever version is current.
-                        let (target, version) = shared.current();
-                        dispatch(target, version, &pool, &shared, reqs);
-                        st = shared.batcher.lock().expect("batcher lock");
-                    } else {
-                        let (guard, _) = shared
-                            .kick
-                            .wait_timeout(st, deadline - now)
-                            .expect("batcher lock");
-                        st = guard;
-                    }
-                }
-            })
-        };
         Ok(Runtime {
             options,
             admission_limit,
             pool,
             shared,
-            flusher: Some(flusher),
         })
     }
 
@@ -950,12 +912,13 @@ impl Runtime {
     /// Submits one single-sample request (`bits[i]` = the value of
     /// primary input `i`) and returns a handle resolving to its outputs.
     ///
-    /// The request joins the current micro-batch; when the batch fills
-    /// ([`Runtime::flush_target`]: the engine's lane width, or an
-    /// explicit [`RuntimeOptions::max_batch`]) it is dispatched
-    /// immediately, otherwise the deadline flusher dispatches it within
-    /// [`RuntimeOptions::flush_after`]. A full job queue blocks this
-    /// call until a worker catches up (backpressure).
+    /// The request joins the current micro-batch, which is dispatched
+    /// at once if it is now full ([`Runtime::flush_target`]: the
+    /// engine's lane width, or an explicit
+    /// [`RuntimeOptions::max_batch`]) or if a worker is free to run it;
+    /// otherwise every worker is busy and the first to finish pulls the
+    /// batch. A full job queue blocks this call until a worker catches
+    /// up (backpressure).
     ///
     /// # Errors
     ///
@@ -980,36 +943,28 @@ impl Runtime {
             slot: Arc::clone(&slot),
         };
         let flush_target = self.flush_target();
-        let (id, full, first_pending) = {
+        let (id, batch) = {
             let mut st = self.shared.batcher.lock().expect("batcher lock");
             let id = st.next_id;
             st.next_id += 1;
             st.pending.push(request);
-            if st.pending.len() >= flush_target {
-                (id, Some(std::mem::take(&mut st.pending)), false)
+            let batch = if st.pending.len() >= flush_target {
+                Some((st.take_batch(), &self.shared.stats.full_flushes))
+            } else if st.busy < self.shared.workers {
+                // A worker is free: waiting could not start this request
+                // sooner, only later.
+                Some((st.take_batch(), &self.shared.stats.deadline_flushes))
             } else {
-                (id, None, st.pending.len() == 1)
-            }
+                // Every worker is busy; the first to finish pulls this.
+                None
+            };
+            (id, batch)
         };
-        match full {
-            Some(reqs) => {
-                self.shared
-                    .stats
-                    .full_flushes
-                    .fetch_add(1, Ordering::Relaxed);
-                // Dispatch outside the batcher lock: if the pool queue is
-                // full this blocks, but other submitters keep batching.
-                let (target, version) = self.shared.current();
-                dispatch(target, version, &self.pool, &self.shared, reqs);
-            }
-            None => {
-                // Arm the deadline flusher only on the empty→non-empty
-                // transition: its deadline depends solely on the oldest
-                // pending request, which later pushes never change.
-                if first_pending {
-                    self.shared.kick.notify_all();
-                }
-            }
+        if let Some((reqs, trigger)) = batch {
+            trigger.fetch_add(1, Ordering::Relaxed);
+            // Dispatch outside the batcher lock: if the pool queue is
+            // full this blocks, but other submitters keep batching.
+            dispatch(&self.pool, &self.shared, reqs);
         }
         Ok(RequestHandle { slot, id })
     }
@@ -1068,9 +1023,8 @@ impl Runtime {
 
     /// Blocks until every request accepted so far has resolved — queue
     /// empty, workers idle — without dropping the runtime. The pending
-    /// partial batch is flushed first (a drain must not wait out the
-    /// deadline), and re-flushed while waiting so requests racing in
-    /// from other threads drain too.
+    /// partial batch is flushed first, and re-flushed while waiting so
+    /// requests racing in from other threads drain too.
     ///
     /// The runtime stays fully usable afterwards: this is the graceful-
     /// drain primitive for servers (stop accepting, `drain()`, report
@@ -1092,22 +1046,23 @@ impl Runtime {
         }
     }
 
-    /// Dispatches the current partial micro-batch immediately instead of
-    /// waiting for the size or deadline trigger. No-op when nothing is
-    /// pending.
+    /// Queues the current partial micro-batch now instead of leaving it
+    /// for the next free worker to pull — it then runs in submission
+    /// order behind the batches already queued. No-op when nothing is
+    /// pending (always the case while a worker is idle).
     pub fn flush(&self) {
         let reqs = {
             let mut st = self.shared.batcher.lock().expect("batcher lock");
-            std::mem::take(&mut st.pending)
+            if st.pending.is_empty() {
+                return;
+            }
+            st.take_batch()
         };
-        if !reqs.is_empty() {
-            self.shared
-                .stats
-                .deadline_flushes
-                .fetch_add(1, Ordering::Relaxed);
-            let (target, version) = self.shared.current();
-            dispatch(target, version, &self.pool, &self.shared, reqs);
-        }
+        self.shared
+            .stats
+            .deadline_flushes
+            .fetch_add(1, Ordering::Relaxed);
+        dispatch(&self.pool, &self.shared, reqs);
     }
 
     /// A snapshot of the runtime's serving statistics.
@@ -1181,102 +1136,127 @@ impl Runtime {
             queue: Some(stats.queue),
         })
     }
-
-    /// Shuts the runtime down: flushes pending requests, drains the job
-    /// queue, joins every thread. Called automatically on drop; calling
-    /// it twice is a no-op.
-    fn shutdown_inner(&mut self) {
-        {
-            let mut st = self.shared.batcher.lock().expect("batcher lock");
-            st.shutdown = true;
-        }
-        self.shared.kick.notify_all();
-        if let Some(handle) = self.flusher.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 impl Drop for Runtime {
+    /// Queues the pending partial batch; `self.pool` drops after this
+    /// body and joins the workers once they have drained the queue — so
+    /// every issued handle resolves.
     fn drop(&mut self) {
-        self.shutdown_inner();
-        // `self.pool` (the last strong Arc once the flusher has joined)
-        // drops after this body, joining the workers after they drain
-        // the queue — so every issued handle resolves.
+        self.flush();
     }
 }
 
-/// Packs `reqs` into one multi-lane batch, executes it on a pool worker,
-/// and fulfills every request's slot (lane `j` of every word belongs to
-/// request `j`). `version` is the serving version `target` was read
-/// under; the batch executes that exact target even if a swap lands
-/// while it is queued, and its completions are attributed per version.
-fn dispatch(
-    target: Target,
-    version: u64,
-    pool: &WorkerPool,
-    shared: &Arc<RuntimeShared>,
-    reqs: Vec<Request>,
-) {
-    if reqs.is_empty() {
-        return;
-    }
+/// Queues `reqs` — already counted in [`BatchState::busy`] by
+/// [`BatchState::take_batch`] — as one pool job on the target current
+/// now: the batch executes that exact target even if a swap lands while
+/// it is queued.
+///
+/// The worker that runs it then keeps going while it is the free
+/// worker: it retires the batch from `busy` and, if requests accumulated
+/// meanwhile and fewer batches are outstanding than there are workers,
+/// pulls them and runs them in the same job. Pulling inline (never
+/// through [`WorkerPool::submit`]) means a worker cannot block on its
+/// own full queue; and since `busy < workers` leaves no batch waiting in
+/// the job queue, a pulled batch never overtakes a queued one.
+fn dispatch(pool: &WorkerPool, shared: &Arc<RuntimeShared>, reqs: Vec<Request>) {
+    let (target, version) = shared.current();
     let shared = Arc::clone(shared);
     pool.submit(Box::new(move |scratch| {
-        let rows: Vec<&[bool]> = reqs.iter().map(|r| r.bits.as_slice()).collect();
-        let num_inputs = target.num_inputs();
-        // A panicking batch must not kill the persistent worker; turn it
-        // into an error every carried request observes.
-        let outcome = match catch_unwind(AssertUnwindSafe(|| {
-            target.execute_rows(scratch, &rows, num_inputs)
-        })) {
-            Ok(result) => result,
-            Err(_) => Err(CoreError::BadConfig {
-                reason: "runtime worker panicked executing a micro-batch".to_string(),
-            }),
-        };
-        let now = Instant::now();
-        let latencies: Vec<f64> = reqs
-            .iter()
-            .map(|req| now.duration_since(req.submitted).as_secs_f64() * 1e6)
-            .collect();
-        // Account the batch BEFORE resolving any slot: a waiter unblocks
-        // the instant its slot fulfills, and a thread that has waited
-        // every handle must observe complete stats.
-        let stats = &shared.stats;
-        stats.micro_batches.fetch_add(1, Ordering::Relaxed);
-        stats
-            .lanes_served
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        stats.note_completion(&latencies, now);
-        // Attribute the batch to a serving version. A batch finishing
-        // after its version was swapped out counts as "prior" — same
-        // bucket the swap's counter roll would have moved it to.
-        let bucket = if version == shared.swap.version.load(Ordering::Acquire) {
-            &stats.completed_current
-        } else {
-            &stats.completed_prior
-        };
-        bucket.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        match outcome {
-            Ok(outputs) => {
-                // One word-level transpose back to per-request rows
-                // instead of a bounds-checked `get` per output bit.
-                let mut out_rows = Lanes::unpack_rows(&outputs).into_iter();
-                for req in &reqs {
-                    req.slot.fulfill(Ok(out_rows.next().unwrap_or_default()));
-                }
+        run_batch(&target, version, &shared, scratch, reqs);
+        pull_pending(&shared, scratch);
+    }));
+}
+
+/// A worker's step after finishing a micro-batch: retire it from
+/// [`BatchState::busy`], and while that leaves this worker free with
+/// requests pending, run them here.
+fn pull_pending(shared: &RuntimeShared, scratch: &mut ServeScratch) {
+    loop {
+        let (reqs, (target, version)) = {
+            let mut st = shared.batcher.lock().expect("batcher lock");
+            st.busy -= 1;
+            if st.pending.is_empty() || st.busy >= shared.workers {
+                return;
             }
-            Err(e) => {
-                for req in &reqs {
-                    req.slot.fulfill(Err(e.clone()));
-                }
+            // Read the target before releasing the batcher lock: a swap
+            // flushes (under this lock) before it installs the new
+            // target, so requests accepted before a swap began never
+            // run on the version it installs.
+            (st.take_batch(), shared.current())
+        };
+        shared
+            .stats
+            .deadline_flushes
+            .fetch_add(1, Ordering::Relaxed);
+        run_batch(&target, version, shared, scratch, reqs);
+    }
+}
+
+/// Packs `reqs` into one multi-lane batch, executes it on the calling
+/// worker, and fulfills every request's slot (lane `j` of every word
+/// belongs to request `j`). `version` is the serving version `target`
+/// was read under; completions are attributed per version.
+fn run_batch(
+    target: &Target,
+    version: u64,
+    shared: &RuntimeShared,
+    scratch: &mut ServeScratch,
+    reqs: Vec<Request>,
+) {
+    let rows: Vec<&[bool]> = reqs.iter().map(|r| r.bits.as_slice()).collect();
+    let num_inputs = target.num_inputs();
+    // A panicking batch must not kill the persistent worker; turn it
+    // into an error every carried request observes.
+    let outcome = match catch_unwind(AssertUnwindSafe(|| {
+        target.execute_rows(scratch, &rows, num_inputs)
+    })) {
+        Ok(result) => result,
+        Err(_) => Err(CoreError::BadConfig {
+            reason: "runtime worker panicked executing a micro-batch".to_string(),
+        }),
+    };
+    let now = Instant::now();
+    let latencies: Vec<f64> = reqs
+        .iter()
+        .map(|req| now.duration_since(req.submitted).as_secs_f64() * 1e6)
+        .collect();
+    // Account the batch BEFORE resolving any slot: a waiter unblocks
+    // the instant its slot fulfills, and a thread that has waited
+    // every handle must observe complete stats.
+    let stats = &shared.stats;
+    stats.micro_batches.fetch_add(1, Ordering::Relaxed);
+    stats
+        .lanes_served
+        .fetch_add(reqs.len() as u64, Ordering::Relaxed);
+    stats.note_completion(&latencies, now);
+    // Attribute the batch to a serving version. A batch finishing
+    // after its version was swapped out counts as "prior" — same
+    // bucket the swap's counter roll would have moved it to.
+    let bucket = if version == shared.swap.version.load(Ordering::Acquire) {
+        &stats.completed_current
+    } else {
+        &stats.completed_prior
+    };
+    bucket.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+    match outcome {
+        Ok(outputs) => {
+            // One word-level transpose back to per-request rows
+            // instead of a bounds-checked `get` per output bit.
+            let mut out_rows = Lanes::unpack_rows(&outputs).into_iter();
+            for req in &reqs {
+                req.slot.fulfill(Ok(out_rows.next().unwrap_or_default()));
             }
         }
-        // Only now are the requests truly resolved: retire them from the
-        // in-flight gauge (this is what `drain` waits on).
-        stats.note_resolved(reqs.len());
-    }));
+        Err(e) => {
+            for req in &reqs {
+                req.slot.fulfill(Err(e.clone()));
+            }
+        }
+    }
+    // Only now are the requests truly resolved: retire them from the
+    // in-flight gauge (this is what `drain` waits on).
+    stats.note_resolved(reqs.len());
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample (0 for empty).
@@ -1332,6 +1312,22 @@ mod tests {
             .unwrap()
     }
 
+    /// Models "every worker is busy" without racing real work: counts
+    /// one phantom micro-batch per worker in `busy`, so submissions
+    /// accumulate exactly as they do behind running batches.
+    fn occupy_workers(runtime: &Runtime) {
+        runtime.shared.batcher.lock().unwrap().busy += runtime.workers();
+    }
+
+    /// One phantom batch finishes: a pool worker takes the step every
+    /// worker takes after a micro-batch.
+    fn free_a_worker(runtime: &Runtime) {
+        let shared = Arc::clone(&runtime.shared);
+        runtime
+            .pool
+            .submit(Box::new(move |scratch| pull_pending(&shared, scratch)));
+    }
+
     #[test]
     fn pool_runs_jobs_and_drains_on_drop() {
         let pool = WorkerPool::spawn(2, 2);
@@ -1383,29 +1379,48 @@ mod tests {
         }
     }
 
+    /// Work conservation, idle side: with a worker free, a lone request
+    /// is dispatched by `submit` itself — no `flush()`, no timer.
     #[test]
-    fn deadline_flush_resolves_partial_batches() {
+    fn idle_runtime_dispatches_a_lone_request_at_once() {
         let flow = compiled(Backend::BitSliced64, 5);
         let width = flow.program.num_inputs;
-        let runtime = Runtime::from_engine(
-            flow.engine().unwrap(),
-            RuntimeOptions::default()
-                .workers(1)
-                .flush_after(Duration::from_millis(2)),
-        )
-        .unwrap();
-        // 3 requests never fill a 64-lane batch: only the deadline can
-        // dispatch them.
-        let handles: Vec<RequestHandle> = (0..3)
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
+                .unwrap();
+        let handle = runtime.submit(&request_bits(width, 1)).unwrap();
+        assert_eq!(handle.wait().unwrap().len(), 3);
+        let stats = runtime.stats();
+        assert_eq!(stats.micro_batches, 1, "{stats:?}");
+        assert_eq!(stats.deadline_flushes, 1);
+        assert_eq!(stats.full_flushes, 0);
+    }
+
+    /// Work conservation, busy side: requests submitted while every
+    /// worker is busy wait, and the first worker to finish takes all of
+    /// them as ONE micro-batch.
+    #[test]
+    fn requests_accumulated_behind_busy_workers_leave_as_one_batch() {
+        let flow = compiled(Backend::BitSliced64, 5);
+        let width = flow.program.num_inputs;
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(2))
+                .unwrap();
+        occupy_workers(&runtime);
+        let handles: Vec<RequestHandle> = (0..5)
             .map(|i| runtime.submit(&request_bits(width, i)).unwrap())
             .collect();
+        assert_eq!(runtime.in_flight(), 5);
+        assert!(handles.iter().all(|h| h.try_wait().is_none()));
+        free_a_worker(&runtime);
         for handle in handles {
             assert_eq!(handle.wait().unwrap().len(), 3);
         }
         let stats = runtime.stats();
-        assert!(stats.deadline_flushes >= 1, "{stats:?}");
+        assert_eq!(stats.micro_batches, 1, "{stats:?}");
+        assert!((stats.mean_lanes_per_batch - 5.0).abs() < 1e-9);
+        assert_eq!(stats.deadline_flushes, 1);
         assert_eq!(stats.full_flushes, 0);
-        assert!(stats.mean_lanes_per_batch <= 3.0);
     }
 
     #[test]
@@ -1449,12 +1464,6 @@ mod tests {
     fn bad_options_are_rejected() {
         let flow = compiled(Backend::Scalar, 2);
         let engine = flow.engine().unwrap();
-        let err = Runtime::from_engine(
-            engine.clone(),
-            RuntimeOptions::default().flush_after(Duration::ZERO),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::BadConfig { .. }));
         let err =
             Runtime::from_engine(engine, RuntimeOptions::default().queue_capacity(0)).unwrap_err();
         assert!(matches!(err, CoreError::BadConfig { .. }));
@@ -1489,10 +1498,11 @@ mod tests {
         }
     }
 
-    /// Submitting exactly one lane-width of requests triggers a size
-    /// flush on a wide backend; one more stays pending for the deadline.
+    /// The size trigger: behind busy workers, the request that brings
+    /// the pending batch to one lane width dispatches it; a straggler
+    /// after it stays pending.
     #[test]
-    fn wide_backend_size_flush_fires_at_lane_width() {
+    fn size_trigger_fires_at_flush_target() {
         let flow = {
             let nl = RandomDag::strict(8, 4, 6).outputs(3).generate(17);
             Flow::builder(&nl)
@@ -1502,27 +1512,28 @@ mod tests {
                 .unwrap()
         };
         let width = flow.program.num_inputs;
-        let runtime = Runtime::from_engine(
-            flow.engine().unwrap(),
-            RuntimeOptions::default()
-                .workers(1)
-                .flush_after(Duration::from_secs(3600)),
-        )
-        .unwrap();
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
+                .unwrap();
         assert_eq!(runtime.flush_target(), 128);
-        let mut handles: Vec<RequestHandle> = (0..128)
+        occupy_workers(&runtime);
+        let handles: Vec<RequestHandle> = (0..127)
             .map(|i| runtime.submit(&request_bits(width, i)).unwrap())
             .collect();
+        assert_eq!(runtime.stats().full_flushes, 0, "127 requests do not fill");
+        let last = runtime.submit(&request_bits(width, 127)).unwrap();
         // The 128th submit filled one full 128-lane frame.
-        for handle in handles.drain(..) {
+        for handle in handles.into_iter().chain([last]) {
             handle.wait().unwrap();
         }
         let stats = runtime.stats();
         assert_eq!(stats.full_flushes, 1, "{stats:?}");
+        assert_eq!(stats.deadline_flushes, 0);
         assert_eq!(stats.micro_batches, 1);
         assert!((stats.mean_lanes_per_batch - 128.0).abs() < 1e-9);
-        // One straggler only resolves on an explicit/deadline flush.
+        // One straggler behind the still-busy worker waits for a flush.
         let straggler = runtime.submit(&request_bits(width, 999)).unwrap();
+        assert!(straggler.try_wait().is_none());
         runtime.flush();
         straggler.wait().unwrap();
         let stats = runtime.stats();
@@ -1554,17 +1565,19 @@ mod tests {
     fn drop_resolves_outstanding_handles() {
         let flow = compiled(Backend::BitSliced64, 9);
         let width = flow.program.num_inputs;
-        let runtime = Runtime::from_engine(
-            flow.engine().unwrap(),
-            RuntimeOptions::default()
-                .workers(2)
-                .flush_after(Duration::from_secs(3600)),
-        )
-        .unwrap();
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(2))
+                .unwrap();
+        occupy_workers(&runtime);
         let handles: Vec<RequestHandle> = (0..5)
             .map(|i| runtime.submit(&request_bits(width, i)).unwrap())
             .collect();
-        drop(runtime); // shutdown drain must dispatch the partial batch
+        assert_eq!(
+            runtime.stats().micro_batches,
+            0,
+            "the batch is still pending"
+        );
+        drop(runtime); // drop must dispatch the partial batch itself
         for handle in handles {
             assert_eq!(handle.wait().unwrap().len(), 3);
         }
@@ -1575,16 +1588,14 @@ mod tests {
         let flow = compiled(Backend::BitSliced64, 4);
         let width = flow.program.num_inputs;
         let steady = flow.stats.steady_clock_cycles;
-        // Long deadline: the size trigger alone shapes the 4 batches the
-        // exact-count assertions below expect.
         let runtime = Runtime::from_engine(
             flow.engine().unwrap(),
-            RuntimeOptions::default()
-                .workers(1)
-                .max_batch(8)
-                .flush_after(Duration::from_secs(3600)),
+            RuntimeOptions::default().workers(1).max_batch(8),
         )
         .unwrap();
+        // Busy worker: the size trigger alone shapes the 4 batches the
+        // exact-count assertions below expect.
+        occupy_workers(&runtime);
         let handles: Vec<RequestHandle> = (0..32)
             .map(|i| runtime.submit(&request_bits(width, i)).unwrap())
             .collect();
@@ -1609,17 +1620,15 @@ mod tests {
     fn try_submit_sheds_at_the_admission_limit() {
         let flow = compiled(Backend::BitSliced64, 13);
         let width = flow.program.num_inputs;
-        // Long deadline + wide batch: accepted requests sit pending, so
-        // in_flight is fully under the test's control.
         let runtime = Runtime::from_engine(
             flow.engine().unwrap(),
-            RuntimeOptions::default()
-                .workers(1)
-                .admission_limit(4)
-                .flush_after(Duration::from_secs(3600)),
+            RuntimeOptions::default().workers(1).admission_limit(4),
         )
         .unwrap();
         assert_eq!(runtime.admission_limit(), 4);
+        // Busy worker + wide batch: accepted requests sit pending, so
+        // in_flight is fully under the test's control.
+        occupy_workers(&runtime);
         let accepted: Vec<RequestHandle> = (0..4)
             .map(|i| runtime.try_submit(&request_bits(width, i)).unwrap())
             .collect();
@@ -1652,6 +1661,22 @@ mod tests {
         assert_eq!(runtime.stats().shed, 1);
     }
 
+    /// A runtime's threads are its pool workers and nothing else (no
+    /// flusher, no timer thread).
+    #[test]
+    fn runtime_spawns_exactly_its_workers() {
+        let flow = compiled(Backend::Scalar, 14);
+        for workers in [1usize, 3] {
+            let runtime = Runtime::from_engine(
+                flow.engine().unwrap(),
+                RuntimeOptions::default().workers(workers),
+            )
+            .unwrap();
+            assert_eq!(runtime.workers(), workers);
+            assert_eq!(runtime.pool.handles.len(), workers);
+        }
+    }
+
     /// The auto admission limit scales with flush target, queue capacity
     /// and workers.
     #[test]
@@ -1669,19 +1694,14 @@ mod tests {
         assert_eq!(runtime.admission_limit(), 60);
     }
 
-    /// drain() blocks until idle without consuming the runtime, flushing
-    /// the pending partial batch instead of waiting out the deadline.
+    /// drain() blocks until idle without consuming the runtime.
     #[test]
     fn drain_resolves_pending_requests_and_keeps_serving() {
         let flow = compiled(Backend::Scalar, 21);
         let width = flow.program.num_inputs;
-        let runtime = Runtime::from_engine(
-            flow.engine().unwrap(),
-            RuntimeOptions::default()
-                .workers(2)
-                .flush_after(Duration::from_secs(3600)),
-        )
-        .unwrap();
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(2))
+                .unwrap();
         runtime.drain(); // idle drain is an immediate no-op
         for round in 0..3u64 {
             let handles: Vec<RequestHandle> = (0..7)
@@ -1696,26 +1716,32 @@ mod tests {
         assert_eq!(runtime.stats().requests, 21);
     }
 
+    /// A replacement for `flow`'s engine: the same structure with the
+    /// output cells negated, so every response differs on every input.
+    fn patched(flow: &Flow) -> Engine {
+        let patches: lbnn_netlist::PatchSet = flow
+            .netlist
+            .outputs()
+            .iter()
+            .map(|o| o.node)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .map(|id| (id, flow.netlist.node(id).op().negated().unwrap()))
+            .collect();
+        assert!(!patches.is_empty());
+        flow.engine().unwrap().patch_cells(&patches).unwrap()
+    }
+
     /// Hot swap under a quiet runtime: the version bumps, submissions
     /// after the swap are bit-identical to the replacement engine,
     /// responses resolved before it still match the original, and the
     /// per-version completion counters sum to the total.
     #[test]
     fn swap_engine_moves_new_submissions_to_the_new_version() {
-        use lbnn_netlist::PatchSet;
         let flow = compiled(Backend::BitSliced64, 23);
         let width = flow.program.num_inputs;
-        // Replacement: the same structure with a few gates negated.
-        let patches: PatchSet = flow
-            .netlist
-            .iter()
-            .filter(|(_, node)| node.op().is_gate2())
-            .take(3)
-            .map(|(id, node)| (id, node.op().negated().unwrap()))
-            .collect();
-        assert_eq!(patches.len(), 3);
         let base_engine = flow.engine().unwrap();
-        let patched_engine = base_engine.patch_cells(&patches).unwrap();
+        let patched_engine = patched(&flow);
 
         let runtime = Runtime::from_engine(
             flow.engine().unwrap(),
@@ -1767,6 +1793,35 @@ mod tests {
             stats.requests,
             "per-version counters must partition the completions"
         );
+    }
+
+    /// Requests still pending when a swap begins are flushed to the
+    /// *old* core: the version that admitted them answers them.
+    #[test]
+    fn swap_flushes_the_pending_batch_to_the_old_core() {
+        let flow = compiled(Backend::BitSliced64, 27);
+        let width = flow.program.num_inputs;
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
+                .unwrap();
+        occupy_workers(&runtime);
+        let requests: Vec<Vec<bool>> = (0..6).map(|i| request_bits(width, 0x77 + i)).collect();
+        let handles: Vec<RequestHandle> = requests
+            .iter()
+            .map(|bits| runtime.submit(bits).unwrap())
+            .collect();
+        assert!(handles.iter().all(|h| h.try_wait().is_none()));
+        assert_eq!(runtime.swap_engine(patched(&flow)).unwrap(), 1);
+        let packed = Lanes::pack_rows(&requests, width);
+        let v0 = flow
+            .engine()
+            .unwrap()
+            .run_batch_with(&mut EngineScratch::new(), &packed)
+            .unwrap();
+        for (j, handle) in handles.into_iter().enumerate() {
+            let want: Vec<bool> = v0.outputs.iter().map(|o| o.get(j)).collect();
+            assert_eq!(handle.wait().unwrap(), want, "pre-swap request {j}");
+        }
     }
 
     /// A hot swap must preserve the request interface: a replacement

@@ -7,7 +7,6 @@
 //!   --workers N           runtime workers per model (0 = one per CPU)
 //!   --queue-capacity N    micro-batch job queue bound  (default 32)
 //!   --max-batch N         lanes per micro-batch (0 = engine lane width)
-//!   --flush-after-us N    deadline flush trigger       (default 200)
 //!   --admission-limit N   in-flight cap before shedding (0 = auto)
 //!   --max-connections N   simultaneous connections     (default 256)
 //!   --no-admin            disable POST /admin/shutdown
@@ -39,8 +38,8 @@ use lbnn_serve::server::{Server, ServerOptions};
 fn usage() -> ! {
     eprintln!(
         "usage: lbnn-serve --models DIR [--addr A:P] [--workers N] [--queue-capacity N]\n\
-         \u{20}                 [--max-batch N] [--flush-after-us N] [--admission-limit N]\n\
-         \u{20}                 [--max-connections N] [--no-admin]\n\
+         \u{20}                 [--max-batch N] [--admission-limit N] [--max-connections N]\n\
+         \u{20}                 [--no-admin]\n\
          \u{20}      lbnn-serve --bench ADDR --model NAME [--rate R] [--requests N]\n\
          \u{20}                 [--connections N] [--seed S] [--verify FILE.v]"
     );
@@ -86,9 +85,6 @@ fn parse_args() -> Mode {
             "--workers" => serve.runtime.workers = num(&mut it),
             "--queue-capacity" => serve.runtime.queue_capacity = num(&mut it),
             "--max-batch" => serve.runtime.max_batch = num(&mut it),
-            "--flush-after-us" => {
-                serve.runtime.flush_after = Duration::from_micros(num(&mut it) as u64)
-            }
             "--admission-limit" => serve.runtime.admission_limit = num(&mut it),
             "--max-connections" => serve.server.max_connections = num(&mut it),
             "--no-admin" => serve.server.enable_admin = false,

@@ -266,23 +266,36 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize and send a response with a `text/plain` body.
+/// Serialize a response with a `text/plain` body — head, then body —
+/// into `out` (cleared first), ready to reach the socket as one write.
+/// A connection reuses one `out` for every response it sends.
+pub fn encode_response_into(status: u16, body: &str, keep_alive: bool, out: &mut Vec<u8>) {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    out.clear();
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
+        status,
+        reason(status),
+        body.len(),
+        connection,
+        body,
+    )
+    .expect("writing to a Vec cannot fail");
+}
+
+/// Serialize and send a response with a `text/plain` body, as one
+/// `write` of head + body (see [`crate::wire::write_frame`] for why).
 pub fn write_response<W: Write>(
     writer: &mut W,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        status,
-        reason(status),
-        body.len(),
-        connection,
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body.as_bytes())?;
+    // Room for the longest head this server emits, so `out` grows once.
+    let mut out = Vec::with_capacity(160 + body.len());
+    encode_response_into(status, body, keep_alive, &mut out);
+    writer.write_all(&out)?;
     writer.flush()
 }
 
@@ -417,6 +430,15 @@ mod tests {
             }
         }
         assert!(buf.is_empty());
+    }
+
+    /// Head and body reach the writer as exactly one `write` call.
+    #[test]
+    fn write_response_issues_one_write() {
+        let mut writer = crate::CountingWriter::default();
+        write_response(&mut writer, 200, "101\n", true).unwrap();
+        assert_eq!(writer.writes, 1);
+        assert!(writer.bytes.ends_with(b"\r\n\r\n101\n"));
     }
 
     #[test]

@@ -151,6 +151,28 @@ impl From<CoreError> for ServeError {
     }
 }
 
+/// A `Write` that counts `write` calls: the codecs' tests use it to pin
+/// "one response, one write" (see [`wire::write_frame`]).
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

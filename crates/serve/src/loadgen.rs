@@ -250,6 +250,11 @@ fn conn_worker(
         reason: e.to_string(),
     };
     let mut stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
+    // Each request is one write; it must leave when written, not when
+    // the previous one has been acknowledged.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| io_err("set TCP_NODELAY", e))?;
     stream
         .write_all(&wire::MAGIC)
         .map_err(|e| io_err("handshake", e))?;

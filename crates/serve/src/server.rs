@@ -27,11 +27,22 @@
 //! [`ServerHandle::shutdown`] (or `POST /admin/shutdown`, or a unix
 //! signal in the binary) flips one flag. The accept loop stops taking
 //! connections; connection threads notice within one socket-timeout
-//! tick, finish the request in hand, and close. While they finish, the
-//! server repeatedly flushes every runtime so partially-filled
-//! micro-batches resolve promptly, then drains the registry. Every
-//! request that was accepted gets its response; nothing is dropped.
+//! tick, finish the request in hand, and close; then the registry is
+//! drained. Every request that was accepted gets its response; nothing
+//! is dropped. A peer that has stopped reading cannot hold the drain up:
+//! its connection thread gives up after the 2 s write timeout and closes.
+//!
+//! ## Sockets
+//!
+//! Every accepted stream runs with `TCP_NODELAY`, and every response —
+//! binary frame or HTTP — is built whole in a per-connection buffer and
+//! reaches the socket as one `write`. Either alone keeps a
+//! request/response client off the Nagle/delayed-ACK interaction, where
+//! the second of two small writes is held ~40 ms until the peer
+//! acknowledges the first; together they also make each response one
+//! segment.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,6 +60,12 @@ use crate::ServeError;
 /// the shutdown flag. Short enough for a snappy drain, long enough to
 /// stay off the scheduler.
 const READ_TICK: Duration = Duration::from_millis(50);
+
+/// Socket write timeout: how long a peer may take no bytes at all before
+/// its connection thread stops waiting on it and closes. Responses are
+/// a few bytes to a few KiB, so only a peer that has stopped reading
+/// ever fills both socket buffers and gets here.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Accept-loop poll interval while the listener is non-blocking.
 const ACCEPT_TICK: Duration = Duration::from_millis(2);
@@ -267,13 +284,10 @@ impl Server {
                 }
             }
         }
-        // Drain: no new connections. Keep flushing partial micro-batches
-        // so requests held by still-active connection threads resolve,
-        // then wait the registry fully idle.
+        // Drain: no new connections. Wait out the connection threads
+        // (each finishes the request in hand), then wait the registry
+        // fully idle.
         while shared.active.load(Ordering::Acquire) > 0 {
-            for entry in self.registry.entries() {
-                entry.runtime.flush();
-            }
             std::thread::sleep(Duration::from_millis(2));
         }
         self.registry.drain_all();
@@ -307,7 +321,10 @@ impl Server {
 
 /// Sniff the protocol and run the matching per-connection loop.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
+    if stream.set_nodelay(true).is_err()
+        || stream.set_read_timeout(Some(READ_TICK)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
         return;
     }
     let mut stream = stream;
@@ -352,6 +369,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 
 /// Per-connection loop for the binary protocol.
 fn serve_binary(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
+    // One response frame at a time, built whole and reused.
+    let mut out = Vec::new();
     loop {
         match wire::read_frame(&mut stream, &mut buf) {
             FrameOutcome::Ready(payload) => {
@@ -401,7 +420,8 @@ fn serve_binary(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
                         }
                     }
                 };
-                if wire::write_frame(&mut stream, &wire::encode_response(&resp)).is_err() {
+                wire::encode_response_into(&resp, &mut out);
+                if stream.write_all(&out).is_err() {
                     return;
                 }
             }
@@ -423,7 +443,8 @@ fn serve_binary(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
                     bits: Vec::new(),
                     message: "framing violation".into(),
                 };
-                let _ = wire::write_frame(&mut stream, &wire::encode_response(&resp));
+                wire::encode_response_into(&resp, &mut out);
+                let _ = stream.write_all(&out);
                 return;
             }
             FrameOutcome::Io(_) => return,
@@ -433,6 +454,8 @@ fn serve_binary(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
 
 /// Per-connection loop for HTTP.
 fn serve_http(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
+    // One response (head + body) at a time, built whole and reused.
+    let mut out = Vec::new();
     loop {
         match http::read_request(&mut stream, &mut buf, &shared.limits) {
             ReadOutcome::Ready(req) => {
@@ -440,7 +463,8 @@ fn serve_http(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
                 let draining = shared.shutdown.load(Ordering::Acquire);
                 let keep_alive = req.keep_alive && !draining;
                 let (status, body) = route(&req, shared);
-                if http::write_response(&mut stream, status, &body, keep_alive).is_err() {
+                http::encode_response_into(status, &body, keep_alive, &mut out);
+                if stream.write_all(&out).is_err() {
                     return;
                 }
                 if !keep_alive {
@@ -459,7 +483,8 @@ fn serve_http(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
                 if e != ParseError::ConnectionClosed {
-                    let _ = http::write_response(&mut stream, e.status(), &format!("{e}\n"), false);
+                    http::encode_response_into(e.status(), &format!("{e}\n"), false, &mut out);
+                    let _ = stream.write_all(&out);
                 }
                 return;
             }

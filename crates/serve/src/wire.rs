@@ -87,21 +87,29 @@ pub struct InferResponse {
 /// with one widening multiply — the diagonal coefficients place bit `j`
 /// of the product's top byte — instead of a test-and-set per bit.
 pub fn pack_bits(bits: &[bool]) -> Vec<u8> {
-    let mut bytes = vec![0u8; bits.len().div_ceil(8)];
+    let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
+    push_packed_bits(bits, &mut bytes);
+    bytes
+}
+
+/// [`pack_bits`] appended onto `out`.
+fn push_packed_bits(bits: &[bool], out: &mut Vec<u8>) {
     let mut chunks = bits.chunks_exact(8);
-    for (dst, chunk) in bytes.iter_mut().zip(&mut chunks) {
+    for chunk in &mut chunks {
         let mut raw = [0u8; 8];
         for (r, &b) in raw.iter_mut().zip(chunk) {
             *r = b as u8;
         }
-        *dst = (u64::from_le_bytes(raw).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8;
+        out.push((u64::from_le_bytes(raw).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8);
     }
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        if let Some(last) = bytes.last_mut() {
-            *last |= (b as u8) << i;
-        }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        out.push(
+            tail.iter()
+                .enumerate()
+                .fold(0u8, |byte, (i, &b)| byte | (b as u8) << i),
+        );
     }
-    bytes
 }
 
 /// Inverse of [`pack_bits`]: take `nbits` bits back out of `bytes`.
@@ -162,15 +170,32 @@ pub fn decode_request(payload: &[u8]) -> Result<InferRequest, String> {
 
 /// Encode a response as a frame payload (no length prefix).
 pub fn encode_response(resp: &InferResponse) -> Vec<u8> {
-    let mut out = vec![resp.status as u8];
+    let mut out = Vec::new();
+    push_response(resp, &mut out);
+    out
+}
+
+/// Encode a response as a whole frame — length prefix, then payload —
+/// into `out` (cleared first), ready to reach the socket as one write.
+/// A connection reuses one `out` for every response it sends.
+pub fn encode_response_into(resp: &InferResponse, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&[0; 4]);
+    push_response(resp, out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Append a response's frame payload onto `out`.
+fn push_response(resp: &InferResponse, out: &mut Vec<u8>) {
+    out.push(resp.status as u8);
     match resp.status {
         Status::Ok => {
             out.extend_from_slice(&(resp.bits.len() as u32).to_le_bytes());
-            out.extend_from_slice(&pack_bits(&resp.bits));
+            push_packed_bits(&resp.bits, out);
         }
         _ => out.extend_from_slice(resp.message.as_bytes()),
     }
-    out
 }
 
 /// Decode a response frame payload.
@@ -200,10 +225,16 @@ pub fn decode_response(payload: &[u8]) -> Result<InferResponse, String> {
     }
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame, as one `write` of prefix + payload.
+/// Two small writes are two segments, and unless the socket has
+/// `TCP_NODELAY` the second is held (Nagle) until the peer's delayed ACK
+/// of the first arrives — ~40 ms per frame on a request/response
+/// connection.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -303,6 +334,46 @@ mod tests {
             message: "no model `nope`".into(),
         };
         assert_eq!(decode_response(&encode_response(&nf)).unwrap(), nf);
+    }
+
+    /// The whole-frame encoder is the payload encoder behind a length
+    /// prefix, and a reused buffer carries nothing over.
+    #[test]
+    fn encode_response_into_is_prefix_plus_payload() {
+        let mut out = b"stale bytes from the previous response".to_vec();
+        for resp in [
+            InferResponse {
+                status: Status::Ok,
+                bits: vec![
+                    true, false, true, true, false, false, true, false, true, true,
+                ],
+                message: String::new(),
+            },
+            InferResponse {
+                status: Status::Shed,
+                bits: Vec::new(),
+                message: String::new(),
+            },
+            InferResponse {
+                status: Status::NotFound,
+                bits: Vec::new(),
+                message: "no model `nope`".into(),
+            },
+        ] {
+            encode_response_into(&resp, &mut out);
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &encode_response(&resp)).unwrap();
+            assert_eq!(out, framed, "{resp:?}");
+        }
+    }
+
+    /// A frame reaches the writer as exactly one `write` call.
+    #[test]
+    fn write_frame_issues_one_write() {
+        let mut writer = crate::CountingWriter::default();
+        write_frame(&mut writer, b"payload").unwrap();
+        assert_eq!(writer.writes, 1);
+        assert_eq!(writer.bytes, b"\x07\0\0\0payload");
     }
 
     #[test]

@@ -144,10 +144,7 @@ fn assert_runtime_conformance(netlist: &Netlist, config: LpuConfig, seed: u64, r
         for max_batch in [0usize, 21] {
             let runtime = Runtime::from_engine(
                 flow.engine().unwrap(),
-                RuntimeOptions::default()
-                    .workers(2)
-                    .max_batch(max_batch)
-                    .flush_after(std::time::Duration::from_secs(3600)),
+                RuntimeOptions::default().workers(2).max_batch(max_batch),
             )
             .unwrap();
             if max_batch == 0 {
@@ -300,13 +297,9 @@ fn assert_partition_runtime_conformance(
         let backend = Backend::BitSliced { words };
         for parts in partition_counts() {
             let flow = partitioned_flow(netlist, config, backend, parts, reload);
-            let runtime = Runtime::from_engine(
-                flow.engine().unwrap(),
-                RuntimeOptions::default()
-                    .workers(2)
-                    .flush_after(std::time::Duration::from_secs(3600)),
-            )
-            .unwrap();
+            let runtime =
+                Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(2))
+                    .unwrap();
             let handles: Vec<RequestHandle> = requests
                 .iter()
                 .map(|bits| runtime.submit(bits).unwrap())
@@ -567,13 +560,9 @@ fn partial_micro_batches_conform_on_every_width() {
             .backend(backend)
             .compile()
             .unwrap();
-        let runtime = Runtime::from_engine(
-            flow.engine().unwrap(),
-            RuntimeOptions::default()
-                .workers(1)
-                .flush_after(std::time::Duration::from_secs(3600)),
-        )
-        .unwrap();
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
+                .unwrap();
         // Strictly fewer requests than any width's flush target.
         let requests: Vec<Vec<bool>> = (0..5)
             .map(|r| {

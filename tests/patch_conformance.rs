@@ -19,7 +19,6 @@ use lbnn::netlist::random::RandomDag;
 use lbnn::netlist::{Lanes, Netlist, Op, PatchSet};
 use lbnn::{Backend, EngineScratch, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
 use proptest::prelude::*;
-use std::time::Duration;
 
 /// A deterministic pseudo-random patch set over `netlist`: roughly a
 /// third of its patchable cells (executable, arity ≥ 1) get a random
@@ -211,8 +210,7 @@ proptest! {
             engine,
             RuntimeOptions::default()
                 .workers(2)
-                .max_batch(16)
-                .flush_after(Duration::from_secs(3600)),
+                .max_batch(16),
         )
         .unwrap();
 
