@@ -33,6 +33,12 @@
 //!   job. Requests therefore wait only while every worker is busy,
 //!   which is exactly when batching costs nothing; there is no timer
 //!   and no flusher thread.
+//! * A thread that runs out of work **polls briefly before it parks**
+//!   (`POLL_BEFORE_PARK`): a worker at the empty job queue, a caller at
+//!   the response slot of a request a free worker is running. A stream
+//!   of one-at-a-time requests then meets threads that are already
+//!   awake instead of paying — or, depending on thread placement, not
+//!   paying — an idle-CPU wake-up per hand-off.
 //! * The submission path is **bounded**: when the job queue is full,
 //!   `submit` blocks until a worker drains it (backpressure instead of
 //!   unbounded memory growth).
@@ -58,7 +64,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,6 +89,25 @@ pub struct ServeScratch {
     /// Per-layer scratches for whole-model execution.
     pub(crate) model: ModelScratch,
 }
+
+/// How long a thread that has just run out of work keeps looking for
+/// more — a worker at the job queue, a caller at the response slot of a
+/// request whose batch a free worker is running — before it parks on its
+/// condvar. It yields the CPU between looks, so it never holds up a
+/// runnable thread.
+///
+/// Parking is what makes a served request slow *and* erratic: waking a
+/// parked thread costs 20–60 µs when its CPU has gone idle and next to
+/// nothing when it has not, and which of the two a stream of
+/// one-at-a-time requests gets is up to where the scheduler happened to
+/// put the threads (the same binary ran at 85 µs or 200 µs per request
+/// from one run to the next). The next request of such a stream arrives
+/// 50–70 µs after the last response, well inside this window, so both
+/// hand-offs — caller → worker, worker → caller — meet a thread that is
+/// already awake. Burst traffic never gets here (its workers find the
+/// queue non-empty, its callers' requests wait in the batcher), and an
+/// idle runtime stops polling after one window.
+const POLL_BEFORE_PARK: Duration = Duration::from_micros(200);
 
 /// A job executed on a pool worker with that worker's scratch.
 type Job = Box<dyn FnOnce(&mut ServeScratch) + Send + 'static>;
@@ -109,6 +134,10 @@ struct PoolShared {
 struct PoolState {
     queue: VecDeque<Job>,
     shutdown: bool,
+    /// A worker that ran out of jobs is polling the queue (see
+    /// [`POLL_BEFORE_PARK`]) and will find a lone new job by itself. At
+    /// most one worker polls at a time.
+    polling: bool,
 }
 
 impl fmt::Debug for WorkerPool {
@@ -128,6 +157,7 @@ impl WorkerPool {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 shutdown: false,
+                polling: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -141,6 +171,8 @@ impl WorkerPool {
                     loop {
                         let job = {
                             let mut st = shared.state.lock().expect("pool lock");
+                            // Out of jobs: poll once before parking.
+                            let mut polled = false;
                             loop {
                                 if let Some(job) = st.queue.pop_front() {
                                     shared.not_full.notify_one();
@@ -150,6 +182,14 @@ impl WorkerPool {
                                 // shutdown, so no accepted job is dropped.
                                 if st.shutdown {
                                     break None;
+                                }
+                                if !polled && !st.polling {
+                                    polled = true;
+                                    st.polling = true;
+                                    drop(st);
+                                    st = poll_for_job(&shared);
+                                    st.polling = false;
+                                    continue;
                                 }
                                 st = shared.not_empty.wait(st).expect("pool lock");
                             }
@@ -178,8 +218,28 @@ impl WorkerPool {
             st = self.shared.not_full.wait(st).expect("pool lock");
         }
         st.queue.push_back(job);
+        // A polling worker picks a lone job up by itself; waking a parked
+        // one as well would only have it find the queue empty.
+        let wake = !(st.polling && st.queue.len() == 1);
         drop(st);
-        self.shared.not_empty.notify_one();
+        if wake {
+            self.shared.not_empty.notify_one();
+        }
+    }
+}
+
+/// The polling phase of a worker that found the queue empty: looks at
+/// the queue, yielding the CPU between looks, until there is a job, the
+/// pool shuts down, or [`POLL_BEFORE_PARK`] has passed. Returns the pool
+/// lock, held since the last look.
+fn poll_for_job(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
+    let give_up = Instant::now() + POLL_BEFORE_PARK;
+    loop {
+        std::thread::yield_now();
+        let st = shared.state.lock().expect("pool lock");
+        if !st.queue.is_empty() || st.shutdown || Instant::now() >= give_up {
+            return st;
+        }
     }
 }
 
@@ -234,6 +294,10 @@ impl ResponseSlot {
 pub struct RequestHandle {
     slot: Arc<ResponseSlot>,
     id: u64,
+    /// The request was handed straight to a free worker, so its response
+    /// is one kernel pass away: [`RequestHandle::wait`] polls for it
+    /// before parking. At most `workers` such requests are outstanding.
+    poll: bool,
 }
 
 impl fmt::Debug for RequestHandle {
@@ -259,6 +323,18 @@ impl RequestHandle {
     /// Returns the execution error of the micro-batch that carried this
     /// request (every request of a failed batch receives the error).
     pub fn wait(self) -> Result<Vec<bool>, CoreError> {
+        if self.poll {
+            let give_up = Instant::now() + POLL_BEFORE_PARK;
+            loop {
+                if let Some(result) = self.slot.state.lock().expect("response lock").take() {
+                    return result;
+                }
+                if Instant::now() >= give_up {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
         let mut st = self.slot.state.lock().expect("response lock");
         loop {
             if let Some(result) = st.take() {
@@ -943,14 +1019,15 @@ impl Runtime {
             slot: Arc::clone(&slot),
         };
         let flush_target = self.flush_target();
-        let (id, batch) = {
+        let (id, batch, poll) = {
             let mut st = self.shared.batcher.lock().expect("batcher lock");
             let id = st.next_id;
             st.next_id += 1;
             st.pending.push(request);
+            let free = st.busy < self.shared.workers;
             let batch = if st.pending.len() >= flush_target {
                 Some((st.take_batch(), &self.shared.stats.full_flushes))
-            } else if st.busy < self.shared.workers {
+            } else if free {
                 // A worker is free: waiting could not start this request
                 // sooner, only later.
                 Some((st.take_batch(), &self.shared.stats.deadline_flushes))
@@ -958,7 +1035,10 @@ impl Runtime {
                 // Every worker is busy; the first to finish pulls this.
                 None
             };
-            (id, batch)
+            // Dispatched to a free worker, the response is one kernel
+            // pass away.
+            let poll = free && batch.is_some();
+            (id, batch, poll)
         };
         if let Some((reqs, trigger)) = batch {
             trigger.fetch_add(1, Ordering::Relaxed);
@@ -966,7 +1046,7 @@ impl Runtime {
             // full this blocks, but other submitters keep batching.
             dispatch(&self.pool, &self.shared, reqs);
         }
-        Ok(RequestHandle { slot, id })
+        Ok(RequestHandle { slot, id, poll })
     }
 
     /// The in-flight request count at which [`Runtime::try_submit`]
@@ -1343,6 +1423,30 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 16);
     }
 
+    /// `submit` skips the wake-up when a polling worker will find the job
+    /// by itself — which must never leave a second job waiting for that
+    /// same worker while the other one sleeps. Job A only finishes once
+    /// job B has run, so each round needs both workers at once, whether
+    /// they were polling (back-to-back rounds) or parked (after a pause).
+    #[test]
+    fn a_polling_worker_never_strands_a_second_job() {
+        let pool = WorkerPool::spawn(2, 8);
+        let patience = Duration::from_secs(10);
+        for round in 0..200 {
+            if round % 20 == 0 {
+                std::thread::sleep(4 * POLL_BEFORE_PARK);
+            }
+            let (b_ran, a_waits) = std::sync::mpsc::channel();
+            let (a_done, both_done) = std::sync::mpsc::channel();
+            pool.submit(Box::new(move |_| {
+                let alongside = a_waits.recv_timeout(patience).is_ok();
+                a_done.send(alongside).unwrap();
+            }));
+            pool.submit(Box::new(move |_| b_ran.send(()).unwrap()));
+            assert_eq!(both_done.recv_timeout(2 * patience), Ok(true), "{round}");
+        }
+    }
+
     #[test]
     fn runtime_serves_requests_bit_identically_to_engine() {
         for backend in [Backend::Scalar, Backend::BitSliced64] {
@@ -1389,6 +1493,7 @@ mod tests {
             Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
                 .unwrap();
         let handle = runtime.submit(&request_bits(width, 1)).unwrap();
+        assert!(handle.poll, "a free worker has it: worth polling for");
         assert_eq!(handle.wait().unwrap().len(), 3);
         let stats = runtime.stats();
         assert_eq!(stats.micro_batches, 1, "{stats:?}");
@@ -1412,6 +1517,7 @@ mod tests {
             .collect();
         assert_eq!(runtime.in_flight(), 5);
         assert!(handles.iter().all(|h| h.try_wait().is_none()));
+        assert!(handles.iter().all(|h| !h.poll), "queued requests park");
         free_a_worker(&runtime);
         for handle in handles {
             assert_eq!(handle.wait().unwrap().len(), 3);
