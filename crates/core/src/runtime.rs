@@ -13,9 +13,9 @@
 //!  submit(bits) ──▶ bounded pending buffer ──▶ micro-batcher
 //!       │                (backpressure)   (lane-width full │ worker idle)
 //!       ▼                                          │
-//!  RequestHandle ◀── per-request outputs ◀── worker pool (N threads,
-//!   .wait()            (lane j = request j)   each: own EngineScratch,
-//!                                             shared Arc'd EngineCore)
+//!  RequestHandle ◀── one packed result block ◀── worker pool (N threads,
+//!   .wait() expands     per micro-batch           each: own EngineScratch,
+//!   its own lane       (lane j = request j)       shared Arc'd EngineCore)
 //! ```
 //!
 //! * The compiled model is **resident and shared**: workers execute
@@ -23,9 +23,18 @@
 //!   (or a shared [`CompiledModel`]) through `&self`; only
 //!   [`EngineScratch`] is per-worker.
 //! * [`Runtime::submit`] enqueues one *single-sample* request and
-//!   returns a [`RequestHandle`]. The dynamic micro-batcher is
-//!   **work-conserving**: a batch leaves the moment it reaches the
-//!   serving engine's lane width (or an explicit
+//!   returns a [`RequestHandle`]. The **micro-batch is the unit of
+//!   completion**: `submit` appends the request's bits to the forming
+//!   batch's one flat input buffer and hands back a handle that is just
+//!   (the batch's shared result cell, a lane number) — no per-request
+//!   allocation, lock or wake-up. The worker transposes the batch's
+//!   output columns once into bit-packed rows ([`PackedRows`]),
+//!   publishes them in the cell and wakes all of the batch's waiters
+//!   with one notification; each caller expands only its own row into
+//!   the `Vec<bool>` it receives, on its own thread. The block is freed
+//!   when the last handle of the batch is dropped.
+//! * The dynamic micro-batcher is **work-conserving**: a batch leaves
+//!   the moment it reaches the serving engine's lane width (or an explicit
 //!   [`RuntimeOptions::max_batch`] override), *or* the moment a worker
 //!   is free to run it — on `submit` when fewer micro-batches are
 //!   outstanding than there are workers, otherwise by the next worker to
@@ -35,7 +44,7 @@
 //!   and no flusher thread.
 //! * A thread that runs out of work **polls briefly before it parks**
 //!   (`POLL_BEFORE_PARK`): a worker at the empty job queue, a caller at
-//!   the response slot of a request a free worker is running. A stream
+//!   the result cell of a request a free worker is running. A stream
 //!   of one-at-a-time requests then meets threads that are already
 //!   awake instead of paying — or, depending on thread placement, not
 //!   paying — an idle-CPU wake-up per hand-off.
@@ -64,11 +73,11 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lbnn_netlist::Lanes;
+use lbnn_netlist::{Lanes, PackedRows};
 
 use crate::engine::{Backend, Engine, EngineScratch};
 use crate::error::CoreError;
@@ -91,7 +100,7 @@ pub struct ServeScratch {
 }
 
 /// How long a thread that has just run out of work keeps looking for
-/// more — a worker at the job queue, a caller at the response slot of a
+/// more — a worker at the job queue, a caller at the result cell of a
 /// request whose batch a free worker is running — before it parks on its
 /// condvar. It yields the CPU between looks, so it never holds up a
 /// runnable thread.
@@ -263,36 +272,72 @@ impl Drop for WorkerPool {
 // Requests and handles
 // ---------------------------------------------------------------------------
 
-struct ResponseSlot {
-    state: Mutex<Option<Result<Vec<bool>, CoreError>>>,
+/// The completion cell of one micro-batch, shared by the worker that
+/// runs the batch and every [`RequestHandle`] accepted into it; the last
+/// of them to go frees it.
+struct BatchCell {
+    /// Every request's output row, bit-packed (row `j` belongs to the
+    /// `j`-th request accepted into the batch), or the error all of them
+    /// observe. Written once, by the worker; read lock-free.
+    result: OnceLock<Result<PackedRows, CoreError>>,
+    /// For parking only: a waiter that finds `result` empty sleeps on
+    /// `ready` under this lock.
+    park: Mutex<()>,
     ready: Condvar,
 }
 
-impl ResponseSlot {
-    fn new() -> ResponseSlot {
-        ResponseSlot {
-            state: Mutex::new(None),
+impl BatchCell {
+    fn new() -> BatchCell {
+        BatchCell {
+            result: OnceLock::new(),
+            park: Mutex::new(()),
             ready: Condvar::new(),
         }
     }
 
-    fn fulfill(&self, result: Result<Vec<bool>, CoreError>) {
-        let mut st = self.state.lock().expect("response lock");
-        *st = Some(result);
-        drop(st);
+    /// Resolves every request of the batch at once: one store, one
+    /// wake-up.
+    fn publish(&self, result: Result<PackedRows, CoreError>) {
+        let first = self.result.set(result).is_ok();
+        debug_assert!(first, "a micro-batch completes once");
+        // Taking the lock orders the wake-up after a waiter's
+        // check-then-wait.
+        drop(self.park.lock().expect("park lock"));
         self.ready.notify_all();
+    }
+
+    /// Blocks until the batch has been published.
+    fn wait(&self) -> &Result<PackedRows, CoreError> {
+        if let Some(result) = self.result.get() {
+            return result;
+        }
+        let mut guard = self.park.lock().expect("park lock");
+        loop {
+            if let Some(result) = self.result.get() {
+                return result;
+            }
+            guard = self.ready.wait(guard).expect("park lock");
+        }
     }
 }
 
 /// The caller's side of one submitted request.
 ///
 /// Resolves to the request's primary-output bits (in netlist output
-/// order) once its micro-batch executes; requests resolve in submission
-/// order within each micro-batch, and [`RequestHandle::id`] is the
-/// global submission index.
+/// order) once its micro-batch executes; all requests of a micro-batch
+/// resolve together, and [`RequestHandle::id`] is the global submission
+/// index.
+///
+/// A handle shares its micro-batch's result block with the batch's other
+/// handles, so a live handle pins that block —
+/// `flush_target × ceil(outputs / 64) × 8` bytes at most — until it is
+/// waited or dropped, even after every other request of the batch has
+/// been answered.
 #[must_use = "a dropped handle discards the request's response"]
 pub struct RequestHandle {
-    slot: Arc<ResponseSlot>,
+    cell: Arc<BatchCell>,
+    /// This request's row of the batch's result block.
+    lane: usize,
     id: u64,
     /// The request was handed straight to a free worker, so its response
     /// is one kernel pass away: [`RequestHandle::wait`] polls for it
@@ -325,38 +370,80 @@ impl RequestHandle {
     pub fn wait(self) -> Result<Vec<bool>, CoreError> {
         if self.poll {
             let give_up = Instant::now() + POLL_BEFORE_PARK;
-            loop {
-                if let Some(result) = self.slot.state.lock().expect("response lock").take() {
-                    return result;
-                }
-                if Instant::now() >= give_up {
-                    break;
-                }
+            while self.cell.result.get().is_none() && Instant::now() < give_up {
                 std::thread::yield_now();
             }
         }
-        let mut st = self.slot.state.lock().expect("response lock");
-        loop {
-            if let Some(result) = st.take() {
-                return result;
-            }
-            st = self.slot.ready.wait(st).expect("response lock");
-        }
+        self.own_row(self.cell.wait())
     }
 
-    /// Non-blocking poll: a copy of the response if the request has
-    /// resolved. The slot keeps its value, so a later
-    /// [`RequestHandle::wait`] still returns.
+    /// Non-blocking poll: the response if the request has resolved. The
+    /// batch's result block is only read, so a later
+    /// [`RequestHandle::wait`] returns the same bits.
     pub fn try_wait(&self) -> Option<Result<Vec<bool>, CoreError>> {
-        self.slot.state.lock().expect("response lock").clone()
+        self.cell.result.get().map(|result| self.own_row(result))
+    }
+
+    /// This request's share of its batch's outcome: its own row,
+    /// expanded here — on the caller's thread — or the batch's error.
+    fn own_row(&self, result: &Result<PackedRows, CoreError>) -> Result<Vec<bool>, CoreError> {
+        match result {
+            Ok(rows) => Ok(rows.row(self.lane)),
+            Err(e) => Err(e.clone()),
+        }
     }
 }
 
-/// One pending request inside the micro-batcher.
-struct Request {
+/// One micro-batch from the first request accepted into it to its
+/// execution: the batcher appends to it under its lock, a worker
+/// consumes it.
+struct Batch {
+    /// Request `j`'s input bits at `bits[j * width..(j + 1) * width]`
+    /// (`width` = the runtime's primary-input count).
     bits: Vec<bool>,
-    submitted: Instant,
-    slot: Arc<ResponseSlot>,
+    /// Request `j`'s submit time, for its latency sample.
+    submitted: Vec<Instant>,
+    cell: Arc<BatchCell>,
+    /// Requests to make room for at the first [`Batch::push`].
+    expect: usize,
+}
+
+impl Batch {
+    /// An empty batch expected to grow to about `expect` requests.
+    fn new(expect: usize) -> Batch {
+        Batch {
+            bits: Vec::new(),
+            submitted: Vec::new(),
+            cell: Arc::new(BatchCell::new()),
+            expect,
+        }
+    }
+
+    /// Appends one request and returns its lane.
+    fn push(&mut self, bits: &[bool], now: Instant) -> usize {
+        let lane = self.submitted.len();
+        if lane == 0 {
+            // One allocation per buffer, made by a submitting thread.
+            // Grown push by push the two were reallocated a dozen times
+            // per batch, and the odd sizes that freed fragmented the
+            // submitter's heap: the `Vec<bool>` each `wait` allocates
+            // there took twice as long.
+            self.bits.reserve(self.expect * bits.len());
+            self.submitted.reserve(self.expect);
+        }
+        self.bits.extend_from_slice(bits);
+        self.submitted.push(now);
+        lane
+    }
+
+    /// Requests accepted so far.
+    fn len(&self) -> usize {
+        self.submitted.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.submitted.is_empty()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -368,6 +455,12 @@ struct Request {
 enum Target {
     Block(Arc<Engine>),
     Model(Arc<CompiledModel>),
+    /// Every micro-batch panics: the failure path of [`run_batch`],
+    /// which no well-formed engine can be made to take.
+    #[cfg(test)]
+    Panics {
+        num_inputs: usize,
+    },
 }
 
 impl Target {
@@ -375,6 +468,8 @@ impl Target {
         match self {
             Target::Block(engine) => engine.program().num_inputs,
             Target::Model(model) => model.layers()[0].flow().program.num_inputs,
+            #[cfg(test)]
+            Target::Panics { num_inputs } => *num_inputs,
         }
     }
 
@@ -382,6 +477,8 @@ impl Target {
         match self {
             Target::Block(engine) => engine.backend(),
             Target::Model(model) => model.layers()[0].backend(),
+            #[cfg(test)]
+            Target::Panics { .. } => Backend::Scalar,
         }
     }
 
@@ -391,6 +488,8 @@ impl Target {
         match self {
             Target::Block(engine) => engine.lane_width(),
             Target::Model(model) => model.layers()[0].backend().lanes(),
+            #[cfg(test)]
+            Target::Panics { .. } => Backend::Scalar.lanes(),
         }
     }
 
@@ -398,6 +497,8 @@ impl Target {
         match self {
             Target::Block(engine) => engine.config().freq_mhz,
             Target::Model(model) => model.config().freq_mhz,
+            #[cfg(test)]
+            Target::Panics { .. } => 1.0,
         }
     }
 
@@ -410,6 +511,8 @@ impl Target {
                 .iter()
                 .map(|l| l.stats().steady_clock_cycles)
                 .sum(),
+            #[cfg(test)]
+            Target::Panics { .. } => 0,
         }
     }
 
@@ -444,11 +547,11 @@ impl Target {
             }
             Target::Model(model) => {
                 let inputs = Lanes::pack_rows(rows, num_inputs);
-                Ok(model
-                    .infer_with(&mut scratch.model, &inputs)?
-                    .outputs()
-                    .to_vec())
+                let mut inference = model.infer_with(&mut scratch.model, &inputs)?;
+                Ok(inference.layer_outputs.pop().unwrap_or_default())
             }
+            #[cfg(test)]
+            Target::Panics { .. } => panic!("the test target panics on every micro-batch"),
         }
     }
 }
@@ -614,7 +717,8 @@ impl RuntimeShared {
 }
 
 struct BatchState {
-    pending: Vec<Request>,
+    /// The forming micro-batch: requests accepted and not yet dispatched.
+    pending: Batch,
     next_id: u64,
     /// Micro-batches dispatched and not yet finished (queued or
     /// running). Invariant, outside this lock: `pending` is non-empty
@@ -624,10 +728,13 @@ struct BatchState {
 }
 
 impl BatchState {
-    /// Takes everything pending as one micro-batch and counts it busy.
-    fn take_batch(&mut self) -> Vec<Request> {
+    /// Takes everything pending as one micro-batch, counts it busy, and
+    /// starts the next one (with its own result cell), expected to grow
+    /// as large as this one did.
+    fn take_batch(&mut self) -> Batch {
         self.busy += 1;
-        std::mem::take(&mut self.pending)
+        let next = Batch::new(self.pending.len());
+        std::mem::replace(&mut self.pending, next)
     }
 }
 
@@ -690,7 +797,10 @@ struct StatsShared {
     lanes_served: AtomicU64,
     in_flight: AtomicUsize,
     peak_in_flight: AtomicUsize,
-    span: Mutex<Option<(Instant, Instant)>>,
+    /// The first submit and the latest response: the span
+    /// [`RuntimeStats::elapsed_us`] reports.
+    first_submit: OnceLock<Instant>,
+    last_response: Mutex<Option<Instant>>,
     /// Pairs with `idle` to wake [`Runtime::drain`] when `in_flight`
     /// reaches zero; completions only touch it on that transition, so
     /// the hot path stays atomic-only.
@@ -702,16 +812,16 @@ impl StatsShared {
     fn note_submit(&self, now: Instant) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let depth = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_in_flight.fetch_max(depth, Ordering::Relaxed);
-        let mut span = self.span.lock().expect("span lock");
-        match span.as_mut() {
-            None => *span = Some((now, now)),
-            Some((_, last)) => *last = (*last).max(now),
+        // Once the peak has settled this is a load of a line nobody
+        // writes, not a read-modify-write per request.
+        if depth > self.peak_in_flight.load(Ordering::Relaxed) {
+            self.peak_in_flight.fetch_max(depth, Ordering::Relaxed);
         }
+        self.first_submit.get_or_init(|| now);
     }
 
     /// Retires `count` requests from the in-flight gauge once their
-    /// slots are fulfilled, waking any [`Runtime::drain`] on the
+    /// batch is published, waking any [`Runtime::drain`] on the
     /// busy→idle transition. Separate from [`StatsShared::note_completion`]
     /// so `in_flight == 0` really means "every accepted handle has
     /// resolved", not just "accounted".
@@ -725,19 +835,19 @@ impl StatsShared {
         }
     }
 
-    fn note_completion(&self, latencies: &[f64], now: Instant) {
+    /// Accounts one executed micro-batch whose requests were submitted
+    /// at `submitted` and answered at `now`.
+    fn note_completion(&self, submitted: &[Instant], now: Instant) {
         self.completed
-            .fetch_add(latencies.len() as u64, Ordering::Relaxed);
+            .fetch_add(submitted.len() as u64, Ordering::Relaxed);
         {
             let mut reservoir = self.latencies_us.lock().expect("latency lock");
-            for &latency in latencies {
-                reservoir.record(latency);
+            for &at in submitted {
+                reservoir.record(now.duration_since(at).as_secs_f64() * 1e6);
             }
         }
-        let mut span = self.span.lock().expect("span lock");
-        if let Some((_, last)) = span.as_mut() {
-            *last = (*last).max(now);
-        }
+        let mut last = self.last_response.lock().expect("last-response lock");
+        *last = Some(last.map_or(now, |at| at.max(now)));
     }
 }
 
@@ -773,6 +883,9 @@ pub struct Runtime {
     /// `options.admission_limit`, or the auto formula when 0. Fixed at
     /// construction — a hot swap does not renegotiate admission.
     admission_limit: usize,
+    /// Primary-input bits per request. Fixed at construction: a swap
+    /// that would change it is rejected.
+    num_inputs: usize,
     pool: WorkerPool,
     shared: Arc<RuntimeShared>,
 }
@@ -830,7 +943,8 @@ impl Runtime {
                 reason: "runtime queue_capacity must be at least 1".to_string(),
             });
         }
-        if target.num_inputs() == 0 {
+        let num_inputs = target.num_inputs();
+        if num_inputs == 0 {
             return Err(CoreError::BadConfig {
                 reason: "the serving runtime needs a program with at least one primary input"
                     .to_string(),
@@ -851,7 +965,7 @@ impl Runtime {
         let pool = WorkerPool::spawn(workers, options.queue_capacity);
         let shared = Arc::new(RuntimeShared {
             batcher: Mutex::new(BatchState {
-                pending: Vec::new(),
+                pending: Batch::new(1),
                 next_id: 0,
                 busy: 0,
             }),
@@ -867,6 +981,7 @@ impl Runtime {
         Ok(Runtime {
             options,
             admission_limit,
+            num_inputs,
             pool,
             shared,
         })
@@ -895,12 +1010,7 @@ impl Runtime {
     /// swaps: [`Runtime::swap_engine`] rejects replacements that change
     /// the input interface.
     pub fn num_inputs(&self) -> usize {
-        self.shared
-            .swap
-            .target
-            .read()
-            .expect("swap lock")
-            .num_inputs()
+        self.num_inputs
     }
 
     /// The serving version new submissions execute: 0 at construction,
@@ -946,7 +1056,7 @@ impl Runtime {
     }
 
     fn swap_target(&self, target: Target) -> Result<u64, CoreError> {
-        let want = self.num_inputs();
+        let want = self.num_inputs;
         let got = target.num_inputs();
         if got != want {
             return Err(CoreError::BadConfig {
@@ -1001,29 +1111,21 @@ impl Runtime {
     /// Returns [`CoreError::InputArity`] when `bits` does not match the
     /// program's primary-input count.
     pub fn submit(&self, bits: &[bool]) -> Result<RequestHandle, CoreError> {
-        let want = self.num_inputs();
-        if bits.len() != want {
+        if bits.len() != self.num_inputs {
             return Err(CoreError::InputArity {
-                expected: want,
+                expected: self.num_inputs,
                 got: bits.len(),
             });
         }
         let now = Instant::now();
         self.shared.stats.note_submit(now);
-        let slot = Arc::new(ResponseSlot::new());
-        // Allocate and copy outside the batcher lock: concurrent
-        // submitters only serialize on the push itself.
-        let request = Request {
-            bits: bits.to_vec(),
-            submitted: now,
-            slot: Arc::clone(&slot),
-        };
         let flush_target = self.flush_target();
-        let (id, batch, poll) = {
+        let (handle, batch) = {
             let mut st = self.shared.batcher.lock().expect("batcher lock");
             let id = st.next_id;
             st.next_id += 1;
-            st.pending.push(request);
+            let lane = st.pending.push(bits, now);
+            let cell = Arc::clone(&st.pending.cell);
             let free = st.busy < self.shared.workers;
             let batch = if st.pending.len() >= flush_target {
                 Some((st.take_batch(), &self.shared.stats.full_flushes))
@@ -1038,15 +1140,21 @@ impl Runtime {
             // Dispatched to a free worker, the response is one kernel
             // pass away.
             let poll = free && batch.is_some();
-            (id, batch, poll)
+            let handle = RequestHandle {
+                cell,
+                lane,
+                id,
+                poll,
+            };
+            (handle, batch)
         };
-        if let Some((reqs, trigger)) = batch {
+        if let Some((batch, trigger)) = batch {
             trigger.fetch_add(1, Ordering::Relaxed);
             // Dispatch outside the batcher lock: if the pool queue is
             // full this blocks, but other submitters keep batching.
-            dispatch(&self.pool, &self.shared, reqs);
+            dispatch(&self.pool, &self.shared, batch);
         }
-        Ok(RequestHandle { slot, id, poll })
+        Ok(handle)
     }
 
     /// The in-flight request count at which [`Runtime::try_submit`]
@@ -1083,10 +1191,9 @@ impl Runtime {
     /// admission, so bad requests are never miscounted as shed) and
     /// [`CoreError::Overloaded`] when saturated.
     pub fn try_submit(&self, bits: &[bool]) -> Result<RequestHandle, CoreError> {
-        let want = self.num_inputs();
-        if bits.len() != want {
+        if bits.len() != self.num_inputs {
             return Err(CoreError::InputArity {
-                expected: want,
+                expected: self.num_inputs,
                 got: bits.len(),
             });
         }
@@ -1131,7 +1238,7 @@ impl Runtime {
     /// order behind the batches already queued. No-op when nothing is
     /// pending (always the case while a worker is idle).
     pub fn flush(&self) {
-        let reqs = {
+        let batch = {
             let mut st = self.shared.batcher.lock().expect("batcher lock");
             if st.pending.is_empty() {
                 return;
@@ -1142,7 +1249,7 @@ impl Runtime {
             .stats
             .deadline_flushes
             .fetch_add(1, Ordering::Relaxed);
-        dispatch(&self.pool, &self.shared, reqs);
+        dispatch(&self.pool, &self.shared, batch);
     }
 
     /// A snapshot of the runtime's serving statistics.
@@ -1158,13 +1265,11 @@ impl Runtime {
         let micro_batches = stats.micro_batches.load(Ordering::Relaxed);
         let lanes = stats.lanes_served.load(Ordering::Relaxed);
         let completed = stats.completed.load(Ordering::Relaxed);
-        let elapsed_us = stats
-            .span
-            .lock()
-            .expect("span lock")
-            .map_or(0.0, |(first, last)| {
-                last.duration_since(first).as_secs_f64() * 1e6
-            });
+        let last_response = *stats.last_response.lock().expect("last-response lock");
+        let elapsed_us = match (stats.first_submit.get(), last_response) {
+            (Some(&first), Some(last)) => last.duration_since(first).as_secs_f64() * 1e6,
+            _ => 0.0,
+        };
         RuntimeStats {
             requests: stats.requests.load(Ordering::Relaxed),
             micro_batches,
@@ -1227,7 +1332,7 @@ impl Drop for Runtime {
     }
 }
 
-/// Queues `reqs` — already counted in [`BatchState::busy`] by
+/// Queues `batch` — already counted in [`BatchState::busy`] by
 /// [`BatchState::take_batch`] — as one pool job on the target current
 /// now: the batch executes that exact target even if a swap lands while
 /// it is queued.
@@ -1239,11 +1344,11 @@ impl Drop for Runtime {
 /// through [`WorkerPool::submit`]) means a worker cannot block on its
 /// own full queue; and since `busy < workers` leaves no batch waiting in
 /// the job queue, a pulled batch never overtakes a queued one.
-fn dispatch(pool: &WorkerPool, shared: &Arc<RuntimeShared>, reqs: Vec<Request>) {
+fn dispatch(pool: &WorkerPool, shared: &Arc<RuntimeShared>, batch: Batch) {
     let (target, version) = shared.current();
     let shared = Arc::clone(shared);
     pool.submit(Box::new(move |scratch| {
-        run_batch(&target, version, &shared, scratch, reqs);
+        run_batch(&target, version, &shared, scratch, batch);
         pull_pending(&shared, scratch);
     }));
 }
@@ -1253,7 +1358,7 @@ fn dispatch(pool: &WorkerPool, shared: &Arc<RuntimeShared>, reqs: Vec<Request>) 
 /// requests pending, run them here.
 fn pull_pending(shared: &RuntimeShared, scratch: &mut ServeScratch) {
     loop {
-        let (reqs, (target, version)) = {
+        let (batch, (target, version)) = {
             let mut st = shared.batcher.lock().expect("batcher lock");
             st.busy -= 1;
             if st.pending.is_empty() || st.busy >= shared.workers {
@@ -1269,47 +1374,46 @@ fn pull_pending(shared: &RuntimeShared, scratch: &mut ServeScratch) {
             .stats
             .deadline_flushes
             .fetch_add(1, Ordering::Relaxed);
-        run_batch(&target, version, shared, scratch, reqs);
+        run_batch(&target, version, shared, scratch, batch);
     }
 }
 
-/// Packs `reqs` into one multi-lane batch, executes it on the calling
-/// worker, and fulfills every request's slot (lane `j` of every word
-/// belongs to request `j`). `version` is the serving version `target`
-/// was read under; completions are attributed per version.
+/// Packs `batch` into one multi-lane pass, executes it on the calling
+/// worker, transposes the output columns once into per-request packed
+/// rows (lane `j` of every word belongs to request `j`) and publishes
+/// them to every handle of the batch at once. `version` is the serving
+/// version `target` was read under; completions are attributed per
+/// version.
 fn run_batch(
     target: &Target,
     version: u64,
     shared: &RuntimeShared,
     scratch: &mut ServeScratch,
-    reqs: Vec<Request>,
+    batch: Batch,
 ) {
-    let rows: Vec<&[bool]> = reqs.iter().map(|r| r.bits.as_slice()).collect();
+    let count = batch.len();
     let num_inputs = target.num_inputs();
     // A panicking batch must not kill the persistent worker; turn it
     // into an error every carried request observes.
     let outcome = match catch_unwind(AssertUnwindSafe(|| {
-        target.execute_rows(scratch, &rows, num_inputs)
+        let rows: Vec<&[bool]> = batch.bits.chunks_exact(num_inputs).collect();
+        let columns = target.execute_rows(scratch, &rows, num_inputs)?;
+        Ok(PackedRows::from_columns(&columns))
     })) {
         Ok(result) => result,
         Err(_) => Err(CoreError::BadConfig {
             reason: "runtime worker panicked executing a micro-batch".to_string(),
         }),
     };
-    let now = Instant::now();
-    let latencies: Vec<f64> = reqs
-        .iter()
-        .map(|req| now.duration_since(req.submitted).as_secs_f64() * 1e6)
-        .collect();
-    // Account the batch BEFORE resolving any slot: a waiter unblocks
-    // the instant its slot fulfills, and a thread that has waited
-    // every handle must observe complete stats.
+    // Account the batch BEFORE publishing it: a waiter unblocks the
+    // instant the cell is set, and a thread that has waited every
+    // handle must observe complete stats.
     let stats = &shared.stats;
     stats.micro_batches.fetch_add(1, Ordering::Relaxed);
     stats
         .lanes_served
-        .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    stats.note_completion(&latencies, now);
+        .fetch_add(count as u64, Ordering::Relaxed);
+    stats.note_completion(&batch.submitted, Instant::now());
     // Attribute the batch to a serving version. A batch finishing
     // after its version was swapped out counts as "prior" — same
     // bucket the swap's counter roll would have moved it to.
@@ -1318,25 +1422,11 @@ fn run_batch(
     } else {
         &stats.completed_prior
     };
-    bucket.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    match outcome {
-        Ok(outputs) => {
-            // One word-level transpose back to per-request rows
-            // instead of a bounds-checked `get` per output bit.
-            let mut out_rows = Lanes::unpack_rows(&outputs).into_iter();
-            for req in &reqs {
-                req.slot.fulfill(Ok(out_rows.next().unwrap_or_default()));
-            }
-        }
-        Err(e) => {
-            for req in &reqs {
-                req.slot.fulfill(Err(e.clone()));
-            }
-        }
-    }
+    bucket.fetch_add(count as u64, Ordering::Relaxed);
+    batch.cell.publish(outcome);
     // Only now are the requests truly resolved: retire them from the
     // in-flight gauge (this is what `drain` waits on).
-    stats.note_resolved(reqs.len());
+    stats.note_resolved(count);
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample (0 for empty).
@@ -1647,24 +1737,158 @@ mod tests {
         assert_eq!(stats.deadline_flushes, 1);
     }
 
+    /// The scalar oracle's output row for every request.
+    fn oracle_rows(flow: &Flow, requests: &[Vec<bool>]) -> Vec<Vec<bool>> {
+        let packed = Lanes::pack_rows(requests, flow.program.num_inputs);
+        let outputs = lbnn_netlist::eval::evaluate(&flow.source, &packed).unwrap();
+        Lanes::unpack_rows(&outputs)
+    }
+
+    /// A runtime with its workers occupied and `count` distinct requests
+    /// pending as one micro-batch: the requests and their handles.
+    fn pending_batch(
+        flow: &Flow,
+        workers: usize,
+        count: u64,
+    ) -> (Runtime, Vec<Vec<bool>>, Vec<RequestHandle>) {
+        let runtime = Runtime::from_engine(
+            flow.engine().unwrap(),
+            RuntimeOptions::default().workers(workers),
+        )
+        .unwrap();
+        occupy_workers(&runtime);
+        let requests: Vec<Vec<bool>> = (0..count)
+            .map(|i| request_bits(flow.program.num_inputs, i))
+            .collect();
+        let handles = requests
+            .iter()
+            .map(|bits| runtime.submit(bits).unwrap())
+            .collect();
+        (runtime, requests, handles)
+    }
+
+    /// The micro-batch is the unit of completion: its handles share one
+    /// result cell, and each reads its own lane of it — whatever the
+    /// order they are waited in.
+    #[test]
+    fn handles_of_one_batch_share_a_cell_and_read_their_own_lanes() {
+        // 64 lanes per word: 70 requests leave a ragged second row block.
+        let flow = compiled(Backend::BitSliced { words: 2 }, 33);
+        let (runtime, requests, handles) = pending_batch(&flow, 1, 70);
+        let want = oracle_rows(&flow, &requests);
+        for (j, handle) in handles.iter().enumerate() {
+            assert!(Arc::ptr_eq(&handle.cell, &handles[0].cell), "request {j}");
+            assert_eq!(handle.lane, j);
+        }
+        free_a_worker(&runtime);
+        for (j, handle) in handles.into_iter().enumerate().rev() {
+            assert_eq!(handle.wait().unwrap(), want[j], "request {j}");
+        }
+        assert_eq!(runtime.stats().micro_batches, 1);
+        // The next batch has a cell of its own.
+        let next = runtime.submit(&requests[5]).unwrap();
+        assert_eq!(next.lane, 0);
+        assert_eq!(next.wait().unwrap(), want[5]);
+    }
+
+    /// One wake-up resolves every waiter of a batch: eight threads wait
+    /// on the handles of one pending batch, which only then executes.
+    #[test]
+    fn one_batch_resolves_waiters_on_many_threads() {
+        let flow = compiled(Backend::BitSliced64, 35);
+        let (runtime, requests, handles) = pending_batch(&flow, 2, 8);
+        let want = oracle_rows(&flow, &requests);
+        let waiting = std::sync::Barrier::new(handles.len() + 1);
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = handles
+                .into_iter()
+                .map(|handle| {
+                    scope.spawn(|| {
+                        waiting.wait();
+                        handle.wait().unwrap()
+                    })
+                })
+                .collect();
+            waiting.wait();
+            free_a_worker(&runtime);
+            for (j, waiter) in waiters.into_iter().enumerate() {
+                assert_eq!(waiter.join().unwrap(), want[j], "request {j}");
+            }
+        });
+        assert_eq!(runtime.stats().micro_batches, 1);
+    }
+
+    /// `try_wait` is `None` until the batch executes, then — any number
+    /// of times — the bits a final `wait` also returns.
     #[test]
     fn try_wait_does_not_consume_the_response() {
         let flow = compiled(Backend::Scalar, 6);
-        let width = flow.program.num_inputs;
-        let runtime =
-            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
-                .unwrap();
-        let handle = runtime.submit(&request_bits(width, 1)).unwrap();
-        runtime.flush();
-        // Poll until resolved; the poll must leave the slot intact...
+        let (runtime, requests, mut handles) = pending_batch(&flow, 1, 3);
+        let want = oracle_rows(&flow, &requests);
+        let handle = handles.remove(1);
+        assert!(handle.try_wait().is_none());
+        free_a_worker(&runtime);
         let polled = loop {
             if let Some(result) = handle.try_wait() {
                 break result.unwrap();
             }
             std::thread::yield_now();
         };
-        // ...so a subsequent blocking wait still returns the same bits.
+        assert_eq!(polled, want[1]);
+        assert_eq!(handle.try_wait().unwrap().unwrap(), polled);
         assert_eq!(handle.wait().unwrap(), polled);
+    }
+
+    /// A batch that fails resolves every one of its handles with the
+    /// same error, and neither the worker nor the accounting is lost.
+    #[test]
+    fn a_failed_batch_gives_every_handle_the_same_error() {
+        let runtime = Runtime::build(
+            Target::Panics { num_inputs: 8 },
+            RuntimeOptions::default().workers(1),
+        )
+        .unwrap();
+        occupy_workers(&runtime);
+        let handles: Vec<RequestHandle> = (0..5)
+            .map(|i| runtime.submit(&request_bits(8, i)).unwrap())
+            .collect();
+        free_a_worker(&runtime);
+        let polled = loop {
+            if let Some(result) = handles[0].try_wait() {
+                break result.unwrap_err();
+            }
+            std::thread::yield_now();
+        };
+        assert!(
+            matches!(&polled, CoreError::BadConfig { reason } if reason.contains("panicked")),
+            "{polled}"
+        );
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap_err(), polled);
+        }
+        runtime.drain();
+        assert_eq!(runtime.in_flight(), 0);
+        // The worker outlived the panic.
+        let after = runtime.submit(&request_bits(8, 9)).unwrap();
+        assert_eq!(after.wait().unwrap_err(), polled);
+        assert_eq!(runtime.stats().micro_batches, 2);
+    }
+
+    /// A handle keeps its batch's result readable on its own: the other
+    /// handles may be dropped before or after the batch executes.
+    #[test]
+    fn the_last_handle_of_a_batch_still_reads_its_row() {
+        let flow = compiled(Backend::BitSliced64, 37);
+        let (runtime, requests, mut handles) = pending_batch(&flow, 1, 6);
+        let want = oracle_rows(&flow, &requests);
+        let kept = handles.remove(4);
+        let late = handles.split_off(2);
+        drop(handles); // dropped while the batch is pending
+        free_a_worker(&runtime);
+        runtime.drain();
+        drop(late); // dropped once it has resolved
+        assert_eq!(kept.try_wait().unwrap().unwrap(), want[4]);
+        assert_eq!(kept.wait().unwrap(), want[4]);
     }
 
     #[test]
@@ -1683,7 +1907,9 @@ mod tests {
             0,
             "the batch is still pending"
         );
-        drop(runtime); // drop must dispatch the partial batch itself
+        // Drop must dispatch the partial batch itself; the handles
+        // outlive the runtime, the cell is theirs.
+        drop(runtime);
         for handle in handles {
             assert_eq!(handle.wait().unwrap().len(), 3);
         }

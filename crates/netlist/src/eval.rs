@@ -75,13 +75,10 @@ impl Lanes {
 
     /// Packs a slice of booleans into lanes.
     pub fn from_bools(bits: &[bool]) -> Self {
-        let mut l = Lanes::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                l.set(i, true);
-            }
+        Lanes {
+            words: bits.chunks(64).map(gather_bits).collect(),
+            len: bits.len(),
         }
-        l
     }
 
     /// Creates lanes from raw words; bits past `len` are masked off.
@@ -207,39 +204,17 @@ impl Lanes {
     }
 
     /// Inverse of [`Lanes::pack_rows`]: per-signal lane columns back to
-    /// per-sample bit rows (`result[j][i]` = lane `j` of `columns[i]`) —
-    /// the unpacking the serving paths use to hand each request its own
-    /// output bits. Word-level like the packing: 64×64 blocks are
-    /// transposed in a local tile, not read bit by bit with per-access
-    /// bounds checks.
+    /// per-sample bit rows (`result[j][i]` = lane `j` of `columns[i]`).
+    /// This is [`PackedRows::from_columns`] — the one column→row
+    /// transposer — with every row expanded; a caller that needs only
+    /// some rows, or needs them later, keeps the [`PackedRows`] instead.
     ///
     /// # Panics
     ///
     /// Panics if the columns have inconsistent lane counts.
     pub fn unpack_rows(columns: &[Lanes]) -> Vec<Vec<bool>> {
-        let rows = columns.first().map_or(0, Lanes::len);
-        for c in columns {
-            assert_eq!(c.len(), rows, "inconsistent lane counts across columns");
-        }
-        let mut result = vec![vec![false; columns.len()]; rows];
-        let mut tile = [0u64; 64];
-        for rb in 0..rows.div_ceil(64) {
-            let nrows = (rows - rb * 64).min(64);
-            for (s0, block) in columns.chunks(64).enumerate().map(|(b, c)| (b * 64, c)) {
-                for (k, col) in block.iter().enumerate() {
-                    tile[k] = col.words[rb];
-                }
-                tile[block.len()..].fill(0);
-                transpose_64x64(&mut tile);
-                for (r, &word) in tile.iter().take(nrows).enumerate() {
-                    let row = &mut result[rb * 64 + r];
-                    for (k, dst) in row[s0..s0 + block.len()].iter_mut().enumerate() {
-                        *dst = word >> k & 1 != 0;
-                    }
-                }
-            }
-        }
-        result
+        let packed = PackedRows::from_columns(columns);
+        (0..packed.rows()).map(|j| packed.row(j)).collect()
     }
 
     /// Number of lanes set to 1.
@@ -249,7 +224,7 @@ impl Lanes {
 
     /// Unpacks the lanes into booleans.
     pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
+        spread_words(&self.words, self.len)
     }
 
     /// Applies a gate operation lane-wise: `self = op(a, b)`. Single-input
@@ -292,7 +267,7 @@ impl Lanes {
 /// is row `k` with column `i` at bit `i`; afterwards bit `i` of row `k`
 /// is the old bit `k` of row `i`. Six rounds of masked delta swaps —
 /// 64 words of work per round instead of one operation per bit, the
-/// kernel behind [`Lanes::pack_rows`] / [`Lanes::unpack_rows`].
+/// kernel behind [`Lanes::pack_rows`] / [`PackedRows::from_columns`].
 pub fn transpose_64x64(m: &mut [u64; 64]) {
     let mut j = 32;
     let mut mask = 0x0000_0000_FFFF_FFFFu64;
@@ -312,15 +287,103 @@ pub fn transpose_64x64(m: &mut [u64; 64]) {
     }
 }
 
-/// Packs up to 64 booleans into one word, LSB first. Each 8-bool group
-/// collapses with a single multiply (each `bool` is a 0/1 byte; the
-/// magic constant shifts byte `k` onto bit `56 + k`) — no per-bit
-/// branches or shifts.
+/// Per-sample bit rows, bit-packed: the row-major counterpart of a set
+/// of [`Lanes`] columns. Row `j` is `width.div_ceil(64)` consecutive
+/// words with signal `i` at bit `i % 64` of word `i / 64` — 8× smaller
+/// than the `Vec<bool>` [`PackedRows::row`] expands it into, so a serving
+/// layer can transpose a whole batch of outputs once, share the block,
+/// and let each consumer expand only its own row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedRows {
+    words: Vec<u64>,
+    rows: usize,
+    width: usize,
+}
+
+impl PackedRows {
+    /// Transposes per-signal lane columns into per-sample packed rows
+    /// (row `j`, bit `i` = lane `j` of `columns[i]`). Word-level like
+    /// [`Lanes::pack_rows_into`]: each block of ≤ 64 columns × 64 lanes
+    /// is one [`transpose_64x64`] in a local tile and one word store per
+    /// row, not one read per bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns have inconsistent lane counts.
+    pub fn from_columns(columns: &[Lanes]) -> PackedRows {
+        let rows = columns.first().map_or(0, Lanes::len);
+        for c in columns {
+            assert_eq!(c.len(), rows, "inconsistent lane counts across columns");
+        }
+        let width = columns.len();
+        let stride = width.div_ceil(64);
+        let mut words = vec![0u64; rows * stride];
+        let mut tile = [0u64; 64];
+        for rb in 0..rows.div_ceil(64) {
+            let nrows = (rows - rb * 64).min(64);
+            for (cb, block) in columns.chunks(64).enumerate() {
+                for (k, col) in block.iter().enumerate() {
+                    tile[k] = col.words[rb];
+                }
+                tile[block.len()..].fill(0);
+                transpose_64x64(&mut tile);
+                for (r, &word) in tile.iter().take(nrows).enumerate() {
+                    words[(rb * 64 + r) * stride + cb] = word;
+                }
+            }
+        }
+        PackedRows { words, rows, width }
+    }
+
+    /// Number of rows (samples).
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Bits per row (signals).
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Row `j` expanded to one `bool` per signal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= rows()`.
+    pub fn row(&self, j: usize) -> Vec<bool> {
+        assert!(j < self.rows, "row {j} out of range {}", self.rows);
+        let stride = self.width.div_ceil(64);
+        spread_words(&self.words[j * stride..(j + 1) * stride], self.width)
+    }
+}
+
+/// The first `len` bits of `words` (bit `k` of word `w` is bit
+/// `64 * w + k`), one `bool` each.
+fn spread_words(words: &[u64], len: usize) -> Vec<bool> {
+    let mut bits = vec![false; len];
+    for (chunk, &word) in bits.chunks_mut(64).zip(words) {
+        spread_bits(word, chunk);
+    }
+    bits
+}
+
+/// Packs up to 64 booleans into one word, LSB first — with
+/// [`spread_bits`], the one bool↔bit conversion every packing path
+/// shares (lane columns, packed rows, the wire codec's bytes). Each
+/// 8-bool group collapses with a single multiply (each `bool` is a 0/1
+/// byte; the magic constant shifts byte `k` onto bit `56 + k`) — no
+/// per-bit branches or shifts.
+///
+/// # Panics
+///
+/// Panics if `bits` is longer than 64.
 #[inline]
-fn gather_bits(row: &[bool]) -> u64 {
-    debug_assert!(row.len() <= 64);
+pub fn gather_bits(bits: &[bool]) -> u64 {
+    assert!(bits.len() <= 64, "a word holds 64 bits");
     let mut w = 0u64;
-    for (g, chunk) in row.chunks(8).enumerate() {
+    for (g, chunk) in bits.chunks(8).enumerate() {
         let mut bytes = [0u8; 8];
         for (dst, &b) in bytes.iter_mut().zip(chunk) {
             *dst = b as u8;
@@ -329,6 +392,44 @@ fn gather_bits(row: &[bool]) -> u64 {
         w |= packed << (8 * g);
     }
     w
+}
+
+/// `SPREAD[b][k]` is bit `k` of byte `b`: eight bits become eight bools
+/// with one 8-byte copy instead of eight shift-and-tests.
+const SPREAD: [[bool; 8]; 256] = {
+    let mut table = [[false; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            table[b][k] = b >> k & 1 != 0;
+            k += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Inverse of [`gather_bits`]: `out[k]` = bit `k` of `word`, for the
+/// `out.len()` low bits.
+///
+/// # Panics
+///
+/// Panics if `out` is longer than 64.
+#[inline]
+pub fn spread_bits(word: u64, out: &mut [bool]) {
+    assert!(out.len() <= 64, "a word holds 64 bits");
+    let mut bytes = word.to_le_bytes().into_iter();
+    // Whole bytes are fixed-size 8-byte copies; only a ragged last group
+    // pays for a variable-length one.
+    let mut groups = out.chunks_exact_mut(8);
+    for (group, byte) in groups.by_ref().zip(bytes.by_ref()) {
+        group.copy_from_slice(&SPREAD[byte as usize]);
+    }
+    let tail = groups.into_remainder();
+    if let Some(byte) = bytes.next() {
+        tail.copy_from_slice(&SPREAD[byte as usize][..tail.len()]);
+    }
 }
 
 /// Evaluates the netlist across all lanes simultaneously.

@@ -61,8 +61,8 @@ pub mod verilog;
 pub use cell::Op;
 pub use error::NetlistError;
 pub use eval::{
-    BitSlice64, BitSliceEvaluator, Lanes, SimdLevel, SimdMode, SliceFrame, TapeOptions, TapeStats,
-    SUPPORTED_SLICE_WORDS,
+    BitSlice64, BitSliceEvaluator, Lanes, PackedRows, SimdLevel, SimdMode, SliceFrame, TapeOptions,
+    TapeStats, SUPPORTED_SLICE_WORDS,
 };
 pub use levelize::Levels;
 pub use netlist::{Netlist, Node, NodeId};

@@ -1,7 +1,9 @@
 //! Property-based tests for the netlist substrate.
 
 use lbnn_netlist::balance::balance;
-use lbnn_netlist::eval::{evaluate, BitSliceEvaluator, Lanes};
+use lbnn_netlist::eval::{
+    evaluate, gather_bits, spread_bits, BitSliceEvaluator, Lanes, PackedRows,
+};
 use lbnn_netlist::random::RandomDag;
 use lbnn_netlist::verilog::{parse_verilog, write_verilog};
 use lbnn_netlist::Levels;
@@ -177,5 +179,57 @@ proptest! {
             prop_assert_eq!(col, &naive, "signal {}", i);
         }
         prop_assert_eq!(Lanes::unpack_rows(&cols), rows);
+    }
+
+    /// The column→packed-row transposer and the row expansion are
+    /// bit-identical to the naive per-bit reference for any shape: a
+    /// ragged final word, a ragged final row block, no columns, no rows.
+    #[test]
+    fn packed_rows_match_naive(
+        seed in 0u64..10_000,
+        nrows in 0usize..200,
+        width in 0usize..200,
+    ) {
+        let bit = |j: usize, i: usize| {
+            (seed as usize)
+                .wrapping_add(j * 7 + i * 13 + (j * i) % 5)
+                .is_multiple_of(3)
+        };
+        let columns: Vec<Lanes> = (0..width)
+            .map(|i| {
+                let mut column = Lanes::zeros(nrows);
+                for j in 0..nrows {
+                    column.set(j, bit(j, i));
+                }
+                column
+            })
+            .collect();
+        let packed = PackedRows::from_columns(&columns);
+        // The lane count comes from the columns: none, no rows.
+        let rows = if width == 0 { 0 } else { nrows };
+        prop_assert_eq!(packed.rows(), rows);
+        prop_assert_eq!(packed.width(), width);
+        for j in 0..rows {
+            let naive: Vec<bool> = (0..width).map(|i| bit(j, i)).collect();
+            prop_assert_eq!(packed.row(j), naive, "row {}", j);
+        }
+        prop_assert_eq!(Lanes::unpack_rows(&columns).len(), rows);
+    }
+
+    /// `gather_bits` / `spread_bits` — the one bool↔bit conversion — agree
+    /// with per-bit shifting for every length a word can hold, and
+    /// `Lanes::{from_bools, to_bools}` built on them round-trip.
+    #[test]
+    fn gather_and_spread_match_per_bit_shifts(seed in 0u64..10_000, len in 0usize..65) {
+        let word = (seed + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let bits: Vec<bool> = (0..len).map(|k| word >> k & 1 != 0).collect();
+        let mut spread = vec![false; len];
+        spread_bits(word, &mut spread);
+        prop_assert_eq!(&spread, &bits);
+        let mask = if len == 64 { !0 } else { (1u64 << len) - 1 };
+        prop_assert_eq!(gather_bits(&bits), word & mask);
+        let lanes = Lanes::from_bools(&bits);
+        prop_assert_eq!(lanes.words(), &[word & mask][..len.div_ceil(64)]);
+        prop_assert_eq!(lanes.to_bools(), bits);
     }
 }

@@ -25,6 +25,8 @@
 
 use std::io::{self, Read, Write};
 
+use lbnn_netlist::eval::{gather_bits, spread_bits};
+
 /// Connection preamble; also how the server tells the two protocols apart.
 pub const MAGIC: [u8; 4] = *b"LBNB";
 
@@ -82,52 +84,33 @@ pub struct InferResponse {
 }
 
 /// Pack bits LSB-first into bytes (bit `i` → byte `i/8`, bit `i%8`).
-///
-/// Branch-free: each 8-bool chunk (0/1 bytes in memory) is gathered
-/// with one widening multiply — the diagonal coefficients place bit `j`
-/// of the product's top byte — instead of a test-and-set per bit.
 pub fn pack_bits(bits: &[bool]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
     push_packed_bits(bits, &mut bytes);
     bytes
 }
 
-/// [`pack_bits`] appended onto `out`.
+/// [`pack_bits`] appended onto `out`: 64 bits at a time through the
+/// word-level [`gather_bits`], whose little-endian bytes are the wire
+/// layout.
 fn push_packed_bits(bits: &[bool], out: &mut Vec<u8>) {
-    let mut chunks = bits.chunks_exact(8);
-    for chunk in &mut chunks {
-        let mut raw = [0u8; 8];
-        for (r, &b) in raw.iter_mut().zip(chunk) {
-            *r = b as u8;
-        }
-        out.push((u64::from_le_bytes(raw).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8);
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        out.push(
-            tail.iter()
-                .enumerate()
-                .fold(0u8, |byte, (i, &b)| byte | (b as u8) << i),
-        );
+    for chunk in bits.chunks(64) {
+        let word = gather_bits(chunk).to_le_bytes();
+        out.extend_from_slice(&word[..chunk.len().div_ceil(8)]);
     }
 }
 
-/// Inverse of [`pack_bits`]: take `nbits` bits back out of `bytes`.
-///
-/// Word-level like the packing: the byte is replicated across a word
-/// and masked against the bit diagonal, spreading bit `j` into byte `j`
-/// in one multiply instead of a shift-and-test per bit.
+/// Inverse of [`pack_bits`]: take `nbits` bits back out of `bytes`,
+/// eight bytes per [`spread_bits`] word.
 pub fn unpack_bits(bytes: &[u8], nbits: usize) -> Option<Vec<bool>> {
     if bytes.len() != nbits.div_ceil(8) {
         return None;
     }
     let mut bits = vec![false; nbits];
-    for (chunk, &byte) in bits.chunks_mut(8).zip(bytes) {
-        let spread = ((byte as u64).wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201)
-            .to_le_bytes();
-        for (j, b) in chunk.iter_mut().enumerate() {
-            *b = spread[j] != 0;
-        }
+    for (chunk, group) in bits.chunks_mut(64).zip(bytes.chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..group.len()].copy_from_slice(group);
+        spread_bits(u64::from_le_bytes(word), chunk);
     }
     Some(bits)
 }
