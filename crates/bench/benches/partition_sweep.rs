@@ -138,7 +138,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("partition_sweep_banded_dag");
     g.sample_size(10);
     for parts in PARTS {
-        let mut exec = Exec::compile(&netlist, parts, TapeOptions::from_env());
+        let mut exec = Exec::compile(&netlist, parts, TapeOptions::default());
         g.bench_function(format!("serve_partitions_{parts}"), |b| {
             b.iter(|| black_box(exec.run(&inputs)))
         });
@@ -156,7 +156,7 @@ fn bench(c: &mut Criterion) {
 /// once, round-robin — so a noisy stretch on a shared host degrades all
 /// counts alike instead of skewing one ratio.
 fn summary(netlist: &Netlist, runs: usize) {
-    let options = TapeOptions::from_env();
+    let options = TapeOptions::default();
     let budget = options.cache_budget;
     let inputs = sample_columns(0xDAC23);
     let mut setups: Vec<(usize, Exec)> = PARTS

@@ -300,7 +300,7 @@ fn print_tape_stats(flow: &Flow) {
         stats.tiles_at(words),
         stats.tile_words()
     );
-    println!("  simd kernels: {} (LBNN_SIMD to override)", stats.simd);
+    println!("  simd kernels: {}", stats.simd);
 }
 
 fn print_partition_stats(flow: &Flow) {
@@ -331,7 +331,7 @@ fn print_partition_stats(flow: &Flow) {
         (stats.max_frame_slots * words * 8) as f64 / 1024.0,
         64 * words
     );
-    println!("  executor: LBNN_PARTITION_EXEC=auto|seq|par to override");
+    println!("  simd kernels: {}", engine.simd_level());
 }
 
 fn main() -> ExitCode {

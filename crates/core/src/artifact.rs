@@ -10,9 +10,12 @@
 //! since format v2), the self-describing
 //! [`EncodedProgram`], the [`FlowStats`], the per-pass
 //! [`CompileReport`], and (since format v3) the instruction→cell id
-//! table that lets patch deltas address a loaded program's cells. A
-//! loaded flow builds an [`Engine`](crate::Engine) on either backend
-//! and serves bit-identically to the process that compiled it.
+//! table that lets patch deltas address a loaded program's cells, and
+//! the execution partition count. Bit-sliced kernels are not stored:
+//! [`Engine`](crate::Engine) construction derives them (one tape, or N
+//! partition tapes plus the exchange schedule) from the mapped netlist,
+//! deterministically, so a loaded flow serves bit-identically to the
+//! process that compiled it.
 //!
 //! Artifacts also support **deltas**: a [`PatchDelta`] (`.lbnnp`) is a
 //! checksummed list of per-cell function replacements bound to the
@@ -52,9 +55,7 @@
 use std::path::Path;
 
 use lbnn_netlist::serdes::{read_netlist, write_netlist, ByteReader, ByteWriter};
-use lbnn_netlist::{
-    Levels, Netlist, NetlistError, NodeId, Op, PartitionedEngine, PatchSet, MAX_PARTITIONS,
-};
+use lbnn_netlist::{Levels, Netlist, NetlistError, NodeId, Op, PatchSet, MAX_PARTITIONS};
 
 use crate::compiler::isa::{decode_program, encode_program, EncodedProgram, InstrFormat};
 use crate::compiler::pipeline::{CompileReport, PassReport};
@@ -76,12 +77,13 @@ pub const PATCH_VERSION: u32 = 1;
 /// instruction→cell id table that binds each program instruction to its
 /// mapped-netlist node, which is what lets patch deltas (`.lbnnp`)
 /// address cells of a *loaded* artifact; version 4 added the execution
-/// partition count and, for partitioned flows, the per-partition kernel
-/// tapes plus the cross-partition exchange schedule
-/// ([`PartitionedEngine`]), so a loaded flow serves partitioned without
-/// recompiling. Older images are rejected with
+/// partition count plus a serialized image of the partitioned kernel
+/// tapes; version 5 dropped that image — an artifact carries the mapped
+/// netlist and the scalar program, and every bit-sliced kernel (single
+/// tape or partitioned) is derived from the netlist at engine build.
+/// Older images are rejected with
 /// [`ArtifactError::UnsupportedVersion`].
-pub const ARTIFACT_VERSION: u32 = 4;
+pub const ARTIFACT_VERSION: u32 = 5;
 /// Container kind: a single compiled flow.
 const KIND_FLOW: u8 = 1;
 /// Container kind: a whole compiled model (one flow per layer).
@@ -532,10 +534,8 @@ fn encode_flow_payload(flow: &Flow) -> Result<Vec<u8>, CoreError> {
     write_report(&mut w, &flow.report);
     write_encoded_program(&mut w, &encode_program(&flow.program)?);
     write_node_table(&mut w, &flow.program);
-    // v4: the execution partition count, then (when > 1) the
-    // partitioned multi-engine — per-partition tapes + the exchange
-    // schedule — so a loaded flow serves partitioned without access to
-    // the compiler.
+    // The payload ends at the execution partition count: kernels are
+    // derived from the netlist above, never stored.
     if flow.partitions == 0 || flow.partitions > MAX_PARTITIONS {
         return Err(CoreError::BadConfig {
             reason: format!(
@@ -545,23 +545,6 @@ fn encode_flow_payload(flow: &Flow) -> Result<Vec<u8>, CoreError> {
         });
     }
     w.put_u32(flow.partitions as u32);
-    match &flow.partitioned {
-        Some(engine) => {
-            if engine.num_partitions() != flow.partitions {
-                return Err(CoreError::BadConfig {
-                    reason: format!(
-                        "flow declares {} partitions but its engine has {}",
-                        flow.partitions,
-                        engine.num_partitions()
-                    ),
-                });
-            }
-            w.put_u8(1);
-            engine.write(&mut w);
-        }
-        // Scalar flows carry the knob but no engine.
-        None => w.put_u8(0),
-    }
     Ok(w.into_bytes())
 }
 
@@ -603,38 +586,12 @@ fn decode_flow_payload(payload: &[u8]) -> Result<Flow, CoreError> {
     }
     let mut program = decode_program(&encoded)?;
     read_node_table(&mut r, &mut program, &netlist)?;
-    // v4: partition count + optional partitioned multi-engine.
     let partitions = rd(r.get_u32())? as usize;
     if partitions == 0 || partitions > MAX_PARTITIONS {
         return Err(malformed(format!(
             "flow declares {partitions} partitions, outside 1..={MAX_PARTITIONS}"
         )));
     }
-    let partitioned = match rd(r.get_u8())? {
-        0 => None,
-        1 => {
-            let engine = rd(PartitionedEngine::read(&mut r))?;
-            if engine.num_partitions() != partitions {
-                return Err(malformed(format!(
-                    "flow declares {partitions} partitions but its engine image has {}",
-                    engine.num_partitions()
-                )));
-            }
-            if engine.num_inputs() != netlist.inputs().len()
-                || engine.num_outputs() != netlist.outputs().len()
-            {
-                return Err(malformed(
-                    "partitioned engine I/O arity disagrees with the mapped netlist".to_string(),
-                ));
-            }
-            Some(engine)
-        }
-        other => {
-            return Err(malformed(format!(
-                "invalid partitioned-engine presence flag {other}"
-            )))
-        }
-    };
     if !r.is_empty() {
         return Err(malformed(format!(
             "{} trailing bytes after flow payload",
@@ -650,7 +607,7 @@ fn decode_flow_payload(payload: &[u8]) -> Result<Flow, CoreError> {
         stats,
         report,
         partitions,
-        partitioned,
+        partitioned: None,
         artifacts: None,
     })
 }

@@ -2,10 +2,13 @@
 //!
 //! `run` drives the paper's Fig 1 flow as a sequence of named passes —
 //! `optimize → balance → levelize → partition → merge → schedule →
-//! codegen`, plus a `locality` pass for bit-sliced backends that
+//! codegen`, plus one kernel pass for bit-sliced backends: `locality`
 //! compiles the fused, slot-renumbered kernel tape
 //! ([`lbnn_netlist::BitSliceEvaluator`]) and records how far the live
-//! frame shrank — threading a `CompileContext` through them. Every pass
+//! frame shrank, or — with `partitions > 1` — `exchange` compiles the
+//! per-partition tapes and their exchange schedule
+//! ([`lbnn_netlist::PartitionedEngine`]) instead. A `CompileContext` is
+//! threaded through them. Every pass
 //! reports its wall time and a before/after statistic into the
 //! [`CompileReport`] attached to the resulting
 //! [`crate::flow::Flow`], so per-stage compile cost is visible at
@@ -292,37 +295,33 @@ pub(crate) fn run(
         Ok((program, count))
     })?;
 
-    // 8. Tape locality (bit-sliced backends only): compile the fused,
-    //    slot-renumbered, cache-budgeted kernel tape now, so the report
-    //    records what the pass saved (frame slots before → after) and
-    //    the engine reuses the tape instead of recompiling it.
-    let tape = match options.backend {
-        Backend::Scalar => None,
-        Backend::BitSliced { .. } => {
-            let slots_before = balanced.len();
-            Some(cx.pass("locality", "slots", Some(slots_before), || {
-                let tape = BitSliceEvaluator::compile(&balanced);
-                let live = tape.tape_stats().frame_slots;
-                Ok((tape, live))
-            })?)
-        }
-    };
-
-    // 9. Exchange (bit-sliced backends with `partitions > 1` only):
-    //    split the tape into per-partition slot spaces and build the
-    //    compile-time cross-partition exchange schedule. The report
-    //    records the cut: distinct crossing nets in, scheduled word
-    //    copies out.
-    let partitioned = match options.backend {
+    // 8. The kernel the engine will replay (bit-sliced backends only),
+    //    compiled now so the report records what the pass did and the
+    //    engine takes it over instead of recompiling. Exactly one of:
+    //    `exchange` (`partitions > 1`) — per-partition slot spaces plus
+    //    the compile-time cross-partition exchange schedule, reporting
+    //    the cut; or `locality` — the single fused, slot-renumbered,
+    //    cache-budgeted tape, reporting frame slots before → after.
+    let (tape, partitioned) = match options.backend {
+        Backend::Scalar => (None, None),
         Backend::BitSliced { .. } if options.partitions > 1 => {
-            Some(cx.pass("exchange", "cut-nets", None, || {
+            let engine = cx.pass("exchange", "cut-nets", None, || {
                 let engine = PartitionedEngine::compile(&balanced, options.partitions)
                     .map_err(CoreError::Netlist)?;
                 let cut = engine.partition_stats().cut_nets;
                 Ok((engine, cut))
-            })?)
+            })?;
+            (None, Some(engine))
         }
-        _ => None,
+        Backend::BitSliced { .. } => {
+            let slots_before = balanced.len();
+            let tape = cx.pass("locality", "slots", Some(slots_before), || {
+                let tape = BitSliceEvaluator::compile(&balanced);
+                let live = tape.tape_stats().frame_slots;
+                Ok((tape, live))
+            })?;
+            (Some(tape), None)
+        }
     };
 
     let stats = FlowStats {
@@ -509,6 +508,21 @@ mod tests {
             .and_then(|a| a.tape.as_ref())
             .expect("bit-sliced artifacts carry the compiled tape");
         assert_eq!(tape.tape_stats().frame_slots, locality.after);
+
+        // With `partitions > 1` the `exchange` pass runs *instead of*
+        // `locality`: the flow carries the partitioned engine and no
+        // single tape.
+        let split = Flow::builder(&nl)
+            .config(LpuConfig::new(8, 4))
+            .backend(Backend::BitSliced { words: 4 })
+            .partitions(3)
+            .compile()
+            .unwrap();
+        assert!(split.report.pass("locality").is_none());
+        let exchange = split.report.pass("exchange").unwrap();
+        let engine = split.partitioned.as_ref().expect("exchange pass output");
+        assert_eq!(exchange.after, engine.partition_stats().cut_nets);
+        assert!(split.artifacts.as_ref().unwrap().tape.is_none());
 
         // Scalar compiles stay exactly the canonical 7 passes, tape-free.
         let scalar = Flow::builder(&nl)

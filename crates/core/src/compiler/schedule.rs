@@ -412,13 +412,6 @@ pub fn schedule_spacetime(
             };
 
             if !placed {
-                if std::env::var_os("LBNN_SCHED_DEBUG").is_some() {
-                    eprintln!(
-                        "restart: mfg {:?} b={} w={} lpv={} earliest={} blocked_until={:?} fixed={:?} movable={}",
-                        id, b, width_bottom, bottom_lpv, earliest, blocked_until,
-                        fixed_delivery, movable.len()
-                    );
-                }
                 // The parent's residency window overlaps a full set of
                 // windows ending at `blocked_until` (often the still-running
                 // window of one of its own deeper children, when that

@@ -6,11 +6,12 @@
 //! inference server is:
 //!
 //! * [`EngineCore`] — the **immutable, shareable** half: the validated
-//!   [`LpuMachine`], the program, and (for the bit-sliced backend) the
-//!   compiled kernel tape. An engine holds it behind an `Arc`, so clones
-//!   and worker threads share one resident compiled block.
+//!   [`LpuMachine`], the program, and the one kernel batches replay on
+//!   (the machine itself, a bit-sliced tape, or a partitioned set of
+//!   tapes). An engine holds it behind an `Arc`, so clones and worker
+//!   threads share one resident compiled block.
 //! * [`EngineScratch`] — the **mutable, per-worker** half: snapshot and
-//!   pipeline buffers, retired lane vectors, the bit-slice frame (sized
+//!   pipeline buffers, retired lane vectors, the bit-slice frames (sized
 //!   to the backend's width on first use). Every executing thread owns
 //!   its own.
 //!
@@ -211,7 +212,7 @@ pub(crate) fn patch_program(program: &mut LpuProgram, patches: &PatchSet) -> Res
 }
 
 /// Per-worker mutable execution state: the scalar machine's pass buffers
-/// plus the bit-slice frame.
+/// plus the bit-slice frames.
 ///
 /// A scratch is shape-agnostic (it reshapes to whatever program — and
 /// whatever slice width — runs on it), starts empty and cheap
@@ -221,10 +222,9 @@ pub(crate) fn patch_program(program: &mut LpuProgram, patches: &PatchSet) -> Res
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     pub(crate) pass: PassScratch,
-    pub(crate) frame: SliceFrame,
-    /// Per-partition frames for cores executing a
-    /// [`PartitionedEngine`]; empty (and unused) otherwise.
-    pub(crate) pframes: Vec<SliceFrame>,
+    /// One frame per kernel tape: one for a single-tape core, one per
+    /// partition for a partitioned core; unused by the scalar machine.
+    pub(crate) frames: Vec<SliceFrame>,
     /// Reusable flat packed-input buffer in [`Lanes::pack_rows_into`]
     /// layout, lent to the packed serving paths (the runtime
     /// micro-batcher, `lbnn-serve`'s binary fast path) so steady-state
@@ -239,9 +239,48 @@ impl EngineScratch {
     }
 }
 
+/// What an [`EngineCore`] replays batches on — exactly one per core,
+/// fixed at construction. Every bit-sliced kernel is derived from the
+/// mapped netlist: handed over by the compile pass that built it, or
+/// recompiled (deterministically) by [`Engine::build`].
+#[derive(Debug)]
+pub(crate) enum Kernel {
+    /// [`Backend::Scalar`]: the cycle-accurate machine runs the program.
+    Machine,
+    /// [`Backend::BitSliced`] on one kernel tape.
+    Tape(BitSliceEvaluator),
+    /// [`Backend::BitSliced`] with `partitions > 1`: N per-partition
+    /// tapes with the exchange schedule between levels.
+    Partitioned(PartitionedEngine),
+}
+
+impl Kernel {
+    /// The kernel a compile pass already built for a flow, if any.
+    fn prebuilt(
+        tape: Option<BitSliceEvaluator>,
+        partitioned: Option<PartitionedEngine>,
+    ) -> Option<Kernel> {
+        partitioned
+            .map(Kernel::Partitioned)
+            .or(tape.map(Kernel::Tape))
+    }
+}
+
+/// One batch as an entry point hands it over: per-input lane columns,
+/// or the same columns concatenated in one flat buffer
+/// ([`Lanes::pack_rows_into`] layout).
+#[derive(Clone, Copy)]
+enum Batch<'a> {
+    Columns(&'a [Lanes]),
+    Packed {
+        words: &'a [u64],
+        num_inputs: usize,
+        lanes: usize,
+    },
+}
+
 /// The immutable, shareable half of an [`Engine`]: configuration,
-/// validated machine, program, and (for [`Backend::BitSliced`]) the
-/// compiled kernel tape.
+/// validated machine, program, and the kernel batches replay on.
 ///
 /// A core never mutates after construction — every entry point is
 /// `&self`, with all execution state supplied as [`EngineScratch`] — so
@@ -254,14 +293,7 @@ pub struct EngineCore {
     machine: LpuMachine,
     program: LpuProgram,
     backend: Backend,
-    /// Compiled kernel tape ([`Backend::BitSliced`] cores only).
-    sliced: Option<BitSliceEvaluator>,
-    /// Partitioned multi-engine: present when the core was built from a
-    /// flow compiled with `partitions > 1` on a bit-sliced backend.
-    /// When present, it executes every batch instead of `sliced` —
-    /// bit-identically, on N per-partition tapes with the exchange
-    /// schedule between levels.
-    partitioned: Option<PartitionedEngine>,
+    kernel: Kernel,
     /// LPE operations per pass, cached from the program.
     lpe_ops_per_pass: usize,
 }
@@ -290,27 +322,32 @@ impl EngineCore {
         &self.program
     }
 
-    /// Locality statistics of the resident kernel tape
+    /// Locality statistics of the resident single kernel tape
     /// ([`TapeStats`]: fused chains, live frame slots, tiling); `None`
-    /// on scalar cores, which execute no tape.
+    /// on scalar and partitioned cores, which execute no such tape.
     pub fn tape_stats(&self) -> Option<TapeStats> {
-        self.sliced.as_ref().map(BitSliceEvaluator::tape_stats)
+        match &self.kernel {
+            Kernel::Tape(tape) => Some(tape.tape_stats()),
+            _ => None,
+        }
     }
 
     /// Execution partitions this core serves on: 1 for single-tape and
     /// scalar cores.
     pub fn partitions(&self) -> usize {
-        self.partitioned
-            .as_ref()
-            .map_or(1, PartitionedEngine::num_partitions)
+        match &self.kernel {
+            Kernel::Partitioned(engine) => engine.num_partitions(),
+            _ => 1,
+        }
     }
 
     /// Cut-size and per-partition frame statistics of the resident
     /// partitioned multi-engine; `None` on unpartitioned cores.
     pub fn partition_stats(&self) -> Option<lbnn_netlist::PartitionStats> {
-        self.partitioned
-            .as_ref()
-            .map(PartitionedEngine::partition_stats)
+        match &self.kernel {
+            Kernel::Partitioned(engine) => Some(engine.partition_stats()),
+            _ => None,
+        }
     }
 
     /// Steady-state clock cycles between batch starts (initiation
@@ -328,9 +365,10 @@ impl EngineCore {
     /// routing, snapshot and schedule words and has each matching
     /// [`LpeInstr`](crate::compiler::program::LpeInstr)'s op swapped
     /// (a cell recomputed by several MFG executions is patched at every
-    /// occurrence), and the bit-sliced kernel tape has the target
+    /// occurrence), and the bit-sliced kernel tape(s) have the target
     /// cells' ANF masks rewritten in place
-    /// ([`BitSliceEvaluator::patched`]). The original core is untouched,
+    /// ([`BitSliceEvaluator::patched`],
+    /// [`PartitionedEngine::patched`]). The original core is untouched,
     /// so in-flight batches holding the old `Arc` keep executing the old
     /// function while new submissions see the new one.
     ///
@@ -345,20 +383,16 @@ impl EngineCore {
     pub fn patch_cells(&self, patches: &PatchSet) -> Result<EngineCore, CoreError> {
         let mut program = self.program.clone();
         patch_program(&mut program, patches)?;
-        let sliced = match &self.sliced {
-            Some(s) => Some(s.patched(patches)?),
-            None => None,
-        };
-        let partitioned = match &self.partitioned {
-            Some(p) => Some(p.patched(patches)?),
-            None => None,
+        let kernel = match &self.kernel {
+            Kernel::Machine => Kernel::Machine,
+            Kernel::Tape(tape) => Kernel::Tape(tape.patched(patches)?),
+            Kernel::Partitioned(engine) => Kernel::Partitioned(engine.patched(patches)?),
         };
         Ok(EngineCore {
             machine: self.machine.clone(),
             program,
             backend: self.backend,
-            sliced,
-            partitioned,
+            kernel,
             lpe_ops_per_pass: self.lpe_ops_per_pass,
         })
     }
@@ -380,32 +414,7 @@ impl EngineCore {
         scratch: &mut EngineScratch,
         inputs: &[Lanes],
     ) -> Result<RunResult, CoreError> {
-        match self.backend {
-            Backend::Scalar => {
-                self.machine
-                    .run_with_scratch(&self.program, inputs, &mut scratch.pass)
-            }
-            Backend::BitSliced { words } => {
-                if inputs.len() != self.program.num_inputs {
-                    return Err(CoreError::InputArity {
-                        expected: self.program.num_inputs,
-                        got: inputs.len(),
-                    });
-                }
-                // The scalar machine defaults no-input programs to one
-                // lane; match it on both bit-sliced paths.
-                let lanes = inputs.first().map_or(1, Lanes::len);
-                if let Some(part) = &self.partitioned {
-                    self.prepare_pframes(scratch, part, words);
-                    let outputs = part.evaluate_with(inputs, lanes, &mut scratch.pframes)?;
-                    return Ok(self.bitsliced_result(outputs));
-                }
-                // The scratch is width-agnostic; shape it to this core's
-                // slice width before the kernel runs (no-op once matched).
-                scratch.frame.set_width(words);
-                self.run_bitsliced(inputs, lanes, &mut scratch.frame)
-            }
-        }
+        self.run(scratch, Batch::Columns(inputs))
     }
 
     /// [`EngineCore::run_batch`] over a flat pre-packed input buffer
@@ -433,85 +442,85 @@ impl EngineCore {
         num_inputs: usize,
         lanes: usize,
     ) -> Result<RunResult, CoreError> {
-        match self.backend {
-            Backend::Scalar => {
+        self.run(
+            scratch,
+            Batch::Packed {
+                words: packed,
+                num_inputs,
+                lanes,
+            },
+        )
+    }
+
+    /// The one body behind [`EngineCore::run_batch`] and
+    /// [`EngineCore::run_batch_packed`].
+    fn run(&self, scratch: &mut EngineScratch, batch: Batch<'_>) -> Result<RunResult, CoreError> {
+        let (num_inputs, lanes) = match batch {
+            // The scalar machine defaults no-input programs to one
+            // lane; the bit-sliced kernels match it.
+            Batch::Columns(cols) => (cols.len(), cols.first().map_or(1, Lanes::len)),
+            Batch::Packed {
+                num_inputs, lanes, ..
+            } => (num_inputs, lanes),
+        };
+        if num_inputs != self.program.num_inputs {
+            return Err(CoreError::InputArity {
+                expected: self.program.num_inputs,
+                got: num_inputs,
+            });
+        }
+        // The scratch is shape-agnostic; give it a first frame at this
+        // core's slice width (no-op once matched). Each kernel sizes its
+        // frame(s) from there.
+        if let Backend::BitSliced { words } = self.backend {
+            if scratch.frames.is_empty() {
+                scratch.frames.push(SliceFrame::default());
+            }
+            scratch.frames[0].set_width(words);
+        }
+        let frames = &mut scratch.frames;
+        let outputs = match (&self.kernel, batch) {
+            (Kernel::Machine, Batch::Columns(cols)) => {
+                return self
+                    .machine
+                    .run_with_scratch(&self.program, cols, &mut scratch.pass)
+            }
+            (Kernel::Machine, Batch::Packed { words, .. }) => {
                 let stride = lanes.div_ceil(64);
                 assert_eq!(
-                    packed.len(),
+                    words.len(),
                     num_inputs * stride,
                     "packed buffer does not hold {num_inputs} columns of {stride} words"
                 );
-                let inputs: Vec<Lanes> = (0..num_inputs)
-                    .map(|i| {
-                        Lanes::from_words(packed[i * stride..(i + 1) * stride].to_vec(), lanes)
-                    })
+                let cols: Vec<Lanes> = (0..num_inputs)
+                    .map(|i| Lanes::from_words(words[i * stride..(i + 1) * stride].to_vec(), lanes))
                     .collect();
-                self.machine
-                    .run_with_scratch(&self.program, &inputs, &mut scratch.pass)
+                return self
+                    .machine
+                    .run_with_scratch(&self.program, &cols, &mut scratch.pass);
             }
-            Backend::BitSliced { words } => {
-                if num_inputs != self.program.num_inputs {
-                    return Err(CoreError::InputArity {
-                        expected: self.program.num_inputs,
-                        got: num_inputs,
-                    });
-                }
-                if let Some(part) = &self.partitioned {
-                    self.prepare_pframes(scratch, part, words);
-                    let outputs =
-                        part.evaluate_packed_with(packed, num_inputs, lanes, &mut scratch.pframes)?;
-                    return Ok(self.bitsliced_result(outputs));
-                }
-                scratch.frame.set_width(words);
-                let sliced = self
-                    .sliced
-                    .as_ref()
-                    .expect("bit-sliced core has a kernel tape");
-                let outputs =
-                    sliced.evaluate_packed_with(packed, num_inputs, lanes, &mut scratch.frame)?;
-                Ok(self.bitsliced_result(outputs))
+            (Kernel::Tape(tape), Batch::Columns(cols)) => {
+                tape.evaluate_with(cols, lanes, &mut frames[0])
             }
-        }
-    }
-
-    /// Shapes the scratch's per-partition frames to this core's
-    /// partition count and slice width (no-op once matched).
-    fn prepare_pframes(&self, scratch: &mut EngineScratch, part: &PartitionedEngine, words: usize) {
-        if scratch.pframes.len() == part.num_partitions() {
-            for frame in &mut scratch.pframes {
-                frame.set_width(words);
+            (Kernel::Tape(tape), Batch::Packed { words, .. }) => {
+                tape.evaluate_packed_with(words, num_inputs, lanes, &mut frames[0])
             }
-        } else {
-            scratch.pframes = part.frames_with_words(words);
-        }
-    }
-
-    /// One single-tape bit-sliced pass: functional execution with the
-    /// scalar path's model-time accounting.
-    fn run_bitsliced(
-        &self,
-        inputs: &[Lanes],
-        lanes: usize,
-        frame: &mut SliceFrame,
-    ) -> Result<RunResult, CoreError> {
-        let sliced = self
-            .sliced
-            .as_ref()
-            .expect("bit-sliced core has a kernel tape");
-        let outputs = sliced.evaluate_with(inputs, lanes, frame)?;
-        Ok(self.bitsliced_result(outputs))
-    }
-
-    /// Wraps bit-sliced outputs with the scalar path's model-time
-    /// accounting.
-    fn bitsliced_result(&self, outputs: Vec<Lanes>) -> RunResult {
-        RunResult {
+            (Kernel::Partitioned(engine), Batch::Columns(cols)) => {
+                engine.evaluate_with(cols, lanes, frames)
+            }
+            (Kernel::Partitioned(engine), Batch::Packed { words, .. }) => {
+                engine.evaluate_packed_with(words, num_inputs, lanes, frames)
+            }
+        }?;
+        // Functional execution with the scalar path's model-time
+        // accounting.
+        Ok(RunResult {
             outputs,
             compute_cycles: self.program.total_cycles,
             clock_cycles: self.program.total_cycles as u64 * self.config().tc() as u64,
             lpe_ops: self.lpe_ops_per_pass,
             peak_live_snapshots: 0,
-        }
+        })
     }
 }
 
@@ -622,13 +631,13 @@ impl Engine {
     /// Returns [`CoreError::BadConfig`] if the configuration is unusable
     /// or the program was compiled for a different machine shape.
     pub fn new(config: LpuConfig, program: LpuProgram) -> Result<Self, CoreError> {
-        Engine::build(config, program, Backend::Scalar, None, None, 1, None)
+        Engine::build(config, program, Backend::Scalar, None, 1, None)
     }
 
     /// Builds an engine serving `flow`'s program on `flow`'s backend
     /// (clones the program; use [`Flow::into_engine`] to avoid the copy).
-    /// A flow whose artifacts carry the locality pass's compiled tape
-    /// hands it over directly; flows loaded from serialized artifacts
+    /// A freshly compiled flow hands over the kernel its `locality` or
+    /// `exchange` pass built; flows loaded from serialized artifacts
     /// recompile it (deterministically) from the mapped netlist.
     ///
     /// # Errors
@@ -640,9 +649,11 @@ impl Engine {
             flow.program.clone(),
             flow.backend,
             Some(&flow.netlist),
-            flow.artifacts.as_ref().and_then(|a| a.tape.clone()),
             flow.partitions,
-            flow.partitioned.clone(),
+            Kernel::prebuilt(
+                flow.artifacts.as_ref().and_then(|a| a.tape.clone()),
+                flow.partitioned.clone(),
+            ),
         )
     }
 
@@ -657,24 +668,20 @@ impl Engine {
         Flow::load(path)?.into_engine()
     }
 
-    /// Shared constructor: `netlist` (the mapped netlist the program
-    /// computes) is required for [`Backend::BitSliced64`].
-    /// `precompiled` short-circuits tape compilation with the locality
-    /// pass's output when the caller already has it (a freshly compiled
-    /// [`Flow`]); it must have been compiled from the same netlist. The
-    /// same applies to `partitions`/`prepartitioned`: a bit-sliced
-    /// engine with `partitions > 1` serves on a [`PartitionedEngine`],
-    /// handed over from the flow's `exchange` pass (or a v4 artifact)
-    /// when available and recompiled from the netlist otherwise.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared constructor. A [`Backend::BitSliced`] engine replays
+    /// `prebuilt` when the caller already has the kernel (a freshly
+    /// compiled [`Flow`]; it must come from the same netlist and
+    /// partition count) and otherwise compiles it from `netlist` — one
+    /// tape, or with `partitions > 1` a [`PartitionedEngine`]. Scalar
+    /// engines ignore all three (the cycle-accurate machine is its own
+    /// execution model).
     pub(crate) fn build(
         config: LpuConfig,
         program: LpuProgram,
         backend: Backend,
         netlist: Option<&Netlist>,
-        precompiled: Option<BitSliceEvaluator>,
         partitions: usize,
-        prepartitioned: Option<PartitionedEngine>,
+        prebuilt: Option<Kernel>,
     ) -> Result<Self, CoreError> {
         let machine = LpuMachine::new(config)?;
         backend.validate()?;
@@ -691,87 +698,57 @@ impl Engine {
                 ),
             });
         }
-        let sliced = match backend {
-            Backend::Scalar => None,
-            Backend::BitSliced { .. } => {
-                let sliced = match precompiled {
-                    Some(tape) => tape,
-                    None => {
-                        let netlist = netlist.ok_or_else(|| CoreError::BadConfig {
-                            reason: "the bit-sliced backend needs the mapped netlist; build the \
-                                     engine from a Flow"
-                                .to_string(),
-                        })?;
-                        BitSliceEvaluator::compile(netlist)
-                    }
-                };
-                if sliced.num_inputs() != program.num_inputs
-                    || sliced.num_outputs() != program.outputs.len()
-                {
-                    return Err(CoreError::BadConfig {
-                        reason: format!(
-                            "netlist interface ({} in / {} out) disagrees with the program \
-                             ({} in / {} out)",
-                            sliced.num_inputs(),
-                            sliced.num_outputs(),
-                            program.num_inputs,
-                            program.outputs.len()
-                        ),
-                    });
+        let kernel = match (backend, prebuilt) {
+            (Backend::Scalar, _) => Kernel::Machine,
+            (Backend::BitSliced { .. }, Some(kernel)) => kernel,
+            (Backend::BitSliced { .. }, None) => {
+                let netlist = netlist.ok_or_else(|| CoreError::BadConfig {
+                    reason: "the bit-sliced backend needs the mapped netlist; build the engine \
+                             from a Flow"
+                        .to_string(),
+                })?;
+                if partitions > 1 {
+                    Kernel::Partitioned(PartitionedEngine::compile(netlist, partitions)?)
+                } else {
+                    Kernel::Tape(BitSliceEvaluator::compile(netlist))
                 }
-                Some(sliced)
             }
         };
-        // Scalar backends ignore the partitions knob (the cycle-accurate
-        // machine is its own execution model); bit-sliced cores with
-        // partitions > 1 carry the partitioned multi-engine.
-        let partitioned = match (backend, partitions) {
-            (Backend::Scalar, _) | (_, 1) => None,
-            (Backend::BitSliced { .. }, parts) => {
-                let engine = match prepartitioned {
-                    Some(engine) => engine,
-                    None => {
-                        let netlist = netlist.ok_or_else(|| CoreError::BadConfig {
-                            reason: "a partitioned engine needs the mapped netlist; build the \
-                                     engine from a Flow"
-                                .to_string(),
-                        })?;
-                        PartitionedEngine::compile(netlist, parts)?
-                    }
-                };
-                if engine.num_partitions() != parts {
-                    return Err(CoreError::BadConfig {
-                        reason: format!(
-                            "flow declares {parts} partitions but its engine has {}",
-                            engine.num_partitions()
-                        ),
-                    });
-                }
-                if engine.num_inputs() != program.num_inputs
-                    || engine.num_outputs() != program.outputs.len()
-                {
-                    return Err(CoreError::BadConfig {
-                        reason: format!(
-                            "partitioned engine interface ({} in / {} out) disagrees with the \
-                             program ({} in / {} out)",
-                            engine.num_inputs(),
-                            engine.num_outputs(),
-                            program.num_inputs,
-                            program.outputs.len()
-                        ),
-                    });
-                }
-                Some(engine)
-            }
+        let shape = match &kernel {
+            Kernel::Machine => None,
+            Kernel::Tape(tape) => Some((1, tape.num_inputs(), tape.num_outputs())),
+            Kernel::Partitioned(engine) => Some((
+                engine.num_partitions(),
+                engine.num_inputs(),
+                engine.num_outputs(),
+            )),
         };
+        if let Some((parts, ins, outs)) = shape {
+            if parts != partitions {
+                return Err(CoreError::BadConfig {
+                    reason: format!(
+                        "flow declares {partitions} partitions but its kernel has {parts}"
+                    ),
+                });
+            }
+            if ins != program.num_inputs || outs != program.outputs.len() {
+                return Err(CoreError::BadConfig {
+                    reason: format!(
+                        "kernel interface ({ins} in / {outs} out) disagrees with the program \
+                         ({} in / {} out)",
+                        program.num_inputs,
+                        program.outputs.len()
+                    ),
+                });
+            }
+        }
         let lpe_ops_per_pass = program.lpe_op_count();
         Ok(Engine {
             core: Arc::new(EngineCore {
                 machine,
                 program,
                 backend,
-                sliced,
-                partitioned,
+                kernel,
                 lpe_ops_per_pass,
             }),
             scratch: EngineScratch::default(),
@@ -1162,8 +1139,8 @@ impl Flow {
     }
 
     /// Converts this flow into a resident [`Engine`], moving the program
-    /// and the locality pass's compiled kernel tape (the remaining
-    /// compiler artifacts are dropped).
+    /// and the compiled kernel (the remaining compiler artifacts are
+    /// dropped).
     ///
     /// # Errors
     ///
@@ -1179,22 +1156,14 @@ impl Flow {
             partitioned,
             ..
         } = self;
-        let tape = artifacts.and_then(|a| a.tape);
-        Engine::build(
-            config,
-            program,
-            backend,
-            Some(&netlist),
-            tape,
-            partitions,
-            partitioned,
-        )
+        let kernel = Kernel::prebuilt(artifacts.and_then(|a| a.tape), partitioned);
+        Engine::build(config, program, backend, Some(&netlist), partitions, kernel)
     }
 
     /// Locality statistics of the kernel tape the `locality` pass
-    /// compiled for this flow ([`TapeStats`]); `None` for scalar flows
-    /// and flows loaded from serialized artifacts (which recompile the
-    /// tape at engine build).
+    /// compiled for this flow ([`TapeStats`]); `None` for scalar and
+    /// partitioned flows, and for flows loaded from serialized
+    /// artifacts (which recompile their kernel at engine build).
     pub fn tape_stats(&self) -> Option<TapeStats> {
         self.artifacts
             .as_ref()

@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use lbnn_netlist::NetlistError;
-use lbnn_switch::RouteError;
 
 /// Failure modes of the serialized-artifact layer ([`crate::artifact`])
 /// and of decoding binary program images
@@ -119,9 +118,6 @@ impl Error for ArtifactError {}
 pub enum CoreError {
     /// The input netlist is structurally invalid.
     Netlist(NetlistError),
-    /// A switch-network routing request failed (cannot happen for
-    /// compiler-generated configurations; surfaced for diagnostics).
-    Route(RouteError),
     /// The netlist is not fully path balanced (the compiler requires FPB).
     NotBalanced,
     /// A single logic level in one MFG exceeds the LPE count `m` — the
@@ -188,7 +184,6 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::Netlist(e) => write!(f, "netlist error: {e}"),
-            CoreError::Route(e) => write!(f, "switch routing error: {e}"),
             CoreError::NotBalanced => {
                 write!(f, "netlist is not fully path balanced; run balance() first")
             }
@@ -224,7 +219,6 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::Netlist(e) => Some(e),
-            CoreError::Route(e) => Some(e),
             CoreError::Artifact(e) => Some(e),
             _ => None,
         }
@@ -240,12 +234,6 @@ impl From<ArtifactError> for CoreError {
 impl From<NetlistError> for CoreError {
     fn from(e: NetlistError) -> Self {
         CoreError::Netlist(e)
-    }
-}
-
-impl From<RouteError> for CoreError {
-    fn from(e: RouteError) -> Self {
-        CoreError::Route(e)
     }
 }
 

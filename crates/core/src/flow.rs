@@ -127,9 +127,10 @@ pub struct CompileArtifacts {
     /// The space-time schedule.
     pub schedule: Schedule,
     /// The fused, slot-renumbered bit-sliced kernel tape the `locality`
-    /// pass compiled (bit-sliced backends only; `None` for scalar
-    /// flows). Engines built from this flow reuse it instead of
-    /// recompiling; [`Flow::apply_patches`] keeps it in sync.
+    /// pass compiled (single-tape bit-sliced flows only; `None` for
+    /// scalar flows and for `partitions > 1`, whose kernel is
+    /// [`Flow::partitioned`]). Engines built from this flow reuse it
+    /// instead of recompiling; [`Flow::apply_patches`] keeps it in sync.
     pub tape: Option<BitSliceEvaluator>,
 }
 
@@ -157,9 +158,10 @@ pub struct Flow {
     /// Execution partitions ([`FlowOptions::partitions`]).
     pub partitions: usize,
     /// The partitioned multi-engine compiled by the `exchange` pass
-    /// when `partitions > 1` on a bit-sliced backend. Unlike
-    /// [`Flow::artifacts`] this travels in serialized artifacts
-    /// (container v4), so a loaded flow still serves partitioned.
+    /// when `partitions > 1` on a bit-sliced backend. Like the tape in
+    /// [`Flow::artifacts`] it does not travel in serialized artifacts:
+    /// a loaded flow has `None` here and its engine recompiles the same
+    /// (deterministic) schedule from the mapped netlist.
     pub partitioned: Option<PartitionedEngine>,
     /// Intermediate compiler artifacts; `None` on flows loaded from a
     /// serialized artifact.

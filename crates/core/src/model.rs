@@ -7,7 +7,6 @@
 //! [`Engine`] per layer, so whole-model inference and throughput
 //! accounting stop being ad-hoc per-layer loops at the call sites.
 
-use std::sync::mpsc;
 use std::sync::OnceLock;
 
 use lbnn_netlist::{Lanes, Netlist};
@@ -255,50 +254,6 @@ impl ModelScratch {
     }
 }
 
-/// One batch travelling through the [`CompiledModel::infer_batches_pipelined`]
-/// stage queues: the raw first-layer inputs, plus the accumulators each
-/// stage extends.
-struct StageWork {
-    inputs: Vec<Lanes>,
-    layer_outputs: Vec<Vec<Lanes>>,
-    lpe_ops: usize,
-    clock_cycles: u64,
-}
-
-/// One pipeline stage: drains its queue, replays its layer's engine over
-/// each batch, and forwards the extended accumulators downstream. Batches
-/// that arrived as errors pass through untouched, so the collector sees
-/// every batch in order.
-fn stage_worker(
-    layer: &CompiledLayer,
-    rx: mpsc::Receiver<Result<StageWork, CoreError>>,
-    tx: mpsc::Sender<Result<StageWork, CoreError>>,
-) {
-    let engine = layer.engine.get().expect("engines pre-built");
-    let want = layer.flow.program.num_inputs;
-    let mut scratch = EngineScratch::default();
-    for msg in rx {
-        let out = msg.and_then(|mut work| {
-            // Same adaptation as `infer_with`: the first layer must match
-            // exactly; between layers, cycle via `chain_inputs`.
-            let run = match work.layer_outputs.last() {
-                None => engine.run_batch_with(&mut scratch, &work.inputs)?,
-                Some(prev) if prev.len() == want => engine.run_batch_with(&mut scratch, prev)?,
-                Some(prev) => engine.run_batch_with(&mut scratch, &chain_inputs(prev, want))?,
-            };
-            work.inputs = Vec::new();
-            work.lpe_ops += run.lpe_ops;
-            work.clock_cycles += run.clock_cycles;
-            work.layer_outputs.push(run.outputs);
-            Ok(work)
-        });
-        if tx.send(out).is_err() {
-            // Collector bailed on an earlier error; nothing left to feed.
-            return;
-        }
-    }
-}
-
 /// A whole multi-block workload compiled into one serving artifact.
 ///
 /// ```
@@ -461,8 +416,7 @@ impl CompiledModel {
         })
     }
 
-    /// Runs many whole-model passes back to back, reusing one scratch:
-    /// the sequential reference for [`CompiledModel::infer_batches_pipelined`].
+    /// Runs many whole-model passes back to back, reusing one scratch.
     ///
     /// # Errors
     ///
@@ -473,64 +427,6 @@ impl CompiledModel {
             .iter()
             .map(|batch| self.infer_with(&mut scratch, batch))
             .collect()
-    }
-
-    /// Pipeline-parallel batch inference: each layer's engine owns a
-    /// stage thread, and batches stream through the stage queues — while
-    /// stage 1 replays batch `k`, stage 0 is already on batch `k+1`.
-    ///
-    /// Per batch this performs exactly the [`CompiledModel::infer`]
-    /// sequence (same engines, same [`chain_inputs`] adaptation), so the
-    /// results are bit-identical to [`CompiledModel::infer_batches`];
-    /// only the schedule differs. Stage queues are unbounded `mpsc`
-    /// channels and each stage owns its own [`EngineScratch`], so the
-    /// model itself stays shared and immutable (`&self`).
-    ///
-    /// # Errors
-    ///
-    /// Engine build errors surface before any stage starts. A batch that
-    /// fails mid-pipeline (e.g. wrong first-layer arity) carries its
-    /// error through the remaining stages untouched, and the first
-    /// failing batch's error (in batch order) is returned.
-    pub fn infer_batches_pipelined(
-        &self,
-        batches: &[Vec<Lanes>],
-    ) -> Result<Vec<ModelInference>, CoreError> {
-        // Build every engine up front so stage workers only borrow.
-        for layer in &self.layers {
-            layer.engine()?;
-        }
-        std::thread::scope(|scope| {
-            let (first_tx, mut tail_rx) = mpsc::channel::<Result<StageWork, CoreError>>();
-            // Unbounded channels: the whole batch list is enqueued before
-            // the stages spin up, then the feeder side is closed so every
-            // stage drains to completion.
-            for batch in batches {
-                let work = StageWork {
-                    inputs: batch.clone(),
-                    layer_outputs: Vec::new(),
-                    lpe_ops: 0,
-                    clock_cycles: 0,
-                };
-                first_tx.send(Ok(work)).expect("stage 0 not yet running");
-            }
-            drop(first_tx);
-            for layer in &self.layers {
-                let (tx, rx) = mpsc::channel();
-                let rx_in = std::mem::replace(&mut tail_rx, rx);
-                scope.spawn(move || stage_worker(layer, rx_in, tx));
-            }
-            tail_rx
-                .iter()
-                .map(|msg| {
-                    msg.map(|work| ModelInference {
-                        layer_outputs: work.layer_outputs,
-                        lpe_ops: work.lpe_ops,
-                        clock_cycles: work.clock_cycles,
-                    })
-                })
-                .collect()
-        })
     }
 
     /// Total clock cycles per input image under `mode` (fractional: lane
@@ -709,36 +605,27 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_batches_match_sequential_reference() {
+    fn infer_batches_matches_per_batch_infer() {
         let model = two_layer_model();
-        // Ragged lane widths across batches exercise per-stage scratch
-        // reshaping mid-stream.
+        // Ragged lane widths across batches exercise scratch reshaping
+        // mid-stream.
         let batches: Vec<Vec<Lanes>> = (0..6)
             .map(|k| batch_of(k, 10, [48, 64, 1, 130, 7, 65][k]))
             .collect();
-        let sequential = model.infer_batches(&batches).unwrap();
-        let pipelined = model.infer_batches_pipelined(&batches).unwrap();
-        assert_eq!(sequential.len(), batches.len());
-        assert_eq!(pipelined.len(), batches.len());
-        for (k, (seq, pipe)) in sequential.iter().zip(&pipelined).enumerate() {
-            assert_eq!(seq.layer_outputs, pipe.layer_outputs, "batch {k}");
-            assert_eq!(seq.lpe_ops, pipe.lpe_ops, "batch {k}");
-            assert_eq!(seq.clock_cycles, pipe.clock_cycles, "batch {k}");
+        let streamed = model.infer_batches(&batches).unwrap();
+        assert_eq!(streamed.len(), batches.len());
+        for (k, got) in streamed.iter().enumerate() {
             let lone = model.infer(&batches[k]).unwrap();
-            assert_eq!(lone.layer_outputs, pipe.layer_outputs, "batch {k} vs infer");
+            assert_eq!(got.layer_outputs, lone.layer_outputs, "batch {k}");
+            assert_eq!(got.lpe_ops, lone.lpe_ops, "batch {k}");
+            assert_eq!(got.clock_cycles, lone.clock_cycles, "batch {k}");
         }
-    }
-
-    #[test]
-    fn pipelined_batches_empty_and_error_paths() {
-        let model = two_layer_model();
-        assert!(model.infer_batches_pipelined(&[]).unwrap().is_empty());
-        // A wrong-arity batch errors identically to the sequential path,
-        // and the error threads through every stage without panicking.
+        assert!(model.infer_batches(&[]).unwrap().is_empty());
         let bad = vec![batch_of(0, 3, 16)]; // layer 1 wants 10 inputs
-        let seq_err = model.infer_batches(&bad).unwrap_err();
-        let pipe_err = model.infer_batches_pipelined(&bad).unwrap_err();
-        assert_eq!(format!("{seq_err}"), format!("{pipe_err}"));
+        assert!(matches!(
+            model.infer_batches(&bad),
+            Err(CoreError::InputArity { .. })
+        ));
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //!   [`SUPPORTED_SLICE_WORDS`] (1/2/4/8/16 words = 64/128/256/512/1024
 //!   lanes) run on monomorphized kernels the compiler can keep
 //!   branch-free and vectorize. On x86_64, wide tiles additionally run
-//!   on explicit `std::arch` SIMD kernels (AVX-512/AVX2/SSE2, picked by
-//!   runtime CPU-feature detection; [`SimdMode`] / the `LBNN_SIMD`
-//!   environment knob override the choice), all bit-identical to the
-//!   portable scalar tiles.
+//!   on explicit `std::arch` SIMD kernels (AVX2/SSE2, picked by runtime
+//!   CPU-feature detection), all bit-identical to the portable scalar
+//!   tiles.
 
 use crate::cell::Op;
 use crate::error::NetlistError;
@@ -513,26 +512,18 @@ pub fn evaluate(netlist: &Netlist, inputs: &[Lanes]) -> Result<Vec<Lanes>, Netli
 /// above restricts its backends to this blessed set.
 pub const SUPPORTED_SLICE_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Requested SIMD policy for the kernel tape ([`TapeOptions::simd`],
-/// `LBNN_SIMD` environment knob). A request is a *ceiling*, not a
-/// demand: compilation resolves it against runtime CPU-feature
-/// detection ([`SimdMode::resolve`]) and clamps to the best level the
-/// host actually has, so forcing `avx2` on a pre-AVX2 machine degrades
-/// gracefully instead of faulting. Every level is bit-identical — the
-/// knob exists for differential testing and perf triage.
+/// Requested SIMD policy for the kernel tape ([`TapeOptions::simd`]).
+/// A request is a *ceiling*, not a demand: compilation resolves it
+/// against runtime CPU-feature detection ([`SimdMode::resolve`]) and
+/// clamps to the best level the host actually has, so forcing `Avx2`
+/// on a pre-AVX2 machine degrades gracefully instead of faulting.
+/// Every level is bit-identical — the ceiling exists for differential
+/// testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
-    /// Pick the fastest level for this kernel class (the default).
-    /// Prefers AVX2 over AVX-512 when both are present: the replay
-    /// kernel is pure 64-bit logic ops, and on server cores 512-bit
-    /// vectors pay frequency-license and port-width penalties that
-    /// outweigh the halved instruction count (measured ~15-20% slower
-    /// at 512/1024 lanes). `avx512` stays available as an explicit
-    /// opt-in for hosts where the wider unit does win.
+    /// The widest level this host has (the default).
     #[default]
     Auto,
-    /// Cap at AVX-512 (8 words per vector op).
-    Avx512,
     /// Cap at AVX2 (4 words per vector op).
     Avx2,
     /// Cap at SSE2 (2 words per vector op; baseline on every x86_64).
@@ -542,46 +533,17 @@ pub enum SimdMode {
 }
 
 impl SimdMode {
-    /// Parses the `LBNN_SIMD` spellings: `auto`, `avx512`, `avx2`,
-    /// `sse2`, `off` (plus `0`/`none`/`scalar` for `off`).
-    pub fn parse(s: &str) -> Option<SimdMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" | "" => Some(SimdMode::Auto),
-            "avx512" => Some(SimdMode::Avx512),
-            "avx2" => Some(SimdMode::Avx2),
-            "sse2" => Some(SimdMode::Sse2),
-            "off" | "0" | "none" | "scalar" => Some(SimdMode::Off),
-            _ => None,
-        }
-    }
-
-    /// [`SimdMode::Auto`] unless the `LBNN_SIMD` environment variable
-    /// names another mode (unparsable values fall back to `Auto`).
-    pub fn from_env() -> SimdMode {
-        std::env::var("LBNN_SIMD")
-            .ok()
-            .and_then(|v| SimdMode::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Clamps the requested mode to what this CPU supports, via runtime
     /// feature detection. On non-x86_64 hosts every mode resolves to
     /// [`SimdLevel::Scalar`] (the portable tiles are the only kernels).
     pub fn resolve(self) -> SimdLevel {
         #[cfg(target_arch = "x86_64")]
         {
-            if self == SimdMode::Off {
-                return SimdLevel::Scalar;
-            }
-            let avx512 = is_x86_feature_detected!("avx512f");
-            let avx2 = is_x86_feature_detected!("avx2");
             match self {
-                // `Auto` deliberately skips AVX-512 when AVX2 is present
-                // (see the enum docs); it only lands on Avx512 for the
-                // hypothetical avx512f-without-avx2 feature report.
-                SimdMode::Avx512 if avx512 => SimdLevel::Avx512,
-                SimdMode::Auto | SimdMode::Avx512 | SimdMode::Avx2 if avx2 => SimdLevel::Avx2,
-                SimdMode::Auto if avx512 => SimdLevel::Avx512,
+                SimdMode::Off => SimdLevel::Scalar,
+                SimdMode::Auto | SimdMode::Avx2 if is_x86_feature_detected!("avx2") => {
+                    SimdLevel::Avx2
+                }
                 // SSE2 is part of the x86_64 baseline: always present.
                 _ => SimdLevel::Sse2,
             }
@@ -597,7 +559,6 @@ impl std::fmt::Display for SimdMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             SimdMode::Auto => "auto",
-            SimdMode::Avx512 => "avx512",
             SimdMode::Avx2 => "avx2",
             SimdMode::Sse2 => "sse2",
             SimdMode::Off => "off",
@@ -611,8 +572,6 @@ impl std::fmt::Display for SimdMode {
 /// the hot loop never re-detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
-    /// 512-bit vectors: 8 words per op (tiles of 8/16 words).
-    Avx512,
     /// 256-bit vectors: 4 words per op (tiles of 4/8/16 words).
     Avx2,
     /// 128-bit vectors: 2 words per op (tiles of 2 words and up).
@@ -624,7 +583,6 @@ pub enum SimdLevel {
 impl std::fmt::Display for SimdLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            SimdLevel::Avx512 => "avx512",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Scalar => "scalar",
@@ -659,10 +617,6 @@ pub struct SliceFrame {
     pub(crate) words: Vec<u64>,
     words_per_net: usize,
 }
-
-/// Migration shim: the original 64-lane frame is a [`SliceFrame`] with
-/// one word per net ([`SliceFrame::with_slots`]).
-pub type BitSlice64 = SliceFrame;
 
 impl Default for SliceFrame {
     /// An empty one-word-per-net (64-lane) frame.
@@ -783,17 +737,10 @@ pub(crate) struct SliceInstr {
 /// Knobs for the tape-locality pass run by
 /// [`BitSliceEvaluator::compile_with`].
 ///
-/// [`BitSliceEvaluator::compile`] uses [`TapeOptions::from_env`], so the
-/// pass can be toggled per process for differential testing:
-///
-/// * `LBNN_TAPE_FUSION=0` — disable chain fusion,
-/// * `LBNN_TAPE_SLOT_REUSE=0` — disable liveness-based slot recycling,
-/// * `LBNN_CACHE_BUDGET=<bytes>` — per-tile frame budget (0 = unlimited),
-/// * `LBNN_SIMD=auto|avx512|avx2|sse2|off` — SIMD kernel ceiling
-///   ([`SimdMode`]).
-///
-/// Every combination produces bit-identical results; the options only
-/// trade memory traffic for tape shape.
+/// [`BitSliceEvaluator::compile`] always uses the defaults; the typed
+/// options exist so differential tests can pin that every combination
+/// produces bit-identical results — they only trade memory traffic for
+/// tape shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeOptions {
     /// Collapse single-fanout cell runs into fused chains whose
@@ -829,34 +776,6 @@ impl Default for TapeOptions {
     }
 }
 
-impl TapeOptions {
-    /// The default options with any `LBNN_TAPE_FUSION`,
-    /// `LBNN_TAPE_SLOT_REUSE`, `LBNN_CACHE_BUDGET`, and `LBNN_SIMD`
-    /// environment overrides applied (see the type docs). Unparsable
-    /// values fall back to the defaults.
-    pub fn from_env() -> Self {
-        fn flag(name: &str, default: bool) -> bool {
-            match std::env::var(name) {
-                Ok(v) => !matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "0" | "false" | "off" | "no"
-                ),
-                Err(_) => default,
-            }
-        }
-        let d = TapeOptions::default();
-        TapeOptions {
-            fuse: flag("LBNN_TAPE_FUSION", d.fuse),
-            reuse: flag("LBNN_TAPE_SLOT_REUSE", d.reuse),
-            cache_budget: std::env::var("LBNN_CACHE_BUDGET")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(d.cache_budget),
-            simd: SimdMode::from_env(),
-        }
-    }
-}
-
 /// What the tape-locality pass did to a compiled tape, and how the tape
 /// will execute ([`BitSliceEvaluator::tape_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -887,6 +806,21 @@ pub struct TapeStats {
     /// [`TapeOptions::simd`] resolved against runtime CPU-feature
     /// detection.
     pub simd: SimdLevel,
+}
+
+/// [`TapeStats::tile_words`] for a frame of `frame_slots` live slots
+/// under `budget` bytes — shared with the per-partition frames of
+/// [`crate::partitioned::PartitionedEngine`].
+pub(crate) fn tile_words_for(frame_slots: usize, budget: usize) -> usize {
+    if budget == 0 {
+        return 16;
+    }
+    for t in [16usize, 8, 4, 2] {
+        if frame_slots * t * 8 <= budget {
+            return t;
+        }
+    }
+    1
 }
 
 /// The widest tile (words) from `{16, 8, 4, 2, 1}` not exceeding `max`.
@@ -954,19 +888,13 @@ pub(crate) fn replay_tile_dispatch(
         // `slot * per + base + tile <= words.len()`.
         debug_assert!(base + tile <= per);
         match (simd, tile) {
-            (SimdLevel::Avx512, 16) => {
-                return unsafe { simd::run_tile_avx512::<16>(tape, words, per, base) }
-            }
-            (SimdLevel::Avx512, 8) => {
-                return unsafe { simd::run_tile_avx512::<8>(tape, words, per, base) }
-            }
             (SimdLevel::Avx2, 16) => {
                 return unsafe { simd::run_tile_avx2::<16>(tape, words, per, base) }
             }
             (SimdLevel::Avx2, 8) => {
                 return unsafe { simd::run_tile_avx2::<8>(tape, words, per, base) }
             }
-            (SimdLevel::Avx512 | SimdLevel::Avx2, 4) => {
+            (SimdLevel::Avx2, 4) => {
                 return unsafe { simd::run_tile_avx2::<4>(tape, words, per, base) }
             }
             (SimdLevel::Sse2, 16) => {
@@ -978,7 +906,7 @@ pub(crate) fn replay_tile_dispatch(
             (SimdLevel::Sse2, 4) => {
                 return unsafe { simd::run_tile_sse2::<4>(tape, words, per, base) }
             }
-            (SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2, 2) => {
+            (SimdLevel::Avx2 | SimdLevel::Sse2, 2) => {
                 return unsafe { simd::run_tile_sse2::<2>(tape, words, per, base) }
             }
             _ => {}
@@ -1034,15 +962,7 @@ impl TapeStats {
     /// bytes) fits the cache budget. A zero budget means unlimited (cap
     /// 16 — the widest supported block needs no splitting).
     pub fn tile_words(&self) -> usize {
-        if self.cache_budget == 0 {
-            return 16;
-        }
-        for t in [16usize, 8, 4, 2] {
-            if self.frame_slots * t * 8 <= self.cache_budget {
-                return t;
-            }
-        }
-        1
+        tile_words_for(self.frame_slots, self.cache_budget)
     }
 
     /// How many tiles one block of `words_per_net` words executes as
@@ -1142,10 +1062,9 @@ pub struct BitSliceEvaluator {
 
 impl BitSliceEvaluator {
     /// Compiles `netlist` into a kernel tape with
-    /// [`TapeOptions::from_env`] (the defaults unless overridden by
-    /// environment variables; see [`TapeOptions`]).
+    /// [`TapeOptions::default`].
     pub fn compile(netlist: &Netlist) -> Self {
-        BitSliceEvaluator::compile_with(netlist, TapeOptions::from_env())
+        BitSliceEvaluator::compile_with(netlist, TapeOptions::default())
     }
 
     /// Compiles `netlist` into a kernel tape with explicit locality
@@ -1640,11 +1559,11 @@ impl BitSliceEvaluator {
 }
 
 /// Explicit `std::arch` replays of the ANF word kernel. Each function
-/// mirrors [`BitSliceEvaluator::run_tile`] exactly — same tape walk,
+/// mirrors [`replay_tile`] exactly — same tape walk,
 /// same `out = k0 ^ (k1 & b) ^ (k2 & a) ^ (k3 & a & b)` per word, same
 /// load-both-operands-then-store order per vector group (groups within
 /// a span are disjoint, so an instruction writing the recycled slot of
-/// one of its own operands stays safe) — but processes 2/4/8 words per
+/// one of its own operands stays safe) — but processes 2/4 words per
 /// vector op with the ANF masks broadcast across the vector.
 ///
 /// # Safety
@@ -1652,43 +1571,11 @@ impl BitSliceEvaluator {
 /// Callers must have verified the target feature via runtime detection,
 /// and must guarantee `slot * per + base + TW <= words.len()` for every
 /// slot index on the tape (`TW` a multiple of the vector width) — see
-/// the dispatch comment in [`BitSliceEvaluator::run_tile_dispatch`].
+/// the dispatch comment in [`replay_tile_dispatch`].
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::SliceInstr;
     use std::arch::x86_64::*;
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn run_tile_avx512<const TW: usize>(
-        tape: &[SliceInstr],
-        words: &mut [u64],
-        per: usize,
-        base: usize,
-    ) {
-        let p = words.as_mut_ptr();
-        for i in tape {
-            let a0 = i.a as usize * per + base;
-            let b0 = i.b as usize * per + base;
-            let o0 = i.out as usize * per + base;
-            let k0 = _mm512_set1_epi64(i.k[0] as i64);
-            let k1 = _mm512_set1_epi64(i.k[1] as i64);
-            let k2 = _mm512_set1_epi64(i.k[2] as i64);
-            let k3 = _mm512_set1_epi64(i.k[3] as i64);
-            let mut w = 0;
-            while w < TW {
-                let va = _mm512_loadu_si512(p.add(a0 + w) as *const __m512i);
-                let vb = _mm512_loadu_si512(p.add(b0 + w) as *const __m512i);
-                // Factored ANF: k0 ^ (k1&b) ^ (a & (k2 ^ (k3&b))) — one
-                // fewer AND than the textbook 4-term form.
-                let r = _mm512_xor_si512(
-                    _mm512_xor_si512(k0, _mm512_and_si512(k1, vb)),
-                    _mm512_and_si512(va, _mm512_xor_si512(k2, _mm512_and_si512(k3, vb))),
-                );
-                _mm512_storeu_si512(p.add(o0 + w) as *mut __m512i, r);
-                w += 8;
-            }
-        }
-    }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_tile_avx2<const TW: usize>(
@@ -1867,29 +1754,18 @@ mod tests {
     }
 
     #[test]
-    fn simd_mode_parses_and_resolves() {
-        assert_eq!(SimdMode::parse("auto"), Some(SimdMode::Auto));
-        assert_eq!(SimdMode::parse(" AVX2 "), Some(SimdMode::Avx2));
-        assert_eq!(SimdMode::parse("avx512"), Some(SimdMode::Avx512));
-        assert_eq!(SimdMode::parse("sse2"), Some(SimdMode::Sse2));
-        for off in ["off", "0", "none", "scalar"] {
-            assert_eq!(SimdMode::parse(off), Some(SimdMode::Off));
-        }
-        assert_eq!(SimdMode::parse("altivec"), None);
+    fn simd_mode_resolves_within_its_ceiling() {
         assert_eq!(SimdMode::Off.resolve(), SimdLevel::Scalar);
-        // `Auto` prefers AVX2 over AVX-512 (see the SimdMode docs);
-        // AVX-512 kernels run only on explicit request.
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             assert_eq!(SimdMode::Auto.resolve(), SimdLevel::Avx2);
         }
         // Whatever the host, a request never resolves *above* itself.
-        assert_ne!(SimdMode::Avx2.resolve(), SimdLevel::Avx512);
         assert!(matches!(
             SimdMode::Sse2.resolve(),
             SimdLevel::Sse2 | SimdLevel::Scalar
         ));
-        assert_eq!(format!("{}", SimdMode::Avx512), "avx512");
+        assert_eq!(format!("{}", SimdMode::Avx2), "avx2");
         assert_eq!(format!("{}", SimdLevel::Scalar), "scalar");
     }
 
@@ -1901,7 +1777,6 @@ mod tests {
         use crate::random::RandomDag;
         let modes = [
             SimdMode::Auto,
-            SimdMode::Avx512,
             SimdMode::Avx2,
             SimdMode::Sse2,
             SimdMode::Off,

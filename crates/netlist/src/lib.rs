@@ -21,7 +21,7 @@
 //!   backend, with a tape-locality pass ([`TapeOptions`]/[`TapeStats`]:
 //!   chain fusion, liveness-based slot reuse, cache-budget tiling) and
 //!   runtime-detected `std::arch` SIMD replay kernels
-//!   ([`SimdMode`]/[`SimdLevel`], AVX-512/AVX2/SSE2 on x86_64),
+//!   ([`SimdMode`]/[`SimdLevel`], AVX2/SSE2 on x86_64),
 //! * partitioned multi-engine execution ([`partitioned`]): a netlist
 //!   split into per-partition kernel tapes with a compile-time
 //!   cross-partition [`ExchangeSchedule`], run level-synchronously on
@@ -61,8 +61,8 @@ pub mod verilog;
 pub use cell::Op;
 pub use error::NetlistError;
 pub use eval::{
-    BitSlice64, BitSliceEvaluator, Lanes, PackedRows, SimdLevel, SimdMode, SliceFrame, TapeOptions,
-    TapeStats, SUPPORTED_SLICE_WORDS,
+    BitSliceEvaluator, Lanes, PackedRows, SimdLevel, SimdMode, SliceFrame, TapeOptions, TapeStats,
+    SUPPORTED_SLICE_WORDS,
 };
 pub use levelize::Levels;
 pub use netlist::{Netlist, Node, NodeId};

@@ -38,10 +38,11 @@
 
 use crate::cell::Op;
 use crate::error::NetlistError;
-use crate::eval::{replay_tape, Lanes, SimdLevel, SliceFrame, SliceInstr, SlotPool, TapeOptions};
+use crate::eval::{
+    replay_tape, tile_words_for, Lanes, SimdLevel, SliceFrame, SliceInstr, SlotPool, TapeOptions,
+};
 use crate::netlist::{Netlist, NodeId};
 use crate::patch::PatchSet;
-use crate::serdes::{ByteReader, ByteWriter};
 
 /// Hard ceiling on the partition count: consumer bitmasks are one
 /// `u64`, and more partitions than cores (or L2 slices) never helps.
@@ -256,21 +257,6 @@ struct PartTape {
     tile_cap: usize,
 }
 
-/// The widest tile from `{16, 8, 4, 2, 1}` whose frame slice fits
-/// `budget` bytes (0 = unlimited) — [`crate::TapeStats::tile_words`]
-/// for a per-partition frame.
-fn tile_cap_for(frame_slots: usize, budget: usize) -> usize {
-    if budget == 0 {
-        return 16;
-    }
-    for t in [16usize, 8, 4, 2] {
-        if frame_slots * t * 8 <= budget {
-            return t;
-        }
-    }
-    1
-}
-
 /// A netlist compiled into N per-partition kernel tapes plus the
 /// exchange schedule that routes every cross-partition net — the
 /// multi-engine counterpart of
@@ -308,15 +294,13 @@ pub struct PartitionedEngine {
     /// Netlist arena size the tapes were compiled from (patch-index
     /// bound).
     num_cells: usize,
-    cache_budget: usize,
     simd: SimdLevel,
     stats: PartitionStats,
 }
 
 impl PartitionedEngine {
     /// Compiles `netlist` into `parts` partition tapes with the default
-    /// contiguous per-level assignment and
-    /// [`TapeOptions::from_env`].
+    /// contiguous per-level assignment and [`TapeOptions::default`].
     ///
     /// # Errors
     ///
@@ -324,7 +308,7 @@ impl PartitionedEngine {
     /// `1..=`[`MAX_PARTITIONS`].
     pub fn compile(netlist: &Netlist, parts: usize) -> Result<Self, NetlistError> {
         let assignment = PartitionAssignment::contiguous(netlist, parts)?;
-        PartitionedEngine::compile_with(netlist, &assignment, TapeOptions::from_env())
+        PartitionedEngine::compile_with(netlist, &assignment, TapeOptions::default())
     }
 
     /// Compiles `netlist` against an explicit [`PartitionAssignment`]
@@ -602,7 +586,7 @@ impl PartitionedEngine {
                 outputs,
                 imports,
                 frame_slots: frame_slots[p],
-                tile_cap: tile_cap_for(frame_slots[p], options.cache_budget),
+                tile_cap: tile_words_for(frame_slots[p], options.cache_budget),
             });
         }
 
@@ -621,7 +605,6 @@ impl PartitionedEngine {
             num_inputs: netlist.inputs().len(),
             num_outputs: netlist.outputs().len(),
             num_cells: n,
-            cache_budget: options.cache_budget,
             simd: options.simd.resolve(),
             stats,
         })
@@ -781,12 +764,7 @@ impl PartitionedEngine {
             // Thread spawn costs ~10s of µs per worker; only go wide
             // when the per-batch kernel work clearly dominates that.
             let work = self.stats.tape_len * per * blocks;
-            let wide = self.parts.len() > 1
-                && match exec_mode() {
-                    ExecMode::Sequential => false,
-                    ExecMode::Parallel => true,
-                    ExecMode::Auto => available_workers() > 1 && work >= 1 << 16,
-                };
+            let wide = self.parts.len() > 1 && available_workers() > 1 && work >= 1 << 16;
             if wide {
                 self.run_batch_parallel(frames, per, total_words, blocks, &mut out, input_words);
             } else {
@@ -875,9 +853,12 @@ impl PartitionedEngine {
     /// Threaded executor: one worker per partition, `std::sync::Barrier`
     /// either side of every non-empty exchange. Outside the exchange
     /// window a worker only touches its own frame; inside it, it writes
-    /// only its own import slots and reads only foreign export slots —
-    /// all pairwise disjoint by construction — so the raw-pointer
-    /// traffic below is race-free.
+    /// only its own import slots and reads only foreign export slots.
+    /// Within a level no `(partition, slot)` is both a source and a
+    /// destination and no two copies share a destination (the allocator
+    /// takes import slots before it releases export slots;
+    /// [`PartitionedEngine::validate`] checks exactly this), so the
+    /// raw-pointer traffic below is race-free.
     fn run_batch_parallel(
         &self,
         frames: &mut [SliceFrame],
@@ -888,10 +869,13 @@ impl PartitionedEngine {
         input_words: &InputWords<'_>,
     ) {
         /// A raw frame-buffer pointer shareable across the scoped
-        /// workers. Safety rests on the phase protocol documented on
-        /// [`PartitionedEngine::run_batch_parallel`].
+        /// workers.
         #[derive(Clone, Copy)]
         struct Raw(*mut u64, usize);
+        // SAFETY: the pointee is a `Vec<u64>` buffer that outlives the
+        // thread scope; every dereference follows the phase protocol
+        // documented on [`PartitionedEngine::run_batch_parallel`], under
+        // which no two threads touch the same word unsynchronized.
         unsafe impl Send for Raw {}
         unsafe impl Sync for Raw {}
 
@@ -947,12 +931,18 @@ impl PartitionedEngine {
                             let s = c.src_slot as usize * per;
                             let d = c.dst_slot as usize * per;
                             debug_assert!(s + per <= src_len && d + per <= len);
-                            // SAFETY: exchange phase — this worker
-                            // writes only its own import slots; the
-                            // source worker neither writes nor reads
-                            // its exported span until the closing
-                            // barrier; import and export slot sets are
-                            // disjoint within every frame.
+                            // SAFETY: exchange phase — between the two
+                            // barriers the only accesses to any frame are
+                            // this level's copies. `imports[l]` holds the
+                            // copies whose destination is this partition,
+                            // so no other worker writes frame `p`; the
+                            // level's destinations are pairwise distinct
+                            // and none is also a source
+                            // (`check_exchange_disjoint`), so `d..d + per`
+                            // is written once and read by nobody, and
+                            // `s..s + per` is only read. Both spans are in
+                            // bounds (the debug_assert above; slots are
+                            // `< frame_slots + 1` by construction).
                             unsafe {
                                 std::ptr::copy_nonoverlapping(src.add(s), base.add(d), per);
                             }
@@ -970,6 +960,10 @@ impl PartitionedEngine {
                         let span = slot as usize * per;
                         let dst = po as usize * total_words + wbase;
                         debug_assert!(dst + avail <= out_base.1);
+                        // SAFETY: row `po` of `out` belongs to this
+                        // worker alone (see above) and `dst + avail`
+                        // stays inside it; `words[span..]` holds at
+                        // least `per >= avail` words.
                         unsafe {
                             std::ptr::copy_nonoverlapping(
                                 words[span..].as_ptr(),
@@ -1017,6 +1011,36 @@ impl PartitionedEngine {
         Ok(out)
     }
 
+    /// The invariant `run_batch_parallel`'s `unsafe` copies rest on: the
+    /// copies of one level may run in any order or concurrently, because
+    /// their destinations are pairwise distinct and disjoint from every
+    /// source of that level.
+    fn check_exchange_disjoint(&self) -> Result<(), String> {
+        for (l, copies) in self.schedule.levels.iter().enumerate() {
+            let sources: std::collections::HashSet<(u32, u32)> =
+                copies.iter().map(|c| (c.src_part, c.src_slot)).collect();
+            let mut dests = std::collections::HashSet::with_capacity(copies.len());
+            for c in copies {
+                let dst = (c.dst_part, c.dst_slot);
+                if sources.contains(&dst) {
+                    return Err(format!(
+                        "level-{l} exchange writes partition {} slot {}, which another copy \
+                         of the level still reads",
+                        c.dst_part, c.dst_slot
+                    ));
+                }
+                if !dests.insert(dst) {
+                    return Err(format!(
+                        "level-{l} exchange has two copies that share the destination \
+                         partition {} slot {}",
+                        c.dst_part, c.dst_slot
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Model-based checker for the exchange schedule, independent of
     /// the scheduler's own bookkeeping: replays every partition tape
     /// and exchange copy **symbolically** (slots hold netlist node ids,
@@ -1027,6 +1051,11 @@ impl PartitionedEngine {
     ///   first use, or if a live slot was overwritten (the stale reader
     ///   sees the wrong symbol),
     /// * every copy reads a defined value,
+    /// * within a level, no `(partition, slot)` is both a copy source
+    ///   and a copy destination and no two copies share a destination —
+    ///   the sequential replay below cannot see this (it runs copies one
+    ///   at a time), but the threaded executor runs a level's copies
+    ///   concurrently and relies on it,
     /// * every primary output's slot still holds its node's value after
     ///   the last level,
     /// * the tapes cover every executable node exactly once, in level
@@ -1043,6 +1072,7 @@ impl PartitionedEngine {
                 self.num_cells
             ));
         }
+        self.check_exchange_disjoint()?;
         let level = node_levels(netlist);
         let mut seen = vec![false; n];
         let mut frames: Vec<Vec<Option<u32>>> = self
@@ -1162,267 +1192,6 @@ impl PartitionedEngine {
         }
         Ok(())
     }
-
-    /// Serializes the engine (tapes, slot maps, exchange schedule) into
-    /// `w` — the v4 artifact payload section. Execution-environment
-    /// choices (SIMD level, cache budget) are **not** stored; the
-    /// reader re-resolves them for its host.
-    pub fn write(&self, w: &mut ByteWriter) {
-        w.put_u32(self.parts.len() as u32);
-        w.put_u32(self.num_inputs as u32);
-        w.put_u32(self.num_outputs as u32);
-        w.put_u32(self.num_cells as u32);
-        w.put_u32(self.schedule.levels.len() as u32);
-        for part in &self.parts {
-            w.put_u32(part.tape.len() as u32);
-            for i in &part.tape {
-                w.put_u32(i.a);
-                w.put_u32(i.b);
-                w.put_u32(i.out);
-                for k in i.k {
-                    w.put_u64(k);
-                }
-            }
-            for &c in &part.cells {
-                w.put_u32(c);
-            }
-            for &e in &part.seg_ends {
-                w.put_u32(e);
-            }
-            w.put_u32(part.inputs.len() as u32);
-            for &(pi, slot) in &part.inputs {
-                w.put_u32(pi);
-                w.put_u32(slot);
-            }
-            w.put_u32(part.outputs.len() as u32);
-            for &(po, slot) in &part.outputs {
-                w.put_u32(po);
-                w.put_u32(slot);
-            }
-            w.put_u64(part.frame_slots as u64);
-        }
-        for copies in &self.schedule.levels {
-            w.put_u32(copies.len() as u32);
-            for c in copies {
-                w.put_u32(c.src_part);
-                w.put_u32(c.src_slot);
-                w.put_u32(c.dst_part);
-                w.put_u32(c.dst_slot);
-            }
-        }
-    }
-
-    /// Reads a [`PartitionedEngine::write`] image back, re-resolving
-    /// SIMD and cache budget for this host via
-    /// [`TapeOptions::from_env`]. Every structural invariant the
-    /// executors rely on (slot bounds, monotone segments, partition
-    /// indices, output coverage) is re-checked, so a corrupt image
-    /// comes back as a typed error, never a panic or out-of-bounds
-    /// replay.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::Malformed`] for truncated or structurally
-    /// inconsistent images.
-    pub fn read(r: &mut ByteReader<'_>) -> Result<PartitionedEngine, NetlistError> {
-        let parts_count = r.get_count("partition", 16)?;
-        if parts_count == 0 || parts_count > MAX_PARTITIONS {
-            return Err(malformed(format!(
-                "image declares {parts_count} partitions, outside the supported 1..={MAX_PARTITIONS}"
-            )));
-        }
-        let num_inputs = r.get_u32()? as usize;
-        let num_outputs = r.get_u32()? as usize;
-        let num_cells = r.get_u32()? as usize;
-        let levels = r.get_count("exchange level", 4)?;
-        let options = TapeOptions::from_env();
-        let mut parts = Vec::with_capacity(parts_count);
-        for p in 0..parts_count {
-            let tape_len = r.get_count("instruction", 44)?;
-            let mut tape = Vec::with_capacity(tape_len);
-            for _ in 0..tape_len {
-                let a = r.get_u32()?;
-                let b = r.get_u32()?;
-                let out = r.get_u32()?;
-                let mut k = [0u64; 4];
-                for k_i in &mut k {
-                    *k_i = r.get_u64()?;
-                }
-                tape.push(SliceInstr { a, b, out, k });
-            }
-            let mut cells = Vec::with_capacity(tape_len);
-            for _ in 0..tape_len {
-                let c = r.get_u32()?;
-                if c as usize >= num_cells {
-                    return Err(malformed(format!(
-                        "partition {p} instruction bound to cell {c} of a {num_cells}-cell netlist"
-                    )));
-                }
-                cells.push(c);
-            }
-            let mut seg_ends = Vec::with_capacity(levels);
-            let mut prev = 0u32;
-            for _ in 0..levels {
-                let e = r.get_u32()?;
-                if e < prev || e as usize > tape_len {
-                    return Err(malformed(format!(
-                        "partition {p} level segments are not monotone"
-                    )));
-                }
-                prev = e;
-                seg_ends.push(e);
-            }
-            if levels > 0 && prev as usize != tape_len {
-                return Err(malformed(format!(
-                    "partition {p} segments cover {prev} of {tape_len} instructions"
-                )));
-            }
-            if levels == 0 && tape_len != 0 {
-                return Err(malformed(format!(
-                    "partition {p} has instructions but no level segments"
-                )));
-            }
-            let in_count = r.get_count("partition input", 8)?;
-            let mut inputs = Vec::with_capacity(in_count);
-            for _ in 0..in_count {
-                let pi = r.get_u32()?;
-                let slot = r.get_u32()?;
-                if pi as usize >= num_inputs {
-                    return Err(malformed(format!(
-                        "partition {p} loads unknown primary input {pi}"
-                    )));
-                }
-                inputs.push((pi, slot));
-            }
-            let out_count = r.get_count("partition output", 8)?;
-            let mut outputs = Vec::with_capacity(out_count);
-            for _ in 0..out_count {
-                let po = r.get_u32()?;
-                let slot = r.get_u32()?;
-                if po as usize >= num_outputs {
-                    return Err(malformed(format!(
-                        "partition {p} owns unknown primary output {po}"
-                    )));
-                }
-                outputs.push((po, slot));
-            }
-            let frame_slots = r.get_u64()? as usize;
-            // Slot bounds are what keep the replay kernels in bounds —
-            // reject anything past the accumulator slot.
-            let bound = frame_slots as u64 + 1;
-            let ok = tape
-                .iter()
-                .all(|i| (i.a as u64) < bound && (i.b as u64) < bound && (i.out as u64) < bound)
-                && inputs.iter().all(|&(_, s)| (s as u64) < bound)
-                && outputs.iter().all(|&(_, s)| (s as u64) < bound);
-            if !ok {
-                return Err(malformed(format!(
-                    "partition {p} references slots past its {frame_slots}-slot frame"
-                )));
-            }
-            parts.push(PartTape {
-                tape,
-                cells,
-                seg_ends,
-                inputs,
-                outputs,
-                imports: Vec::new(),
-                frame_slots,
-                tile_cap: tile_cap_for(frame_slots, options.cache_budget),
-            });
-        }
-        let mut schedule = ExchangeSchedule {
-            levels: Vec::with_capacity(levels),
-        };
-        let mut cut_copies = 0usize;
-        for l in 0..levels {
-            let count = r.get_count("exchange copy", 16)?;
-            let mut copies = Vec::with_capacity(count);
-            for _ in 0..count {
-                let c = ExchangeCopy {
-                    src_part: r.get_u32()?,
-                    src_slot: r.get_u32()?,
-                    dst_part: r.get_u32()?,
-                    dst_slot: r.get_u32()?,
-                };
-                let src_ok = (c.src_part as usize) < parts_count
-                    && (c.src_slot as usize) <= parts[c.src_part as usize].frame_slots;
-                let dst_ok = (c.dst_part as usize) < parts_count
-                    && (c.dst_slot as usize) <= parts[c.dst_part as usize].frame_slots;
-                if !src_ok || !dst_ok {
-                    return Err(malformed(format!(
-                        "level-{l} exchange copy references a partition or slot out of range"
-                    )));
-                }
-                copies.push(c);
-            }
-            cut_copies += copies.len();
-            schedule.levels.push(copies);
-        }
-        // Every primary output must be owned exactly once, or
-        // evaluation would silently publish zeros.
-        let mut owned = vec![false; num_outputs];
-        for part in &parts {
-            for &(po, _) in &part.outputs {
-                if std::mem::replace(&mut owned[po as usize], true) {
-                    return Err(malformed(format!("primary output {po} owned twice")));
-                }
-            }
-        }
-        if let Some(po) = owned.iter().position(|&o| !o) {
-            return Err(malformed(format!(
-                "primary output {po} owned by no partition"
-            )));
-        }
-        // (Re)derive the per-partition import lists from the schedule.
-        for (p, part) in parts.iter_mut().enumerate() {
-            part.imports = schedule
-                .levels
-                .iter()
-                .map(|copies| {
-                    copies
-                        .iter()
-                        .filter(|c| c.dst_part as usize == p)
-                        .copied()
-                        .collect()
-                })
-                .collect();
-        }
-        // Distinct cut nets are not recoverable from the wire image
-        // (copies do not carry node ids); count distinct (src_part,
-        // src_slot, level) triples instead — equal for every schedule
-        // this crate emits, where a net is exported at exactly one
-        // level from exactly one slot.
-        let mut cut_nets = 0usize;
-        for copies in &schedule.levels {
-            let mut seen: Vec<(u32, u32)> = Vec::new();
-            for c in copies {
-                if !seen.contains(&(c.src_part, c.src_slot)) {
-                    seen.push((c.src_part, c.src_slot));
-                    cut_nets += 1;
-                }
-            }
-        }
-        let stats = PartitionStats {
-            partitions: parts_count,
-            levels,
-            cut_nets,
-            cut_copies,
-            max_frame_slots: parts.iter().map(|p| p.frame_slots).max().unwrap_or(0),
-            total_frame_slots: parts.iter().map(|p| p.frame_slots).sum(),
-            tape_len: parts.iter().map(|p| p.tape.len()).sum(),
-        };
-        Ok(PartitionedEngine {
-            parts,
-            schedule,
-            num_inputs,
-            num_outputs,
-            num_cells,
-            cache_budget: options.cache_budget,
-            simd: options.simd.resolve(),
-            stats,
-        })
-    }
 }
 
 /// Cached `available_parallelism` — queried once per process; the
@@ -1433,29 +1202,6 @@ fn available_workers() -> usize {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
-    })
-}
-
-/// Which executor [`PartitionedEngine`] uses for a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecMode {
-    /// Threads when cores and batch size warrant it (the default).
-    Auto,
-    /// Always the sequential reference executor.
-    Sequential,
-    /// Always the threaded executor (both are bit-identical; this
-    /// exists so benchmarks and differential tests can pin a path).
-    Parallel,
-}
-
-/// `LBNN_PARTITION_EXEC` = `auto` | `seq` | `par`, read once per
-/// process.
-fn exec_mode() -> ExecMode {
-    static MODE: std::sync::OnceLock<ExecMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("LBNN_PARTITION_EXEC").as_deref() {
-        Ok("seq") | Ok("sequential") => ExecMode::Sequential,
-        Ok("par") | Ok("parallel") => ExecMode::Parallel,
-        _ => ExecMode::Auto,
     })
 }
 
@@ -1474,6 +1220,21 @@ mod tests {
                 Lanes::from_bools(&bits)
             })
             .collect()
+    }
+
+    /// Adversarial assignment: a deterministic pseudo-random node →
+    /// partition map, so nearly every net is cut.
+    fn scattered_assignment(nl: &Netlist, parts: usize, seed: u64) -> PartitionAssignment {
+        let mut x = 0x9e3779b97f4a7c15u64 ^ seed;
+        let of = (0..nl.len())
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % parts as u64) as u32
+            })
+            .collect();
+        PartitionAssignment::from_map(parts, of).unwrap()
     }
 
     /// The partitioned engine is bit-identical to the word-parallel
@@ -1551,18 +1312,7 @@ mod tests {
                 let b = PartitionedEngine::compile(&nl, parts).unwrap();
                 assert_eq!(a, b, "seed {seed} parts {parts} not deterministic");
             }
-            // Adversarial assignment: a deterministic pseudo-random map.
-            let parts = 4usize;
-            let mut x = 0x9e3779b97f4a7c15u64 ^ seed;
-            let of: Vec<u32> = (0..nl.len())
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x % parts as u64) as u32
-                })
-                .collect();
-            let assignment = PartitionAssignment::from_map(parts, of).unwrap();
+            let assignment = scattered_assignment(&nl, 4, seed);
             for reuse in [true, false] {
                 let options = TapeOptions {
                     reuse,
@@ -1576,6 +1326,54 @@ mod tests {
                 assert_eq!(got, want, "adversarial seed {seed} reuse {reuse}");
             }
         }
+    }
+
+    /// The property the threaded executor's `unsafe` copies need — per
+    /// level, destinations pairwise distinct and disjoint from sources —
+    /// holds under assignments that cut nearly every net and recycle
+    /// slots as hard as possible, and `validate` trips on either
+    /// violation (which a sequential replay of the copies cannot see).
+    #[test]
+    fn exchange_copies_stay_disjoint_under_adversarial_assignments() {
+        let nl = RandomDag::loose(8, 6, 12).outputs(4).generate(5);
+        let mut engines = Vec::new();
+        for parts in [2usize, 3, 5, 8] {
+            // Round-robin by arena index: most fanin edges cross.
+            let striped = (0..nl.len()).map(|i| (i % parts) as u32).collect();
+            let mut maps = vec![PartitionAssignment::from_map(parts, striped).unwrap()];
+            maps.extend((0..4).map(|seed| scattered_assignment(&nl, parts, seed)));
+            for assignment in &maps {
+                let engine =
+                    PartitionedEngine::compile_with(&nl, assignment, TapeOptions::default())
+                        .unwrap();
+                engine.validate(&nl).unwrap();
+                engines.push(engine);
+            }
+        }
+        let engine = engines
+            .into_iter()
+            .find(|e| e.schedule.levels.iter().any(|c| c.len() >= 2))
+            .expect("an adversarial assignment cuts two nets at one level");
+        let l = engine
+            .schedule
+            .levels
+            .iter()
+            .position(|c| c.len() >= 2)
+            .unwrap();
+
+        let mut shared_dst = engine.clone();
+        let first = shared_dst.schedule.levels[l][0];
+        shared_dst.schedule.levels[l][1].dst_part = first.dst_part;
+        shared_dst.schedule.levels[l][1].dst_slot = first.dst_slot;
+        let err = shared_dst.validate(&nl).unwrap_err();
+        assert!(err.contains("share the destination"), "{err}");
+
+        let mut dst_is_src = engine.clone();
+        let second = dst_is_src.schedule.levels[l][1];
+        dst_is_src.schedule.levels[l][0].dst_part = second.src_part;
+        dst_is_src.schedule.levels[l][0].dst_slot = second.src_slot;
+        let err = dst_is_src.validate(&nl).unwrap_err();
+        assert!(err.contains("still reads"), "{err}");
     }
 
     /// Patching a partitioned engine equals a fresh compile of the
@@ -1607,39 +1405,6 @@ mod tests {
         assert!(matches!(
             PartitionedEngine::compile(&nl, 2).unwrap().patched(&bad),
             Err(NetlistError::InvalidNode { .. })
-        ));
-    }
-
-    /// The wire image round-trips to an equal engine, and corrupt
-    /// images (any truncation, partition-count lies) come back as typed
-    /// errors, never panics.
-    #[test]
-    fn serialization_roundtrip_and_corruption() {
-        let nl = RandomDag::loose(7, 5, 9).outputs(3).generate(3);
-        let engine = PartitionedEngine::compile(&nl, 3).unwrap();
-        let mut w = ByteWriter::new();
-        engine.write(&mut w);
-        let bytes = w.into_bytes();
-        let back = PartitionedEngine::read(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(back, engine);
-        for cut in (0..bytes.len()).step_by(7) {
-            assert!(
-                PartitionedEngine::read(&mut ByteReader::new(&bytes[..cut])).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-        // A partition count outside 1..=MAX_PARTITIONS is rejected up
-        // front.
-        let mut lied = bytes.clone();
-        lied[..4].copy_from_slice(&65u32.to_le_bytes());
-        assert!(matches!(
-            PartitionedEngine::read(&mut ByteReader::new(&lied)),
-            Err(NetlistError::Malformed { .. })
-        ));
-        lied[..4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            PartitionedEngine::read(&mut ByteReader::new(&lied)),
-            Err(NetlistError::Malformed { .. })
         ));
     }
 

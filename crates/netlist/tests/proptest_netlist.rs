@@ -110,7 +110,7 @@ proptest! {
     }
 
     /// One bit-sliced 64-lane pass equals 64 independent scalar passes:
-    /// the defining property of the `BitSlice64` packing — every bit
+    /// the defining property of the one-word `SliceFrame` packing — every bit
     /// position of the word is a fully independent sample.
     #[test]
     fn bitsliced_pass_equals_64_scalar_passes(

@@ -23,6 +23,20 @@ fn random_lanes(rng: &mut StdRng, count: usize, lanes: usize) -> Vec<Lanes> {
         .collect()
 }
 
+/// Re-seals an artifact image's trailing checksum (FNV-1a over
+/// everything before it, matching the container) so an injected defect
+/// is the only one the parser can trip on.
+fn reseal(mut img: Vec<u8>) -> Vec<u8> {
+    let body = img.len() - 8;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in &img[..body] {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    img[body..].copy_from_slice(&hash.to_le_bytes());
+    img
+}
+
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lbnn-roundtrip-{tag}-{}.lbnn", std::process::id()))
 }
@@ -159,18 +173,8 @@ fn artifact_width_field_round_trips_and_rejects_corruption() {
     // only remaining defect is the width itself.
     let mut bad = a.clone();
     bad[words_at] = 7;
-    let checksum = {
-        // FNV-1a, matching the artifact container.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &byte in &bad[..body] {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    };
-    bad[body..].copy_from_slice(&checksum.to_le_bytes());
     assert!(matches!(
-        Flow::from_artifact_bytes(&bad),
+        Flow::from_artifact_bytes(&reseal(bad)),
         Err(CoreError::Artifact(ArtifactError::UnsupportedWidth {
             words: 7
         }))
@@ -249,14 +253,16 @@ fn corrupted_files_report_typed_errors() {
     std::fs::remove_file(&path).ok();
 }
 
-/// ISSUE 10 (artifact v4): a partitioned flow round-trips with its
-/// per-partition tapes and exchange schedule intact, and targeted v4
-/// corruption — a partition-count mismatch between the flow header and
-/// the engine image, a truncated exchange table, a garbage presence
-/// flag — surfaces as typed `ArtifactError`s, never a panic.
+/// Artifact v5: a partitioned flow's artifact carries the mapped netlist
+/// and the partition count, not the engine. The loaded flow recompiles
+/// exactly the engine the fresh compile built and serves bit-identically
+/// to the oracle; a bad partition count or bytes past the count are
+/// typed `ArtifactError`s, and a v4 image (which carried an engine
+/// image) is refused by version, never mis-parsed.
 #[test]
-fn partitioned_artifact_v4_round_trips_and_rejects_corruption() {
-    use lbnn::netlist::serdes::ByteWriter;
+fn partitioned_artifact_v5_recompiles_its_engine_and_rejects_corruption() {
+    use lbnn::netlist::eval::evaluate;
+    use lbnn::netlist::PartitionedEngine;
     let netlist = RandomDag::loose(10, 5, 8).outputs(4).generate(13);
     let flow = Flow::builder(&netlist)
         .config(LpuConfig::new(5, 4))
@@ -264,114 +270,70 @@ fn partitioned_artifact_v4_round_trips_and_rejects_corruption() {
         .partitions(3)
         .compile()
         .unwrap();
-    let engine_ref = flow.partitioned.clone().expect("exchange pass ran");
     let bytes = flow.to_artifact_bytes().unwrap();
     let loaded = Flow::from_artifact_bytes(&bytes).unwrap();
     assert_eq!(loaded.partitions, 3);
+    assert!(loaded.partitioned.is_none(), "kernels do not travel");
     assert_eq!(
-        loaded.partitioned.as_ref(),
-        Some(&engine_ref),
-        "per-partition tapes + exchange schedule travel structurally intact"
+        PartitionedEngine::compile(&loaded.netlist, 3).ok(),
+        flow.partitioned,
+        "the recompile is the engine the exchange pass built"
     );
-    let mut orig = flow.engine().unwrap();
+    // Saving the loaded flow reproduces the image byte for byte, so
+    // patch deltas bind to either.
+    assert_eq!(loaded.to_artifact_bytes().unwrap(), bytes);
+    let mut fresh = flow.engine().unwrap();
     let mut re = loaded.engine().unwrap();
+    assert_eq!(re.partitions(), 3);
+    assert_eq!(re.partition_stats(), fresh.partition_stats());
+    assert!(re.partition_stats().is_some());
     let mut rng = StdRng::seed_from_u64(5);
     let batch = random_lanes(&mut rng, netlist.inputs().len(), 130);
-    assert_eq!(
-        orig.run_batch(&batch).unwrap().outputs,
-        re.run_batch(&batch).unwrap().outputs
-    );
+    let oracle = evaluate(&netlist, &batch).unwrap();
+    assert_eq!(fresh.run_batch(&batch).unwrap().outputs, oracle);
+    assert_eq!(re.run_batch(&batch).unwrap().outputs, oracle);
 
-    // The serialized engine is the flow payload's suffix; locate it so
-    // the corruption below is surgical.
-    let mut w = ByteWriter::new();
-    engine_ref.write(&mut w);
-    let blob = w.into_bytes();
+    // The partition count is the payload's last field.
     let body = bytes.len() - 8; // trailing 8 bytes: container checksum
-    let engine_start = body - blob.len();
-    assert_eq!(
-        &bytes[engine_start..body],
-        blob.as_slice(),
-        "engine image is the payload suffix"
-    );
-    // Immediately before it: the u32 partition count + u8 presence flag.
-    let pfield = engine_start - 5;
-    assert_eq!(&bytes[pfield..pfield + 4], &3u32.to_le_bytes());
-    assert_eq!(bytes[engine_start - 1], 1);
+    let pfield = body - 4;
+    assert_eq!(&bytes[pfield..body], &3u32.to_le_bytes());
 
-    // Re-seal the container checksum (FNV-1a over everything before it)
-    // so the injected defect is the only one the parser can trip on.
-    let reseal = |mut img: Vec<u8>| -> Vec<u8> {
-        let b = img.len() - 8;
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &byte in &img[..b] {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let sum = hash.to_le_bytes();
-        img[b..].copy_from_slice(&sum);
-        img
-    };
-
-    // Partition-count mismatch, flow-header side: declares 2, engine
-    // image carries 3.
-    let mut lie = bytes.clone();
-    lie[pfield..pfield + 4].copy_from_slice(&2u32.to_le_bytes());
-    let err = Flow::from_artifact_bytes(&reseal(lie)).unwrap_err();
-    assert!(
-        matches!(err, CoreError::Artifact(ArtifactError::Malformed { .. })),
-        "header-side count lie: {err:?}"
-    );
-
-    // Partition-count mismatch, engine side: the image's own parts
-    // field lies (misaligns every later count, or fails the cross-check).
-    let mut lie = bytes.clone();
-    lie[engine_start..engine_start + 4].copy_from_slice(&2u32.to_le_bytes());
-    let err = Flow::from_artifact_bytes(&reseal(lie)).unwrap_err();
-    assert!(
-        matches!(err, CoreError::Artifact(ArtifactError::Malformed { .. })),
-        "engine-side count lie: {err:?}"
-    );
-
-    // Truncated exchange table: the copy lists are the image's tail.
-    // Chop bytes off, fix the declared payload length and checksum so
-    // the truncation itself is the only defect left to catch.
-    for chop in [1usize, 4, 16, blob.len() / 2] {
-        let mut cut = bytes[..body - chop].to_vec();
-        let payload_len = (cut.len() - 21) as u64; // 21-byte container header
-        cut[13..21].copy_from_slice(&payload_len.to_le_bytes());
-        cut.extend_from_slice(&[0u8; 8]);
-        let err = Flow::from_artifact_bytes(&reseal(cut)).unwrap_err();
+    for lie in [0u32, 65] {
+        let mut bad = bytes.clone();
+        bad[pfield..body].copy_from_slice(&lie.to_le_bytes());
+        let err = Flow::from_artifact_bytes(&reseal(bad)).unwrap_err();
         assert!(
             matches!(err, CoreError::Artifact(ArtifactError::Malformed { .. })),
-            "chop {chop}: {err:?}"
+            "partition count {lie}: {err:?}"
         );
     }
 
-    // A presence flag that is neither 0 nor 1.
-    let mut bad = bytes.clone();
-    bad[engine_start - 1] = 2;
-    let err = Flow::from_artifact_bytes(&reseal(bad)).unwrap_err();
+    // Bytes past the count (where v4 kept its presence flag and engine
+    // image), with the declared payload length and checksum fixed up.
+    let mut long = bytes[..body].to_vec();
+    long.push(0);
+    let payload_len = (long.len() - 21) as u64; // 21-byte container header
+    long[13..21].copy_from_slice(&payload_len.to_le_bytes());
+    long.extend_from_slice(&[0u8; 8]);
+    let err = Flow::from_artifact_bytes(&reseal(long)).unwrap_err();
     assert!(
         matches!(err, CoreError::Artifact(ArtifactError::Malformed { .. })),
-        "presence flag: {err:?}"
+        "trailing byte: {err:?}"
     );
 
-    // Raw truncation mid-engine (no fix-ups) stays the dedicated
-    // Truncated error from the container layer.
-    let err = Flow::from_artifact_bytes(&bytes[..body - blob.len() / 3]).unwrap_err();
+    let mut v4 = bytes.clone();
+    v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let err = Flow::from_artifact_bytes(&reseal(v4)).unwrap_err();
     assert!(
-        matches!(err, CoreError::Artifact(ArtifactError::Truncated { .. })),
+        matches!(
+            err,
+            CoreError::Artifact(ArtifactError::UnsupportedVersion {
+                found: 4,
+                supported: 5
+            })
+        ),
         "{err:?}"
     );
-
-    // Unresealed byte-flip sweep across the whole v4 tail: every flip
-    // is caught (by the checksum at minimum) and nothing panics.
-    for i in (pfield..body).step_by(7) {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0xa5;
-        assert!(Flow::from_artifact_bytes(&bad).is_err(), "flip at byte {i}");
-    }
 }
 
 /// A whole model survives the artifact boundary: save, load in a fresh

@@ -17,6 +17,8 @@ use lbnn::netlist::{Lanes, Netlist};
 use lbnn::{Backend, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
 use proptest::prelude::*;
 
+mod common;
+
 /// Every backend/width this build can serve on. The scalar
 /// cycle-accurate machine is the reference implementation; the oracle
 /// both it and the bit-sliced widths are compared against is direct
@@ -175,7 +177,9 @@ fn partition_counts() -> [usize; 4] {
 }
 
 /// Compiles `netlist` for `backend` split into `parts` partitions,
-/// optionally bouncing the flow through its serialized (v4) artifact.
+/// optionally bouncing the flow through its serialized artifact (which
+/// carries the partition count, not the engine: a reloaded flow's
+/// engine recompiles the exchange schedule).
 fn partitioned_flow(
     netlist: &Netlist,
     config: LpuConfig,
@@ -199,16 +203,14 @@ fn partitioned_flow(
         flow.partitions, parts,
         "{backend} x{parts} (reload {reload})"
     );
-    if parts > 1 {
-        let engine = flow
-            .partitioned
-            .as_ref()
-            .unwrap_or_else(|| panic!("{backend} x{parts}: no partitioned engine compiled"));
-        assert_eq!(engine.num_partitions(), parts);
-        assert!(engine.partition_stats().max_frame_slots > 0);
-    } else {
-        assert!(flow.partitioned.is_none(), "x1 must stay single-engine");
-    }
+    assert_eq!(
+        flow.partitioned.is_some(),
+        parts > 1 && !reload,
+        "{backend} x{parts} (reload {reload}): only a fresh split compile carries its engine"
+    );
+    let engine = flow.engine().unwrap();
+    assert_eq!(engine.partitions(), parts);
+    assert_eq!(engine.partition_stats().is_some(), parts > 1);
     flow
 }
 
@@ -448,6 +450,30 @@ fn shipped_example_netlists_conform_partitioned() {
     );
 }
 
+/// The partition-differential harness on a netlist sized past the
+/// partitioned executor's go-wide threshold (see
+/// [`common::banded_dag`]), so on a multi-core host the *threaded*
+/// executor is what runs under `run_batch`, sharded `run_batches` and
+/// `Runtime::submit`. On a single core the same case runs the
+/// sequential executor (the unit test
+/// `parallel_executor_matches_sequential` forces the threaded one
+/// there).
+#[test]
+fn partitioned_execution_conforms_past_the_threading_threshold() {
+    let netlist = common::banded_dag(512, 9);
+    // A wide machine keeps the (irrelevant here) LPU schedule short.
+    let config = LpuConfig::new(64, 4);
+    let sized = partitioned_flow(&netlist, config, Backend::BitSliced { words: 16 }, 2, false);
+    let stats = sized.partitioned.as_ref().unwrap().partition_stats();
+    assert!(
+        stats.tape_len * 16 >= 1 << 16,
+        "{} instructions no longer reach the threading threshold",
+        stats.tape_len
+    );
+    assert_partition_conformance(&netlist, config, 0x71de, false);
+    assert_partition_runtime_conformance(&netlist, config, 0x71de, true);
+}
+
 // Exchange-schedule soundness under *arbitrary* partition assignments
 // (ISSUE 10 satellite): for random maps — not just the contiguous
 // heuristic — the compiled schedule must transfer every cross-partition
@@ -592,9 +618,8 @@ fn partial_micro_batches_conform_on_every_width() {
 /// locality pass in every configuration — fusion on/off, slot reuse
 /// on/off, tiling forced and disabled — at 64–1024 lanes and awkward
 /// batch shapes. Options are passed explicitly
-/// ([`lbnn::netlist::TapeOptions`]) so the sweep is immune to test-runner
-/// env races; CI additionally runs the whole suite once under
-/// `LBNN_TAPE_FUSION=0 LBNN_TAPE_SLOT_REUSE=0` to pin the env toggles.
+/// ([`lbnn::netlist::TapeOptions`]) — the typed handle is the only way
+/// to reach a non-default configuration.
 #[test]
 fn tape_locality_options_are_bit_identical_at_every_width() {
     use lbnn::netlist::eval::BitSliceEvaluator;
@@ -675,24 +700,21 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
     assert!(saw_shrink, "no seed shrank the live frame");
 }
 
-/// SIMD dispatch differential sweep (ISSUE 9): every `LBNN_SIMD`
-/// dispatch variant — auto, forced AVX-512/AVX2/SSE2 (each clamped to
-/// what the host supports), and scalar-off — must replay the kernel
-/// tape bit-identically to the oracle at every width and awkward batch
-/// shape, ragged final blocks included. A patched tape (the in-place
-/// ANF-mask rewrite behind the `.lbnnp` hot-reconfiguration flow) must
-/// stay bit-identical under every variant too. Modes are forced
-/// explicitly ([`lbnn::netlist::SimdMode`] via `TapeOptions::simd`) so
-/// the sweep is immune to test-runner env races; CI additionally runs
-/// the whole conformance suite once under `LBNN_SIMD=off` to pin the
-/// env knob (the default run exercises the best available path).
+/// SIMD dispatch differential sweep (ISSUE 9): every dispatch variant —
+/// auto, AVX2/SSE2 ceilings (each clamped to what the host supports),
+/// and scalar-off — must replay the kernel tape bit-identically to the
+/// oracle at every width and awkward batch shape, ragged final blocks
+/// included. A patched tape (the in-place ANF-mask rewrite behind the
+/// `.lbnnp` hot-reconfiguration flow) must stay bit-identical under
+/// every variant too. Modes are forced through the typed
+/// [`lbnn::netlist::SimdMode`] in `TapeOptions::simd`; the default run
+/// of every other suite exercises the best available path.
 #[test]
 fn simd_dispatch_variants_are_bit_identical_at_every_width() {
     use lbnn::netlist::eval::BitSliceEvaluator;
     use lbnn::netlist::{PatchSet, SimdMode, TapeOptions};
     let modes = [
         SimdMode::Auto,
-        SimdMode::Avx512,
         SimdMode::Avx2,
         SimdMode::Sse2,
         SimdMode::Off,

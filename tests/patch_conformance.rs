@@ -20,6 +20,8 @@ use lbnn::netlist::{Lanes, Netlist, Op, PatchSet};
 use lbnn::{Backend, EngineScratch, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
 use proptest::prelude::*;
 
+mod common;
+
 /// A deterministic pseudo-random patch set over `netlist`: roughly a
 /// third of its patchable cells (executable, arity ≥ 1) get a random
 /// same-arity replacement gate. Replacements may coincide with the old
@@ -269,23 +271,11 @@ fn patching_inside_a_fused_chain_matches_fresh_compile() {
             .as_ref()
             .and_then(|art| art.tape.as_ref())
             .expect("bit-sliced flows cache the locality pass's tape");
-        let mut fused = tape.fused_cells();
-        if lbnn::netlist::TapeOptions::from_env().fuse {
-            assert!(
-                !fused.is_empty(),
-                "the mapped chain netlist must produce fused cells (words {words})"
-            );
-        } else {
-            // CI also runs this suite with fusion disabled via
-            // LBNN_TAPE_FUSION=0 — no fused cells then, so patch the
-            // same chain interiors by structure instead.
-            fused = flow
-                .netlist
-                .iter()
-                .filter(|(_, n)| n.op().is_executable() && n.op().arity() >= 1)
-                .map(|(id, _)| id)
-                .collect();
-        }
+        let fused = tape.fused_cells();
+        assert!(
+            !fused.is_empty(),
+            "the mapped chain netlist must produce fused cells (words {words})"
+        );
 
         // Flip the function of every fused cell, same arity.
         let mut patches = PatchSet::new();
@@ -362,92 +352,118 @@ fn patching_inside_a_fused_chain_matches_fresh_compile() {
 /// partition's tape in place — the per-partition slot spaces and the
 /// exchange schedule are structural, so live-patch and delta routes must
 /// stay bit-identical to a fresh compile of the patched netlist at the
-/// same partition count, at every lane width × partition count, and the
-/// base partitioned flow must stay untouched.
+/// same partition count, and the base partitioned flow must stay
+/// untouched.
+fn assert_partitioned_patch_conformance(
+    netlist: &Netlist,
+    config: LpuConfig,
+    words: usize,
+    parts: usize,
+    seed: u64,
+) {
+    let backend = Backend::BitSliced { words };
+    let flow = Flow::builder(netlist)
+        .config(config)
+        .backend(backend)
+        .partitions(parts)
+        .compile()
+        .unwrap();
+    assert!(flow.partitioned.is_some(), "words {words} parts {parts}");
+    let width = flow.program.num_inputs;
+    let patches = random_patch(&flow.netlist, seed ^ 0xdead);
+    assert!(!patches.is_empty());
+    let mut patched_netlist = flow.netlist.clone();
+    patched_netlist.apply_patches(&patches).unwrap();
+    let fresh = Flow::builder(&patched_netlist)
+        .config(config)
+        .backend(backend)
+        .partitions(parts)
+        .optimize(false) // ids name mapped cells; keep them stable
+        .merge(false)
+        .compile()
+        .unwrap();
+    // The fresh compile may re-map; pin it to the netlist oracle
+    // instead of comparing engines structurally.
+    let live = flow.engine().unwrap().patch_cells(&patches).unwrap();
+    let delta = flow.make_delta(&patches).unwrap();
+    let via_delta = flow.apply_delta(&delta).unwrap().into_engine().unwrap();
+    assert_eq!(
+        live.partitions(),
+        parts,
+        "live patch must keep the partition count"
+    );
+    assert_eq!(via_delta.partitions(), parts);
+
+    let lanes_full = backend.lanes();
+    for lanes in [1usize, lanes_full / 2 + 3, 2 * lanes_full + 5] {
+        let rows: Vec<Vec<bool>> = (0..lanes)
+            .map(|r| request_bits(width, r as u64, seed))
+            .collect();
+        let batch = Lanes::pack_rows(&rows, width);
+        let oracle = evaluate(&patched_netlist, &batch).unwrap();
+        let mut scratch = EngineScratch::new();
+        let fresh_got = fresh
+            .engine()
+            .unwrap()
+            .run_batch_with(&mut scratch, &batch)
+            .unwrap()
+            .outputs;
+        assert_eq!(
+            fresh_got, oracle,
+            "fresh partitioned compile disagrees with the oracle \
+             (words {words} parts {parts} lanes {lanes})"
+        );
+        for (route, engine) in [("live", &live), ("delta", &via_delta)] {
+            let got = engine.run_batch_with(&mut scratch, &batch).unwrap().outputs;
+            assert_eq!(
+                got, oracle,
+                "{route} route diverges (words {words} parts {parts} lanes {lanes})"
+            );
+        }
+    }
+
+    // Base flow untouched: still serves the unpatched bits.
+    let rows: Vec<Vec<bool>> = (0..13)
+        .map(|r| request_bits(width, r as u64, seed ^ 0xba5e))
+        .collect();
+    let batch = Lanes::pack_rows(&rows, width);
+    let mut scratch = EngineScratch::new();
+    let base = flow
+        .engine()
+        .unwrap()
+        .run_batch_with(&mut scratch, &batch)
+        .unwrap()
+        .outputs;
+    assert_eq!(base, evaluate(&flow.netlist, &batch).unwrap());
+}
+
+/// Every lane width × partition count on small random netlists.
 #[test]
 fn patching_partitioned_engines_matches_fresh_compile() {
-    let config = LpuConfig::new(5, 4);
     for seed in [3u64, 19] {
         let netlist = RandomDag::loose(9, 4, 7).outputs(3).generate(seed);
         for words in [1usize, 4, 16] {
-            let backend = Backend::BitSliced { words };
             for parts in [2usize, 3, 8] {
-                let flow = Flow::builder(&netlist)
-                    .config(config)
-                    .backend(backend)
-                    .partitions(parts)
-                    .compile()
-                    .unwrap();
-                assert!(flow.partitioned.is_some(), "words {words} parts {parts}");
-                let width = flow.program.num_inputs;
-                let patches = random_patch(&flow.netlist, seed ^ 0xdead);
-                assert!(!patches.is_empty());
-                let mut patched_netlist = flow.netlist.clone();
-                patched_netlist.apply_patches(&patches).unwrap();
-                let fresh = Flow::builder(&patched_netlist)
-                    .config(config)
-                    .backend(backend)
-                    .partitions(parts)
-                    .optimize(false) // ids name mapped cells; keep them stable
-                    .merge(false)
-                    .compile()
-                    .unwrap();
-                // The fresh compile may re-map; pin it to the netlist
-                // oracle instead of comparing engines structurally.
-                let live = flow.engine().unwrap().patch_cells(&patches).unwrap();
-                let delta = flow.make_delta(&patches).unwrap();
-                let via_delta = flow.apply_delta(&delta).unwrap().into_engine().unwrap();
-                assert_eq!(
-                    live.partitions(),
+                assert_partitioned_patch_conformance(
+                    &netlist,
+                    LpuConfig::new(5, 4),
+                    words,
                     parts,
-                    "live patch must keep the partition count"
+                    seed,
                 );
-                assert_eq!(via_delta.partitions(), parts);
-
-                let lanes_full = backend.lanes();
-                for lanes in [1usize, lanes_full / 2 + 3, 2 * lanes_full + 5] {
-                    let rows: Vec<Vec<bool>> = (0..lanes)
-                        .map(|r| request_bits(width, r as u64, seed))
-                        .collect();
-                    let batch = Lanes::pack_rows(&rows, width);
-                    let oracle = evaluate(&patched_netlist, &batch).unwrap();
-                    let mut scratch = EngineScratch::new();
-                    let fresh_got = fresh
-                        .engine()
-                        .unwrap()
-                        .run_batch_with(&mut scratch, &batch)
-                        .unwrap()
-                        .outputs;
-                    assert_eq!(
-                        fresh_got, oracle,
-                        "fresh partitioned compile disagrees with the oracle \
-                         (words {words} parts {parts} lanes {lanes})"
-                    );
-                    for (route, engine) in [("live", &live), ("delta", &via_delta)] {
-                        let got = engine.run_batch_with(&mut scratch, &batch).unwrap().outputs;
-                        assert_eq!(
-                            got, oracle,
-                            "{route} route diverges (words {words} parts {parts} lanes {lanes})"
-                        );
-                    }
-                }
-
-                // Base flow untouched: still serves the unpatched bits.
-                let rows: Vec<Vec<bool>> = (0..13)
-                    .map(|r| request_bits(width, r as u64, seed ^ 0xba5e))
-                    .collect();
-                let batch = Lanes::pack_rows(&rows, width);
-                let mut scratch = EngineScratch::new();
-                let base = flow
-                    .engine()
-                    .unwrap()
-                    .run_batch_with(&mut scratch, &batch)
-                    .unwrap()
-                    .outputs;
-                assert_eq!(base, evaluate(&flow.netlist, &batch).unwrap());
             }
         }
     }
+}
+
+/// The same check on a netlist sized past the partitioned executor's
+/// go-wide threshold (see [`common::banded_dag`]): on a multi-core host
+/// the patched engines replay on the *threaded* executor.
+#[test]
+fn patching_partitioned_engines_conforms_past_the_threading_threshold() {
+    let netlist = common::banded_dag(512, 9);
+    // A wide machine keeps the (irrelevant here) LPU schedule short.
+    assert_partitioned_patch_conformance(&netlist, LpuConfig::new(64, 4), 16, 3, 29);
 }
 
 /// Patching must reject what it cannot express, without touching the
