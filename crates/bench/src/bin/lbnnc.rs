@@ -17,8 +17,10 @@
 //!                       recorded backend (all serve bit-identically)
 //!   --partitions <N>    split the bit-sliced kernel tape into N
 //!                       partitions with a compile-time cross-partition
-//!                       exchange schedule (1..=64, default 1); ignored
-//!                       by the scalar backend
+//!                       exchange schedule (1..=64, default 1): shrinks
+//!                       per-partition frames under the cache budget so
+//!                       each replays in wider tiles, on one thread;
+//!                       ignored by the scalar backend
 //!   --no-merge          skip the MFG merging procedure (Algorithm 3)
 //!   --no-opt            skip logic optimization
 //!   --geq               use the pseudocode stop rule (>= m) instead of > m
@@ -330,6 +332,10 @@ fn print_partition_stats(flow: &Flow) {
         stats.max_frame_slots,
         (stats.max_frame_slots * words * 8) as f64 / 1024.0,
         64 * words
+    );
+    println!(
+        "  tile cap {} words in the narrowest partition (the unpartitioned tape prints its own cap)",
+        stats.min_tile_words
     );
     println!("  simd kernels: {}", engine.simd_level());
 }

@@ -342,7 +342,7 @@ impl EngineCore {
     }
 
     /// Cut-size and per-partition frame statistics of the resident
-    /// partitioned multi-engine; `None` on unpartitioned cores.
+    /// partitioned engine; `None` on unpartitioned cores.
     pub fn partition_stats(&self) -> Option<lbnn_netlist::PartitionStats> {
         match &self.kernel {
             Kernel::Partitioned(engine) => Some(engine.partition_stats()),

@@ -157,7 +157,7 @@ pub struct Flow {
     pub report: CompileReport,
     /// Execution partitions ([`FlowOptions::partitions`]).
     pub partitions: usize,
-    /// The partitioned multi-engine compiled by the `exchange` pass
+    /// The partitioned engine compiled by the `exchange` pass
     /// when `partitions > 1` on a bit-sliced backend. Like the tape in
     /// [`Flow::artifacts`] it does not travel in serialized artifacts:
     /// a loaded flow has `None` here and its engine recompiles the same
@@ -362,7 +362,7 @@ impl Flow {
             }),
             None => None,
         };
-        // Same for the partitioned multi-engine: patch every partition
+        // Same for the partitioned engine: patch every partition
         // tape in place, structure untouched.
         let partitioned = self
             .partitioned

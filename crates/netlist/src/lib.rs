@@ -22,10 +22,11 @@
 //!   chain fusion, liveness-based slot reuse, cache-budget tiling) and
 //!   runtime-detected `std::arch` SIMD replay kernels
 //!   ([`SimdMode`]/[`SimdLevel`], AVX2/SSE2 on x86_64),
-//! * partitioned multi-engine execution ([`partitioned`]): a netlist
-//!   split into per-partition kernel tapes with a compile-time
-//!   cross-partition [`ExchangeSchedule`], run level-synchronously on
-//!   one worker thread per partition ([`PartitionedEngine`]),
+//! * partitioned execution ([`partitioned`]): a netlist split into
+//!   per-partition kernel tapes, each small enough for a wide cache
+//!   tile, with a compile-time cross-partition [`ExchangeSchedule`],
+//!   run level-synchronously on the calling thread
+//!   ([`PartitionedEngine`]),
 //! * seeded random netlist generators ([`random`]) for tests and benchmarks.
 //!
 //! ## Example
@@ -52,6 +53,7 @@ pub mod error;
 pub mod eval;
 pub mod levelize;
 pub mod netlist;
+#[forbid(unsafe_code)]
 pub mod partitioned;
 pub mod patch;
 pub mod random;

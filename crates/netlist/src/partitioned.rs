@@ -1,36 +1,36 @@
-//! Partitioned multi-engine execution of a bit-sliced kernel tape.
+//! Partitioned execution of a bit-sliced kernel tape.
 //!
-//! The paper's LPU assemblies partition one netlist across processing
-//! units with explicit inter-partition routing. This module is the
-//! software analogue: a [`PartitionedEngine`] compiles a netlist into N
-//! per-partition kernel tapes — each with its **own** locality-optimized
-//! slot space, allocated by the same liveness allocator the single-tape
+//! The paper's LPU assemblies partition one netlist so that each piece
+//! fits the fixed resources of a processing unit, with explicit
+//! inter-partition routing. This module is the software analogue, and
+//! the fixed resource is the cache: a [`PartitionedEngine`] compiles a
+//! netlist into N per-partition kernel tapes — each with its **own**
+//! locality-optimized slot space, allocated by the same liveness
+//! allocator the single-tape
 //! [`BitSliceEvaluator`](crate::BitSliceEvaluator) uses — plus a
 //! compile-time [`ExchangeSchedule`]: the `(src_partition, src_slot) →
 //! (dst_partition, dst_slot)` word copies that move every
 //! cross-partition net, grouped by netlist level.
 //!
-//! Execution is level-synchronous: every partition replays its level-`l`
-//! tape segment over its own [`SliceFrame`], then the level's exchange
-//! copies run, then level `l + 1` starts. On a multi-core host the N
-//! partitions run on N worker threads with a barrier either side of each
-//! non-empty exchange (a partition only ever touches a foreign frame
-//! inside that window); on a single core — or for small batches, where
-//! thread spawn would dominate — the same schedule replays sequentially
-//! with bit-identical results.
+//! Execution is level-synchronous and runs on the calling thread: every
+//! partition replays its level-`l` tape segment over its own
+//! [`SliceFrame`], then the level's exchange copies run, then level
+//! `l + 1` starts. Partitioning is a locality transform, not a
+//! threading model — cores are used by batch-level workers
+//! (`Runtime`, `Engine::with_workers` in `lbnn-core`), never inside a
+//! batch.
 //!
-//! Why this helps even without extra cores: the per-partition frames are
-//! a fraction of the single-engine frame, so each partition fits a wider
-//! cache-budget tile ([`TapeOptions::cache_budget`]) and replays its
-//! tape fewer times per block. A netlist whose single-engine frame
-//! exceeds the budget pays one full tape stream per tile; partitioned,
-//! each (smaller) tape streams once.
+//! Why it helps: the per-partition frames are a fraction of the
+//! single-engine frame, so each partition fits a wider cache-budget
+//! tile ([`TapeOptions::cache_budget`]) and replays its tape fewer
+//! times per block. A netlist whose single-engine frame exceeds the
+//! budget pays one full tape stream per tile; partitioned, each
+//! (smaller) tape streams once.
 //!
 //! Slot-safety invariant the allocator maintains: at each level
 //! boundary, **import slots are allocated before export slots are
 //! released**, so a copy's destination can never alias a slot another
-//! copy still reads — the exchange is order-independent within a level,
-//! which is also what makes the threaded copies race-free.
+//! copy still reads — a level's copies are an unordered set of moves.
 //!
 //! The construction is deterministic and purely structural (level and
 //! arena order, never gate kinds), so [`PartitionedEngine::patched`] is
@@ -45,16 +45,11 @@ use crate::netlist::{Netlist, NodeId};
 use crate::patch::PatchSet;
 
 /// Hard ceiling on the partition count: consumer bitmasks are one
-/// `u64`, and more partitions than cores (or L2 slices) never helps.
+/// `u64`.
 pub const MAX_PARTITIONS: usize = 64;
 
 /// Sentinel for "no position / no slot" in the compile-time tables.
 const NONE: u32 = u32::MAX;
-
-/// Input accessor the block loops pull packed lane columns through:
-/// maps a primary-input index to its full `lanes.div_ceil(64)`-word
-/// column.
-type InputWords<'a> = dyn Fn(usize) -> &'a [u64] + Sync + 'a;
 
 fn malformed(reason: impl Into<String>) -> NetlistError {
     NetlistError::Malformed {
@@ -187,8 +182,8 @@ pub struct ExchangeCopy {
 /// copies to run after every partition finishes its level-`l` segment
 /// (and before any level-`l + 1` instruction runs). Copies within a
 /// level write pairwise-distinct destination slots, none of which alias
-/// a source slot still to be read at that level — they can run in any
-/// order, or concurrently.
+/// a source slot still to be read at that level — they are an unordered
+/// set of moves.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExchangeSchedule {
     /// Per-level copy groups, aligned with the tape level segments.
@@ -220,6 +215,12 @@ pub struct PartitionStats {
     pub max_frame_slots: usize,
     /// Live slots summed over all partitions.
     pub total_frame_slots: usize,
+    /// Narrowest cache-budget tile cap (words) any partition replays
+    /// with — the single tape's
+    /// [`TapeStats::tile_words`](crate::eval::TapeStats::tile_words)
+    /// measured per partition frame; partitioning pays off when this is
+    /// wider than the single tape's.
+    pub min_tile_words: usize,
     /// Kernel instructions summed over all partitions (equals the
     /// single-tape length: partitioning never duplicates work).
     pub tape_len: usize,
@@ -248,9 +249,6 @@ struct PartTape {
     /// `(primary output index, slot)` for every output this partition
     /// owns.
     outputs: Vec<(u32, u32)>,
-    /// Per level: the schedule copies whose destination is this
-    /// partition (what this partition's worker executes).
-    imports: Vec<Vec<ExchangeCopy>>,
     /// Live data slots; the frame adds one accumulator slot on top.
     frame_slots: usize,
     /// Cache-budget tile cap for this partition's (smaller) frame.
@@ -259,7 +257,7 @@ struct PartTape {
 
 /// A netlist compiled into N per-partition kernel tapes plus the
 /// exchange schedule that routes every cross-partition net — the
-/// multi-engine counterpart of
+/// partitioned counterpart of
 /// [`BitSliceEvaluator`](crate::BitSliceEvaluator), with identical
 /// [`Lanes`] I/O semantics and bit-identical results at every frame
 /// width and partition count.
@@ -567,24 +565,12 @@ impl PartitionedEngine {
                 .filter(|(_, o)| pof[o.node.index()] == p as u32)
                 .map(|(po, o)| (po as u32, slots[o.node.index()]))
                 .collect();
-            let imports = schedule
-                .levels
-                .iter()
-                .map(|copies| {
-                    copies
-                        .iter()
-                        .filter(|c| c.dst_part == p as u32)
-                        .copied()
-                        .collect()
-                })
-                .collect();
             parts_out.push(PartTape {
                 tape,
                 cells,
                 seg_ends,
                 inputs,
                 outputs,
-                imports,
                 frame_slots: frame_slots[p],
                 tile_cap: tile_words_for(frame_slots[p], options.cache_budget),
             });
@@ -597,6 +583,7 @@ impl PartitionedEngine {
             cut_copies: schedule.num_copies(),
             max_frame_slots: frame_slots.iter().copied().max().unwrap_or(0),
             total_frame_slots: frame_slots.iter().sum(),
+            min_tile_words: parts_out.iter().map(|p| p.tile_cap).min().unwrap_or(16),
             tape_len: parts_out.iter().map(|p| p.tape.len()).sum(),
         };
         Ok(PartitionedEngine {
@@ -696,7 +683,7 @@ impl PartitionedEngine {
         for l in inputs {
             assert_eq!(l.len(), lanes, "inconsistent lane counts across inputs");
         }
-        Ok(self.eval_blocks(lanes, frames, &|i| inputs[i].words()))
+        Ok(self.eval_blocks(lanes, frames, |i| inputs[i].words()))
     }
 
     /// [`PartitionedEngine::evaluate_with`] over a flat pre-packed
@@ -730,7 +717,7 @@ impl PartitionedEngine {
             num_inputs * stride,
             "packed buffer does not hold {num_inputs} columns of {stride} words"
         );
-        Ok(self.eval_blocks(lanes, frames, &|i| &packed[i * stride..(i + 1) * stride]))
+        Ok(self.eval_blocks(lanes, frames, |i| &packed[i * stride..(i + 1) * stride]))
     }
 
     /// Evaluates at 64 lanes per block with fresh frames — the
@@ -745,242 +732,73 @@ impl PartitionedEngine {
         self.evaluate_with(inputs, lanes, &mut self.frames_with_words(1))
     }
 
-    /// The shared block loop. Picks the threaded executor when there
-    /// are multiple partitions, multiple cores, and enough work to
-    /// amortize thread spawn; otherwise replays the same schedule
-    /// sequentially. Both paths are bit-identical.
-    fn eval_blocks(
+    /// The shared block loop, and the one place partition tapes are
+    /// replayed: per block, every partition loads its inputs; per level,
+    /// every partition replays its tape segment, then the level's
+    /// exchange copies run; then every partition's outputs are
+    /// collected. `input_words(i)` yields input `i`'s packed lane column
+    /// (at least `lanes.div_ceil(64)` words).
+    fn eval_blocks<'a, F: Fn(usize) -> &'a [u64]>(
         &self,
         lanes: usize,
         frames: &mut Vec<SliceFrame>,
-        input_words: &InputWords<'_>,
+        input_words: F,
     ) -> Vec<Lanes> {
         let per = frames.first().map_or(1, SliceFrame::words_per_net).max(1);
         self.prepare_frames(frames, per);
         let total_words = lanes.div_ceil(64);
         let blocks = lanes.div_ceil(64 * per);
-        let mut out = vec![0u64; self.num_outputs * total_words];
-        if blocks > 0 {
-            // Thread spawn costs ~10s of µs per worker; only go wide
-            // when the per-batch kernel work clearly dominates that.
-            let work = self.stats.tape_len * per * blocks;
-            let wide = self.parts.len() > 1 && available_workers() > 1 && work >= 1 << 16;
-            if wide {
-                self.run_batch_parallel(frames, per, total_words, blocks, &mut out, input_words);
-            } else {
-                self.run_batch_sequential(frames, per, total_words, blocks, &mut out, input_words);
-            }
-        }
-        (0..self.num_outputs)
-            .map(|po| {
-                Lanes::from_words(
-                    out[po * total_words..(po + 1) * total_words].to_vec(),
-                    lanes,
-                )
-            })
-            .collect()
-    }
-
-    /// Loads one block's input spans into `frame` (zero-filling the
-    /// words past `avail`) for one partition.
-    fn load_inputs(
-        part: &PartTape,
-        frame: &mut SliceFrame,
-        per: usize,
-        base: usize,
-        avail: usize,
-        input_words: &InputWords<'_>,
-    ) {
-        for &(pi, slot) in &part.inputs {
-            let span = slot as usize * per;
-            let in_words = &input_words(pi as usize)[base..base + avail];
-            frame.words[span..span + avail].copy_from_slice(in_words);
-            frame.words[span + avail..span + per].fill(0);
-        }
-    }
-
-    /// Reference executor: the exact schedule the threaded path runs,
-    /// replayed on the calling thread.
-    fn run_batch_sequential(
-        &self,
-        frames: &mut [SliceFrame],
-        per: usize,
-        total_words: usize,
-        blocks: usize,
-        out: &mut [u64],
-        input_words: &InputWords<'_>,
-    ) {
+        let mut out_words: Vec<Vec<u64>> = (0..self.num_outputs)
+            .map(|_| Vec::with_capacity(total_words))
+            .collect();
         for block in 0..blocks {
             let base = block * per;
+            // A partial final block covers fewer than `per` input words;
+            // the rest of each input span is zeroed so the kernel never
+            // reads stale lanes from a previous batch.
             let avail = (total_words - base).min(per);
             for (part, frame) in self.parts.iter().zip(frames.iter_mut()) {
-                Self::load_inputs(part, frame, per, base, avail, input_words);
+                for &(pi, slot) in &part.inputs {
+                    let span = slot as usize * per;
+                    let in_words = &input_words(pi as usize)[base..base + avail];
+                    frame.words[span..span + avail].copy_from_slice(in_words);
+                    frame.words[span + avail..span + per].fill(0);
+                }
             }
-            let mut seg_starts = vec![0usize; self.parts.len()];
             for (l, copies) in self.schedule.levels.iter().enumerate() {
-                for (p, (part, frame)) in self.parts.iter().zip(frames.iter_mut()).enumerate() {
-                    let end = part.seg_ends[l] as usize;
+                for (part, frame) in self.parts.iter().zip(frames.iter_mut()) {
+                    let start = l.checked_sub(1).map_or(0, |k| part.seg_ends[k]);
                     replay_tape(
-                        &part.tape[seg_starts[p]..end],
+                        &part.tape[start as usize..part.seg_ends[l] as usize],
                         self.simd,
                         part.tile_cap,
                         &mut frame.words,
                         per,
                     );
-                    seg_starts[p] = end;
                 }
                 for c in copies {
-                    // Copies never alias (distinct destination slots,
-                    // sources disjoint from destinations by the
-                    // import-alloc-before-export-release rule), so a
-                    // word-level move per copy is exact.
-                    for w in 0..per {
-                        let v = frames[c.src_part as usize].words[c.src_slot as usize * per + w];
-                        frames[c.dst_part as usize].words[c.dst_slot as usize * per + w] = v;
-                    }
+                    // A copy always crosses partitions: a net's own
+                    // partition is never among its importers.
+                    let [src, dst] = frames
+                        .get_disjoint_mut([c.src_part as usize, c.dst_part as usize])
+                        .expect("an exchange copy crosses partitions");
+                    let (s, d) = (c.src_slot as usize * per, c.dst_slot as usize * per);
+                    dst.words[d..d + per].copy_from_slice(&src.words[s..s + per]);
                 }
             }
+            // Every output is owned by exactly one partition and blocks
+            // run in order, so each column grows by appending.
             for (part, frame) in self.parts.iter().zip(frames.iter()) {
                 for &(po, slot) in &part.outputs {
                     let span = slot as usize * per;
-                    out[po as usize * total_words + base..po as usize * total_words + base + avail]
-                        .copy_from_slice(&frame.words[span..span + avail]);
+                    out_words[po as usize].extend_from_slice(&frame.words[span..span + avail]);
                 }
             }
         }
-    }
-
-    /// Threaded executor: one worker per partition, `std::sync::Barrier`
-    /// either side of every non-empty exchange. Outside the exchange
-    /// window a worker only touches its own frame; inside it, it writes
-    /// only its own import slots and reads only foreign export slots.
-    /// Within a level no `(partition, slot)` is both a source and a
-    /// destination and no two copies share a destination (the allocator
-    /// takes import slots before it releases export slots;
-    /// [`PartitionedEngine::validate`] checks exactly this), so the
-    /// raw-pointer traffic below is race-free.
-    fn run_batch_parallel(
-        &self,
-        frames: &mut [SliceFrame],
-        per: usize,
-        total_words: usize,
-        blocks: usize,
-        out: &mut [u64],
-        input_words: &InputWords<'_>,
-    ) {
-        /// A raw frame-buffer pointer shareable across the scoped
-        /// workers.
-        #[derive(Clone, Copy)]
-        struct Raw(*mut u64, usize);
-        // SAFETY: the pointee is a `Vec<u64>` buffer that outlives the
-        // thread scope; every dereference follows the phase protocol
-        // documented on [`PartitionedEngine::run_batch_parallel`], under
-        // which no two threads touch the same word unsynchronized.
-        unsafe impl Send for Raw {}
-        unsafe impl Sync for Raw {}
-
-        let bases: Vec<Raw> = frames
-            .iter_mut()
-            .map(|f| Raw(f.words.as_mut_ptr(), f.words.len()))
-            .collect();
-        let out_base = Raw(out.as_mut_ptr(), out.len());
-        let barrier = std::sync::Barrier::new(self.parts.len());
-        let worker = |p: usize| {
-            // Capture the whole `Raw` (not its `*mut` field, which the
-            // compiler's disjoint capture would otherwise pick and
-            // which is not `Sync`) — the rebinding is load-bearing.
-            #[allow(clippy::redundant_locals)]
-            let out_base = out_base;
-            let part = &self.parts[p];
-            let Raw(base, len) = bases[p];
-            for block in 0..blocks {
-                let wbase = block * per;
-                let avail = (total_words - wbase).min(per);
-                {
-                    // SAFETY: outside the exchange window below, worker
-                    // `p` is the only thread touching frame `p`.
-                    let words = unsafe { std::slice::from_raw_parts_mut(base, len) };
-                    for &(pi, slot) in &part.inputs {
-                        let span = slot as usize * per;
-                        let in_words = &input_words(pi as usize)[wbase..wbase + avail];
-                        words[span..span + avail].copy_from_slice(in_words);
-                        words[span + avail..span + per].fill(0);
-                    }
-                }
-                let mut seg_start = 0usize;
-                for l in 0..self.schedule.levels.len() {
-                    let end = part.seg_ends[l] as usize;
-                    {
-                        // SAFETY: compute phase — own frame only.
-                        let words = unsafe { std::slice::from_raw_parts_mut(base, len) };
-                        replay_tape(
-                            &part.tape[seg_start..end],
-                            self.simd,
-                            part.tile_cap,
-                            words,
-                            per,
-                        );
-                    }
-                    seg_start = end;
-                    // Every worker sees the same schedule, so all of
-                    // them agree on which levels rendezvous.
-                    if !self.schedule.levels[l].is_empty() {
-                        barrier.wait();
-                        for c in &part.imports[l] {
-                            let Raw(src, src_len) = bases[c.src_part as usize];
-                            let s = c.src_slot as usize * per;
-                            let d = c.dst_slot as usize * per;
-                            debug_assert!(s + per <= src_len && d + per <= len);
-                            // SAFETY: exchange phase — between the two
-                            // barriers the only accesses to any frame are
-                            // this level's copies. `imports[l]` holds the
-                            // copies whose destination is this partition,
-                            // so no other worker writes frame `p`; the
-                            // level's destinations are pairwise distinct
-                            // and none is also a source
-                            // (`check_exchange_disjoint`), so `d..d + per`
-                            // is written once and read by nobody, and
-                            // `s..s + per` is only read. Both spans are in
-                            // bounds (the debug_assert above; slots are
-                            // `< frame_slots + 1` by construction).
-                            unsafe {
-                                std::ptr::copy_nonoverlapping(src.add(s), base.add(d), per);
-                            }
-                        }
-                        barrier.wait();
-                    }
-                }
-                {
-                    // SAFETY: own frame read, plus writes to this
-                    // partition's own outputs' rows of the shared out
-                    // buffer — output ownership is a partition of the
-                    // output set, so rows never overlap across workers.
-                    let words = unsafe { std::slice::from_raw_parts(base, len) };
-                    for &(po, slot) in &part.outputs {
-                        let span = slot as usize * per;
-                        let dst = po as usize * total_words + wbase;
-                        debug_assert!(dst + avail <= out_base.1);
-                        // SAFETY: row `po` of `out` belongs to this
-                        // worker alone (see above) and `dst + avail`
-                        // stays inside it; `words[span..]` holds at
-                        // least `per >= avail` words.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                words[span..].as_ptr(),
-                                out_base.0.add(dst),
-                                avail,
-                            );
-                        }
-                    }
-                }
-            }
-        };
-        std::thread::scope(|s| {
-            for p in 1..self.parts.len() {
-                s.spawn(move || worker(p));
-            }
-            worker(0);
-        });
+        out_words
+            .into_iter()
+            .map(|words| Lanes::from_words(words, lanes))
+            .collect()
     }
 
     /// A copy of this engine with the ANF masks of every patched cell
@@ -1011,10 +829,9 @@ impl PartitionedEngine {
         Ok(out)
     }
 
-    /// The invariant `run_batch_parallel`'s `unsafe` copies rest on: the
-    /// copies of one level may run in any order or concurrently, because
-    /// their destinations are pairwise distinct and disjoint from every
-    /// source of that level.
+    /// A level's copies are an unordered set of moves: their
+    /// destinations are pairwise distinct and disjoint from every source
+    /// of that level, so no execution order can change what a copy reads.
     fn check_exchange_disjoint(&self) -> Result<(), String> {
         for (l, copies) in self.schedule.levels.iter().enumerate() {
             let sources: std::collections::HashSet<(u32, u32)> =
@@ -1051,11 +868,11 @@ impl PartitionedEngine {
     ///   first use, or if a live slot was overwritten (the stale reader
     ///   sees the wrong symbol),
     /// * every copy reads a defined value,
-    /// * within a level, no `(partition, slot)` is both a copy source
-    ///   and a copy destination and no two copies share a destination —
-    ///   the sequential replay below cannot see this (it runs copies one
-    ///   at a time), but the threaded executor runs a level's copies
-    ///   concurrently and relies on it,
+    /// * a level's copies are an unordered set of moves: no
+    ///   `(partition, slot)` is both a copy source and a copy destination
+    ///   and no two copies share a destination — the symbolic replay
+    ///   below runs copies in schedule order and cannot see a schedule
+    ///   that only works in that order,
     /// * every primary output's slot still holds its node's value after
     ///   the last level,
     /// * the tapes cover every executable node exactly once, in level
@@ -1194,17 +1011,6 @@ impl PartitionedEngine {
     }
 }
 
-/// Cached `available_parallelism` — queried once per process; the
-/// executor checks it on every batch.
-fn available_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1244,7 +1050,7 @@ mod tests {
     fn partitioned_matches_oracle_across_counts_and_widths() {
         for seed in 0..3 {
             let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(seed);
-            for parts in [1usize, 2, 3, 8] {
+            for parts in [1usize, 2, 3, 8, MAX_PARTITIONS] {
                 let engine = PartitionedEngine::compile(&nl, parts).unwrap();
                 for words in [1usize, 4, 16] {
                     let mut frames = engine.frames_with_words(words);
@@ -1262,43 +1068,6 @@ mod tests {
         }
     }
 
-    /// Sequential and threaded executors produce the same bits — the
-    /// threaded path is forced explicitly, so this holds even on a
-    /// single-core host where `Auto` would never go wide.
-    #[test]
-    fn parallel_executor_matches_sequential() {
-        let nl = RandomDag::loose(9, 6, 10).outputs(4).generate(11);
-        let engine = PartitionedEngine::compile(&nl, 3).unwrap();
-        let per = 4usize;
-        for lanes in [1usize, 64 * per, 64 * per * 3 + 17] {
-            let inputs = test_inputs(&nl, lanes, 11);
-            let total_words = lanes.div_ceil(64);
-            let blocks = lanes.div_ceil(64 * per);
-            let input_words = |i: usize| inputs[i].words();
-            let mut frames = engine.frames_with_words(per);
-            let mut seq = vec![0u64; engine.num_outputs * total_words];
-            engine.run_batch_sequential(
-                &mut frames,
-                per,
-                total_words,
-                blocks,
-                &mut seq,
-                &input_words,
-            );
-            let mut frames = engine.frames_with_words(per);
-            let mut par = vec![0u64; engine.num_outputs * total_words];
-            engine.run_batch_parallel(
-                &mut frames,
-                per,
-                total_words,
-                blocks,
-                &mut par,
-                &input_words,
-            );
-            assert_eq!(seq, par, "lanes {lanes}");
-        }
-    }
-
     /// The symbolic model checker accepts every schedule this compiler
     /// emits — contiguous and adversarial assignments, slot reuse on
     /// and off — and compilation is deterministic.
@@ -1306,7 +1075,7 @@ mod tests {
     fn schedules_validate_and_compile_deterministically() {
         for seed in 0..4 {
             let nl = RandomDag::loose(6, 5, 9).outputs(3).generate(seed + 20);
-            for parts in [1usize, 2, 3, 8] {
+            for parts in [1usize, 2, 3, 8, MAX_PARTITIONS] {
                 let a = PartitionedEngine::compile(&nl, parts).unwrap();
                 a.validate(&nl).unwrap();
                 let b = PartitionedEngine::compile(&nl, parts).unwrap();
@@ -1328,11 +1097,11 @@ mod tests {
         }
     }
 
-    /// The property the threaded executor's `unsafe` copies need — per
-    /// level, destinations pairwise distinct and disjoint from sources —
-    /// holds under assignments that cut nearly every net and recycle
-    /// slots as hard as possible, and `validate` trips on either
-    /// violation (which a sequential replay of the copies cannot see).
+    /// A level's copies stay an unordered set of moves — destinations
+    /// pairwise distinct and disjoint from sources — under assignments
+    /// that cut nearly every net and recycle slots as hard as possible,
+    /// and `validate` trips on either violation (which replaying the
+    /// copies in schedule order cannot see).
     #[test]
     fn exchange_copies_stay_disjoint_under_adversarial_assignments() {
         let nl = RandomDag::loose(8, 6, 12).outputs(4).generate(5);
@@ -1466,5 +1235,15 @@ mod tests {
         assert_eq!(stats.tape_len, 1);
         assert_eq!(stats.cut_copies, engine.schedule().num_copies());
         assert_eq!(stats.exchange_words(4), stats.cut_copies * 4);
+        // The narrowest tile is the widest frame's: a budget that holds
+        // exactly four words of it caps that partition at 4.
+        assert_eq!(stats.min_tile_words, 16);
+        let tight = TapeOptions {
+            cache_budget: stats.max_frame_slots * 4 * 8,
+            ..TapeOptions::default()
+        };
+        let assignment = PartitionAssignment::contiguous(&nl, 2).unwrap();
+        let engine = PartitionedEngine::compile_with(&nl, &assignment, tight).unwrap();
+        assert_eq!(engine.partition_stats().min_tile_words, 4);
     }
 }

@@ -17,8 +17,6 @@ use lbnn::netlist::{Lanes, Netlist};
 use lbnn::{Backend, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
 use proptest::prelude::*;
 
-mod common;
-
 /// Every backend/width this build can serve on. The scalar
 /// cycle-accurate machine is the reference implementation; the oracle
 /// both it and the bit-sliced widths are compared against is direct
@@ -171,9 +169,10 @@ fn assert_runtime_conformance(netlist: &Netlist, config: LpuConfig, seed: u64, r
 
 /// Partition counts the differential suite pins (ISSUE 10): the
 /// degenerate single-partition engine, two- and three-way splits (odd
-/// count exercises uneven level chunks), and a deep 8-way split.
-fn partition_counts() -> [usize; 4] {
-    [1, 2, 3, 8]
+/// count exercises uneven level chunks), a deep 8-way split, and the
+/// accepted maximum (most partitions empty on these netlists).
+fn partition_counts() -> [usize; 5] {
+    [1, 2, 3, 8, lbnn::netlist::MAX_PARTITIONS]
 }
 
 /// Compiles `netlist` for `backend` split into `parts` partitions,
@@ -361,7 +360,7 @@ proptest! {
 
     /// The ISSUE 10 acceptance invariant on random netlists: partitioned
     /// execution is bit-identical to the single-engine and scalar
-    /// oracles at every slice width × partition count {1,2,3,8},
+    /// oracles at every slice width × partition count {1,2,3,8,64},
     /// through every engine-batch path, direct and reloaded. (Looser
     /// DAGs than the strict generator: more cross-level nets means a
     /// denser exchange schedule.)
@@ -448,30 +447,6 @@ fn shipped_example_netlists_conform_partitioned() {
         "no example netlists found in {}",
         dir.display()
     );
-}
-
-/// The partition-differential harness on a netlist sized past the
-/// partitioned executor's go-wide threshold (see
-/// [`common::banded_dag`]), so on a multi-core host the *threaded*
-/// executor is what runs under `run_batch`, sharded `run_batches` and
-/// `Runtime::submit`. On a single core the same case runs the
-/// sequential executor (the unit test
-/// `parallel_executor_matches_sequential` forces the threaded one
-/// there).
-#[test]
-fn partitioned_execution_conforms_past_the_threading_threshold() {
-    let netlist = common::banded_dag(512, 9);
-    // A wide machine keeps the (irrelevant here) LPU schedule short.
-    let config = LpuConfig::new(64, 4);
-    let sized = partitioned_flow(&netlist, config, Backend::BitSliced { words: 16 }, 2, false);
-    let stats = sized.partitioned.as_ref().unwrap().partition_stats();
-    assert!(
-        stats.tape_len * 16 >= 1 << 16,
-        "{} instructions no longer reach the threading threshold",
-        stats.tape_len
-    );
-    assert_partition_conformance(&netlist, config, 0x71de, false);
-    assert_partition_runtime_conformance(&netlist, config, 0x71de, true);
 }
 
 // Exchange-schedule soundness under *arbitrary* partition assignments

@@ -20,8 +20,6 @@ use lbnn::netlist::{Lanes, Netlist, Op, PatchSet};
 use lbnn::{Backend, EngineScratch, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
 use proptest::prelude::*;
 
-mod common;
-
 /// A deterministic pseudo-random patch set over `netlist`: roughly a
 /// third of its patchable cells (executable, arity ≥ 1) get a random
 /// same-arity replacement gate. Replacements may coincide with the old
@@ -443,7 +441,7 @@ fn patching_partitioned_engines_matches_fresh_compile() {
     for seed in [3u64, 19] {
         let netlist = RandomDag::loose(9, 4, 7).outputs(3).generate(seed);
         for words in [1usize, 4, 16] {
-            for parts in [2usize, 3, 8] {
+            for parts in [2usize, 3, 8, lbnn::netlist::MAX_PARTITIONS] {
                 assert_partitioned_patch_conformance(
                     &netlist,
                     LpuConfig::new(5, 4),
@@ -454,16 +452,6 @@ fn patching_partitioned_engines_matches_fresh_compile() {
             }
         }
     }
-}
-
-/// The same check on a netlist sized past the partitioned executor's
-/// go-wide threshold (see [`common::banded_dag`]): on a multi-core host
-/// the patched engines replay on the *threaded* executor.
-#[test]
-fn patching_partitioned_engines_conforms_past_the_threading_threshold() {
-    let netlist = common::banded_dag(512, 9);
-    // A wide machine keeps the (irrelevant here) LPU schedule short.
-    assert_partitioned_patch_conformance(&netlist, LpuConfig::new(64, 4), 16, 3, 29);
 }
 
 /// Patching must reject what it cannot express, without touching the
