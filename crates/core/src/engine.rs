@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
+use lbnn_netlist::eval::{into_lanes, lane_sink};
 use lbnn_netlist::{
     BitSliceEvaluator, Lanes, Netlist, PartitionedEngine, PatchSet, SliceFrame, TapeStats,
     MAX_PARTITIONS, SUPPORTED_SLICE_WORDS,
@@ -230,6 +231,13 @@ pub struct EngineScratch {
     /// micro-batcher, `lbnn-serve`'s binary fast path) so steady-state
     /// packing allocates nothing.
     pub(crate) packed: Vec<u64>,
+    /// The leading output columns the last pass was asked to keep
+    /// ([`EngineCore::run`]'s `keep`), packed in the same layout: column
+    /// `j` at `[j * stride ..]`, `stride = lanes.div_ceil(64)`. Bits past
+    /// `lanes` in a column's last word are unspecified. This is what
+    /// crosses a model's layer boundary — the next layer's inputs are
+    /// read straight from here ([`crate::model`]).
+    pub(crate) kept: Vec<u64>,
 }
 
 impl EngineScratch {
@@ -266,17 +274,40 @@ impl Kernel {
     }
 }
 
-/// One batch as an entry point hands it over: per-input lane columns,
-/// or the same columns concatenated in one flat buffer
-/// ([`Lanes::pack_rows_into`] layout).
-#[derive(Clone, Copy)]
-enum Batch<'a> {
-    Columns(&'a [Lanes]),
-    Packed {
-        words: &'a [u64],
-        num_inputs: usize,
-        lanes: usize,
-    },
+/// The lane count of a batch handed over as per-input columns. The
+/// scalar machine defaults no-input programs to one lane; the
+/// bit-sliced kernels match it.
+///
+/// # Panics
+///
+/// Panics if the columns have inconsistent lane counts.
+pub(crate) fn column_lanes(columns: &[Lanes]) -> usize {
+    let lanes = columns.first().map_or(1, Lanes::len);
+    for col in columns {
+        assert_eq!(col.len(), lanes, "inconsistent lane counts across inputs");
+    }
+    lanes
+}
+
+/// The column accessor over a flat packed buffer
+/// ([`Lanes::pack_rows_into`] layout): input `i`'s lane column is
+/// `packed[i * stride .. (i + 1) * stride]`, `stride = lanes.div_ceil(64)`.
+///
+/// # Panics
+///
+/// Panics if `packed.len() != num_inputs * lanes.div_ceil(64)`.
+pub(crate) fn packed_columns<'a>(
+    packed: &'a [u64],
+    num_inputs: usize,
+    lanes: usize,
+) -> impl Fn(usize) -> &'a [u64] {
+    let stride = lanes.div_ceil(64);
+    assert_eq!(
+        packed.len(),
+        num_inputs * stride,
+        "packed buffer does not hold {num_inputs} columns of {stride} words"
+    );
+    move |i| &packed[i * stride..(i + 1) * stride]
 }
 
 /// The immutable, shareable half of an [`Engine`]: configuration,
@@ -398,9 +429,7 @@ impl EngineCore {
     }
 
     /// Runs one batch on the selected backend using caller-owned
-    /// `scratch` — the single dispatch point shared by every execution
-    /// path (sequential replay, the sharded pool, the runtime
-    /// micro-batcher), so the paths cannot diverge.
+    /// `scratch`.
     ///
     /// Does **not** count toward any engine's
     /// [`batches_served`](Engine::batches_served); use
@@ -409,12 +438,18 @@ impl EngineCore {
     /// # Errors
     ///
     /// See [`LpuMachine::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input lane vectors have inconsistent lane counts.
     pub fn run_batch(
         &self,
         scratch: &mut EngineScratch,
         inputs: &[Lanes],
     ) -> Result<RunResult, CoreError> {
-        self.run(scratch, Batch::Columns(inputs))
+        self.check_arity(inputs.len())?;
+        let lanes = column_lanes(inputs);
+        self.run(scratch, lanes, |i| inputs[i].words(), 0, true)
     }
 
     /// [`EngineCore::run_batch`] over a flat pre-packed input buffer
@@ -425,8 +460,7 @@ impl EngineCore {
     /// `Lanes`). On bit-sliced cores the batch streams straight from
     /// `packed` into the kernel frame with no per-batch `Vec<Lanes>`
     /// materialization; scalar cores (whose machine replay consumes
-    /// `Lanes`) rebuild the columns first, costing exactly what the
-    /// unpacked path pays.
+    /// `Lanes`) rebuild the columns first.
     ///
     /// # Errors
     ///
@@ -442,80 +476,102 @@ impl EngineCore {
         num_inputs: usize,
         lanes: usize,
     ) -> Result<RunResult, CoreError> {
-        self.run(
-            scratch,
-            Batch::Packed {
-                words: packed,
-                num_inputs,
-                lanes,
-            },
-        )
+        self.check_arity(num_inputs)?;
+        let input_words = packed_columns(packed, num_inputs, lanes);
+        self.run(scratch, lanes, input_words, 0, true)
     }
 
-    /// The one body behind [`EngineCore::run_batch`] and
-    /// [`EngineCore::run_batch_packed`].
-    fn run(&self, scratch: &mut EngineScratch, batch: Batch<'_>) -> Result<RunResult, CoreError> {
-        let (num_inputs, lanes) = match batch {
-            // The scalar machine defaults no-input programs to one
-            // lane; the bit-sliced kernels match it.
-            Batch::Columns(cols) => (cols.len(), cols.first().map_or(1, Lanes::len)),
-            Batch::Packed {
-                num_inputs, lanes, ..
-            } => (num_inputs, lanes),
-        };
-        if num_inputs != self.program.num_inputs {
+    /// The arity check every entry makes before it reads a column.
+    pub(crate) fn check_arity(&self, got: usize) -> Result<(), CoreError> {
+        if got != self.program.num_inputs {
             return Err(CoreError::InputArity {
                 expected: self.program.num_inputs,
-                got: num_inputs,
+                got,
             });
         }
+        Ok(())
+    }
+
+    /// The one body behind every execution path (sequential replay, the
+    /// sharded pool, the runtime micro-batcher, the model chain), so the
+    /// paths cannot diverge: packed columns in, packed columns out.
+    ///
+    /// `input_words(i)` yields input `i`'s packed lane column (at least
+    /// `lanes.div_ceil(64)` words) for each of the program's inputs —
+    /// the caller has checked the arity. The first `keep` output columns
+    /// (capped at the program's output count) are left packed in
+    /// `scratch.kept`; [`RunResult::outputs`] holds every output as
+    /// [`Lanes`] when `columns` is set and is empty otherwise — a pass
+    /// materialises only what its caller reads. The scalar machine
+    /// consumes and produces `Lanes`, so it rebuilds its input columns
+    /// and copies the kept ones out.
+    pub(crate) fn run<'a>(
+        &self,
+        scratch: &mut EngineScratch,
+        lanes: usize,
+        input_words: impl Fn(usize) -> &'a [u64],
+        keep: usize,
+        columns: bool,
+    ) -> Result<RunResult, CoreError> {
+        let EngineScratch {
+            pass, frames, kept, ..
+        } = scratch;
         // The scratch is shape-agnostic; give it a first frame at this
         // core's slice width (no-op once matched). Each kernel sizes its
         // frame(s) from there.
         if let Backend::BitSliced { words } = self.backend {
-            if scratch.frames.is_empty() {
-                scratch.frames.push(SliceFrame::default());
+            if frames.is_empty() {
+                frames.push(SliceFrame::default());
             }
-            scratch.frames[0].set_width(words);
+            frames[0].set_width(words);
         }
-        let frames = &mut scratch.frames;
-        let outputs = match (&self.kernel, batch) {
-            (Kernel::Machine, Batch::Columns(cols)) => {
-                return self
-                    .machine
-                    .run_with_scratch(&self.program, cols, &mut scratch.pass)
+        let stride = lanes.div_ceil(64);
+        let num_outputs = self.program.outputs.len();
+        let keep = keep.min(num_outputs);
+        kept.clear();
+        kept.resize(keep * stride, 0);
+        let mut built = vec![Vec::new(); if columns { num_outputs } else { 0 }];
+        {
+            let mut build = lane_sink(&mut built, lanes);
+            // Blocks arrive in order: a kept column is stored at the
+            // block's word offset, a built one grows by appending.
+            let emitted = if columns { num_outputs } else { keep };
+            let sink = |o: usize, base: usize, words: &[u64]| {
+                if o < keep {
+                    kept[o * stride + base..][..words.len()].copy_from_slice(words);
+                }
+                if columns {
+                    build(o, base, words);
+                }
+            };
+            match &self.kernel {
+                Kernel::Machine => {
+                    let inputs: Vec<Lanes> = (0..self.program.num_inputs)
+                        .map(|i| Lanes::from_words(input_words(i)[..stride].to_vec(), lanes))
+                        .collect();
+                    let mut result = self
+                        .machine
+                        .run_with_scratch(&self.program, &inputs, pass)?;
+                    for (o, col) in result.outputs.iter().enumerate().take(keep) {
+                        kept[o * stride..][..stride].copy_from_slice(col.words());
+                    }
+                    if !columns {
+                        result.outputs.clear();
+                    }
+                    return Ok(result);
+                }
+                Kernel::Tape(tape) => {
+                    tape.eval_blocks(lanes, &mut frames[0], input_words, emitted, sink)
+                }
+                Kernel::Partitioned(engine) => {
+                    engine.eval_blocks(lanes, frames, input_words, emitted, sink)
+                }
             }
-            (Kernel::Machine, Batch::Packed { words, .. }) => {
-                let stride = lanes.div_ceil(64);
-                assert_eq!(
-                    words.len(),
-                    num_inputs * stride,
-                    "packed buffer does not hold {num_inputs} columns of {stride} words"
-                );
-                let cols: Vec<Lanes> = (0..num_inputs)
-                    .map(|i| Lanes::from_words(words[i * stride..(i + 1) * stride].to_vec(), lanes))
-                    .collect();
-                return self
-                    .machine
-                    .run_with_scratch(&self.program, &cols, &mut scratch.pass);
-            }
-            (Kernel::Tape(tape), Batch::Columns(cols)) => {
-                tape.evaluate_with(cols, lanes, &mut frames[0])
-            }
-            (Kernel::Tape(tape), Batch::Packed { words, .. }) => {
-                tape.evaluate_packed_with(words, num_inputs, lanes, &mut frames[0])
-            }
-            (Kernel::Partitioned(engine), Batch::Columns(cols)) => {
-                engine.evaluate_with(cols, lanes, frames)
-            }
-            (Kernel::Partitioned(engine), Batch::Packed { words, .. }) => {
-                engine.evaluate_packed_with(words, num_inputs, lanes, frames)
-            }
-        }?;
+        }
         // Functional execution with the scalar path's model-time
         // accounting.
         Ok(RunResult {
-            outputs,
+            outputs: into_lanes(built, lanes),
             compute_cycles: self.program.total_cycles,
             clock_cycles: self.program.total_cycles as u64 * self.config().tc() as u64,
             lpe_ops: self.lpe_ops_per_pass,
@@ -933,6 +989,21 @@ impl Engine {
         Ok(result)
     }
 
+    /// [`EngineCore::run`] through this engine, counted like every other
+    /// serving path — the entry the model chain runs each layer through.
+    pub(crate) fn run_with<'a>(
+        &self,
+        scratch: &mut EngineScratch,
+        lanes: usize,
+        input_words: impl Fn(usize) -> &'a [u64],
+        keep: usize,
+        columns: bool,
+    ) -> Result<RunResult, CoreError> {
+        let result = self.core.run(scratch, lanes, input_words, keep, columns)?;
+        self.batches_served.fetch_add(1, Ordering::Relaxed);
+        Ok(result)
+    }
+
     /// Runs a sequence of batches back to back — the paper's steady-state
     /// serving loop — returning one result per batch, in input order.
     ///
@@ -977,12 +1048,10 @@ impl Engine {
         pb.descs.clear();
         for batch in batches {
             let batch = batch.as_ref();
-            // The scalar machine defaults no-input programs to one
-            // lane; record the width the per-batch path would infer.
-            let lanes = batch.first().map_or(1, Lanes::len);
+            // Record the width the per-batch path would infer.
+            let lanes = column_lanes(batch);
             let offset = pb.words.len();
             for col in batch {
-                assert_eq!(col.len(), lanes, "inconsistent lane counts across inputs");
                 pb.words.extend_from_slice(col.words());
             }
             pb.descs.push(PackedDesc {

@@ -12,10 +12,9 @@ use std::sync::OnceLock;
 use lbnn_netlist::{Lanes, Netlist};
 
 use crate::compiler::pipeline::CompileReport;
-use crate::engine::{Backend, Engine, EngineScratch};
+use crate::engine::{column_lanes, packed_columns, Backend, Engine, EngineScratch};
 use crate::error::CoreError;
 use crate::flow::{Flow, FlowOptions, FlowStats};
-use crate::lpu::machine::RunResult;
 use crate::lpu::LpuConfig;
 use crate::throughput::{block_throughput, ThroughputReport};
 
@@ -194,9 +193,17 @@ impl CompiledLayer {
 }
 
 /// The result of one whole-model inference pass.
+///
+/// A pass keeps every layer boundary packed and builds [`Lanes`] only
+/// for the layers its caller reads: every layer for the inspection
+/// entries [`CompiledModel::infer`] / [`CompiledModel::infer_with`],
+/// the final layer alone for [`CompiledModel::infer_batches`].
+/// [`ModelInference::outputs`] is the final layer's either way.
 #[derive(Debug, Clone)]
 pub struct ModelInference {
-    /// Every layer's output lanes, in layer order.
+    /// The output lanes of each layer the pass materialised, in layer
+    /// order: one entry per layer from `infer` / `infer_with`, a single
+    /// entry — the final layer's — from `infer_batches`.
     pub layer_outputs: Vec<Vec<Lanes>>,
     /// Total LPE operations across layers.
     pub lpe_ops: usize,
@@ -213,9 +220,11 @@ impl ModelInference {
 
 /// Adapts one layer's output lanes to the next layer's input arity by
 /// cycling — the simulation analogue of streaming a feature map into the
-/// next block's sampled fan-in (§IV). Used by [`CompiledModel::infer`]
-/// between layers; exposed so per-layer callers can reproduce the chain
-/// exactly.
+/// next block's sampled fan-in (§IV). This is the *definition* of the
+/// layer boundary: [`CompiledModel::infer`] resolves the same
+/// `i % prev_outputs.len()` map against packed words without cloning a
+/// lane, and per-layer callers and oracles use this function to
+/// reproduce the chain exactly.
 ///
 /// `want == 0` yields an empty vector (a degenerate next layer consumes
 /// nothing); `want` larger than `prev_outputs.len()` cycles through the
@@ -236,7 +245,9 @@ pub fn chain_inputs(prev_outputs: &[Lanes], want: usize) -> Vec<Lanes> {
 
 /// Per-caller mutable state for whole-model inference: one
 /// [`EngineScratch`] per layer, grown on demand and reused across
-/// [`CompiledModel::infer_with`] calls.
+/// [`CompiledModel::infer_with`] calls. Besides its kernel frames,
+/// layer *k*'s scratch holds the packed output columns layer *k + 1*
+/// consumes — a layer boundary lives here, never in a `Vec<Lanes>`.
 ///
 /// The model itself stays immutable during inference (`&self`), so any
 /// number of threads can run inference on one shared [`CompiledModel`],
@@ -353,80 +364,163 @@ impl CompiledModel {
     }
 
     /// Runs one whole-model pass: the first layer sees `inputs`, each
-    /// subsequent layer sees the previous outputs adapted via
-    /// [`chain_inputs`]. Results are bit-identical to running each
-    /// layer's [`Flow::simulate`] by hand over the same chain.
+    /// subsequent layer sees the previous outputs adapted as
+    /// [`chain_inputs`] defines. Results are bit-identical to running
+    /// each layer's [`Flow::simulate`] by hand over the same chain, and
+    /// every layer's outputs are returned
+    /// ([`ModelInference::layer_outputs`]) — the inspection entry.
     ///
     /// The model is not mutated (`&self`): layer engines initialize
     /// lazily behind `OnceLock`s, and this convenience path allocates a
-    /// fresh [`ModelScratch`] per call. Hot callers (the
-    /// [`crate::runtime::Runtime`] worker pool) reuse scratch across
+    /// fresh [`ModelScratch`] per call. Hot callers reuse scratch across
     /// calls via [`CompiledModel::infer_with`].
     ///
     /// # Errors
     ///
     /// Propagates the first layer execution error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input lane vectors have inconsistent lane counts.
     pub fn infer(&self, inputs: &[Lanes]) -> Result<ModelInference, CoreError> {
         self.infer_with(&mut ModelScratch::default(), inputs)
     }
 
-    /// [`CompiledModel::infer`] with caller-owned scratch: zero
-    /// per-call allocation in steady state, and safe to call from many
+    /// [`CompiledModel::infer`] with caller-owned scratch: the frames
+    /// and boundary buffers are reused, so what a call allocates is the
+    /// [`Lanes`] it returns — every layer's. Safe to call from many
     /// threads at once on one shared model (each with its own scratch).
+    /// A caller that reads only the final outputs wants
+    /// [`CompiledModel::infer_batches`], which builds only those.
     ///
     /// # Errors
     ///
     /// Propagates the first layer execution error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input lane vectors have inconsistent lane counts.
     pub fn infer_with(
         &self,
         scratch: &mut ModelScratch,
         inputs: &[Lanes],
     ) -> Result<ModelInference, CoreError> {
-        scratch
-            .layers
-            .resize_with(self.layers.len(), EngineScratch::default);
-        let mut layer_outputs: Vec<Vec<Lanes>> = Vec::with_capacity(self.layers.len());
-        let mut lpe_ops = 0usize;
-        let mut clock_cycles = 0u64;
-        for (layer, scratch) in self.layers.iter().zip(scratch.layers.iter_mut()) {
-            let want = layer.flow.program.num_inputs;
-            let engine = layer.engine()?;
-            // The caller must match the first layer exactly (a mismatch
-            // surfaces as InputArity below); between layers, adapt. Lane
-            // vectors are borrowed from the previous layer's outputs — no
-            // copies on the exact-arity fast path.
-            let RunResult {
-                outputs,
-                clock_cycles: cycles,
-                lpe_ops: ops,
-                ..
-            } = match layer_outputs.last() {
-                None => engine.run_batch_with(scratch, inputs)?,
-                Some(prev) if prev.len() == want => engine.run_batch_with(scratch, prev)?,
-                Some(prev) => engine.run_batch_with(scratch, &chain_inputs(prev, want))?,
-            };
-            lpe_ops += ops;
-            clock_cycles += cycles;
-            layer_outputs.push(outputs);
-        }
-        Ok(ModelInference {
-            layer_outputs,
-            lpe_ops,
-            clock_cycles,
-        })
+        let lanes = self.first_layer_lanes(inputs)?;
+        self.chain(scratch, lanes, |i| inputs[i].words(), true)
     }
 
-    /// Runs many whole-model passes back to back, reusing one scratch.
+    /// Runs many whole-model passes back to back, reusing one scratch —
+    /// the throughput entry. Each returned [`ModelInference`] holds one
+    /// [`layer_outputs`](ModelInference::layer_outputs) entry, the final
+    /// layer's ([`ModelInference::outputs`] reads it); hidden layers
+    /// never leave their packed boundary buffers. `lpe_ops` and
+    /// `clock_cycles` are whole-model sums as for
+    /// [`CompiledModel::infer`].
     ///
     /// # Errors
     ///
     /// Returns the first failing batch's error (in batch order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch's lane vectors have inconsistent lane counts.
     pub fn infer_batches(&self, batches: &[Vec<Lanes>]) -> Result<Vec<ModelInference>, CoreError> {
         let mut scratch = ModelScratch::new();
         batches
             .iter()
-            .map(|batch| self.infer_with(&mut scratch, batch))
+            .map(|batch| {
+                let lanes = self.first_layer_lanes(batch)?;
+                self.chain(&mut scratch, lanes, |i| batch[i].words(), false)
+            })
             .collect()
+    }
+
+    /// One pass over a flat pre-packed input buffer
+    /// ([`Lanes::pack_rows_into`] layout, as
+    /// [`EngineCore::run_batch_packed`](crate::engine::EngineCore::run_batch_packed)
+    /// takes it), returning the final layer's outputs — the
+    /// [`crate::runtime::Runtime`] worker's entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed.len() != num_inputs * lanes.div_ceil(64)`.
+    pub(crate) fn infer_packed_with(
+        &self,
+        scratch: &mut ModelScratch,
+        packed: &[u64],
+        num_inputs: usize,
+        lanes: usize,
+    ) -> Result<Vec<Lanes>, CoreError> {
+        self.layers[0].engine()?.core().check_arity(num_inputs)?;
+        let input_words = packed_columns(packed, num_inputs, lanes);
+        let mut inference = self.chain(scratch, lanes, input_words, false)?;
+        Ok(inference.layer_outputs.pop().unwrap_or_default())
+    }
+
+    /// The lane count of a first-layer batch handed over as columns.
+    /// The caller must match the first layer exactly (a mismatch is an
+    /// [`CoreError::InputArity`]); between layers the chain adapts.
+    fn first_layer_lanes(&self, inputs: &[Lanes]) -> Result<usize, CoreError> {
+        self.layers[0].engine()?.core().check_arity(inputs.len())?;
+        Ok(column_lanes(inputs))
+    }
+
+    /// The one chain body behind every inference entry. Layer *k* leaves
+    /// the columns layer *k + 1* consumes — `min(want, outputs)` of them
+    /// — packed in its own scratch ([`EngineScratch`]'s kept buffer),
+    /// and layer *k + 1* reads input `i` from column `i % kept` of that
+    /// buffer: [`chain_inputs`], resolved without cloning a lane. The
+    /// final layer's outputs are always built as [`Lanes`]; hidden
+    /// layers' only when `every_layer` is set. `input_words(i)` is the
+    /// first layer's input column `i`, arity already checked.
+    fn chain<'a>(
+        &self,
+        scratch: &mut ModelScratch,
+        mut lanes: usize,
+        input_words: impl Fn(usize) -> &'a [u64],
+        every_layer: bool,
+    ) -> Result<ModelInference, CoreError> {
+        scratch
+            .layers
+            .resize_with(self.layers.len(), EngineScratch::default);
+        let mut inference = ModelInference {
+            layer_outputs: Vec::with_capacity(if every_layer { self.layers.len() } else { 1 }),
+            lpe_ops: 0,
+            clock_cycles: 0,
+        };
+        // The previous layer's kept columns and how many there are.
+        let mut prev: Option<(&[u64], usize)> = None;
+        for (k, (layer, scratch)) in self.layers.iter().zip(&mut scratch.layers).enumerate() {
+            let engine = layer.engine()?;
+            let next_want = self.layers.get(k + 1).map(|l| l.flow.program.num_inputs);
+            let keep = next_want.unwrap_or(0);
+            let columns = every_layer || next_want.is_none();
+            let result = match prev {
+                None => engine.run_with(scratch, lanes, &input_words, keep, columns)?,
+                Some((words, kept)) => {
+                    let want = layer.flow.program.num_inputs;
+                    assert!(
+                        kept > 0 || want == 0,
+                        "cannot chain from a layer with no outputs"
+                    );
+                    let stride = lanes.div_ceil(64);
+                    if want == 0 {
+                        // A layer without inputs runs one lane, as an
+                        // empty `run_batch` does.
+                        lanes = 1;
+                    }
+                    let column = |i| &words[(i % kept) * stride..][..stride];
+                    engine.run_with(scratch, lanes, column, keep, columns)?
+                }
+            };
+            inference.lpe_ops += result.lpe_ops;
+            inference.clock_cycles += result.clock_cycles;
+            if columns {
+                inference.layer_outputs.push(result.outputs);
+            }
+            prev = Some((&scratch.kept, keep.min(layer.flow.program.outputs.len())));
+        }
+        Ok(inference)
     }
 
     /// Total clock cycles per input image under `mode` (fractional: lane
@@ -616,7 +710,8 @@ mod tests {
         assert_eq!(streamed.len(), batches.len());
         for (k, got) in streamed.iter().enumerate() {
             let lone = model.infer(&batches[k]).unwrap();
-            assert_eq!(got.layer_outputs, lone.layer_outputs, "batch {k}");
+            assert_eq!(got.layer_outputs.len(), 1, "final layer only, batch {k}");
+            assert_eq!(got.outputs(), lone.outputs(), "batch {k}");
             assert_eq!(got.lpe_ops, lone.lpe_ops, "batch {k}");
             assert_eq!(got.clock_cycles, lone.clock_cycles, "batch {k}");
         }

@@ -93,9 +93,11 @@ use crate::throughput::{block_throughput, QueueStats, ThroughputReport, WallTimi
 /// thread owns exactly one and reuses it for every job it executes.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
-    /// Scratch for single-block execution.
+    /// Scratch for single-block execution; its packed-input buffer also
+    /// holds a model micro-batch's transposed rows.
     pub(crate) engine: EngineScratch,
-    /// Per-layer scratches for whole-model execution.
+    /// Per-layer scratches for whole-model execution (frames and the
+    /// packed layer boundaries).
     pub(crate) model: ModelScratch,
 }
 
@@ -518,12 +520,13 @@ impl Target {
 
     /// Packs per-request bit rows and executes one micro-batch.
     ///
-    /// Block targets take the zero-copy path: the rows are transposed
+    /// Both targets take the zero-copy path in: the rows are transposed
     /// ([`Lanes::pack_rows_into`], word-level 64×64 blocks) into the
     /// worker's reusable flat buffer and streamed straight into the
-    /// kernel frame — no per-batch `Vec<Lanes>` materialization. Model
-    /// chains consume per-layer `Lanes`, so they materialize the
-    /// columns once (still through the word-level transpose).
+    /// kernel frame — no per-batch `Vec<Lanes>` of inputs. A model
+    /// chain then keeps every layer boundary packed in the worker's
+    /// per-layer scratch; the returned columns — a block's outputs, a
+    /// model's final layer — are the only `Lanes` a micro-batch builds.
     fn execute_rows(
         &self,
         scratch: &mut ServeScratch,
@@ -546,9 +549,9 @@ impl Target {
                 Ok(result?.outputs)
             }
             Target::Model(model) => {
-                let inputs = Lanes::pack_rows(rows, num_inputs);
-                let mut inference = model.infer_with(&mut scratch.model, &inputs)?;
-                Ok(inference.layer_outputs.pop().unwrap_or_default())
+                let packed = &mut scratch.engine.packed;
+                Lanes::pack_rows_into(rows, num_inputs, packed);
+                model.infer_packed_with(&mut scratch.model, packed, num_inputs, rows.len())
             }
             #[cfg(test)]
             Target::Panics { .. } => panic!("the test target panics on every micro-batch"),
@@ -920,8 +923,9 @@ impl Runtime {
 
     /// Builds a runtime serving a whole compiled model: each request
     /// flows through every layer (with [`crate::model::chain_inputs`]
-    /// adaptation between layers), and the response carries the final
-    /// layer's outputs.
+    /// adaptation between layers, resolved on packed words in the
+    /// worker's per-layer scratch), and the response carries the final
+    /// layer's outputs — the only ones a micro-batch builds.
     ///
     /// # Errors
     ///

@@ -81,6 +81,9 @@ impl Lanes {
     }
 
     /// Creates lanes from raw words; bits past `len` are masked off.
+    /// Inlined across crates: `lbnn-core` turns every output column of
+    /// every batch into a `Lanes` through this.
+    #[inline]
     pub fn from_words(words: Vec<u64>, len: usize) -> Self {
         assert_eq!(words.len(), len.div_ceil(64), "word count mismatch");
         let mut l = Lanes { words, len };
@@ -252,6 +255,7 @@ impl Lanes {
         self.mask_tail();
     }
 
+    #[inline]
     fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
@@ -839,16 +843,24 @@ pub(crate) fn largest_tile(max: usize) -> usize {
     }
 }
 
-/// Replays `tape` over every word of a frame buffer, tile by tile:
-/// words `0 .. per` are split into tiles no wider than `tile_cap`
-/// (largest-first from `{16, 8, 4, 2, 1}`) and each tile is routed to
-/// the widest kernel `simd` allows. This is the shared engine behind
-/// [`BitSliceEvaluator::run_block`] and the per-partition segment
-/// replay of [`crate::partitioned::PartitionedEngine`].
+/// Replays `tape` over the first `active` words of every slot span of
+/// a frame buffer, tile by tile: words `0 .. active` are split into
+/// tiles no wider than `tile_cap` (largest-first from
+/// `{16, 8, 4, 2, 1}`) and each tile is routed to the widest kernel
+/// `simd` allows. Words `active .. per` are neither read nor written —
+/// a batch that fills 1 of a 16-word frame's words pays for one word.
+/// This is the shared engine behind [`BitSliceEvaluator::run_block`]
+/// (`active = per`), the block loop's occupied-word replay and the
+/// per-partition segment replay of
+/// [`crate::partitioned::PartitionedEngine`].
 ///
 /// Callers must guarantee every slot index on `tape` satisfies
 /// `slot * per + per <= words.len()` — out-of-range indices panic on
 /// the portable path but are undefined behaviour on the SIMD path.
+///
+/// # Panics
+///
+/// Panics if `active > per`.
 #[inline]
 pub(crate) fn replay_tape(
     tape: &[SliceInstr],
@@ -856,10 +868,14 @@ pub(crate) fn replay_tape(
     tile_cap: usize,
     words: &mut [u64],
     per: usize,
+    active: usize,
 ) {
+    // The SIMD kernels' bounds rest on this: a real assert, once per
+    // replay, not per tile.
+    assert!(active <= per, "active words exceed the frame width");
     let mut base = 0;
-    while base < per {
-        let tile = largest_tile(tile_cap.min(per - base));
+    while base < active {
+        let tile = largest_tile(tile_cap.min(active - base));
         replay_tile_dispatch(tape, simd, tile, words, per, base);
         base += tile;
     }
@@ -869,7 +885,15 @@ pub(crate) fn replay_tape(
 /// the tile width allow; narrow tiles fall through to the next level
 /// down (a 2-word tile can't fill a 256-bit vector), and everything
 /// falls back to the portable scalar tiles.
-pub(crate) fn replay_tile_dispatch(
+///
+/// Every `unsafe` call below relies on the same two facts. `simd` was
+/// resolved by runtime feature detection when the tape was compiled
+/// ([`SimdMode::resolve`]), so the kernel's target feature is present.
+/// And the caller ([`replay_tape`]) keeps `base + tile <= active <= per`
+/// and is handed a buffer with `slot * per + per <= words.len()` for
+/// every slot on the tape, so every span a kernel touches satisfies
+/// `slot * per + base + tile <= words.len()`.
+fn replay_tile_dispatch(
     tape: &[SliceInstr],
     simd: SimdLevel,
     tile: usize,
@@ -877,40 +901,43 @@ pub(crate) fn replay_tile_dispatch(
     per: usize,
     base: usize,
 ) {
+    debug_assert!(
+        tape.iter()
+            .flat_map(|i| [i.a, i.b, i.out])
+            .all(|slot| slot as usize * per + base + tile <= words.len()),
+        "a tape slot's tile runs past the frame"
+    );
     #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY of the `unsafe` calls below: the target features were
-        // verified by runtime detection when `simd` was resolved at
-        // compile time, and every span the kernels touch is in bounds —
-        // the caller guarantees `slot * per + per <= words.len()` for
-        // every slot index on the tape, and the tiling loop keeps
-        // `base + tile <= per`, so
-        // `slot * per + base + tile <= words.len()`.
-        debug_assert!(base + tile <= per);
-        match (simd, tile) {
-            (SimdLevel::Avx2, 16) => {
-                return unsafe { simd::run_tile_avx2::<16>(tape, words, per, base) }
-            }
-            (SimdLevel::Avx2, 8) => {
-                return unsafe { simd::run_tile_avx2::<8>(tape, words, per, base) }
-            }
-            (SimdLevel::Avx2, 4) => {
-                return unsafe { simd::run_tile_avx2::<4>(tape, words, per, base) }
-            }
-            (SimdLevel::Sse2, 16) => {
-                return unsafe { simd::run_tile_sse2::<16>(tape, words, per, base) }
-            }
-            (SimdLevel::Sse2, 8) => {
-                return unsafe { simd::run_tile_sse2::<8>(tape, words, per, base) }
-            }
-            (SimdLevel::Sse2, 4) => {
-                return unsafe { simd::run_tile_sse2::<4>(tape, words, per, base) }
-            }
-            (SimdLevel::Avx2 | SimdLevel::Sse2, 2) => {
-                return unsafe { simd::run_tile_sse2::<2>(tape, words, per, base) }
-            }
-            _ => {}
+    match (simd, tile) {
+        (SimdLevel::Avx2, 16) => {
+            // SAFETY: AVX2 detected at tape compile; every span in bounds.
+            return unsafe { simd::run_tile_avx2::<16>(tape, words, per, base) };
         }
+        (SimdLevel::Avx2, 8) => {
+            // SAFETY: AVX2 detected at tape compile; every span in bounds.
+            return unsafe { simd::run_tile_avx2::<8>(tape, words, per, base) };
+        }
+        (SimdLevel::Avx2, 4) => {
+            // SAFETY: AVX2 detected at tape compile; every span in bounds.
+            return unsafe { simd::run_tile_avx2::<4>(tape, words, per, base) };
+        }
+        (SimdLevel::Sse2, 16) => {
+            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
+            return unsafe { simd::run_tile_sse2::<16>(tape, words, per, base) };
+        }
+        (SimdLevel::Sse2, 8) => {
+            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
+            return unsafe { simd::run_tile_sse2::<8>(tape, words, per, base) };
+        }
+        (SimdLevel::Sse2, 4) => {
+            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
+            return unsafe { simd::run_tile_sse2::<4>(tape, words, per, base) };
+        }
+        (SimdLevel::Avx2 | SimdLevel::Sse2, 2) => {
+            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
+            return unsafe { simd::run_tile_sse2::<2>(tape, words, per, base) };
+        }
+        _ => {}
     }
     match tile {
         16 => replay_tile::<16>(tape, words, per, base),
@@ -1002,6 +1029,45 @@ impl SlotPool {
             self.free.push(slot);
         }
     }
+}
+
+/// The arity check shared by every batch entry of both evaluators.
+pub(crate) fn check_arity(expected: usize, got: usize) -> Result<(), NetlistError> {
+    if got != expected {
+        return Err(NetlistError::InputArity { expected, got });
+    }
+    Ok(())
+}
+
+/// The output sink that builds [`Lanes`] — the one
+/// [`BitSliceEvaluator::evaluate_with`] hands
+/// [`BitSliceEvaluator::eval_blocks`]: appends each block's words to
+/// its column (blocks arrive in order; start every column empty). A
+/// column is allocated on first touch — after the block's replay, so it
+/// is written while its lines are hot and the replay's working set is
+/// not diluted (allocating all columns up front measured 3–5 % slower
+/// end to end) — and for the whole batch at once, so later blocks never
+/// reallocate; its words then become the `Lanes` ([`into_lanes`])
+/// without a second copy.
+#[inline]
+pub fn lane_sink(columns: &mut [Vec<u64>], lanes: usize) -> impl FnMut(usize, usize, &[u64]) + '_ {
+    let stride = lanes.div_ceil(64);
+    move |o, base, words| {
+        columns[o].reserve(stride - base);
+        columns[o].extend_from_slice(words);
+    }
+}
+
+/// The columns a [`lane_sink`] grew, as [`Lanes`] of `lanes` lanes.
+///
+/// # Panics
+///
+/// Panics if a column does not hold `lanes.div_ceil(64)` words.
+pub fn into_lanes(columns: Vec<Vec<u64>>, lanes: usize) -> Vec<Lanes> {
+    columns
+        .into_iter()
+        .map(|words| Lanes::from_words(words, lanes))
+        .collect()
 }
 
 /// A netlist compiled into a width-generic bit-sliced kernel tape.
@@ -1419,12 +1485,15 @@ impl BitSliceEvaluator {
     /// Panics if `frame` has fewer slots than the compiled live frame.
     #[inline]
     pub fn run_block(&self, frame: &mut SliceFrame) {
+        // Every slot on the tape is below `self.slots`, so this is the
+        // `slot * per + per <= words.len()` the replay kernels rely on.
         assert!(frame.slots() >= self.slots, "frame too small for tape");
         replay_tape(
             &self.tape,
             self.stats.simd,
             self.stats.tile_words(),
             &mut frame.words,
+            frame.words_per_net,
             frame.words_per_net,
         );
     }
@@ -1436,7 +1505,7 @@ impl BitSliceEvaluator {
     /// `inputs`).
     ///
     /// A batch whose lane count is not a multiple of the block width ends
-    /// in a partial block: missing input words are loaded as zero and the
+    /// in a partial block: only its occupied words are replayed, and the
     /// tail lanes of every output word are masked off by the returned
     /// [`Lanes`], so unused lanes are never published.
     ///
@@ -1454,16 +1523,11 @@ impl BitSliceEvaluator {
         lanes: usize,
         frame: &mut SliceFrame,
     ) -> Result<Vec<Lanes>, NetlistError> {
-        if inputs.len() != self.inputs.len() {
-            return Err(NetlistError::InputArity {
-                expected: self.inputs.len(),
-                got: inputs.len(),
-            });
-        }
+        check_arity(self.inputs.len(), inputs.len())?;
         for l in inputs {
             assert_eq!(l.len(), lanes, "inconsistent lane counts across inputs");
         }
-        Ok(self.eval_blocks(lanes, frame, |i| inputs[i].words()))
+        Ok(self.eval_lanes(lanes, frame, |i| inputs[i].words()))
     }
 
     /// [`BitSliceEvaluator::evaluate_with`] over a flat pre-packed input
@@ -1489,57 +1553,85 @@ impl BitSliceEvaluator {
         lanes: usize,
         frame: &mut SliceFrame,
     ) -> Result<Vec<Lanes>, NetlistError> {
-        if num_inputs != self.inputs.len() {
-            return Err(NetlistError::InputArity {
-                expected: self.inputs.len(),
-                got: num_inputs,
-            });
-        }
+        check_arity(self.inputs.len(), num_inputs)?;
         let stride = lanes.div_ceil(64);
         assert_eq!(
             packed.len(),
             num_inputs * stride,
             "packed buffer does not hold {num_inputs} columns of {stride} words"
         );
-        Ok(self.eval_blocks(lanes, frame, |i| &packed[i * stride..(i + 1) * stride]))
+        Ok(self.eval_lanes(lanes, frame, |i| &packed[i * stride..(i + 1) * stride]))
     }
 
-    /// The shared block loop: `input_words(i)` yields input `i`'s packed
-    /// lane column (at least `lanes.div_ceil(64)` words).
-    fn eval_blocks<'a, F: Fn(usize) -> &'a [u64]>(
+    /// [`BitSliceEvaluator::eval_blocks`] with every output collected
+    /// into a [`Lanes`].
+    fn eval_lanes<'a>(
         &self,
         lanes: usize,
         frame: &mut SliceFrame,
-        input_words: F,
+        input_words: impl Fn(usize) -> &'a [u64],
     ) -> Vec<Lanes> {
+        let mut columns = vec![Vec::new(); self.outputs.len()];
+        let sink = lane_sink(&mut columns, lanes);
+        self.eval_blocks(lanes, frame, input_words, self.outputs.len(), sink);
+        into_lanes(columns, lanes)
+    }
+
+    /// The block loop behind every batch entry, packed columns in and
+    /// out: `input_words(i)` yields input `i`'s packed lane column (at
+    /// least `lanes.div_ceil(64)` words; called for every
+    /// `i < num_inputs()`), and after each block `sink(o, base, words)`
+    /// receives words `base .. base + words.len()` of output column `o`
+    /// for each of the first `outputs` outputs (bits past `lanes` in a
+    /// column's last word are unspecified). Blocks arrive in order, so
+    /// a sink may append ([`BitSliceEvaluator::evaluate_with`] builds
+    /// its [`Lanes`] that way) or store at `base` in a column-major
+    /// buffer (how a model chain keeps a layer boundary packed).
+    ///
+    /// Each block replays only the words that carry samples: a batch
+    /// of ≤ 64 lanes costs one word of a 16-word frame, and frame words
+    /// past a partial block's end keep whatever an earlier batch left —
+    /// they are neither read nor handed to the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_words` yields a column shorter than
+    /// `lanes.div_ceil(64)` words.
+    pub fn eval_blocks<'a>(
+        &self,
+        lanes: usize,
+        frame: &mut SliceFrame,
+        input_words: impl Fn(usize) -> &'a [u64],
+        outputs: usize,
+        mut sink: impl FnMut(usize, usize, &[u64]),
+    ) {
+        // Every slot on the tape is below `self.slots`: after this,
+        // `slot * per + per <= words.len()` as the replay kernels need.
         frame.reshape(self.slots);
         let per = frame.words_per_net;
+        let tile_cap = self.stats.tile_words();
         let total_words = lanes.div_ceil(64);
-        let blocks = lanes.div_ceil(frame.lanes());
-        let mut out_words: Vec<Vec<u64>> =
-            vec![Vec::with_capacity(total_words); self.outputs.len()];
-        for block in 0..blocks {
-            let base = block * per;
-            // A partial final block covers fewer than `per` input words;
-            // the rest of each input span is zeroed so the kernel never
-            // reads stale lanes from a previous batch.
+        for base in (0..total_words).step_by(per) {
+            // A partial final block occupies fewer than `per` words.
             let avail = (total_words - base).min(per);
             for (i, &slot) in self.inputs.iter().enumerate() {
                 let span = slot as usize * per;
                 let in_words = &input_words(i)[base..base + avail];
                 frame.words[span..span + avail].copy_from_slice(in_words);
-                frame.words[span + avail..span + per].fill(0);
             }
-            self.run_block(frame);
-            for (words, &slot) in out_words.iter_mut().zip(&self.outputs) {
+            replay_tape(
+                &self.tape,
+                self.stats.simd,
+                tile_cap,
+                &mut frame.words,
+                per,
+                avail,
+            );
+            for (o, &slot) in self.outputs.iter().enumerate().take(outputs) {
                 let span = slot as usize * per;
-                words.extend_from_slice(&frame.words[span..span + avail]);
+                sink(o, base, &frame.words[span..span + avail]);
             }
         }
-        out_words
-            .into_iter()
-            .map(|words| Lanes::from_words(words, lanes))
-            .collect()
     }
 
     /// Evaluates the netlist across all lanes — the bit-sliced counterpart
@@ -1571,12 +1663,17 @@ impl BitSliceEvaluator {
 /// Callers must have verified the target feature via runtime detection,
 /// and must guarantee `slot * per + base + TW <= words.len()` for every
 /// slot index on the tape (`TW` a multiple of the vector width) — see
-/// the dispatch comment in [`replay_tile_dispatch`].
+/// [`replay_tile_dispatch`], the only caller.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::SliceInstr;
     use std::arch::x86_64::*;
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `TW` must be a multiple of 4, and
+    /// `slot * per + base + TW <= words.len()` must hold for every slot
+    /// index (`a`, `b`, `out`) on `tape`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_tile_avx2<const TW: usize>(
         tape: &[SliceInstr],
@@ -1595,6 +1692,10 @@ mod simd {
             let k3 = _mm256_set1_epi64x(i.k[3] as i64);
             let mut w = 0;
             while w < TW {
+                // SAFETY: `w + 4 <= TW`, so each 4-word access ends at or
+                // before `slot * per + base + TW <= words.len()` (the
+                // caller's contract); the unaligned load/store forms
+                // need no alignment, and `p` is the live `&mut` buffer.
                 let va = _mm256_loadu_si256(p.add(a0 + w) as *const __m256i);
                 let vb = _mm256_loadu_si256(p.add(b0 + w) as *const __m256i);
                 // Factored ANF: k0 ^ (k1&b) ^ (a & (k2 ^ (k3&b))).
@@ -1608,6 +1709,12 @@ mod simd {
         }
     }
 
+    /// # Safety
+    ///
+    /// `TW` must be a multiple of 2 and
+    /// `slot * per + base + TW <= words.len()` must hold for every slot
+    /// index (`a`, `b`, `out`) on `tape`. (SSE2 itself is part of the
+    /// x86_64 baseline.)
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn run_tile_sse2<const TW: usize>(
         tape: &[SliceInstr],
@@ -1626,6 +1733,10 @@ mod simd {
             let k3 = _mm_set1_epi64x(i.k[3] as i64);
             let mut w = 0;
             while w < TW {
+                // SAFETY: `w + 2 <= TW`, so each 2-word access ends at or
+                // before `slot * per + base + TW <= words.len()` (the
+                // caller's contract); the unaligned load/store forms
+                // need no alignment, and `p` is the live `&mut` buffer.
                 let va = _mm_loadu_si128(p.add(a0 + w) as *const __m128i);
                 let vb = _mm_loadu_si128(p.add(b0 + w) as *const __m128i);
                 // Factored ANF: k0 ^ (k1&b) ^ (a & (k2 ^ (k3&b))).
@@ -2003,6 +2114,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Occupied-word replay: every lane count up to one block plus a
+    /// ragged second one, at every width (3 words = the tile-chunked
+    /// generic path), on ONE frame whose batches alternately grow and
+    /// shrink — so words past a small batch's end hold a bigger batch's
+    /// leftovers, and must never surface.
+    #[test]
+    fn partial_blocks_replay_only_occupied_words() {
+        use crate::random::RandomDag;
+        let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(2);
+        let sliced = BitSliceEvaluator::compile(&nl);
+        for words in [1usize, 2, 3, 4, 8, 16] {
+            let mut frame = sliced.frame_with_words(words);
+            let max = words * 64 + 65;
+            for step in 0..max {
+                for lanes in [1 + step, max - step] {
+                    let inputs: Vec<Lanes> = (0..nl.inputs().len())
+                        .map(|i| {
+                            let bits: Vec<bool> = (0..lanes)
+                                .map(|l| (lanes + i * 31 + l * 7).is_multiple_of(3))
+                                .collect();
+                            Lanes::from_bools(&bits)
+                        })
+                        .collect();
+                    let want = evaluate(&nl, &inputs).unwrap();
+                    let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
+                    assert_eq!(got, want, "words {words} lanes {lanes}");
+                }
+            }
+        }
+    }
+
+    /// The packed sink: the first `outputs` columns land in a flat
+    /// column-major buffer at each block's word offset, and no other
+    /// column reaches the sink.
+    #[test]
+    fn eval_blocks_hands_the_leading_columns_to_the_sink() {
+        use crate::random::RandomDag;
+        let nl = RandomDag::loose(7, 5, 8).outputs(5).generate(4);
+        let sliced = BitSliceEvaluator::compile(&nl);
+        let mut frame = sliced.frame_with_words(2);
+        for lanes in [1usize, 128, 300] {
+            let inputs: Vec<Lanes> = (0..nl.inputs().len())
+                .map(|i| {
+                    let bits: Vec<bool> = (0..lanes).map(|l| (i * 5 + l) % 3 == 0).collect();
+                    Lanes::from_bools(&bits)
+                })
+                .collect();
+            let want = evaluate(&nl, &inputs).unwrap();
+            let stride = lanes.div_ceil(64);
+            for keep in [0usize, 2, 5, 9] {
+                let mut packed = vec![0u64; keep.min(5) * stride];
+                sliced.eval_blocks(
+                    lanes,
+                    &mut frame,
+                    |i| inputs[i].words(),
+                    keep,
+                    |o, base, words| {
+                        packed[o * stride + base..][..words.len()].copy_from_slice(words)
+                    },
+                );
+                for (o, col) in want.iter().enumerate().take(keep) {
+                    let got = Lanes::from_words(packed[o * stride..][..stride].to_vec(), lanes);
+                    assert_eq!(&got, col, "lanes {lanes} keep {keep} column {o}");
+                }
+            }
+        }
+    }
+
+    /// The SIMD kernels index the frame unchecked, so the slot bound is
+    /// a real assert at the one public way in.
+    #[test]
+    #[should_panic(expected = "frame too small for tape")]
+    fn run_block_rejects_a_frame_one_slot_short() {
+        use crate::random::RandomDag;
+        let nl = RandomDag::loose(6, 4, 7).outputs(2).generate(3);
+        let sliced = BitSliceEvaluator::compile(&nl);
+        let slots = sliced.frame_with_words(4).slots();
+        sliced.run_block(&mut SliceFrame::with_width(slots - 1, 4));
+    }
+
+    /// ... and so is the word bound of an occupied-word replay.
+    #[test]
+    #[should_panic(expected = "active words exceed the frame width")]
+    fn replay_rejects_more_active_words_than_the_frame_has() {
+        let mut words = vec![0u64; 8];
+        replay_tape(&[], SimdLevel::Scalar, 16, &mut words, 4, 5);
     }
 
     /// Every combination of locality options is bit-identical to the

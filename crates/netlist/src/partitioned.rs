@@ -39,7 +39,8 @@
 use crate::cell::Op;
 use crate::error::NetlistError;
 use crate::eval::{
-    replay_tape, tile_words_for, Lanes, SimdLevel, SliceFrame, SliceInstr, SlotPool, TapeOptions,
+    check_arity, into_lanes, lane_sink, replay_tape, tile_words_for, Lanes, SimdLevel, SliceFrame,
+    SliceInstr, SlotPool, TapeOptions,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::patch::PatchSet;
@@ -655,11 +656,11 @@ impl PartitionedEngine {
 
     /// Evaluates the whole batch — the partitioned counterpart of
     /// [`BitSliceEvaluator::evaluate_with`](crate::BitSliceEvaluator::evaluate_with),
-    /// with identical semantics (partial final blocks zero-filled and
-    /// tail-masked; `lanes` overrides the width for no-input netlists).
-    /// `frames` is per-partition scratch, resized as needed; the block
-    /// width is the frames' current width (64 lanes after a fresh
-    /// `Vec::new()`).
+    /// with identical semantics (partial final blocks replay their
+    /// occupied words only and are tail-masked; `lanes` overrides the
+    /// width for no-input netlists). `frames` is per-partition scratch,
+    /// resized as needed; the block width is the frames' current width
+    /// (64 lanes after a fresh `Vec::new()`).
     ///
     /// # Errors
     ///
@@ -674,50 +675,14 @@ impl PartitionedEngine {
         lanes: usize,
         frames: &mut Vec<SliceFrame>,
     ) -> Result<Vec<Lanes>, NetlistError> {
-        if inputs.len() != self.num_inputs {
-            return Err(NetlistError::InputArity {
-                expected: self.num_inputs,
-                got: inputs.len(),
-            });
-        }
+        check_arity(self.num_inputs, inputs.len())?;
         for l in inputs {
             assert_eq!(l.len(), lanes, "inconsistent lane counts across inputs");
         }
-        Ok(self.eval_blocks(lanes, frames, |i| inputs[i].words()))
-    }
-
-    /// [`PartitionedEngine::evaluate_with`] over a flat pre-packed
-    /// input buffer (the [`Lanes::pack_rows_into`] layout): input `i`'s
-    /// lane column occupies `packed[i * stride .. (i + 1) * stride]`
-    /// with `stride = lanes.div_ceil(64)`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::InputArity`] on an input-count mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed.len() != num_inputs * lanes.div_ceil(64)`.
-    pub fn evaluate_packed_with(
-        &self,
-        packed: &[u64],
-        num_inputs: usize,
-        lanes: usize,
-        frames: &mut Vec<SliceFrame>,
-    ) -> Result<Vec<Lanes>, NetlistError> {
-        if num_inputs != self.num_inputs {
-            return Err(NetlistError::InputArity {
-                expected: self.num_inputs,
-                got: num_inputs,
-            });
-        }
-        let stride = lanes.div_ceil(64);
-        assert_eq!(
-            packed.len(),
-            num_inputs * stride,
-            "packed buffer does not hold {num_inputs} columns of {stride} words"
-        );
-        Ok(self.eval_blocks(lanes, frames, |i| &packed[i * stride..(i + 1) * stride]))
+        let mut columns = vec![Vec::new(); self.num_outputs];
+        let sink = lane_sink(&mut columns, lanes);
+        self.eval_blocks(lanes, frames, |i| inputs[i].words(), self.num_outputs, sink);
+        Ok(into_lanes(columns, lanes))
     }
 
     /// Evaluates at 64 lanes per block with fresh frames — the
@@ -732,37 +697,41 @@ impl PartitionedEngine {
         self.evaluate_with(inputs, lanes, &mut self.frames_with_words(1))
     }
 
-    /// The shared block loop, and the one place partition tapes are
-    /// replayed: per block, every partition loads its inputs; per level,
-    /// every partition replays its tape segment, then the level's
-    /// exchange copies run; then every partition's outputs are
-    /// collected. `input_words(i)` yields input `i`'s packed lane column
-    /// (at least `lanes.div_ceil(64)` words).
-    fn eval_blocks<'a, F: Fn(usize) -> &'a [u64]>(
+    /// The block loop behind every batch entry, and the one place
+    /// partition tapes are replayed — the partitioned counterpart of
+    /// [`BitSliceEvaluator::eval_blocks`](crate::BitSliceEvaluator::eval_blocks),
+    /// with the same accessor/sink contract: per block, every partition
+    /// loads its inputs from `input_words(i)`; per level, every
+    /// partition replays its tape segment, then the level's exchange
+    /// copies run; then `sink(o, base, words)` receives the block's
+    /// words of each output column `o < outputs` from the partition
+    /// that owns it (every output has exactly one owner; blocks arrive
+    /// in order, outputs within a block in partition order). Replay and
+    /// exchange touch only the words a block occupies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_words` yields a column shorter than
+    /// `lanes.div_ceil(64)` words.
+    pub fn eval_blocks<'a>(
         &self,
         lanes: usize,
         frames: &mut Vec<SliceFrame>,
-        input_words: F,
-    ) -> Vec<Lanes> {
+        input_words: impl Fn(usize) -> &'a [u64],
+        outputs: usize,
+        mut sink: impl FnMut(usize, usize, &[u64]),
+    ) {
         let per = frames.first().map_or(1, SliceFrame::words_per_net).max(1);
         self.prepare_frames(frames, per);
         let total_words = lanes.div_ceil(64);
-        let blocks = lanes.div_ceil(64 * per);
-        let mut out_words: Vec<Vec<u64>> = (0..self.num_outputs)
-            .map(|_| Vec::with_capacity(total_words))
-            .collect();
-        for block in 0..blocks {
-            let base = block * per;
-            // A partial final block covers fewer than `per` input words;
-            // the rest of each input span is zeroed so the kernel never
-            // reads stale lanes from a previous batch.
+        for base in (0..total_words).step_by(per) {
+            // A partial final block occupies fewer than `per` words.
             let avail = (total_words - base).min(per);
             for (part, frame) in self.parts.iter().zip(frames.iter_mut()) {
                 for &(pi, slot) in &part.inputs {
                     let span = slot as usize * per;
                     let in_words = &input_words(pi as usize)[base..base + avail];
                     frame.words[span..span + avail].copy_from_slice(in_words);
-                    frame.words[span + avail..span + per].fill(0);
                 }
             }
             for (l, copies) in self.schedule.levels.iter().enumerate() {
@@ -774,6 +743,7 @@ impl PartitionedEngine {
                         part.tile_cap,
                         &mut frame.words,
                         per,
+                        avail,
                     );
                 }
                 for c in copies {
@@ -783,22 +753,18 @@ impl PartitionedEngine {
                         .get_disjoint_mut([c.src_part as usize, c.dst_part as usize])
                         .expect("an exchange copy crosses partitions");
                     let (s, d) = (c.src_slot as usize * per, c.dst_slot as usize * per);
-                    dst.words[d..d + per].copy_from_slice(&src.words[s..s + per]);
+                    dst.words[d..d + avail].copy_from_slice(&src.words[s..s + avail]);
                 }
             }
-            // Every output is owned by exactly one partition and blocks
-            // run in order, so each column grows by appending.
             for (part, frame) in self.parts.iter().zip(frames.iter()) {
                 for &(po, slot) in &part.outputs {
-                    let span = slot as usize * per;
-                    out_words[po as usize].extend_from_slice(&frame.words[span..span + avail]);
+                    if (po as usize) < outputs {
+                        let span = slot as usize * per;
+                        sink(po as usize, base, &frame.words[span..span + avail]);
+                    }
                 }
             }
         }
-        out_words
-            .into_iter()
-            .map(|words| Lanes::from_words(words, lanes))
-            .collect()
     }
 
     /// A copy of this engine with the ANF masks of every patched cell
@@ -1064,6 +1030,46 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Occupied-word replay and exchange: one set of frames serves
+    /// batches that alternately grow and shrink through every lane count
+    /// up to a block plus a ragged second one, so a small batch runs
+    /// over a bigger one's leftovers — which must never surface, in an
+    /// output or across the exchange. The packed sink sees exactly the
+    /// leading columns, whichever partition owns them.
+    #[test]
+    fn partial_blocks_replay_and_exchange_only_occupied_words() {
+        let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(1);
+        let engine = PartitionedEngine::compile(&nl, 3).unwrap();
+        for words in [1usize, 4, 16] {
+            let mut frames = engine.frames_with_words(words);
+            let max = words * 64 + 65;
+            for step in 0..max {
+                for lanes in [1 + step, max - step] {
+                    let inputs = test_inputs(&nl, lanes, lanes as u64);
+                    let want = evaluate(&nl, &inputs).unwrap();
+                    let got = engine.evaluate_with(&inputs, lanes, &mut frames).unwrap();
+                    assert_eq!(got, want, "words {words} lanes {lanes}");
+                }
+            }
+            let (lanes, keep) = (max, 2);
+            let stride = lanes.div_ceil(64);
+            let inputs = test_inputs(&nl, lanes, 9);
+            let want = evaluate(&nl, &inputs).unwrap();
+            let mut packed = vec![0u64; keep * stride];
+            engine.eval_blocks(
+                lanes,
+                &mut frames,
+                |i| inputs[i].words(),
+                keep,
+                |o, base, w| packed[o * stride + base..][..w.len()].copy_from_slice(w),
+            );
+            for (o, col) in want.iter().enumerate().take(keep) {
+                let got = Lanes::from_words(packed[o * stride..][..stride].to_vec(), lanes);
+                assert_eq!(&got, col, "words {words} kept column {o}");
             }
         }
     }

@@ -1,16 +1,28 @@
+//! Allocation pins for the serving paths, under a counting allocator.
+//!
 //! `Runtime::submit` allocates per micro-batch, not per request: a
 //! request joins its batch's flat input buffer and shares the batch's
 //! result cell, so the only allocations a submitting thread makes are
 //! the buffers of each new batch (and the job of a batch it dispatches
 //! itself) — not a slot and a bit vector for every request.
+//!
+//! A model pass allocates for the outputs somebody reads, not for every
+//! layer's: layer boundaries stay packed in reused scratch, so
+//! `infer_batches` and a `Runtime::from_model` worker pay for the final
+//! layer's columns and a few vectors around them per batch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
+use lbnn::core::model::LayerSpec;
 use lbnn::netlist::eval::evaluate;
 use lbnn::netlist::random::RandomDag;
 use lbnn::netlist::Lanes;
-use lbnn::{Backend, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
+use lbnn::{
+    Backend, CompiledModel, Flow, FlowOptions, LpuConfig, RequestHandle, Runtime, RuntimeOptions,
+};
 
 thread_local! {
     /// Allocations (and reallocations) the current thread has made. A
@@ -23,6 +35,18 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Allocations by every thread of the process. What a runtime's worker
+/// made is this minus the test thread's own — valid while the test
+/// holds [`serial`], so no other test's threads are running.
+static TOTAL: AtomicU64 = AtomicU64::new(0);
+
+/// Every test in this file runs under this lock.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the others still run alone.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The system allocator, counting per thread: the worker's allocations
 /// (and those of other tests' threads) do not show in the submitter's
 /// count.
@@ -30,11 +54,12 @@ struct Counting;
 
 fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    TOTAL.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one `GlobalAlloc` states; counting touches only
-// a thread-local `Cell<u64>` and never allocates.
+// a thread-local `Cell<u64>` and a static atomic and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -72,6 +97,7 @@ static ALLOCATOR: Counting = Counting;
 #[test]
 fn submit_allocates_per_micro_batch_not_per_request() {
     const REQUESTS: usize = 1024;
+    let _serial = serial();
     let netlist = RandomDag::strict(12, 6, 24).outputs(70).generate(41);
     let flow = Flow::builder(&netlist)
         .config(LpuConfig::new(4, 4))
@@ -109,4 +135,110 @@ fn submit_allocates_per_micro_batch_not_per_request() {
     for (j, handle) in handles.into_iter().enumerate() {
         assert_eq!(handle.wait().unwrap(), want[j], "request {j}");
     }
+}
+
+/// Outputs of the model's last layer — what a caller of the model reads.
+const FINAL_OUTPUTS: usize = 8;
+/// What a batch may allocate besides its final output columns: the
+/// vectors that hold them and the result around those.
+const PER_BATCH_SLACK: u64 = 8;
+
+/// Four layers, 64 outputs on each of the three hidden ones: a pass that
+/// built every layer's columns would allocate 200 lane vectors a batch.
+fn wide_hidden_model() -> CompiledModel {
+    let specs = vec![
+        LayerSpec::block("L1", RandomDag::strict(12, 4, 24).outputs(64).generate(1)),
+        LayerSpec::block("L2", RandomDag::strict(16, 4, 24).outputs(64).generate(2)),
+        LayerSpec::block("L3", RandomDag::strict(64, 4, 24).outputs(64).generate(3)),
+        LayerSpec::block(
+            "L4",
+            RandomDag::strict(70, 4, 24)
+                .outputs(FINAL_OUTPUTS)
+                .generate(4),
+        ),
+    ];
+    let options = FlowOptions {
+        backend: Backend::BitSliced { words: 4 },
+        ..FlowOptions::default()
+    };
+    let model = CompiledModel::compile("wide", specs, &LpuConfig::new(8, 4), &options).unwrap();
+    for layer in model.layers() {
+        layer.engine().unwrap();
+    }
+    model
+}
+
+fn model_rows(width: usize, rows: usize) -> Vec<Vec<bool>> {
+    (0..rows)
+        .map(|r| (0..width).map(|i| (r * 13 + i * 7) % 5 < 2).collect())
+        .collect()
+}
+
+/// `infer_batches` on the calling thread: per batch, the final layer's
+/// columns plus a handful of vectors; per call, the scratch it sizes
+/// once. At the parent commit every layer's outputs (and the cloned
+/// columns joining them) were built and freed per batch — over 200
+/// allocations a batch on this model.
+#[test]
+fn infer_batches_allocates_for_the_final_outputs_only() {
+    const BATCHES: u64 = 32;
+    /// One scratch — a few buffers per layer — and the result vector.
+    const PER_CALL: u64 = 64;
+    let _serial = serial();
+    let model = wide_hidden_model();
+    let batches: Vec<Vec<Lanes>> = (0..BATCHES as usize)
+        .map(|k| Lanes::pack_rows(&model_rows(12, 200 + k), 12))
+        .collect();
+    model.infer_batches(&batches).unwrap();
+
+    let before = allocations();
+    let results = model.infer_batches(&batches).unwrap();
+    let spent = allocations() - before;
+
+    assert!(
+        spent <= BATCHES * (FINAL_OUTPUTS as u64 + PER_BATCH_SLACK) + PER_CALL,
+        "{spent} allocations for {BATCHES} batches of {FINAL_OUTPUTS} final outputs"
+    );
+    assert!(results
+        .iter()
+        .all(|r| r.layer_outputs.len() == 1 && r.outputs().len() == FINAL_OUTPUTS));
+}
+
+/// The same pin on a `Runtime::from_model` worker: rows are packed into
+/// the worker's buffer, boundaries stay in its per-layer scratch, and a
+/// micro-batch allocates for the final columns, the packed rows it
+/// publishes and little else. The worker's share is everything the
+/// process allocated minus what this thread did.
+#[test]
+fn a_model_worker_allocates_for_the_final_outputs_only() {
+    const REQUESTS: usize = 2048;
+    let _serial = serial();
+    let runtime = Runtime::from_model(
+        wide_hidden_model(),
+        RuntimeOptions::default().workers(1).max_batch(64),
+    )
+    .unwrap();
+    let requests = model_rows(12, REQUESTS);
+    let round = |runtime: &Runtime| {
+        let handles: Vec<RequestHandle> = requests
+            .iter()
+            .map(|bits| runtime.submit(bits).unwrap())
+            .collect();
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().len(), FINAL_OUTPUTS);
+        }
+    };
+    round(&runtime); // sizes the worker's scratch
+
+    let batches_before = runtime.stats().micro_batches;
+    let (total, own) = (TOTAL.load(Ordering::Relaxed), allocations());
+    round(&runtime);
+    let worker = (TOTAL.load(Ordering::Relaxed) - total) - (allocations() - own);
+    let batches = runtime.stats().micro_batches - batches_before;
+
+    assert!(batches >= (REQUESTS / 64) as u64);
+    assert!(
+        worker <= batches * (FINAL_OUTPUTS as u64 + PER_BATCH_SLACK),
+        "{worker} worker allocations for {batches} micro-batches of {FINAL_OUTPUTS} final outputs"
+    );
 }
