@@ -12,9 +12,9 @@
 //! reports its wall time and a before/after statistic into the
 //! [`CompileReport`] attached to the resulting
 //! [`crate::flow::Flow`], so per-stage compile cost is visible at
-//! every surface (`lbnnc`, `CompiledModel` layers, the
-//! `compile_pipeline` bench) instead of being buried in one monolithic
-//! compile call.
+//! every surface (`lbnnc`, `CompiledModel` layers, the repo
+//! benchmark's `core.compiler.*_us`) instead of being buried in one
+//! monolithic compile call.
 //!
 //! The schedule pass keeps the shared-children-then-duplicate fallback:
 //! if snapshot-residency packing fails, the partition/merge/schedule

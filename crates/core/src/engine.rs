@@ -227,9 +227,8 @@ pub struct EngineScratch {
     /// partition for a partitioned core; unused by the scalar machine.
     pub(crate) frames: Vec<SliceFrame>,
     /// Reusable flat packed-input buffer in [`Lanes::pack_rows_into`]
-    /// layout, lent to the packed serving paths (the runtime
-    /// micro-batcher, `lbnn-serve`'s binary fast path) so steady-state
-    /// packing allocates nothing.
+    /// layout: a runtime worker transposes each micro-batch's rows into
+    /// it, so steady-state packing allocates nothing.
     pub(crate) packed: Vec<u64>,
     /// The leading output columns the last pass was asked to keep
     /// ([`EngineCore::run`]'s `keep`), packed in the same layout: column
@@ -452,35 +451,6 @@ impl EngineCore {
         self.run(scratch, lanes, |i| inputs[i].words(), 0, true)
     }
 
-    /// [`EngineCore::run_batch`] over a flat pre-packed input buffer
-    /// instead of per-input [`Lanes`]: input `i`'s lane column occupies
-    /// `packed[i * stride .. (i + 1) * stride]` words
-    /// (`stride = lanes.div_ceil(64)` — the [`Lanes::pack_rows_into`]
-    /// layout, and the word layout of `num_inputs` concatenated
-    /// `Lanes`). On bit-sliced cores the batch streams straight from
-    /// `packed` into the kernel frame with no per-batch `Vec<Lanes>`
-    /// materialization; scalar cores (whose machine replay consumes
-    /// `Lanes`) rebuild the columns first.
-    ///
-    /// # Errors
-    ///
-    /// See [`LpuMachine::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed.len() != num_inputs * lanes.div_ceil(64)`.
-    pub fn run_batch_packed(
-        &self,
-        scratch: &mut EngineScratch,
-        packed: &[u64],
-        num_inputs: usize,
-        lanes: usize,
-    ) -> Result<RunResult, CoreError> {
-        self.check_arity(num_inputs)?;
-        let input_words = packed_columns(packed, num_inputs, lanes);
-        self.run(scratch, lanes, input_words, 0, true)
-    }
-
     /// The arity check every entry makes before it reads a column.
     pub(crate) fn check_arity(&self, got: usize) -> Result<(), CoreError> {
         if got != self.program.num_inputs {
@@ -578,6 +548,19 @@ impl EngineCore {
             peak_live_snapshots: 0,
         })
     }
+}
+
+/// Counts one executed batch toward [`Engine::batches_served`] — the
+/// one place the counter advances, under every serving path; a failed
+/// batch does not count.
+fn count_served(
+    served: &AtomicU64,
+    result: Result<RunResult, CoreError>,
+) -> Result<RunResult, CoreError> {
+    if result.is_ok() {
+        served.fetch_add(1, Ordering::Relaxed);
+    }
+    result
 }
 
 /// A whole [`Engine::run_batches`] sequence packed into one flat
@@ -943,9 +926,8 @@ impl Engine {
     ///
     /// See [`LpuMachine::run`].
     pub fn run_batch(&mut self, inputs: &[Lanes]) -> Result<RunResult, CoreError> {
-        let result = self.core.run_batch(&mut self.scratch, inputs)?;
-        self.batches_served.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
+        let result = self.core.run_batch(&mut self.scratch, inputs);
+        count_served(&self.batches_served, result)
     }
 
     /// Runs one batch through `&self` with caller-owned scratch — the
@@ -961,36 +943,12 @@ impl Engine {
         scratch: &mut EngineScratch,
         inputs: &[Lanes],
     ) -> Result<RunResult, CoreError> {
-        let result = self.core.run_batch(scratch, inputs)?;
-        self.batches_served.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
-    }
-
-    /// [`Engine::run_batch_with`] over a flat pre-packed input buffer
-    /// ([`EngineCore::run_batch_packed`]): the zero-copy serving entry
-    /// used by the runtime micro-batcher after a
-    /// [`Lanes::pack_rows_into`] transpose into the worker's reusable
-    /// scratch buffer.
-    ///
-    /// # Errors
-    ///
-    /// See [`LpuMachine::run`].
-    pub fn run_batch_packed_with(
-        &self,
-        scratch: &mut EngineScratch,
-        packed: &[u64],
-        num_inputs: usize,
-        lanes: usize,
-    ) -> Result<RunResult, CoreError> {
-        let result = self
-            .core
-            .run_batch_packed(scratch, packed, num_inputs, lanes)?;
-        self.batches_served.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
+        count_served(&self.batches_served, self.core.run_batch(scratch, inputs))
     }
 
     /// [`EngineCore::run`] through this engine, counted like every other
-    /// serving path — the entry the model chain runs each layer through.
+    /// serving path — the entry [`crate::model::run_chain`] runs each
+    /// link of a chain through.
     pub(crate) fn run_with<'a>(
         &self,
         scratch: &mut EngineScratch,
@@ -999,9 +957,8 @@ impl Engine {
         keep: usize,
         columns: bool,
     ) -> Result<RunResult, CoreError> {
-        let result = self.core.run(scratch, lanes, input_words, keep, columns)?;
-        self.batches_served.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
+        let result = self.core.run(scratch, lanes, input_words, keep, columns);
+        count_served(&self.batches_served, result)
     }
 
     /// Runs a sequence of batches back to back — the paper's steady-state
@@ -1083,20 +1040,14 @@ impl Engine {
                     for desc in &data.descs[range.clone()] {
                         let len = desc.inputs * desc.lanes.div_ceil(64);
                         let packed = &data.words[desc.offset..desc.offset + len];
-                        match core.run_batch_packed(
-                            &mut scratch.engine,
-                            packed,
-                            desc.inputs,
-                            desc.lanes,
-                        ) {
-                            Ok(r) => {
-                                served.fetch_add(1, Ordering::Relaxed);
-                                out.push(Ok(r));
-                            }
-                            Err(e) => {
-                                out.push(Err(e));
-                                break; // this shard stops at its first error
-                            }
+                        let result = core.check_arity(desc.inputs).and_then(|()| {
+                            let columns = packed_columns(packed, desc.inputs, desc.lanes);
+                            core.run(&mut scratch.engine, desc.lanes, columns, 0, true)
+                        });
+                        let failed = result.is_err();
+                        out.push(count_served(&served, result));
+                        if failed {
+                            break; // this shard stops at its first error
                         }
                     }
                     out
@@ -1466,43 +1417,6 @@ mod tests {
                 let b = shared.run_batch_with(&mut scratch, &batch).unwrap();
                 assert_eq!(a.outputs, b.outputs, "{backend} lanes {lanes}");
             }
-        }
-    }
-
-    /// The packed entry point is bit-identical to the `Lanes` path on
-    /// both backends: the flat buffer is exactly the concatenated lane
-    /// columns, so feeding it by offset must change nothing.
-    #[test]
-    fn run_batch_packed_matches_lanes_path() {
-        let nl = RandomDag::strict(10, 5, 8).outputs(3).generate(13);
-        for backend in [
-            Backend::Scalar,
-            Backend::BitSliced64,
-            Backend::BitSliced { words: 8 },
-        ] {
-            let flow = Flow::builder(&nl)
-                .config(LpuConfig::new(5, 4))
-                .backend(backend)
-                .compile()
-                .unwrap();
-            let mut engine = flow.engine().unwrap();
-            let shared = flow.engine().unwrap();
-            let mut scratch = EngineScratch::new();
-            let mut rng = StdRng::seed_from_u64(41);
-            for lanes in [1usize, 64, 130, 517] {
-                let batch = random_batch(&mut rng, nl.inputs().len(), lanes);
-                let packed: Vec<u64> = batch.iter().flat_map(|l| l.words().to_vec()).collect();
-                let a = engine.run_batch(&batch).unwrap();
-                let b = shared
-                    .run_batch_packed_with(&mut scratch, &packed, batch.len(), lanes)
-                    .unwrap();
-                assert_eq!(a.outputs, b.outputs, "{backend} lanes {lanes}");
-            }
-            // Arity mismatches surface as errors, not panics.
-            assert!(matches!(
-                shared.run_batch_packed_with(&mut scratch, &[], 0, 64),
-                Err(CoreError::InputArity { .. })
-            ));
         }
     }
 

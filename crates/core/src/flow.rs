@@ -222,8 +222,8 @@ impl<'a> FlowBuilder<'a> {
     /// flow will replay batches on. Defaults to [`Backend::Scalar`] (the
     /// cycle-accurate machine); [`Backend::BitSliced`]` { words }` runs
     /// the same program bit-identically as branch-free word kernels at
-    /// 64, 128, 256 or 512 lanes per kernel pass (`words` ∈ {1, 2, 4,
-    /// 8}; unsupported widths fail [`FlowBuilder::compile`] with
+    /// 64, 128, 256, 512 or 1024 lanes per kernel pass (`words` ∈ {1, 2,
+    /// 4, 8, 16}; unsupported widths fail [`FlowBuilder::compile`] with
     /// [`CoreError::BadConfig`]).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.options.backend = backend;

@@ -7,12 +7,13 @@
 //! [`Engine`] per layer, so whole-model inference and throughput
 //! accounting stop being ad-hoc per-layer loops at the call sites.
 
+use std::borrow::Borrow;
 use std::sync::OnceLock;
 
 use lbnn_netlist::{Lanes, Netlist};
 
 use crate::compiler::pipeline::CompileReport;
-use crate::engine::{column_lanes, packed_columns, Backend, Engine, EngineScratch};
+use crate::engine::{column_lanes, Backend, Engine, EngineScratch};
 use crate::error::CoreError;
 use crate::flow::{Flow, FlowOptions, FlowStats};
 use crate::lpu::LpuConfig;
@@ -263,6 +264,98 @@ impl ModelScratch {
     pub fn new() -> Self {
         ModelScratch::default()
     }
+
+    /// The packed columns the last pass left at the end of the chain
+    /// ([`EngineScratch`]'s kept buffer of the final link).
+    pub(crate) fn final_columns(&self) -> &[u64] {
+        self.layers.last().map_or(&[], |last| &last.kept)
+    }
+}
+
+/// The lane count of a chain's first batch handed over as columns. The
+/// caller must match the first link exactly (a mismatch is an
+/// [`CoreError::InputArity`]); between links the chain adapts.
+fn first_layer_lanes(engines: &[&Engine], inputs: &[Lanes]) -> Result<usize, CoreError> {
+    engines[0].core().check_arity(inputs.len())?;
+    Ok(column_lanes(inputs))
+}
+
+/// Which links of a chain hand their outputs back as [`Lanes`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Built {
+    /// Every link's: the inspection entries.
+    EveryLayer,
+    /// The final link's only.
+    FinalLayer,
+    /// None: every final output stays packed in the scratch
+    /// ([`ModelScratch::final_columns`]) — the serving entry.
+    Nothing,
+}
+
+/// The one chain body behind every inference entry and the
+/// [`crate::runtime::Runtime`] worker: `engines` run in order, a single
+/// block being a chain of one. Link *k* leaves the columns link *k + 1*
+/// consumes — `min(want, outputs)` of them — packed in its own scratch
+/// ([`EngineScratch`]'s kept buffer), and link *k + 1* reads input `i`
+/// from column `i % kept` of that buffer: [`chain_inputs`], resolved
+/// without cloning a lane. `built` says which links' outputs are also
+/// built as [`Lanes`]. `input_words(i)` is the first link's input column
+/// `i`, arity already checked.
+pub(crate) fn run_chain<'a>(
+    engines: &[impl Borrow<Engine>],
+    scratch: &mut ModelScratch,
+    mut lanes: usize,
+    input_words: impl Fn(usize) -> &'a [u64],
+    built: Built,
+) -> Result<ModelInference, CoreError> {
+    scratch
+        .layers
+        .resize_with(engines.len(), EngineScratch::default);
+    let mut inference = ModelInference {
+        layer_outputs: Vec::new(),
+        lpe_ops: 0,
+        clock_cycles: 0,
+    };
+    // The previous link's kept columns and how many there are.
+    let mut prev: Option<(&[u64], usize)> = None;
+    for (k, (engine, scratch)) in engines.iter().zip(&mut scratch.layers).enumerate() {
+        let engine: &Engine = engine.borrow();
+        let program = engine.program();
+        let next_want = engines.get(k + 1).map(|e| e.borrow().program().num_inputs);
+        let columns = match built {
+            Built::EveryLayer => true,
+            Built::FinalLayer => next_want.is_none(),
+            Built::Nothing => false,
+        };
+        // What nobody downstream reads as `Lanes` or as the next
+        // link's input is not kept either.
+        let keep = next_want.unwrap_or(if columns { 0 } else { usize::MAX });
+        let result = match prev {
+            None => engine.run_with(scratch, lanes, &input_words, keep, columns)?,
+            Some((words, kept)) => {
+                let want = program.num_inputs;
+                assert!(
+                    kept > 0 || want == 0,
+                    "cannot chain from a layer with no outputs"
+                );
+                let stride = lanes.div_ceil(64);
+                if want == 0 {
+                    // A layer without inputs runs one lane, as an
+                    // empty `run_batch` does.
+                    lanes = 1;
+                }
+                let column = |i| &words[(i % kept) * stride..][..stride];
+                engine.run_with(scratch, lanes, column, keep, columns)?
+            }
+        };
+        inference.lpe_ops += result.lpe_ops;
+        inference.clock_cycles += result.clock_cycles;
+        if columns {
+            inference.layer_outputs.push(result.outputs);
+        }
+        prev = Some((&scratch.kept, keep.min(program.outputs.len())));
+    }
+    Ok(inference)
 }
 
 /// A whole multi-block workload compiled into one serving artifact.
@@ -405,8 +498,10 @@ impl CompiledModel {
         scratch: &mut ModelScratch,
         inputs: &[Lanes],
     ) -> Result<ModelInference, CoreError> {
-        let lanes = self.first_layer_lanes(inputs)?;
-        self.chain(scratch, lanes, |i| inputs[i].words(), true)
+        let engines = self.engines()?;
+        let lanes = first_layer_lanes(&engines, inputs)?;
+        let columns = |i: usize| inputs[i].words();
+        run_chain(&engines, scratch, lanes, columns, Built::EveryLayer)
     }
 
     /// Runs many whole-model passes back to back, reusing one scratch —
@@ -425,102 +520,36 @@ impl CompiledModel {
     ///
     /// Panics if a batch's lane vectors have inconsistent lane counts.
     pub fn infer_batches(&self, batches: &[Vec<Lanes>]) -> Result<Vec<ModelInference>, CoreError> {
+        let engines = self.engines()?;
         let mut scratch = ModelScratch::new();
         batches
             .iter()
             .map(|batch| {
-                let lanes = self.first_layer_lanes(batch)?;
-                self.chain(&mut scratch, lanes, |i| batch[i].words(), false)
+                let lanes = first_layer_lanes(&engines, batch)?;
+                let columns = |i: usize| batch[i].words();
+                run_chain(&engines, &mut scratch, lanes, columns, Built::FinalLayer)
             })
             .collect()
     }
 
-    /// One pass over a flat pre-packed input buffer
-    /// ([`Lanes::pack_rows_into`] layout, as
-    /// [`EngineCore::run_batch_packed`](crate::engine::EngineCore::run_batch_packed)
-    /// takes it), returning the final layer's outputs — the
-    /// [`crate::runtime::Runtime`] worker's entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed.len() != num_inputs * lanes.div_ceil(64)`.
-    pub(crate) fn infer_packed_with(
-        &self,
-        scratch: &mut ModelScratch,
-        packed: &[u64],
-        num_inputs: usize,
-        lanes: usize,
-    ) -> Result<Vec<Lanes>, CoreError> {
-        self.layers[0].engine()?.core().check_arity(num_inputs)?;
-        let input_words = packed_columns(packed, num_inputs, lanes);
-        let mut inference = self.chain(scratch, lanes, input_words, false)?;
-        Ok(inference.layer_outputs.pop().unwrap_or_default())
+    /// Every layer's resident engine, in chain order (built on first
+    /// use, [`CompiledLayer::engine`]).
+    fn engines(&self) -> Result<Vec<&Engine>, CoreError> {
+        self.layers.iter().map(CompiledLayer::engine).collect()
     }
 
-    /// The lane count of a first-layer batch handed over as columns.
-    /// The caller must match the first layer exactly (a mismatch is an
-    /// [`CoreError::InputArity`]); between layers the chain adapts.
-    fn first_layer_lanes(&self, inputs: &[Lanes]) -> Result<usize, CoreError> {
-        self.layers[0].engine()?.core().check_arity(inputs.len())?;
-        Ok(column_lanes(inputs))
-    }
-
-    /// The one chain body behind every inference entry. Layer *k* leaves
-    /// the columns layer *k + 1* consumes — `min(want, outputs)` of them
-    /// — packed in its own scratch ([`EngineScratch`]'s kept buffer),
-    /// and layer *k + 1* reads input `i` from column `i % kept` of that
-    /// buffer: [`chain_inputs`], resolved without cloning a lane. The
-    /// final layer's outputs are always built as [`Lanes`]; hidden
-    /// layers' only when `every_layer` is set. `input_words(i)` is the
-    /// first layer's input column `i`, arity already checked.
-    fn chain<'a>(
-        &self,
-        scratch: &mut ModelScratch,
-        mut lanes: usize,
-        input_words: impl Fn(usize) -> &'a [u64],
-        every_layer: bool,
-    ) -> Result<ModelInference, CoreError> {
-        scratch
-            .layers
-            .resize_with(self.layers.len(), EngineScratch::default);
-        let mut inference = ModelInference {
-            layer_outputs: Vec::with_capacity(if every_layer { self.layers.len() } else { 1 }),
-            lpe_ops: 0,
-            clock_cycles: 0,
-        };
-        // The previous layer's kept columns and how many there are.
-        let mut prev: Option<(&[u64], usize)> = None;
-        for (k, (layer, scratch)) in self.layers.iter().zip(&mut scratch.layers).enumerate() {
-            let engine = layer.engine()?;
-            let next_want = self.layers.get(k + 1).map(|l| l.flow.program.num_inputs);
-            let keep = next_want.unwrap_or(0);
-            let columns = every_layer || next_want.is_none();
-            let result = match prev {
-                None => engine.run_with(scratch, lanes, &input_words, keep, columns)?,
-                Some((words, kept)) => {
-                    let want = layer.flow.program.num_inputs;
-                    assert!(
-                        kept > 0 || want == 0,
-                        "cannot chain from a layer with no outputs"
-                    );
-                    let stride = lanes.div_ceil(64);
-                    if want == 0 {
-                        // A layer without inputs runs one lane, as an
-                        // empty `run_batch` does.
-                        lanes = 1;
-                    }
-                    let column = |i| &words[(i % kept) * stride..][..stride];
-                    engine.run_with(scratch, lanes, column, keep, columns)?
-                }
-            };
-            inference.lpe_ops += result.lpe_ops;
-            inference.clock_cycles += result.clock_cycles;
-            if columns {
-                inference.layer_outputs.push(result.outputs);
-            }
-            prev = Some((&scratch.kept, keep.min(layer.flow.program.outputs.len())));
-        }
-        Ok(inference)
+    /// The layers' engines as an owned chain — what a
+    /// [`crate::runtime::Runtime`] serves. A layer whose engine is
+    /// already resident hands it over; the others build theirs from the
+    /// flow without copying program or kernel ([`Flow::into_engine`]).
+    pub(crate) fn into_engines(self) -> Result<Vec<Engine>, CoreError> {
+        self.layers
+            .into_iter()
+            .map(|layer| match layer.engine.into_inner() {
+                Some(engine) => Ok(engine),
+                None => layer.flow.into_engine(),
+            })
+            .collect()
     }
 
     /// Total clock cycles per input image under `mode` (fractional: lane

@@ -10,29 +10,37 @@
 //! inference servers have:
 //!
 //! ```text
-//!  submit(bits) ──▶ bounded pending buffer ──▶ micro-batcher
-//!       │                (backpressure)   (lane-width full │ worker idle)
-//!       ▼                                          │
-//!  RequestHandle ◀── one packed result block ◀── worker pool (N threads,
-//!   .wait() expands     per micro-batch           each: own EngineScratch,
-//!   its own lane       (lane j = request j)       shared Arc'd EngineCore)
+//!  submit(bits) ──gather──▶ pending batch: packed rows ──▶ micro-batcher
+//!       │                   (bounded: backpressure)   (lane-width full │ worker idle)
+//!       ▼                                                    │
+//!  RequestHandle ◀── result block: packed rows ◀── worker: rows ─transpose▶ columns
+//!   .wait() expands    (row j = request j,                  ▶ engine chain, every
+//!   its own row         one per micro-batch)                  boundary packed
+//!                                                           ▶ columns ─transpose▶ rows
 //! ```
 //!
-//! * The compiled model is **resident and shared**: workers execute
-//!   against the immutable [`EngineCore`](crate::engine::EngineCore)
-//!   (or a shared [`CompiledModel`]) through `&self`; only
-//!   [`EngineScratch`] is per-worker.
+//! * The compiled target is **resident and shared**: a chain of engines
+//!   — one for a block, one per layer for a [`CompiledModel`] — that
+//!   workers execute through `&self`
+//!   ([`EngineCore`](crate::engine::EngineCore) is immutable); only the
+//!   scratch ([`ServeScratch`]) is per-worker.
 //! * [`Runtime::submit`] enqueues one *single-sample* request and
 //!   returns a [`RequestHandle`]. The **micro-batch is the unit of
-//!   completion**: `submit` appends the request's bits to the forming
-//!   batch's one flat input buffer and hands back a handle that is just
-//!   (the batch's shared result cell, a lane number) — no per-request
-//!   allocation, lock or wake-up. The worker transposes the batch's
-//!   output columns once into bit-packed rows ([`PackedRows`]),
-//!   publishes them in the cell and wakes all of the batch's waiters
-//!   with one notification; each caller expands only its own row into
-//!   the `Vec<bool>` it receives, on its own thread. The block is freed
-//!   when the last handle of the batch is dropped.
+//!   completion**: `submit` gathers the request's bits into one more
+//!   packed row of the forming batch and hands back a handle that is
+//!   just (the batch's shared result cell, a lane number) — no
+//!   per-request allocation, lock or wake-up.
+//! * A micro-batch is **two bit-matrices and one transposer**
+//!   ([`PackedRows`]): the worker transposes the request rows into input
+//!   columns, runs the chain with every boundary — the final outputs
+//!   included — packed in its scratch, and transposes the final columns
+//!   straight into the batch's result block: one allocation per
+//!   micro-batch, whatever the output count. It publishes the block in
+//!   the cell and wakes all of the batch's waiters with one
+//!   notification; each caller expands only its own row into the
+//!   `Vec<bool>` it receives, on its own thread. The block is freed when
+//!   the last handle of the batch is dropped; the batch's input buffers
+//!   go back to the batcher as the next batch to form.
 //! * The dynamic micro-batcher is **work-conserving**: a batch leaves
 //!   the moment it reaches the serving engine's lane width (or an explicit
 //!   [`RuntimeOptions::max_batch`] override), *or* the moment a worker
@@ -77,27 +85,28 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lbnn_netlist::{Lanes, PackedRows};
+use lbnn_netlist::PackedRows;
 
-use crate::engine::{Backend, Engine, EngineScratch};
+use crate::engine::{packed_columns, Backend, Engine, EngineScratch};
 use crate::error::CoreError;
-use crate::model::{CompiledModel, ModelScratch};
+use crate::model::{run_chain, Built, CompiledModel, ModelScratch};
 use crate::throughput::{block_throughput, QueueStats, ThroughputReport, WallTiming};
 
 // ---------------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------------
 
-/// Per-worker mutable state: one engine scratch (block serving and batch
-/// sharding) plus per-layer scratches for whole-model serving. Each pool
-/// thread owns exactly one and reuses it for every job it executes.
+/// Per-worker mutable state: one engine scratch (batch sharding, and the
+/// buffer a micro-batch's rows are transposed into) plus the per-link
+/// scratches of the served chain. Each pool thread owns exactly one and
+/// reuses it for every job it executes.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
-    /// Scratch for single-block execution; its packed-input buffer also
-    /// holds a model micro-batch's transposed rows.
+    /// Scratch for [`Engine::run_batches`] shards; its packed-input
+    /// buffer holds a micro-batch's input columns.
     pub(crate) engine: EngineScratch,
-    /// Per-layer scratches for whole-model execution (frames and the
-    /// packed layer boundaries).
+    /// Per-link scratches of the served chain (frames and the packed
+    /// boundaries, the final outputs included).
     pub(crate) model: ModelScratch,
 }
 
@@ -400,40 +409,43 @@ impl RequestHandle {
 /// execution: the batcher appends to it under its lock, a worker
 /// consumes it.
 struct Batch {
-    /// Request `j`'s input bits at `bits[j * width..(j + 1) * width]`
-    /// (`width` = the runtime's primary-input count).
-    bits: Vec<bool>,
+    /// Request `j`'s input bits, gathered into row `j` (one bit per
+    /// primary input).
+    rows: PackedRows,
     /// Request `j`'s submit time, for its latency sample.
     submitted: Vec<Instant>,
     cell: Arc<BatchCell>,
-    /// Requests to make room for at the first [`Batch::push`].
-    expect: usize,
 }
 
 impl Batch {
-    /// An empty batch expected to grow to about `expect` requests.
-    fn new(expect: usize) -> Batch {
+    /// An empty batch of `width`-bit requests with room for `expect` of
+    /// them.
+    fn new(width: usize, expect: usize) -> Batch {
         Batch {
-            bits: Vec::new(),
-            submitted: Vec::new(),
+            rows: PackedRows::with_capacity(width, expect),
+            submitted: Vec::with_capacity(expect),
             cell: Arc::new(BatchCell::new()),
-            expect,
         }
+    }
+
+    /// This batch, executed and published, as the next one to form: its
+    /// two buffers, emptied, and a result cell of its own. Under load
+    /// the same few buffers go round between batcher and workers
+    /// ([`BatchState::spare`]). Allocated by the submitter and freed by
+    /// the worker, batch after batch, they cost the submitting thread a
+    /// fifth of its throughput at ~20-request batches
+    /// (`runtime_saturated`).
+    fn recycled(mut self) -> Batch {
+        self.rows.clear();
+        self.submitted.clear();
+        self.cell = Arc::new(BatchCell::new());
+        self
     }
 
     /// Appends one request and returns its lane.
     fn push(&mut self, bits: &[bool], now: Instant) -> usize {
         let lane = self.submitted.len();
-        if lane == 0 {
-            // One allocation per buffer, made by a submitting thread.
-            // Grown push by push the two were reallocated a dozen times
-            // per batch, and the odd sizes that freed fragmented the
-            // submitter's heap: the `Vec<bool>` each `wait` allocates
-            // there took twice as long.
-            self.bits.reserve(self.expect * bits.len());
-            self.submitted.reserve(self.expect);
-        }
-        self.bits.extend_from_slice(bits);
+        self.rows.push_row(bits);
         self.submitted.push(now);
         lane
     }
@@ -452,110 +464,66 @@ impl Batch {
 // Serving target
 // ---------------------------------------------------------------------------
 
-/// What the runtime serves: one compiled block or a whole model chain.
+/// What the runtime serves: a chain of engines, each link's outputs
+/// feeding the next link's inputs ([`run_chain`]). One compiled block is
+/// a chain of one; a whole model is its layers' engines in order.
 #[derive(Clone)]
-enum Target {
-    Block(Arc<Engine>),
-    Model(Arc<CompiledModel>),
+struct Target {
+    /// Never empty: an [`Engine`], or the layers of a [`CompiledModel`]
+    /// (which has at least one).
+    engines: Arc<[Engine]>,
     /// Every micro-batch panics: the failure path of [`run_batch`],
     /// which no well-formed engine can be made to take.
     #[cfg(test)]
-    Panics {
-        num_inputs: usize,
-    },
+    panics: bool,
 }
 
 impl Target {
+    fn new(mut engines: Vec<Engine>) -> Target {
+        // An engine's own sharding pool (if `run_batches` ever spawned
+        // one) is dead weight here — the runtime brings its own workers.
+        engines.iter_mut().for_each(Engine::retire_pool);
+        Target {
+            engines: engines.into(),
+            #[cfg(test)]
+            panics: false,
+        }
+    }
+
     fn num_inputs(&self) -> usize {
-        match self {
-            Target::Block(engine) => engine.program().num_inputs,
-            Target::Model(model) => model.layers()[0].flow().program.num_inputs,
-            #[cfg(test)]
-            Target::Panics { num_inputs } => *num_inputs,
-        }
+        self.engines[0].program().num_inputs
     }
 
+    /// The backend micro-batches enter the chain on; its lane width is
+    /// the micro-batcher's default flush width ([`Backend::lanes`]).
     fn backend(&self) -> Backend {
-        match self {
-            Target::Block(engine) => engine.backend(),
-            Target::Model(model) => model.layers()[0].backend(),
-            #[cfg(test)]
-            Target::Panics { .. } => Backend::Scalar,
-        }
+        self.engines[0].backend()
     }
 
-    /// Lanes one kernel pass of the served target natively packs — the
-    /// micro-batcher's default flush width ([`Backend::lanes`]).
-    fn lane_width(&self) -> usize {
-        match self {
-            Target::Block(engine) => engine.lane_width(),
-            Target::Model(model) => model.layers()[0].backend().lanes(),
-            #[cfg(test)]
-            Target::Panics { .. } => Backend::Scalar.lanes(),
-        }
-    }
-
-    fn freq_mhz(&self) -> f64 {
-        match self {
-            Target::Block(engine) => engine.config().freq_mhz,
-            Target::Model(model) => model.config().freq_mhz,
-            #[cfg(test)]
-            Target::Panics { .. } => 1.0,
-        }
-    }
-
-    /// Steady-state clock cycles one micro-batch costs in model time.
-    fn steady_clock_cycles(&self) -> u64 {
-        match self {
-            Target::Block(engine) => engine.steady_clock_cycles_per_batch(),
-            Target::Model(model) => model
-                .layers()
-                .iter()
-                .map(|l| l.stats().steady_clock_cycles)
-                .sum(),
-            #[cfg(test)]
-            Target::Panics { .. } => 0,
-        }
-    }
-
-    /// Packs per-request bit rows and executes one micro-batch.
-    ///
-    /// Both targets take the zero-copy path in: the rows are transposed
-    /// ([`Lanes::pack_rows_into`], word-level 64×64 blocks) into the
-    /// worker's reusable flat buffer and streamed straight into the
-    /// kernel frame — no per-batch `Vec<Lanes>` of inputs. A model
-    /// chain then keeps every layer boundary packed in the worker's
-    /// per-layer scratch; the returned columns — a block's outputs, a
-    /// model's final layer — are the only `Lanes` a micro-batch builds.
-    fn execute_rows(
-        &self,
-        scratch: &mut ServeScratch,
-        rows: &[&[bool]],
-        num_inputs: usize,
-    ) -> Result<Vec<Lanes>, CoreError> {
-        match self {
-            Target::Block(engine) => {
-                // The buffer is both scratch state and kernel input;
-                // take it out for the call to keep the borrows disjoint.
-                let mut packed = std::mem::take(&mut scratch.engine.packed);
-                Lanes::pack_rows_into(rows, num_inputs, &mut packed);
-                let result = engine.run_batch_packed_with(
-                    &mut scratch.engine,
-                    &packed,
-                    num_inputs,
-                    rows.len(),
-                );
-                scratch.engine.packed = packed;
-                Ok(result?.outputs)
-            }
-            Target::Model(model) => {
-                let packed = &mut scratch.engine.packed;
-                Lanes::pack_rows_into(rows, num_inputs, packed);
-                model.infer_packed_with(&mut scratch.model, packed, num_inputs, rows.len())
-            }
-            #[cfg(test)]
-            Target::Panics { .. } => panic!("the test target panics on every micro-batch"),
-        }
+    /// Executes one micro-batch, packed end to end: the request rows
+    /// are transposed into the worker's reusable column buffer and
+    /// streamed into the first kernel frame, every boundary — the final
+    /// outputs included — stays packed in the worker's per-link scratch,
+    /// and the final columns are transposed straight into the batch's
+    /// result block: the one allocation a micro-batch makes, whatever
+    /// the output count. `rows` is as wide as the chain's first link
+    /// ([`Runtime::swap_engine`] keeps it so).
+    fn run(&self, scratch: &mut ServeScratch, rows: &PackedRows) -> Result<PackedRows, CoreError> {
+        #[cfg(test)]
+        assert!(!self.panics, "the test target panics on every micro-batch");
+        let lanes = rows.rows();
+        rows.columns_into(&mut scratch.engine.packed);
+        let columns = packed_columns(&scratch.engine.packed, rows.width(), lanes);
+        run_chain(
+            &self.engines,
+            &mut scratch.model,
+            lanes,
+            columns,
+            Built::Nothing,
+        )?;
+        let last = self.engines.last().expect("a chain has a link");
+        let (kept, outputs) = (scratch.model.final_columns(), last.program().outputs.len());
+        Ok(PackedRows::from_packed_columns(kept, outputs, lanes))
     }
 }
 
@@ -710,8 +678,8 @@ struct SwapState {
 
 impl RuntimeShared {
     /// The current serving target and its version, read consistently
-    /// under the swap read lock (cloning a [`Target`] is two `Arc`
-    /// bumps at most).
+    /// under the swap read lock (cloning a [`Target`] is one `Arc`
+    /// bump).
     fn current(&self) -> (Target, u64) {
         let guard = self.swap.target.read().expect("swap lock");
         let version = self.swap.version.load(Ordering::Acquire);
@@ -722,6 +690,9 @@ impl RuntimeShared {
 struct BatchState {
     /// The forming micro-batch: requests accepted and not yet dispatched.
     pending: Batch,
+    /// The batch a worker ran last, handed back for its buffers: the
+    /// next [`BatchState::take_batch`] recycles it.
+    spare: Option<Batch>,
     next_id: u64,
     /// Micro-batches dispatched and not yet finished (queued or
     /// running). Invariant, outside this lock: `pending` is non-empty
@@ -732,11 +703,15 @@ struct BatchState {
 
 impl BatchState {
     /// Takes everything pending as one micro-batch, counts it busy, and
-    /// starts the next one (with its own result cell), expected to grow
-    /// as large as this one did.
+    /// starts the next one (with its own result cell): the spare
+    /// recycled, or a new one with room to grow as large as this one
+    /// did.
     fn take_batch(&mut self) -> Batch {
         self.busy += 1;
-        let next = Batch::new(self.pending.len());
+        let next = match self.spare.take() {
+            Some(spent) => spent.recycled(),
+            None => Batch::new(self.pending.rows.width(), self.pending.len()),
+        };
         std::mem::replace(&mut self.pending, next)
     }
 }
@@ -914,31 +889,29 @@ impl Runtime {
     /// Returns [`CoreError::BadConfig`] for unusable options or a
     /// zero-input program (single-sample requests need at least one
     /// input bit).
-    pub fn from_engine(mut engine: Engine, options: RuntimeOptions) -> Result<Runtime, CoreError> {
-        // The engine's own sharding pool (if `run_batches` ever spawned
-        // one) is dead weight here — the runtime brings its own workers.
-        engine.retire_pool();
-        Runtime::build(Target::Block(Arc::new(engine)), options)
+    pub fn from_engine(engine: Engine, options: RuntimeOptions) -> Result<Runtime, CoreError> {
+        Runtime::build(Target::new(vec![engine]), options)
     }
 
     /// Builds a runtime serving a whole compiled model: each request
-    /// flows through every layer (with [`crate::model::chain_inputs`]
-    /// adaptation between layers, resolved on packed words in the
-    /// worker's per-layer scratch), and the response carries the final
-    /// layer's outputs — the only ones a micro-batch builds.
+    /// flows through every layer's engine (with
+    /// [`crate::model::chain_inputs`] adaptation between layers,
+    /// resolved on packed words in the worker's per-layer scratch), and
+    /// the response carries the final layer's outputs. The engines are
+    /// made resident here; the rest of the model is dropped.
     ///
     /// # Errors
     ///
-    /// See [`Runtime::from_engine`].
+    /// See [`Runtime::from_engine`] and [`crate::Engine::from_flow`].
     pub fn from_model(model: CompiledModel, options: RuntimeOptions) -> Result<Runtime, CoreError> {
-        Runtime::build(Target::Model(Arc::new(model)), options)
+        Runtime::build(Target::new(model.into_engines()?), options)
     }
 
     fn build(target: Target, options: RuntimeOptions) -> Result<Runtime, CoreError> {
         // max_batch 0 = auto: fill exactly one bit-sliced frame of the
         // serving backend (64–1024 lanes).
         let flush_target = if options.max_batch == 0 {
-            target.lane_width()
+            target.backend().lanes()
         } else {
             options.max_batch
         };
@@ -969,7 +942,8 @@ impl Runtime {
         let pool = WorkerPool::spawn(workers, options.queue_capacity);
         let shared = Arc::new(RuntimeShared {
             batcher: Mutex::new(BatchState {
-                pending: Batch::new(1),
+                pending: Batch::new(num_inputs, 1),
+                spare: None,
                 next_id: 0,
                 busy: 0,
             }),
@@ -1044,9 +1018,8 @@ impl Runtime {
     /// swap must preserve the request interface (that is what
     /// [`crate::EngineCore::patch_cells`] and
     /// [`crate::Flow::apply_delta`] guarantee by construction).
-    pub fn swap_engine(&self, mut engine: Engine) -> Result<u64, CoreError> {
-        engine.retire_pool();
-        self.swap_target(Target::Block(Arc::new(engine)))
+    pub fn swap_engine(&self, engine: Engine) -> Result<u64, CoreError> {
+        self.swap_target(Target::new(vec![engine]))
     }
 
     /// Hot-swaps the served model — [`Runtime::swap_engine`] for
@@ -1056,7 +1029,7 @@ impl Runtime {
     ///
     /// See [`Runtime::swap_engine`].
     pub fn swap_model(&self, model: CompiledModel) -> Result<u64, CoreError> {
-        self.swap_target(Target::Model(Arc::new(model)))
+        self.swap_target(Target::new(model.into_engines()?))
     }
 
     fn swap_target(&self, target: Target) -> Result<u64, CoreError> {
@@ -1082,7 +1055,7 @@ impl Runtime {
             let version = self.shared.swap.version.fetch_add(1, Ordering::AcqRel) + 1;
             self.shared.swap.swaps.fetch_add(1, Ordering::Relaxed);
             let flush_target = if self.options.max_batch == 0 {
-                guard.lane_width()
+                guard.backend().lanes()
             } else {
                 self.options.max_batch
             };
@@ -1312,11 +1285,14 @@ impl Runtime {
     pub fn report(&self) -> ThroughputReport {
         let stats = self.stats();
         let (target, _) = self.shared.current();
-        let cycles = target
-            .steady_clock_cycles()
+        // One micro-batch costs every link its steady-state interval.
+        let cycles = (target.engines.iter())
+            .map(Engine::steady_clock_cycles_per_batch)
+            .sum::<u64>()
             .saturating_mul(stats.micro_batches.max(1))
             .max(1);
-        block_throughput(cycles, stats.requests as usize, target.freq_mhz()).with_wall(WallTiming {
+        let freq_mhz = target.engines[0].config().freq_mhz;
+        block_throughput(cycles, stats.requests as usize, freq_mhz).with_wall(WallTiming {
             backend: target.backend(),
             workers: self.pool.workers(),
             batches: stats.micro_batches as usize,
@@ -1352,19 +1328,20 @@ fn dispatch(pool: &WorkerPool, shared: &Arc<RuntimeShared>, batch: Batch) {
     let (target, version) = shared.current();
     let shared = Arc::clone(shared);
     pool.submit(Box::new(move |scratch| {
-        run_batch(&target, version, &shared, scratch, batch);
-        pull_pending(&shared, scratch);
+        let spent = run_batch(&target, version, &shared, scratch, batch);
+        pull_pending(&shared, scratch, spent);
     }));
 }
 
-/// A worker's step after finishing a micro-batch: retire it from
-/// [`BatchState::busy`], and while that leaves this worker free with
-/// requests pending, run them here.
-fn pull_pending(shared: &RuntimeShared, scratch: &mut ServeScratch) {
+/// A worker's step after finishing a micro-batch (`spent`): retire it
+/// from [`BatchState::busy`], hand it back as the spare, and while that
+/// leaves this worker free with requests pending, run them here.
+fn pull_pending(shared: &RuntimeShared, scratch: &mut ServeScratch, mut spent: Batch) {
     loop {
         let (batch, (target, version)) = {
             let mut st = shared.batcher.lock().expect("batcher lock");
             st.busy -= 1;
+            st.spare = Some(spent);
             if st.pending.is_empty() || st.busy >= shared.workers {
                 return;
             }
@@ -1378,32 +1355,27 @@ fn pull_pending(shared: &RuntimeShared, scratch: &mut ServeScratch) {
             .stats
             .deadline_flushes
             .fetch_add(1, Ordering::Relaxed);
-        run_batch(&target, version, shared, scratch, batch);
+        spent = run_batch(&target, version, shared, scratch, batch);
     }
 }
 
-/// Packs `batch` into one multi-lane pass, executes it on the calling
-/// worker, transposes the output columns once into per-request packed
-/// rows (lane `j` of every word belongs to request `j`) and publishes
-/// them to every handle of the batch at once. `version` is the serving
-/// version `target` was read under; completions are attributed per
-/// version.
+/// Executes `batch` as one multi-lane pass on the calling worker
+/// ([`Target::run`]: packed rows in, per-request packed rows out — row
+/// `j` belongs to request `j`) and publishes the result to every handle
+/// of the batch at once, then hands the batch back. `version` is the
+/// serving version `target` was read under; completions are attributed
+/// per version.
 fn run_batch(
     target: &Target,
     version: u64,
     shared: &RuntimeShared,
     scratch: &mut ServeScratch,
     batch: Batch,
-) {
+) -> Batch {
     let count = batch.len();
-    let num_inputs = target.num_inputs();
     // A panicking batch must not kill the persistent worker; turn it
     // into an error every carried request observes.
-    let outcome = match catch_unwind(AssertUnwindSafe(|| {
-        let rows: Vec<&[bool]> = batch.bits.chunks_exact(num_inputs).collect();
-        let columns = target.execute_rows(scratch, &rows, num_inputs)?;
-        Ok(PackedRows::from_columns(&columns))
-    })) {
+    let outcome = match catch_unwind(AssertUnwindSafe(|| target.run(scratch, &batch.rows))) {
         Ok(result) => result,
         Err(_) => Err(CoreError::BadConfig {
             reason: "runtime worker panicked executing a micro-batch".to_string(),
@@ -1431,6 +1403,7 @@ fn run_batch(
     // Only now are the requests truly resolved: retire them from the
     // in-flight gauge (this is what `drain` waits on).
     stats.note_resolved(count);
+    batch
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample (0 for empty).
@@ -1472,6 +1445,7 @@ mod tests {
     use crate::flow::Flow;
     use crate::lpu::LpuConfig;
     use lbnn_netlist::random::RandomDag;
+    use lbnn_netlist::Lanes;
 
     fn request_bits(width: usize, seed: u64) -> Vec<bool> {
         (0..width).map(|i| (seed >> (i % 64)) & 1 != 0).collect()
@@ -1497,9 +1471,10 @@ mod tests {
     /// worker takes after a micro-batch.
     fn free_a_worker(runtime: &Runtime) {
         let shared = Arc::clone(&runtime.shared);
-        runtime
-            .pool
-            .submit(Box::new(move |scratch| pull_pending(&shared, scratch)));
+        let spent = Batch::new(runtime.num_inputs, 0);
+        runtime.pool.submit(Box::new(move |scratch| {
+            pull_pending(&shared, scratch, spent)
+        }));
     }
 
     #[test]
@@ -1847,11 +1822,9 @@ mod tests {
     /// same error, and neither the worker nor the accounting is lost.
     #[test]
     fn a_failed_batch_gives_every_handle_the_same_error() {
-        let runtime = Runtime::build(
-            Target::Panics { num_inputs: 8 },
-            RuntimeOptions::default().workers(1),
-        )
-        .unwrap();
+        let mut target = Target::new(vec![compiled(Backend::Scalar, 8).engine().unwrap()]);
+        target.panics = true;
+        let runtime = Runtime::build(target, RuntimeOptions::default().workers(1)).unwrap();
         occupy_workers(&runtime);
         let handles: Vec<RequestHandle> = (0..5)
             .map(|i| runtime.submit(&request_bits(8, i)).unwrap())

@@ -172,11 +172,10 @@ impl Lanes {
     /// `out[i * stride .. (i + 1) * stride]` with sample `j` at bit `j`
     /// (the exact word layout of `width` concatenated [`Lanes`]).
     ///
-    /// The transpose runs 64×64 bits at a time ([`transpose_64x64`]):
-    /// each block of ≤ 64 rows × ≤ 64 signals is gathered into a local
-    /// 512-byte tile, transposed word-level, and stored with one word
-    /// write per signal — instead of one scattered read-modify-write per
-    /// *bit* as the naive loop does.
+    /// Each row is gathered a word at a time ([`gather_bits`]) into the
+    /// one tiled transposer (`transpose_tiled`) — one word store per
+    /// signal and 64 rows, not one scattered read-modify-write per *bit*
+    /// as the naive loop does.
     ///
     /// # Panics
     ///
@@ -185,23 +184,12 @@ impl Lanes {
         let stride = rows.len().div_ceil(64);
         out.clear();
         out.resize(width * stride, 0);
-        let mut tile = [0u64; 64];
-        for (rb, chunk) in rows.chunks(64).enumerate() {
-            for cb in 0..width.div_ceil(64) {
-                let s0 = cb * 64;
-                let cols = (width - s0).min(64);
-                for (r, row) in chunk.iter().enumerate() {
-                    let row = row.as_ref();
-                    assert_eq!(row.len(), width, "row {} has the wrong width", rb * 64 + r);
-                    tile[r] = gather_bits(&row[s0..s0 + cols]);
-                }
-                tile[chunk.len()..].fill(0);
-                transpose_64x64(&mut tile);
-                for (k, &word) in tile.iter().take(cols).enumerate() {
-                    out[(s0 + k) * stride + rb] = word;
-                }
-            }
-        }
+        let word = |r: usize, b: usize| {
+            let row: &[bool] = rows[r].as_ref();
+            assert_eq!(row.len(), width, "row {r} has the wrong width");
+            gather_bits(&row[b * 64..width.min(b * 64 + 64)])
+        };
+        transpose_tiled(rows.len(), width, word, out);
         stride
     }
 
@@ -270,7 +258,7 @@ impl Lanes {
 /// is row `k` with column `i` at bit `i`; afterwards bit `i` of row `k`
 /// is the old bit `k` of row `i`. Six rounds of masked delta swaps —
 /// 64 words of work per round instead of one operation per bit, the
-/// kernel behind [`Lanes::pack_rows`] / [`PackedRows::from_columns`].
+/// kernel of `transpose_tiled`.
 pub fn transpose_64x64(m: &mut [u64; 64]) {
     let mut j = 32;
     let mut mask = 0x0000_0000_FFFF_FFFFu64;
@@ -290,6 +278,41 @@ pub fn transpose_64x64(m: &mut [u64; 64]) {
     }
 }
 
+/// The one bit-matrix transposer. Per-sample packed rows and per-signal
+/// lane columns are the two layouts of one matrix, so every packing
+/// path — rows → columns ([`Lanes::pack_rows_into`],
+/// [`PackedRows::columns_into`]) and columns → rows
+/// ([`PackedRows::from_columns`], [`PackedRows::from_packed_columns`]) —
+/// is this routine over a different source.
+///
+/// The source has `rows` rows of `width` bits and is read a word at a
+/// time: `src(r, b)` is bits `64 b ..` of row `r` (bits past `width` in a
+/// row's last word are ignored). `dst` receives the `width` rows of the
+/// transpose, row `i` at `dst[i * stride ..][.. stride]` with
+/// `stride = rows.div_ceil(64)`; every word of it is written, bits past
+/// `rows` as zero. Each block of ≤ 64 × ≤ 64 bits is gathered into a
+/// local 512-byte tile, transposed word-level ([`transpose_64x64`]) and
+/// stored with one word write per destination row.
+fn transpose_tiled(rows: usize, width: usize, src: impl Fn(usize, usize) -> u64, dst: &mut [u64]) {
+    let stride = rows.div_ceil(64);
+    assert_eq!(dst.len(), width * stride, "transpose destination size");
+    let mut tile = [0u64; 64];
+    for rb in 0..stride {
+        let nrows = (rows - rb * 64).min(64);
+        for cb in 0..width.div_ceil(64) {
+            for (r, word) in tile.iter_mut().take(nrows).enumerate() {
+                *word = src(rb * 64 + r, cb);
+            }
+            tile[nrows..].fill(0);
+            transpose_64x64(&mut tile);
+            let ncols = (width - cb * 64).min(64);
+            for (k, &word) in tile.iter().take(ncols).enumerate() {
+                dst[(cb * 64 + k) * stride + rb] = word;
+            }
+        }
+    }
+}
+
 /// Per-sample bit rows, bit-packed: the row-major counterpart of a set
 /// of [`Lanes`] columns. Row `j` is `width.div_ceil(64)` consecutive
 /// words with signal `i` at bit `i % 64` of word `i / 64` — 8× smaller
@@ -304,11 +327,38 @@ pub struct PackedRows {
 }
 
 impl PackedRows {
+    /// No rows yet, `width` bits each, with room for `rows` of them in
+    /// one allocation (none for `rows == 0`): the start of a block
+    /// grown row by row ([`PackedRows::push_row`]).
+    pub fn with_capacity(width: usize, rows: usize) -> PackedRows {
+        PackedRows {
+            words: Vec::with_capacity(rows * width.div_ceil(64)),
+            rows: 0,
+            width,
+        }
+    }
+
+    /// Drops every row and keeps the allocation, to be grown again.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.rows = 0;
+    }
+
+    /// Appends one row, gathered from one `bool` per signal
+    /// ([`gather_bits`]); inverse of [`PackedRows::row`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len() != width()`.
+    pub fn push_row(&mut self, bits: &[bool]) {
+        assert_eq!(bits.len(), self.width, "row has the wrong width");
+        self.words.extend(bits.chunks(64).map(gather_bits));
+        self.rows += 1;
+    }
+
     /// Transposes per-signal lane columns into per-sample packed rows
-    /// (row `j`, bit `i` = lane `j` of `columns[i]`). Word-level like
-    /// [`Lanes::pack_rows_into`]: each block of ≤ 64 columns × 64 lanes
-    /// is one [`transpose_64x64`] in a local tile and one word store per
-    /// row, not one read per bit.
+    /// (row `j`, bit `i` = lane `j` of `columns[i]`), word-level
+    /// (`transpose_tiled`).
     ///
     /// # Panics
     ///
@@ -318,24 +368,57 @@ impl PackedRows {
         for c in columns {
             assert_eq!(c.len(), rows, "inconsistent lane counts across columns");
         }
-        let width = columns.len();
-        let stride = width.div_ceil(64);
-        let mut words = vec![0u64; rows * stride];
-        let mut tile = [0u64; 64];
-        for rb in 0..rows.div_ceil(64) {
-            let nrows = (rows - rb * 64).min(64);
-            for (cb, block) in columns.chunks(64).enumerate() {
-                for (k, col) in block.iter().enumerate() {
-                    tile[k] = col.words[rb];
-                }
-                tile[block.len()..].fill(0);
-                transpose_64x64(&mut tile);
-                for (r, &word) in tile.iter().take(nrows).enumerate() {
-                    words[(rb * 64 + r) * stride + cb] = word;
-                }
-            }
-        }
+        PackedRows::transposed(columns.len(), rows, |i, b| columns[i].words[b])
+    }
+
+    /// [`PackedRows::from_columns`] over a flat packed buffer in
+    /// [`Lanes::pack_rows_into`] layout: signal `i`'s `rows` lanes at
+    /// `packed[i * stride ..][.. stride]`, `stride = rows.div_ceil(64)`
+    /// (bits past `rows` in a column's last word are ignored). Inverse
+    /// of [`PackedRows::columns_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed.len() != width * rows.div_ceil(64)`.
+    pub fn from_packed_columns(packed: &[u64], width: usize, rows: usize) -> PackedRows {
+        let stride = rows.div_ceil(64);
+        assert_eq!(
+            packed.len(),
+            width * stride,
+            "packed buffer does not hold {width} columns of {stride} words"
+        );
+        PackedRows::transposed(width, rows, |i, b| packed[i * stride + b])
+    }
+
+    /// `rows` packed rows from `width` lane columns read a word at a
+    /// time (`column(i, b)` = lanes `64 b ..` of signal `i`).
+    ///
+    /// The block is allocated in whole 64-row tiles. A serving layer
+    /// publishes these blocks from one thread and drops them on another,
+    /// and a tiny block freed that way sits in the dropping thread's
+    /// allocator cache until that thread's next small vector takes it —
+    /// and then grows inside the publisher's arena (on
+    /// `runtime_saturated`, 2 MB of resident memory that way).
+    fn transposed(width: usize, rows: usize, column: impl Fn(usize, usize) -> u64) -> PackedRows {
+        let per_row = width.div_ceil(64);
+        let mut words = Vec::with_capacity(rows.next_multiple_of(64) * per_row);
+        words.resize(rows * per_row, 0u64);
+        transpose_tiled(width, rows, column, &mut words);
         PackedRows { words, rows, width }
+    }
+
+    /// Transposes the rows into per-signal lane columns in a
+    /// caller-owned flat buffer — [`Lanes::pack_rows_into`] for rows
+    /// that are already packed, with the same layout and return value
+    /// (`stride = rows().div_ceil(64)`; `out` is resized to
+    /// `width() × stride` words).
+    pub fn columns_into(&self, out: &mut Vec<u64>) -> usize {
+        let (stride, per_row) = (self.rows.div_ceil(64), self.width.div_ceil(64));
+        out.clear();
+        out.resize(self.width * stride, 0);
+        let word = |r: usize, b: usize| self.words[r * per_row + b];
+        transpose_tiled(self.rows, self.width, word, out);
+        stride
     }
 
     /// Number of rows (samples).
@@ -375,8 +458,8 @@ fn spread_words(words: &[u64], len: usize) -> Vec<bool> {
 /// Packs up to 64 booleans into one word, LSB first — with
 /// [`spread_bits`], the one bool↔bit conversion every packing path
 /// shares (lane columns, packed rows, the wire codec's bytes). Each
-/// 8-bool group collapses with a single multiply (each `bool` is a 0/1
-/// byte; the magic constant shifts byte `k` onto bit `56 + k`) — no
+/// whole 8-bool group collapses with a single multiply (each `bool` is a
+/// 0/1 byte; the magic constant shifts byte `k` onto bit `56 + k`) — no
 /// per-bit branches or shifts.
 ///
 /// # Panics
@@ -386,13 +469,17 @@ fn spread_words(words: &[u64], len: usize) -> Vec<bool> {
 pub fn gather_bits(bits: &[bool]) -> u64 {
     assert!(bits.len() <= 64, "a word holds 64 bits");
     let mut w = 0u64;
-    for (g, chunk) in bits.chunks(8).enumerate() {
-        let mut bytes = [0u8; 8];
-        for (dst, &b) in bytes.iter_mut().zip(chunk) {
-            *dst = b as u8;
-        }
+    let mut groups = bits.chunks_exact(8);
+    let mut shift = 0;
+    for group in groups.by_ref() {
+        let bytes: [u8; 8] = std::array::from_fn(|k| group[k] as u8);
         let packed = u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
-        w |= packed << (8 * g);
+        w |= packed << shift;
+        shift += 8;
+    }
+    // A ragged last group is a few shifts, not a variable-length copy.
+    for (k, &bit) in groups.remainder().iter().enumerate() {
+        w |= (bit as u64) << (shift + k);
     }
     w
 }
@@ -1856,6 +1943,69 @@ mod tests {
             assert_eq!(Lanes::unpack_rows(&cols), rows, "{nrows}x{width}");
         }
         assert!(Lanes::unpack_rows(&[]).is_empty());
+    }
+
+    /// The packed-rows entries of the one transposer: rows → columns
+    /// (`columns_into`) and columns → rows (`from_packed_columns`) agree
+    /// with `pack_rows_into`, `from_columns` and a naive per-bit
+    /// transpose on shapes straddling the 64×64 block edges, and each
+    /// inverts the other.
+    #[test]
+    fn packed_rows_transposes_are_inverse_and_match_the_bool_and_lanes_entries() {
+        for nrows in [0usize, 1, 63, 64, 65, 130, 1024, 1100] {
+            for width in [0usize, 1, 63, 64, 65, 200, 256] {
+                let rows: Vec<Vec<bool>> = (0..nrows)
+                    .map(|j| (0..width).map(|i| (j * 31 + i * 7) % 5 < 2).collect())
+                    .collect();
+                let shape = format!("{nrows}x{width}");
+                // Row-by-row growth is packing all rows at once.
+                let mut packed = PackedRows::with_capacity(width, nrows / 2);
+                packed.push_row(&vec![true; width]);
+                packed.clear();
+                rows.iter().for_each(|row| packed.push_row(row));
+                assert_eq!((packed.rows(), packed.width()), (nrows, width), "{shape}");
+                for (j, row) in rows.iter().enumerate() {
+                    assert_eq!(packed.row(j), *row, "{shape} row {j}");
+                }
+
+                let (mut flat, mut want) = (vec![!0u64; 3], Vec::new());
+                let stride = packed.columns_into(&mut flat);
+                assert_eq!(stride, Lanes::pack_rows_into(&rows, width, &mut want));
+                assert_eq!(flat, want, "{shape} rows -> columns");
+                for (i, column) in flat.chunks(stride.max(1)).take(width).enumerate() {
+                    for (j, row) in rows.iter().enumerate() {
+                        assert_eq!(column[j / 64] >> (j % 64) & 1 != 0, row[i], "{shape}");
+                    }
+                }
+
+                let back = PackedRows::from_packed_columns(&flat, width, nrows);
+                assert_eq!(back, packed, "{shape} transpose(transpose(m)) == m");
+                let lanes = Lanes::pack_rows(&rows, width);
+                if width > 0 {
+                    assert_eq!(PackedRows::from_columns(&lanes), packed, "{shape}");
+                }
+                // Bits past the last lane of a column are not read.
+                if nrows % 64 != 0 {
+                    for column in flat.chunks_mut(stride) {
+                        column[stride - 1] |= !0u64 << (nrows % 64);
+                    }
+                    let dirty = PackedRows::from_packed_columns(&flat, width, nrows);
+                    assert_eq!(dirty, packed, "{shape} dirty column tails");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row has the wrong width")]
+    fn push_row_rejects_a_row_of_the_wrong_width() {
+        PackedRows::with_capacity(3, 1).push_row(&[true; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold 3 columns")]
+    fn from_packed_columns_rejects_a_short_buffer() {
+        let _ = PackedRows::from_packed_columns(&[0; 5], 3, 65);
     }
 
     #[test]

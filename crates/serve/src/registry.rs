@@ -194,40 +194,38 @@ impl ModelRegistry {
         options: &RuntimeOptions,
     ) -> Result<ModelRegistry, ServeError> {
         let dir = dir.as_ref();
+        let io_err = |target: &Path, e: std::io::Error| ServeError::Io {
+            target: target.display().to_string(),
+            reason: e.to_string(),
+        };
+        // One listing, split by extension; sorted, so registry order
+        // (and which patch lands first) does not depend on readdir order.
         let mut files: Vec<_> = std::fs::read_dir(dir)
-            .map_err(|e| ServeError::Io {
-                target: dir.display().to_string(),
-                reason: e.to_string(),
-            })?
+            .map_err(|e| io_err(dir, e))?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().map(|x| x == "lbnn").unwrap_or(false))
             .collect();
-        // Deterministic registry order regardless of readdir order.
         files.sort();
+        let with_extension = |wanted: &'static str| {
+            let files = files.iter();
+            files.filter(move |p| p.extension().is_some_and(|x| x == wanted))
+        };
+        let read = |path: &Path| std::fs::read(path).map_err(|e| io_err(path, e));
         let mut registry = ModelRegistry::new();
-        for path in &files {
-            let stem = path.file_stem().and_then(|s| s.to_str()).ok_or_else(|| {
-                ServeError::BadModelName {
-                    stem: path.display().to_string(),
-                    reason: "stem is not valid utf-8".into(),
-                }
-            })?;
-            let (name, version) = parse_model_stem(stem)?;
+        for path in with_extension("lbnn") {
+            let (name, version) = parse_model_stem(utf8_stem(path)?)?;
+            // Read once: what is decoded is what was peeked at.
+            let bytes = read(path)?;
             let load_err = |source: CoreError| ServeError::Artifact {
                 path: path.display().to_string(),
                 source,
             };
-            let bytes = std::fs::read(path).map_err(|e| ServeError::Io {
-                target: path.display().to_string(),
-                reason: e.to_string(),
-            })?;
             match ArtifactKind::peek(&bytes).map_err(load_err)? {
                 ArtifactKind::Flow => {
-                    let flow = Flow::load(path).map_err(load_err)?;
+                    let flow = Flow::from_artifact_bytes(&bytes).map_err(load_err)?;
                     registry.insert_flow(&name, &version, flow, *options)?;
                 }
                 ArtifactKind::Model => {
-                    let model = CompiledModel::load(path).map_err(load_err)?;
+                    let model = CompiledModel::from_artifact_bytes(&bytes).map_err(load_err)?;
                     registry.insert_model(&name, &version, model, *options)?;
                 }
             }
@@ -242,28 +240,11 @@ impl ModelRegistry {
         // `xor@3.lbnn`. Startup patching reuses the same path as live
         // patching, so a delta that would be rejected over the wire is
         // rejected here too (and names its file).
-        let mut patches: Vec<_> = std::fs::read_dir(dir)
-            .map_err(|e| ServeError::Io {
-                target: dir.display().to_string(),
-                reason: e.to_string(),
-            })?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().map(|x| x == "lbnnp").unwrap_or(false))
-            .collect();
-        patches.sort();
-        for path in &patches {
-            let stem = path.file_stem().and_then(|s| s.to_str()).ok_or_else(|| {
-                ServeError::BadModelName {
-                    stem: path.display().to_string(),
-                    reason: "stem is not valid utf-8".into(),
-                }
-            })?;
+        for path in with_extension("lbnnp") {
+            let stem = utf8_stem(path)?;
             let (name, version) = parse_model_stem(stem)?;
             let id = format!("{name}@{version}");
-            let bytes = std::fs::read(path).map_err(|e| ServeError::Io {
-                target: path.display().to_string(),
-                reason: e.to_string(),
-            })?;
+            let bytes = read(path)?;
             registry.apply_patch(&id, &bytes).map_err(|e| match e {
                 ServeError::ModelNotFound { spec } => ServeError::BadModelName {
                     stem: stem.to_string(),
@@ -419,6 +400,16 @@ impl Default for ModelRegistry {
     fn default() -> Self {
         ModelRegistry::new()
     }
+}
+
+/// The stem of a model or patch file, which must be utf-8 to name a
+/// model.
+fn utf8_stem(path: &Path) -> Result<&str, ServeError> {
+    let stem = path.file_stem().and_then(|s| s.to_str());
+    stem.ok_or_else(|| ServeError::BadModelName {
+        stem: path.display().to_string(),
+        reason: "stem is not valid utf-8".into(),
+    })
 }
 
 /// Split a file stem into `(name, version)`; no `@` means version `1`.

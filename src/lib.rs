@@ -61,7 +61,6 @@
 //! | [`netlist`] | `lbnn-netlist` | Boolean DAGs, levelization, balancing, Verilog I/O |
 //! | [`logic_synth`] | `lbnn-logic-synth` | espresso, BDDs, factoring, tech mapping |
 //! | [`nullanet`] | `lbnn-nullanet` | BNN training + FFCL extraction |
-//! | [`switch`] | `lbnn-switch` | non-blocking multicast switch fabrics |
 //! | [`core`] | `lbnn-core` | compiler, cycle-accurate LPU, serving layer |
 //! | [`models`] | `lbnn-models` | model zoo, datasets, workload construction |
 //! | [`baselines`] | `lbnn-baselines` | analytic MAC/XNOR/LogicNets baselines |
@@ -76,7 +75,6 @@ pub use lbnn_models as models;
 pub use lbnn_netlist as netlist;
 pub use lbnn_nullanet as nullanet;
 pub use lbnn_serve as serve;
-pub use lbnn_switch as switch;
 
 pub use lbnn_core::{
     ArtifactError, Backend, CompileArtifacts, CompileReport, CompiledModel, CoreError, Engine,

@@ -1,15 +1,19 @@
 //! Allocation pins for the serving paths, under a counting allocator.
 //!
 //! `Runtime::submit` allocates per micro-batch, not per request: a
-//! request joins its batch's flat input buffer and shares the batch's
-//! result cell, so the only allocations a submitting thread makes are
-//! the buffers of each new batch (and the job of a batch it dispatches
-//! itself) — not a slot and a bit vector for every request.
+//! request is gathered into its batch's packed rows and shares the
+//! batch's result cell, so the only allocations a submitting thread
+//! makes are the buffers of a batch it starts (and the job of a batch it
+//! dispatches itself) — not a slot and a bit vector for every request.
 //!
-//! A model pass allocates for the outputs somebody reads, not for every
-//! layer's: layer boundaries stay packed in reused scratch, so
-//! `infer_batches` and a `Runtime::from_model` worker pay for the final
-//! layer's columns and a few vectors around them per batch.
+//! A runtime worker allocates per micro-batch, not per output: rows in,
+//! rows out, every column in between packed in its reused scratch — the
+//! result block it publishes and the next batch's cell, whether it
+//! serves one 256-output block or a four-layer model.
+//!
+//! `infer_batches` allocates for the outputs somebody reads, not for
+//! every layer's: the final layer's columns and a few vectors around
+//! them per batch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -139,9 +143,13 @@ fn submit_allocates_per_micro_batch_not_per_request() {
 
 /// Outputs of the model's last layer — what a caller of the model reads.
 const FINAL_OUTPUTS: usize = 8;
-/// What a batch may allocate besides its final output columns: the
-/// vectors that hold them and the result around those.
-const PER_BATCH_SLACK: u64 = 8;
+/// What an `infer_batches` batch may allocate besides its final output
+/// columns: the vectors that hold them and the result around those.
+const PER_BATCH_SLACK: u64 = 4;
+/// What a runtime worker may allocate per micro-batch: the result block,
+/// the next batch's cell, and (amortised) the growth of the latency
+/// reservoir.
+const PER_MICRO_BATCH: u64 = 3;
 
 /// Four layers, 64 outputs on each of the three hidden ones: a pass that
 /// built every layer's columns would allocate 200 lane vectors a batch.
@@ -204,41 +212,75 @@ fn infer_batches_allocates_for_the_final_outputs_only() {
         .all(|r| r.layer_outputs.len() == 1 && r.outputs().len() == FINAL_OUTPUTS));
 }
 
-/// The same pin on a `Runtime::from_model` worker: rows are packed into
-/// the worker's buffer, boundaries stay in its per-layer scratch, and a
-/// micro-batch allocates for the final columns, the packed rows it
-/// publishes and little else. The worker's share is everything the
-/// process allocated minus what this thread did.
+/// What the runtime's worker allocated while `round` ran, and over how
+/// many micro-batches: everything the process allocated minus what this
+/// thread did.
+fn worker_allocations(runtime: &Runtime, round: impl Fn(&Runtime)) -> (u64, u64) {
+    round(runtime); // sizes the worker's scratch
+    let batches_before = runtime.stats().micro_batches;
+    let (total, own) = (TOTAL.load(Ordering::Relaxed), allocations());
+    round(runtime);
+    let worker = (TOTAL.load(Ordering::Relaxed) - total) - (allocations() - own);
+    (worker, runtime.stats().micro_batches - batches_before)
+}
+
+/// 2048 requests, every response waited and checked for its width.
+fn round_of(requests: &[Vec<bool>], outputs: usize) -> impl Fn(&Runtime) + '_ {
+    move |runtime| {
+        let handles: Vec<RequestHandle> = requests
+            .iter()
+            .map(|bits| runtime.submit(bits).unwrap())
+            .collect();
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().len(), outputs);
+        }
+    }
+}
+
+/// A `Runtime::from_model` worker: rows are transposed into the worker's
+/// buffer, every boundary and the final columns stay in its per-layer
+/// scratch, and a micro-batch allocates the packed rows it publishes and
+/// little else — nothing per final output.
 #[test]
 fn a_model_worker_allocates_for_the_final_outputs_only() {
-    const REQUESTS: usize = 2048;
     let _serial = serial();
     let runtime = Runtime::from_model(
         wide_hidden_model(),
         RuntimeOptions::default().workers(1).max_batch(64),
     )
     .unwrap();
-    let requests = model_rows(12, REQUESTS);
-    let round = |runtime: &Runtime| {
-        let handles: Vec<RequestHandle> = requests
-            .iter()
-            .map(|bits| runtime.submit(bits).unwrap())
-            .collect();
-        for handle in handles {
-            assert_eq!(handle.wait().unwrap().len(), FINAL_OUTPUTS);
-        }
-    };
-    round(&runtime); // sizes the worker's scratch
-
-    let batches_before = runtime.stats().micro_batches;
-    let (total, own) = (TOTAL.load(Ordering::Relaxed), allocations());
-    round(&runtime);
-    let worker = (TOTAL.load(Ordering::Relaxed) - total) - (allocations() - own);
-    let batches = runtime.stats().micro_batches - batches_before;
-
-    assert!(batches >= (REQUESTS / 64) as u64);
+    let requests = model_rows(12, 2048);
+    let (worker, batches) = worker_allocations(&runtime, round_of(&requests, FINAL_OUTPUTS));
+    assert!(batches >= 2048 / 64);
     assert!(
-        worker <= batches * (FINAL_OUTPUTS as u64 + PER_BATCH_SLACK),
-        "{worker} worker allocations for {batches} micro-batches of {FINAL_OUTPUTS} final outputs"
+        worker <= batches * PER_MICRO_BATCH,
+        "{worker} worker allocations for {batches} micro-batches"
+    );
+}
+
+/// The same pin on a block worker (`Runtime::from_engine`) with 256
+/// outputs. At the parent commit each micro-batch built 256 lane
+/// vectors, the vector holding them and a `Vec<&[bool]>` of its rows.
+#[test]
+fn a_block_worker_allocates_per_micro_batch_not_per_output() {
+    const OUTPUTS: usize = 256;
+    let _serial = serial();
+    let netlist = RandomDag::strict(12, 4, 32).outputs(OUTPUTS).generate(5);
+    let flow = Flow::builder(&netlist)
+        .config(LpuConfig::new(8, 4))
+        .backend(Backend::BitSliced { words: 4 })
+        .compile()
+        .unwrap();
+    let runtime = Runtime::from_engine(
+        flow.into_engine().unwrap(),
+        RuntimeOptions::default().workers(1).max_batch(64),
+    )
+    .unwrap();
+    let requests = model_rows(12, 2048);
+    let (worker, batches) = worker_allocations(&runtime, round_of(&requests, OUTPUTS));
+    assert!(batches >= 2048 / 64);
+    assert!(
+        worker <= batches * PER_MICRO_BATCH,
+        "{worker} worker allocations for {batches} micro-batches of {OUTPUTS} outputs"
     );
 }
