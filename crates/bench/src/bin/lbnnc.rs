@@ -17,10 +17,11 @@
 //!                       recorded backend (all serve bit-identically)
 //!   --partitions <N>    split the bit-sliced kernel tape into N
 //!                       partitions with a compile-time cross-partition
-//!                       exchange schedule (1..=64, default 1): shrinks
-//!                       per-partition frames under the cache budget so
-//!                       each replays in wider tiles, on one thread;
-//!                       ignored by the scalar backend
+//!                       exchange schedule (1..=64, default 1), replayed
+//!                       on one thread: smaller per-partition frames, no
+//!                       measured gain over the single tape (both replay
+//!                       a block at full width); ignored by the scalar
+//!                       backend
 //!   --no-merge          skip the MFG merging procedure (Algorithm 3)
 //!   --no-opt            skip logic optimization
 //!   --geq               use the pseudocode stop rule (>= m) instead of > m
@@ -295,13 +296,6 @@ fn print_tape_stats(flow: &Flow) {
         stats.frame_bytes(words) as f64 / 1024.0,
         64 * words
     );
-    println!(
-        "  peak level working set {} slots ({:.1} KiB), {} tile(s)/block at cap {} words",
-        stats.max_level_working_set,
-        stats.max_level_working_set_bytes(words) as f64 / 1024.0,
-        stats.tiles_at(words),
-        stats.tile_words()
-    );
     println!("  simd kernels: {}", stats.simd);
 }
 
@@ -332,10 +326,6 @@ fn print_partition_stats(flow: &Flow) {
         stats.max_frame_slots,
         (stats.max_frame_slots * words * 8) as f64 / 1024.0,
         64 * words
-    );
-    println!(
-        "  tile cap {} words in the narrowest partition (the unpartitioned tape prints its own cap)",
-        stats.min_tile_words
     );
     println!("  simd kernels: {}", engine.simd_level());
 }

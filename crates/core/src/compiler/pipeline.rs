@@ -300,8 +300,8 @@ pub(crate) fn run(
     //    engine takes it over instead of recompiling. Exactly one of:
     //    `exchange` (`partitions > 1`) — per-partition slot spaces plus
     //    the compile-time cross-partition exchange schedule, reporting
-    //    the cut; or `locality` — the single fused, slot-renumbered,
-    //    cache-budgeted tape, reporting frame slots before → after.
+    //    the cut; or `locality` — the single fused, slot-renumbered
+    //    tape, reporting frame slots before → after.
     let (tape, partitioned) = match options.backend {
         Backend::Scalar => (None, None),
         Backend::BitSliced { .. } if options.partitions > 1 => {

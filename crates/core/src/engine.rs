@@ -353,7 +353,7 @@ impl EngineCore {
     }
 
     /// Locality statistics of the resident single kernel tape
-    /// ([`TapeStats`]: fused chains, live frame slots, tiling); `None`
+    /// ([`TapeStats`]: fused chains, live frame slots); `None`
     /// on scalar and partitioned cores, which execute no such tape.
     pub fn tape_stats(&self) -> Option<TapeStats> {
         match &self.kernel {

@@ -19,10 +19,9 @@
 //!   word-level parallelism and the kernel behind the serving layer's
 //!   bit-sliced backend. Compilation runs a **tape-locality pass**
 //!   ([`TapeOptions`]): single-fanout chains are fused so their
-//!   intermediates live in a register accumulator, dead nets' frame slots
-//!   are recycled by a liveness allocator, and wide blocks are tiled over
-//!   word sub-ranges so the live frame stays cache-resident
-//!   ([`TapeStats`] reports what the pass did). The frame width is
+//!   intermediates live in a register accumulator and dead nets' frame
+//!   slots are recycled by a liveness allocator ([`TapeStats`] reports
+//!   what the pass did). The frame width is
 //!   generic — any `words_per_net ≥ 1` works, and the widths in
 //!   [`SUPPORTED_SLICE_WORDS`] (1/2/4/8/16 words = 64/128/256/512/1024
 //!   lanes) run on monomorphized kernels the compiler can keep
@@ -703,21 +702,51 @@ const REG: u32 = u32::MAX;
 /// layout, so each kernel step touches one small fixed-size span per
 /// operand). Slots are *live* frame slots assigned by the compile-time
 /// locality pass, not netlist node ids — dead nets share recycled slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The words are a window into a buffer up to one cache line longer,
+/// starting on its first 64-byte boundary (safe code), so a 16-word
+/// slot span is two whole lines. The buffer only ever grows; cloning
+/// and comparing see the window, not the buffer.
+#[derive(Debug)]
 pub struct SliceFrame {
-    pub(crate) words: Vec<u64>,
+    buf: Vec<u64>,
+    /// Where the window starts in `buf`: a property of the allocation,
+    /// derived where `buf` is allocated and never copied.
+    start: usize,
+    /// Words in the window (`slots × words_per_net`).
+    len: usize,
     words_per_net: usize,
 }
 
 impl Default for SliceFrame {
-    /// An empty one-word-per-net (64-lane) frame.
+    /// An empty one-word-per-net (64-lane) frame; allocates nothing.
     fn default() -> Self {
         SliceFrame {
-            words: Vec::new(),
+            buf: Vec::new(),
+            start: 0,
+            len: 0,
             words_per_net: 1,
         }
     }
 }
+
+impl Clone for SliceFrame {
+    /// The same words on a line boundary of the clone's own buffer.
+    fn clone(&self) -> Self {
+        let mut frame = SliceFrame::with_width(self.slots(), self.words_per_net);
+        frame.words_mut().copy_from_slice(self.words());
+        frame
+    }
+}
+
+impl PartialEq for SliceFrame {
+    /// Windows, not buffers: where a window sits is the allocator's.
+    fn eq(&self, other: &Self) -> bool {
+        self.words_per_net == other.words_per_net && self.words() == other.words()
+    }
+}
+
+impl Eq for SliceFrame {}
 
 impl SliceFrame {
     /// A 64-lane frame with `slots` nets (one word per net), all zero.
@@ -733,16 +762,51 @@ impl SliceFrame {
     /// Panics if `words_per_net` is zero.
     pub fn with_width(slots: usize, words_per_net: usize) -> Self {
         assert!(words_per_net > 0, "a slice frame needs at least one word");
-        SliceFrame {
-            words: vec![0; slots * words_per_net],
+        let mut frame = SliceFrame {
             words_per_net,
+            ..SliceFrame::default()
+        };
+        frame.resize_window(slots * words_per_net);
+        frame
+    }
+
+    /// The frame's words, net-major, on a 64-byte boundary so no vector
+    /// access of the replay kernels straddles a line. They load and
+    /// store unaligned all the same: this is speed, not safety.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    /// [`SliceFrame::words`], mutably.
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+
+    /// Sets the window to `len` words, keeping the words it had and
+    /// zeroing the ones it gains. The buffer only grows — a reused frame
+    /// stops allocating once it has held its largest shape — and
+    /// growing is the one place a window changes allocation, hence the
+    /// one place `start` is derived.
+    fn resize_window(&mut self, len: usize) {
+        if self.start + len > self.buf.len() {
+            // A `Vec<u64>` is 8-byte aligned: the next 64-byte boundary
+            // is a whole number of words, at most 7, ahead.
+            let mut buf = vec![0u64; len + 7];
+            let start = (buf.as_ptr() as usize).wrapping_neg() % 64 / 8;
+            buf[start..start + self.len].copy_from_slice(self.words());
+            (self.buf, self.start) = (buf, start);
+        } else if len > self.len {
+            self.buf[self.start + self.len..self.start + len].fill(0);
         }
+        self.len = len;
     }
 
     /// Number of net slots in the frame.
     #[inline]
     pub fn slots(&self) -> usize {
-        self.words.len() / self.words_per_net
+        self.len / self.words_per_net
     }
 
     /// Words per net slot.
@@ -771,8 +835,8 @@ impl SliceFrame {
         if words_per_net != self.words_per_net {
             let slots = self.slots();
             self.words_per_net = words_per_net;
-            self.words.clear();
-            self.words.resize(slots * words_per_net, 0);
+            self.len = 0;
+            self.resize_window(slots * words_per_net);
         }
     }
 
@@ -785,7 +849,7 @@ impl SliceFrame {
     #[inline]
     pub fn word(&self, slot: usize, index: usize) -> u64 {
         assert!(index < self.words_per_net, "word index out of range");
-        self.words[slot * self.words_per_net + index]
+        self.words()[slot * self.words_per_net + index]
     }
 
     /// Sets one packed 64-sample word of net `slot`; see
@@ -797,13 +861,14 @@ impl SliceFrame {
     #[inline]
     pub fn set_word(&mut self, slot: usize, index: usize, value: u64) {
         assert!(index < self.words_per_net, "word index out of range");
-        self.words[slot * self.words_per_net + index] = value;
+        let at = slot * self.words_per_net + index;
+        self.words_mut()[at] = value;
     }
 
     /// Resizes the frame to `slots` nets at its current width (new slots
     /// are zero).
     pub(crate) fn reshape(&mut self, slots: usize) {
-        self.words.resize(slots * self.words_per_net, 0);
+        self.resize_window(slots * self.words_per_net);
     }
 }
 
@@ -841,27 +906,19 @@ pub struct TapeOptions {
     /// Recycle the frame slots of dead nets with a liveness allocator,
     /// shrinking the live frame footprint.
     pub reuse: bool,
-    /// Target footprint in bytes of one tile of the live frame
-    /// (`frame_slots × tile_words × 8`). Blocks wider than the largest
-    /// fitting tile are executed tile by tile so the working set stays
-    /// cache-resident; `0` disables tiling (one full-width tile).
-    pub cache_budget: usize,
     /// SIMD ceiling for the replay kernels, resolved against runtime
     /// CPU-feature detection at compile time ([`SimdMode::resolve`]).
-    /// Purely an execution choice — the tape structure (fusion, slots,
-    /// tiling) is identical at every level.
+    /// Purely an execution choice — the tape structure (fusion, slots)
+    /// is identical at every level.
     pub simd: SimdMode,
 }
 
 impl Default for TapeOptions {
-    /// Fusion and slot reuse on, 256 KiB cache budget (roughly half of a
-    /// typical per-core L2, leaving room for the tape itself), SIMD
-    /// auto-detected.
+    /// Fusion and slot reuse on, SIMD auto-detected.
     fn default() -> Self {
         TapeOptions {
             fuse: true,
             reuse: true,
-            cache_budget: 256 * 1024,
             simd: SimdMode::Auto,
         }
     }
@@ -887,55 +944,21 @@ pub struct TapeStats {
     /// [`SliceFrame`] adds one dedicated accumulator scratch slot on
     /// top (slot index `frame_slots`).
     pub frame_slots: usize,
-    /// Largest number of distinct frame slots any one netlist level
-    /// touches — the per-level working set, in slots.
-    pub max_level_working_set: usize,
-    /// The cache budget (bytes) the tape was compiled with
-    /// ([`TapeOptions::cache_budget`]).
-    pub cache_budget: usize,
     /// The SIMD dispatch level tiles execute with — the requested
     /// [`TapeOptions::simd`] resolved against runtime CPU-feature
     /// detection.
     pub simd: SimdLevel,
 }
 
-/// [`TapeStats::tile_words`] for a frame of `frame_slots` live slots
-/// under `budget` bytes — shared with the per-partition frames of
-/// [`crate::partitioned::PartitionedEngine`].
-pub(crate) fn tile_words_for(frame_slots: usize, budget: usize) -> usize {
-    if budget == 0 {
-        return 16;
-    }
-    for t in [16usize, 8, 4, 2] {
-        if frame_slots * t * 8 <= budget {
-            return t;
-        }
-    }
-    1
-}
-
-/// The widest tile (words) from `{16, 8, 4, 2, 1}` not exceeding `max`.
-#[inline]
-pub(crate) fn largest_tile(max: usize) -> usize {
-    if max >= 16 {
-        16
-    } else if max >= 8 {
-        8
-    } else if max >= 4 {
-        4
-    } else if max >= 2 {
-        2
-    } else {
-        1
-    }
-}
-
 /// Replays `tape` over the first `active` words of every slot span of
-/// a frame buffer, tile by tile: words `0 .. active` are split into
-/// tiles no wider than `tile_cap` (largest-first from
-/// `{16, 8, 4, 2, 1}`) and each tile is routed to the widest kernel
-/// `simd` allows. Words `active .. per` are neither read nor written —
-/// a batch that fills 1 of a 16-word frame's words pays for one word.
+/// a frame buffer, tile by tile: words `0 .. active` are split
+/// largest-first into tiles from `{16, 8, 4, 2, 1}` — by how many words
+/// the block carries and by nothing else (a narrower tile touches the
+/// same 64-byte lines and only multiplies tape walks; table in
+/// `docs/ARCHITECTURE.md`, "Kernel locality") — and each tile is routed
+/// to the widest kernel `simd` allows. Words `active .. per` are
+/// neither read nor written — a batch that fills 1 of a 16-word
+/// frame's words pays for one word.
 /// This is the shared engine behind [`BitSliceEvaluator::run_block`]
 /// (`active = per`), the block loop's occupied-word replay and the
 /// per-partition segment replay of
@@ -952,7 +975,6 @@ pub(crate) fn largest_tile(max: usize) -> usize {
 pub(crate) fn replay_tape(
     tape: &[SliceInstr],
     simd: SimdLevel,
-    tile_cap: usize,
     words: &mut [u64],
     per: usize,
     active: usize,
@@ -960,9 +982,17 @@ pub(crate) fn replay_tape(
     // The SIMD kernels' bounds rest on this: a real assert, once per
     // replay, not per tile.
     assert!(active <= per, "active words exceed the frame width");
+    // Speed, not safety (the kernels load and store unaligned): a frame
+    // constructor that forgets its line offset replays 10–25 % slower
+    // and nothing else would say so.
+    debug_assert!(
+        (words.as_ptr() as usize).is_multiple_of(64),
+        "replay buffer is not a cache-line-aligned SliceFrame window"
+    );
     let mut base = 0;
     while base < active {
-        let tile = largest_tile(tile_cap.min(active - base));
+        // The widest power of two the remaining words fill, up to 16.
+        let tile = 1 << (active - base).ilog2().min(4);
         replay_tile_dispatch(tape, simd, tile, words, per, base);
         base += tile;
     }
@@ -1065,31 +1095,11 @@ impl TapeStats {
         self.frame_slots * words_per_net * 8
     }
 
-    /// Bytes of the largest per-level working set at `words_per_net`
-    /// words per slot.
-    pub fn max_level_working_set_bytes(&self, words_per_net: usize) -> usize {
-        self.max_level_working_set * words_per_net * 8
-    }
-
-    /// The tile width cap (words) execution uses: the widest tile from
-    /// `{16, 8, 4, 2, 1}` whose frame slice (`frame_slots × tile × 8`
-    /// bytes) fits the cache budget. A zero budget means unlimited (cap
-    /// 16 — the widest supported block needs no splitting).
+    /// The widest tile (words) a block replays as: a block's occupied
+    /// words are split largest-first from `{16, 8, 4, 2, 1}`, so the
+    /// widest supported block is one walk of the tape.
     pub fn tile_words(&self) -> usize {
-        tile_words_for(self.frame_slots, self.cache_budget)
-    }
-
-    /// How many tiles one block of `words_per_net` words executes as
-    /// under the current cap (1 when the whole block fits).
-    pub fn tiles_at(&self, words_per_net: usize) -> usize {
-        let cap = self.tile_words();
-        let mut tiles = 0;
-        let mut rem = words_per_net;
-        while rem > 0 {
-            rem -= largest_tile(cap.min(rem));
-            tiles += 1;
-        }
-        tiles
+        16
     }
 }
 
@@ -1164,9 +1174,8 @@ pub fn into_lanes(columns: Vec<Vec<u64>>, lanes: usize) -> Vec<Lanes> {
 /// ([`TapeOptions`]): runs of single-fanout cells are fused into chains
 /// whose intermediate words all share one dedicated accumulator slot
 /// (kept cache-hot by back-to-back reuse, with no hot-loop branches),
-/// frame slots are renumbered and recycled by a liveness allocator, and
-/// execution is tiled over word sub-ranges when the live frame exceeds
-/// the cache budget. Evaluation then processes the batch one [`SliceFrame`] block
+/// and frame slots are renumbered and recycled by a liveness allocator.
+/// Evaluation then processes the batch one [`SliceFrame`] block
 /// at a time — `64 × words_per_net` lanes per block: load each primary
 /// input's packed words into the frame, replay the tape, read the primary
 /// outputs back. The tape itself is width-independent (instructions carry
@@ -1393,49 +1402,12 @@ impl BitSliceEvaluator {
             cells.push(yid);
         }
 
-        // 6. Per-level working set: the largest number of distinct live
-        // slots the instructions of any one netlist level touch.
-        let mut level = vec![0u32; n];
-        for (id, node) in netlist.iter() {
-            if node.op() == Op::Input {
-                continue;
-            }
-            level[id.index()] = node
-                .fanins()
-                .iter()
-                .map(|f| level[f.index()])
-                .max()
-                .map_or(0, |m| m + 1);
-        }
-        let max_level = order.iter().map(|&y| level[y as usize]).max().unwrap_or(0) as usize;
-        let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
-        for (p, &yid) in order.iter().enumerate() {
-            by_level[level[yid as usize] as usize].push(p);
-        }
-        let mut seen = vec![u32::MAX; frame_slots + 1];
-        let mut max_level_working_set = 0usize;
-        for (l, positions) in by_level.iter().enumerate() {
-            let mut touched = 0usize;
-            for &p in positions {
-                let i = &tape[p];
-                for slot in [i.a, i.b, i.out] {
-                    if seen[slot as usize] != l as u32 {
-                        seen[slot as usize] = l as u32;
-                        touched += 1;
-                    }
-                }
-            }
-            max_level_working_set = max_level_working_set.max(touched);
-        }
-
         let stats = TapeStats {
             tape_len: tape.len(),
             fused_chains,
             fused_instrs: tape.iter().filter(|i| i.out == acc_slot).count(),
             frame_slots_unoptimized: n,
             frame_slots,
-            max_level_working_set,
-            cache_budget: options.cache_budget,
             // Feature detection happens once here, never in the hot loop.
             simd: options.simd.resolve(),
         };
@@ -1500,8 +1472,7 @@ impl BitSliceEvaluator {
         self.tape.len()
     }
 
-    /// What the locality pass did to this tape, and how blocks will be
-    /// tiled ([`TapeStats`]).
+    /// What the locality pass did to this tape ([`TapeStats`]).
     pub fn tape_stats(&self) -> TapeStats {
         self.stats
     }
@@ -1559,13 +1530,11 @@ impl BitSliceEvaluator {
     /// compiled input map); afterwards every *live* net's slot holds its
     /// value for all lanes of the block (fused chain interiors never
     /// materialize). [`BitSliceEvaluator::evaluate`] wraps the
-    /// packing/unpacking; this is the raw kernel. Blocks execute as one
-    /// or more cache-budget-sized tiles over the word range
-    /// ([`TapeStats::tile_words`]); each tile width from
-    /// [`SUPPORTED_SLICE_WORDS`] runs a monomorphized kernel whose
-    /// per-net word loop the compiler unrolls, and any `words_per_net`
-    /// (supported or not) is chunked from that same set with identical
-    /// results.
+    /// packing/unpacking; this is the raw kernel. Each width from
+    /// [`SUPPORTED_SLICE_WORDS`] is one tile — one walk of the tape by
+    /// a monomorphized kernel whose per-net word loop the compiler
+    /// unrolls — and any other `words_per_net` is chunked largest-first
+    /// from that same set with identical results.
     ///
     /// # Panics
     ///
@@ -1575,14 +1544,8 @@ impl BitSliceEvaluator {
         // Every slot on the tape is below `self.slots`, so this is the
         // `slot * per + per <= words.len()` the replay kernels rely on.
         assert!(frame.slots() >= self.slots, "frame too small for tape");
-        replay_tape(
-            &self.tape,
-            self.stats.simd,
-            self.stats.tile_words(),
-            &mut frame.words,
-            frame.words_per_net,
-            frame.words_per_net,
-        );
+        let per = frame.words_per_net;
+        replay_tape(&self.tape, self.stats.simd, frame.words_mut(), per, per);
     }
 
     /// Evaluates the whole batch, reusing `frame` as scratch and
@@ -1696,7 +1659,7 @@ impl BitSliceEvaluator {
         // `slot * per + per <= words.len()` as the replay kernels need.
         frame.reshape(self.slots);
         let per = frame.words_per_net;
-        let tile_cap = self.stats.tile_words();
+        let words = frame.words_mut();
         let total_words = lanes.div_ceil(64);
         for base in (0..total_words).step_by(per) {
             // A partial final block occupies fewer than `per` words.
@@ -1704,19 +1667,12 @@ impl BitSliceEvaluator {
             for (i, &slot) in self.inputs.iter().enumerate() {
                 let span = slot as usize * per;
                 let in_words = &input_words(i)[base..base + avail];
-                frame.words[span..span + avail].copy_from_slice(in_words);
+                words[span..span + avail].copy_from_slice(in_words);
             }
-            replay_tape(
-                &self.tape,
-                self.stats.simd,
-                tile_cap,
-                &mut frame.words,
-                per,
-                avail,
-            );
+            replay_tape(&self.tape, self.stats.simd, words, per, avail);
             for (o, &slot) in self.outputs.iter().enumerate().take(outputs) {
                 let span = slot as usize * per;
-                sink(o, base, &frame.words[span..span + avail]);
+                sink(o, base, &words[span..span + avail]);
             }
         }
     }
@@ -1842,6 +1798,18 @@ mod simd {
 mod tests {
     use super::*;
     use crate::cell::Op;
+
+    /// One deterministic lane column per input of `nl`, varied by `salt`.
+    fn patterned_inputs(nl: &Netlist, lanes: usize, salt: usize) -> Vec<Lanes> {
+        (0..nl.inputs().len())
+            .map(|i| {
+                let bits: Vec<bool> = (0..lanes)
+                    .map(|l| (salt + i * 31 + l * 7).is_multiple_of(3))
+                    .collect();
+                Lanes::from_bools(&bits)
+            })
+            .collect()
+    }
 
     #[test]
     fn lanes_pack_unpack() {
@@ -2055,14 +2023,7 @@ mod tests {
                 for words in SUPPORTED_SLICE_WORDS {
                     let mut frame = sliced.frame_with_words(words);
                     for lanes in [1usize, 63, 64 * words, 64 * words + 1] {
-                        let inputs: Vec<Lanes> = (0..nl.inputs().len())
-                            .map(|i| {
-                                let bits: Vec<bool> = (0..lanes)
-                                    .map(|l| (seed as usize + i * 31 + l * 7).is_multiple_of(3))
-                                    .collect();
-                                Lanes::from_bools(&bits)
-                            })
-                            .collect();
+                        let inputs = patterned_inputs(&nl, lanes, seed as usize);
                         let want = evaluate(&nl, &inputs).unwrap();
                         let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
                         assert_eq!(got, want, "seed {seed} simd {mode} words {words}");
@@ -2201,14 +2162,7 @@ mod tests {
             // Deliberately awkward widths: sub-word, exact word, multi-word
             // with tail.
             for lanes in [1usize, 63, 64, 65, 130, 256] {
-                let inputs: Vec<Lanes> = (0..nl.inputs().len())
-                    .map(|i| {
-                        let bits: Vec<bool> = (0..lanes)
-                            .map(|l| (seed as usize + i * 31 + l * 7).is_multiple_of(3))
-                            .collect();
-                        Lanes::from_bools(&bits)
-                    })
-                    .collect();
+                let inputs = patterned_inputs(&nl, lanes, seed as usize);
                 let want = evaluate(&nl, &inputs).unwrap();
                 let got = sliced.evaluate(&inputs).unwrap();
                 assert_eq!(got, want, "seed {seed} lanes {lanes}");
@@ -2250,14 +2204,7 @@ mod tests {
                 let mut frame = sliced.frame_with_words(words);
                 assert_eq!(frame.lanes(), 64 * words);
                 for lanes in [1usize, 63, 64 * words, 64 * words + 1, 130 * words] {
-                    let inputs: Vec<Lanes> = (0..nl.inputs().len())
-                        .map(|i| {
-                            let bits: Vec<bool> = (0..lanes)
-                                .map(|l| (seed as usize + i * 31 + l * 7).is_multiple_of(3))
-                                .collect();
-                            Lanes::from_bools(&bits)
-                        })
-                        .collect();
+                    let inputs = patterned_inputs(&nl, lanes, seed as usize);
                     let want = evaluate(&nl, &inputs).unwrap();
                     let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
                     assert_eq!(got, want, "seed {seed} words {words} lanes {lanes}");
@@ -2281,14 +2228,7 @@ mod tests {
             let max = words * 64 + 65;
             for step in 0..max {
                 for lanes in [1 + step, max - step] {
-                    let inputs: Vec<Lanes> = (0..nl.inputs().len())
-                        .map(|i| {
-                            let bits: Vec<bool> = (0..lanes)
-                                .map(|l| (lanes + i * 31 + l * 7).is_multiple_of(3))
-                                .collect();
-                            Lanes::from_bools(&bits)
-                        })
-                        .collect();
+                    let inputs = patterned_inputs(&nl, lanes, lanes);
                     let want = evaluate(&nl, &inputs).unwrap();
                     let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
                     assert_eq!(got, want, "words {words} lanes {lanes}");
@@ -2351,11 +2291,11 @@ mod tests {
     #[should_panic(expected = "active words exceed the frame width")]
     fn replay_rejects_more_active_words_than_the_frame_has() {
         let mut words = vec![0u64; 8];
-        replay_tape(&[], SimdLevel::Scalar, 16, &mut words, 4, 5);
+        replay_tape(&[], SimdLevel::Scalar, &mut words, 4, 5);
     }
 
     /// Every combination of locality options is bit-identical to the
-    /// oracle, including tile widths forced by tiny cache budgets.
+    /// oracle.
     #[test]
     fn tape_options_variants_match_oracle() {
         use crate::random::RandomDag;
@@ -2374,14 +2314,6 @@ mod tests {
                 reuse: false,
                 ..TapeOptions::default()
             },
-            TapeOptions {
-                cache_budget: 64, // frame never fits: 1-word tiles
-                ..TapeOptions::default()
-            },
-            TapeOptions {
-                cache_budget: 0, // unlimited: one full-width tile
-                ..TapeOptions::default()
-            },
         ];
         for seed in 0..3 {
             let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(seed);
@@ -2390,14 +2322,7 @@ mod tests {
                 for words in [1usize, 3, 8] {
                     let mut frame = sliced.frame_with_words(words);
                     for lanes in [1usize, 63, 64 * words + 1] {
-                        let inputs: Vec<Lanes> = (0..nl.inputs().len())
-                            .map(|i| {
-                                let bits: Vec<bool> = (0..lanes)
-                                    .map(|l| (seed as usize + i * 13 + l * 5).is_multiple_of(3))
-                                    .collect();
-                                Lanes::from_bools(&bits)
-                            })
-                            .collect();
+                        let inputs = patterned_inputs(&nl, lanes, seed as usize);
                         let want = evaluate(&nl, &inputs).unwrap();
                         let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
                         assert_eq!(got, want, "seed {seed} opt {opt:?} words {words}");
@@ -2477,35 +2402,34 @@ mod tests {
         }
     }
 
-    /// A cache budget too small for even a one-word frame slice still
-    /// executes correctly, one word per tile.
+    /// Narrow tiles are reached only through partial blocks: every
+    /// occupied-word count 1..=16 of a 16-word frame — hence every
+    /// largest-first split from `{16, 8, 4, 2, 1}`, e.g. 13 = 8 + 4 + 1
+    /// — matches the oracle on every SIMD level, as the only block of a
+    /// batch and as the ragged block after a full one.
     #[test]
-    fn tiny_cache_budget_forces_single_word_tiles() {
+    fn every_occupied_word_count_matches_oracle_on_every_simd_level() {
         use crate::random::RandomDag;
         let nl = RandomDag::loose(6, 4, 7).outputs(2).generate(11);
-        let sliced = BitSliceEvaluator::compile_with(
-            &nl,
-            TapeOptions {
-                cache_budget: 8, // one u64: no tile fits, cap clamps to 1
-                ..TapeOptions::default()
-            },
-        );
-        let stats = sliced.tape_stats();
-        assert_eq!(stats.tile_words(), 1);
-        assert_eq!(stats.tiles_at(8), 8);
-        assert_eq!(stats.tiles_at(1), 1);
-        let inputs: Vec<Lanes> = (0..nl.inputs().len())
-            .map(|i| {
-                let bits: Vec<bool> = (0..517).map(|l| (i + l) % 3 == 0).collect();
-                Lanes::from_bools(&bits)
-            })
-            .collect();
-        let want = evaluate(&nl, &inputs).unwrap();
-        let mut frame = sliced.frame_with_words(8);
-        assert_eq!(
-            sliced.evaluate_with(&inputs, 517, &mut frame).unwrap(),
-            want
-        );
+        for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+            let sliced = BitSliceEvaluator::compile_with(
+                &nl,
+                TapeOptions {
+                    simd,
+                    ..TapeOptions::default()
+                },
+            );
+            assert_eq!(sliced.tape_stats().tile_words(), 16);
+            let mut frame = sliced.frame_with_words(16);
+            for occupied in 1..=16usize {
+                for lanes in [64 * occupied - 37, 1024 + 64 * occupied - 37] {
+                    let inputs = patterned_inputs(&nl, lanes, occupied);
+                    let want = evaluate(&nl, &inputs).unwrap();
+                    let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
+                    assert_eq!(got, want, "simd {simd} lanes {lanes}");
+                }
+            }
+        }
     }
 
     /// Patching a cell inside a fused chain rewrites that instruction's
@@ -2634,6 +2558,65 @@ mod tests {
             let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
             assert_eq!(got, want, "lanes {lanes}");
         }
+    }
+
+    /// The frame contract the replay speed rests on: however a frame
+    /// comes to hold its words — built, widened, grown from empty,
+    /// cloned, shrunk and regrown — they start on a 64-byte boundary,
+    /// the slots a reshape adds and every word after a width change are
+    /// zero, and equality sees the words, not the buffer behind them.
+    #[test]
+    fn slice_frame_window_stays_line_aligned_and_zeroes_what_it_gains() {
+        fn aligned(frame: &SliceFrame) -> bool {
+            (frame.words().as_ptr() as usize).is_multiple_of(64)
+        }
+        fn fill(frame: &mut SliceFrame) {
+            frame.words_mut().fill(!0);
+        }
+        assert!(aligned(&SliceFrame::with_slots(5)));
+        let built = SliceFrame::with_width(5, 16);
+        assert!(aligned(&built) && built.words().iter().all(|&w| w == 0));
+
+        // Grown from the empty default, as an engine scratch's frame is.
+        let mut frame = SliceFrame::default();
+        assert_eq!((frame.slots(), frame.words_per_net()), (0, 1));
+        frame.reshape(33);
+        assert!(aligned(&frame) && frame.words().iter().all(|&w| w == 0));
+        fill(&mut frame);
+
+        // A width change zeroes every word, in place or in a new buffer.
+        for width in [16usize, 2, 3, 16] {
+            frame.set_width(width);
+            assert_eq!((frame.slots(), frame.words_per_net()), (33, width));
+            assert!(aligned(&frame), "width {width}");
+            assert!(frame.words().iter().all(|&w| w == 0), "width {width}");
+            fill(&mut frame);
+        }
+
+        // Shrink, then regrow — within the buffer, then past it: the
+        // kept slots keep their words, the regrown ones are zero.
+        for slots in [7usize, 33, 7, 90] {
+            let kept = frame.slots().min(slots) * 16;
+            frame.reshape(slots);
+            assert_eq!(frame.slots(), slots);
+            assert!(aligned(&frame), "{slots} slots");
+            assert!(frame.words()[..kept].iter().all(|&w| w == !0));
+            assert!(frame.words()[kept..].iter().all(|&w| w == 0));
+            fill(&mut frame);
+        }
+
+        // A clone has its own buffer and its own offset; a shrunken
+        // frame equals a fresh one of its shape whatever lies beyond.
+        frame.set_word(3, 5, 0xdead_beef);
+        let copy = frame.clone();
+        assert!(aligned(&copy));
+        assert_eq!(copy, frame);
+        assert_eq!(copy.word(3, 5), 0xdead_beef);
+        frame.set_width(4);
+        frame.reshape(2);
+        assert_eq!(frame, SliceFrame::with_width(2, 4));
+        assert_ne!(frame, SliceFrame::with_width(4, 2));
+        assert_ne!(frame, copy);
     }
 
     #[test]

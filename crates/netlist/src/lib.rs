@@ -19,12 +19,12 @@
 //!   kernel compiler ([`BitSliceEvaluator`], 64–1024 lanes per
 //!   [`SliceFrame`] block) behind the serving layer's fast execution
 //!   backend, with a tape-locality pass ([`TapeOptions`]/[`TapeStats`]:
-//!   chain fusion, liveness-based slot reuse, cache-budget tiling) and
+//!   chain fusion, liveness-based slot reuse) and
 //!   runtime-detected `std::arch` SIMD replay kernels
 //!   ([`SimdMode`]/[`SimdLevel`], AVX2/SSE2 on x86_64),
 //! * partitioned execution ([`partitioned`]): a netlist split into
-//!   per-partition kernel tapes, each small enough for a wide cache
-//!   tile, with a compile-time cross-partition [`ExchangeSchedule`],
+//!   per-partition kernel tapes over smaller frames, with a
+//!   compile-time cross-partition [`ExchangeSchedule`],
 //!   run level-synchronously on the calling thread
 //!   ([`PartitionedEngine`]),
 //! * seeded random netlist generators ([`random`]) for tests and benchmarks.

@@ -20,12 +20,15 @@
 //! (`Runtime`, `Engine::with_workers` in `lbnn-core`), never inside a
 //! batch.
 //!
-//! Why it helps: the per-partition frames are a fraction of the
-//! single-engine frame, so each partition fits a wider cache-budget
-//! tile ([`TapeOptions::cache_budget`]) and replays its tape fewer
-//! times per block. A netlist whose single-engine frame exceeds the
-//! budget pays one full tape stream per tile; partitioned, each
-//! (smaller) tape streams once.
+//! What it buys, measured: nothing on one thread. The per-partition
+//! frames are a fraction of the single-engine frame, and while tiles
+//! were capped to a byte budget that fraction bought wider tiles —
+//! which was the whole recorded win. Every tape now replays a block's
+//! words in one walk, and on the 4096×6 DAG two or three partitions
+//! read within 3 % of the single tape (`docs/ARCHITECTURE.md`,
+//! "Partitioned execution"); what remains is the transform itself, for
+//! a frame larger than the last-level cache or an executor that is not
+//! one thread.
 //!
 //! Slot-safety invariant the allocator maintains: at each level
 //! boundary, **import slots are allocated before export slots are
@@ -39,8 +42,8 @@
 use crate::cell::Op;
 use crate::error::NetlistError;
 use crate::eval::{
-    check_arity, into_lanes, lane_sink, replay_tape, tile_words_for, Lanes, SimdLevel, SliceFrame,
-    SliceInstr, SlotPool, TapeOptions,
+    check_arity, into_lanes, lane_sink, replay_tape, Lanes, SimdLevel, SliceFrame, SliceInstr,
+    SlotPool, TapeOptions,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::patch::PatchSet;
@@ -216,12 +219,6 @@ pub struct PartitionStats {
     pub max_frame_slots: usize,
     /// Live slots summed over all partitions.
     pub total_frame_slots: usize,
-    /// Narrowest cache-budget tile cap (words) any partition replays
-    /// with — the single tape's
-    /// [`TapeStats::tile_words`](crate::eval::TapeStats::tile_words)
-    /// measured per partition frame; partitioning pays off when this is
-    /// wider than the single tape's.
-    pub min_tile_words: usize,
     /// Kernel instructions summed over all partitions (equals the
     /// single-tape length: partitioning never duplicates work).
     pub tape_len: usize,
@@ -252,8 +249,6 @@ struct PartTape {
     outputs: Vec<(u32, u32)>,
     /// Live data slots; the frame adds one accumulator slot on top.
     frame_slots: usize,
-    /// Cache-budget tile cap for this partition's (smaller) frame.
-    tile_cap: usize,
 }
 
 /// A netlist compiled into N per-partition kernel tapes plus the
@@ -313,8 +308,8 @@ impl PartitionedEngine {
     /// Compiles `netlist` against an explicit [`PartitionAssignment`]
     /// and locality options. [`TapeOptions::fuse`] is ignored —
     /// single-fanout chains span levels, and partition tapes must break
-    /// at every level boundary for the exchange — while `reuse`,
-    /// `cache_budget` and `simd` apply per partition.
+    /// at every level boundary for the exchange — while `reuse` and
+    /// `simd` apply per partition.
     ///
     /// Deterministic and purely structural: two compiles of the same
     /// netlist with the same assignment and options are equal, and
@@ -573,7 +568,6 @@ impl PartitionedEngine {
                 inputs,
                 outputs,
                 frame_slots: frame_slots[p],
-                tile_cap: tile_words_for(frame_slots[p], options.cache_budget),
             });
         }
 
@@ -584,7 +578,6 @@ impl PartitionedEngine {
             cut_copies: schedule.num_copies(),
             max_frame_slots: frame_slots.iter().copied().max().unwrap_or(0),
             total_frame_slots: frame_slots.iter().sum(),
-            min_tile_words: parts_out.iter().map(|p| p.tile_cap).min().unwrap_or(16),
             tape_len: parts_out.iter().map(|p| p.tape.len()).sum(),
         };
         Ok(PartitionedEngine {
@@ -731,7 +724,7 @@ impl PartitionedEngine {
                 for &(pi, slot) in &part.inputs {
                     let span = slot as usize * per;
                     let in_words = &input_words(pi as usize)[base..base + avail];
-                    frame.words[span..span + avail].copy_from_slice(in_words);
+                    frame.words_mut()[span..span + avail].copy_from_slice(in_words);
                 }
             }
             for (l, copies) in self.schedule.levels.iter().enumerate() {
@@ -740,8 +733,7 @@ impl PartitionedEngine {
                     replay_tape(
                         &part.tape[start as usize..part.seg_ends[l] as usize],
                         self.simd,
-                        part.tile_cap,
-                        &mut frame.words,
+                        frame.words_mut(),
                         per,
                         avail,
                     );
@@ -753,14 +745,14 @@ impl PartitionedEngine {
                         .get_disjoint_mut([c.src_part as usize, c.dst_part as usize])
                         .expect("an exchange copy crosses partitions");
                     let (s, d) = (c.src_slot as usize * per, c.dst_slot as usize * per);
-                    dst.words[d..d + avail].copy_from_slice(&src.words[s..s + avail]);
+                    dst.words_mut()[d..d + avail].copy_from_slice(&src.words()[s..s + avail]);
                 }
             }
             for (part, frame) in self.parts.iter().zip(frames.iter()) {
                 for &(po, slot) in &part.outputs {
                     if (po as usize) < outputs {
                         let span = slot as usize * per;
-                        sink(po as usize, base, &frame.words[span..span + avail]);
+                        sink(po as usize, base, &frame.words()[span..span + avail]);
                     }
                 }
             }
@@ -1241,15 +1233,32 @@ mod tests {
         assert_eq!(stats.tape_len, 1);
         assert_eq!(stats.cut_copies, engine.schedule().num_copies());
         assert_eq!(stats.exchange_words(4), stats.cut_copies * 4);
-        // The narrowest tile is the widest frame's: a budget that holds
-        // exactly four words of it caps that partition at 4.
-        assert_eq!(stats.min_tile_words, 16);
-        let tight = TapeOptions {
-            cache_budget: stats.max_frame_slots * 4 * 8,
-            ..TapeOptions::default()
-        };
-        let assignment = PartitionAssignment::contiguous(&nl, 2).unwrap();
-        let engine = PartitionedEngine::compile_with(&nl, &assignment, tight).unwrap();
-        assert_eq!(engine.partition_stats().min_tile_words, 4);
+    }
+
+    /// Narrow tiles are reached only through partial blocks: every
+    /// occupied-word count 1..=16 of 16-word frames — every
+    /// largest-first split from `{16, 8, 4, 2, 1}` — replays and
+    /// exchanges bit-identically on every SIMD level.
+    #[test]
+    fn every_occupied_word_count_matches_oracle_on_every_simd_level() {
+        use crate::eval::SimdMode;
+        let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(2);
+        let assignment = PartitionAssignment::contiguous(&nl, 3).unwrap();
+        for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+            let options = TapeOptions {
+                simd,
+                ..TapeOptions::default()
+            };
+            let engine = PartitionedEngine::compile_with(&nl, &assignment, options).unwrap();
+            let mut frames = engine.frames_with_words(16);
+            for occupied in 1..=16usize {
+                for lanes in [64 * occupied - 37, 1024 + 64 * occupied - 37] {
+                    let inputs = test_inputs(&nl, lanes, occupied as u64);
+                    let want = evaluate(&nl, &inputs).unwrap();
+                    let got = engine.evaluate_with(&inputs, lanes, &mut frames).unwrap();
+                    assert_eq!(got, want, "simd {simd} lanes {lanes}");
+                }
+            }
+        }
     }
 }

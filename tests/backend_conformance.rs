@@ -588,17 +588,20 @@ fn partial_micro_batches_conform_on_every_width() {
     }
 }
 
-/// Tape-locality differential sweep (ISSUE 8): the fused, slot-reused,
-/// cache-tiled kernel tape must be bit-identical to the oracle with the
-/// locality pass in every configuration — fusion on/off, slot reuse
-/// on/off, tiling forced and disabled — at 64–1024 lanes and awkward
-/// batch shapes. Options are passed explicitly
-/// ([`lbnn::netlist::TapeOptions`]) — the typed handle is the only way
-/// to reach a non-default configuration.
+/// Tape-locality differential sweep (ISSUE 8): the fused, slot-reused
+/// kernel tape must be bit-identical to the oracle with the locality
+/// pass in every configuration — fusion on/off, slot reuse on/off — at
+/// 64–1024 lanes and awkward batch shapes, and (the width differential)
+/// at every occupied-word count 1..=16 of a 1024-lane frame on every
+/// SIMD level: a block is split largest-first into tiles from
+/// `{16, 8, 4, 2, 1}` by how many words it carries (13 = 8 + 4 + 1), so
+/// partial blocks are the only way to the narrow-tile kernels. Options
+/// are passed explicitly ([`lbnn::netlist::TapeOptions`]) — the typed
+/// handle is the only way to reach a non-default configuration.
 #[test]
 fn tape_locality_options_are_bit_identical_at_every_width() {
     use lbnn::netlist::eval::BitSliceEvaluator;
-    use lbnn::netlist::TapeOptions;
+    use lbnn::netlist::{SimdMode, TapeOptions};
     let variants = [
         ("default", TapeOptions::default()),
         (
@@ -623,34 +626,28 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
                 ..TapeOptions::default()
             },
         ),
-        (
-            "tiny budget",
-            TapeOptions {
-                cache_budget: 64,
-                ..TapeOptions::default()
-            },
-        ),
-        (
-            "unlimited budget",
-            TapeOptions {
-                cache_budget: 0,
-                ..TapeOptions::default()
-            },
-        ),
     ];
+    // One ragged block of `k` occupied words, alone and after a full one.
+    let occupied_lanes: Vec<usize> = (1..=16)
+        .flat_map(|k| [64 * k - 37, 1024 + 64 * k - 37])
+        .collect();
     let mut saw_fusion = false;
     let mut saw_shrink = false;
     for seed in [7u64, 42, 1337] {
         let netlist = RandomDag::strict(9, 5, 8).outputs(4).generate(seed);
         let width = netlist.inputs().len();
-        let batches: Vec<Vec<Lanes>> = awkward_lane_counts()
-            .into_iter()
-            .map(|lanes| batch(width, lanes, seed))
-            .collect();
-        let oracle: Vec<Vec<Lanes>> = batches
-            .iter()
-            .map(|b| evaluate(&netlist, b).unwrap())
-            .collect();
+        // Each batch next to what the oracle makes of it.
+        let with_oracle = |lane_counts: &[usize]| -> Vec<(Vec<Lanes>, Vec<Lanes>)> {
+            let batches = lane_counts.iter().map(|&lanes| batch(width, lanes, seed));
+            batches
+                .map(|b| {
+                    let want = evaluate(&netlist, &b).unwrap();
+                    (b, want)
+                })
+                .collect()
+        };
+        let awkward = with_oracle(&awkward_lane_counts());
+        let occupied = with_oracle(&occupied_lanes);
         for (label, opt) in variants {
             let sliced = BitSliceEvaluator::compile_with(&netlist, opt);
             if label == "default" {
@@ -660,12 +657,24 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
             }
             for &words in lbnn::netlist::SUPPORTED_SLICE_WORDS.iter() {
                 let mut frame = sliced.frame_with_words(words);
-                for (b, want) in batches.iter().zip(&oracle) {
+                for (b, want) in &awkward {
                     let lanes = b.first().map_or(0, Lanes::len);
                     let got = sliced.evaluate_with(b, lanes, &mut frame).unwrap();
                     assert_eq!(
                         &got, want,
                         "seed {seed} variant `{label}` words {words} lanes {lanes}"
+                    );
+                }
+            }
+            for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+                let sliced = BitSliceEvaluator::compile_with(&netlist, TapeOptions { simd, ..opt });
+                let mut frame = sliced.frame_with_words(16);
+                for (b, want) in &occupied {
+                    let lanes = b[0].len();
+                    let got = sliced.evaluate_with(b, lanes, &mut frame).unwrap();
+                    assert_eq!(
+                        &got, want,
+                        "seed {seed} variant `{label}` simd {simd} lanes {lanes}"
                     );
                 }
             }
