@@ -1,8 +1,8 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! stop-rule variants (paper pseudocode `>= m` vs conditions `> m`) and
-//! shared vs duplicated children.
+//! Ablation table for the design choices DESIGN.md calls out: stop-rule
+//! variants (paper pseudocode `>= m` vs conditions `> m`) and shared vs
+//! duplicated children — partition sizes, and what one partitioning
+//! costs, printed once (`cargo bench -p lbnn-bench`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use lbnn_bench::bench_workload_options;
 use lbnn_core::compiler::partition::{partition, PartitionOptions, StopRule};
 use lbnn_core::flow::{Flow, FlowOptions};
@@ -13,8 +13,9 @@ use lbnn_models::zoo;
 use lbnn_netlist::balance::balance;
 use lbnn_netlist::Levels;
 use std::hint::black_box;
+use std::time::Instant;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let wl = bench_workload_options();
     let model = zoo::lenet5();
     let workload = layer_workload(&model.layers[2], 2, &wl);
@@ -22,7 +23,7 @@ fn bench(c: &mut Criterion) {
     let levels = Levels::compute(&balanced);
     let m = 64;
 
-    // Report the partition sizes once (ablation data).
+    // Partition sizes, and the mean time of ten partitionings each.
     for (label, opts) in [
         ("GtM/shared", PartitionOptions::default()),
         (
@@ -41,10 +42,15 @@ fn bench(c: &mut Criterion) {
         ),
     ] {
         let part = partition(&balanced, &levels, m, opts).unwrap();
+        let start = Instant::now();
+        for _ in 0..10 {
+            black_box(partition(&balanced, &levels, m, opts)).unwrap();
+        }
         println!(
-            "ablation {label}: {} MFGs, {} executed nodes",
+            "ablation {label}: {} MFGs, {} executed nodes, {:.2} ms per partitioning",
             part.mfg_count(),
-            part.executed_nodes()
+            part.executed_nodes(),
+            start.elapsed().as_secs_f64() * 100.0
         );
     }
 
@@ -68,33 +74,4 @@ fn bench(c: &mut Criterion) {
             series.latency_clk, series.ii_clk
         );
     }
-
-    let mut g = c.benchmark_group("ablation_stop_rule");
-    g.bench_function("partition_gtm", |b| {
-        b.iter(|| {
-            black_box(partition(
-                &balanced,
-                &levels,
-                m,
-                PartitionOptions::default(),
-            ))
-        })
-    });
-    g.bench_function("partition_geqm", |b| {
-        b.iter(|| {
-            black_box(partition(
-                &balanced,
-                &levels,
-                m,
-                PartitionOptions {
-                    stop_rule: StopRule::GeqM,
-                    ..Default::default()
-                },
-            ))
-        })
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -17,10 +17,9 @@
 //!
 //! The split gives the engine `&self` entry points —
 //! [`Engine::run_batch_with`] takes the scratch explicitly — which is
-//! what lets the persistent worker pool of
-//! [`crate::runtime::Runtime`] serve one compiled block from many
-//! threads at once. [`Engine::run_batch`] keeps the convenient `&mut`
-//! shape by lending the engine's own scratch.
+//! what lets the workers of [`crate::runtime::Runtime`] serve one
+//! compiled block from many threads at once. [`Engine::run_batch`] keeps
+//! the convenient `&mut` shape by lending the engine's own scratch.
 //!
 //! Every execution [`Backend`] produces bit-identical outputs:
 //!
@@ -36,14 +35,16 @@
 //!   is the original 64-lane configuration, kept as a shim.
 //!
 //! [`Engine::run_batches`] additionally shards a batch sequence across
-//! the engine's persistent worker pool (spawned once, reused across
-//! calls), each worker owning its own scratch, with results merged back
-//! in input order.
+//! scoped threads — one contiguous run of borrowed batches and one fresh
+//! scratch each, through the same [`Engine::run_batch_with`] — with
+//! results merged back in input order. The engine owns no thread: the
+//! only persistent ones in this crate are a `Runtime`'s workers.
 
 use std::fmt;
+use std::panic::resume_unwind;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lbnn_netlist::eval::{into_lanes, lane_sink};
@@ -57,7 +58,6 @@ use crate::error::CoreError;
 use crate::flow::Flow;
 use crate::lpu::machine::{LpuMachine, PassScratch, RunResult};
 use crate::lpu::LpuConfig;
-use crate::runtime::WorkerPool;
 use crate::throughput::{block_throughput, ThroughputReport, WallTiming};
 
 /// How an [`Engine`] executes a compiled flow.
@@ -316,8 +316,8 @@ pub(crate) fn packed_columns<'a>(
 /// `&self`, with all execution state supplied as [`EngineScratch`] — so
 /// one `Arc<EngineCore>` can serve batches from any number of threads
 /// simultaneously. [`Engine`] wraps it with bookkeeping (scratch, worker
-/// pool, served-batch counter); the [`crate::runtime::Runtime`] worker
-/// pool executes against it directly.
+/// count, served-batch counter); the [`crate::runtime::Runtime`] workers
+/// execute against it directly.
 #[derive(Debug)]
 pub struct EngineCore {
     machine: LpuMachine,
@@ -462,8 +462,8 @@ impl EngineCore {
         Ok(())
     }
 
-    /// The one body behind every execution path (sequential replay, the
-    /// sharded pool, the runtime micro-batcher, the model chain), so the
+    /// The one body behind every execution path (sequential and sharded
+    /// replay, the runtime micro-batcher, the model chain), so the
     /// paths cannot diverge: packed columns in, packed columns out.
     ///
     /// `input_words(i)` yields input `i`'s packed lane column (at least
@@ -563,26 +563,6 @@ fn count_served(
     result
 }
 
-/// A whole [`Engine::run_batches`] sequence packed into one flat
-/// buffer: batch `i`'s input columns occupy `words[descs[i].offset..]`
-/// in [`Lanes::pack_rows_into`] layout, `descs[i]` recording the
-/// offset plus the batch's input and lane counts. Cached on the engine
-/// between calls so steady-state sharded serving re-packs into the
-/// same allocation instead of cloning every `Lanes` of every batch.
-#[derive(Debug, Default)]
-struct PackedBatches {
-    words: Vec<u64>,
-    descs: Vec<PackedDesc>,
-}
-
-/// Where one batch lives inside a [`PackedBatches`] buffer.
-#[derive(Debug, Clone, Copy)]
-struct PackedDesc {
-    offset: usize,
-    inputs: usize,
-    lanes: usize,
-}
-
 /// A resident, ready-to-serve compiled block.
 ///
 /// Construction validates the configuration and the program/machine shape
@@ -616,17 +596,12 @@ pub struct Engine {
     core: Arc<EngineCore>,
     /// The engine's own scratch, lent to `&mut self` convenience paths.
     scratch: EngineScratch,
+    /// Threads [`Engine::run_batches`] shards over.
     workers: usize,
-    /// Persistent worker pool for [`Engine::run_batches`], spawned on
-    /// first multi-worker call and reused until the worker count changes.
-    pool: Option<WorkerPool>,
-    /// Reusable pack-once buffer for sharded [`Engine::run_batches`]
-    /// calls; holds its capacity between calls.
-    packed_cache: PackedBatches,
     /// Batches served since construction; incremented exactly once per
-    /// executed batch by every serving path (atomic so `&self` paths and
-    /// pool workers can count).
-    batches_served: Arc<AtomicU64>,
+    /// executed batch by every serving path (atomic so `&self` paths can
+    /// count from any thread).
+    batches_served: AtomicU64,
 }
 
 impl fmt::Debug for Engine {
@@ -634,24 +609,21 @@ impl fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("core", &self.core)
             .field("workers", &self.workers)
-            .field("pooled", &self.pool.is_some())
             .field("batches_served", &self.batches_served())
             .finish_non_exhaustive()
     }
 }
 
 impl Clone for Engine {
-    /// Cheap clone: shares the immutable core, starts with fresh scratch,
-    /// no pool, and a counter snapshot (the clone's
+    /// Cheap clone: shares the immutable core, starts with fresh scratch
+    /// and a counter snapshot (the clone's
     /// [`batches_served`](Engine::batches_served) advances independently).
     fn clone(&self) -> Self {
         Engine {
             core: Arc::clone(&self.core),
             scratch: EngineScratch::default(),
             workers: self.workers,
-            pool: None,
-            packed_cache: PackedBatches::default(),
-            batches_served: Arc::new(AtomicU64::new(self.batches_served())),
+            batches_served: AtomicU64::new(self.batches_served()),
         }
     }
 }
@@ -792,9 +764,7 @@ impl Engine {
             }),
             scratch: EngineScratch::default(),
             workers: 1,
-            pool: None,
-            packed_cache: PackedBatches::default(),
-            batches_served: Arc::new(AtomicU64::new(0)),
+            batches_served: AtomicU64::new(0),
         })
     }
 
@@ -808,31 +778,17 @@ impl Engine {
     }
 
     /// Sets the worker-thread count used by [`Engine::run_batches`].
-    /// `0` means "one per available CPU". Changing the count retires the
-    /// engine's persistent pool; the next multi-worker run respawns it.
+    /// `0` means "one per available CPU".
     pub fn set_workers(&mut self, workers: usize) {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            workers
+        self.workers = match workers {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            explicit => explicit,
         };
-        if workers != self.workers {
-            self.workers = workers;
-            self.pool = None;
-        }
     }
 
     /// The worker-thread count [`Engine::run_batches`] shards over.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Joins and drops the engine's persistent sharding pool, if one was
-    /// spawned; the next multi-worker [`Engine::run_batches`] respawns
-    /// it. Used when the engine moves into a [`crate::runtime::Runtime`],
-    /// which brings its own workers.
-    pub(crate) fn retire_pool(&mut self) {
-        self.pool = None;
     }
 
     /// The shared immutable core: config, program, backend, kernel tape.
@@ -859,9 +815,7 @@ impl Engine {
             core: Arc::new(core),
             scratch: EngineScratch::default(),
             workers: self.workers,
-            pool: None,
-            packed_cache: PackedBatches::default(),
-            batches_served: Arc::new(AtomicU64::new(0)),
+            batches_served: AtomicU64::new(0),
         })
     }
 
@@ -908,7 +862,7 @@ impl Engine {
 
     /// Batches served since construction, across every path — sequential
     /// [`run_batch`](Engine::run_batch), caller-scratch
-    /// [`run_batch_with`](Engine::run_batch_with), the sharded pool of
+    /// [`run_batch_with`](Engine::run_batch_with), the shards of
     /// [`run_batches`](Engine::run_batches), and
     /// [`crate::runtime::Runtime`] micro-batches — each executed batch
     /// counted exactly once (failed batches do not count).
@@ -965,10 +919,10 @@ impl Engine {
     /// serving loop — returning one result per batch, in input order.
     ///
     /// With [`workers`](Engine::workers) > 1 the sequence is sharded into
-    /// contiguous chunks across the engine's persistent worker pool
-    /// (spawned on first use, reused across calls); each worker owns its
-    /// own scratch buffers, and the merged results are indistinguishable
-    /// from sequential execution.
+    /// contiguous chunks, one scoped thread each — the batches borrowed,
+    /// a fresh scratch per shard, every batch through
+    /// [`run_batch_with`](Engine::run_batch_with) — and the merged
+    /// results are indistinguishable from sequential execution.
     ///
     /// # Errors
     ///
@@ -977,125 +931,44 @@ impl Engine {
     /// later shards may already have executed (and count toward
     /// [`batches_served`](Engine::batches_served)) before the error is
     /// reported.
+    ///
+    /// # Panics
+    ///
+    /// A batch that panics (see [`EngineCore::run_batch`]) panics the
+    /// caller, whichever thread ran it; the engine serves the next call.
     pub fn run_batches<B: AsRef<[Lanes]> + Sync>(
         &mut self,
         batches: &[B],
     ) -> Result<Vec<RunResult>, CoreError> {
         let workers = self.workers.clamp(1, batches.len().max(1));
         if workers == 1 {
-            let mut out = Vec::with_capacity(batches.len());
-            for batch in batches {
-                out.push(self.run_batch(batch.as_ref())?);
-            }
-            return Ok(out);
+            return (batches.iter())
+                .map(|batch| self.run_batch(batch.as_ref()))
+                .collect();
         }
-
-        let pool_workers = self.workers;
-        let pool = self
-            .pool
-            .get_or_insert_with(|| WorkerPool::spawn(pool_workers, 2 * pool_workers));
-        // Jobs outlive this call's borrows (the pool threads are
-        // persistent), so the shard data must be owned. Instead of
-        // cloning every `Lanes` of every batch into fresh `Vec`s per
-        // call, the whole sequence is packed once into the engine's
-        // reusable flat buffer — zero allocation in steady state — and
-        // each worker streams its shard into the kernels by offset.
-        let mut pb = std::mem::take(&mut self.packed_cache);
-        pb.words.clear();
-        pb.descs.clear();
-        for batch in batches {
-            let batch = batch.as_ref();
-            // Record the width the per-batch path would infer.
-            let lanes = column_lanes(batch);
-            let offset = pb.words.len();
-            for col in batch {
-                pb.words.extend_from_slice(col.words());
-            }
-            pb.descs.push(PackedDesc {
-                offset,
-                inputs: batch.len(),
-                lanes,
-            });
+        let engine = &*self;
+        // A shard stops at its first error; joined in shard order, the
+        // first error seen is the first in input order.
+        let shards: Vec<Result<Vec<RunResult>, CoreError>> = std::thread::scope(|scope| {
+            let running: Vec<_> = (batches.chunks(batches.len().div_ceil(workers)))
+                .map(|shard| {
+                    scope.spawn(move || {
+                        let mut scratch = EngineScratch::new();
+                        (shard.iter())
+                            .map(|batch| engine.run_batch_with(&mut scratch, batch.as_ref()))
+                            .collect()
+                    })
+                })
+                .collect();
+            (running.into_iter())
+                .map(|shard| shard.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect()
+        });
+        let mut results = Vec::with_capacity(batches.len());
+        for shard in shards {
+            results.extend(shard?);
         }
-        let owned = Arc::new(pb);
-        let chunk = owned.descs.len().div_ceil(workers);
-        let (tx, rx) = mpsc::channel();
-        let mut shards = 0usize;
-        let mut start = 0usize;
-        while start < owned.descs.len() {
-            let end = (start + chunk).min(owned.descs.len());
-            let range = start..end;
-            let core = Arc::clone(&self.core);
-            let data = Arc::clone(&owned);
-            let served = Arc::clone(&self.batches_served);
-            let tx = tx.clone();
-            let idx = shards;
-            pool.submit(Box::new(move |scratch| {
-                // A panicking batch must not kill the persistent
-                // worker: capture it and let the caller re-raise,
-                // exactly like the old scoped join did.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut out: Vec<Result<RunResult, CoreError>> =
-                        Vec::with_capacity(range.len());
-                    for desc in &data.descs[range.clone()] {
-                        let len = desc.inputs * desc.lanes.div_ceil(64);
-                        let packed = &data.words[desc.offset..desc.offset + len];
-                        let result = core.check_arity(desc.inputs).and_then(|()| {
-                            let columns = packed_columns(packed, desc.inputs, desc.lanes);
-                            core.run(&mut scratch.engine, desc.lanes, columns, 0, true)
-                        });
-                        let failed = result.is_err();
-                        out.push(count_served(&served, result));
-                        if failed {
-                            break; // this shard stops at its first error
-                        }
-                    }
-                    out
-                }));
-                let _ = tx.send((idx, result));
-            }));
-            shards += 1;
-            start = end;
-        }
-        drop(tx);
-
-        let mut collected: Vec<Vec<Result<RunResult, CoreError>>> = Vec::new();
-        collected.resize_with(shards, Vec::new);
-        for _ in 0..shards {
-            let (idx, result) = rx.recv().expect("batch worker dropped its result");
-            match result {
-                Ok(res) => collected[idx] = res,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        let total = owned.descs.len();
-        // Reclaim the packed buffer (and its capacity) for the next
-        // call. Every shard has sent its result, but a worker may still
-        // be tearing down its closure; losing that race just means the
-        // capacity is rebuilt on the next call.
-        if let Ok(pb) = Arc::try_unwrap(owned) {
-            self.packed_cache = pb;
-        }
-        let mut results = Vec::with_capacity(total);
-        let mut first_err = None;
-        for result in collected.into_iter().flatten() {
-            match result {
-                Ok(r) => {
-                    if first_err.is_none() {
-                        results.push(r);
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            None => Ok(results),
-            Some(e) => Err(e),
-        }
+        Ok(results)
     }
 
     /// Runs [`Engine::run_batches`] under a wall-clock timer, returning
@@ -1345,7 +1218,9 @@ mod tests {
                 .collect();
             let mut sequential = flow.engine().unwrap();
             let expect = sequential.run_batches(&batches).unwrap();
-            for workers in [2usize, 3, 8, 32] {
+            // Every split of the thirteen, one shard and more workers
+            // than batches included.
+            for workers in [1usize, 2, 3, 5, 8, 32] {
                 let mut sharded = flow.engine().unwrap().with_workers(workers);
                 assert_eq!(sharded.workers(), workers);
                 let got = sharded.run_batches(&batches).unwrap();
@@ -1358,8 +1233,8 @@ mod tests {
         }
     }
 
-    /// Regression (Issue 4 satellite): the persistent pool counts every
-    /// executed batch exactly once, across repeated calls, pool respawns,
+    /// Regression (Issue 4 satellite): every executed batch counts
+    /// exactly once, across repeated sharded calls, worker-count changes,
     /// and the `&self` caller-scratch path.
     #[test]
     fn batches_served_counts_each_batch_exactly_once() {
@@ -1374,16 +1249,12 @@ mod tests {
             .collect();
         let mut engine = flow.engine().unwrap().with_workers(3);
         engine.run_batches(&batches).unwrap();
-        assert_eq!(engine.batches_served(), 7, "first pooled run");
+        assert_eq!(engine.batches_served(), 7, "first sharded run");
         engine.run_batches(&batches).unwrap();
-        assert_eq!(
-            engine.batches_served(),
-            14,
-            "pool reuse must not double-count"
-        );
-        engine.set_workers(5); // retires and respawns the pool
+        assert_eq!(engine.batches_served(), 14, "a second call counts once");
+        engine.set_workers(5);
         engine.run_batches(&batches).unwrap();
-        assert_eq!(engine.batches_served(), 21, "respawned pool");
+        assert_eq!(engine.batches_served(), 21, "another shard count");
         let mut scratch = EngineScratch::new();
         engine.run_batch_with(&mut scratch, &batches[0]).unwrap();
         assert_eq!(
@@ -1420,21 +1291,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_run_batches_reports_first_error_in_input_order() {
+    /// A compiled block and seven distinguishable batches for it.
+    fn seven_batches() -> (Flow, Vec<Vec<Lanes>>) {
         let nl = RandomDag::strict(6, 3, 4).outputs(2).generate(3);
         let flow = Flow::builder(&nl)
             .config(LpuConfig::new(4, 4))
             .compile()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut batches: Vec<Vec<Lanes>> = (0..6)
-            .map(|_| random_batch(&mut rng, nl.inputs().len(), 16))
+        let batches = (0..7)
+            .map(|i| random_batch(&mut rng, nl.inputs().len(), 16 + i))
             .collect();
-        batches[2] = random_batch(&mut rng, 1, 16); // wrong arity
+        (flow, batches)
+    }
+
+    #[test]
+    fn sharded_run_batches_reports_first_error_in_input_order() {
+        let (flow, mut batches) = seven_batches();
+        let mut rng = StdRng::seed_from_u64(6);
+        // Three shards of 3 + 3 + 1: one failure in the second, another
+        // (distinguishable) in the third.
+        batches[4] = random_batch(&mut rng, 1, 16);
+        batches[6] = random_batch(&mut rng, 2, 16);
         let mut engine = flow.engine().unwrap().with_workers(3);
         let err = engine.run_batches(&batches).unwrap_err();
-        assert!(matches!(err, CoreError::InputArity { .. }));
+        assert!(matches!(err, CoreError::InputArity { got: 1, .. }), "{err}");
+        // The first shard ran whole, the second up to its failure.
+        assert_eq!(engine.batches_served(), 4);
+    }
+
+    /// A batch that panics in a shard panics the caller with the batch's
+    /// own message, and leaves the engine serving.
+    #[test]
+    fn a_panicking_shard_propagates_and_the_engine_serves_on() {
+        let (flow, mut batches) = seven_batches();
+        let expect = flow.engine().unwrap().run_batches(&batches).unwrap();
+        let healthy = batches.clone();
+        batches[5][0] = Lanes::from_bools(&[true; 3]); // ragged columns
+        let mut engine = flow.engine().unwrap().with_workers(3);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_batches(&batches)
+        }))
+        .unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("inconsistent lane counts"), "{message}");
+        let got = engine.run_batches(&healthy).unwrap();
+        for (g, e) in got.iter().zip(&expect) {
+            assert_eq!(g.outputs, e.outputs);
+        }
     }
 
     #[test]

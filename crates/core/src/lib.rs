@@ -40,15 +40,17 @@
 //!   ([`CompiledModel::infer_with`] + [`ModelScratch`]). Engines execute
 //!   on bit-identical [`Backend`]s — the cycle-accurate machine
 //!   ([`Backend::Scalar`]) or branch-free bit-sliced word kernels at a
-//!   selectable width ([`Backend::BitSliced`]` { words }`, 1/2/4/8
+//!   selectable width ([`Backend::BitSliced`]` { words }`, 1/2/4/8/16
 //!   words per net = 64/128/256/512/1024 lanes per kernel pass) — selected
 //!   via [`FlowBuilder::backend`](flow::FlowBuilder::backend).
-//!   [`Engine::run_batches`] shards batch sequences across a persistent
-//!   worker pool, and the [`Runtime`] serves *individual* requests:
-//!   a bounded submission queue with backpressure, dynamic
-//!   micro-batching to the engine's lane width (size-or-deadline
-//!   flush), per-request [`RequestHandle`]s, and measured latency
-//!   percentiles/queue depth ([`QueueStats`]).
+//!   [`Engine::run_batches`] shards batch sequences across scoped
+//!   threads, and the [`Runtime`] — whose workers are the crate's only
+//!   persistent threads — serves *individual* requests: one state
+//!   behind one lock holding the forming batch and a bounded queue of
+//!   full ones (backpressure), work-conserving micro-batching to the
+//!   engine's lane width (a batch leaves when it fills or when a worker
+//!   looks for work; no timer), per-request [`RequestHandle`]s, and
+//!   measured latency percentiles/queue depth ([`QueueStats`]).
 //!
 //! ## Quickstart
 //!

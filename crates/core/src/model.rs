@@ -253,7 +253,7 @@ pub fn chain_inputs(prev_outputs: &[Lanes], want: usize) -> Vec<Lanes> {
 /// The model itself stays immutable during inference (`&self`), so any
 /// number of threads can run inference on one shared [`CompiledModel`],
 /// each owning its own `ModelScratch` — the split the
-/// [`crate::runtime::Runtime`] worker pool is built on.
+/// [`crate::runtime::Runtime`] workers are built on.
 #[derive(Debug, Clone, Default)]
 pub struct ModelScratch {
     layers: Vec<EngineScratch>,

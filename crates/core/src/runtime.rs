@@ -1,5 +1,5 @@
-//! The persistent serving runtime: shared compiled state, a resident
-//! worker pool, and dynamic micro-batching to the engine's lane width.
+//! The persistent serving runtime: shared compiled state, resident
+//! workers, and dynamic micro-batching to the engine's lane width.
 //!
 //! The paper's LPU earns its throughput from *word-level parallelism*:
 //! every operand word carries `2m` independent Boolean samples, so a
@@ -7,16 +7,21 @@
 //! packed. The host analogue ([`Backend::BitSliced`]) packs `64 × words`
 //! samples per kernel pass (64–1024 lanes) — but real traffic arrives one
 //! request at a time. This module closes that gap with the shape real
-//! inference servers have:
+//! inference servers have, and — like the LPU's input buffer →
+//! instruction queues → output buffer — with one path for a request to
+//! take:
 //!
 //! ```text
-//!  submit(bits) ──gather──▶ pending batch: packed rows ──▶ micro-batcher
-//!       │                   (bounded: backpressure)   (lane-width full │ worker idle)
-//!       ▼                                                    │
-//!  RequestHandle ◀── result block: packed rows ◀── worker: rows ─transpose▶ columns
-//!   .wait() expands    (row j = request j,                  ▶ engine chain, every
-//!   its own row         one per micro-batch)                  boundary packed
-//!                                                           ▶ columns ─transpose▶ rows
+//!  submit(bits)      ┌─ one state, one lock ────────────────────────┐
+//!       │  gather    │ pending  the forming batch, packed rows ─────┼──┐ a worker finds
+//!       ├───────────▶│    │ full                                    │  │ `ready` empty
+//!       │            │    ▼                                         │  ▼
+//!       │            │ ready    full batches, ≤ queue_capacity ─────┼─▶ worker: rows ─transpose▶ columns
+//!       │            │ target + version + flush width · spare ·     │    ▶ engine chain, every
+//!       ▼            │ idle / polling / shutdown                    │      boundary packed
+//!  RequestHandle     └──────────────────────────────────────────────┘    ▶ columns ─transpose▶ rows
+//!   .wait() expands ◀── result block: packed rows (row j = request j, ◀────┘
+//!   its own row         one per micro-batch)
 //! ```
 //!
 //! * The compiled target is **resident and shared**: a chain of engines
@@ -40,37 +45,44 @@
 //!   notification; each caller expands only its own row into the
 //!   `Vec<bool>` it receives, on its own thread. The block is freed when
 //!   the last handle of the batch is dropped; the batch's input buffers
-//!   go back to the batcher as the next batch to form.
+//!   go back to the state as the next batch to form.
+//! * **One state behind one lock** holds everything between `submit` and
+//!   a worker: the forming batch, the queue of full ones, the serving
+//!   target with its version, and which workers are looking for work.
+//!   The runtime's workers are its only threads and take micro-batches
+//!   from that state directly — there is no job queue, no closure and no
+//!   second lock between the batcher and the thread that runs the batch.
 //! * The dynamic micro-batcher is **work-conserving**: a batch leaves
-//!   the moment it reaches the serving engine's lane width (or an explicit
-//!   [`RuntimeOptions::max_batch`] override), *or* the moment a worker
-//!   is free to run it — on `submit` when fewer micro-batches are
-//!   outstanding than there are workers, otherwise by the next worker to
-//!   finish, which pulls whatever accumulated and runs it in the same
-//!   job. Requests therefore wait only while every worker is busy,
-//!   which is exactly when batching costs nothing; there is no timer
-//!   and no flusher thread.
+//!   the forming slot the moment it reaches the serving engine's lane
+//!   width (or an explicit [`RuntimeOptions::max_batch`] override), *or*
+//!   the moment a worker looks for work and finds nothing older — an
+//!   idle worker at once, a busy one when it finishes, taking whatever
+//!   accumulated meanwhile. Requests therefore wait only while every
+//!   worker is busy, which is exactly when batching costs nothing; there
+//!   is no timer, no flusher thread and no waiting policy.
 //! * A thread that runs out of work **polls briefly before it parks**
-//!   (`POLL_BEFORE_PARK`): a worker at the empty job queue, a caller at
-//!   the result cell of a request a free worker is running. A stream
+//!   (`POLL_BEFORE_PARK`): a worker at the empty state, a caller at the
+//!   result cell of a request an idle worker is about to run. A stream
 //!   of one-at-a-time requests then meets threads that are already
 //!   awake instead of paying — or, depending on thread placement, not
 //!   paying — an idle-CPU wake-up per hand-off.
-//! * The submission path is **bounded**: when the job queue is full,
-//!   `submit` blocks until a worker drains it (backpressure instead of
-//!   unbounded memory growth).
+//! * The submission path is **bounded**: when the queue of full batches
+//!   is at [`RuntimeOptions::queue_capacity`], the `submit` that would
+//!   fill one more blocks until a worker takes one (backpressure instead
+//!   of unbounded memory growth).
 //! * The runtime measures what serving layers must report: submit→
 //!   response latency percentiles (p50/p95/p99) and peak queue depth
 //!   ([`QueueStats`]), surfaced through [`Runtime::stats`] and attached
 //!   to [`ThroughputReport::wall`] by [`Runtime::report`].
 //! * The served target is **hot-swappable**: [`Runtime::swap_engine`] /
 //!   [`Runtime::swap_model`] atomically replace the compiled core
-//!   (version `vN` → `vN+1`) under live traffic. A micro-batch executes
-//!   wholly on the target it was dispatched with, so every response is
-//!   bit-identical to either the old or the new version — never a torn
-//!   mix — and no accepted request is dropped. [`RuntimeStats`] reports
-//!   the serving version, the swap count, and completions split per
-//!   version.
+//!   (version `vN` → `vN+1`) under live traffic: in one critical section
+//!   the forming batch leaves under the old target and the new one is
+//!   installed. A micro-batch executes wholly on the target it left the
+//!   forming slot under, so every response is bit-identical to either
+//!   the old or the new version — never a torn mix — and no accepted
+//!   request is dropped. [`RuntimeStats`] reports the serving version,
+//!   the swap count, and completions split per version.
 //!
 //! Outputs are bit-identical to running each request alone through the
 //! scalar reference engine — pinned by property tests — because packing
@@ -81,7 +93,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,18 +104,13 @@ use crate::error::CoreError;
 use crate::model::{run_chain, Built, CompiledModel, ModelScratch};
 use crate::throughput::{block_throughput, QueueStats, ThroughputReport, WallTiming};
 
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-/// Per-worker mutable state: one engine scratch (batch sharding, and the
-/// buffer a micro-batch's rows are transposed into) plus the per-link
-/// scratches of the served chain. Each pool thread owns exactly one and
-/// reuses it for every job it executes.
+/// Per-worker mutable state: the buffer a micro-batch's rows are
+/// transposed into plus the per-link scratches of the served chain. Each
+/// worker thread owns exactly one and reuses it for every micro-batch it
+/// executes.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
-    /// Scratch for [`Engine::run_batches`] shards; its packed-input
-    /// buffer holds a micro-batch's input columns.
+    /// Its packed-input buffer holds a micro-batch's input columns.
     pub(crate) engine: EngineScratch,
     /// Per-link scratches of the served chain (frames and the packed
     /// boundaries, the final outputs included).
@@ -111,8 +118,8 @@ pub struct ServeScratch {
 }
 
 /// How long a thread that has just run out of work keeps looking for
-/// more — a worker at the job queue, a caller at the result cell of a
-/// request whose batch a free worker is running — before it parks on its
+/// more — a worker at the runtime's state, a caller at the result cell
+/// of a request an idle worker is about to run — before it parks on its
 /// condvar. It yields the CPU between looks, so it never holds up a
 /// runnable thread.
 ///
@@ -124,159 +131,24 @@ pub struct ServeScratch {
 /// from one run to the next). The next request of such a stream arrives
 /// 50–70 µs after the last response, well inside this window, so both
 /// hand-offs — caller → worker, worker → caller — meet a thread that is
-/// already awake. Burst traffic never gets here (its workers find the
-/// queue non-empty, its callers' requests wait in the batcher), and an
-/// idle runtime stops polling after one window.
+/// already awake. Burst traffic never gets here (its workers find a
+/// batch waiting, its callers' requests wait in the forming batch), and
+/// an idle runtime stops polling after one window.
 const POLL_BEFORE_PARK: Duration = Duration::from_micros(200);
 
-/// A job executed on a pool worker with that worker's scratch.
-type Job = Box<dyn FnOnce(&mut ServeScratch) + Send + 'static>;
-
-/// A persistent pool of OS worker threads draining a bounded job queue.
-///
-/// This replaces the old per-call `std::thread::scope` sharding: threads
-/// are spawned once and reused, each owning one [`ServeScratch`], so
-/// steady-state serving pays no thread spawn or scratch allocation per
-/// call. [`WorkerPool::submit`] blocks while the queue is at capacity —
-/// the pool is the backpressure point for everything built on it.
-pub(crate) struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
+/// Locks one of the runtime's mutexes, taking the guard back from a
+/// poisoned one. The invariant that makes this sound: nothing that can
+/// panic runs under a runtime lock. The critical sections move buffers
+/// and bump counters; kernels run outside them, under `catch_unwind`. So
+/// whatever thread died holding a guard, the state behind it is whole,
+/// and serving goes on.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct PoolShared {
-    state: Mutex<PoolState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-struct PoolState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-    /// A worker that ran out of jobs is polling the queue (see
-    /// [`POLL_BEFORE_PARK`]) and will find a lone new job by itself. At
-    /// most one worker polls at a time.
-    polling: bool,
-}
-
-impl fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .field("capacity", &self.shared.capacity)
-            .finish_non_exhaustive()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns `workers` persistent threads (at least one) draining a
-    /// queue bounded at `capacity` jobs.
-    pub(crate) fn spawn(workers: usize, capacity: usize) -> WorkerPool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutdown: false,
-                polling: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        });
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut scratch = ServeScratch::default();
-                    loop {
-                        let job = {
-                            let mut st = shared.state.lock().expect("pool lock");
-                            // Out of jobs: poll once before parking.
-                            let mut polled = false;
-                            loop {
-                                if let Some(job) = st.queue.pop_front() {
-                                    shared.not_full.notify_one();
-                                    break Some(job);
-                                }
-                                // Drain the queue fully before honoring
-                                // shutdown, so no accepted job is dropped.
-                                if st.shutdown {
-                                    break None;
-                                }
-                                if !polled && !st.polling {
-                                    polled = true;
-                                    st.polling = true;
-                                    drop(st);
-                                    st = poll_for_job(&shared);
-                                    st.polling = false;
-                                    continue;
-                                }
-                                st = shared.not_empty.wait(st).expect("pool lock");
-                            }
-                        };
-                        match job {
-                            Some(job) => job(&mut scratch),
-                            None => break,
-                        }
-                    }
-                })
-            })
-            .collect();
-        WorkerPool { shared, handles }
-    }
-
-    /// Worker threads in the pool.
-    pub(crate) fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Enqueues a job, blocking while the bounded queue is at capacity
-    /// (backpressure).
-    pub(crate) fn submit(&self, job: Job) {
-        let mut st = self.shared.state.lock().expect("pool lock");
-        while st.queue.len() >= self.shared.capacity && !st.shutdown {
-            st = self.shared.not_full.wait(st).expect("pool lock");
-        }
-        st.queue.push_back(job);
-        // A polling worker picks a lone job up by itself; waking a parked
-        // one as well would only have it find the queue empty.
-        let wake = !(st.polling && st.queue.len() == 1);
-        drop(st);
-        if wake {
-            self.shared.not_empty.notify_one();
-        }
-    }
-}
-
-/// The polling phase of a worker that found the queue empty: looks at
-/// the queue, yielding the CPU between looks, until there is a job, the
-/// pool shuts down, or [`POLL_BEFORE_PARK`] has passed. Returns the pool
-/// lock, held since the last look.
-fn poll_for_job(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
-    let give_up = Instant::now() + POLL_BEFORE_PARK;
-    loop {
-        std::thread::yield_now();
-        let st = shared.state.lock().expect("pool lock");
-        if !st.queue.is_empty() || st.shutdown || Instant::now() >= give_up {
-            return st;
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    /// Signals shutdown, lets the workers drain every queued job, and
-    /// joins them.
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            st.shutdown = true;
-        }
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
+/// Parks on `condvar` until notified; poison-proof like [`lock`].
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +185,7 @@ impl BatchCell {
         debug_assert!(first, "a micro-batch completes once");
         // Taking the lock orders the wake-up after a waiter's
         // check-then-wait.
-        drop(self.park.lock().expect("park lock"));
+        drop(lock(&self.park));
         self.ready.notify_all();
     }
 
@@ -322,12 +194,12 @@ impl BatchCell {
         if let Some(result) = self.result.get() {
             return result;
         }
-        let mut guard = self.park.lock().expect("park lock");
+        let mut guard = lock(&self.park);
         loop {
             if let Some(result) = self.result.get() {
                 return result;
             }
-            guard = self.ready.wait(guard).expect("park lock");
+            guard = wait(&self.ready, guard);
         }
     }
 }
@@ -350,9 +222,9 @@ pub struct RequestHandle {
     /// This request's row of the batch's result block.
     lane: usize,
     id: u64,
-    /// The request was handed straight to a free worker, so its response
-    /// is one kernel pass away: [`RequestHandle::wait`] polls for it
-    /// before parking. At most `workers` such requests are outstanding.
+    /// A worker was looking for work when the request was accepted, so
+    /// its response is one kernel pass away: [`RequestHandle::wait`]
+    /// polls for it before parking.
     poll: bool,
 }
 
@@ -406,7 +278,7 @@ impl RequestHandle {
 }
 
 /// One micro-batch from the first request accepted into it to its
-/// execution: the batcher appends to it under its lock, a worker
+/// execution: `submit` appends to it under the state lock, a worker
 /// consumes it.
 struct Batch {
     /// Request `j`'s input bits, gathered into row `j` (one bit per
@@ -430,8 +302,8 @@ impl Batch {
 
     /// This batch, executed and published, as the next one to form: its
     /// two buffers, emptied, and a result cell of its own. Under load
-    /// the same few buffers go round between batcher and workers
-    /// ([`BatchState::spare`]). Allocated by the submitter and freed by
+    /// the same few buffers go round between the state and the workers
+    /// ([`State::spare`]). Allocated by the submitter and freed by
     /// the worker, batch after batch, they cost the submitting thread a
     /// fifth of its throughput at ~20-request batches
     /// (`runtime_saturated`).
@@ -472,21 +344,20 @@ struct Target {
     /// Never empty: an [`Engine`], or the layers of a [`CompiledModel`]
     /// (which has at least one).
     engines: Arc<[Engine]>,
-    /// Every micro-batch panics: the failure path of [`run_batch`],
-    /// which no well-formed engine can be made to take.
+    /// Runs on the worker before every micro-batch, with the batch's
+    /// request rows: it may panic (the failure path of [`run_batch`],
+    /// which no well-formed engine can be made to take) or hold the
+    /// worker until another batch has run.
     #[cfg(test)]
-    panics: bool,
+    hook: Option<tests::Hook>,
 }
 
 impl Target {
-    fn new(mut engines: Vec<Engine>) -> Target {
-        // An engine's own sharding pool (if `run_batches` ever spawned
-        // one) is dead weight here — the runtime brings its own workers.
-        engines.iter_mut().for_each(Engine::retire_pool);
+    fn new(engines: Vec<Engine>) -> Target {
         Target {
             engines: engines.into(),
             #[cfg(test)]
-            panics: false,
+            hook: None,
         }
     }
 
@@ -510,7 +381,9 @@ impl Target {
     /// ([`Runtime::swap_engine`] keeps it so).
     fn run(&self, scratch: &mut ServeScratch, rows: &PackedRows) -> Result<PackedRows, CoreError> {
         #[cfg(test)]
-        assert!(!self.panics, "the test target panics on every micro-batch");
+        if let Some(hook) = &self.hook {
+            hook(rows);
+        }
         let lanes = rows.rows();
         rows.columns_into(&mut scratch.engine.packed);
         let columns = packed_columns(&scratch.engine.packed, rows.width(), lanes);
@@ -534,11 +407,11 @@ impl Target {
 /// Configuration of a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// Worker threads in the persistent pool. `0` means one per
-    /// available CPU.
+    /// Persistent worker threads. `0` means one per available CPU.
     pub workers: usize,
-    /// Bound of the micro-batch job queue; a full queue blocks
-    /// [`Runtime::submit`] until a worker drains it (backpressure).
+    /// Bound of the queue of full micro-batches; at the bound, the
+    /// [`Runtime::submit`] that would fill one more blocks until a
+    /// worker takes one (backpressure).
     pub queue_capacity: usize,
     /// Lanes per micro-batch — the size flush trigger. The default `0`
     /// means "the serving engine's lane width"
@@ -550,7 +423,7 @@ pub struct RuntimeOptions {
     /// Admission limit for [`Runtime::try_submit`]: the in-flight
     /// request count at which new requests are shed instead of queued.
     /// The default `0` means "auto": `flush_target × (queue_capacity +
-    /// workers + 1)` — enough to fill every queued job slot, every
+    /// workers + 1)` — enough to fill every queued batch slot, every
     /// worker, and the currently forming micro-batch. [`Runtime::submit`]
     /// ignores this and blocks (backpressure); `try_submit` is the
     /// load-shedding entry point network servers use.
@@ -584,7 +457,7 @@ impl RuntimeOptions {
         self
     }
 
-    /// Sets the bounded job-queue capacity (builder style).
+    /// Sets the bound of the queue of full micro-batches (builder style).
     #[must_use]
     pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
@@ -608,13 +481,13 @@ pub struct RuntimeStats {
     pub requests: u64,
     /// Micro-batches executed.
     pub micro_batches: u64,
-    /// Micro-batches dispatched by the size trigger (batch filled).
+    /// Micro-batches that left by the size trigger (batch filled).
     pub full_flushes: u64,
-    /// Micro-batches dispatched before filling: idle dispatch (a worker
-    /// was free at `submit`), worker pull (a finishing worker took what
-    /// had accumulated), or an explicit [`Runtime::flush`] /
-    /// [`Runtime::drain`] / shutdown. (The name predates the
-    /// work-conserving batcher; there is no deadline.)
+    /// Micro-batches that left before filling: a worker looking for work
+    /// took what had accumulated (at once when idle, else on finishing
+    /// its batch, or at shutdown), or an explicit [`Runtime::flush`] or
+    /// swap closed it. (The name predates the work-conserving batcher;
+    /// there is no deadline.)
     pub deadline_flushes: u64,
     /// Mean lanes per executed micro-batch (packing efficiency; 64 means
     /// every bit-sliced word was full).
@@ -631,11 +504,9 @@ pub struct RuntimeStats {
     pub version: u64,
     /// Hot swaps performed over the runtime's lifetime.
     pub swaps: u64,
-    /// Requests completed on the current serving version. Attribution is
-    /// approximate for batches racing a concurrent swap (a batch counts
-    /// against the version current at its *completion*), but
-    /// `completed_current + completed_prior` always equals the total
-    /// completion count.
+    /// Requests completed by micro-batches that ran the current serving
+    /// version. `completed_current + completed_prior` always equals the
+    /// total completion count.
     pub completed_current: u64,
     /// Requests completed on superseded serving versions.
     pub completed_prior: u64,
@@ -648,71 +519,100 @@ pub struct RuntimeStats {
     pub requests_per_sec: f64,
 }
 
-struct RuntimeShared {
-    batcher: Mutex<BatchState>,
-    /// Pool size, fixed at construction: the `busy` level below which a
-    /// partial batch is dispatched instead of left to accumulate.
-    workers: usize,
+/// Everything between [`Runtime::submit`] and the worker that runs the
+/// request, behind the one lock both take.
+struct Shared {
+    state: Mutex<State>,
+    /// A worker with nothing to run parks here.
+    work: Condvar,
+    /// A submitter (or a flush) parks here while `ready` is at `capacity`.
+    not_full: Condvar,
+    /// [`Runtime::drain`] parks here until nothing is in flight.
+    drained: Condvar,
+    /// [`RuntimeOptions::queue_capacity`]: the bound on [`State::ready`].
+    capacity: usize,
     stats: StatsShared,
-    swap: SwapState,
 }
 
-/// The hot-swappable serving target plus its version bookkeeping.
-///
-/// A swap replaces `target` under the write lock; dispatch paths take a
-/// read lock only long enough to clone the `Arc`'d target together with
-/// its version, so in-flight micro-batches keep executing the core they
-/// were dispatched with while new submissions see the replacement.
-struct SwapState {
-    target: RwLock<Target>,
-    /// Serving version: 0 at construction, +1 per swap. Bumped under the
-    /// `target` write lock so a `(target, version)` pair read under the
-    /// read lock is always consistent.
-    version: AtomicU64,
-    /// Total hot swaps performed.
-    swaps: AtomicU64,
-    /// Resolved size flush trigger for the *current* target
-    /// (re-resolved on swap when [`RuntimeOptions::max_batch`] is auto).
-    flush_target: AtomicUsize,
-}
-
-impl RuntimeShared {
-    /// The current serving target and its version, read consistently
-    /// under the swap read lock (cloning a [`Target`] is one `Arc`
-    /// bump).
-    fn current(&self) -> (Target, u64) {
-        let guard = self.swap.target.read().expect("swap lock");
-        let version = self.swap.version.load(Ordering::Acquire);
-        (guard.clone(), version)
-    }
-}
-
-struct BatchState {
-    /// The forming micro-batch: requests accepted and not yet dispatched.
+struct State {
+    /// The forming micro-batch: requests accepted that no worker has
+    /// looked at yet. It leaves when it is full (to `ready`) or when a
+    /// worker finds `ready` empty (straight to that worker).
     pending: Batch,
+    /// Batches that left `pending` full — or by [`Runtime::flush`] or a
+    /// swap — in submission order, at most `capacity` of them.
+    ready: VecDeque<Ready>,
     /// The batch a worker ran last, handed back for its buffers: the
-    /// next [`BatchState::take_batch`] recycles it.
+    /// next [`State::take_pending`] recycles it.
     spare: Option<Batch>,
     next_id: u64,
-    /// Micro-batches dispatched and not yet finished (queued or
-    /// running). Invariant, outside this lock: `pending` is non-empty
-    /// only while `busy >= workers` — so some batch is still to finish,
-    /// and the worker finishing it pulls `pending`.
-    busy: usize,
+    /// What a batch leaving `pending` now is tagged with.
+    target: Target,
+    /// Serving version: 0 at construction, +1 per swap.
+    version: u64,
+    /// Resolved size flush trigger for `target` (re-resolved on swap
+    /// when [`RuntimeOptions::max_batch`] is auto).
+    flush_target: usize,
+    /// Workers looking for work: parked on [`Shared::work`], or the one
+    /// that is `polling`.
+    idle: usize,
+    /// A worker that ran out of work is polling the state (see
+    /// [`POLL_BEFORE_PARK`]) and will find a lone new batch by itself.
+    /// At most one worker polls at a time.
+    polling: bool,
+    /// Workers leave once `ready` and `pending` are both empty.
+    shutdown: bool,
+    /// Workers the tests have told to act busy.
+    #[cfg(test)]
+    seats: tests::Seats,
 }
 
-impl BatchState {
-    /// Takes everything pending as one micro-batch, counts it busy, and
-    /// starts the next one (with its own result cell): the spare
-    /// recycled, or a new one with room to grow as large as this one
-    /// did.
-    fn take_batch(&mut self) -> Batch {
-        self.busy += 1;
+/// A micro-batch that has left [`State::pending`], with the target that
+/// was serving at that moment: it executes that exact target even if a
+/// swap lands before a worker gets to it.
+struct Ready {
+    batch: Batch,
+    target: Target,
+    version: u64,
+}
+
+impl State {
+    /// Takes everything pending as one micro-batch under the serving
+    /// target and starts the next one (with its own result cell): the
+    /// spare recycled, or a new one with room to grow as large as this
+    /// one did.
+    fn take_pending(&mut self) -> Ready {
         let next = match self.spare.take() {
             Some(spent) => spent.recycled(),
             None => Batch::new(self.pending.rows.width(), self.pending.len()),
         };
-        std::mem::replace(&mut self.pending, next)
+        Ready {
+            batch: std::mem::replace(&mut self.pending, next),
+            target: self.target.clone(),
+            version: self.version,
+        }
+    }
+
+    /// Micro-batches a worker could start now.
+    fn work(&self) -> usize {
+        self.ready.len() + usize::from(!self.pending.is_empty())
+    }
+}
+
+impl Shared {
+    /// Moves the forming batch, if there is one, to `ready` — after
+    /// waiting for room there — and returns the lock, still held since
+    /// the move: a swap installs its target in the same critical section.
+    fn flush<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        while !st.pending.is_empty() && st.ready.len() >= self.capacity {
+            st = wait(&self.not_full, st);
+        }
+        if !st.pending.is_empty() {
+            self.stats.deadline_flushes.fetch_add(1, Ordering::Relaxed);
+            let flushed = st.take_pending();
+            st.ready.push_back(flushed);
+        }
+        st
     }
 }
 
@@ -757,17 +657,28 @@ impl LatencyReservoir {
     }
 }
 
+/// What completed micro-batches add up to; a worker takes this lock once
+/// per batch.
+#[derive(Default)]
+struct Completions {
+    latencies_us: LatencyReservoir,
+    /// The latest response: the end of the span
+    /// [`RuntimeStats::elapsed_us`] reports.
+    last_response: Option<Instant>,
+    /// The serving version (a swap writes it here while it still holds
+    /// the state lock).
+    version: u64,
+    /// Requests completed by batches that left under `version`; rolled
+    /// into `prior` by a swap.
+    current: u64,
+    /// Requests completed by batches of superseded versions.
+    prior: u64,
+}
+
 #[derive(Default)]
 struct StatsShared {
-    latencies_us: Mutex<LatencyReservoir>,
+    completions: Mutex<Completions>,
     requests: AtomicU64,
-    completed: AtomicU64,
-    /// Completions attributed to the current serving version; rolled
-    /// into `completed_prior` by a swap. The pair always sums to
-    /// `completed` even when batches race a swap.
-    completed_current: AtomicU64,
-    /// Completions attributed to superseded serving versions.
-    completed_prior: AtomicU64,
     micro_batches: AtomicU64,
     full_flushes: AtomicU64,
     deadline_flushes: AtomicU64,
@@ -775,15 +686,9 @@ struct StatsShared {
     lanes_served: AtomicU64,
     in_flight: AtomicUsize,
     peak_in_flight: AtomicUsize,
-    /// The first submit and the latest response: the span
+    /// The first submit: the start of the span
     /// [`RuntimeStats::elapsed_us`] reports.
     first_submit: OnceLock<Instant>,
-    last_response: Mutex<Option<Instant>>,
-    /// Pairs with `idle` to wake [`Runtime::drain`] when `in_flight`
-    /// reaches zero; completions only touch it on that transition, so
-    /// the hot path stays atomic-only.
-    idle_lock: Mutex<()>,
-    idle: Condvar,
 }
 
 impl StatsShared {
@@ -798,45 +703,31 @@ impl StatsShared {
         self.first_submit.get_or_init(|| now);
     }
 
-    /// Retires `count` requests from the in-flight gauge once their
-    /// batch is published, waking any [`Runtime::drain`] on the
-    /// busy→idle transition. Separate from [`StatsShared::note_completion`]
-    /// so `in_flight == 0` really means "every accepted handle has
-    /// resolved", not just "accounted".
-    fn note_resolved(&self, count: usize) {
-        let prev = self.in_flight.fetch_sub(count, Ordering::Release);
-        if prev == count {
-            // Taking the lock orders the notification after a concurrent
-            // drainer's check-then-wait.
-            let _guard = self.idle_lock.lock().expect("idle lock");
-            self.idle.notify_all();
+    /// Accounts one executed micro-batch that left under `version`,
+    /// whose requests were submitted at `submitted` and answered at
+    /// `now`.
+    fn note_completion(&self, submitted: &[Instant], version: u64, now: Instant) {
+        let mut done = lock(&self.completions);
+        for &at in submitted {
+            let waited = now.duration_since(at).as_secs_f64() * 1e6;
+            done.latencies_us.record(waited);
         }
-    }
-
-    /// Accounts one executed micro-batch whose requests were submitted
-    /// at `submitted` and answered at `now`.
-    fn note_completion(&self, submitted: &[Instant], now: Instant) {
-        self.completed
-            .fetch_add(submitted.len() as u64, Ordering::Relaxed);
-        {
-            let mut reservoir = self.latencies_us.lock().expect("latency lock");
-            for &at in submitted {
-                reservoir.record(now.duration_since(at).as_secs_f64() * 1e6);
-            }
+        done.last_response = Some(done.last_response.map_or(now, |at| at.max(now)));
+        if version == done.version {
+            done.current += submitted.len() as u64;
+        } else {
+            done.prior += submitted.len() as u64;
         }
-        let mut last = self.last_response.lock().expect("last-response lock");
-        *last = Some(last.map_or(now, |at| at.max(now)));
     }
 }
 
 /// A persistent serving runtime over a resident compiled block
 /// ([`Engine`]) or whole model ([`CompiledModel`]).
 ///
-/// Construction spawns the worker pool — the runtime's only threads;
-/// from then on [`Runtime::submit`] is the only per-request cost.
-/// Dropping the runtime flushes every pending request, drains the job
-/// queue, and joins the workers — every issued [`RequestHandle`]
-/// resolves.
+/// Construction spawns the workers — the runtime's only threads; from
+/// then on [`Runtime::submit`] is the only per-request cost. Dropping
+/// the runtime lets the workers run every batch still queued or forming
+/// and joins them — every issued [`RequestHandle`] resolves.
 ///
 /// ```
 /// use lbnn_core::runtime::{Runtime, RuntimeOptions};
@@ -864,8 +755,8 @@ pub struct Runtime {
     /// Primary-input bits per request. Fixed at construction: a swap
     /// that would change it is rejected.
     num_inputs: usize,
-    pool: WorkerPool,
-    shared: Arc<RuntimeShared>,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Runtime {
@@ -873,15 +764,27 @@ impl fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("backend", &self.backend())
             .field("version", &self.version())
-            .field("workers", &self.pool.workers())
+            .field("workers", &self.workers())
             .field("options", &self.options)
             .finish_non_exhaustive()
     }
 }
 
+impl RuntimeOptions {
+    /// The size flush trigger for `target`: `max_batch`, or when that is
+    /// 0 (auto) exactly one bit-sliced frame of the target's backend
+    /// (64–1024 lanes).
+    fn flush_target(&self, target: &Target) -> usize {
+        match self.max_batch {
+            0 => target.backend().lanes(),
+            explicit => explicit,
+        }
+    }
+}
+
 impl Runtime {
     /// Builds a runtime serving one compiled block. The engine's
-    /// immutable core is shared across the pool; its own scratch is
+    /// immutable core is shared across the workers; its own scratch is
     /// unused.
     ///
     /// # Errors
@@ -908,13 +811,7 @@ impl Runtime {
     }
 
     fn build(target: Target, options: RuntimeOptions) -> Result<Runtime, CoreError> {
-        // max_batch 0 = auto: fill exactly one bit-sliced frame of the
-        // serving backend (64–1024 lanes).
-        let flush_target = if options.max_batch == 0 {
-            target.backend().lanes()
-        } else {
-            options.max_batch
-        };
+        let flush_target = options.flush_target(&target);
         if options.queue_capacity == 0 {
             return Err(CoreError::BadConfig {
                 reason: "runtime queue_capacity must be at least 1".to_string(),
@@ -932,48 +829,58 @@ impl Runtime {
         } else {
             options.workers
         };
-        // Auto admission limit: every queued job slot and every worker
+        // Auto admission limit: every queued batch slot and every worker
         // full of lane-width batches, plus the currently forming batch.
         let admission_limit = if options.admission_limit == 0 {
             flush_target * (options.queue_capacity + workers + 1)
         } else {
             options.admission_limit
         };
-        let pool = WorkerPool::spawn(workers, options.queue_capacity);
-        let shared = Arc::new(RuntimeShared {
-            batcher: Mutex::new(BatchState {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
                 pending: Batch::new(num_inputs, 1),
+                ready: VecDeque::new(),
                 spare: None,
                 next_id: 0,
-                busy: 0,
+                target,
+                version: 0,
+                flush_target,
+                idle: 0,
+                polling: false,
+                shutdown: false,
+                #[cfg(test)]
+                seats: tests::Seats::default(),
             }),
-            workers: pool.workers(),
+            work: Condvar::new(),
+            not_full: Condvar::new(),
+            drained: Condvar::new(),
+            capacity: options.queue_capacity,
             stats: StatsShared::default(),
-            swap: SwapState {
-                target: RwLock::new(target),
-                version: AtomicU64::new(0),
-                swaps: AtomicU64::new(0),
-                flush_target: AtomicUsize::new(flush_target),
-            },
         });
+        let workers = (0..workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || serve(&shared))
+            })
+            .collect();
         Ok(Runtime {
             options,
             admission_limit,
             num_inputs,
-            pool,
             shared,
+            workers,
         })
     }
 
     /// The worker threads serving this runtime.
     pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.workers.len()
     }
 
     /// The execution backend micro-batches run on (the *current*
     /// serving version's backend).
     pub fn backend(&self) -> Backend {
-        self.shared.swap.target.read().expect("swap lock").backend()
+        lock(&self.shared.state).target.backend()
     }
 
     /// The resolved size flush trigger: [`RuntimeOptions::max_batch`] if
@@ -981,7 +888,7 @@ impl Runtime {
     /// bit-sliced frame; re-resolved when a hot swap changes the
     /// backend).
     pub fn flush_target(&self) -> usize {
-        self.shared.swap.flush_target.load(Ordering::Acquire)
+        lock(&self.shared.state).flush_target
     }
 
     /// Primary-input bits each request must carry. Stable across hot
@@ -994,15 +901,15 @@ impl Runtime {
     /// The serving version new submissions execute: 0 at construction,
     /// incremented by every successful hot swap.
     pub fn version(&self) -> u64 {
-        self.shared.swap.version.load(Ordering::Acquire)
+        lock(&self.shared.state).version
     }
 
     /// Hot-swaps the served block for `engine`, atomically moving the
     /// runtime from version `vN` to `vN+1` **without stopping traffic**:
     ///
-    /// * The pending partial micro-batch is flushed to the old core
-    ///   first, and micro-batches already dispatched keep executing the
-    ///   old `Arc`'d core they were handed — every response is
+    /// * The forming partial micro-batch leaves under the old core
+    ///   first, and micro-batches that left before it keep the old
+    ///   `Arc`'d core they are tagged with — every response is
     ///   bit-identical to *some* single version, never a torn mix.
     /// * Submissions that land after the swap execute the new core.
     /// * No accepted request is dropped; per-version completion counters
@@ -1043,44 +950,39 @@ impl Runtime {
                 ),
             });
         }
-        // Dispatch the forming partial batch to the outgoing version:
-        // requests accepted before the swap must not silently execute a
-        // core newer than any that existed when they were accepted
-        // *and* older batches must not linger past the swap unflushed.
-        self.flush();
-        let stats = &self.shared.stats;
-        let version = {
-            let mut guard = self.shared.swap.target.write().expect("swap lock");
-            *guard = target;
-            let version = self.shared.swap.version.fetch_add(1, Ordering::AcqRel) + 1;
-            self.shared.swap.swaps.fetch_add(1, Ordering::Relaxed);
-            let flush_target = if self.options.max_batch == 0 {
-                guard.backend().lanes()
-            } else {
-                self.options.max_batch
-            };
-            self.shared
-                .swap
-                .flush_target
-                .store(flush_target, Ordering::Release);
+        let shared = &*self.shared;
+        // One critical section: the forming batch leaves under the
+        // outgoing target — a request accepted before the swap never
+        // runs a core newer than any that existed then — and the new
+        // target is what every later batch is tagged with.
+        let mut st = shared.flush(lock(&shared.state));
+        st.flush_target = self.options.flush_target(&target);
+        let outgoing = std::mem::replace(&mut st.target, target);
+        st.version += 1;
+        let version = st.version;
+        {
             // Roll the per-version counters: everything completed so far
             // now belongs to a superseded version.
-            let rolled = stats.completed_current.swap(0, Ordering::AcqRel);
-            stats.completed_prior.fetch_add(rolled, Ordering::AcqRel);
-            version
-        };
+            let mut done = lock(&shared.stats.completions);
+            done.prior += std::mem::take(&mut done.current);
+            done.version = version;
+        }
+        drop(st);
+        // Outside the lock: the last reference frees whole engines.
+        drop(outgoing);
         Ok(version)
     }
 
     /// Submits one single-sample request (`bits[i]` = the value of
     /// primary input `i`) and returns a handle resolving to its outputs.
     ///
-    /// The request joins the current micro-batch, which is dispatched
-    /// at once if it is now full ([`Runtime::flush_target`]: the
-    /// engine's lane width, or an explicit
-    /// [`RuntimeOptions::max_batch`]) or if a worker is free to run it;
-    /// otherwise every worker is busy and the first to finish pulls the
-    /// batch. A full job queue blocks this call until a worker catches
+    /// The request joins the forming micro-batch, which leaves for the
+    /// queue of full batches if it is now full
+    /// ([`Runtime::flush_target`]: the engine's lane width, or an
+    /// explicit [`RuntimeOptions::max_batch`]); otherwise the next worker
+    /// to look for work takes it as it is — at once if one is idle. When
+    /// that queue is at [`RuntimeOptions::queue_capacity`], the request
+    /// that would fill one more batch blocks here until a worker catches
     /// up (backpressure).
     ///
     /// # Errors
@@ -1095,41 +997,34 @@ impl Runtime {
             });
         }
         let now = Instant::now();
-        self.shared.stats.note_submit(now);
-        let flush_target = self.flush_target();
-        let (handle, batch) = {
-            let mut st = self.shared.batcher.lock().expect("batcher lock");
-            let id = st.next_id;
-            st.next_id += 1;
-            let lane = st.pending.push(bits, now);
-            let cell = Arc::clone(&st.pending.cell);
-            let free = st.busy < self.shared.workers;
-            let batch = if st.pending.len() >= flush_target {
-                Some((st.take_batch(), &self.shared.stats.full_flushes))
-            } else if free {
-                // A worker is free: waiting could not start this request
-                // sooner, only later.
-                Some((st.take_batch(), &self.shared.stats.deadline_flushes))
-            } else {
-                // Every worker is busy; the first to finish pulls this.
-                None
-            };
-            // Dispatched to a free worker, the response is one kernel
-            // pass away.
-            let poll = free && batch.is_some();
-            let handle = RequestHandle {
-                cell,
-                lane,
-                id,
-                poll,
-            };
-            (handle, batch)
+        let shared = &*self.shared;
+        shared.stats.note_submit(now);
+        let mut st = lock(&shared.state);
+        while st.pending.len() + 1 >= st.flush_target && st.ready.len() >= shared.capacity {
+            st = wait(&shared.not_full, st);
+        }
+        let id = st.next_id;
+        st.next_id += 1;
+        let lane = st.pending.push(bits, now);
+        let handle = RequestHandle {
+            cell: Arc::clone(&st.pending.cell),
+            lane,
+            id,
+            poll: st.idle > 0,
         };
-        if let Some((batch, trigger)) = batch {
-            trigger.fetch_add(1, Ordering::Relaxed);
-            // Dispatch outside the batcher lock: if the pool queue is
-            // full this blocks, but other submitters keep batching.
-            dispatch(&self.pool, &self.shared, batch);
+        if st.pending.len() >= st.flush_target {
+            shared.stats.full_flushes.fetch_add(1, Ordering::Relaxed);
+            let full = st.take_pending();
+            st.ready.push_back(full);
+        }
+        // Only a request that started a batch made new work, and the
+        // polling worker finds one batch by itself: wake a parked worker
+        // when there is one and more work than that.
+        let pollers = usize::from(st.polling);
+        let wake = lane == 0 && st.idle > pollers && st.work() > pollers;
+        drop(st);
+        if wake {
+            shared.work.notify_one();
         }
         Ok(handle)
     }
@@ -1185,64 +1080,48 @@ impl Runtime {
         self.submit(bits)
     }
 
-    /// Blocks until every request accepted so far has resolved — queue
-    /// empty, workers idle — without dropping the runtime. The pending
-    /// partial batch is flushed first, and re-flushed while waiting so
-    /// requests racing in from other threads drain too.
+    /// Blocks until every request accepted so far has resolved — nothing
+    /// forming, nothing queued, workers idle — without dropping the
+    /// runtime. Requests racing in from other threads drain too.
     ///
     /// The runtime stays fully usable afterwards: this is the graceful-
     /// drain primitive for servers (stop accepting, `drain()`, report
     /// final stats), not a shutdown.
     pub fn drain(&self) {
-        loop {
-            self.flush();
-            let stats = &self.shared.stats;
-            let guard = stats.idle_lock.lock().expect("idle lock");
-            if stats.in_flight.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            // Timed wait: the notify races with our flush above only in
-            // the direction of a spurious extra loop, never a hang.
-            let _ = stats
-                .idle
-                .wait_timeout(guard, Duration::from_millis(5))
-                .expect("idle lock");
+        let shared = &*self.shared;
+        let mut st = lock(&shared.state);
+        // A worker that resolves the last request in flight says so
+        // under this lock, after this check or before it.
+        while shared.stats.in_flight.load(Ordering::Acquire) != 0 {
+            st = wait(&shared.drained, st);
         }
     }
 
-    /// Queues the current partial micro-batch now instead of leaving it
-    /// for the next free worker to pull — it then runs in submission
-    /// order behind the batches already queued. No-op when nothing is
+    /// Closes the current partial micro-batch now — it joins the queue
+    /// of full batches, in submission order behind them — instead of
+    /// leaving it to grow until a worker looks. No-op when nothing is
     /// pending (always the case while a worker is idle).
     pub fn flush(&self) {
-        let batch = {
-            let mut st = self.shared.batcher.lock().expect("batcher lock");
-            if st.pending.is_empty() {
-                return;
-            }
-            st.take_batch()
-        };
-        self.shared
-            .stats
-            .deadline_flushes
-            .fetch_add(1, Ordering::Relaxed);
-        dispatch(&self.pool, &self.shared, batch);
+        drop(self.shared.flush(lock(&self.shared.state)));
     }
 
     /// A snapshot of the runtime's serving statistics.
     pub fn stats(&self) -> RuntimeStats {
         let stats = &self.shared.stats;
-        let mut latencies = stats
-            .latencies_us
-            .lock()
-            .expect("latency lock")
-            .samples
-            .clone();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        let (mut latencies, last_response, version, current, prior) = {
+            let done = lock(&stats.completions);
+            let latencies = done.latencies_us.samples.clone();
+            (
+                latencies,
+                done.last_response,
+                done.version,
+                done.current,
+                done.prior,
+            )
+        };
+        latencies.sort_by(f64::total_cmp);
         let micro_batches = stats.micro_batches.load(Ordering::Relaxed);
         let lanes = stats.lanes_served.load(Ordering::Relaxed);
-        let completed = stats.completed.load(Ordering::Relaxed);
-        let last_response = *stats.last_response.lock().expect("last-response lock");
         let elapsed_us = match (stats.first_submit.get(), last_response) {
             (Some(&first), Some(last)) => last.duration_since(first).as_secs_f64() * 1e6,
             _ => 0.0,
@@ -1259,10 +1138,11 @@ impl Runtime {
             },
             shed: stats.shed.load(Ordering::Relaxed),
             in_flight: stats.in_flight.load(Ordering::Relaxed),
-            version: self.shared.swap.version.load(Ordering::Acquire),
-            swaps: self.shared.swap.swaps.load(Ordering::Relaxed),
-            completed_current: stats.completed_current.load(Ordering::Relaxed),
-            completed_prior: stats.completed_prior.load(Ordering::Relaxed),
+            version,
+            // Every swap is one version.
+            swaps: version,
+            completed_current: current,
+            completed_prior: prior,
             queue: QueueStats {
                 peak_depth: stats.peak_in_flight.load(Ordering::Relaxed),
                 p50_us: percentile(&latencies, 0.50),
@@ -1271,7 +1151,7 @@ impl Runtime {
             },
             elapsed_us,
             requests_per_sec: if elapsed_us > 0.0 {
-                completed as f64 / (elapsed_us / 1e6)
+                (current + prior) as f64 / (elapsed_us / 1e6)
             } else {
                 0.0
             },
@@ -1284,7 +1164,7 @@ impl Runtime {
     /// host throughput plus the runtime's [`QueueStats`].
     pub fn report(&self) -> ThroughputReport {
         let stats = self.stats();
-        let (target, _) = self.shared.current();
+        let target = lock(&self.shared.state).target.clone();
         // One micro-batch costs every link its steady-state interval.
         let cycles = (target.engines.iter())
             .map(Engine::steady_clock_cycles_per_batch)
@@ -1294,7 +1174,7 @@ impl Runtime {
         let freq_mhz = target.engines[0].config().freq_mhz;
         block_throughput(cycles, stats.requests as usize, freq_mhz).with_wall(WallTiming {
             backend: target.backend(),
-            workers: self.pool.workers(),
+            workers: self.workers(),
             batches: stats.micro_batches as usize,
             elapsed_us: stats.elapsed_us,
             samples_per_sec: stats.requests_per_sec,
@@ -1304,74 +1184,100 @@ impl Runtime {
 }
 
 impl Drop for Runtime {
-    /// Queues the pending partial batch; `self.pool` drops after this
-    /// body and joins the workers once they have drained the queue — so
-    /// every issued handle resolves.
+    /// Signals shutdown and joins the workers, which leave only once
+    /// they have run every queued batch and the forming one — so every
+    /// issued handle resolves.
     fn drop(&mut self) {
-        self.flush();
+        lock(&self.shared.state).shutdown = true;
+        self.shared.work.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }
 
-/// Queues `batch` — already counted in [`BatchState::busy`] by
-/// [`BatchState::take_batch`] — as one pool job on the target current
-/// now: the batch executes that exact target even if a swap lands while
-/// it is queued.
-///
-/// The worker that runs it then keeps going while it is the free
-/// worker: it retires the batch from `busy` and, if requests accumulated
-/// meanwhile and fewer batches are outstanding than there are workers,
-/// pulls them and runs them in the same job. Pulling inline (never
-/// through [`WorkerPool::submit`]) means a worker cannot block on its
-/// own full queue; and since `busy < workers` leaves no batch waiting in
-/// the job queue, a pulled batch never overtakes a queued one.
-fn dispatch(pool: &WorkerPool, shared: &Arc<RuntimeShared>, batch: Batch) {
-    let (target, version) = shared.current();
-    let shared = Arc::clone(shared);
-    pool.submit(Box::new(move |scratch| {
-        let spent = run_batch(&target, version, &shared, scratch, batch);
-        pull_pending(&shared, scratch, spent);
-    }));
-}
-
-/// A worker's step after finishing a micro-batch (`spent`): retire it
-/// from [`BatchState::busy`], hand it back as the spare, and while that
-/// leaves this worker free with requests pending, run them here.
-fn pull_pending(shared: &RuntimeShared, scratch: &mut ServeScratch, mut spent: Batch) {
+/// A worker thread's whole life: under the state lock, hand back the
+/// batch it just ran and take the oldest batch there is — from `ready`,
+/// else whatever is forming, since nothing is older — then run it with
+/// the lock released. With nothing to take it polls for
+/// [`POLL_BEFORE_PARK`] (unless another worker already is) and parks;
+/// it leaves at shutdown, once there is nothing left to run.
+fn serve(shared: &Shared) {
+    let mut scratch = ServeScratch::default();
+    let mut st = lock(&shared.state);
     loop {
-        let (batch, (target, version)) = {
-            let mut st = shared.batcher.lock().expect("batcher lock");
-            st.busy -= 1;
-            st.spare = Some(spent);
-            if st.pending.is_empty() || st.busy >= shared.workers {
+        let mut polled = false;
+        let job = loop {
+            #[cfg(test)]
+            {
+                st = tests::sit_out(shared, st);
+            }
+            if let Some(job) = st.ready.pop_front() {
+                // Every waiter, not one: a woken submitter may find the
+                // forming batch taken meanwhile, queue nothing, and so
+                // pass the room on to nobody.
+                shared.not_full.notify_all();
+                break job;
+            }
+            if !st.pending.is_empty() {
+                shared
+                    .stats
+                    .deadline_flushes
+                    .fetch_add(1, Ordering::Relaxed);
+                break st.take_pending();
+            }
+            if st.shutdown {
                 return;
             }
-            // Read the target before releasing the batcher lock: a swap
-            // flushes (under this lock) before it installs the new
-            // target, so requests accepted before a swap began never
-            // run on the version it installs.
-            (st.take_batch(), shared.current())
+            st.idle += 1;
+            if !polled && !st.polling {
+                polled = true;
+                st.polling = true;
+                drop(st);
+                st = poll_for_work(shared);
+                st.polling = false;
+            } else {
+                st = wait(&shared.work, st);
+            }
+            st.idle -= 1;
         };
-        shared
-            .stats
-            .deadline_flushes
-            .fetch_add(1, Ordering::Relaxed);
-        spent = run_batch(&target, version, shared, scratch, batch);
+        drop(st);
+        let spent = run_batch(shared, &mut scratch, job);
+        st = lock(&shared.state);
+        st.spare = Some(spent);
+        if shared.stats.in_flight.load(Ordering::Acquire) == 0 {
+            shared.drained.notify_all();
+        }
     }
 }
 
-/// Executes `batch` as one multi-lane pass on the calling worker
+/// The polling phase of a worker that found nothing to run: looks at the
+/// state, yielding the CPU between looks, until there is work, the
+/// runtime shuts down, or [`POLL_BEFORE_PARK`] has passed. Returns the
+/// state lock, held since the last look.
+fn poll_for_work(shared: &Shared) -> MutexGuard<'_, State> {
+    let give_up = Instant::now() + POLL_BEFORE_PARK;
+    loop {
+        std::thread::yield_now();
+        let st = lock(&shared.state);
+        if st.work() > 0 || st.shutdown || Instant::now() >= give_up {
+            return st;
+        }
+    }
+}
+
+/// Executes `job`'s batch as one multi-lane pass on the calling worker
 /// ([`Target::run`]: packed rows in, per-request packed rows out — row
-/// `j` belongs to request `j`) and publishes the result to every handle
-/// of the batch at once, then hands the batch back. `version` is the
-/// serving version `target` was read under; completions are attributed
-/// per version.
-fn run_batch(
-    target: &Target,
-    version: u64,
-    shared: &RuntimeShared,
-    scratch: &mut ServeScratch,
-    batch: Batch,
-) -> Batch {
+/// `j` belongs to request `j`) on the target it is tagged with, and
+/// publishes the result to every handle of the batch at once, then hands
+/// the batch back for its buffers. Completions are attributed to the
+/// version the batch left under.
+fn run_batch(shared: &Shared, scratch: &mut ServeScratch, job: Ready) -> Batch {
+    let Ready {
+        batch,
+        target,
+        version,
+    } = job;
     let count = batch.len();
     // A panicking batch must not kill the persistent worker; turn it
     // into an error every carried request observes.
@@ -1389,20 +1295,11 @@ fn run_batch(
     stats
         .lanes_served
         .fetch_add(count as u64, Ordering::Relaxed);
-    stats.note_completion(&batch.submitted, Instant::now());
-    // Attribute the batch to a serving version. A batch finishing
-    // after its version was swapped out counts as "prior" — same
-    // bucket the swap's counter roll would have moved it to.
-    let bucket = if version == shared.swap.version.load(Ordering::Acquire) {
-        &stats.completed_current
-    } else {
-        &stats.completed_prior
-    };
-    bucket.fetch_add(count as u64, Ordering::Relaxed);
+    stats.note_completion(&batch.submitted, version, Instant::now());
     batch.cell.publish(outcome);
     // Only now are the requests truly resolved: retire them from the
     // in-flight gauge (this is what `drain` waits on).
-    stats.note_resolved(count);
+    stats.in_flight.fetch_sub(count, Ordering::Release);
     batch
 }
 
@@ -1460,60 +1357,96 @@ mod tests {
             .unwrap()
     }
 
-    /// Models "every worker is busy" without racing real work: counts
-    /// one phantom micro-batch per worker in `busy`, so submissions
-    /// accumulate exactly as they do behind running batches.
-    fn occupy_workers(runtime: &Runtime) {
-        runtime.shared.batcher.lock().unwrap().busy += runtime.workers();
+    /// What a test makes [`Target::run`] do first.
+    pub(super) type Hook = Arc<dyn Fn(&PackedRows) + Send + Sync>;
+
+    /// The workers the tests have told to act busy. A worker on its way
+    /// to look for work sits out while a seat is untaken — it runs
+    /// nothing, and does not count as idle — so what the state does
+    /// while every worker is busy can be observed without racing real
+    /// work.
+    #[derive(Default)]
+    pub(super) struct Seats {
+        /// Workers that are to act busy.
+        busy: usize,
+        /// Workers that are.
+        sitting: usize,
     }
 
-    /// One phantom batch finishes: a pool worker takes the step every
-    /// worker takes after a micro-batch.
-    fn free_a_worker(runtime: &Runtime) {
-        let shared = Arc::clone(&runtime.shared);
-        let spent = Batch::new(runtime.num_inputs, 0);
-        runtime.pool.submit(Box::new(move |scratch| {
-            pull_pending(&shared, scratch, spent)
-        }));
-    }
-
-    #[test]
-    fn pool_runs_jobs_and_drains_on_drop() {
-        let pool = WorkerPool::spawn(2, 2);
-        assert_eq!(pool.workers(), 2);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..16 {
-            let counter = Arc::clone(&counter);
-            pool.submit(Box::new(move |_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }));
+    /// Where a worker sits out ([`Seats`]); shutdown empties the seats.
+    pub(super) fn sit_out<'a>(
+        shared: &'a Shared,
+        mut st: MutexGuard<'a, State>,
+    ) -> MutexGuard<'a, State> {
+        while st.seats.busy > st.seats.sitting && !st.shutdown {
+            st.seats.sitting += 1;
+            drop(st);
+            std::thread::sleep(POLL_BEFORE_PARK);
+            st = lock(&shared.state);
+            st.seats.sitting -= 1;
         }
-        drop(pool); // joins after draining
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
+        st
     }
 
-    /// `submit` skips the wake-up when a polling worker will find the job
-    /// by itself — which must never leave a second job waiting for that
-    /// same worker while the other one sleeps. Job A only finishes once
-    /// job B has run, so each round needs both workers at once, whether
-    /// they were polling (back-to-back rounds) or parked (after a pause).
+    /// Spins until the state satisfies `ready`.
+    fn until(runtime: &Runtime, ready: impl Fn(&State) -> bool) {
+        while !ready(&lock(&runtime.shared.state)) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Every worker is busy: from here on submissions accumulate — and
+    /// full batches queue — exactly as they do behind running batches.
+    fn occupy_workers(runtime: &Runtime) {
+        lock(&runtime.shared.state).seats.busy = runtime.workers();
+        runtime.shared.work.notify_all();
+        until(runtime, |st| st.seats.sitting == st.seats.busy);
+    }
+
+    /// One busy worker finishes: it looks for work, as every worker does
+    /// after a micro-batch, and is free from then on.
+    fn free_a_worker(runtime: &Runtime) {
+        lock(&runtime.shared.state).seats.busy -= 1;
+    }
+
+    /// `submit` skips the wake-up when the polling worker will find the
+    /// batch by itself — which must never leave a second batch waiting
+    /// for that same worker while the other one sleeps. Batch A only
+    /// finishes once batch B has run, so each round needs both workers
+    /// at once, whether they were polling (back-to-back rounds) or
+    /// parked (after a pause).
     #[test]
-    fn a_polling_worker_never_strands_a_second_job() {
-        let pool = WorkerPool::spawn(2, 8);
+    fn a_polling_worker_never_strands_a_second_batch() {
         let patience = Duration::from_secs(10);
+        let mut target = Target::new(vec![compiled(Backend::Scalar, 8).engine().unwrap()]);
+        let (a_began, b_ran) = (AtomicU64::new(0), AtomicU64::new(0));
+        // A request with its first bit set is an A.
+        target.hook = Some(Arc::new(move |rows| {
+            if !rows.row(0)[0] {
+                b_ran.fetch_add(1, Ordering::Release);
+                return;
+            }
+            let round = a_began.fetch_add(1, Ordering::Relaxed) + 1;
+            let give_up = Instant::now() + patience;
+            while b_ran.load(Ordering::Acquire) < round {
+                assert!(Instant::now() < give_up, "B of round {round} never ran");
+                std::thread::yield_now();
+            }
+        }));
+        // One request fills a batch: two submits, two batches.
+        let options = RuntimeOptions::default().workers(2).max_batch(1);
+        let runtime = Runtime::build(target, options).unwrap();
+        let (a_bits, b_bits) = (request_bits(8, 1), request_bits(8, 2));
         for round in 0..200 {
             if round % 20 == 0 {
                 std::thread::sleep(4 * POLL_BEFORE_PARK);
             }
-            let (b_ran, a_waits) = std::sync::mpsc::channel();
-            let (a_done, both_done) = std::sync::mpsc::channel();
-            pool.submit(Box::new(move |_| {
-                let alongside = a_waits.recv_timeout(patience).is_ok();
-                a_done.send(alongside).unwrap();
-            }));
-            pool.submit(Box::new(move |_| b_ran.send(()).unwrap()));
-            assert_eq!(both_done.recv_timeout(2 * patience), Ok(true), "{round}");
+            let a = runtime.submit(&a_bits).unwrap();
+            let b = runtime.submit(&b_bits).unwrap();
+            assert_eq!(a.wait().unwrap().len(), 3, "round {round}");
+            assert_eq!(b.wait().unwrap().len(), 3, "round {round}");
         }
+        assert_eq!(runtime.stats().micro_batches, 400);
     }
 
     #[test]
@@ -1552,8 +1485,8 @@ mod tests {
         }
     }
 
-    /// Work conservation, idle side: with a worker free, a lone request
-    /// is dispatched by `submit` itself — no `flush()`, no timer.
+    /// Work conservation, idle side: an idle worker takes a lone request
+    /// at once — no `flush()`, no timer.
     #[test]
     fn idle_runtime_dispatches_a_lone_request_at_once() {
         let flow = compiled(Backend::BitSliced64, 5);
@@ -1561,8 +1494,9 @@ mod tests {
         let runtime =
             Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
                 .unwrap();
+        until(&runtime, |st| st.idle == 1);
         let handle = runtime.submit(&request_bits(width, 1)).unwrap();
-        assert!(handle.poll, "a free worker has it: worth polling for");
+        assert!(handle.poll, "an idle worker has it: worth polling for");
         assert_eq!(handle.wait().unwrap().len(), 3);
         let stats = runtime.stats();
         assert_eq!(stats.micro_batches, 1, "{stats:?}");
@@ -1674,8 +1608,8 @@ mod tests {
     }
 
     /// The size trigger: behind busy workers, the request that brings
-    /// the pending batch to one lane width dispatches it; a straggler
-    /// after it stays pending.
+    /// the pending batch to one lane width queues it; a straggler after
+    /// it stays pending.
     #[test]
     fn size_trigger_fires_at_flush_target() {
         let flow = {
@@ -1698,22 +1632,24 @@ mod tests {
         assert_eq!(runtime.stats().full_flushes, 0, "127 requests do not fill");
         let last = runtime.submit(&request_bits(width, 127)).unwrap();
         // The 128th submit filled one full 128-lane frame.
-        for handle in handles.into_iter().chain([last]) {
+        let stats = runtime.stats();
+        assert_eq!(stats.full_flushes, 1, "{stats:?}");
+        assert_eq!(stats.deadline_flushes, 0);
+        assert_eq!(lock(&runtime.shared.state).ready.len(), 1);
+        // One straggler behind the still-busy worker starts the next batch.
+        let straggler = runtime.submit(&request_bits(width, 999)).unwrap();
+        assert_eq!(straggler.lane, 0);
+        assert!(straggler.try_wait().is_none());
+        // The worker runs the full batch, then what is forming.
+        free_a_worker(&runtime);
+        for handle in handles.into_iter().chain([last, straggler]) {
             handle.wait().unwrap();
         }
         let stats = runtime.stats();
         assert_eq!(stats.full_flushes, 1, "{stats:?}");
-        assert_eq!(stats.deadline_flushes, 0);
-        assert_eq!(stats.micro_batches, 1);
-        assert!((stats.mean_lanes_per_batch - 128.0).abs() < 1e-9);
-        // One straggler behind the still-busy worker waits for a flush.
-        let straggler = runtime.submit(&request_bits(width, 999)).unwrap();
-        assert!(straggler.try_wait().is_none());
-        runtime.flush();
-        straggler.wait().unwrap();
-        let stats = runtime.stats();
-        assert_eq!(stats.full_flushes, 1);
         assert_eq!(stats.deadline_flushes, 1);
+        assert_eq!(stats.micro_batches, 2);
+        assert!((stats.mean_lanes_per_batch - 64.5).abs() < 1e-9);
     }
 
     /// The scalar oracle's output row for every request.
@@ -1819,11 +1755,15 @@ mod tests {
     }
 
     /// A batch that fails resolves every one of its handles with the
-    /// same error, and neither the worker nor the accounting is lost.
+    /// same error, and neither the worker nor the accounting nor a lock
+    /// is lost: swapped to a healthy target, the runtime serves on.
     #[test]
     fn a_failed_batch_gives_every_handle_the_same_error() {
-        let mut target = Target::new(vec![compiled(Backend::Scalar, 8).engine().unwrap()]);
-        target.panics = true;
+        let flow = compiled(Backend::Scalar, 8);
+        let mut target = Target::new(vec![flow.engine().unwrap()]);
+        target.hook = Some(Arc::new(|_| {
+            panic!("the test target panics on every batch")
+        }));
         let runtime = Runtime::build(target, RuntimeOptions::default().workers(1)).unwrap();
         occupy_workers(&runtime);
         let handles: Vec<RequestHandle> = (0..5)
@@ -1849,6 +1789,16 @@ mod tests {
         let after = runtime.submit(&request_bits(8, 9)).unwrap();
         assert_eq!(after.wait().unwrap_err(), polled);
         assert_eq!(runtime.stats().micro_batches, 2);
+        // And so did every lock: the next version answers correctly.
+        assert_eq!(runtime.swap_engine(flow.engine().unwrap()).unwrap(), 1);
+        let healthy = vec![request_bits(8, 10)];
+        let answer = runtime.submit(&healthy[0]).unwrap().wait().unwrap();
+        assert_eq!(answer, oracle_rows(&flow, &healthy)[0]);
+        runtime.drain();
+        let stats = runtime.stats();
+        assert_eq!((stats.completed_prior, stats.completed_current), (6, 1));
+        assert_eq!(stats.completed_current + stats.completed_prior, 7);
+        assert_eq!(stats.requests, 7);
     }
 
     /// A handle keeps its batch's result readable on its own: the other
@@ -1884,11 +1834,40 @@ mod tests {
             0,
             "the batch is still pending"
         );
-        // Drop must dispatch the partial batch itself; the handles
-        // outlive the runtime, the cell is theirs.
+        // A dropped runtime's workers run the partial batch before they
+        // leave; the handles outlive the runtime, the cell is theirs.
         drop(runtime);
         for handle in handles {
             assert_eq!(handle.wait().unwrap().len(), 3);
+        }
+    }
+
+    /// The same with the queue of full batches at its bound: dropped,
+    /// the workers run what is queued, then what is forming.
+    #[test]
+    fn drop_with_a_full_queue_resolves_outstanding_handles() {
+        let flow = compiled(Backend::BitSliced64, 9);
+        let width = flow.program.num_inputs;
+        let options = RuntimeOptions::default()
+            .workers(2)
+            .max_batch(2)
+            .queue_capacity(1);
+        let runtime = Runtime::from_engine(flow.engine().unwrap(), options).unwrap();
+        occupy_workers(&runtime);
+        let requests: Vec<Vec<bool>> = (0..3).map(|i| request_bits(width, i)).collect();
+        let handles: Vec<RequestHandle> = requests
+            .iter()
+            .map(|bits| runtime.submit(bits).unwrap())
+            .collect();
+        {
+            let st = lock(&runtime.shared.state);
+            assert_eq!((st.ready.len(), st.pending.len()), (1, 1), "queue full");
+        }
+        assert_eq!(runtime.stats().micro_batches, 0);
+        drop(runtime);
+        let want = oracle_rows(&flow, &requests);
+        for (j, handle) in handles.into_iter().enumerate() {
+            assert_eq!(handle.wait().unwrap(), want[j], "request {j}");
         }
     }
 
@@ -1908,7 +1887,7 @@ mod tests {
         let handles: Vec<RequestHandle> = (0..32)
             .map(|i| runtime.submit(&request_bits(width, i)).unwrap())
             .collect();
-        runtime.flush();
+        free_a_worker(&runtime);
         for handle in handles {
             handle.wait().unwrap();
         }
@@ -1959,6 +1938,7 @@ mod tests {
         assert_eq!(stats.shed, 1, "arity errors must not count as shed");
         assert_eq!(stats.requests, 4);
         // Draining clears the saturation; admission reopens.
+        free_a_worker(&runtime);
         runtime.drain();
         for handle in accepted {
             assert_eq!(handle.wait().unwrap().len(), 3);
@@ -1970,8 +1950,8 @@ mod tests {
         assert_eq!(runtime.stats().shed, 1);
     }
 
-    /// A runtime's threads are its pool workers and nothing else (no
-    /// flusher, no timer thread).
+    /// A runtime's threads are its workers and nothing else (no flusher,
+    /// no timer thread).
     #[test]
     fn runtime_spawns_exactly_its_workers() {
         let flow = compiled(Backend::Scalar, 14);
@@ -1982,7 +1962,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(runtime.workers(), workers);
-            assert_eq!(runtime.pool.handles.len(), workers);
+            assert_eq!(runtime.workers.len(), workers);
         }
     }
 
@@ -2104,8 +2084,8 @@ mod tests {
         );
     }
 
-    /// Requests still pending when a swap begins are flushed to the
-    /// *old* core: the version that admitted them answers them.
+    /// Requests still pending when a swap begins leave under the *old*
+    /// core: the version that admitted them answers them.
     #[test]
     fn swap_flushes_the_pending_batch_to_the_old_core() {
         let flow = compiled(Backend::BitSliced64, 27);
@@ -2121,6 +2101,7 @@ mod tests {
             .collect();
         assert!(handles.iter().all(|h| h.try_wait().is_none()));
         assert_eq!(runtime.swap_engine(patched(&flow)).unwrap(), 1);
+        free_a_worker(&runtime);
         let packed = Lanes::pack_rows(&requests, width);
         let v0 = flow
             .engine()

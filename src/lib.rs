@@ -30,10 +30,10 @@
 //! [`FlowBuilder::backend`] — and split into an immutable shared core
 //! plus per-worker scratch, so one resident compiled block serves from
 //! any number of threads. [`Engine::run_batches`] shards batch
-//! sequences across a persistent worker pool, and the [`Runtime`]
-//! serves individual requests through a bounded queue with dynamic
-//! micro-batching to the engine's lane width and measured latency
-//! percentiles. `docs/ARCHITECTURE.md` maps the crate layers end to
+//! sequences across scoped threads, and the [`Runtime`] — whose workers
+//! are the only persistent threads — serves individual requests through
+//! one bounded state with dynamic micro-batching to the engine's lane
+//! width and measured latency percentiles. `docs/ARCHITECTURE.md` maps the crate layers end to
 //! end.
 //!
 //! ```

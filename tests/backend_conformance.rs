@@ -98,7 +98,7 @@ fn assert_conformance(netlist: &Netlist, config: LpuConfig, seed: u64, reload: b
         }
 
         // Path 2: the whole sequence back to back, sequential and
-        // sharded across the persistent pool.
+        // sharded across scoped threads.
         for workers in [1usize, 3] {
             let mut engine = flow.engine().unwrap().with_workers(workers);
             let results = engine.run_batches(&batches).unwrap();

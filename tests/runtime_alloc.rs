@@ -3,8 +3,9 @@
 //! `Runtime::submit` allocates per micro-batch, not per request: a
 //! request is gathered into its batch's packed rows and shares the
 //! batch's result cell, so the only allocations a submitting thread
-//! makes are the buffers of a batch it starts (and the job of a batch it
-//! dispatches itself) — not a slot and a bit vector for every request.
+//! makes are the growth of the forming batch's two buffers (and the next
+//! batch's cell when its request fills one) — no job, and not a slot and
+//! a bit vector for every request.
 //!
 //! A runtime worker allocates per micro-batch, not per output: rows in,
 //! rows out, every column in between packed in its reused scratch — the
@@ -94,13 +95,17 @@ static ALLOCATOR: Counting = Counting;
 
 /// 1024 back-to-back submits to one worker running the cycle-accurate
 /// (slow) backend: the worker is busy nearly throughout, so the requests
-/// accumulate into a handful of micro-batches. The submitting thread
-/// pays for those batches' buffers and nothing per request; at the
-/// parent commit it paid a response slot and a bit vector — 2048
-/// allocations — for the same loop.
+/// accumulate into a handful of micro-batches, each taken — and the next
+/// one started — by the worker. The submitting thread pays for the
+/// growth of those batches' buffers and nothing else: no boxed job per
+/// batch, and nothing per request (once, a response slot and a bit
+/// vector — 2048 allocations — for the same loop).
 #[test]
 fn submit_allocates_per_micro_batch_not_per_request() {
     const REQUESTS: usize = 1024;
+    /// A batch's two buffers (rows, submit times) each double at most
+    /// this often on their way to holding every request.
+    const PER_BATCH: u64 = 2 * (REQUESTS.ilog2() as u64 + 1);
     let _serial = serial();
     let netlist = RandomDag::strict(12, 6, 24).outputs(70).generate(41);
     let flow = Flow::builder(&netlist)
@@ -127,18 +132,19 @@ fn submit_allocates_per_micro_batch_not_per_request() {
     }
     let submitting = allocations() - before;
 
-    let stats = runtime.stats();
-    assert!(
-        submitting <= REQUESTS as u64 / 4,
-        "{submitting} allocations on the submitting thread for {REQUESTS} submits ({stats:?})"
-    );
-
-    // And every one of them still gets its own answer.
+    // Every one of them still gets its own answer.
     let want =
         Lanes::unpack_rows(&evaluate(&netlist, &Lanes::pack_rows(&requests, width)).unwrap());
     for (j, handle) in handles.into_iter().enumerate() {
         assert_eq!(handle.wait().unwrap(), want[j], "request {j}");
     }
+
+    // All answered: the batches that formed are the batches that ran.
+    let stats = runtime.stats();
+    assert!(
+        submitting <= (stats.micro_batches * PER_BATCH).min(REQUESTS as u64 / 4),
+        "{submitting} allocations on the submitting thread for {REQUESTS} submits ({stats:?})"
+    );
 }
 
 /// Outputs of the model's last layer — what a caller of the model reads.

@@ -226,8 +226,8 @@ fn model_runtime_matches_whole_model_inference() {
 }
 
 /// Regression (ISSUE 4 satellite): `batches_served` counts every batch
-/// exactly once whether batches flow through the sequential path, the
-/// persistent sharding pool (reused and respawned), or the runtime's
+/// exactly once whether batches flow through the sequential path,
+/// scoped shards (at two worker counts, twice at one), or the runtime's
 /// micro-batcher.
 #[test]
 fn batches_served_is_exact_across_all_serving_paths() {
@@ -248,7 +248,7 @@ fn batches_served_is_exact_across_all_serving_paths() {
         })
         .collect();
 
-    // Sequential, pooled (twice — reuse must not double-count), respawned.
+    // Sequential, sharded (twice), sharded at another worker count.
     let mut engine = flow.engine().unwrap();
     engine.run_batches(&batches).unwrap();
     assert_eq!(engine.batches_served(), 10);
