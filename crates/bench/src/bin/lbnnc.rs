@@ -286,8 +286,9 @@ fn print_tape_stats(flow: &Flow) {
     };
     println!("kernel tape (locality pass):");
     println!(
-        "  {} instructions, {} fused chains ({} accumulator-resident results)",
-        stats.tape_len, stats.fused_chains, stats.fused_instrs
+        "  {} instructions, {} arity-1 cells folded, {} fused chains ({} accumulator-resident \
+         results)",
+        stats.tape_len, stats.folded_cells, stats.fused_chains, stats.fused_instrs
     );
     println!(
         "  frame slots {} -> {} live ({:.1} KiB at {} lanes)",

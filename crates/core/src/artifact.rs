@@ -53,6 +53,7 @@
 //! ```
 
 use std::path::Path;
+use std::sync::Arc;
 
 use lbnn_netlist::serdes::{read_netlist, write_netlist, ByteReader, ByteWriter};
 use lbnn_netlist::{Levels, Netlist, NetlistError, NodeId, Op, PatchSet, MAX_PARTITIONS};
@@ -601,7 +602,7 @@ fn decode_flow_payload(payload: &[u8]) -> Result<Flow, CoreError> {
     Ok(Flow {
         source: netlist.clone(),
         netlist,
-        program,
+        program: Arc::new(program),
         config,
         backend,
         stats,

@@ -23,6 +23,7 @@
 //! with [`CompileReport::schedule_attempts`] recording the retry.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use lbnn_logic_synth::{optimize, OptimizeOptions};
@@ -345,7 +346,7 @@ pub(crate) fn run(
     Ok(Flow {
         netlist: balanced,
         source,
-        program,
+        program: Arc::new(program),
         config,
         backend: options.backend,
         stats,

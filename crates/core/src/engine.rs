@@ -321,7 +321,9 @@ pub(crate) fn packed_columns<'a>(
 #[derive(Debug)]
 pub struct EngineCore {
     machine: LpuMachine,
-    program: LpuProgram,
+    /// Shared with the flow the core was built from and with every
+    /// other core built from it.
+    program: Arc<LpuProgram>,
     backend: Backend,
     kernel: Kernel,
     /// LPE operations per pass, cached from the program.
@@ -391,8 +393,9 @@ impl EngineCore {
     /// `patches` replaced — the copy-on-write half of hot
     /// reconfiguration.
     ///
-    /// Only function payloads move: the scalar program keeps its
-    /// routing, snapshot and schedule words and has each matching
+    /// Only function payloads move: the scalar program — copied on
+    /// write, the original still shared by whoever else holds it —
+    /// keeps its routing, snapshot and schedule words and has each matching
     /// [`LpeInstr`](crate::compiler::program::LpeInstr)'s op swapped
     /// (a cell recomputed by several MFG executions is patched at every
     /// occurrence), and the bit-sliced kernel tape(s) have the target
@@ -411,8 +414,8 @@ impl EngineCore {
     /// [`NetlistError::InvalidNode`](lbnn_netlist::NetlistError::InvalidNode)
     /// when a patched id names no executable cell of this program.
     pub fn patch_cells(&self, patches: &PatchSet) -> Result<EngineCore, CoreError> {
-        let mut program = self.program.clone();
-        patch_program(&mut program, patches)?;
+        let mut program = Arc::clone(&self.program);
+        patch_program(Arc::make_mut(&mut program), patches)?;
         let kernel = match &self.kernel {
             Kernel::Machine => Kernel::Machine,
             Kernel::Tape(tape) => Kernel::Tape(tape.patched(patches)?),
@@ -641,15 +644,17 @@ impl Engine {
     ///
     /// Returns [`CoreError::BadConfig`] if the configuration is unusable
     /// or the program was compiled for a different machine shape.
-    pub fn new(config: LpuConfig, program: LpuProgram) -> Result<Self, CoreError> {
-        Engine::build(config, program, Backend::Scalar, None, 1, None)
+    pub fn new(config: LpuConfig, program: impl Into<Arc<LpuProgram>>) -> Result<Self, CoreError> {
+        Engine::build(config, program.into(), Backend::Scalar, None, 1, None)
     }
 
-    /// Builds an engine serving `flow`'s program on `flow`'s backend
-    /// (clones the program; use [`Flow::into_engine`] to avoid the copy).
-    /// A freshly compiled flow hands over the kernel its `locality` or
-    /// `exchange` pass built; flows loaded from serialized artifacts
-    /// recompile it (deterministically) from the mapped netlist.
+    /// Builds an engine serving `flow`'s program on `flow`'s backend.
+    /// The program is shared with the flow, not copied
+    /// ([`Engine::program`] is `flow.program`); the kernel a freshly
+    /// compiled flow's `locality` or `exchange` pass built is copied
+    /// (use [`Flow::into_engine`] to move it), and flows loaded from
+    /// serialized artifacts recompile it (deterministically) from the
+    /// mapped netlist.
     ///
     /// # Errors
     ///
@@ -657,7 +662,7 @@ impl Engine {
     pub fn from_flow(flow: &Flow) -> Result<Self, CoreError> {
         Engine::build(
             flow.config,
-            flow.program.clone(),
+            Arc::clone(&flow.program),
             flow.backend,
             Some(&flow.netlist),
             flow.partitions,
@@ -688,7 +693,7 @@ impl Engine {
     /// execution model).
     pub(crate) fn build(
         config: LpuConfig,
-        program: LpuProgram,
+        program: Arc<LpuProgram>,
         backend: Backend,
         netlist: Option<&Netlist>,
         partitions: usize,
@@ -1022,7 +1027,7 @@ impl Engine {
 
 impl Flow {
     /// Builds a resident [`Engine`] serving this flow's program on this
-    /// flow's [`Backend`] (clones the program).
+    /// flow's [`Backend`] ([`Engine::from_flow`]: the program is shared).
     ///
     /// # Errors
     ///
@@ -1445,6 +1450,60 @@ mod tests {
                 let base = lbnn_netlist::eval::evaluate(&flow.netlist, &batch).unwrap();
                 assert_eq!(old.outputs, base, "{backend} old core lanes {lanes}");
             }
+        }
+    }
+
+    /// The ops the program's LPE instructions compute for cell `id`.
+    fn ops_of(program: &LpuProgram, id: lbnn_netlist::NodeId) -> Vec<Op> {
+        let slots = program.queues.iter().flatten().flatten();
+        let lpes = slots.flat_map(|slot| slot.lpes.iter().flatten());
+        lpes.filter(|lpe| lpe.node == id)
+            .map(|lpe| lpe.op)
+            .collect()
+    }
+
+    /// A served block holds one VLIW image: an engine built from a flow
+    /// — or from a clone of it — serves the flow's own program, and both
+    /// patch routes copy it on write, leaving the original untouched.
+    #[test]
+    fn engines_share_the_flow_program_and_patching_copies_it() {
+        let nl = RandomDag::strict(8, 4, 6).outputs(2).generate(3);
+        for backend in [Backend::Scalar, Backend::BitSliced { words: 4 }] {
+            let flow = Flow::builder(&nl)
+                .config(LpuConfig::new(4, 4))
+                .backend(backend)
+                .compile()
+                .unwrap();
+            let engine = Engine::from_flow(&flow).unwrap();
+            assert!(std::ptr::eq(engine.program(), &*flow.program), "{backend}");
+            let clone = flow.clone();
+            assert!(std::ptr::eq(
+                clone.engine().unwrap().program(),
+                &*flow.program
+            ));
+            assert!(std::ptr::eq(
+                clone.into_engine().unwrap().program(),
+                &*flow.program
+            ));
+
+            let (gate, op) = (flow.netlist.iter())
+                .find(|(_, n)| n.op().is_gate2())
+                .map(|(id, n)| (id, n.op()))
+                .unwrap();
+            let flipped = op.negated().unwrap();
+            let patches: PatchSet = [(gate, flipped)].into_iter().collect();
+            let live = engine.patch_cells(&patches).unwrap();
+            let compiled = flow.apply_patches(&patches).unwrap();
+            for (route, program) in [("live", live.program()), ("flow", &*compiled.program)] {
+                assert!(!std::ptr::eq(program, &*flow.program), "{backend} {route}");
+                assert!(
+                    ops_of(program, gate).iter().all(|&o| o == flipped),
+                    "{route}"
+                );
+            }
+            assert!(ops_of(&flow.program, gate).iter().all(|&o| o == op));
+            assert!(!ops_of(&flow.program, gate).is_empty());
+            assert!(std::ptr::eq(engine.program(), &*flow.program));
         }
     }
 

@@ -23,6 +23,8 @@
 //! # Ok::<(), lbnn_core::CoreError>(())
 //! ```
 
+use std::sync::Arc;
+
 use lbnn_netlist::eval::evaluate;
 use lbnn_netlist::{BitSliceEvaluator, Lanes, Levels, Netlist, PartitionedEngine, PatchSet};
 
@@ -144,8 +146,12 @@ pub struct Flow {
     /// from a serialized artifact this is the mapped netlist — the
     /// original source does not travel in the artifact.
     pub source: Netlist,
-    /// The generated program.
-    pub program: LpuProgram,
+    /// The generated program: the LPU's VLIW image. Shared, not copied,
+    /// by every engine built from this flow ([`Engine::from_flow`]) and
+    /// by every clone of the flow; patching copies it on write.
+    ///
+    /// [`Engine::from_flow`]: crate::engine::Engine::from_flow
+    pub program: Arc<LpuProgram>,
     /// Machine configuration.
     pub config: LpuConfig,
     /// Execution backend engines built from this flow will use.
@@ -336,9 +342,11 @@ impl Flow {
     /// Patch ids name nodes of the **mapped** netlist ([`Flow::netlist`],
     /// the one the program executes), not the original source. Only
     /// function payloads change: the mapped netlist gets its ops
-    /// replaced in place, the program gets each matching instruction's
-    /// op swapped, and the structural compile artifacts (levels,
-    /// partition, schedule) are kept as-is — a patch never moves a gate.
+    /// replaced in place, a copy of the program gets each matching
+    /// instruction's op swapped (this flow's program, and every engine
+    /// sharing it, is untouched), and the structural compile artifacts
+    /// (levels, partition, schedule) are kept as-is — a patch never
+    /// moves a gate.
     /// The patched flow's [`Flow::source`] is the patched netlist, so
     /// [`Flow::verify_against_netlist`] remains an end-to-end oracle.
     ///
@@ -351,8 +359,8 @@ impl Flow {
         patches.validate(&self.netlist)?;
         let mut netlist = self.netlist.clone();
         netlist.apply_patches(patches)?;
-        let mut program = self.program.clone();
-        crate::engine::patch_program(&mut program, patches)?;
+        let mut program = Arc::clone(&self.program);
+        crate::engine::patch_program(Arc::make_mut(&mut program), patches)?;
         // The cached kernel tape must be patched too, or engines built
         // from the patched flow would serve the old masks.
         let artifacts = match &self.artifacts {
@@ -511,9 +519,10 @@ mod tests {
             .config(LpuConfig::new(4, 4))
             .compile()
             .unwrap();
-        let [a, b] = [flow.program.outputs[0].po, flow.program.outputs[1].po];
-        flow.program.outputs[0].po = b;
-        flow.program.outputs[1].po = a;
+        let program = Arc::make_mut(&mut flow.program);
+        let [a, b] = [program.outputs[0].po, program.outputs[1].po];
+        program.outputs[0].po = b;
+        program.outputs[1].po = a;
         match flow.verify_against_netlist(2) {
             Err(CoreError::VerifyMismatch { output, .. }) => {
                 assert!(flow.source.outputs().iter().any(|o| o.name == output));

@@ -8,7 +8,7 @@
 //! accounting stop being ad-hoc per-layer loops at the call sites.
 
 use std::borrow::Borrow;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use lbnn_netlist::{Lanes, Netlist};
 
@@ -92,7 +92,7 @@ pub struct CompiledLayer {
     flow: Flow,
     /// Built on first use (`OnceLock`, so `&self` inference can
     /// initialize it): accounting-only consumers (the bench reports)
-    /// never pay the program clone an [`Engine`] needs.
+    /// never pay for the kernel an [`Engine`] needs.
     engine: OnceLock<Engine>,
 }
 
@@ -360,6 +360,10 @@ pub(crate) fn run_chain<'a>(
 
 /// A whole multi-block workload compiled into one serving artifact.
 ///
+/// Cloning a model is cheap: the clone shares the layers — their flows
+/// and their resident engines — so a registry that keeps a model and
+/// the runtime serving it hold one VLIW image and one kernel per layer.
+///
 /// ```
 /// use lbnn_core::model::{CompiledModel, LayerSpec};
 /// use lbnn_core::{FlowOptions, LpuConfig};
@@ -382,7 +386,7 @@ pub(crate) fn run_chain<'a>(
 pub struct CompiledModel {
     name: String,
     config: LpuConfig,
-    layers: Vec<CompiledLayer>,
+    layers: Arc<[CompiledLayer]>,
 }
 
 impl CompiledModel {
@@ -428,7 +432,7 @@ impl CompiledModel {
         Ok(CompiledModel {
             name: name.into(),
             config: *config,
-            layers,
+            layers: layers.into(),
         })
     }
 
@@ -437,7 +441,7 @@ impl CompiledModel {
         CompiledModel {
             name,
             config,
-            layers,
+            layers: layers.into(),
         }
     }
 
@@ -539,16 +543,13 @@ impl CompiledModel {
     }
 
     /// The layers' engines as an owned chain — what a
-    /// [`crate::runtime::Runtime`] serves. A layer whose engine is
-    /// already resident hands it over; the others build theirs from the
-    /// flow without copying program or kernel ([`Flow::into_engine`]).
+    /// [`crate::runtime::Runtime`] serves: clones of the layers'
+    /// resident engines (built now if they were not), sharing their
+    /// cores with this model and every clone of it.
     pub(crate) fn into_engines(self) -> Result<Vec<Engine>, CoreError> {
         self.layers
-            .into_iter()
-            .map(|layer| match layer.engine.into_inner() {
-                Some(engine) => Ok(engine),
-                None => layer.flow.into_engine(),
-            })
+            .iter()
+            .map(|layer| layer.engine().cloned())
             .collect()
     }
 
@@ -687,6 +688,25 @@ mod tests {
             let reused = model.infer_with(&mut scratch, &inputs).unwrap();
             let fresh = model.infer(&inputs).unwrap();
             assert_eq!(reused.layer_outputs, fresh.layer_outputs, "round {round}");
+        }
+    }
+
+    /// A clone is the same layers: an engine built through the clone is
+    /// the original's, and the chain a runtime takes over shares every
+    /// layer's core and the flow's program.
+    #[test]
+    fn a_clone_shares_its_layers_and_their_engines() {
+        let model = two_layer_model();
+        let clone = model.clone();
+        for (a, b) in model.layers().iter().zip(clone.layers()) {
+            assert!(std::ptr::eq(a, b));
+        }
+        let built = clone.layers()[0].engine().unwrap();
+        assert!(std::ptr::eq(built, model.layers()[0].engine().unwrap()));
+        let engines = clone.into_engines().unwrap();
+        for (layer, engine) in model.layers().iter().zip(&engines) {
+            assert!(Arc::ptr_eq(engine.core(), layer.engine().unwrap().core()));
+            assert!(std::ptr::eq(engine.program(), &*layer.flow().program));
         }
     }
 

@@ -18,8 +18,9 @@
 //!   per-gate dispatch: this is the software analogue of the LPU's
 //!   word-level parallelism and the kernel behind the serving layer's
 //!   bit-sliced backend. Compilation runs a **tape-locality pass**
-//!   ([`TapeOptions`]): single-fanout chains are fused so their
-//!   intermediates live in a register accumulator and dead nets' frame
+//!   ([`TapeOptions`]): buffers and inverters that drive no output are
+//!   folded into their readers' masks, single-fanout chains are fused
+//!   so their intermediates live in an accumulator and dead nets' frame
 //!   slots are recycled by a liveness allocator ([`TapeStats`] reports
 //!   what the pass did). The frame width is
 //!   generic — any `words_per_net ≥ 1` works, and the widths in
@@ -32,7 +33,7 @@
 
 use crate::cell::Op;
 use crate::error::NetlistError;
-use crate::netlist::{Netlist, NodeId};
+use crate::netlist::{Netlist, Node, NodeId};
 use crate::patch::PatchSet;
 
 /// A packed vector of Boolean lanes (the value of one signal across a batch).
@@ -875,19 +876,109 @@ impl SliceFrame {
 /// One straight-line kernel step: `out = k0 ^ (k1 & b) ^ (k2 & a) ^
 /// (k3 & a & b)`, where each of `a`, `b`, `out` is a frame slot —
 /// fused-chain values use the dedicated accumulator slot (the last slot
-/// of the frame), resolved at compile time so execution never branches.
+/// of the frame), resolved at compile time so the wide kernels never
+/// branch (the one-word tile keeps it in a register, [`replay_word`]).
 ///
 /// The coefficients come from [`crate::Op::anf_masks`]; single-input and
 /// constant cells simply have the unused coefficients zeroed, so every
 /// gate kind executes the same branch-free sequence of bitwise ops. The
-/// masks are stored verbatim per cell even inside fused chains, which is
-/// what keeps in-place hot patching a pure mask rewrite.
+/// masks are the cell's own, stored per cell even inside fused chains,
+/// composed with the folded arity-1 cells an operand reads through
+/// ([`Folds`]) — which is what keeps in-place hot patching a pure mask
+/// rewrite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SliceInstr {
     pub(crate) a: u32,
     pub(crate) b: u32,
     pub(crate) out: u32,
     pub(crate) k: [u64; 4],
+}
+
+/// "Not folded" in the fold tables (no cell, no path).
+const NO_FOLD: u32 = u32::MAX;
+
+/// An arity-1 cell that drives no primary output, folded into the
+/// instructions that read it: it has no instruction and no slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FoldedCell {
+    /// Its netlist node id.
+    cell: u32,
+    /// Its fanin's index in [`Folds::cells`] when the fanin is folded
+    /// too (a buffer run), else [`NO_FOLD`]: the fanin is the root whose
+    /// slot the readers read.
+    up: u32,
+    /// Its current function.
+    op: Op,
+}
+
+/// An instruction with folded cells on an operand path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FoldedRead {
+    /// Its tape position.
+    instr: u32,
+    /// Its own cell's function — its masks before composition.
+    own: Op,
+    /// For operands `a` and `b`: the folded cell it reads through (an
+    /// index into [`Folds::cells`]), or [`NO_FOLD`].
+    via: [u32; 2],
+}
+
+/// What the fold step removed from a tape and which instructions read
+/// through it — all [`BitSliceEvaluator::patched`] needs to recompose
+/// masks. Both tables are empty (no allocation) when nothing folded.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Folds {
+    /// Every folded cell, in arena order (sorted by `cell`; a cell's
+    /// `up` precedes it).
+    cells: Vec<FoldedCell>,
+    /// Every instruction reading through one, in tape order.
+    reads: Vec<FoldedRead>,
+}
+
+impl Folds {
+    /// Writes each folded read's composed masks into `tape`: its own
+    /// cell's masks with each folded operand path substituted in.
+    fn compose(&self, tape: &mut [SliceInstr]) {
+        // `path[e]`: the function from cell `e`'s root to cell `e`'s
+        // output, as `x ↦ c ^ (d & x)`.
+        let mut path: Vec<[u64; 2]> = Vec::with_capacity(self.cells.len());
+        for f in &self.cells {
+            let [c, d] = unary(f.op);
+            let [pc, pd] = match f.up {
+                NO_FOLD => [0, !0],
+                up => path[up as usize],
+            };
+            path.push([c ^ (d & pc), d & pd]);
+        }
+        for read in &self.reads {
+            let mut k = read.own.anf_masks();
+            for (operand, &via) in read.via.iter().enumerate() {
+                if via != NO_FOLD {
+                    k = substitute(k, operand, path[via as usize]);
+                }
+            }
+            tape[read.instr as usize].k = k;
+        }
+    }
+}
+
+/// The function an arity-1 op computes on the tape, as `(c, d)` with
+/// `out = c ^ (d & x)`: the tape feeds the operand to both `a` and `b`,
+/// so `d = k1 ^ k2 ^ k3`.
+fn unary(op: Op) -> [u64; 2] {
+    let [k0, k1, k2, k3] = op.anf_masks();
+    [k0, k1 ^ k2 ^ k3]
+}
+
+/// ANF masks `k` with operand `a` (`operand == 0`) or `b` replaced by
+/// `c ^ (d & x)`. An inverter (`c = d = !0`) on `a` is `k0 ^= k2;
+/// k1 ^= k3`, on `b` `k0 ^= k1; k2 ^= k3`; a buffer changes nothing.
+fn substitute(k: [u64; 4], operand: usize, [c, d]: [u64; 2]) -> [u64; 4] {
+    let [k0, k1, k2, k3] = k;
+    match operand {
+        0 => [k0 ^ (k2 & c), k1 ^ (k3 & c), k2 & d, k3 & d],
+        _ => [k0 ^ (k1 & c), k1 & d, k2 ^ (k3 & c), k3 & d],
+    }
 }
 
 /// Knobs for the tape-locality pass run by
@@ -928,8 +1019,14 @@ impl Default for TapeOptions {
 /// will execute ([`BitSliceEvaluator::tape_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeStats {
-    /// Kernel instructions on the tape (one per executable cell).
+    /// Kernel instructions on the tape (one per executable cell that is
+    /// not folded).
     pub tape_len: usize,
+    /// Arity-1 cells (buffers, inverters) that drive no primary output
+    /// and so emitted no instruction: their readers read the nearest
+    /// ancestor that is not arity-1, with any inversion folded into
+    /// their masks.
+    pub folded_cells: usize,
     /// Fused chains of length ≥ 2 (runs of single-fanout cells whose
     /// interiors share the accumulator slot instead of slots of their
     /// own).
@@ -955,10 +1052,11 @@ pub struct TapeStats {
 /// largest-first into tiles from `{16, 8, 4, 2, 1}` — by how many words
 /// the block carries and by nothing else (a narrower tile touches the
 /// same 64-byte lines and only multiplies tape walks; table in
-/// `docs/ARCHITECTURE.md`, "Kernel locality") — and each tile is routed
-/// to the widest kernel `simd` allows. Words `active .. per` are
-/// neither read nor written — a batch that fills 1 of a 16-word
-/// frame's words pays for one word.
+/// `docs/ARCHITECTURE.md`, "Kernel locality") — and each tile of two or
+/// more words is routed to the widest kernel `simd` allows; a one-word
+/// tile runs [`replay_word`], which keeps the accumulator (slot `acc`)
+/// in a register. Words `active .. per` are neither read nor written —
+/// a batch that fills 1 of a 16-word frame's words pays for one word.
 /// This is the shared engine behind [`BitSliceEvaluator::run_block`]
 /// (`active = per`), the block loop's occupied-word replay and the
 /// per-partition segment replay of
@@ -978,6 +1076,7 @@ pub(crate) fn replay_tape(
     words: &mut [u64],
     per: usize,
     active: usize,
+    acc: u32,
 ) {
     // The SIMD kernels' bounds rest on this: a real assert, once per
     // replay, not per tile.
@@ -993,15 +1092,46 @@ pub(crate) fn replay_tape(
     while base < active {
         // The widest power of two the remaining words fill, up to 16.
         let tile = 1 << (active - base).ilog2().min(4);
-        replay_tile_dispatch(tape, simd, tile, words, per, base);
+        match tile {
+            1 => replay_word(tape, words, per, base, acc),
+            _ => replay_tile_dispatch(tape, simd, tile, words, per, base),
+        }
         base += tile;
     }
 }
 
-/// Routes one tile to the widest kernel the resolved SIMD level and
-/// the tile width allow; narrow tiles fall through to the next level
-/// down (a 2-word tile can't fill a 256-bit vector), and everything
-/// falls back to the portable scalar tiles.
+/// The one-word tile — what every ≤ 64-lane block replays, on every
+/// SIMD level. It carries the fused-chain accumulator (slot `acc`) in a
+/// register: a chain interior hands its result to the next instruction
+/// without the store→load round trip through the slot, which at one
+/// word is most of an instruction's latency (one lane of folded JSC-M,
+/// a 16-word frame: 26–27 → 18–20 µs a pass). The wider tiles keep the
+/// branch-free slot form, which measured ~15 % faster on large
+/// netlists at full width ("Kernel locality" in `docs/ARCHITECTURE.md`).
+/// Indexing is checked, like [`replay_tile`]. The frame's accumulator
+/// slot is not written: only the instruction after a write reads it
+/// (or an arity-0 one, behind zero masks), and here that read is the
+/// register.
+fn replay_word(tape: &[SliceInstr], words: &mut [u64], per: usize, base: usize, acc: u32) {
+    let mut reg = 0u64;
+    for i in tape {
+        let load = |slot: u32| match slot == acc {
+            true => reg,
+            false => words[slot as usize * per + base],
+        };
+        let (a, b) = (load(i.a), load(i.b));
+        let r = i.k[0] ^ (i.k[1] & b) ^ (a & (i.k[2] ^ (i.k[3] & b)));
+        match i.out == acc {
+            true => reg = r,
+            false => words[i.out as usize * per + base] = r,
+        }
+    }
+}
+
+/// Routes one tile of 2, 4, 8 or 16 words to the widest kernel the
+/// resolved SIMD level and the tile width allow; narrow tiles fall
+/// through to the next level down (a 2-word tile can't fill a 256-bit
+/// vector), and everything falls back to the portable scalar tiles.
 ///
 /// Every `unsafe` call below relies on the same two facts. `simd` was
 /// resolved by runtime feature detection when the tape was compiled
@@ -1060,8 +1190,7 @@ fn replay_tile_dispatch(
         16 => replay_tile::<16>(tape, words, per, base),
         8 => replay_tile::<8>(tape, words, per, base),
         4 => replay_tile::<4>(tape, words, per, base),
-        2 => replay_tile::<2>(tape, words, per, base),
-        _ => replay_tile::<1>(tape, words, per, base),
+        _ => replay_tile::<2>(tape, words, per, base),
     }
 }
 
@@ -1170,8 +1299,10 @@ pub fn into_lanes(columns: Vec<Vec<u64>>, lanes: usize) -> Vec<Lanes> {
 /// A netlist compiled into a width-generic bit-sliced kernel tape.
 ///
 /// Compilation walks the arena once, turning every executable cell into a
-/// kernel instruction in topological order, then runs a locality pass
-/// ([`TapeOptions`]): runs of single-fanout cells are fused into chains
+/// kernel instruction in topological order — except arity-1 cells that
+/// drive no primary output, which fold into their readers' masks — then
+/// runs a locality pass ([`TapeOptions`]): runs of single-fanout cells
+/// are fused into chains
 /// whose intermediate words all share one dedicated accumulator slot
 /// (kept cache-hot by back-to-back reuse, with no hot-loop branches),
 /// and frame slots are renumbered and recycled by a liveness allocator.
@@ -1203,9 +1334,10 @@ pub fn into_lanes(columns: Vec<Vec<u64>>, lanes: usize) -> Vec<Lanes> {
 ///     evaluate(&nl, &inputs).unwrap(),
 /// );
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSliceEvaluator {
-    /// Straight-line program, one instruction per executable node.
+    /// Straight-line program, one instruction per executable node that
+    /// is not folded.
     tape: Vec<SliceInstr>,
     /// Netlist node id behind each tape instruction (`tape[i]` computes
     /// cell `cells[i]`) — the instruction → cell-id table hot patching
@@ -1218,6 +1350,9 @@ pub struct BitSliceEvaluator {
     /// Allocated frame size in slots: the live data slots after
     /// renumbering and reuse, plus the accumulator scratch slot.
     slots: usize,
+    /// The folded arity-1 cells and the instructions reading through
+    /// them.
+    folds: Folds,
     /// What the locality pass did.
     stats: TapeStats,
 }
@@ -1232,33 +1367,75 @@ impl BitSliceEvaluator {
     /// Compiles `netlist` into a kernel tape with explicit locality
     /// options.
     ///
-    /// The pass is deterministic and purely structural: fusion, tape
-    /// order, and slot assignment depend only on the netlist's wiring
-    /// (never on gate kinds), so compiling a patched netlist afresh
-    /// yields the same structure as patching a compiled tape in place —
-    /// the invariant [`BitSliceEvaluator::patched`] relies on.
+    /// The pass is deterministic and purely structural: folding,
+    /// fusion, tape order, and slot assignment depend only on the
+    /// netlist's wiring and on which cells are arity-1 or drive outputs
+    /// (never on gate kinds — a valid patch changes neither), so
+    /// compiling a patched netlist afresh yields the same structure as
+    /// patching a compiled tape in place — the invariant
+    /// [`BitSliceEvaluator::patched`] relies on.
     pub fn compile_with(netlist: &Netlist, options: TapeOptions) -> Self {
         let n = netlist.len();
         const NEVER: usize = usize::MAX;
+        let mut pinned = vec![false; n];
+        for o in netlist.outputs() {
+            pinned[o.node.index()] = true;
+        }
+
+        // 0. Folding: an arity-1 cell that drives no primary output
+        // (a balance buffer, an inverter) emits no instruction. Its
+        // readers read `root` — the nearest ancestor that is not
+        // folded — and compose the folded path into their masks
+        // ([`Folds::compose`]). Everything below runs on this folded
+        // graph: a reader's operand `f` is `root[f]`.
+        let mut root: Vec<u32> = (0..n as u32).collect();
+        let mut fold_of = vec![NO_FOLD; n]; // index in `folds.cells`
+        let mut folds = Folds::default();
+        for (id, node) in netlist.iter() {
+            let i = id.index();
+            if node.op().arity() == 1 && !pinned[i] {
+                let f = node.fanins()[0].index();
+                root[i] = root[f];
+                fold_of[i] = folds.cells.len() as u32;
+                folds.cells.push(FoldedCell {
+                    cell: i as u32,
+                    up: fold_of[f],
+                    op: node.op(),
+                });
+            }
+        }
+        // The cells that emit an instruction.
+        let emits = |node: &Node, i: usize| node.op() != Op::Input && fold_of[i] == NO_FOLD;
 
         // 1. Chain fusion: for each gate, at most one single-fanout,
         // non-input fanin is fed through the accumulator instead of the
         // frame. `counts == 1` guarantees the producer has exactly this
-        // one consumer (a duplicate operand or a primary output bumps the
+        // one reader (a duplicate operand or a primary output bumps the
         // count past 1), so chains are disjoint by construction.
-        let counts = netlist.fanout_counts();
+        let mut counts = vec![0u32; n];
+        for (id, node) in netlist.iter() {
+            if fold_of[id.index()] == NO_FOLD {
+                for &f in node.fanins() {
+                    counts[root[f.index()] as usize] += 1;
+                }
+            }
+        }
+        for o in netlist.outputs() {
+            counts[o.node.index()] += 1;
+        }
         let mut reg_source = vec![REG; n]; // consumer -> fanin fed via acc
         let mut fused_out = vec![false; n]; // value lives in acc, no slot
         if options.fuse {
             for (id, node) in netlist.iter() {
-                if node.op() == Op::Input {
+                if !emits(node, id.index()) {
                     continue;
                 }
                 for &f in node.fanins() {
-                    let fi = f.index();
-                    if counts[fi] == 1 && netlist.node(f).op() != Op::Input && !fused_out[fi] {
-                        reg_source[id.index()] = fi as u32;
-                        fused_out[fi] = true;
+                    let r = root[f.index()] as usize;
+                    let input = netlist.node(NodeId::new(r as u32)).op() == Op::Input;
+                    if counts[r] == 1 && !input && !fused_out[r] {
+                        reg_source[id.index()] = r as u32;
+                        fused_out[r] = true;
                         break;
                     }
                 }
@@ -1274,7 +1451,7 @@ impl BitSliceEvaluator {
         let mut order: Vec<u32> = Vec::with_capacity(n);
         let mut fused_chains = 0usize;
         for (id, node) in netlist.iter() {
-            if node.op() == Op::Input || fused_out[id.index()] {
+            if !emits(node, id.index()) || fused_out[id.index()] {
                 continue;
             }
             let start = order.len();
@@ -1300,8 +1477,9 @@ impl BitSliceEvaluator {
         for (p, &yid) in order.iter().enumerate() {
             let y = yid as usize;
             for &f in netlist.node(NodeId::new(yid)).fanins() {
-                if f.index() as u32 != reg_source[y] {
-                    last_read[f.index()] = p;
+                let r = root[f.index()];
+                if r != reg_source[y] {
+                    last_read[r as usize] = p;
                 }
             }
         }
@@ -1310,10 +1488,6 @@ impl BitSliceEvaluator {
         // instruction's slot is allocated, so a value may land in the
         // slot of the operand that died feeding it — safe because the
         // kernel loads both operand spans in full before storing.
-        let mut pinned = vec![false; n];
-        for o in netlist.outputs() {
-            pinned[o.node.index()] = true;
-        }
         let mut slot_of = vec![REG; n];
         let mut pool = SlotPool {
             free: Vec::new(),
@@ -1338,16 +1512,14 @@ impl BitSliceEvaluator {
             let mut released = [REG; 2];
             let mut nr = 0;
             for &f in fan {
-                let fi = f.index();
-                if fi as u32 == reg_source[y] {
+                let r = root[f.index()];
+                if r == reg_source[y] {
                     continue;
                 }
-                if last_read[fi] == p
-                    && !pinned[fi]
-                    && released[..nr].iter().all(|&r| r != fi as u32)
-                {
-                    pool.release(slot_of[fi]);
-                    released[nr] = fi as u32;
+                let ri = r as usize;
+                if last_read[ri] == p && !pinned[ri] && released[..nr].iter().all(|&x| x != r) {
+                    pool.release(slot_of[ri]);
+                    released[nr] = r;
                     nr += 1;
                 }
             }
@@ -1363,35 +1535,51 @@ impl BitSliceEvaluator {
         let frame_slots = pool.high as usize;
         // The chain accumulator lives in a dedicated scratch slot just
         // past the live data slots. Resolving `REG` to a real slot here
-        // keeps the hot kernel branch-free (every operand/result is an
+        // keeps the wide kernels branch-free (every operand/result is an
         // unconditional indexed load/store); the slot is written and
         // re-read back-to-back, so it stays cache-hot regardless of
         // frame size. It is always reserved — arity-0/1 instructions
         // read it behind all-zero operand masks even in unfused tapes.
         let acc_slot = frame_slots as u32;
 
-        // 5. Emit the tape and the instruction → cell-id table.
+        // 5. Emit the tape and the instruction → cell-id table; an
+        // instruction with a folded operand path is recorded for
+        // composition.
         let mut tape = Vec::with_capacity(order.len());
         let mut cells = Vec::with_capacity(order.len());
-        for &yid in &order {
+        for (p, &yid) in order.iter().enumerate() {
             let y = yid as usize;
             let node = netlist.node(NodeId::new(yid));
             let fan = node.fanins();
             let rs = reg_source[y];
             let operand = |f: NodeId| {
-                if f.index() as u32 == rs {
+                let r = root[f.index()];
+                if r == rs {
                     acc_slot
                 } else {
-                    slot_of[f.index()]
+                    slot_of[r as usize]
                 }
             };
             // Arity 0 reads the accumulator behind all-zero operand
             // masks; arity 1 duplicates its operand into `b`.
-            let (a, b) = match fan.len() {
-                0 => (acc_slot, acc_slot),
-                1 => (operand(fan[0]), operand(fan[0])),
-                _ => (operand(fan[0]), operand(fan[1])),
+            let (a, b, via) = match fan.len() {
+                0 => (acc_slot, acc_slot, [NO_FOLD; 2]),
+                1 => {
+                    let via = fold_of[fan[0].index()];
+                    (operand(fan[0]), operand(fan[0]), [via; 2])
+                }
+                _ => {
+                    let via = [fold_of[fan[0].index()], fold_of[fan[1].index()]];
+                    (operand(fan[0]), operand(fan[1]), via)
+                }
             };
+            if via != [NO_FOLD; 2] {
+                folds.reads.push(FoldedRead {
+                    instr: p as u32,
+                    own: node.op(),
+                    via,
+                });
+            }
             let out = if fused_out[y] { acc_slot } else { slot_of[y] };
             tape.push(SliceInstr {
                 a,
@@ -1401,9 +1589,11 @@ impl BitSliceEvaluator {
             });
             cells.push(yid);
         }
+        folds.compose(&mut tape);
 
         let stats = TapeStats {
             tape_len: tape.len(),
+            folded_cells: folds.cells.len(),
             fused_chains,
             fused_instrs: tape.iter().filter(|i| i.out == acc_slot).count(),
             frame_slots_unoptimized: n,
@@ -1427,30 +1617,32 @@ impl BitSliceEvaluator {
             // The allocated frame = live data slots + the accumulator
             // scratch slot.
             slots: frame_slots + 1,
+            folds,
             stats,
         }
     }
 
     /// A copy of this tape with the ANF masks of every patched cell
     /// replaced, leaving all structure (operand slots, instruction
-    /// order, fusion, frame layout) untouched.
+    /// order, folding, fusion, frame layout) untouched.
     ///
-    /// Fusion and slot assignment are purely structural (see
+    /// Folding, fusion and slot assignment are purely structural (see
     /// [`BitSliceEvaluator::compile_with`]), and every instruction —
-    /// chain interiors included — stores its cell's masks verbatim, so a
-    /// mask rewrite inside a fused chain *is* the re-derived fused
-    /// chain: the result is bit-identical to a fresh compile of the
-    /// patched netlist.
+    /// chain interiors included — carries its own cell's masks composed
+    /// with the folded cells its operands read through, so rewriting a
+    /// cell's masks, or a folded cell's function and recomposing its
+    /// readers', *is* the re-derived tape: the result is bit-identical
+    /// to a fresh compile of the patched netlist.
     ///
     /// Callers are expected to have validated `patches` against the
     /// source netlist ([`PatchSet::validate`]); this method only
     /// requires each target to have a tape instruction (looked up
-    /// through the instruction → cell-id table).
+    /// through the instruction → cell-id table) or to be folded.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::InvalidNode`] if a patched id has no
-    /// instruction — out of range, or a primary input.
+    /// instruction and is not folded — out of range, or a primary input.
     pub fn patched(&self, patches: &PatchSet) -> Result<BitSliceEvaluator, NetlistError> {
         let mut index = vec![u32::MAX; self.stats.frame_slots_unoptimized];
         for (p, &cell) in self.cells.iter().enumerate() {
@@ -1458,12 +1650,22 @@ impl BitSliceEvaluator {
         }
         let mut out = self.clone();
         for (id, op) in patches.iter() {
-            let p = match index.get(id.index()) {
-                Some(&p) if p != u32::MAX => p as usize,
-                _ => return Err(NetlistError::InvalidNode { id }),
-            };
-            out.tape[p].k = op.anf_masks();
+            let cell = id.index() as u32;
+            match index.get(id.index()) {
+                Some(&p) if p != u32::MAX => out.tape[p as usize].k = op.anf_masks(),
+                _ => match out.folds.cells.binary_search_by_key(&cell, |f| f.cell) {
+                    Ok(f) => out.folds.cells[f].op = op,
+                    Err(_) => return Err(NetlistError::InvalidNode { id }),
+                },
+            }
         }
+        // Recompose every instruction reading through a folded cell:
+        // its own cell or a cell on its operand paths may have changed.
+        for read in &mut out.folds.reads {
+            let cell = NodeId::new(self.cells[read.instr as usize]);
+            read.own = patches.get(cell).unwrap_or(read.own);
+        }
+        out.folds.compose(&mut out.tape);
         Ok(out)
     }
 
@@ -1488,7 +1690,7 @@ impl BitSliceEvaluator {
     /// go to the accumulator slot, not a net slot of their own). Useful
     /// for aiming a patch at the inside of a chain in tests.
     pub fn fused_cells(&self) -> Vec<NodeId> {
-        let acc = self.stats.frame_slots as u32;
+        let acc = self.acc();
         self.tape
             .iter()
             .zip(&self.cells)
@@ -1545,7 +1747,20 @@ impl BitSliceEvaluator {
         // `slot * per + per <= words.len()` the replay kernels rely on.
         assert!(frame.slots() >= self.slots, "frame too small for tape");
         let per = frame.words_per_net;
-        replay_tape(&self.tape, self.stats.simd, frame.words_mut(), per, per);
+        replay_tape(
+            &self.tape,
+            self.stats.simd,
+            frame.words_mut(),
+            per,
+            per,
+            self.acc(),
+        );
+    }
+
+    /// The accumulator slot, for [`replay_tape`]'s register tile: the
+    /// one past the live data slots.
+    fn acc(&self) -> u32 {
+        self.stats.frame_slots as u32
     }
 
     /// Evaluates the whole batch, reusing `frame` as scratch and
@@ -1669,7 +1884,7 @@ impl BitSliceEvaluator {
                 let in_words = &input_words(i)[base..base + avail];
                 words[span..span + avail].copy_from_slice(in_words);
             }
-            replay_tape(&self.tape, self.stats.simd, words, per, avail);
+            replay_tape(&self.tape, self.stats.simd, words, per, avail, self.acc());
             for (o, &slot) in self.outputs.iter().enumerate().take(outputs) {
                 let span = slot as usize * per;
                 sink(o, base, &words[span..span + avail]);
@@ -2291,7 +2506,7 @@ mod tests {
     #[should_panic(expected = "active words exceed the frame width")]
     fn replay_rejects_more_active_words_than_the_frame_has() {
         let mut words = vec![0u64; 8];
-        replay_tape(&[], SimdLevel::Scalar, &mut words, 4, 5);
+        replay_tape(&[], SimdLevel::Scalar, &mut words, 4, 5, 0);
     }
 
     /// Every combination of locality options is bit-identical to the
@@ -2334,7 +2549,8 @@ mod tests {
 
     /// A hand-built single-fanout run fuses into one chain: interiors
     /// vanish from the frame, the live footprint shrinks, and the fused
-    /// tape still matches the oracle.
+    /// tape still matches the oracle. The inverter inside the run folds
+    /// into its reader; the one driving the output stays.
     #[test]
     fn fusion_fuses_chains_and_shrinks_frame() {
         let mut nl = Netlist::new("chain");
@@ -2348,14 +2564,15 @@ mod tests {
 
         let sliced = BitSliceEvaluator::compile_with(&nl, TapeOptions::default());
         let stats = sliced.tape_stats();
-        assert_eq!(stats.tape_len, 4);
-        assert_eq!(stats.fused_chains, 1, "g1→g2→g3→g4 is one chain");
-        assert_eq!(stats.fused_instrs, 3, "g1, g2, g3 stay in the accumulator");
+        assert_eq!(stats.tape_len, 3, "g2 folds into g3's masks");
+        assert_eq!(stats.folded_cells, 1);
+        assert_eq!(stats.fused_chains, 1, "g1→g3→g4 is one chain");
+        assert_eq!(stats.fused_instrs, 2, "g1, g3 stay in the accumulator");
         assert_eq!(stats.frame_slots_unoptimized, 6);
         // Peak live is the two inputs; g4's result recycles a's slot
         // (dead after g3, the last frame read of `a`).
         assert_eq!(stats.frame_slots, 2);
-        assert_eq!(sliced.fused_cells(), vec![g1, g2, g3]);
+        assert_eq!(sliced.fused_cells(), vec![g1, g3]);
 
         let unfused = BitSliceEvaluator::compile_with(
             &nl,
@@ -2402,69 +2619,226 @@ mod tests {
         }
     }
 
+    /// Arity-1 shapes the fold step must compose exactly: `Not(Not(x))`
+    /// read by a gate, `g(x, Not(x))` (both operands rooted at one
+    /// slot), and one buffer feeding both operands of a gate.
+    fn folding_shapes() -> Netlist {
+        let mut nl = Netlist::new("folds");
+        let [x, y, z] = ["x", "y", "z"].map(|name| nl.add_input(name));
+        let n1 = nl.add_gate1(Op::Not, x);
+        let n2 = nl.add_gate1(Op::Not, n1);
+        let g1 = nl.add_gate2(Op::And, n2, y);
+        let ny = nl.add_gate1(Op::Not, y);
+        let g2 = nl.add_gate2(Op::Xor, g1, ny);
+        let g3 = nl.add_gate2(Op::Nor, y, ny);
+        let bz = nl.add_gate1(Op::Buf, z);
+        let g4 = nl.add_gate2(Op::Nand, bz, bz);
+        let g5 = nl.add_gate2(Op::Xnor, g2, g4);
+        for (i, out) in [g5, g3, g1, g4].into_iter().enumerate() {
+            nl.add_output(out, format!("y{i}"));
+        }
+        nl
+    }
+
     /// Narrow tiles are reached only through partial blocks: every
     /// occupied-word count 1..=16 of a 16-word frame — hence every
-    /// largest-first split from `{16, 8, 4, 2, 1}`, e.g. 13 = 8 + 4 + 1
-    /// — matches the oracle on every SIMD level, as the only block of a
-    /// batch and as the ragged block after a full one.
+    /// largest-first split from `{16, 8, 4, 2, 1}`, e.g. 13 = 8 + 4 + 1,
+    /// the 1 being the register tile — matches the oracle on every SIMD
+    /// level, as the only block of a batch and as the ragged block after
+    /// a full one, with and without folded cells.
     #[test]
     fn every_occupied_word_count_matches_oracle_on_every_simd_level() {
         use crate::random::RandomDag;
-        let nl = RandomDag::loose(6, 4, 7).outputs(2).generate(11);
-        for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
-            let sliced = BitSliceEvaluator::compile_with(
-                &nl,
-                TapeOptions {
-                    simd,
-                    ..TapeOptions::default()
-                },
-            );
-            assert_eq!(sliced.tape_stats().tile_words(), 16);
-            let mut frame = sliced.frame_with_words(16);
-            for occupied in 1..=16usize {
-                for lanes in [64 * occupied - 37, 1024 + 64 * occupied - 37] {
-                    let inputs = patterned_inputs(&nl, lanes, occupied);
-                    let want = evaluate(&nl, &inputs).unwrap();
-                    let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
-                    assert_eq!(got, want, "simd {simd} lanes {lanes}");
+        let folds = folding_shapes();
+        let random = RandomDag::loose(6, 4, 7).outputs(2).generate(11);
+        for nl in [&random, &folds] {
+            for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+                let sliced = BitSliceEvaluator::compile_with(
+                    nl,
+                    TapeOptions {
+                        simd,
+                        ..TapeOptions::default()
+                    },
+                );
+                assert_eq!(sliced.tape_stats().tile_words(), 16);
+                let mut frame = sliced.frame_with_words(16);
+                for occupied in 1..=16usize {
+                    for lanes in [64 * occupied - 37, 1024 + 64 * occupied - 37] {
+                        let inputs = patterned_inputs(nl, lanes, occupied);
+                        let want = evaluate(nl, &inputs).unwrap();
+                        let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
+                        assert_eq!(got, want, "{} simd {simd} lanes {lanes}", nl.name());
+                    }
                 }
             }
         }
+        let stats = BitSliceEvaluator::compile(&folds).tape_stats();
+        assert_eq!((stats.folded_cells, stats.tape_len), (4, 5), "{stats:?}");
     }
 
-    /// Patching a cell inside a fused chain rewrites that instruction's
-    /// masks in place and matches a fresh compile of the patched netlist.
+    /// FNV-1a over every structural and mask word of a tape.
+    fn fingerprint(t: &BitSliceEvaluator) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        for i in &t.tape {
+            [i.a, i.b, i.out].iter().for_each(|&s| eat(s as u64));
+            i.k.iter().for_each(|&k| eat(k));
+        }
+        (t.cells.iter().chain(&t.inputs).chain(&t.outputs)).for_each(|&c| eat(c as u64));
+        eat(t.slots as u64);
+        h
+    }
+
+    /// With no arity-1 cell there is nothing to fold: the tape is the
+    /// one the parent commit compiled, word for word (fingerprints
+    /// recorded there), and carries no fold table.
     #[test]
-    fn patched_fused_tape_matches_fresh_compile() {
-        let mut nl = Netlist::new("chain");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
+    fn a_netlist_without_arity_1_cells_compiles_to_the_unfolded_tape() {
+        use crate::random::RandomDag;
+        let recorded: [(u64, u64); 3] = [
+            (0xbe75_779a_e8af_b222, 0xeef6_de28_ef13_0f7b),
+            (0xbd5b_079c_0b14_7c59, 0xb773_66e6_f43c_87e4),
+            (0xc4c9_85ca_886e_3936, 0x999b_b292_5fa7_da10),
+        ];
+        for (seed, (loose, strict)) in recorded.into_iter().enumerate() {
+            let seed = seed as u64;
+            for (shape, nl, want) in [
+                (
+                    "loose",
+                    RandomDag::loose(7, 5, 8).outputs(3).generate(seed),
+                    loose,
+                ),
+                (
+                    "strict",
+                    RandomDag::strict(9, 5, 8).outputs(4).generate(seed),
+                    strict,
+                ),
+            ] {
+                let tape = BitSliceEvaluator::compile(&nl);
+                assert_eq!(fingerprint(&tape), want, "{shape} seed {seed}");
+                assert_eq!(tape.folds, Folds::default());
+                assert_eq!(tape.tape_stats().folded_cells, 0);
+            }
+        }
+        let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(0);
+        for (fuse, reuse, want) in [
+            (false, true, 0x72ce_7be2_56a9_b76a),
+            (true, false, 0xc832_8ebe_8d16_924b),
+        ] {
+            let options = TapeOptions {
+                fuse,
+                reuse,
+                ..TapeOptions::default()
+            };
+            let tape = BitSliceEvaluator::compile_with(&nl, options);
+            assert_eq!(fingerprint(&tape), want, "fuse {fuse} reuse {reuse}");
+        }
+    }
+
+    /// A netlist whose arity-1 cells cover every fold the patch path
+    /// must recompose: an inverter inside a fused chain (`g2`), a
+    /// three-buffer run (`d1 → d2 → d3`) whose last buffer feeds two
+    /// gates, and an inverter driving a primary output (`g4`, not
+    /// folded).
+    struct FoldFixture {
+        nl: Netlist,
+        g1: NodeId,
+        g2: NodeId,
+        g4: NodeId,
+        d2: NodeId,
+        d3: NodeId,
+        e3: NodeId,
+    }
+
+    fn fold_fixture() -> FoldFixture {
+        let mut nl = Netlist::new("folded");
+        let [a, b, d] = ["a", "b", "d"].map(|name| nl.add_input(name));
         let g1 = nl.add_gate2(Op::And, a, b);
         let g2 = nl.add_gate1(Op::Not, g1);
-        let g3 = nl.add_gate2(Op::Xor, g2, b);
-        nl.add_output(g3, "y");
+        let a1 = nl.add_gate1(Op::Buf, a);
+        let a2 = nl.add_gate1(Op::Buf, a1);
+        let g3 = nl.add_gate2(Op::Xor, g2, a2);
+        let g4 = nl.add_gate1(Op::Not, g3);
+        let d1 = nl.add_gate1(Op::Buf, d);
+        let d2 = nl.add_gate1(Op::Buf, d1);
+        let d3 = nl.add_gate1(Op::Buf, d2);
+        let e3 = nl.add_gate2(Op::And, g3, d3);
+        let e4 = nl.add_gate2(Op::Or, d3, g3);
+        for (i, out) in [g4, e3, e4].into_iter().enumerate() {
+            nl.add_output(out, format!("y{i}"));
+        }
+        FoldFixture {
+            nl,
+            g1,
+            g2,
+            g4,
+            d2,
+            d3,
+            e3,
+        }
+    }
+
+    /// Patching rewrites masks in place — of a cell inside a fused
+    /// chain, of a folded cell's readers, of an output-driving arity-1
+    /// cell — and the patched tape is `==` a fresh compile of the
+    /// patched netlist and matches the oracle, on the one-word register
+    /// tile and on a 16-word frame.
+    #[test]
+    fn patched_fused_tape_matches_fresh_compile() {
+        let FoldFixture {
+            nl,
+            g1,
+            g2,
+            g4,
+            d2,
+            d3,
+            e3,
+        } = fold_fixture();
         let sliced = BitSliceEvaluator::compile_with(&nl, TapeOptions::default());
-        assert!(sliced.fused_cells().contains(&g2), "g2 must be fused");
+        let stats = sliced.tape_stats();
+        assert_eq!((stats.folded_cells, stats.tape_len), (6, 5), "{stats:?}");
+        assert_eq!(sliced.fused_cells(), vec![g1], "g1 feeds g3 through g2");
 
-        let mut patches = PatchSet::new();
-        patches.set(g2, Op::Buf);
-        patches.set(g1, Op::Nor);
-        let patched = sliced.patched(&patches).unwrap();
-        let mut patched_nl = nl.clone();
-        patched_nl.apply_patches(&patches).unwrap();
-        let fresh = BitSliceEvaluator::compile_with(&patched_nl, TapeOptions::default());
-
-        for lanes in [1usize, 64, 131] {
-            let bits_a: Vec<bool> = (0..lanes).map(|l| l % 2 == 0).collect();
-            let bits_b: Vec<bool> = (0..lanes).map(|l| l % 7 != 0).collect();
-            let inputs = [Lanes::from_bools(&bits_a), Lanes::from_bools(&bits_b)];
-            let want = evaluate(&patched_nl, &inputs).unwrap();
-            assert_eq!(fresh.evaluate(&inputs).unwrap(), want);
-            assert_eq!(patched.evaluate(&inputs).unwrap(), want, "lanes {lanes}");
+        let cases: [(&str, &[(NodeId, Op)]); 5] = [
+            (
+                "a fused interior and its folded reader",
+                &[(g1, Op::Nor), (g2, Op::Buf)],
+            ),
+            ("Buf→Not on a folded cell read twice", &[(d3, Op::Not)]),
+            ("the middle of a buffer run", &[(d2, Op::Not)]),
+            ("an output-driving arity-1 cell", &[(g4, Op::Buf)]),
+            (
+                "a reader with its folded fanin",
+                &[(e3, Op::Nand), (d3, Op::Not)],
+            ),
+        ];
+        for (case, set) in cases {
+            let patches: PatchSet = set.iter().copied().collect();
+            let patched = sliced.patched(&patches).unwrap();
+            let mut patched_nl = nl.clone();
+            patched_nl.apply_patches(&patches).unwrap();
+            let fresh = BitSliceEvaluator::compile_with(&patched_nl, TapeOptions::default());
+            assert!(
+                patched == fresh,
+                "{case}: patched tape differs from a fresh compile"
+            );
+            let mut wide = patched.frame_with_words(16);
+            for lanes in [1usize, 64, 131] {
+                let inputs = patterned_inputs(&nl, lanes, lanes);
+                let want = evaluate(&patched_nl, &inputs).unwrap();
+                assert_eq!(patched.evaluate(&inputs).unwrap(), want, "{case}, {lanes}");
+                let got = patched.evaluate_with(&inputs, lanes, &mut wide).unwrap();
+                assert_eq!(got, want, "{case}, {lanes} lanes on 16 words");
+            }
         }
 
+        // Patches chain: a patched tape patched back is the original.
+        let there: PatchSet = [(e3, Op::Nand), (d3, Op::Not)].into_iter().collect();
+        let back: PatchSet = [(e3, Op::And), (d3, Op::Buf)].into_iter().collect();
+        assert!(sliced.patched(&there).unwrap().patched(&back).unwrap() == sliced);
+
         // The unpatched tape still serves the original function.
-        let inputs = [Lanes::ones(70), Lanes::zeros(70)];
+        let inputs = patterned_inputs(&nl, 70, 3);
         assert_eq!(
             sliced.evaluate(&inputs).unwrap(),
             evaluate(&nl, &inputs).unwrap()

@@ -219,8 +219,9 @@ pub struct PartitionStats {
     pub max_frame_slots: usize,
     /// Live slots summed over all partitions.
     pub total_frame_slots: usize,
-    /// Kernel instructions summed over all partitions (equals the
-    /// single-tape length: partitioning never duplicates work).
+    /// Kernel instructions summed over all partitions: one per
+    /// executable cell, so partitioning never duplicates work (the
+    /// single tape, which also folds arity-1 cells, may be shorter).
     pub tape_len: usize,
 }
 
@@ -736,6 +737,7 @@ impl PartitionedEngine {
                         frame.words_mut(),
                         per,
                         avail,
+                        part.frame_slots as u32,
                     );
                 }
                 for c in copies {

@@ -79,7 +79,7 @@ fn snapshot_clobber_is_detected() {
     let nl = RandomDag::strict(12, 6, 10).outputs(3).generate(4);
     let config = LpuConfig::new(6, 3);
     let flow = Flow::builder(&nl).config(config).compile().unwrap();
-    let mut program = flow.program.clone();
+    let mut program = (*flow.program).clone();
 
     // Find an instruction with a snapshot write, then duplicate that write
     // one cycle later on the same LPV with a self-route so the value is

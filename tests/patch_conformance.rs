@@ -16,7 +16,7 @@
 
 use lbnn::netlist::eval::evaluate;
 use lbnn::netlist::random::RandomDag;
-use lbnn::netlist::{Lanes, Netlist, Op, PatchSet};
+use lbnn::netlist::{Lanes, Netlist, NodeId, Op, PatchSet};
 use lbnn::{Backend, EngineScratch, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
 use proptest::prelude::*;
 
@@ -240,20 +240,30 @@ proptest! {
 /// ISSUE 8: a patch aimed at cells *inside a fused chain* must re-derive
 /// the chain's fused masks — the live-patched tape and the `.lbnnp`
 /// delta route both stay bit-identical to a fresh compile of the patched
-/// netlist, at every lane width. The netlist is a hand-built
-/// single-fanout run so the locality pass is guaranteed to fuse, and the
-/// patch set flips the function of every fused (accumulator-resident)
-/// cell.
+/// netlist, at every lane width. The netlist is hand-built so the
+/// locality pass is guaranteed to fuse (`g1` feeds only `g3`, through the
+/// folded inverter `g2`) and balancing inserts buffer runs: `a → 2
+/// buffers → g3`, and `d → 3 buffers`, the last read by two gates.
+///
+/// ISSUE 25 adds the folds: one patch set per way a patch can reach a
+/// folded arity-1 cell — `Buf → Not` on a buffer read twice, a buffer in
+/// the middle of a run, an output-driving inverter (not folded), and a
+/// reader patched together with its folded fanin.
 #[test]
 fn patching_inside_a_fused_chain_matches_fresh_compile() {
     let mut nl = Netlist::new("chain");
     let a = nl.add_input("a");
     let b = nl.add_input("b");
+    let d = nl.add_input("d");
     let g1 = nl.add_gate2(Op::And, a, b);
     let g2 = nl.add_gate1(Op::Not, g1);
     let g3 = nl.add_gate2(Op::Xor, g2, a);
     let g4 = nl.add_gate1(Op::Not, g3);
+    let e3 = nl.add_gate2(Op::And, g3, d);
+    let e4 = nl.add_gate2(Op::Or, d, g3);
     nl.add_output(g4, "y");
+    nl.add_output(e3, "e3");
+    nl.add_output(e4, "e4");
 
     for words in [1usize, 2, 4, 8, 16] {
         let backend = Backend::BitSliced { words };
@@ -274,9 +284,11 @@ fn patching_inside_a_fused_chain_matches_fresh_compile() {
             !fused.is_empty(),
             "the mapped chain netlist must produce fused cells (words {words})"
         );
+        // g2 and the five balance buffers fold; g4 drives an output.
+        assert_eq!(tape.tape_stats().folded_cells, 6, "words {words}");
 
         // Flip the function of every fused cell, same arity.
-        let mut patches = PatchSet::new();
+        let mut flip_fused = PatchSet::new();
         for id in &fused {
             let rep = match flow.netlist.node(*id).op() {
                 Op::Not => Op::Buf,
@@ -289,48 +301,98 @@ fn patching_inside_a_fused_chain_matches_fresh_compile() {
                 Op::Xnor => Op::Xor,
                 _ => continue,
             };
-            patches.set(*id, rep);
+            flip_fused.set(*id, rep);
         }
         assert!(
-            !patches.is_empty(),
+            !flip_fused.is_empty(),
             "no patchable fused cell (words {words})"
         );
 
-        let mut patched_netlist = flow.netlist.clone();
-        patched_netlist.apply_patches(&patches).unwrap();
-        let fresh = Flow::builder(&patched_netlist)
-            .config(config)
-            .backend(backend)
-            .optimize(false)
-            .compile()
-            .unwrap()
-            .into_engine()
-            .unwrap();
-        let live = flow.engine().unwrap().patch_cells(&patches).unwrap();
-        let delta = flow.make_delta(&patches).unwrap();
-        let via_delta = flow.apply_delta(&delta).unwrap().into_engine().unwrap();
+        // The folded cells by role, found in the mapped netlist.
+        let mapped = &flow.netlist;
+        let fanouts = mapped.fanouts();
+        let is_output = |id: NodeId| mapped.outputs().iter().any(|o| o.node == id);
+        let is_buf = |id: NodeId| mapped.node(id).op() == Op::Buf && !is_output(id);
+        let find = |what: &str, pick: &dyn Fn(NodeId) -> bool| {
+            (mapped.node_ids().find(|&id| pick(id)))
+                .unwrap_or_else(|| panic!("no {what} in the mapped netlist"))
+        };
+        let read_twice = find("buffer read twice", &|id| {
+            is_buf(id) && fanouts[id.index()].len() >= 2
+        });
+        let middle = find("buffer inside a run", &|id| {
+            is_buf(id)
+                && is_buf(mapped.node(id).fanins()[0])
+                && fanouts[id.index()].iter().any(|&r| is_buf(r))
+        });
+        let output_inverter = find("output-driving inverter", &|id| {
+            mapped.node(id).op() == Op::Not && is_output(id)
+        });
+        let reader = fanouts[read_twice.index()][0];
+        let reader_op = mapped.node(reader).op().negated().unwrap();
 
-        let width = flow.program.num_inputs;
-        let lanes_full = backend.lanes();
-        for lanes in [1usize, lanes_full / 2 + 3, lanes_full] {
-            let rows: Vec<Vec<bool>> = (0..lanes)
-                .map(|r| request_bits(width, r as u64, 0xf05ed ^ words as u64))
-                .collect();
-            let batch = Lanes::pack_rows(&rows, width);
-            let mut scratch = EngineScratch::new();
-            let want = fresh.run_batch_with(&mut scratch, &batch).unwrap().outputs;
-            let oracle = evaluate(&patched_netlist, &batch).unwrap();
-            assert_eq!(
-                want, oracle,
-                "fresh compile disagrees with the netlist oracle (words {words})"
-            );
-            for (route, engine) in [("live", &live), ("delta", &via_delta)] {
-                let got = engine.run_batch_with(&mut scratch, &batch).unwrap().outputs;
-                assert_eq!(got, want, "{route} route, words {words}, {lanes} lanes");
+        let cases: [(&str, PatchSet); 5] = [
+            ("every fused cell", flip_fused),
+            (
+                "Buf→Not on a buffer read twice",
+                [(read_twice, Op::Not)].into_iter().collect(),
+            ),
+            (
+                "the middle of a buffer run",
+                [(middle, Op::Not)].into_iter().collect(),
+            ),
+            (
+                "an output-driving inverter",
+                [(output_inverter, Op::Buf)].into_iter().collect(),
+            ),
+            (
+                "a reader with its folded fanin",
+                [(reader, reader_op), (read_twice, Op::Not)]
+                    .into_iter()
+                    .collect(),
+            ),
+        ];
+        for (case, patches) in cases {
+            let mut patched_netlist = flow.netlist.clone();
+            patched_netlist.apply_patches(&patches).unwrap();
+            let fresh = Flow::builder(&patched_netlist)
+                .config(config)
+                .backend(backend)
+                .optimize(false)
+                .compile()
+                .unwrap()
+                .into_engine()
+                .unwrap();
+            let live = flow.engine().unwrap().patch_cells(&patches).unwrap();
+            let delta = flow.make_delta(&patches).unwrap();
+            let via_delta = flow.apply_delta(&delta).unwrap().into_engine().unwrap();
+
+            let width = flow.program.num_inputs;
+            let lanes_full = backend.lanes();
+            for lanes in [1usize, lanes_full / 2 + 3, lanes_full] {
+                let rows: Vec<Vec<bool>> = (0..lanes)
+                    .map(|r| request_bits(width, r as u64, 0xf05ed ^ words as u64))
+                    .collect();
+                let batch = Lanes::pack_rows(&rows, width);
+                let mut scratch = EngineScratch::new();
+                let want = fresh.run_batch_with(&mut scratch, &batch).unwrap().outputs;
+                let oracle = evaluate(&patched_netlist, &batch).unwrap();
+                assert_eq!(
+                    want, oracle,
+                    "{case}: fresh compile disagrees with the netlist oracle (words {words})"
+                );
+                for (route, engine) in [("live", &live), ("delta", &via_delta)] {
+                    let got = engine.run_batch_with(&mut scratch, &batch).unwrap().outputs;
+                    assert_eq!(
+                        got, want,
+                        "{case}: {route} route, words {words}, {lanes} lanes"
+                    );
+                }
             }
         }
 
         // The base flow still serves the unpatched function.
+        let width = flow.program.num_inputs;
         let rows: Vec<Vec<bool>> = (0..9)
             .map(|r| request_bits(width, r as u64, 0xba5e))
             .collect();
@@ -459,7 +521,7 @@ fn patching_partitioned_engines_matches_fresh_compile() {
 /// typed errors on every route.
 #[test]
 fn illegal_patches_are_rejected_on_every_route() {
-    use lbnn::netlist::{NetlistError, NodeId};
+    use lbnn::netlist::NetlistError;
     let netlist = RandomDag::strict(8, 4, 6).outputs(3).generate(5);
     let flow = Flow::builder(&netlist)
         .config(LpuConfig::new(4, 4))
