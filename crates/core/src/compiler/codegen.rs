@@ -13,8 +13,6 @@
 //!   input data buffer, laid out in consumption order so a counter
 //!   suffices for address generation (§V-B).
 
-use std::collections::HashMap;
-
 use lbnn_netlist::{Levels, Netlist, NodeId, Op};
 
 use crate::compiler::mfg::MfgId;
@@ -47,6 +45,12 @@ pub fn generate(
     let mut queues: Vec<Vec<Option<VliwInstr>>> = vec![vec![None; schedule.queue_depth]; n];
     // Pending input-buffer reads: (cycle, lpv, lpe, operand_pos, pi_node).
     let mut pending_inputs: Vec<(usize, usize, usize, usize, NodeId)> = Vec::new();
+    // Which ports of each instruction already latch: one bit per port,
+    // `latch_words` words per `(lpv, address)`.
+    let latch_words = (2 * m).div_ceil(64);
+    let mut latched = vec![0u64; n * schedule.queue_depth * latch_words];
+    // Position of each node of the level being read in its MFG level.
+    let mut pos_in_level = vec![0u32; netlist.len()];
 
     // Position of a node inside an MFG level (levels are sorted).
     let lpe_of = |id: MfgId, level: u32, node: NodeId| -> usize {
@@ -72,6 +76,11 @@ pub fn generate(
                         reason: format!("address {addr} exceeds queue depth"),
                     });
                 }
+                if i > 0 {
+                    for (pos, &node) in mfg.levels()[i - 1].iter().enumerate() {
+                        pos_in_level[node.index()] = pos as u32;
+                    }
+                }
 
                 // Fill the executing instruction.
                 for (pos, &node) in level_nodes.iter().enumerate() {
@@ -85,14 +94,16 @@ pub fn generate(
                     }
                     let op = netlist.node(node).op();
                     debug_assert!(op.is_executable(), "PIs never appear inside an MFG");
-                    let fanins = netlist.node(node).fanins().to_vec();
-                    let mut srcs: Vec<OperandSrc> = Vec::with_capacity(2);
+                    let mut srcs = [OperandSrc::Const(false); 2];
+                    let fanins = netlist.node(node).fanins();
                     for (k, &fanin) in fanins.iter().enumerate() {
                         let port = (2 * lpe + k) as u16;
-                        let src = if level > mfg.bottom() {
+                        srcs[k] = if level > mfg.bottom() {
                             // Internal edge: previous level of the same MFG,
                             // flow-through via the switch.
-                            let src_lpe = lpe_of(id, level - 1, fanin) as u16;
+                            let prev = pos_in_level[fanin.index()] as usize;
+                            debug_assert_eq!(mfg.levels()[i - 1].get(prev), Some(&fanin));
+                            let src_lpe = schedule.lpe_index(partition, id, level - 1, prev) as u16;
                             set_route(&mut queues, m, lpv, addr, port, src_lpe, Some(id))?;
                             OperandSrc::Route(port)
                         } else {
@@ -147,26 +158,32 @@ pub fn generate(
                                             src_lpe,
                                             None,
                                         )?;
-                                        let instr = queues[lpv][d_addr]
-                                            .as_mut()
-                                            .expect("created by set_route");
-                                        if !instr.snapshot_writes.contains(&port) {
-                                            instr.snapshot_writes.push(port);
+                                        let bit = (lpv * schedule.queue_depth + d_addr)
+                                            * latch_words
+                                            * 64
+                                            + usize::from(port);
+                                        let word = &mut latched[bit / 64];
+                                        if *word & (1 << (bit % 64)) == 0 {
+                                            *word |= 1 << (bit % 64);
+                                            queues[lpv][d_addr]
+                                                .as_mut()
+                                                .expect("created by set_route")
+                                                .snapshot_writes
+                                                .push(port);
                                         }
                                         OperandSrc::Snapshot(port)
                                     }
                                 }
                             }
                         };
-                        srcs.push(src);
                     }
                     let instr = instr_mut(&mut queues, m, lpv, addr);
                     instr.mfg = Some(id);
                     debug_assert!(instr.lpes[lpe].is_none(), "one node per LPE per cycle");
                     instr.lpes[lpe] = Some(LpeInstr {
                         op,
-                        a: srcs.first().copied().unwrap_or(OperandSrc::Const(false)),
-                        b: srcs.get(1).copied(),
+                        a: srcs[0],
+                        b: (fanins.len() > 1).then_some(srcs[1]),
                         node,
                     });
                 }
@@ -177,12 +194,10 @@ pub fn generate(
     // Input buffer layout: strictly in consumption order so the hardware's
     // read counter visits addresses 0, 1, 2, …
     pending_inputs.sort_unstable_by_key(|&(cycle, lpv, lpe, k, _)| (cycle, lpv, lpe, k));
-    let pi_index: HashMap<NodeId, u32> = netlist
-        .inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &pi)| (pi, i as u32))
-        .collect();
+    let mut pi_index = vec![u32::MAX; netlist.len()];
+    for (i, &pi) in netlist.inputs().iter().enumerate() {
+        pi_index[pi.index()] = i as u32;
+    }
     let mut input_buffer: Vec<InputSlot> = Vec::with_capacity(pending_inputs.len());
     for (read_addr, &(cycle, lpv, lpe, k, node)) in pending_inputs.iter().enumerate() {
         let addr = Schedule::address_of(cycle, lpv);
@@ -195,9 +210,9 @@ pub fn generate(
         };
         debug_assert_eq!(*slot, OperandSrc::Input(u32::MAX));
         *slot = OperandSrc::Input(read_addr as u32);
-        input_buffer.push(InputSlot::Pi(
-            *pi_index.get(&node).expect("fanin is a primary input"),
-        ));
+        let pi = pi_index[node.index()];
+        assert_ne!(pi, u32::MAX, "fanin is a primary input");
+        input_buffer.push(InputSlot::Pi(pi));
     }
 
     // Output taps.

@@ -6,7 +6,8 @@
 //! greedily merged into multi-output MFGs. Fig 7/8 of the paper quantify
 //! the effect; the benches regenerate those figures.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 
 use lbnn_netlist::NodeId;
 
@@ -26,31 +27,66 @@ pub struct MergeStats {
 
 /// The paper's `checkLevel`: `true` when the two MFGs can merge, i.e. they
 /// share the same level range and every level's node-set union has at most
-/// `m` nodes.
+/// `m` nodes. Levels are sorted, as [`find_mfg`](crate::compiler::find_mfg)
+/// and merging build them.
 pub fn check_level(a: &Mfg, b: &Mfg, m: usize) -> bool {
     if a.bottom() != b.bottom() || a.top() != b.top() {
         return false;
     }
-    for (la, lb) in a.levels().iter().zip(b.levels()) {
-        // Both level vectors are sorted: count the union by merge-walk.
-        let mut union = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < la.len() || j < lb.len() {
-            union += 1;
-            if union > m {
-                return false;
-            }
-            if i < la.len() && (j >= lb.len() || la[i] < lb[j]) {
-                i += 1;
-            } else if j < lb.len() && (i >= la.len() || lb[j] < la[i]) {
-                j += 1;
-            } else {
-                i += 1;
-                j += 1;
-            }
+    a.levels()
+        .iter()
+        .zip(b.levels())
+        .all(|(la, lb)| union_fits(la, lb, m))
+}
+
+/// `true` when the union of two sorted, duplicate-free node lists has at
+/// most `m` nodes. Lists that fit side by side, or whose id ranges are
+/// disjoint, are decided from their lengths and ends; only overlapping
+/// ranges are merge-walked, and the walk stops at the first node past `m`.
+fn union_fits(la: &[NodeId], lb: &[NodeId], m: usize) -> bool {
+    if la.len() + lb.len() <= m {
+        return true;
+    }
+    let (Some((a_first, a_last)), Some((b_first, b_last))) =
+        (la.first().zip(la.last()), lb.first().zip(lb.last()))
+    else {
+        return false; // one side alone holds more than `m` nodes
+    };
+    if a_last < b_first || b_last < a_first {
+        return false; // disjoint: the union is the sum
+    }
+    let mut union = 0usize;
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < la.len() || j < lb.len() {
+        union += 1;
+        if union > m {
+            return false;
+        }
+        if i < la.len() && (j >= lb.len() || la[i] < lb[j]) {
+            i += 1;
+        } else if j < lb.len() && (i >= la.len() || lb[j] < la[i]) {
+            j += 1;
+        } else {
+            i += 1;
+            j += 1;
         }
     }
     true
+}
+
+/// The sorted union of two sorted, duplicate-free node lists.
+fn sorted_union(la: &[NodeId], lb: &[NodeId]) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(la.len() + lb.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < la.len() && j < lb.len() {
+        let next = la[i].min(lb[j]);
+        i += usize::from(la[i] == next);
+        j += usize::from(lb[j] == next);
+        out.push(next);
+    }
+    out.extend_from_slice(&la[i..]);
+    out.extend_from_slice(&lb[j..]);
+    out
 }
 
 /// Merges two compatible MFGs into one multi-output MFG (level-wise union).
@@ -61,66 +97,76 @@ fn union_mfgs(a: &Mfg, b: &Mfg) -> Mfg {
         .levels()
         .iter()
         .zip(b.levels())
-        .map(|(la, lb)| {
-            let mut v: Vec<NodeId> = la.iter().chain(lb).copied().collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
+        .map(|(la, lb)| sorted_union(la, lb))
         .collect();
-    let mut inputs: Vec<NodeId> = a.inputs().iter().chain(b.inputs()).copied().collect();
-    inputs.sort_unstable();
-    inputs.dedup();
-    Mfg::new(a.bottom(), levels, inputs)
+    Mfg::new(a.bottom(), levels, sorted_union(a.inputs(), b.inputs()))
+}
+
+/// The alive members of an edge list, sorted and deduplicated. Edge lists
+/// keep the ids of merged-away MFGs; this is the one place that drops them.
+fn alive_sorted<'a>(ids: impl IntoIterator<Item = &'a MfgId>, alive: &[bool]) -> Vec<MfgId> {
+    let mut out: Vec<MfgId> = ids
+        .into_iter()
+        .copied()
+        .filter(|k| alive[k.index()])
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Algorithm 3: greedy merging of same-bottom sibling MFGs, walking the MFG
 /// DAG breadth-first from the primary-output MFGs.
 ///
+/// Within a sibling group the lexicographically first mergeable pair (in
+/// group order) merges, the merged MFG is appended to the group and the
+/// scan restarts; the order of these merges decides the MFG ids.
+///
 /// Returns the rewritten partition (dead MFGs compacted away, edges and
 /// producer maps rebuilt) and merge statistics.
 pub fn merge_mfgs(partition: &Partition, m: usize) -> (Partition, MergeStats) {
-    let mut mfgs: Vec<Mfg> = partition.mfgs.clone();
+    // The input's MFGs are borrowed: only merged MFGs are built, and only
+    // survivors are copied out.
+    let mut mfgs: Vec<Cow<'_, Mfg>> = partition.mfgs.iter().map(Cow::Borrowed).collect();
+    // Edge lists only grow: a merge appends the merged id and leaves the
+    // dead ids in place for `alive_sorted` to drop.
     let mut children: Vec<Vec<MfgId>> = partition.children.clone();
     let mut parents: Vec<Vec<MfgId>> = partition.parents.clone();
     let mut alive: Vec<bool> = vec![true; mfgs.len()];
+    let mut processed: Vec<bool> = vec![false; mfgs.len()];
     let mut merged_into: Vec<Option<MfgId>> = vec![None; mfgs.len()];
     let mut merges = 0usize;
 
     // Virtual super-root: treat the PO MFGs as one sibling group so they
     // can merge with each other too ("rootMFG = the MFG contained PO(s)").
-    let mut queue: VecDeque<Option<MfgId>> = VecDeque::new();
-    queue.push_back(None); // None = the virtual root
-    let mut processed: HashSet<Option<MfgId>> = HashSet::new();
-
-    let mut po_group: Vec<MfgId> = partition.po_mfgs.clone();
+    let mut queue: VecDeque<Option<MfgId>> = VecDeque::from([None]); // None = the virtual root
+    let mut po_group: Vec<MfgId> = Vec::new();
 
     while let Some(slot) = queue.pop_front() {
-        if !processed.insert(slot) {
-            continue;
-        }
-        // The sibling group to merge within.
+        // The sibling group to merge within, in scan order; merged-away
+        // members stay in place and are skipped.
         let mut group: Vec<MfgId> = match slot {
-            None => po_group.clone(),
+            None => alive_sorted(&partition.po_mfgs, &alive),
+            Some(p) if processed[p.index()] || !alive[p.index()] => continue,
             Some(p) => {
-                if !alive[p.index()] {
-                    continue;
-                }
-                children[p.index()].clone()
+                processed[p.index()] = true;
+                alive_sorted(&children[p.index()], &alive)
             }
         };
-        group.retain(|c| alive[c.index()]);
-        group.sort_unstable();
-        group.dedup();
+        let mut first = 0usize;
 
         // Greedy pairwise merging within the group.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            'pairs: for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    let (a, b) = (group[i], group[j]);
-                    if mfgs[a.index()].bottom() != mfgs[b.index()].bottom() {
+        'scan: loop {
+            while first < group.len() && !alive[group[first].index()] {
+                first += 1;
+            }
+            for i in first..group.len() {
+                let a = group[i];
+                if !alive[a.index()] {
+                    continue;
+                }
+                for &b in &group[i + 1..] {
+                    if !alive[b.index()] || mfgs[a.index()].bottom() != mfgs[b.index()].bottom() {
                         continue;
                     }
                     if !check_level(&mfgs[a.index()], &mfgs[b.index()], m) {
@@ -129,99 +175,68 @@ pub fn merge_mfgs(partition: &Partition, m: usize) -> (Partition, MergeStats) {
                     // Merge b into a new MFG.
                     let merged = union_mfgs(&mfgs[a.index()], &mfgs[b.index()]);
                     let new_id = MfgId(mfgs.len() as u32);
-                    mfgs.push(merged);
+                    mfgs.push(Cow::Owned(merged));
                     alive.push(true);
+                    processed.push(false);
                     merged_into.push(None);
                     merged_into[a.index()] = Some(new_id);
                     merged_into[b.index()] = Some(new_id);
 
-                    let mut kid_union: Vec<MfgId> = children[a.index()]
-                        .iter()
-                        .chain(&children[b.index()])
-                        .copied()
-                        .filter(|k| alive[k.index()])
-                        .collect();
-                    kid_union.sort_unstable();
-                    kid_union.dedup();
-                    let mut parent_union: Vec<MfgId> = parents[a.index()]
-                        .iter()
-                        .chain(&parents[b.index()])
-                        .copied()
-                        .filter(|p| alive[p.index()])
-                        .collect();
-                    parent_union.sort_unstable();
-                    parent_union.dedup();
-
-                    children.push(kid_union.clone());
-                    parents.push(parent_union.clone());
+                    let kid_union = alive_sorted(
+                        children[a.index()].iter().chain(&children[b.index()]),
+                        &alive,
+                    );
+                    let parent_union =
+                        alive_sorted(parents[a.index()].iter().chain(&parents[b.index()]), &alive);
 
                     // Rewire: parents' child lists and children's parent lists.
                     for &p in &parent_union {
-                        let list = &mut children[p.index()];
-                        list.retain(|&k| k != a && k != b);
-                        list.push(new_id);
+                        children[p.index()].push(new_id);
                     }
                     for &k in &kid_union {
-                        let list = &mut parents[k.index()];
-                        list.retain(|&p| p != a && p != b);
-                        if !list.contains(&new_id) {
-                            list.push(new_id);
-                        }
+                        parents[k.index()].push(new_id);
                     }
+                    children.push(kid_union);
+                    parents.push(parent_union);
                     alive[a.index()] = false;
                     alive[b.index()] = false;
-                    if slot.is_none() {
-                        po_group.retain(|&x| x != a && x != b);
-                        po_group.push(new_id);
-                    }
                     merges += 1;
 
-                    group.remove(j);
-                    group.remove(i);
                     group.push(new_id);
-                    changed = true;
-                    break 'pairs;
+                    continue 'scan;
                 }
             }
+            break;
         }
-        for &kid in &group {
-            queue.push_back(Some(kid));
+        group.retain(|g| alive[g.index()]);
+        if slot.is_none() {
+            po_group.clone_from(&group);
         }
+        queue.extend(group.into_iter().map(Some));
     }
 
     // Compact: drop dead MFGs and re-densify ids.
     let mut remap: Vec<Option<MfgId>> = vec![None; mfgs.len()];
-    let mut out_mfgs: Vec<Mfg> = Vec::new();
-    for (i, mfg) in mfgs.iter().enumerate() {
+    let mut out_mfgs: Vec<Mfg> = Vec::with_capacity(mfgs.len() - 2 * merges);
+    for (i, mfg) in mfgs.into_iter().enumerate() {
         if alive[i] {
             remap[i] = Some(MfgId(out_mfgs.len() as u32));
-            out_mfgs.push(mfg.clone());
+            out_mfgs.push(mfg.into_owned());
         }
     }
     let map = |id: MfgId| remap[id.index()].expect("alive edges reference alive MFGs");
-    let mut out_children: Vec<Vec<MfgId>> = Vec::with_capacity(out_mfgs.len());
-    let mut out_parents: Vec<Vec<MfgId>> = Vec::with_capacity(out_mfgs.len());
-    for i in 0..mfgs.len() {
-        if !alive[i] {
-            continue;
-        }
-        let mut kids: Vec<MfgId> = children[i]
-            .iter()
-            .filter(|k| alive[k.index()])
-            .map(|&k| map(k))
-            .collect();
-        kids.sort_unstable();
-        kids.dedup();
-        out_children.push(kids);
-        let mut ps: Vec<MfgId> = parents[i]
-            .iter()
-            .filter(|p| alive[p.index()])
-            .map(|&p| map(p))
-            .collect();
-        ps.sort_unstable();
-        ps.dedup();
-        out_parents.push(ps);
-    }
+    let alive_mapped = |list: &[MfgId]| -> Vec<MfgId> {
+        // Ids of alive MFGs keep their relative order under `map`.
+        alive_sorted(list, &alive).into_iter().map(map).collect()
+    };
+    let out_children: Vec<Vec<MfgId>> = (0..alive.len())
+        .filter(|&i| alive[i])
+        .map(|i| alive_mapped(&children[i]))
+        .collect();
+    let out_parents: Vec<Vec<MfgId>> = (0..alive.len())
+        .filter(|&i| alive[i])
+        .map(|i| alive_mapped(&parents[i]))
+        .collect();
 
     // Resolve an original id through the chain of merges to its final
     // (compacted) id.
@@ -232,18 +247,24 @@ pub fn merge_mfgs(partition: &Partition, m: usize) -> (Partition, MergeStats) {
         map(id)
     };
 
-    // Rebuild the parent-scoped producer map and the PO producer map.
-    let mut producer_of: HashMap<(MfgId, NodeId), MfgId> = HashMap::new();
+    // Rebuild the parent-scoped producer map and the PO producer map. When
+    // merged parents read one node from different duplicated children, the
+    // lowest resolved child id wins, whatever the hash map's order.
+    let mut producer_of: HashMap<(MfgId, NodeId), MfgId> =
+        HashMap::with_capacity(partition.producer_of.len());
     for (&(parent, node), &child) in &partition.producer_of {
-        producer_of.insert((resolve(parent), node), resolve(child));
+        let child = resolve(child);
+        producer_of
+            .entry((resolve(parent), node))
+            .and_modify(|c| *c = (*c).min(child))
+            .or_insert(child);
     }
-    let mut po_producer: HashMap<NodeId, MfgId> = HashMap::new();
-    for (&node, &id) in &partition.po_producer {
-        po_producer.insert(node, resolve(id));
-    }
-    let mut po_mfgs: Vec<MfgId> = po_group.iter().map(|&id| map(id)).collect();
-    po_mfgs.sort_unstable();
-    po_mfgs.dedup();
+    let po_producer: HashMap<NodeId, MfgId> = partition
+        .po_producer
+        .iter()
+        .map(|(&node, &id)| (node, resolve(id)))
+        .collect();
+    let po_mfgs = alive_mapped(&po_group);
 
     let stats = MergeStats {
         before: partition.mfgs.len(),
@@ -269,6 +290,43 @@ mod tests {
     use crate::compiler::partition::{check_partition, partition, PartitionOptions, StopRule};
     use lbnn_netlist::random::RandomDag;
     use lbnn_netlist::Levels;
+
+    /// The length/range shortcuts and the merge walks agree with
+    /// concatenate + sort + dedup on sorted lists of every overlap shape.
+    #[test]
+    fn union_helpers_match_sort_and_dedup() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        fn list(next: &mut impl FnMut(u64) -> u64, base: u64) -> Vec<NodeId> {
+            let mut v: Vec<NodeId> = (0..next(12))
+                .map(|_| NodeId::new((base + next(40)) as u32))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        }
+        for _ in 0..2000 {
+            let la = list(&mut next, 0);
+            let base = next(50);
+            let lb = list(&mut next, base);
+            let mut want = [la.clone(), lb.clone()].concat();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(sorted_union(&la, &lb), want);
+            for m in 0..26 {
+                assert_eq!(
+                    union_fits(&la, &lb, m),
+                    want.len() <= m,
+                    "{la:?} {lb:?} m={m}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn check_level_respects_capacity_and_alignment() {

@@ -123,73 +123,120 @@ impl Partition {
 /// `bottom = stop + 1`. Level 0 (primary inputs/constants) always stops
 /// the descent.
 ///
+/// [`partition`] extracts every MFG of a netlist through one reusable
+/// scratch; this entry allocates its own.
+///
 /// # Panics
 ///
 /// Panics if `root` is a primary input / constant (level 0) or `m == 0`.
 pub fn find_mfg(netlist: &Netlist, levels: &Levels, root: NodeId, m: usize, rule: StopRule) -> Mfg {
-    assert!(m > 0, "need at least one LPE per LPV");
-    let root_level = levels.level(root);
-    assert!(root_level >= 1, "cannot root an MFG at a primary input");
+    ConeScratch::new(netlist, levels).find_mfg(netlist, levels, root, m, rule)
+}
 
-    // visited nodes per level, relative to root_level going down.
-    let mut per_level: HashMap<u32, Vec<NodeId>> = HashMap::new();
-    let mut visited: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    queue.push_back(root);
-    visited.insert(root);
-    let mut stop_level: Option<u32> = None;
+/// The reverse BFS state of [`find_mfg`], reused across roots: a visited
+/// mark per node stamped with the current root's epoch, the FIFO queue,
+/// and one bucket per absolute level. Extracting an MFG then costs only
+/// the cone it visits.
+struct ConeScratch {
+    visited: Vec<u32>,
+    epoch: u32,
+    queue: Vec<NodeId>,
+    per_level: Vec<Vec<NodeId>>,
+}
 
-    while let Some(cur) = queue.pop_front() {
-        let lv = levels.level(cur);
-        let bucket = per_level.entry(lv).or_default();
-        bucket.push(cur);
-        // Level 0 holds PIs/constants, which an LPV cannot compute: the
-        // descent always stops there even below capacity. The root's own
-        // level never stops (an MFG always contains at least its root;
-        // the paper's pseudocode leaves this m = 1 corner undefined).
-        if (lv < root_level && rule.stops(bucket.len(), m)) || lv == 0 {
-            if lv == 0 && !rule.stops(bucket.len(), m) {
-                // Drain remaining queued level-0 nodes into the bucket so
-                // the input set is complete, then stop.
-                while let Some(next) = queue.pop_front() {
-                    debug_assert_eq!(levels.level(next), 0, "BFS is level-ordered");
-                    per_level.get_mut(&0).expect("bucket exists").push(next);
+impl ConeScratch {
+    fn new(netlist: &Netlist, levels: &Levels) -> Self {
+        ConeScratch {
+            visited: vec![0; netlist.len()],
+            epoch: 0,
+            queue: Vec::new(),
+            per_level: vec![Vec::new(); levels.max_level() as usize + 1],
+        }
+    }
+
+    fn find_mfg(
+        &mut self,
+        netlist: &Netlist,
+        levels: &Levels,
+        root: NodeId,
+        m: usize,
+        rule: StopRule,
+    ) -> Mfg {
+        assert!(m > 0, "need at least one LPE per LPV");
+        let root_level = levels.level(root);
+        assert!(root_level >= 1, "cannot root an MFG at a primary input");
+
+        // Visited nodes per level; a fanin's level is below its reader's,
+        // so buckets above the root's level stay untouched.
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let top = root_level as usize;
+        if self.per_level.len() <= top {
+            self.per_level.resize(top + 1, Vec::new());
+        }
+        self.per_level[..=top].iter_mut().for_each(Vec::clear);
+        self.queue.clear();
+        self.queue.push(root);
+        self.visited[root.index()] = epoch;
+        let mut head = 0;
+        let mut stop_level: Option<u32> = None;
+
+        while let Some(&cur) = self.queue.get(head) {
+            head += 1;
+            let lv = levels.level(cur);
+            let bucket = &mut self.per_level[lv as usize];
+            bucket.push(cur);
+            // Level 0 holds PIs/constants, which an LPV cannot compute: the
+            // descent always stops there even below capacity. The root's own
+            // level never stops (an MFG always contains at least its root;
+            // the paper's pseudocode leaves this m = 1 corner undefined).
+            if (lv < root_level && rule.stops(bucket.len(), m)) || lv == 0 {
+                if lv == 0 && !rule.stops(bucket.len(), m) {
+                    // Drain remaining queued level-0 nodes into the bucket so
+                    // the input set is complete, then stop.
+                    for &next in &self.queue[head..] {
+                        debug_assert_eq!(levels.level(next), 0, "BFS is level-ordered");
+                        self.per_level[0].push(next);
+                    }
+                    stop_level = Some(0);
+                    break;
                 }
-                stop_level = Some(0);
+                stop_level = Some(lv);
                 break;
             }
-            stop_level = Some(lv);
-            break;
-        }
-        for &child in netlist.node(cur).fanins() {
-            if visited.insert(child) {
-                queue.push_back(child);
+            for &child in netlist.node(cur).fanins() {
+                if self.visited[child.index()] != epoch {
+                    self.visited[child.index()] = epoch;
+                    self.queue.push(child);
+                }
             }
         }
-    }
 
-    let bottom = match stop_level {
-        Some(s) => s + 1,
-        None => 1, // cone drained above level 0 (can happen for constants-only fanin)
-    };
-    let mut level_vec: Vec<Vec<NodeId>> = Vec::new();
-    for lv in bottom..=root_level {
-        let mut nodes = per_level.remove(&lv).unwrap_or_default();
-        nodes.sort_unstable();
-        assert!(
-            !nodes.is_empty(),
-            "balanced cone has nodes at every level in [{bottom}, {root_level}]"
-        );
-        level_vec.push(nodes);
+        let bottom = match stop_level {
+            Some(s) => s + 1,
+            None => 1, // cone drained above level 0 (can happen for constants-only fanin)
+        };
+        let level_vec: Vec<Vec<NodeId>> = self.per_level[bottom as usize..=top]
+            .iter()
+            .map(|bucket| {
+                let mut nodes = bucket.clone();
+                nodes.sort_unstable();
+                assert!(
+                    !nodes.is_empty(),
+                    "balanced cone has nodes at every level in [{bottom}, {root_level}]"
+                );
+                nodes
+            })
+            .collect();
+        // Inputs: distinct fanins of the (new) bottom level.
+        let mut inputs: Vec<NodeId> = level_vec[0]
+            .iter()
+            .flat_map(|&n| netlist.node(n).fanins().iter().copied())
+            .collect();
+        inputs.sort_unstable();
+        inputs.dedup();
+        Mfg::new(bottom, level_vec, inputs)
     }
-    // Inputs: distinct fanins of the (new) bottom level.
-    let mut inputs: Vec<NodeId> = level_vec[0]
-        .iter()
-        .flat_map(|&n| netlist.node(n).fanins().iter().copied())
-        .collect();
-    inputs.sort_unstable();
-    inputs.dedup();
-    Mfg::new(bottom, level_vec, inputs)
 }
 
 /// Algorithm 1 (extended to multi-output netlists): BFS over MFG roots
@@ -215,21 +262,32 @@ pub fn partition(
         return Err(CoreError::NotBalanced);
     }
 
+    /// "No MFG" in the node- and MFG-indexed tables below.
+    const NONE: u32 = u32::MAX;
+    let mut scratch = ConeScratch::new(netlist, levels);
     let mut mfgs: Vec<Mfg> = Vec::new();
-    let mut mfg_of_root: HashMap<NodeId, MfgId> = HashMap::new();
+    let mut mfg_of_root: Vec<u32> = vec![NONE; netlist.len()];
     let mut po_mfgs: Vec<MfgId> = Vec::new();
+    let mut is_po_mfg: Vec<bool> = Vec::new();
     let mut producer_of: HashMap<(MfgId, NodeId), MfgId> = HashMap::new();
-    let mut po_producer: HashMap<NodeId, MfgId> = HashMap::new();
+    let mut po_producer: HashMap<NodeId, MfgId> = HashMap::with_capacity(netlist.outputs().len());
 
-    let fresh = |root: NodeId, mfgs: &mut Vec<Mfg>| -> Result<MfgId, CoreError> {
+    // The MFG rooted at `root`: the one extracted before when `share`,
+    // else a fresh cone.
+    let mut extract = |root: NodeId, share: bool, mfgs: &mut Vec<Mfg>| {
+        if share && mfg_of_root[root.index()] != NONE {
+            return Ok(MfgId(mfg_of_root[root.index()]));
+        }
         if mfgs.len() >= MAX_MFGS {
             return Err(CoreError::BadConfig {
                 reason: format!("partition exceeded {MAX_MFGS} MFGs (duplication blow-up)"),
             });
         }
-        let mfg = find_mfg(netlist, levels, root, m, options.stop_rule);
         let id = MfgId(mfgs.len() as u32);
-        mfgs.push(mfg);
+        mfgs.push(scratch.find_mfg(netlist, levels, root, m, options.stop_rule));
+        if share {
+            mfg_of_root[root.index()] = id.0;
+        }
         Ok(id)
     };
 
@@ -246,56 +304,41 @@ pub fn partition(
             });
         }
         // PO MFGs are always deduplicated by root node.
-        let id = match mfg_of_root.get(&out.node) {
-            Some(&id) => id,
-            None => {
-                let id = fresh(out.node, &mut mfgs)?;
-                mfg_of_root.insert(out.node, id);
-                id
-            }
-        };
+        let id = extract(out.node, true, &mut mfgs)?;
         po_producer.insert(out.node, id);
-        if !po_mfgs.contains(&id) {
+        if is_po_mfg.len() <= id.index() {
+            is_po_mfg.resize(id.index() + 1, false);
+        }
+        if !is_po_mfg[id.index()] {
+            is_po_mfg[id.index()] = true;
             po_mfgs.push(id);
         }
     }
 
+    // `listed_by[c]` is the last MFG whose child list took `c`.
+    let mut listed_by: Vec<u32> = Vec::new();
     let mut children: Vec<Vec<MfgId>> = Vec::new();
-    let mut head = 0usize;
-    while head < mfgs.len() {
-        while children.len() < mfgs.len() {
-            children.push(Vec::new());
-        }
-        let cur = MfgId(head as u32);
-        head += 1;
-        let input_nodes: Vec<NodeId> = mfgs[cur.index()].inputs().to_vec();
+    while children.len() < mfgs.len() {
+        let cur = MfgId(children.len() as u32);
         let mut kids: Vec<MfgId> = Vec::new();
-        for input in input_nodes {
+        for k in 0..mfgs[cur.index()].inputs().len() {
+            let input = mfgs[cur.index()].inputs()[k];
             if levels.level(input) == 0 {
                 continue; // primary input or constant: fed by the input buffer
             }
-            let child = if options.duplicate_children {
-                // Algorithm 1 literal: a fresh cone per (parent, input).
-                fresh(input, &mut mfgs)?
-            } else {
-                match mfg_of_root.get(&input) {
-                    Some(&id) => id,
-                    None => {
-                        let id = fresh(input, &mut mfgs)?;
-                        mfg_of_root.insert(input, id);
-                        id
-                    }
-                }
-            };
+            // Duplication is Algorithm 1 literal: a fresh cone per
+            // (parent, input).
+            let child = extract(input, !options.duplicate_children, &mut mfgs)?;
             producer_of.insert((cur, input), child);
-            if !kids.contains(&child) {
+            if listed_by.len() < mfgs.len() {
+                listed_by.resize(mfgs.len(), NONE);
+            }
+            if listed_by[child.index()] != cur.0 {
+                listed_by[child.index()] = cur.0;
                 kids.push(child);
             }
         }
-        while children.len() < mfgs.len() {
-            children.push(Vec::new());
-        }
-        children[cur.index()] = kids;
+        children.push(kids);
     }
 
     let mut parents: Vec<Vec<MfgId>> = vec![Vec::new(); mfgs.len()];

@@ -368,30 +368,21 @@ pub(crate) fn run(
 /// schedule per output. Takes ownership: the common no-fix case returns
 /// the input unchanged, without a copy.
 fn buffer_level0_outputs(netlist: Netlist) -> Netlist {
-    let needs_fix = netlist
+    // Per output: does a level-0 node drive it?
+    let fixes: Vec<bool> = netlist
         .outputs()
         .iter()
-        .any(|o| netlist.node(o.node).op() == Op::Input || netlist.node(o.node).op().arity() == 0);
-    if !needs_fix {
+        .map(|o| netlist.node(o.node).op().arity() == 0)
+        .collect();
+    if !fixes.contains(&true) {
         return netlist;
     }
-    let out = netlist;
-    let fixes: Vec<(usize, lbnn_netlist::NodeId)> = out
-        .outputs()
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| {
-            let op = out.node(o.node).op();
-            op == Op::Input || op.arity() == 0
-        })
-        .map(|(i, o)| (i, o.node))
-        .collect();
     // Rebuild with buffered outputs.
-    let mut rebuilt = Netlist::new(out.name().to_string());
-    let mut remap = Vec::with_capacity(out.len());
-    for (id, node) in out.iter() {
+    let mut rebuilt = Netlist::new(netlist.name().to_string());
+    let mut remap = Vec::with_capacity(netlist.len());
+    for (id, node) in netlist.iter() {
         let new_id = match node.op() {
-            Op::Input => rebuilt.add_input(out.node_name(id).unwrap_or("in").to_string()),
+            Op::Input => rebuilt.add_input(netlist.node_name(id).unwrap_or("in").to_string()),
             op => {
                 let fanins: Vec<_> = node.fanins().iter().map(|f| remap[f.index()]).collect();
                 rebuilt.add_node(op, &fanins).expect("topo preserved")
@@ -399,9 +390,9 @@ fn buffer_level0_outputs(netlist: Netlist) -> Netlist {
         };
         remap.push(new_id);
     }
-    for (i, o) in out.outputs().iter().enumerate() {
+    for (o, &fix) in netlist.outputs().iter().zip(&fixes) {
         let mut node = remap[o.node.index()];
-        if fixes.iter().any(|&(fi, _)| fi == i) {
+        if fix {
             node = rebuilt.add_gate1(Op::Buf, node);
         }
         rebuilt.add_output(node, o.name.clone());
@@ -532,6 +523,26 @@ mod tests {
             .unwrap();
         assert_eq!(scalar.report.passes.len(), PASS_ORDER.len());
         assert!(scalar.artifacts.as_ref().unwrap().tape.is_none());
+    }
+
+    /// Every output wired straight to an input gets its own buffer, found
+    /// in one pass over the outputs.
+    #[test]
+    fn thousands_of_input_wired_outputs_compile_and_verify() {
+        let mut nl = Netlist::new("wires");
+        let pis: Vec<_> = (0..64).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let g = nl.add_gate2(Op::And, pis[0], pis[1]);
+        nl.add_output(g, "g");
+        for o in 0..2000 {
+            nl.add_output(pis[o % pis.len()], format!("w{o}"));
+        }
+        let flow = Flow::builder(&nl)
+            .config(LpuConfig::new(8, 4))
+            .compile()
+            .unwrap();
+        let bufs = flow.netlist.iter().filter(|(_, n)| n.op() == Op::Buf);
+        assert_eq!(bufs.count(), 2000);
+        flow.verify_against_netlist(3).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! constants folded through the network, buffers and double inverters
 //! collapsed, and unreachable gates dropped.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use lbnn_netlist::{Netlist, NodeId, Op};
 
@@ -20,6 +20,92 @@ pub struct StrashStats {
     pub folded: usize,
     /// Gates merged with an identical existing gate.
     pub merged: usize,
+}
+
+/// One simplified node of the scratch network: the netlist's `Node`
+/// without the arena's names and fanin checks.
+#[derive(Clone, Copy)]
+struct Cell {
+    op: Op,
+    fanin: [NodeId; 2],
+}
+
+impl Cell {
+    fn fanins(&self) -> &[NodeId] {
+        &self.fanin[..self.op.arity()]
+    }
+}
+
+/// The scratch network simplified nodes go into (it may hold dead ones):
+/// flat cells, hash-consed gates, one node per constant.
+struct Scratch {
+    cells: Vec<Cell>,
+    /// `(scratch id, source id)` of every primary input, in order.
+    inputs: Vec<(NodeId, NodeId)>,
+    consts: [Option<NodeId>; 2],
+    hash: HashMap<(Op, NodeId, NodeId), NodeId>,
+}
+
+impl Scratch {
+    fn push(&mut self, op: Op, fanin: [NodeId; 2]) -> NodeId {
+        let id = NodeId::new(self.cells.len() as u32);
+        self.cells.push(Cell { op, fanin });
+        id
+    }
+
+    fn cell(&self, id: NodeId) -> Cell {
+        self.cells[id.index()]
+    }
+
+    fn get_const(&mut self, v: bool) -> NodeId {
+        let idx = usize::from(v);
+        if let Some(n) = self.consts[idx] {
+            n
+        } else {
+            let op = if v { Op::Const1 } else { Op::Const0 };
+            let n = self.push(op, [NodeId::new(0); 2]);
+            self.consts[idx] = Some(n);
+            n
+        }
+    }
+
+    fn const_value(&self, id: NodeId) -> Option<bool> {
+        match self.cell(id).op {
+            Op::Const0 => Some(false),
+            Op::Const1 => Some(true),
+            _ => None,
+        }
+    }
+
+    /// `true` if `a` is the inverter of `b`.
+    fn is_not_of(&self, a: NodeId, b: NodeId) -> bool {
+        let n = self.cell(a);
+        n.op == Op::Not && n.fanin[0] == b
+    }
+
+    /// The hash-consed gate `op(a, b)`, and whether it existed already.
+    fn gate(&mut self, op: Op, a: NodeId, b: NodeId) -> (NodeId, bool) {
+        match self.hash.entry((op, a, b)) {
+            Entry::Occupied(known) => (*known.get(), true),
+            Entry::Vacant(slot) => {
+                let n = NodeId::new(self.cells.len() as u32);
+                slot.insert(n);
+                self.cells.push(Cell { op, fanin: [a, b] });
+                (n, false)
+            }
+        }
+    }
+
+    /// `NOT(x)` for a non-constant `x`: the inverter's input when `x` is
+    /// one, else the hash-consed inverter.
+    fn invert(&mut self, x: NodeId) -> NodeId {
+        let n = self.cell(x);
+        if n.op == Op::Not {
+            n.fanin[0]
+        } else {
+            self.gate(Op::Not, x, x).0
+        }
+    }
 }
 
 /// Runs structural hashing over the netlist.
@@ -39,62 +125,39 @@ pub fn strash(netlist: &Netlist) -> (Netlist, StrashStats) {
         ..Default::default()
     };
 
-    // Scratch netlist holding simplified nodes (may contain dead ones).
-    let mut scratch = Netlist::new(netlist.name().to_string());
+    let mut scratch = Scratch {
+        cells: Vec::with_capacity(netlist.len()),
+        inputs: Vec::with_capacity(netlist.inputs().len()),
+        consts: [None, None],
+        hash: HashMap::with_capacity(netlist.len()),
+    };
     let mut remap: Vec<NodeId> = Vec::with_capacity(netlist.len());
-    let mut hash: HashMap<(Op, NodeId, NodeId), NodeId> = HashMap::new();
-    let mut const_nodes: [Option<NodeId>; 2] = [None, None];
-
-    // Helper closures operate on `scratch`.
-    fn get_const(scratch: &mut Netlist, const_nodes: &mut [Option<NodeId>; 2], v: bool) -> NodeId {
-        let idx = usize::from(v);
-        if let Some(n) = const_nodes[idx] {
-            n
-        } else {
-            let n = scratch.add_const(v);
-            const_nodes[idx] = Some(n);
-            n
-        }
-    }
-
-    fn const_value(scratch: &Netlist, id: NodeId) -> Option<bool> {
-        match scratch.node(id).op() {
-            Op::Const0 => Some(false),
-            Op::Const1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// `true` if `a` is the inverter of `b` in the scratch netlist.
-    fn is_not_of(scratch: &Netlist, a: NodeId, b: NodeId) -> bool {
-        let n = scratch.node(a);
-        n.op() == Op::Not && n.fanins()[0] == b
-    }
 
     for (id, node) in netlist.iter() {
         let new_id = match node.op() {
-            Op::Input => scratch.add_input(netlist.node_name(id).unwrap_or("in").to_string()),
-            Op::Const0 => get_const(&mut scratch, &mut const_nodes, false),
-            Op::Const1 => get_const(&mut scratch, &mut const_nodes, true),
+            Op::Input => {
+                let n = scratch.push(Op::Input, [NodeId::new(0); 2]);
+                scratch.inputs.push((n, id));
+                n
+            }
+            Op::Const0 => scratch.get_const(false),
+            Op::Const1 => scratch.get_const(true),
             Op::Buf => {
                 stats.folded += 1;
                 remap[node.fanins()[0].index()]
             }
             Op::Not => {
                 let a = remap[node.fanins()[0].index()];
-                if let Some(v) = const_value(&scratch, a) {
+                if let Some(v) = scratch.const_value(a) {
                     stats.folded += 1;
-                    get_const(&mut scratch, &mut const_nodes, !v)
-                } else if scratch.node(a).op() == Op::Not {
+                    scratch.get_const(!v)
+                } else if scratch.cell(a).op == Op::Not {
                     // NOT(NOT(x)) = x
                     stats.folded += 1;
-                    scratch.node(a).fanins()[0]
-                } else if let Some(&n) = hash.get(&(Op::Not, a, a)) {
-                    stats.merged += 1;
-                    n
+                    scratch.cell(a).fanin[0]
                 } else {
-                    let n = scratch.add_gate1(Op::Not, a);
-                    hash.insert((Op::Not, a, a), n);
+                    let (n, existed) = scratch.gate(Op::Not, a, a);
+                    stats.merged += usize::from(existed);
                     n
                 }
             }
@@ -104,74 +167,41 @@ pub fn strash(netlist: &Netlist) -> (Netlist, StrashStats) {
                 if op.is_commutative() && b < a {
                     std::mem::swap(&mut a, &mut b);
                 }
-                let ca = const_value(&scratch, a);
-                let cb = const_value(&scratch, b);
+                let ca = scratch.const_value(a);
+                let cb = scratch.const_value(b);
 
                 // Constant folding and algebraic rules. `simplified` is
                 // Some(node) when the gate disappears.
                 let simplified: Option<NodeId> = match (ca, cb) {
-                    (Some(va), Some(vb)) => Some(get_const(
-                        &mut scratch,
-                        &mut const_nodes,
-                        op.eval_bit(va, vb),
-                    )),
+                    (Some(va), Some(vb)) => Some(scratch.get_const(op.eval_bit(va, vb))),
                     (Some(v), None) | (None, Some(v)) => {
                         let x = if ca.is_some() { b } else { a };
                         match (op, v) {
-                            (Op::And, false) | (Op::Nor, true) => {
-                                Some(get_const(&mut scratch, &mut const_nodes, false))
-                            }
-                            (Op::Or, true) | (Op::Nand, false) => {
-                                Some(get_const(&mut scratch, &mut const_nodes, true))
-                            }
+                            (Op::And, false) | (Op::Nor, true) => Some(scratch.get_const(false)),
+                            (Op::Or, true) | (Op::Nand, false) => Some(scratch.get_const(true)),
                             (Op::And, true)
                             | (Op::Or, false)
                             | (Op::Xor, false)
                             | (Op::Xnor, true) => Some(x),
-                            // These reduce to NOT(x): emit via the Not path.
+                            // These reduce to NOT(x).
                             (Op::Nand, true)
                             | (Op::Nor, false)
                             | (Op::Xor, true)
-                            | (Op::Xnor, false) => {
-                                let n = if scratch.node(x).op() == Op::Not {
-                                    scratch.node(x).fanins()[0]
-                                } else if let Some(&n) = hash.get(&(Op::Not, x, x)) {
-                                    n
-                                } else {
-                                    let n = scratch.add_gate1(Op::Not, x);
-                                    hash.insert((Op::Not, x, x), n);
-                                    n
-                                };
-                                Some(n)
-                            }
+                            | (Op::Xnor, false) => Some(scratch.invert(x)),
                             _ => None,
                         }
                     }
                     (None, None) if a == b => Some(match op {
                         Op::And | Op::Or => a,
-                        Op::Xor => get_const(&mut scratch, &mut const_nodes, false),
-                        Op::Xnor => get_const(&mut scratch, &mut const_nodes, true),
-                        Op::Nand | Op::Nor => {
-                            if scratch.node(a).op() == Op::Not {
-                                scratch.node(a).fanins()[0]
-                            } else if let Some(&n) = hash.get(&(Op::Not, a, a)) {
-                                n
-                            } else {
-                                let n = scratch.add_gate1(Op::Not, a);
-                                hash.insert((Op::Not, a, a), n);
-                                n
-                            }
-                        }
+                        Op::Xor => scratch.get_const(false),
+                        Op::Xnor => scratch.get_const(true),
+                        Op::Nand | Op::Nor => scratch.invert(a),
                         _ => unreachable!("all gate2 ops covered"),
                     }),
-                    (None, None) if is_not_of(&scratch, a, b) || is_not_of(&scratch, b, a) => {
+                    (None, None) if scratch.is_not_of(a, b) || scratch.is_not_of(b, a) => {
                         Some(match op {
-                            Op::And | Op::Nor | Op::Xnor => {
-                                get_const(&mut scratch, &mut const_nodes, false)
-                            }
-                            Op::Or | Op::Nand | Op::Xor => {
-                                get_const(&mut scratch, &mut const_nodes, true)
-                            }
+                            Op::And | Op::Nor | Op::Xnor => scratch.get_const(false),
+                            Op::Or | Op::Nand | Op::Xor => scratch.get_const(true),
                             _ => unreachable!("all gate2 ops covered"),
                         })
                     }
@@ -184,14 +214,9 @@ pub fn strash(netlist: &Netlist) -> (Netlist, StrashStats) {
                         n
                     }
                     None => {
-                        if let Some(&n) = hash.get(&(op, a, b)) {
-                            stats.merged += 1;
-                            n
-                        } else {
-                            let n = scratch.add_gate2(op, a, b);
-                            hash.insert((op, a, b), n);
-                            n
-                        }
+                        let (n, existed) = scratch.gate(op, a, b);
+                        stats.merged += usize::from(existed);
+                        n
                     }
                 }
             }
@@ -201,7 +226,8 @@ pub fn strash(netlist: &Netlist) -> (Netlist, StrashStats) {
 
     // Dead-node sweep: keep all PIs (interface stability) and every node
     // reachable from an output.
-    let mut keep = vec![false; scratch.len()];
+    let cells = &scratch.cells;
+    let mut keep = vec![false; cells.len()];
     let mut stack: Vec<NodeId> = netlist
         .outputs()
         .iter()
@@ -212,33 +238,30 @@ pub fn strash(netlist: &Netlist) -> (Netlist, StrashStats) {
             continue;
         }
         keep[id.index()] = true;
-        for &f in scratch.node(id).fanins() {
-            stack.push(f);
-        }
+        stack.extend_from_slice(cells[id.index()].fanins());
     }
 
+    // Scratch id → output id; inputs in original order, always.
     let mut out = Netlist::new(netlist.name().to_string());
-    let mut final_map: Vec<Option<NodeId>> = vec![None; scratch.len()];
-    // Inputs in original order, always.
-    for &pi in scratch.inputs() {
-        let n = out.add_input(scratch.node_name(pi).unwrap_or("in").to_string());
-        final_map[pi.index()] = Some(n);
+    let mut final_map: Vec<NodeId> = vec![NodeId::new(u32::MAX); cells.len()];
+    for &(pi, source) in &scratch.inputs {
+        final_map[pi.index()] =
+            out.add_input(netlist.node_name(source).unwrap_or("in").to_string());
     }
-    for (id, node) in scratch.iter() {
-        if node.op() == Op::Input || !keep[id.index()] {
+    for (i, cell) in cells.iter().enumerate() {
+        if cell.op == Op::Input || !keep[i] {
             continue;
         }
-        let fanins: Vec<NodeId> = node
-            .fanins()
-            .iter()
-            .map(|f| final_map[f.index()].expect("topo order"))
-            .collect();
-        let n = out.add_node(node.op(), &fanins).expect("valid rebuild");
-        final_map[id.index()] = Some(n);
+        let mut fanins = [NodeId::new(0); 2];
+        for (slot, f) in fanins.iter_mut().zip(cell.fanins()) {
+            *slot = final_map[f.index()];
+        }
+        final_map[i] = out
+            .add_node(cell.op, &fanins[..cell.op.arity()])
+            .expect("valid rebuild: kept fanins precede their readers");
     }
     for o in netlist.outputs() {
-        let n = final_map[remap[o.node.index()].index()].expect("output reachable");
-        out.add_output(n, o.name.clone());
+        out.add_output(final_map[remap[o.node.index()].index()], o.name.clone());
     }
 
     stats.nodes_after = out.len();

@@ -7,7 +7,7 @@
 use lbnn_netlist::Netlist;
 
 use crate::strash::{strash, StrashStats};
-use crate::techmap::{absorb_inverters, check_mapped, AbsorbStats};
+use crate::techmap::{absorb_inverters, check_mapped, fuses_any, AbsorbStats};
 
 /// Options for [`optimize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,28 +69,31 @@ pub fn optimize(netlist: &Netlist, options: OptimizeOptions) -> (Netlist, SynthS
         nodes_before: netlist.len(),
         ..Default::default()
     };
-    let mut current = netlist.clone();
+    // `None` until the first iteration: the input itself is never copied.
+    let mut current: Option<Netlist> = None;
     for _ in 0..options.max_iterations.max(1) {
         stats.iterations += 1;
-        let (hashed, s): (Netlist, StrashStats) = strash(&current);
+        let input = current.as_ref().unwrap_or(netlist);
+        let (hashed, s): (Netlist, StrashStats) = strash(input);
         stats.strash_folded += s.folded + s.merged;
         let mut next = hashed;
-        if options.absorb_inverters {
+        // With nothing to fuse, `absorb_inverters` would rebuild the
+        // strashed netlist unchanged: skip it.
+        if options.absorb_inverters && fuses_any(&next) {
             let (absorbed, a): (Netlist, AbsorbStats) = absorb_inverters(&next);
             stats.inverters_fused += a.fused;
-            if a.fused > 0 {
-                // Sweep the dead inner gates the fusion left behind.
-                let (clean, s2) = strash(&absorbed);
-                stats.strash_folded += s2.folded + s2.merged;
-                next = clean;
-            }
+            // Sweep the dead inner gates the fusion left behind.
+            let (clean, s2) = strash(&absorbed);
+            stats.strash_folded += s2.folded + s2.merged;
+            next = clean;
         }
-        let fixpoint = next.len() == current.len() && next == current;
-        current = next;
+        let fixpoint = next.len() == input.len() && next == *input;
+        current = Some(next);
         if fixpoint {
             break;
         }
     }
+    let current = current.expect("at least one iteration");
     check_mapped(&current).expect("optimize preserves structural validity");
     stats.nodes_after = current.len();
     (current, stats)

@@ -25,12 +25,7 @@ pub struct AbsorbStats {
 /// negated gate (`AND→NAND`, `OR→NOR`, `XOR→XNOR` and vice versa). Dead
 /// inner gates are swept by the subsequent [`crate::strash`] pass.
 pub fn absorb_inverters(netlist: &Netlist) -> (Netlist, AbsorbStats) {
-    let fanout = netlist.fanout_counts();
-    let mut po_driver = vec![false; netlist.len()];
-    for o in netlist.outputs() {
-        po_driver[o.node.index()] = true;
-    }
-
+    let fusable = fusable_inverters(netlist);
     let mut out = Netlist::new(netlist.name().to_string());
     let mut remap: Vec<NodeId> = Vec::with_capacity(netlist.len());
     let mut stats = AbsorbStats::default();
@@ -41,9 +36,7 @@ pub fn absorb_inverters(netlist: &Netlist) -> (Netlist, AbsorbStats) {
             Op::Not => {
                 let src = node.fanins()[0];
                 let src_node = netlist.node(src);
-                let fusable =
-                    src_node.op().is_gate2() && fanout[src.index()] == 1 && !po_driver[src.index()];
-                if fusable {
+                if fusable(src) {
                     let neg = src_node.op().negated().expect("gate2 ops have negations");
                     let a = remap[src_node.fanins()[0].index()];
                     let b = remap[src_node.fanins()[1].index()];
@@ -64,6 +57,27 @@ pub fn absorb_inverters(netlist: &Netlist) -> (Netlist, AbsorbStats) {
         out.add_output(remap[o.node.index()], o.name.clone());
     }
     (out, stats)
+}
+
+/// The predicate [`absorb_inverters`] fuses by: `true` for an inverter
+/// input that is a two-input gate driving nothing but that inverter.
+fn fusable_inverters(netlist: &Netlist) -> impl Fn(NodeId) -> bool + '_ {
+    let fanout = netlist.fanout_counts();
+    let mut po_driver = vec![false; netlist.len()];
+    for o in netlist.outputs() {
+        po_driver[o.node.index()] = true;
+    }
+    move |src| {
+        netlist.node(src).op().is_gate2() && fanout[src.index()] == 1 && !po_driver[src.index()]
+    }
+}
+
+/// `true` when [`absorb_inverters`] would fuse at least one inverter.
+pub(crate) fn fuses_any(netlist: &Netlist) -> bool {
+    let fusable = fusable_inverters(netlist);
+    netlist
+        .iter()
+        .any(|(_, node)| node.op() == Op::Not && fusable(node.fanins()[0]))
 }
 
 /// Verifies the netlist uses only LPE-executable cells and is structurally
