@@ -165,7 +165,10 @@ impl CompileContext {
 }
 
 /// Runs the full pass pipeline — the engine behind
-/// [`FlowBuilder::compile`](crate::flow::FlowBuilder::compile).
+/// [`FlowBuilder::compile`](crate::flow::FlowBuilder::compile), which
+/// reads every output, and behind a model's layers, whose `locality`
+/// tape puts the read cone of outputs `..reads` first
+/// ([`BitSliceEvaluator::compile_reading`]).
 ///
 /// Clone accounting: `source` keeps the caller's netlist as the
 /// verification oracle (one clone). With optimization on, the optimizer
@@ -181,6 +184,7 @@ pub(crate) fn run(
     netlist: &Netlist,
     config: LpuConfig,
     options: FlowOptions,
+    reads: usize,
 ) -> Result<Flow, CoreError> {
     config.validate()?;
     options.backend.validate()?;
@@ -317,7 +321,7 @@ pub(crate) fn run(
         Backend::BitSliced { .. } => {
             let slots_before = balanced.len();
             let tape = cx.pass("locality", "slots", Some(slots_before), || {
-                let tape = BitSliceEvaluator::compile(&balanced);
+                let tape = BitSliceEvaluator::compile_reading(&balanced, reads);
                 let live = tape.tape_stats().frame_slots;
                 Ok((tape, live))
             })?;

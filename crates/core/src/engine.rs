@@ -645,7 +645,15 @@ impl Engine {
     /// Returns [`CoreError::BadConfig`] if the configuration is unusable
     /// or the program was compiled for a different machine shape.
     pub fn new(config: LpuConfig, program: impl Into<Arc<LpuProgram>>) -> Result<Self, CoreError> {
-        Engine::build(config, program.into(), Backend::Scalar, None, 1, None)
+        Engine::build(
+            config,
+            program.into(),
+            Backend::Scalar,
+            None,
+            1,
+            None,
+            usize::MAX,
+        )
     }
 
     /// Builds an engine serving `flow`'s program on `flow`'s backend.
@@ -660,6 +668,14 @@ impl Engine {
     ///
     /// See [`Engine::new`].
     pub fn from_flow(flow: &Flow) -> Result<Self, CoreError> {
+        Engine::from_flow_reading(flow, usize::MAX)
+    }
+
+    /// [`Engine::from_flow`] for a caller that hands on only the first
+    /// `reads` outputs (a hidden model layer): a tape compiled here puts
+    /// their read cone first ([`BitSliceEvaluator::compile_reading`]).
+    /// A flow's prebuilt tape is taken as it is.
+    pub(crate) fn from_flow_reading(flow: &Flow, reads: usize) -> Result<Self, CoreError> {
         Engine::build(
             flow.config,
             Arc::clone(&flow.program),
@@ -670,6 +686,7 @@ impl Engine {
                 flow.artifacts.as_ref().and_then(|a| a.tape.clone()),
                 flow.partitioned.clone(),
             ),
+            reads,
         )
     }
 
@@ -688,9 +705,9 @@ impl Engine {
     /// `prebuilt` when the caller already has the kernel (a freshly
     /// compiled [`Flow`]; it must come from the same netlist and
     /// partition count) and otherwise compiles it from `netlist` — one
-    /// tape, or with `partitions > 1` a [`PartitionedEngine`]. Scalar
-    /// engines ignore all three (the cycle-accurate machine is its own
-    /// execution model).
+    /// tape with the read cone of outputs `..reads` first, or with
+    /// `partitions > 1` a [`PartitionedEngine`]. Scalar engines ignore
+    /// all four (the cycle-accurate machine is its own execution model).
     pub(crate) fn build(
         config: LpuConfig,
         program: Arc<LpuProgram>,
@@ -698,6 +715,7 @@ impl Engine {
         netlist: Option<&Netlist>,
         partitions: usize,
         prebuilt: Option<Kernel>,
+        reads: usize,
     ) -> Result<Self, CoreError> {
         let machine = LpuMachine::new(config)?;
         backend.validate()?;
@@ -726,7 +744,7 @@ impl Engine {
                 if partitions > 1 {
                     Kernel::Partitioned(PartitionedEngine::compile(netlist, partitions)?)
                 } else {
-                    Kernel::Tape(BitSliceEvaluator::compile(netlist))
+                    Kernel::Tape(BitSliceEvaluator::compile_reading(netlist, reads))
                 }
             }
         };
@@ -1055,7 +1073,15 @@ impl Flow {
             ..
         } = self;
         let kernel = Kernel::prebuilt(artifacts.and_then(|a| a.tape), partitioned);
-        Engine::build(config, program, backend, Some(&netlist), partitions, kernel)
+        Engine::build(
+            config,
+            program,
+            backend,
+            Some(&netlist),
+            partitions,
+            kernel,
+            usize::MAX,
+        )
     }
 
     /// Locality statistics of the kernel tape the `locality` pass

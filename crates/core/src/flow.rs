@@ -271,7 +271,7 @@ impl<'a> FlowBuilder<'a> {
     /// Propagates configuration, netlist, partitioning and scheduling
     /// errors; see [`CoreError`].
     pub fn compile(self) -> Result<Flow, CoreError> {
-        pipeline::run(self.netlist, self.config, self.options)
+        pipeline::run(self.netlist, self.config, self.options, usize::MAX)
     }
 }
 

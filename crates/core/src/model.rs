@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use lbnn_netlist::{Lanes, Netlist};
 
-use crate::compiler::pipeline::CompileReport;
+use crate::compiler::pipeline::{self, CompileReport};
 use crate::engine::{column_lanes, Backend, Engine, EngineScratch};
 use crate::error::CoreError;
 use crate::flow::{Flow, FlowOptions, FlowStats};
@@ -90,6 +90,10 @@ pub struct CompiledLayer {
     blocks: u64,
     sites: u64,
     flow: Flow,
+    /// How many of the layer's outputs the chain reads
+    /// ([`chain_reads`]): derived from the layer shapes whenever a
+    /// model is assembled, never stored in an artifact.
+    reads: usize,
     /// Built on first use (`OnceLock`, so `&self` inference can
     /// initialize it): accounting-only consumers (the bench reports)
     /// never pay for the kernel an [`Engine`] needs.
@@ -98,20 +102,25 @@ pub struct CompiledLayer {
 
 impl CompiledLayer {
     /// Rebuilds a layer from artifact parts ([`crate::artifact`]); the
-    /// engine is re-created lazily on first inference.
+    /// engine is re-created lazily on first inference, and
+    /// [`CompiledModel::from_parts`] sets what the chain reads.
     pub(crate) fn from_loaded(name: String, blocks: u64, sites: u64, flow: Flow) -> Self {
         CompiledLayer {
             name,
             blocks,
             sites,
             flow,
+            reads: usize::MAX,
             engine: OnceLock::new(),
         }
     }
 
     /// The layer's resident serving engine, built on first call and
     /// shared afterwards (`&self`: any thread may serve through it with
-    /// its own scratch via [`Engine::run_batch_with`]).
+    /// its own scratch via [`Engine::run_batch_with`]). A hidden
+    /// layer's bit-sliced tape puts the read cone of the outputs the
+    /// next layer reads first, so the chain replays only that prefix
+    /// ([`lbnn_netlist::BitSliceEvaluator::compile_reading`]).
     ///
     /// # Errors
     ///
@@ -119,7 +128,7 @@ impl CompiledLayer {
     /// [`CompiledModel::compile`] or loaded from a valid artifact).
     pub fn engine(&self) -> Result<&Engine, CoreError> {
         if self.engine.get().is_none() {
-            let built = Engine::from_flow(&self.flow)?;
+            let built = Engine::from_flow_reading(&self.flow, self.reads)?;
             // A concurrent initializer may have won the race; its engine
             // is equivalent, so ours is simply dropped.
             let _ = self.engine.set(built);
@@ -242,6 +251,13 @@ pub fn chain_inputs(prev_outputs: &[Lanes], want: usize) -> Vec<Lanes> {
     (0..want)
         .map(|i| prev_outputs[i % prev_outputs.len()].clone())
         .collect()
+}
+
+/// How many of a layer's `outputs` the chain reads: what the next layer
+/// consumes (`next_inputs`, capped at `outputs` — a wider next layer
+/// cycles through them all), or every output for the final layer.
+fn chain_reads(outputs: usize, next_inputs: Option<usize>) -> usize {
+    next_inputs.map_or(outputs, |want| want.min(outputs))
 }
 
 /// Per-caller mutable state for whole-model inference: one
@@ -407,24 +423,33 @@ impl CompiledModel {
                 reason: "a model needs at least one layer".to_string(),
             });
         }
+        let reads: Vec<usize> = specs
+            .iter()
+            .enumerate()
+            .map(|(k, spec)| {
+                let next = specs.get(k + 1).map(|s| s.netlist.inputs().len());
+                chain_reads(spec.netlist.outputs().len(), next)
+            })
+            .collect();
         let layers = specs
             .into_iter()
-            .map(|spec| {
+            .zip(reads)
+            .map(|(spec, reads)| {
                 let LayerSpec {
                     name,
                     netlist,
                     blocks,
                     sites,
                 } = spec;
-                let flow = Flow::builder(&netlist)
-                    .config(*config)
-                    .options(*options)
-                    .compile()?;
+                // The layer's one tape, compiled by its `locality` pass
+                // for what the chain reads.
+                let flow = pipeline::run(&netlist, *config, *options, reads)?;
                 Ok(CompiledLayer {
                     name,
                     blocks,
                     sites,
                     flow,
+                    reads,
                     engine: OnceLock::new(),
                 })
             })
@@ -436,8 +461,17 @@ impl CompiledModel {
         })
     }
 
-    /// Rebuilds a model from artifact parts ([`crate::artifact`]).
-    pub(crate) fn from_parts(name: String, config: LpuConfig, layers: Vec<CompiledLayer>) -> Self {
+    /// Rebuilds a model from artifact parts ([`crate::artifact`]),
+    /// deriving what the chain reads of each layer from the layer shapes.
+    pub(crate) fn from_parts(
+        name: String,
+        config: LpuConfig,
+        mut layers: Vec<CompiledLayer>,
+    ) -> Self {
+        for k in 0..layers.len() {
+            let next = layers.get(k + 1).map(|l| l.flow.program.num_inputs);
+            layers[k].reads = chain_reads(layers[k].flow.program.outputs.len(), next);
+        }
         CompiledModel {
             name,
             config,
@@ -585,6 +619,7 @@ impl CompiledModel {
 mod tests {
     use super::*;
     use lbnn_netlist::random::RandomDag;
+    use lbnn_netlist::{Op, PatchSet};
 
     fn two_layer_model() -> CompiledModel {
         let specs = vec![
@@ -707,6 +742,37 @@ mod tests {
         for (layer, engine) in model.layers().iter().zip(&engines) {
             assert!(Arc::ptr_eq(engine.core(), layer.engine().unwrap().core()));
             assert!(std::ptr::eq(engine.program(), &*layer.flow().program));
+        }
+
+        // After a delta, still one VLIW image per layer: the patched
+        // layer's flow, its engine and a runtime's chain share one copy,
+        // and the untouched layer shares the original's.
+        for backend in [Backend::Scalar, Backend::BitSliced { words: 4 }] {
+            let options = FlowOptions {
+                backend,
+                ..FlowOptions::default()
+            };
+            let specs = vec![
+                LayerSpec::block("L1", RandomDag::strict(10, 4, 8).outputs(8).generate(4)),
+                LayerSpec::block("L2", RandomDag::strict(4, 3, 4).outputs(3).generate(5)),
+            ];
+            let model =
+                CompiledModel::compile("m", specs, &LpuConfig::new(6, 4), &options).unwrap();
+            let netlist = &model.layers()[0].flow().netlist;
+            let (cell, _) = netlist.iter().find(|(_, n)| n.op() == Op::Xor).unwrap();
+            let patches: PatchSet = [(cell, Op::Xnor)].into_iter().collect();
+            let delta = model.make_delta(&[(0, patches)]).unwrap();
+            let patched = model.apply_delta(&delta).unwrap();
+            let program = |m: &CompiledModel, k: usize| Arc::clone(&m.layers()[k].flow().program);
+            assert!(!Arc::ptr_eq(&program(&patched, 0), &program(&model, 0)));
+            assert!(Arc::ptr_eq(&program(&patched, 1), &program(&model, 1)));
+            let engines = patched.clone().into_engines().unwrap();
+            for (layer, engine) in patched.layers().iter().zip(&engines) {
+                assert!(Arc::ptr_eq(engine.core(), layer.engine().unwrap().core()));
+                assert!(std::ptr::eq(engine.program(), &*layer.flow().program));
+            }
+            let stats = |m: &CompiledModel| m.layers()[0].engine().unwrap().tape_stats();
+            assert_eq!(stats(&patched), stats(&model), "{backend}");
         }
     }
 

@@ -1022,6 +1022,12 @@ pub struct TapeStats {
     /// Kernel instructions on the tape (one per executable cell that is
     /// not folded).
     pub tape_len: usize,
+    /// The tape's leading instructions that compute the read cone — the
+    /// emitting cells outputs `..reads` depend on
+    /// ([`BitSliceEvaluator::compile_reading`]). A pass that hands on
+    /// only those outputs replays just this prefix; `tape_len` when
+    /// every output is read.
+    pub prefix_len: usize,
     /// Arity-1 cells (buffers, inverters) that drive no primary output
     /// and so emitted no instruction: their readers read the nearest
     /// ancestor that is not arity-1, with any inversion folded into
@@ -1347,6 +1353,10 @@ pub struct BitSliceEvaluator {
     inputs: Vec<u32>,
     /// Frame slot of each primary output, in [`Netlist::outputs`] order.
     outputs: Vec<u32>,
+    /// How many leading outputs the read cone covers (at most
+    /// `outputs.len()`): a pass emitting no more than these replays
+    /// only `tape[..stats.prefix_len]`.
+    reads: usize,
     /// Allocated frame size in slots: the live data slots after
     /// renumbering and reuse, plus the accumulator scratch slot.
     slots: usize,
@@ -1375,12 +1385,36 @@ impl BitSliceEvaluator {
     /// patching a compiled tape in place — the invariant
     /// [`BitSliceEvaluator::patched`] relies on.
     pub fn compile_with(netlist: &Netlist, options: TapeOptions) -> Self {
+        BitSliceEvaluator::compile_for(netlist, options, usize::MAX)
+    }
+
+    /// Compiles `netlist` for a reader of only its first `reads`
+    /// outputs — a hidden layer of a model chain, whose next layer reads
+    /// those and no others. The tape puts the read cone first: every
+    /// emitting cell outputs `..reads` depend on, in arena order, then
+    /// everything else. [`BitSliceEvaluator::eval_blocks`] replays just
+    /// that prefix ([`TapeStats::prefix_len`]) when it hands on no more
+    /// than `reads` outputs, and the whole tape otherwise, with results
+    /// bit-identical to [`evaluate`] either way.
+    ///
+    /// With `reads` at or above the output count this is
+    /// [`BitSliceEvaluator::compile`], instruction for instruction.
+    /// Like every option of the pass, the order is structural, so
+    /// [`BitSliceEvaluator::patched`] keeps the prefix.
+    pub fn compile_reading(netlist: &Netlist, reads: usize) -> Self {
+        BitSliceEvaluator::compile_for(netlist, TapeOptions::default(), reads)
+    }
+
+    /// The locality pass behind every compile entry: `options` shape the
+    /// tape, and the read cone of outputs `..reads` goes first.
+    fn compile_for(netlist: &Netlist, options: TapeOptions, reads: usize) -> Self {
         let n = netlist.len();
         const NEVER: usize = usize::MAX;
         let mut pinned = vec![false; n];
         for o in netlist.outputs() {
             pinned[o.node.index()] = true;
         }
+        let reads = reads.min(netlist.outputs().len());
 
         // 0. Folding: an arity-1 cell that drives no primary output
         // (a balance buffer, an inverter) emits no instruction. Its
@@ -1442,37 +1476,71 @@ impl BitSliceEvaluator {
             }
         }
 
-        // 2. Tape order: arena order, except chain interiors are pulled
-        // forward to sit contiguously before their terminator, so each
-        // interior's accumulator value is consumed by the very next
-        // instruction. Every frame operand of a chain member is an input
-        // or another chain's terminator at an earlier arena position, so
-        // the order stays topological.
+        // 2. The read cone of outputs `..reads` on the folded graph, by
+        // one reverse arena walk (fanins precede their readers). `None`
+        // when every output is read: the whole tape is the cone.
+        let cone = (reads < netlist.outputs().len()).then(|| {
+            let mut cone = vec![false; n];
+            for o in &netlist.outputs()[..reads] {
+                cone[o.node.index()] = true;
+            }
+            for i in (0..n).rev() {
+                if cone[i] && fold_of[i] == NO_FOLD {
+                    for &f in netlist.node(NodeId::new(i as u32)).fanins() {
+                        cone[root[f.index()] as usize] = true;
+                    }
+                }
+            }
+            cone
+        });
+
+        // 3. Tape order: arena order — the cone's cells first, then the
+        // rest — except chain interiors are pulled forward to sit
+        // contiguously before their terminator, so each interior's
+        // accumulator value is consumed by the very next instruction.
+        // Every frame operand of a chain member is an input or another
+        // chain's terminator at an earlier arena position, and a cone
+        // cell reads only cone cells, so the order stays topological. A
+        // chain never straddles the split: an interior's one reader is
+        // the next link, so it is in the cone exactly when that link is.
         let mut order: Vec<u32> = Vec::with_capacity(n);
         let mut fused_chains = 0usize;
-        for (id, node) in netlist.iter() {
-            if !emits(node, id.index()) || fused_out[id.index()] {
-                continue;
-            }
-            let start = order.len();
-            let mut cur = id.index() as u32;
-            loop {
-                order.push(cur);
-                let src = reg_source[cur as usize];
-                if src == REG {
-                    break;
+        let mut prefix_len = 0;
+        let segments: &[bool] = if cone.is_some() {
+            &[true, false]
+        } else {
+            &[true]
+        };
+        for &first in segments {
+            for (id, node) in netlist.iter() {
+                let i = id.index();
+                if !emits(node, i) || fused_out[i] || cone.as_ref().is_some_and(|c| c[i] != first) {
+                    continue;
                 }
-                cur = src;
+                let start = order.len();
+                let mut cur = i as u32;
+                loop {
+                    order.push(cur);
+                    let src = reg_source[cur as usize];
+                    if src == REG {
+                        break;
+                    }
+                    cur = src;
+                }
+                order[start..].reverse();
+                if order.len() - start >= 2 {
+                    fused_chains += 1;
+                }
             }
-            order[start..].reverse();
-            if order.len() - start >= 2 {
-                fused_chains += 1;
+            if first {
+                prefix_len = order.len();
             }
         }
 
-        // 3. Liveness: the last tape position reading each node from the
-        // frame (accumulator reads don't count — interiors never get
-        // slots).
+        // 4. Liveness, on the final order: the last tape position reading
+        // each node from the frame (accumulator reads don't count —
+        // interiors never get slots), so a cone value the tail reads
+        // stays live across the split.
         let mut last_read = vec![NEVER; n];
         for (p, &yid) in order.iter().enumerate() {
             let y = yid as usize;
@@ -1484,7 +1552,7 @@ impl BitSliceEvaluator {
             }
         }
 
-        // 4. Slot assignment. Releases happen *before* the defining
+        // 5. Slot assignment. Releases happen *before* the defining
         // instruction's slot is allocated, so a value may land in the
         // slot of the operand that died feeding it — safe because the
         // kernel loads both operand spans in full before storing.
@@ -1542,7 +1610,7 @@ impl BitSliceEvaluator {
         // read it behind all-zero operand masks even in unfused tapes.
         let acc_slot = frame_slots as u32;
 
-        // 5. Emit the tape and the instruction → cell-id table; an
+        // 6. Emit the tape and the instruction → cell-id table; an
         // instruction with a folded operand path is recorded for
         // composition.
         let mut tape = Vec::with_capacity(order.len());
@@ -1593,6 +1661,7 @@ impl BitSliceEvaluator {
 
         let stats = TapeStats {
             tape_len: tape.len(),
+            prefix_len,
             folded_cells: folds.cells.len(),
             fused_chains,
             fused_instrs: tape.iter().filter(|i| i.out == acc_slot).count(),
@@ -1614,6 +1683,7 @@ impl BitSliceEvaluator {
                 .iter()
                 .map(|o| slot_of[o.node.index()])
                 .collect(),
+            reads,
             // The allocated frame = live data slots + the accumulator
             // scratch slot.
             slots: frame_slots + 1,
@@ -1853,7 +1923,10 @@ impl BitSliceEvaluator {
     /// its [`Lanes`] that way) or store at `base` in a column-major
     /// buffer (how a model chain keeps a layer boundary packed).
     ///
-    /// Each block replays only the words that carry samples: a batch
+    /// A block replays only the read cone ([`TapeStats::prefix_len`])
+    /// when `outputs` is within the count the tape was compiled to read
+    /// ([`BitSliceEvaluator::compile_reading`]), and the whole tape
+    /// otherwise. It replays only the words that carry samples: a batch
     /// of ≤ 64 lanes costs one word of a 16-word frame, and frame words
     /// past a partial block's end keep whatever an earlier batch left —
     /// they are neither read nor handed to the sink.
@@ -1876,6 +1949,11 @@ impl BitSliceEvaluator {
         let per = frame.words_per_net;
         let words = frame.words_mut();
         let total_words = lanes.div_ceil(64);
+        // Outputs `..reads` are final once the read cone has run.
+        let tape = match outputs <= self.reads {
+            true => &self.tape[..self.stats.prefix_len],
+            false => &self.tape[..],
+        };
         for base in (0..total_words).step_by(per) {
             // A partial final block occupies fewer than `per` words.
             let avail = (total_words - base).min(per);
@@ -1884,7 +1962,7 @@ impl BitSliceEvaluator {
                 let in_words = &input_words(i)[base..base + avail];
                 words[span..span + avail].copy_from_slice(in_words);
             }
-            replay_tape(&self.tape, self.stats.simd, words, per, avail, self.acc());
+            replay_tape(tape, self.stats.simd, words, per, avail, self.acc());
             for (o, &slot) in self.outputs.iter().enumerate().take(outputs) {
                 let span = slot as usize * per;
                 sink(o, base, &words[span..span + avail]);
@@ -2843,6 +2921,132 @@ mod tests {
             sliced.evaluate(&inputs).unwrap(),
             evaluate(&nl, &inputs).unwrap()
         );
+    }
+
+    /// Every node outputs `..reads` depend on, by a walk of the netlist
+    /// as written (folded cells included) — independent of the tape.
+    fn cone_of(nl: &Netlist, reads: usize) -> Vec<bool> {
+        let mut cone = vec![false; nl.len()];
+        for o in &nl.outputs()[..reads] {
+            cone[o.node.index()] = true;
+        }
+        for (id, node) in nl.iter().collect::<Vec<_>>().into_iter().rev() {
+            if cone[id.index()] {
+                node.fanins().iter().for_each(|f| cone[f.index()] = true);
+            }
+        }
+        cone
+    }
+
+    /// A tape compiled for a reader of outputs `..reads`: with every
+    /// output read it is `compile`'s tape, else its prefix holds exactly
+    /// the cone's emitting cells; replaying only the prefix yields outputs
+    /// `..reads` bit-identical to the oracle at every occupied-word
+    /// count on every SIMD level (on a frame poisoned before each
+    /// block, so a cone cell left out of the prefix cannot hide); and
+    /// patching a cell behind the prefix is `==` a fresh compile of the
+    /// patched netlist and leaves the read outputs alone. Over the fold
+    /// and fusion shapes, strict and loose random DAGs, and a balanced
+    /// loose DAG (buffer runs to fold), at `reads` ∈ {0, 1, n/2, n}.
+    #[test]
+    fn a_read_cone_prefix_replays_exactly_the_outputs_it_covers() {
+        use crate::balance::balance;
+        use crate::random::RandomDag;
+        let mut chain = Netlist::new("chain");
+        let [a, b] = ["a", "b"].map(|name| chain.add_input(name));
+        let g1 = chain.add_gate2(Op::And, a, b);
+        let g2 = chain.add_gate1(Op::Not, g1);
+        let g3 = chain.add_gate2(Op::Xor, g2, a);
+        let g4 = chain.add_gate2(Op::Or, g3, b);
+        chain.add_output(g4, "y0");
+        chain.add_output(g2, "y1");
+        let loose = RandomDag::loose(7, 5, 8).outputs(6).generate(3);
+        let shapes = [
+            folding_shapes(),
+            fold_fixture().nl,
+            chain,
+            RandomDag::strict(9, 5, 8).outputs(6).generate(1),
+            RandomDag::strict(6, 4, 10).outputs(10).generate(2),
+            balance(&loose).0,
+            loose,
+        ];
+        let mut patched_outside = 0;
+        for nl in &shapes {
+            let n = nl.outputs().len();
+            assert!(BitSliceEvaluator::compile_reading(nl, n) == BitSliceEvaluator::compile(nl));
+            for reads in [0, 1, n / 2, n] {
+                let what = format!("{} reads {reads}/{n}", nl.name());
+                let tape = BitSliceEvaluator::compile_reading(nl, reads);
+                let split = tape.tape_stats().prefix_len;
+                let cone = cone_of(nl, reads);
+                let (prefix, tail) = tape.cells.split_at(split);
+                if reads == n {
+                    // Dead cells included: this is `compile`'s tape.
+                    assert_eq!(split, tape.tape_len(), "{what}");
+                } else {
+                    assert!(prefix.iter().all(|&c| cone[c as usize]), "{what}: prefix");
+                    assert!(!tail.iter().any(|&c| cone[c as usize]), "{what}: tail");
+                }
+
+                for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+                    let options = TapeOptions {
+                        simd,
+                        ..TapeOptions::default()
+                    };
+                    let tape = BitSliceEvaluator::compile_for(nl, options, reads);
+                    let mut frame = tape.frame_with_words(16);
+                    for occupied in 1..=16usize {
+                        let lanes = 64 * occupied - 37;
+                        let inputs = patterned_inputs(nl, lanes, occupied);
+                        let want = evaluate(nl, &inputs).unwrap();
+                        for slot in 0..frame.slots() {
+                            (0..16).for_each(|w| frame.set_word(slot, w, !(slot * w) as u64));
+                        }
+                        let mut columns = vec![Vec::new(); reads];
+                        let sink = lane_sink(&mut columns, lanes);
+                        tape.eval_blocks(lanes, &mut frame, |i| inputs[i].words(), reads, sink);
+                        let got = into_lanes(columns, lanes);
+                        assert_eq!(got, want[..reads], "{what} simd {simd} lanes {lanes}");
+                    }
+                }
+
+                let Some(&cell) = tail
+                    .iter()
+                    .find(|&&c| nl.node(NodeId::new(c)).op().arity() > 0)
+                else {
+                    continue;
+                };
+                let cell = NodeId::new(cell);
+                let op = match nl.node(cell).op() {
+                    Op::Xor => Op::Nand,
+                    op if op.arity() == 2 => Op::Xor,
+                    Op::Not => Op::Buf,
+                    _ => Op::Not,
+                };
+                let patches: PatchSet = [(cell, op)].into_iter().collect();
+                let mut patched_nl = nl.clone();
+                patched_nl.apply_patches(&patches).unwrap();
+                let patched = tape.patched(&patches).unwrap();
+                let fresh = BitSliceEvaluator::compile_reading(&patched_nl, reads);
+                assert!(patched == fresh, "{what}: patching {cell:?}");
+                let inputs = patterned_inputs(nl, 200, 5);
+                let mut columns = vec![Vec::new(); reads];
+                let sink = lane_sink(&mut columns, 200);
+                let mut frame = patched.frame_with_words(2);
+                patched.eval_blocks(200, &mut frame, |i| inputs[i].words(), reads, sink);
+                let want = evaluate(&patched_nl, &inputs).unwrap();
+                assert_eq!(want[..reads], evaluate(nl, &inputs).unwrap()[..reads]);
+                assert_eq!(into_lanes(columns, 200), want[..reads], "{what}");
+                let whole = patched.evaluate_with(&inputs, 200, &mut frame).unwrap();
+                assert_eq!(whole, want, "{what}: the whole patched tape");
+                patched_outside += 1;
+            }
+        }
+        assert!(patched_outside >= 10, "{patched_outside} cells patched");
+        // What a hidden VGG16 layer looks like: six of many outputs read.
+        let wide = RandomDag::strict(6, 4, 64).outputs(64).generate(9);
+        let stats = BitSliceEvaluator::compile_reading(&wide, 6).tape_stats();
+        assert!(stats.prefix_len * 2 < stats.tape_len, "{stats:?}");
     }
 
     #[test]
