@@ -11,7 +11,7 @@
 //!                                      original verification oracle)
 //!   --m <N>             LPEs per LPV            (default 64)
 //!   --n <N>             LPVs per LPU            (default 16)
-//!   --backend <B>       execution backend: scalar | bitsliced64 |
+//!   --backend <B>       execution backend: scalar |
 //!                       bitsliced:<64|128|256|512|1024> (bit-sliced
 //!                       lane width); with --from-artifact, overrides the
 //!                       recorded backend (all serve bit-identically)
@@ -28,8 +28,9 @@
 //!   --verify <SEED>     run the cycle-accurate machine against the netlist
 //!   --serve <N>         replay N synthetic single-sample requests through
 //!                       the Runtime worker pool (dynamic micro-batching
-//!                       to the engine's lane width) and print throughput
-//!                       + latency percentiles; with --verify, every
+//!                       to the engine's lane width) and print the
+//!                       runtime's counters (`Runtime::stats`, what
+//!                       `/metrics` exports); with --verify, every
 //!                       response is also checked against the netlist
 //!                       oracle
 //!   --workers <N>       runtime worker threads for --serve (0 = one per CPU)
@@ -53,14 +54,14 @@
 
 use std::process::ExitCode;
 
-use lbnn_bench::{print_runtime_serve, synthetic_requests};
+use lbnn_bench::fmt_fps;
 use lbnn_core::compiler::isa::encode_program;
 use lbnn_core::compiler::partition::PartitionOptions;
 use lbnn_core::compiler::partition::StopRule;
 use lbnn_core::compiler::schedule::lpv_of_level;
 use lbnn_core::lpu::resource::estimate_with_depth;
 use lbnn_core::lpu::LpuConfig;
-use lbnn_core::runtime::{RequestHandle, RuntimeOptions};
+use lbnn_core::runtime::{RequestHandle, Runtime, RuntimeOptions};
 use lbnn_core::{Backend, Flow};
 use lbnn_netlist::verilog::{parse_verilog, write_verilog};
 
@@ -92,7 +93,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lbnnc <input.v> [--m N] [--n N] [--backend scalar|bitsliced64|bitsliced:<lanes>]\n\
+        "usage: lbnnc <input.v> [--m N] [--n N] [--backend scalar|bitsliced:<lanes>]\n\
          \u{20}             [--partitions N]\n\
          \u{20}             [--no-merge] [--no-opt] [--geq] [--verify SEED] [--diagram]\n\
          \u{20}             [--serve N] [--workers N]\n\
@@ -331,6 +332,59 @@ fn print_partition_stats(flow: &Flow) {
     println!("  simd kernels: {}", engine.simd_level());
 }
 
+/// Deterministic synthetic single-sample requests: `count` bit vectors
+/// of `width` primary-input bits (xorshift64; no RNG dependency).
+fn synthetic_requests(width: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut state = seed | 1;
+    (0..count)
+        .map(|_| {
+            let mut bits = Vec::with_capacity(width);
+            let mut word = 0u64;
+            for i in 0..width {
+                if i % 64 == 0 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    word = state;
+                }
+                bits.push(word >> (i % 64) & 1 != 0);
+            }
+            bits
+        })
+        .collect()
+}
+
+/// Prints the runtime's counters ([`Runtime::stats`], what `/metrics`
+/// exports): packing, flush causes, throughput, queue depth and latency
+/// percentiles.
+fn print_runtime_stats(runtime: &Runtime) {
+    let stats = runtime.stats();
+    println!(
+        "Runtime micro-batched serving, compiled block, backend = {}, workers = {}:",
+        runtime.backend(),
+        runtime.workers()
+    );
+    println!(
+        "  {} requests -> {} micro-batches ({:.1} lanes/batch; {} full, {} deadline) \
+         in {:.1} ms",
+        stats.requests,
+        stats.micro_batches,
+        stats.mean_lanes_per_batch,
+        stats.full_flushes,
+        stats.deadline_flushes,
+        stats.elapsed_us / 1e3,
+    );
+    println!(
+        "  {} requests/s on this host; peak queue depth {}",
+        fmt_fps(stats.requests_per_sec),
+        stats.queue.peak_depth
+    );
+    println!(
+        "  latency p50 {:.1} us, p95 {:.1} us, p99 {:.1} us",
+        stats.queue.p50_us, stats.queue.p95_us, stats.queue.p99_us
+    );
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
 
@@ -518,7 +572,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        print_runtime_serve("compiled block", &runtime.stats(), &runtime.report());
+        print_runtime_stats(&runtime);
         // With --verify, every served response is also checked against
         // direct evaluation of the (source) netlist oracle.
         if args.verify.is_some() {
@@ -657,4 +711,22 @@ fn main() -> ExitCode {
     }
 
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn synthetic_requests_are_deterministic_and_shaped() {
+        let a = synthetic_requests(10, 20, 7);
+        let b = synthetic_requests(10, 20, 7);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 20);
+        assert_eq!(a[0].len(), 10);
+        assert_ne!(a, synthetic_requests(10, 20, 8));
+        // Not degenerate: some bits of each polarity.
+        let ones: usize = a.iter().flatten().filter(|&&b| b).count();
+        assert!(ones > 0 && ones < 200);
+    }
 }

@@ -6,26 +6,17 @@
 //! column is measured by compiling the FFCL workloads and counting cycles
 //! in the cycle-accurate simulator.
 
-//! Pass `--backend <scalar|bitsliced64|bitsliced:<lanes>>` (lanes 64-1024) (and optionally `--workers <n>`,
-//! `0` = one per CPU) to also measure host serving throughput of a
-//! representative VGG16 block on that execution backend; add
-//! `--serve <N>` to replay `N` synthetic single-sample requests through
-//! the `Runtime` micro-batcher and print latency percentiles.
-
 use lbnn_baselines::reported::{table2_fps, Impl2};
 use lbnn_baselines::{MacAccelerator, NullaDsp, XnorAccelerator};
 use lbnn_bench::{
-    backend_args, bench_workload_options, compile_model, evaluate_model, fmt_fps, fmt_fps_opt,
-    measure_block_wall, measure_runtime_serve, print_compile_pass_timings, print_runtime_serve,
-    ModelReport,
+    bench_workload_options, compile_model, evaluate_model, fmt_fps, fmt_fps_opt,
+    print_compile_pass_timings, ModelReport,
 };
 use lbnn_core::lpu::LpuConfig;
 use lbnn_core::{CompiledModel, ServingMode};
-use lbnn_models::workload::layer_workload;
 use lbnn_models::zoo;
 
 fn main() {
-    let args = backend_args();
     let config = LpuConfig::paper_default();
     let wl = bench_workload_options();
     let mac = MacAccelerator::default();
@@ -100,50 +91,7 @@ fn main() {
         );
     }
 
-    if args.measure {
-        // Host-side serving throughput of a representative mid-size block
-        // (VGG16 L8, 256->512 conv) on the selected execution backend.
-        let model = zoo::vgg16_layers_2_13();
-        let workload = layer_workload(&model.layers[7], 7, &wl);
-        let report = measure_block_wall(&workload.netlist, &config, args.backend, args.workers, 32);
-        let wall = report.wall.expect("measured run has wall timing");
-        println!();
-        println!(
-            "Host serving throughput, VGG16 L8 block, backend = {}, workers = {}:",
-            wall.backend, wall.workers
-        );
-        println!(
-            "  {} batches x {} lanes in {:.1} ms -> {} samples/s on this host",
-            wall.batches,
-            config.operand_bits(),
-            wall.elapsed_us / 1e3,
-            fmt_fps(wall.samples_per_sec),
-        );
-        println!(
-            "  (modeled hardware: {} samples/s at {:.0} MHz)",
-            fmt_fps(report.fps),
-            report.freq_mhz
-        );
-    }
-
-    if let Some(requests) = args.serve {
-        // Individual requests through the persistent Runtime pool: the
-        // micro-batcher packs them into 64-lane words dynamically.
-        let model = zoo::vgg16_layers_2_13();
-        let workload = layer_workload(&model.layers[7], 7, &wl);
-        let (stats, report) = measure_runtime_serve(
-            &workload.netlist,
-            &config,
-            args.backend,
-            args.workers,
-            requests,
-        );
-        println!();
-        print_runtime_serve("VGG16 L8 block", &stats, &report);
-    }
-
-    // Where whole-model compile time goes, per pipeline pass (the serve
-    // numbers above amortize this one-time cost forever). Reuses the
+    // Where whole-model compile time goes, per pipeline pass. Reuses the
     // LeNet-5 artifact compiled for the table.
     println!();
     print_compile_pass_timings(lenet.as_ref().expect("LeNet-5 compiled above"));

@@ -6,26 +6,17 @@
 //! win by orders of magnitude — the paper's trade-off: raw speed vs
 //! field-reprogrammability.
 
-//! Pass `--backend <scalar|bitsliced64|bitsliced:<lanes>>` (lanes 64-1024) (and optionally `--workers <n>`,
-//! `0` = one per CPU) to also measure host serving throughput of a
-//! representative JSC-M block on that execution backend; add
-//! `--serve <N>` to replay `N` synthetic single-sample requests through
-//! the `Runtime` micro-batcher and print latency percentiles.
-
 use lbnn_baselines::reported::{table3_fps, Impl3};
 use lbnn_baselines::LogicNets;
 use lbnn_bench::{
-    backend_args, compile_model, evaluate_model_latency, fmt_fps, fmt_fps_opt, measure_block_wall,
-    measure_runtime_serve, print_compile_pass_timings, print_runtime_serve,
+    compile_model, evaluate_model_latency, fmt_fps, fmt_fps_opt, print_compile_pass_timings,
     table3_workload_options, ModelReport,
 };
 use lbnn_core::lpu::LpuConfig;
 use lbnn_core::{CompiledModel, ServingMode};
-use lbnn_models::workload::layer_workload;
 use lbnn_models::zoo;
 
 fn main() {
-    let args = backend_args();
     let config = LpuConfig::paper_default();
     let wl = table3_workload_options();
     let ln = LogicNets::default();
@@ -78,43 +69,6 @@ fn main() {
             table3_fps(model.name, Impl3::LogicNets).unwrap()
                 / table3_fps(model.name, Impl3::Lpu).unwrap()
         );
-    }
-
-    if args.measure {
-        // Host-side serving throughput of a representative block (JSC-M
-        // first layer) on the selected execution backend.
-        let model = zoo::jsc_m();
-        let workload = layer_workload(&model.layers[0], 0, &wl);
-        let report = measure_block_wall(&workload.netlist, &config, args.backend, args.workers, 32);
-        let wall = report.wall.expect("measured run has wall timing");
-        println!();
-        println!(
-            "Host serving throughput, JSC-M L0 block, backend = {}, workers = {}:",
-            wall.backend, wall.workers
-        );
-        println!(
-            "  {} batches x {} lanes in {:.1} ms -> {} samples/s on this host",
-            wall.batches,
-            config.operand_bits(),
-            wall.elapsed_us / 1e3,
-            fmt_fps(wall.samples_per_sec),
-        );
-    }
-
-    if let Some(requests) = args.serve {
-        // Single-event requests (the Table III deployment) through the
-        // persistent Runtime pool with dynamic micro-batching.
-        let model = zoo::jsc_m();
-        let workload = layer_workload(&model.layers[0], 0, &wl);
-        let (stats, report) = measure_runtime_serve(
-            &workload.netlist,
-            &config,
-            args.backend,
-            args.workers,
-            requests,
-        );
-        println!();
-        print_runtime_serve("JSC-M L0 block", &stats, &report);
     }
 
     // Per-pass compile cost of a representative detector model — the

@@ -5,17 +5,14 @@
 //! the cycle-accurate simulator, combines them with the analytic
 //! baselines, and formats the rows of every table and figure of the
 //! paper. The `src/bin` binaries (`table1`–`table3`, `fig7`–`fig9`,
-//! `all`) print paper-vs-reproduced rows; the Criterion benches under
-//! `benches/` measure the implementation itself on the same workloads.
+//! `all`) print paper-vs-reproduced rows. Host performance is measured
+//! by the repository benchmark (`benchmark/`), not here.
 
 use lbnn_core::flow::{Flow, FlowOptions};
 use lbnn_core::lpu::LpuConfig;
 use lbnn_core::model::{CompiledLayer, CompiledModel, ServingMode};
-use lbnn_core::runtime::{RequestHandle, RuntimeOptions, RuntimeStats};
-use lbnn_core::{Backend, ThroughputReport};
 use lbnn_models::workload::{model_specs, LayerWorkload, WorkloadOptions};
 use lbnn_models::zoo::ModelShape;
-use lbnn_netlist::{Lanes, Netlist};
 
 /// Per-layer evaluation result.
 #[derive(Debug, Clone)]
@@ -217,234 +214,6 @@ pub fn table3_workload_options() -> WorkloadOptions {
     }
 }
 
-/// Shared `--backend` / `--workers` / `--serve` CLI flags of the table
-/// binaries.
-///
-/// `measure` is set when `--backend` was passed explicitly: the binaries
-/// then append a host-side serving-throughput section measured on that
-/// backend (see [`measure_block_wall`]). `serve` is set by `--serve <N>`:
-/// the binaries then replay `N` synthetic single-sample requests through
-/// the [`lbnn_core::Runtime`] micro-batcher (see [`measure_runtime_serve`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendArgs {
-    /// Selected execution backend (default [`Backend::Scalar`]).
-    pub backend: Backend,
-    /// Worker threads for batch sharding (default 1; 0 = one per CPU).
-    pub workers: usize,
-    /// `true` when `--backend` appeared on the command line.
-    pub measure: bool,
-    /// `--serve <N>`: replay `N` single-sample requests through the
-    /// runtime micro-batcher and report latency percentiles.
-    pub serve: Option<usize>,
-}
-
-impl Default for BackendArgs {
-    fn default() -> Self {
-        BackendArgs {
-            backend: Backend::Scalar,
-            workers: 1,
-            measure: false,
-            serve: None,
-        }
-    }
-}
-
-/// Parses `--backend <scalar|bitsliced64|bitsliced:<lanes>>`,
-/// `--workers <n>` and `--serve <n>` from an argument iterator
-/// (unrecognized arguments are ignored so binaries can layer their own
-/// flags).
-///
-/// # Panics
-///
-/// Panics with a usage message on a malformed value, the right behavior
-/// for the reproduction binaries this serves.
-pub fn parse_backend_args<I: IntoIterator<Item = String>>(args: I) -> BackendArgs {
-    let mut parsed = BackendArgs::default();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--backend" => {
-                let v = iter.next().expect("--backend needs a value");
-                parsed.backend = v
-                    .parse()
-                    .unwrap_or_else(|e| panic!("bad --backend value: {e}"));
-                parsed.measure = true;
-            }
-            "--workers" => {
-                let v = iter.next().expect("--workers needs a value");
-                parsed.workers = v.parse().expect("--workers needs an integer");
-            }
-            "--serve" => {
-                let v = iter.next().expect("--serve needs a request count");
-                parsed.serve = Some(v.parse().expect("--serve needs an integer"));
-            }
-            _ => {}
-        }
-    }
-    parsed
-}
-
-/// Reads [`BackendArgs`] from the process command line.
-pub fn backend_args() -> BackendArgs {
-    parse_backend_args(std::env::args().skip(1))
-}
-
-/// Deterministic pseudo-random serving batches for one block: `batches`
-/// batches of `lanes` samples across `width` primary inputs (xorshift64;
-/// no RNG dependency in the measurement path).
-pub fn serving_batches(width: usize, lanes: usize, batches: usize, seed: u64) -> Vec<Vec<Lanes>> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..batches)
-        .map(|_| {
-            (0..width)
-                .map(|_| {
-                    let words: Vec<u64> = (0..lanes.div_ceil(64)).map(|_| next()).collect();
-                    Lanes::from_words(words, lanes)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Compiles `netlist` for `backend` and measures host wall-clock serving
-/// throughput over `batches` batches of `2m` lanes — the number behind
-/// the table binaries' `--backend` section and the
-/// `table2_fps_large` backend comparison bench.
-///
-/// # Panics
-///
-/// Panics if compilation or serving fails (bench workloads are all
-/// schedulable).
-pub fn measure_block_wall(
-    netlist: &Netlist,
-    config: &LpuConfig,
-    backend: Backend,
-    workers: usize,
-    batches: usize,
-) -> ThroughputReport {
-    let flow = Flow::builder(netlist)
-        .config(*config)
-        .backend(backend)
-        .compile()
-        .unwrap_or_else(|e| panic!("block failed to compile: {e}"));
-    let mut engine = flow
-        .into_engine()
-        .unwrap_or_else(|e| panic!("engine construction failed: {e}"))
-        .with_workers(workers);
-    let width = engine.program().num_inputs;
-    let inputs = serving_batches(width, config.operand_bits(), batches, 0x1b22_2023);
-    let (_, report) = engine
-        .run_batches_timed(&inputs)
-        .unwrap_or_else(|e| panic!("serving run failed: {e}"));
-    report
-}
-
-/// Deterministic synthetic single-sample requests: `count` bit vectors
-/// of `width` primary-input bits (xorshift64; no RNG dependency in the
-/// measurement path). The runtime-serving counterpart of
-/// [`serving_batches`].
-pub fn synthetic_requests(width: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut state = seed | 1;
-    (0..count)
-        .map(|_| {
-            let mut bits = Vec::with_capacity(width);
-            let mut word = 0u64;
-            for i in 0..width {
-                if i % 64 == 0 {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    word = state;
-                }
-                bits.push(word >> (i % 64) & 1 != 0);
-            }
-            bits
-        })
-        .collect()
-}
-
-/// Compiles `netlist` for `backend` and replays `requests` synthetic
-/// single-sample requests through a [`lbnn_core::Runtime`] — individual `submit`
-/// calls, dynamically micro-batched to the backend's lane width by the runtime —
-/// returning the measured [`RuntimeStats`] and the wall-annotated
-/// [`ThroughputReport`] (whose [`lbnn_core::WallTiming::queue`] carries
-/// the latency percentiles). The number behind the table binaries'
-/// `--serve` section and `lbnnc --serve`.
-///
-/// # Panics
-///
-/// Panics if compilation or serving fails (bench workloads are all
-/// schedulable).
-pub fn measure_runtime_serve(
-    netlist: &Netlist,
-    config: &LpuConfig,
-    backend: Backend,
-    workers: usize,
-    requests: usize,
-) -> (RuntimeStats, ThroughputReport) {
-    let flow = Flow::builder(netlist)
-        .config(*config)
-        .backend(backend)
-        .compile()
-        .unwrap_or_else(|e| panic!("block failed to compile: {e}"));
-    let width = flow.program.num_inputs;
-    let runtime = flow
-        .into_engine()
-        .unwrap_or_else(|e| panic!("engine construction failed: {e}"))
-        .into_runtime(RuntimeOptions::default().workers(workers))
-        .unwrap_or_else(|e| panic!("runtime construction failed: {e}"));
-    let handles: Vec<RequestHandle> = synthetic_requests(width, requests, 0x1b22_2023)
-        .iter()
-        .map(|bits| {
-            runtime
-                .submit(bits)
-                .unwrap_or_else(|e| panic!("submit failed: {e}"))
-        })
-        .collect();
-    runtime.flush();
-    for handle in handles {
-        handle
-            .wait()
-            .unwrap_or_else(|e| panic!("request failed: {e}"));
-    }
-    (runtime.stats(), runtime.report())
-}
-
-/// Prints the standard runtime-serving section of the table binaries:
-/// throughput, packing efficiency, queue depth, latency percentiles.
-pub fn print_runtime_serve(label: &str, stats: &RuntimeStats, report: &ThroughputReport) {
-    let wall = report.wall.expect("runtime report has wall timing");
-    println!(
-        "Runtime micro-batched serving, {label}, backend = {}, workers = {}:",
-        wall.backend, wall.workers
-    );
-    println!(
-        "  {} requests -> {} micro-batches ({:.1} lanes/batch; {} full, {} deadline) \
-         in {:.1} ms",
-        stats.requests,
-        stats.micro_batches,
-        stats.mean_lanes_per_batch,
-        stats.full_flushes,
-        stats.deadline_flushes,
-        stats.elapsed_us / 1e3,
-    );
-    println!(
-        "  {} requests/s on this host; peak queue depth {}",
-        fmt_fps(stats.requests_per_sec),
-        stats.queue.peak_depth
-    );
-    println!(
-        "  latency p50 {:.1} us, p95 {:.1} us, p99 {:.1} us",
-        stats.queue.p50_us, stats.queue.p95_us, stats.queue.p99_us
-    );
-}
-
 /// One pipeline pass's compile cost aggregated across all layers of a
 /// [`CompiledModel`] (the whole-model view of the per-flow
 /// [`lbnn_core::CompileReport`]).
@@ -574,83 +343,6 @@ mod tests {
             assert_eq!(layer.latency_clk, solo.latency_clk);
             assert_eq!(layer.cycles_per_image, solo.cycles_per_image);
         }
-    }
-
-    #[test]
-    fn backend_flags_parse() {
-        let args = |v: &[&str]| parse_backend_args(v.iter().map(|s| s.to_string()));
-        assert_eq!(args(&[]), BackendArgs::default());
-        let a = args(&["--backend", "bitsliced64", "--workers", "4"]);
-        assert_eq!(a.backend, Backend::BitSliced64);
-        assert_eq!(a.workers, 4);
-        assert!(a.measure);
-        let b = args(&["--unrelated", "--backend", "scalar"]);
-        assert_eq!(b.backend, Backend::Scalar);
-        assert!(b.measure);
-        let c = args(&["--backend", "bitsliced:256"]);
-        assert_eq!(c.backend, Backend::BitSliced { words: 4 });
-        assert!(c.measure);
-    }
-
-    #[test]
-    fn serving_batches_are_deterministic_and_shaped() {
-        let a = serving_batches(5, 130, 3, 7);
-        let b = serving_batches(5, 130, 3, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[0].len(), 5);
-        assert_eq!(a[0][0].len(), 130);
-        assert_ne!(a, serving_batches(5, 130, 3, 8));
-    }
-
-    #[test]
-    fn measure_block_wall_reports_both_backends() {
-        use lbnn_netlist::random::RandomDag;
-        let nl = RandomDag::strict(16, 5, 12).outputs(4).generate(3);
-        let config = LpuConfig::new(8, 4);
-        for backend in [Backend::Scalar, Backend::BitSliced64] {
-            let report = measure_block_wall(&nl, &config, backend, 1, 4);
-            let wall = report.wall.expect("measured run has wall timing");
-            assert_eq!(wall.backend, backend);
-            assert_eq!(wall.batches, 4);
-            assert!(wall.samples_per_sec > 0.0);
-        }
-    }
-
-    #[test]
-    fn synthetic_requests_are_deterministic_and_shaped() {
-        let a = synthetic_requests(10, 20, 7);
-        let b = synthetic_requests(10, 20, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 20);
-        assert_eq!(a[0].len(), 10);
-        assert_ne!(a, synthetic_requests(10, 20, 8));
-        // Not degenerate: some bits of each polarity.
-        let ones: usize = a.iter().flatten().filter(|&&b| b).count();
-        assert!(ones > 0 && ones < 200);
-    }
-
-    #[test]
-    fn measure_runtime_serve_reports_both_backends() {
-        use lbnn_netlist::random::RandomDag;
-        let nl = RandomDag::strict(16, 5, 12).outputs(4).generate(3);
-        let config = LpuConfig::new(8, 4);
-        for backend in [Backend::Scalar, Backend::BitSliced64] {
-            let (stats, report) = measure_runtime_serve(&nl, &config, backend, 2, 100);
-            assert_eq!(stats.requests, 100);
-            assert!(stats.micro_batches >= 2, "100 requests over 64-lane words");
-            let wall = report.wall.expect("runtime report has wall timing");
-            assert_eq!(wall.backend, backend);
-            let queue = wall.queue.expect("runtime wall carries queue stats");
-            assert!(queue.p50_us <= queue.p99_us);
-        }
-    }
-
-    #[test]
-    fn backend_serve_flag_parses() {
-        let args = |v: &[&str]| parse_backend_args(v.iter().map(|s| s.to_string()));
-        assert_eq!(args(&[]).serve, None);
-        assert_eq!(args(&["--serve", "256"]).serve, Some(256));
     }
 
     #[test]

@@ -56,7 +56,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use lbnn_netlist::serdes::{read_netlist, write_netlist, ByteReader, ByteWriter};
-use lbnn_netlist::{Levels, Netlist, NetlistError, NodeId, Op, PatchSet, MAX_PARTITIONS};
+use lbnn_netlist::{
+    Levels, Netlist, NetlistError, NodeId, Op, PatchSet, MAX_PARTITIONS, SUPPORTED_SLICE_WORDS,
+};
 
 use crate::compiler::isa::{decode_program, encode_program, EncodedProgram, InstrFormat};
 use crate::compiler::pipeline::{CompileReport, PassReport};
@@ -288,7 +290,7 @@ fn write_backend(w: &mut ByteWriter, b: Backend) -> Result<(), CoreError> {
             let byte = u8::try_from(words).map_err(|_| CoreError::BadConfig {
                 reason: format!(
                     "bit-sliced backend width of {words} words does not fit the artifact's \
-                     width field (supported widths are 1, 2, 4 or 8)"
+                     width field (supported widths are {SUPPORTED_SLICE_WORDS:?} words)"
                 ),
             })?;
             w.put_u8(1);
@@ -1125,7 +1127,7 @@ mod tests {
 
     #[test]
     fn flow_round_trip_serves_identically_on_both_backends() {
-        for backend in [Backend::Scalar, Backend::BitSliced64] {
+        for backend in [Backend::Scalar, Backend::BitSliced { words: 1 }] {
             let flow = compile(3, backend);
             let bytes = flow.to_artifact_bytes().unwrap();
             let loaded = Flow::from_artifact_bytes(&bytes).unwrap();
@@ -1170,7 +1172,7 @@ mod tests {
         // A flow whose backend field was corrupted to an unsupported
         // width still serializes (the writer records what it is given),
         // but loading reports the dedicated typed error.
-        let mut flow = compile(2, Backend::BitSliced64);
+        let mut flow = compile(2, Backend::BitSliced { words: 1 });
         flow.backend = Backend::BitSliced { words: 5 };
         let bytes = flow.to_artifact_bytes().unwrap();
         assert!(matches!(
@@ -1182,10 +1184,9 @@ mod tests {
         // A width beyond the u8 record must fail to *save* — truncating
         // it would silently serialize a different, valid width.
         flow.backend = Backend::BitSliced { words: 257 };
-        assert!(matches!(
-            flow.to_artifact_bytes(),
-            Err(CoreError::BadConfig { .. })
-        ));
+        let err = flow.to_artifact_bytes().unwrap_err();
+        assert!(matches!(err, CoreError::BadConfig { .. }));
+        assert!(err.to_string().contains("[1, 2, 4, 8, 16]"), "{err}");
     }
 
     #[test]
@@ -1279,7 +1280,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let flow = compile(6, Backend::BitSliced64);
+        let flow = compile(6, Backend::BitSliced { words: 1 });
         let path =
             std::env::temp_dir().join(format!("lbnn-artifact-test-{}.lbnn", std::process::id()));
         flow.save(&path).unwrap();
@@ -1342,7 +1343,7 @@ mod tests {
 
     #[test]
     fn flow_delta_applies_and_matches_direct_patching() {
-        let flow = compile(12, Backend::BitSliced64);
+        let flow = compile(12, Backend::BitSliced { words: 1 });
         let patches = negating_patches(&flow, 3);
         let bytes = flow.make_delta(&patches).unwrap();
         let via_delta = flow.apply_delta(&bytes).unwrap();

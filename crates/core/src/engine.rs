@@ -31,8 +31,7 @@
 //!   width: 1, 2, 4, 8 or 16 `u64` words per net =
 //!   64/128/256/512/1024 samples per kernel pass, the paper's
 //!   word-level parallelism exploited in software (SIMD-accelerated on
-//!   x86_64, see [`lbnn_netlist::SimdMode`]). [`Backend::BitSliced64`]
-//!   is the original 64-lane configuration, kept as a shim.
+//!   x86_64, see [`lbnn_netlist::SimdMode`]).
 //!
 //! [`Engine::run_batches`] additionally shards a batch sequence across
 //! scoped threads — one contiguous run of borrowed batches and one fresh
@@ -45,7 +44,6 @@ use std::panic::resume_unwind;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use lbnn_netlist::eval::{into_lanes, lane_sink};
 use lbnn_netlist::{
@@ -58,7 +56,6 @@ use crate::error::CoreError;
 use crate::flow::Flow;
 use crate::lpu::machine::{LpuMachine, PassScratch, RunResult};
 use crate::lpu::LpuConfig;
-use crate::throughput::{block_throughput, ThroughputReport, WallTiming};
 
 /// How an [`Engine`] executes a compiled flow.
 ///
@@ -84,13 +81,6 @@ pub enum Backend {
         /// construction.
         words: usize,
     },
-}
-
-#[allow(non_upper_case_globals)]
-impl Backend {
-    /// Migration shim: the original single-word 64-lane bit-sliced
-    /// backend, now spelled [`Backend::BitSliced`]` { words: 1 }`.
-    pub const BitSliced64: Backend = Backend::BitSliced { words: 1 };
 }
 
 impl Backend {
@@ -130,9 +120,6 @@ impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Backend::Scalar => f.write_str("scalar"),
-            // The one-word spelling predates the width-generic backend;
-            // keep it stable for logs, CLIs and round-tripping.
-            Backend::BitSliced { words: 1 } => f.write_str("bitsliced64"),
             Backend::BitSliced { words } => write!(f, "bitsliced:{}", 64 * words),
         }
     }
@@ -141,12 +128,11 @@ impl fmt::Display for Backend {
 impl FromStr for Backend {
     type Err = CoreError;
 
+    /// Parses what [`Display`](fmt::Display) prints: `scalar` or
+    /// `bitsliced:<64|128|256|512|1024>`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let bad = |reason: String| CoreError::BadConfig { reason };
-        if let Some(lanes) = s
-            .strip_prefix("bitsliced:")
-            .or_else(|| s.strip_prefix("bit-sliced:"))
-        {
+        if let Some(lanes) = s.strip_prefix("bitsliced:") {
             let lanes: usize = lanes.parse().map_err(|_| {
                 bad(format!(
                     "bad backend lane count `{lanes}` (expected a number)"
@@ -163,9 +149,8 @@ impl FromStr for Backend {
         }
         match s {
             "scalar" => Ok(Backend::Scalar),
-            "bitsliced64" | "bitsliced" | "bit-sliced" => Ok(Backend::BitSliced64),
             other => Err(bad(format!(
-                "unknown backend `{other}` (expected `scalar`, `bitsliced64` or \
+                "unknown backend `{other}` (expected `scalar` or \
                  `bitsliced:<64|128|256|512|1024>`)"
             ))),
         }
@@ -273,9 +258,9 @@ impl Kernel {
     }
 }
 
-/// The lane count of a batch handed over as per-input columns. The
-/// scalar machine defaults no-input programs to one lane; the
-/// bit-sliced kernels match it.
+/// The lane count of a batch handed over as per-input columns; a batch
+/// without columns (a program without inputs) runs one lane, as
+/// [`LpuMachine::run`] does.
 ///
 /// # Panics
 ///
@@ -522,9 +507,8 @@ impl EngineCore {
                     let inputs: Vec<Lanes> = (0..self.program.num_inputs)
                         .map(|i| Lanes::from_words(input_words(i)[..stride].to_vec(), lanes))
                         .collect();
-                    let mut result = self
-                        .machine
-                        .run_with_scratch(&self.program, &inputs, pass)?;
+                    let mut result =
+                        (self.machine).run_with_scratch(&self.program, &inputs, lanes, pass)?;
                     for (o, col) in result.outputs.iter().enumerate().take(keep) {
                         kept[o * stride..][..stride].copy_from_slice(col.words());
                     }
@@ -632,30 +616,6 @@ impl Clone for Engine {
 }
 
 impl Engine {
-    /// Builds a [`Backend::Scalar`] engine from a configuration and a
-    /// compiled program.
-    ///
-    /// The bit-sliced backend needs the mapped netlist to compile its
-    /// kernel tape, so bit-sliced engines are built from a flow
-    /// ([`Flow::engine`] / [`Flow::into_engine`] /
-    /// [`Engine::from_flow`]), which carries it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadConfig`] if the configuration is unusable
-    /// or the program was compiled for a different machine shape.
-    pub fn new(config: LpuConfig, program: impl Into<Arc<LpuProgram>>) -> Result<Self, CoreError> {
-        Engine::build(
-            config,
-            program.into(),
-            Backend::Scalar,
-            None,
-            1,
-            None,
-            usize::MAX,
-        )
-    }
-
     /// Builds an engine serving `flow`'s program on `flow`'s backend.
     /// The program is shared with the flow, not copied
     /// ([`Engine::program`] is `flow.program`); the kernel a freshly
@@ -666,7 +626,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`Engine::new`].
+    /// Returns [`CoreError::BadConfig`] if the configuration is unusable,
+    /// the program was compiled for a different machine shape, or the
+    /// flow's kernel disagrees with its program.
     pub fn from_flow(flow: &Flow) -> Result<Self, CoreError> {
         Engine::from_flow_reading(flow, usize::MAX)
     }
@@ -696,7 +658,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`Flow::load`] and [`Engine::new`].
+    /// See [`Flow::load`] and [`Engine::from_flow`].
     pub fn from_artifact(path: impl AsRef<std::path::Path>) -> Result<Self, CoreError> {
         Flow::load(path)?.into_engine()
     }
@@ -796,17 +758,11 @@ impl Engine {
     /// CPU".
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.set_workers(workers);
-        self
-    }
-
-    /// Sets the worker-thread count used by [`Engine::run_batches`].
-    /// `0` means "one per available CPU".
-    pub fn set_workers(&mut self, workers: usize) {
         self.workers = match workers {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
             explicit => explicit,
         };
+        self
     }
 
     /// The worker-thread count [`Engine::run_batches`] shards over.
@@ -994,47 +950,6 @@ impl Engine {
         Ok(results)
     }
 
-    /// Runs [`Engine::run_batches`] under a wall-clock timer, returning
-    /// the results plus a [`ThroughputReport`] whose model-time fields
-    /// cover the whole sequence and whose [`ThroughputReport::wall`]
-    /// records what this backend actually measured — the apples-to-apples
-    /// number for comparing [`Backend`]s and worker counts.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_batches`].
-    pub fn run_batches_timed<B: AsRef<[Lanes]> + Sync>(
-        &mut self,
-        batches: &[B],
-    ) -> Result<(Vec<RunResult>, ThroughputReport), CoreError> {
-        let start = Instant::now();
-        let results = self.run_batches(batches)?;
-        let elapsed = start.elapsed();
-        let samples: usize = results
-            .iter()
-            .map(|r| r.outputs.first().map_or(0, Lanes::len))
-            .sum();
-        let elapsed_us = elapsed.as_secs_f64() * 1e6;
-        let report = block_throughput(
-            (self.steady_clock_cycles_per_batch() * results.len() as u64).max(1),
-            samples,
-            self.config().freq_mhz,
-        )
-        .with_wall(WallTiming {
-            backend: self.backend(),
-            workers: self.workers,
-            batches: results.len(),
-            elapsed_us,
-            samples_per_sec: if elapsed_us > 0.0 {
-                samples as f64 / (elapsed_us / 1e6)
-            } else {
-                f64::INFINITY
-            },
-            queue: None,
-        });
-        Ok((results, report))
-    }
-
     /// Steady-state clock cycles between batch starts (initiation
     /// interval × `tc`): back-to-back serving admits a new batch every
     /// `queue_depth` compute cycles, not every full fill+drain latency.
@@ -1049,7 +964,7 @@ impl Flow {
     ///
     /// # Errors
     ///
-    /// See [`Engine::new`].
+    /// See [`Engine::from_flow`].
     pub fn engine(&self) -> Result<Engine, CoreError> {
         Engine::from_flow(self)
     }
@@ -1060,7 +975,7 @@ impl Flow {
     ///
     /// # Errors
     ///
-    /// See [`Engine::new`].
+    /// See [`Engine::from_flow`].
     pub fn into_engine(self) -> Result<Engine, CoreError> {
         let Flow {
             netlist,
@@ -1159,11 +1074,12 @@ mod tests {
     #[test]
     fn engine_rejects_shape_mismatch() {
         let nl = RandomDag::strict(8, 4, 6).outputs(2).generate(2);
-        let flow = Flow::builder(&nl)
+        let mut flow = Flow::builder(&nl)
             .config(LpuConfig::new(4, 4))
             .compile()
             .unwrap();
-        let err = Engine::new(LpuConfig::new(8, 4), flow.program).unwrap_err();
+        flow.config = LpuConfig::new(8, 4);
+        let err = flow.engine().unwrap_err();
         assert!(matches!(err, CoreError::BadConfig { .. }));
     }
 
@@ -1204,14 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced64_shim_is_the_one_word_backend() {
-        assert_eq!(Backend::BitSliced64, Backend::BitSliced { words: 1 });
-        assert_eq!(Backend::BitSliced64.lanes(), 64);
-        assert_eq!(Backend::Scalar.lanes(), 64);
-        assert_eq!(Backend::BitSliced { words: 8 }.lanes(), 512);
-    }
-
-    #[test]
     fn unsupported_slice_widths_are_rejected() {
         for words in [0usize, 3, 5, 32] {
             let backend = Backend::BitSliced { words };
@@ -1234,7 +1142,7 @@ mod tests {
         let nl = RandomDag::strict(10, 5, 8).outputs(3).generate(7);
         for backend in [
             Backend::Scalar,
-            Backend::BitSliced64,
+            Backend::BitSliced { words: 1 },
             Backend::BitSliced { words: 16 },
         ] {
             let flow = Flow::builder(&nl)
@@ -1283,7 +1191,7 @@ mod tests {
         assert_eq!(engine.batches_served(), 7, "first sharded run");
         engine.run_batches(&batches).unwrap();
         assert_eq!(engine.batches_served(), 14, "a second call counts once");
-        engine.set_workers(5);
+        let mut engine = engine.with_workers(5);
         engine.run_batches(&batches).unwrap();
         assert_eq!(engine.batches_served(), 21, "another shard count");
         let mut scratch = EngineScratch::new();
@@ -1303,7 +1211,7 @@ mod tests {
     #[test]
     fn run_batch_with_matches_owned_scratch_path() {
         let nl = RandomDag::strict(10, 5, 8).outputs(3).generate(11);
-        for backend in [Backend::Scalar, Backend::BitSliced64] {
+        for backend in [Backend::Scalar, Backend::BitSliced { words: 1 }] {
             let flow = Flow::builder(&nl)
                 .config(LpuConfig::new(5, 4))
                 .backend(backend)
@@ -1373,64 +1281,33 @@ mod tests {
     }
 
     #[test]
-    fn timed_run_attaches_wall_timing() {
-        let nl = RandomDag::strict(8, 4, 6).outputs(2).generate(9);
-        let flow = Flow::builder(&nl)
-            .config(LpuConfig::new(4, 4))
-            .backend(Backend::BitSliced64)
-            .compile()
-            .unwrap();
-        let mut engine = flow.engine().unwrap().with_workers(2);
-        let mut rng = StdRng::seed_from_u64(21);
-        let batches: Vec<Vec<Lanes>> = (0..5)
-            .map(|_| random_batch(&mut rng, nl.inputs().len(), 64))
-            .collect();
-        let (results, report) = engine.run_batches_timed(&batches).unwrap();
-        assert_eq!(results.len(), 5);
-        let wall = report.wall.expect("timed run records wall timing");
-        assert_eq!(wall.backend, Backend::BitSliced64);
-        assert_eq!(wall.workers, 2);
-        assert_eq!(wall.batches, 5);
-        assert_eq!(report.batch, 5 * 64);
-        assert!(wall.samples_per_sec > 0.0);
-        assert!(wall.queue.is_none(), "pre-packed replay has no queue");
-    }
-
-    #[test]
     fn backend_parses_and_displays() {
-        assert_eq!("scalar".parse::<Backend>().unwrap(), Backend::Scalar);
-        assert_eq!(
-            "bitsliced64".parse::<Backend>().unwrap(),
-            Backend::BitSliced64
-        );
-        assert_eq!(Backend::BitSliced64.to_string(), "bitsliced64");
-        for (spec, words) in [
-            ("bitsliced:64", 1usize),
-            ("bitsliced:128", 2),
-            ("bitsliced:256", 4),
-            ("bitsliced:512", 8),
-            ("bitsliced:1024", 16),
-            ("bit-sliced:256", 4),
+        // Each backend has one spelling, and it parses back to itself.
+        for (spec, backend, lanes) in [
+            ("scalar", Backend::Scalar, 64),
+            ("bitsliced:64", Backend::BitSliced { words: 1 }, 64),
+            ("bitsliced:128", Backend::BitSliced { words: 2 }, 128),
+            ("bitsliced:256", Backend::BitSliced { words: 4 }, 256),
+            ("bitsliced:512", Backend::BitSliced { words: 8 }, 512),
+            ("bitsliced:1024", Backend::BitSliced { words: 16 }, 1024),
         ] {
-            assert_eq!(
-                spec.parse::<Backend>().unwrap(),
-                Backend::BitSliced { words },
-                "{spec}"
-            );
-        }
-        // Display round-trips through FromStr for every supported width.
-        for words in [1usize, 2, 4, 8, 16] {
-            let backend = Backend::BitSliced { words };
-            assert_eq!(backend.to_string().parse::<Backend>().unwrap(), backend);
+            assert_eq!(spec.parse::<Backend>().unwrap(), backend, "{spec}");
+            assert_eq!(backend.to_string(), spec);
+            assert_eq!(backend.lanes(), lanes, "{spec}");
         }
         for bad in [
+            "bitsliced64",
+            "bitsliced",
+            "bit-sliced",
+            "bit-sliced:256",
             "simd",
             "bitsliced:0",
             "bitsliced:96",
             "bitsliced:2048",
             "bitsliced:x",
         ] {
-            assert!(bad.parse::<Backend>().is_err(), "{bad}");
+            let err = bad.parse::<Backend>().unwrap_err();
+            assert!(matches!(err, CoreError::BadConfig { .. }), "{bad}: {err}");
         }
     }
 

@@ -93,4 +93,4 @@ pub use flow::{CompileArtifacts, Flow, FlowBuilder, FlowOptions, FlowStats};
 pub use lpu::{LpuConfig, LpuMachine};
 pub use model::{CompiledModel, LayerSpec, ModelScratch, ServingMode};
 pub use runtime::{RequestHandle, Runtime, RuntimeOptions, RuntimeStats};
-pub use throughput::{QueueStats, ThroughputReport, WallTiming};
+pub use throughput::{QueueStats, ThroughputReport};

@@ -113,12 +113,14 @@ impl LpuMachine {
     ///   overwritten while live (indicates a scheduler bug);
     /// * [`CoreError::BadConfig`] — program/machine shape mismatch.
     pub fn run(&self, program: &LpuProgram, inputs: &[Lanes]) -> Result<RunResult, CoreError> {
-        let mut scratch = PassScratch::default();
-        self.run_with_scratch(program, inputs, &mut scratch)
+        let lanes = inputs.first().map_or(1, Lanes::len);
+        self.run_with_scratch(program, inputs, lanes, &mut PassScratch::default())
     }
 
-    /// Runs one pass reusing `scratch` buffers (the [`crate::engine::Engine`]
-    /// fast path; [`LpuMachine::run`] is this with throwaway scratch).
+    /// Runs one pass of `lanes` lanes reusing `scratch` buffers (the
+    /// [`crate::engine::Engine`] fast path; [`LpuMachine::run`] is this
+    /// with throwaway scratch). `lanes` is explicit so a program without
+    /// inputs still computes its constants for the whole batch.
     ///
     /// The machine itself is immutable (`&self`): all mutable state lives
     /// in `scratch`, so one machine can execute on many threads, each
@@ -131,6 +133,7 @@ impl LpuMachine {
         &self,
         program: &LpuProgram,
         inputs: &[Lanes],
+        lanes: usize,
         scratch: &mut PassScratch,
     ) -> Result<RunResult, CoreError> {
         let m = self.config.m;
@@ -149,7 +152,6 @@ impl LpuMachine {
                 got: inputs.len(),
             });
         }
-        let lanes = inputs.first().map_or(1, Lanes::len);
         for l in inputs {
             assert_eq!(l.len(), lanes, "inconsistent lane counts");
         }

@@ -320,7 +320,7 @@ pub(crate) enum Built {
 pub(crate) fn run_chain<'a>(
     engines: &[impl Borrow<Engine>],
     scratch: &mut ModelScratch,
-    mut lanes: usize,
+    lanes: usize,
     input_words: impl Fn(usize) -> &'a [u64],
     built: Built,
 ) -> Result<ModelInference, CoreError> {
@@ -355,11 +355,6 @@ pub(crate) fn run_chain<'a>(
                     "cannot chain from a layer with no outputs"
                 );
                 let stride = lanes.div_ceil(64);
-                if want == 0 {
-                    // A layer without inputs runs one lane, as an
-                    // empty `run_batch` does.
-                    lanes = 1;
-                }
                 let column = |i| &words[(i % kept) * stride..][..stride];
                 engine.run_with(scratch, lanes, column, keep, columns)?
             }

@@ -72,8 +72,7 @@
 //!   of unbounded memory growth).
 //! * The runtime measures what serving layers must report: submit→
 //!   response latency percentiles (p50/p95/p99) and peak queue depth
-//!   ([`QueueStats`]), surfaced through [`Runtime::stats`] and attached
-//!   to [`ThroughputReport::wall`] by [`Runtime::report`].
+//!   ([`QueueStats`]), surfaced through [`Runtime::stats`].
 //! * The served target is **hot-swappable**: [`Runtime::swap_engine`] /
 //!   [`Runtime::swap_model`] atomically replace the compiled core
 //!   (version `vN` → `vN+1`) under live traffic: in one critical section
@@ -102,7 +101,7 @@ use lbnn_netlist::PackedRows;
 use crate::engine::{packed_columns, Backend, Engine, EngineScratch};
 use crate::error::CoreError;
 use crate::model::{run_chain, Built, CompiledModel, ModelScratch};
-use crate::throughput::{block_throughput, QueueStats, ThroughputReport, WallTiming};
+use crate::throughput::QueueStats;
 
 /// Per-worker mutable state: the buffer a micro-batch's rows are
 /// transposed into plus the per-link scratches of the served chain. Each
@@ -1157,30 +1156,6 @@ impl Runtime {
             },
         }
     }
-
-    /// The serving run as a [`ThroughputReport`]: model-time fields
-    /// cover every executed micro-batch at the steady-state initiation
-    /// interval, and [`ThroughputReport::wall`] carries the measured
-    /// host throughput plus the runtime's [`QueueStats`].
-    pub fn report(&self) -> ThroughputReport {
-        let stats = self.stats();
-        let target = lock(&self.shared.state).target.clone();
-        // One micro-batch costs every link its steady-state interval.
-        let cycles = (target.engines.iter())
-            .map(Engine::steady_clock_cycles_per_batch)
-            .sum::<u64>()
-            .saturating_mul(stats.micro_batches.max(1))
-            .max(1);
-        let freq_mhz = target.engines[0].config().freq_mhz;
-        block_throughput(cycles, stats.requests as usize, freq_mhz).with_wall(WallTiming {
-            backend: target.backend(),
-            workers: self.workers(),
-            batches: stats.micro_batches as usize,
-            elapsed_us: stats.elapsed_us,
-            samples_per_sec: stats.requests_per_sec,
-            queue: Some(stats.queue),
-        })
-    }
 }
 
 impl Drop for Runtime {
@@ -1451,7 +1426,7 @@ mod tests {
 
     #[test]
     fn runtime_serves_requests_bit_identically_to_engine() {
-        for backend in [Backend::Scalar, Backend::BitSliced64] {
+        for backend in [Backend::Scalar, Backend::BitSliced { words: 1 }] {
             let flow = compiled(backend, 3);
             let width = flow.program.num_inputs;
             let reference = flow.engine().unwrap();
@@ -1489,7 +1464,7 @@ mod tests {
     /// at once — no `flush()`, no timer.
     #[test]
     fn idle_runtime_dispatches_a_lone_request_at_once() {
-        let flow = compiled(Backend::BitSliced64, 5);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 5);
         let width = flow.program.num_inputs;
         let runtime =
             Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))
@@ -1509,7 +1484,7 @@ mod tests {
     /// them as ONE micro-batch.
     #[test]
     fn requests_accumulated_behind_busy_workers_leave_as_one_batch() {
-        let flow = compiled(Backend::BitSliced64, 5);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 5);
         let width = flow.program.num_inputs;
         let runtime =
             Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(2))
@@ -1710,7 +1685,7 @@ mod tests {
     /// on the handles of one pending batch, which only then executes.
     #[test]
     fn one_batch_resolves_waiters_on_many_threads() {
-        let flow = compiled(Backend::BitSliced64, 35);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 35);
         let (runtime, requests, handles) = pending_batch(&flow, 2, 8);
         let want = oracle_rows(&flow, &requests);
         let waiting = std::sync::Barrier::new(handles.len() + 1);
@@ -1805,7 +1780,7 @@ mod tests {
     /// handles may be dropped before or after the batch executes.
     #[test]
     fn the_last_handle_of_a_batch_still_reads_its_row() {
-        let flow = compiled(Backend::BitSliced64, 37);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 37);
         let (runtime, requests, mut handles) = pending_batch(&flow, 1, 6);
         let want = oracle_rows(&flow, &requests);
         let kept = handles.remove(4);
@@ -1820,7 +1795,7 @@ mod tests {
 
     #[test]
     fn drop_resolves_outstanding_handles() {
-        let flow = compiled(Backend::BitSliced64, 9);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 9);
         let width = flow.program.num_inputs;
         let runtime =
             Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(2))
@@ -1846,7 +1821,7 @@ mod tests {
     /// the workers run what is queued, then what is forming.
     #[test]
     fn drop_with_a_full_queue_resolves_outstanding_handles() {
-        let flow = compiled(Backend::BitSliced64, 9);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 9);
         let width = flow.program.num_inputs;
         let options = RuntimeOptions::default()
             .workers(2)
@@ -1873,9 +1848,8 @@ mod tests {
 
     #[test]
     fn report_carries_queue_stats() {
-        let flow = compiled(Backend::BitSliced64, 4);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 4);
         let width = flow.program.num_inputs;
-        let steady = flow.stats.steady_clock_cycles;
         let runtime = Runtime::from_engine(
             flow.engine().unwrap(),
             RuntimeOptions::default().workers(1).max_batch(8),
@@ -1891,14 +1865,12 @@ mod tests {
         for handle in handles {
             handle.wait().unwrap();
         }
-        let report = runtime.report();
-        assert_eq!(report.batch, 32);
-        assert_eq!(report.clock_cycles, steady * 4);
-        let wall = report.wall.expect("runtime report measures wall time");
-        let queue = wall.queue.expect("runtime report carries queue stats");
+        let stats = runtime.stats();
+        assert_eq!(stats.requests, 32);
+        assert_eq!(stats.micro_batches, 4);
+        let queue = stats.queue;
         assert!(queue.p50_us <= queue.p95_us && queue.p95_us <= queue.p99_us);
         assert!(queue.peak_depth >= 1);
-        assert_eq!(wall.batches, 4);
     }
 
     /// try_submit sheds immediately (typed error + counter) once the
@@ -1906,7 +1878,7 @@ mod tests {
     /// the saturation clears.
     #[test]
     fn try_submit_sheds_at_the_admission_limit() {
-        let flow = compiled(Backend::BitSliced64, 13);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 13);
         let width = flow.program.num_inputs;
         let runtime = Runtime::from_engine(
             flow.engine().unwrap(),
@@ -1970,7 +1942,7 @@ mod tests {
     /// and workers.
     #[test]
     fn auto_admission_limit_formula() {
-        let flow = compiled(Backend::BitSliced64, 15);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 15);
         let runtime = Runtime::from_engine(
             flow.engine().unwrap(),
             RuntimeOptions::default()
@@ -2027,7 +1999,7 @@ mod tests {
     /// per-version completion counters sum to the total.
     #[test]
     fn swap_engine_moves_new_submissions_to_the_new_version() {
-        let flow = compiled(Backend::BitSliced64, 23);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 23);
         let width = flow.program.num_inputs;
         let base_engine = flow.engine().unwrap();
         let patched_engine = patched(&flow);
@@ -2088,7 +2060,7 @@ mod tests {
     /// core: the version that admitted them answers them.
     #[test]
     fn swap_flushes_the_pending_batch_to_the_old_core() {
-        let flow = compiled(Backend::BitSliced64, 27);
+        let flow = compiled(Backend::BitSliced { words: 1 }, 27);
         let width = flow.program.num_inputs;
         let runtime =
             Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default().workers(1))

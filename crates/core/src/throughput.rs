@@ -6,17 +6,11 @@
 //! sequence of FFCL blocks (one or more per layer) executed back to back;
 //! its FPS divides the batch by the summed cycles.
 
-use crate::engine::Backend;
-
 /// Queue-depth and per-request latency statistics of a serving run,
-/// measured by the [`Runtime`](crate::runtime::Runtime) micro-batcher.
-///
-/// Pre-packed batch replay ([`Engine::run_batches_timed`]) has no
-/// request queue, so its [`WallTiming::queue`] is `None`; runtime-served
-/// runs record the peak number of in-flight requests and the
-/// distribution of submit→response latency.
-///
-/// [`Engine::run_batches_timed`]: crate::engine::Engine::run_batches_timed
+/// measured by the [`Runtime`](crate::runtime::Runtime) micro-batcher
+/// and reported by [`Runtime::stats`](crate::runtime::Runtime::stats):
+/// the peak number of in-flight requests and the distribution of
+/// submit→response latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueStats {
     /// Peak number of simultaneously in-flight requests (submitted but
@@ -28,33 +22,6 @@ pub struct QueueStats {
     pub p95_us: f64,
     /// 99th-percentile submit→response latency in microseconds.
     pub p99_us: f64,
-}
-
-/// Wall-clock measurement of one simulated serving run, attached to a
-/// [`ThroughputReport`] by
-/// [`Engine::run_batches_timed`](crate::engine::Engine::run_batches_timed)
-/// and [`Runtime::report`](crate::runtime::Runtime::report).
-///
-/// The model-time fields of the report describe what the *hardware* would
-/// do; this records what the chosen software [`Backend`] actually took on
-/// the host, which is the number that distinguishes backends and worker
-/// counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WallTiming {
-    /// Backend that executed the run.
-    pub backend: Backend,
-    /// Worker threads the batches were sharded over.
-    pub workers: usize,
-    /// Batches executed.
-    pub batches: usize,
-    /// Wall-clock time of the whole run in microseconds.
-    pub elapsed_us: f64,
-    /// Measured host throughput in samples (lanes) per second.
-    pub samples_per_sec: f64,
-    /// Queue-depth and latency percentiles, when the run went through the
-    /// [`Runtime`](crate::runtime::Runtime) request queue (`None` for
-    /// pre-packed batch replay, which has no queue).
-    pub queue: Option<QueueStats>,
 }
 
 /// Throughput of a single compiled block.
@@ -70,19 +37,6 @@ pub struct ThroughputReport {
     pub fps: f64,
     /// Latency of one pass in microseconds.
     pub latency_us: f64,
-    /// Measured wall-clock timing of the backend that produced this
-    /// report, when the report comes from a timed run (`None` for purely
-    /// analytic reports).
-    pub wall: Option<WallTiming>,
-}
-
-impl ThroughputReport {
-    /// Attaches a wall-clock measurement to an analytic report.
-    #[must_use]
-    pub fn with_wall(mut self, wall: WallTiming) -> Self {
-        self.wall = Some(wall);
-        self
-    }
 }
 
 /// Computes FPS for a block: `freq · batch / cycles`.
@@ -99,7 +53,6 @@ pub fn block_throughput(clock_cycles: u64, batch: usize, freq_mhz: f64) -> Throu
         freq_mhz,
         fps: batch as f64 / seconds,
         latency_us: seconds * 1e6,
-        wall: None,
     }
 }
 

@@ -17,9 +17,9 @@
 //!   the tape per block of `64 × words` lanes. No per-net allocation, no
 //!   per-gate dispatch: this is the software analogue of the LPU's
 //!   word-level parallelism and the kernel behind the serving layer's
-//!   bit-sliced backend. Compilation runs a **tape-locality pass**
-//!   ([`TapeOptions`]): buffers and inverters that drive no output are
-//!   folded into their readers' masks, single-fanout chains are fused
+//!   bit-sliced backend. Compilation runs a **tape-locality pass**:
+//!   buffers and inverters that drive no output are folded into their
+//!   readers' masks, single-fanout chains are fused
 //!   so their intermediates live in an accumulator and dead nets' frame
 //!   slots are recycled by a liveness allocator ([`TapeStats`] reports
 //!   what the pass did). The frame width is
@@ -603,7 +603,8 @@ pub fn evaluate(netlist: &Netlist, inputs: &[Lanes]) -> Result<Vec<Lanes>, Netli
 /// above restricts its backends to this blessed set.
 pub const SUPPORTED_SLICE_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Requested SIMD policy for the kernel tape ([`TapeOptions::simd`]).
+/// Requested SIMD policy for the kernel tape
+/// ([`BitSliceEvaluator::compile_with`]).
 /// A request is a *ceiling*, not a demand: compilation resolves it
 /// against runtime CPU-feature detection ([`SimdMode::resolve`]) and
 /// clamps to the best level the host actually has, so forcing `Avx2`
@@ -981,40 +982,6 @@ fn substitute(k: [u64; 4], operand: usize, [c, d]: [u64; 2]) -> [u64; 4] {
     }
 }
 
-/// Knobs for the tape-locality pass run by
-/// [`BitSliceEvaluator::compile_with`].
-///
-/// [`BitSliceEvaluator::compile`] always uses the defaults; the typed
-/// options exist so differential tests can pin that every combination
-/// produces bit-identical results — they only trade memory traffic for
-/// tape shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapeOptions {
-    /// Collapse single-fanout cell runs into fused chains whose
-    /// intermediates all share the dedicated accumulator slot (written
-    /// and re-read back-to-back, so the line stays in L1).
-    pub fuse: bool,
-    /// Recycle the frame slots of dead nets with a liveness allocator,
-    /// shrinking the live frame footprint.
-    pub reuse: bool,
-    /// SIMD ceiling for the replay kernels, resolved against runtime
-    /// CPU-feature detection at compile time ([`SimdMode::resolve`]).
-    /// Purely an execution choice — the tape structure (fusion, slots)
-    /// is identical at every level.
-    pub simd: SimdMode,
-}
-
-impl Default for TapeOptions {
-    /// Fusion and slot reuse on, SIMD auto-detected.
-    fn default() -> Self {
-        TapeOptions {
-            fuse: true,
-            reuse: true,
-            simd: SimdMode::Auto,
-        }
-    }
-}
-
 /// What the tape-locality pass did to a compiled tape, and how the tape
 /// will execute ([`BitSliceEvaluator::tape_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1048,8 +1015,7 @@ pub struct TapeStats {
     /// top (slot index `frame_slots`).
     pub frame_slots: usize,
     /// The SIMD dispatch level tiles execute with — the requested
-    /// [`TapeOptions::simd`] resolved against runtime CPU-feature
-    /// detection.
+    /// [`SimdMode`] resolved against runtime CPU-feature detection.
     pub simd: SimdLevel,
 }
 
@@ -1238,12 +1204,12 @@ impl TapeStats {
     }
 }
 
-/// A bump allocator over frame slots with an optional free list: dead
-/// slots are recycled LIFO (the hottest lines first) when `reuse` is on.
+/// A bump allocator over frame slots with a free list: dead slots are
+/// recycled LIFO (the hottest lines first).
+#[derive(Default)]
 pub(crate) struct SlotPool {
     pub(crate) free: Vec<u32>,
     pub(crate) high: u32,
-    pub(crate) reuse: bool,
 }
 
 impl SlotPool {
@@ -1257,9 +1223,7 @@ impl SlotPool {
     }
 
     pub(crate) fn release(&mut self, slot: u32) {
-        if self.reuse {
-            self.free.push(slot);
-        }
+        self.free.push(slot);
     }
 }
 
@@ -1307,9 +1271,8 @@ pub fn into_lanes(columns: Vec<Vec<u64>>, lanes: usize) -> Vec<Lanes> {
 /// Compilation walks the arena once, turning every executable cell into a
 /// kernel instruction in topological order — except arity-1 cells that
 /// drive no primary output, which fold into their readers' masks — then
-/// runs a locality pass ([`TapeOptions`]): runs of single-fanout cells
-/// are fused into chains
-/// whose intermediate words all share one dedicated accumulator slot
+/// runs a locality pass: runs of single-fanout cells are fused into
+/// chains whose intermediate words all share one dedicated accumulator slot
 /// (kept cache-hot by back-to-back reuse, with no hot-loop branches),
 /// and frame slots are renumbered and recycled by a liveness allocator.
 /// Evaluation then processes the batch one [`SliceFrame`] block
@@ -1318,7 +1281,7 @@ pub fn into_lanes(columns: Vec<Vec<u64>>, lanes: usize) -> Vec<Lanes> {
 /// outputs back. The tape itself is width-independent (instructions carry
 /// slot indices and ANF masks), so one compiled evaluator serves every
 /// frame width. Results are bit-identical to [`evaluate`] on the same
-/// inputs at every width, whatever the options.
+/// inputs at every width, on every SIMD level.
 ///
 /// # Example
 ///
@@ -1368,14 +1331,16 @@ pub struct BitSliceEvaluator {
 }
 
 impl BitSliceEvaluator {
-    /// Compiles `netlist` into a kernel tape with
-    /// [`TapeOptions::default`].
+    /// Compiles `netlist` into a kernel tape that runs on the widest
+    /// SIMD level this host has ([`SimdMode::Auto`]).
     pub fn compile(netlist: &Netlist) -> Self {
-        BitSliceEvaluator::compile_with(netlist, TapeOptions::default())
+        BitSliceEvaluator::compile_with(netlist, SimdMode::Auto)
     }
 
-    /// Compiles `netlist` into a kernel tape with explicit locality
-    /// options.
+    /// Compiles `netlist` into a kernel tape whose replay kernels go no
+    /// wider than `simd` — the ceiling differential tests pin the SSE2
+    /// and portable kernels with on an AVX2 host. The tape itself is the
+    /// same at every level.
     ///
     /// The pass is deterministic and purely structural: folding,
     /// fusion, tape order, and slot assignment depend only on the
@@ -1384,8 +1349,8 @@ impl BitSliceEvaluator {
     /// compiling a patched netlist afresh yields the same structure as
     /// patching a compiled tape in place — the invariant
     /// [`BitSliceEvaluator::patched`] relies on.
-    pub fn compile_with(netlist: &Netlist, options: TapeOptions) -> Self {
-        BitSliceEvaluator::compile_for(netlist, options, usize::MAX)
+    pub fn compile_with(netlist: &Netlist, simd: SimdMode) -> Self {
+        BitSliceEvaluator::compile_for(netlist, simd, usize::MAX)
     }
 
     /// Compiles `netlist` for a reader of only its first `reads`
@@ -1399,15 +1364,16 @@ impl BitSliceEvaluator {
     ///
     /// With `reads` at or above the output count this is
     /// [`BitSliceEvaluator::compile`], instruction for instruction.
-    /// Like every option of the pass, the order is structural, so
+    /// Like the rest of the pass, the order is structural, so
     /// [`BitSliceEvaluator::patched`] keeps the prefix.
     pub fn compile_reading(netlist: &Netlist, reads: usize) -> Self {
-        BitSliceEvaluator::compile_for(netlist, TapeOptions::default(), reads)
+        BitSliceEvaluator::compile_for(netlist, SimdMode::Auto, reads)
     }
 
-    /// The locality pass behind every compile entry: `options` shape the
-    /// tape, and the read cone of outputs `..reads` goes first.
-    fn compile_for(netlist: &Netlist, options: TapeOptions, reads: usize) -> Self {
+    /// The locality pass behind every compile entry: the read cone of
+    /// outputs `..reads` goes first, and the replay kernels go no wider
+    /// than `simd`.
+    fn compile_for(netlist: &Netlist, simd: SimdMode, reads: usize) -> Self {
         let n = netlist.len();
         const NEVER: usize = usize::MAX;
         let mut pinned = vec![false; n];
@@ -1459,19 +1425,17 @@ impl BitSliceEvaluator {
         }
         let mut reg_source = vec![REG; n]; // consumer -> fanin fed via acc
         let mut fused_out = vec![false; n]; // value lives in acc, no slot
-        if options.fuse {
-            for (id, node) in netlist.iter() {
-                if !emits(node, id.index()) {
-                    continue;
-                }
-                for &f in node.fanins() {
-                    let r = root[f.index()] as usize;
-                    let input = netlist.node(NodeId::new(r as u32)).op() == Op::Input;
-                    if counts[r] == 1 && !input && !fused_out[r] {
-                        reg_source[id.index()] = r as u32;
-                        fused_out[r] = true;
-                        break;
-                    }
+        for (id, node) in netlist.iter() {
+            if !emits(node, id.index()) {
+                continue;
+            }
+            for &f in node.fanins() {
+                let r = root[f.index()] as usize;
+                let input = netlist.node(NodeId::new(r as u32)).op() == Op::Input;
+                if counts[r] == 1 && !input && !fused_out[r] {
+                    reg_source[id.index()] = r as u32;
+                    fused_out[r] = true;
+                    break;
                 }
             }
         }
@@ -1557,11 +1521,7 @@ impl BitSliceEvaluator {
         // slot of the operand that died feeding it — safe because the
         // kernel loads both operand spans in full before storing.
         let mut slot_of = vec![REG; n];
-        let mut pool = SlotPool {
-            free: Vec::new(),
-            high: 0,
-            reuse: options.reuse,
-        };
+        let mut pool = SlotPool::default();
         for &i in netlist.inputs() {
             slot_of[i.index()] = pool.alloc();
         }
@@ -1607,7 +1567,7 @@ impl BitSliceEvaluator {
         // unconditional indexed load/store); the slot is written and
         // re-read back-to-back, so it stays cache-hot regardless of
         // frame size. It is always reserved — arity-0/1 instructions
-        // read it behind all-zero operand masks even in unfused tapes.
+        // read it behind all-zero operand masks even where nothing fuses.
         let acc_slot = frame_slots as u32;
 
         // 6. Emit the tape and the instruction → cell-id table; an
@@ -1668,7 +1628,7 @@ impl BitSliceEvaluator {
             frame_slots_unoptimized: n,
             frame_slots,
             // Feature detection happens once here, never in the hot loop.
-            simd: options.simd.resolve(),
+            simd: simd.resolve(),
         };
         BitSliceEvaluator {
             tape,
@@ -1750,8 +1710,8 @@ impl BitSliceEvaluator {
     }
 
     /// The SIMD dispatch level this tape executes with: the requested
-    /// [`TapeOptions::simd`] clamped to what runtime CPU-feature
-    /// detection found at compile time.
+    /// [`SimdMode`] clamped to what runtime CPU-feature detection found
+    /// at compile time.
     pub fn simd_level(&self) -> SimdLevel {
         self.stats.simd
     }
@@ -2306,13 +2266,7 @@ mod tests {
         for seed in 0..3 {
             let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(seed);
             for mode in modes {
-                let sliced = BitSliceEvaluator::compile_with(
-                    &nl,
-                    TapeOptions {
-                        simd: mode,
-                        ..TapeOptions::default()
-                    },
-                );
+                let sliced = BitSliceEvaluator::compile_with(&nl, mode);
                 for words in SUPPORTED_SLICE_WORDS {
                     let mut frame = sliced.frame_with_words(words);
                     for lanes in [1usize, 63, 64 * words, 64 * words + 1] {
@@ -2361,16 +2315,10 @@ mod tests {
         let mut nl = Netlist::new("s");
         let a = nl.add_input("a");
         nl.add_output(a, "y");
-        let off = BitSliceEvaluator::compile_with(
-            &nl,
-            TapeOptions {
-                simd: SimdMode::Off,
-                ..TapeOptions::default()
-            },
-        );
+        let off = BitSliceEvaluator::compile_with(&nl, SimdMode::Off);
         assert_eq!(off.simd_level(), SimdLevel::Scalar);
         assert_eq!(off.tape_stats().simd, SimdLevel::Scalar);
-        let auto = BitSliceEvaluator::compile_with(&nl, TapeOptions::default());
+        let auto = BitSliceEvaluator::compile_with(&nl, SimdMode::Auto);
         if cfg!(target_arch = "x86_64") {
             assert_ne!(auto.simd_level(), SimdLevel::Scalar, "x86_64 has SSE2");
         } else {
@@ -2587,38 +2535,28 @@ mod tests {
         replay_tape(&[], SimdLevel::Scalar, &mut words, 4, 5, 0);
     }
 
-    /// Every combination of locality options is bit-identical to the
-    /// oracle.
+    /// Every SIMD ceiling — the one option a tape takes — is
+    /// bit-identical to the oracle, on frame widths outside
+    /// [`SUPPORTED_SLICE_WORDS`] too.
     #[test]
     fn tape_options_variants_match_oracle() {
         use crate::random::RandomDag;
-        let variants = [
-            TapeOptions::default(),
-            TapeOptions {
-                fuse: false,
-                ..TapeOptions::default()
-            },
-            TapeOptions {
-                reuse: false,
-                ..TapeOptions::default()
-            },
-            TapeOptions {
-                fuse: false,
-                reuse: false,
-                ..TapeOptions::default()
-            },
-        ];
         for seed in 0..3 {
             let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(seed);
-            for opt in variants {
-                let sliced = BitSliceEvaluator::compile_with(&nl, opt);
+            for simd in [
+                SimdMode::Auto,
+                SimdMode::Avx2,
+                SimdMode::Sse2,
+                SimdMode::Off,
+            ] {
+                let sliced = BitSliceEvaluator::compile_with(&nl, simd);
                 for words in [1usize, 3, 8] {
                     let mut frame = sliced.frame_with_words(words);
                     for lanes in [1usize, 63, 64 * words + 1] {
                         let inputs = patterned_inputs(&nl, lanes, seed as usize);
                         let want = evaluate(&nl, &inputs).unwrap();
                         let got = sliced.evaluate_with(&inputs, lanes, &mut frame).unwrap();
-                        assert_eq!(got, want, "seed {seed} opt {opt:?} words {words}");
+                        assert_eq!(got, want, "seed {seed} simd {simd} words {words}");
                     }
                 }
             }
@@ -2626,8 +2564,8 @@ mod tests {
     }
 
     /// A hand-built single-fanout run fuses into one chain: interiors
-    /// vanish from the frame, the live footprint shrinks, and the fused
-    /// tape still matches the oracle. The inverter inside the run folds
+    /// vanish from the frame, the live footprint shrinks to the two
+    /// inputs, and the fused tape still matches the oracle. The inverter inside the run folds
     /// into its reader; the one driving the output stays.
     #[test]
     fn fusion_fuses_chains_and_shrinks_frame() {
@@ -2640,7 +2578,7 @@ mod tests {
         let g4 = nl.add_gate1(Op::Not, g3);
         nl.add_output(g4, "y");
 
-        let sliced = BitSliceEvaluator::compile_with(&nl, TapeOptions::default());
+        let sliced = BitSliceEvaluator::compile(&nl);
         let stats = sliced.tape_stats();
         assert_eq!(stats.tape_len, 3, "g2 folds into g3's masks");
         assert_eq!(stats.folded_cells, 1);
@@ -2652,27 +2590,17 @@ mod tests {
         assert_eq!(stats.frame_slots, 2);
         assert_eq!(sliced.fused_cells(), vec![g1, g3]);
 
-        let unfused = BitSliceEvaluator::compile_with(
-            &nl,
-            TapeOptions {
-                fuse: false,
-                ..TapeOptions::default()
-            },
-        );
-        assert_eq!(unfused.tape_stats().fused_instrs, 0);
-
         for lanes in [1usize, 64, 130] {
             let bits_a: Vec<bool> = (0..lanes).map(|l| l % 3 == 0).collect();
             let bits_b: Vec<bool> = (0..lanes).map(|l| l % 5 != 0).collect();
             let inputs = [Lanes::from_bools(&bits_a), Lanes::from_bools(&bits_b)];
             let want = evaluate(&nl, &inputs).unwrap();
-            assert_eq!(sliced.evaluate(&inputs).unwrap(), want, "fused, {lanes}");
-            assert_eq!(unfused.evaluate(&inputs).unwrap(), want, "unfused, {lanes}");
+            assert_eq!(sliced.evaluate(&inputs).unwrap(), want, "{lanes} lanes");
         }
     }
 
-    /// Dead stores and unread inputs release their slots; with reuse off
-    /// the frame keeps one slot per stored value.
+    /// Dead stores and unread inputs release their slots: three stored
+    /// values share two slots.
     #[test]
     fn dead_and_unread_slots_are_recycled() {
         let mut nl = Netlist::new("dead");
@@ -2680,21 +2608,13 @@ mod tests {
         let _b = nl.add_input("b"); // never read
         let y = nl.add_gate1(Op::Not, a);
         nl.add_output(y, "y");
-        let fused = BitSliceEvaluator::compile_with(&nl, TapeOptions::default());
+        let tape = BitSliceEvaluator::compile(&nl);
         // b's slot is released, then a dies feeding y: y reuses a slot.
-        assert_eq!(fused.tape_stats().frame_slots, 2);
-        let no_reuse = BitSliceEvaluator::compile_with(
-            &nl,
-            TapeOptions {
-                reuse: false,
-                ..TapeOptions::default()
-            },
-        );
-        assert_eq!(no_reuse.tape_stats().frame_slots, 3);
-        for e in [&fused, &no_reuse] {
-            let out = e.evaluate(&[Lanes::zeros(100), Lanes::ones(100)]).unwrap();
-            assert_eq!(out[0].count_ones(), 100, "NOT of all-zero = all-one");
-        }
+        assert_eq!(tape.tape_stats().frame_slots, 2);
+        let out = tape
+            .evaluate(&[Lanes::zeros(100), Lanes::ones(100)])
+            .unwrap();
+        assert_eq!(out[0].count_ones(), 100, "NOT of all-zero = all-one");
     }
 
     /// Arity-1 shapes the fold step must compose exactly: `Not(Not(x))`
@@ -2731,13 +2651,7 @@ mod tests {
         let random = RandomDag::loose(6, 4, 7).outputs(2).generate(11);
         for nl in [&random, &folds] {
             for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
-                let sliced = BitSliceEvaluator::compile_with(
-                    nl,
-                    TapeOptions {
-                        simd,
-                        ..TapeOptions::default()
-                    },
-                );
+                let sliced = BitSliceEvaluator::compile_with(nl, simd);
                 assert_eq!(sliced.tape_stats().tile_words(), 16);
                 let mut frame = sliced.frame_with_words(16);
                 for occupied in 1..=16usize {
@@ -2797,19 +2711,6 @@ mod tests {
                 assert_eq!(tape.folds, Folds::default());
                 assert_eq!(tape.tape_stats().folded_cells, 0);
             }
-        }
-        let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(0);
-        for (fuse, reuse, want) in [
-            (false, true, 0x72ce_7be2_56a9_b76a),
-            (true, false, 0xc832_8ebe_8d16_924b),
-        ] {
-            let options = TapeOptions {
-                fuse,
-                reuse,
-                ..TapeOptions::default()
-            };
-            let tape = BitSliceEvaluator::compile_with(&nl, options);
-            assert_eq!(fingerprint(&tape), want, "fuse {fuse} reuse {reuse}");
         }
     }
 
@@ -2872,7 +2773,7 @@ mod tests {
             d3,
             e3,
         } = fold_fixture();
-        let sliced = BitSliceEvaluator::compile_with(&nl, TapeOptions::default());
+        let sliced = BitSliceEvaluator::compile(&nl);
         let stats = sliced.tape_stats();
         assert_eq!((stats.folded_cells, stats.tape_len), (6, 5), "{stats:?}");
         assert_eq!(sliced.fused_cells(), vec![g1], "g1 feeds g3 through g2");
@@ -2895,7 +2796,7 @@ mod tests {
             let patched = sliced.patched(&patches).unwrap();
             let mut patched_nl = nl.clone();
             patched_nl.apply_patches(&patches).unwrap();
-            let fresh = BitSliceEvaluator::compile_with(&patched_nl, TapeOptions::default());
+            let fresh = BitSliceEvaluator::compile(&patched_nl);
             assert!(
                 patched == fresh,
                 "{case}: patched tape differs from a fresh compile"
@@ -2989,11 +2890,7 @@ mod tests {
                 }
 
                 for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
-                    let options = TapeOptions {
-                        simd,
-                        ..TapeOptions::default()
-                    };
-                    let tape = BitSliceEvaluator::compile_for(nl, options, reads);
+                    let tape = BitSliceEvaluator::compile_for(nl, simd, reads);
                     let mut frame = tape.frame_with_words(16);
                     for occupied in 1..=16usize {
                         let lanes = 64 * occupied - 37;

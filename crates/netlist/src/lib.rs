@@ -18,8 +18,8 @@
 //!   oracle for the LPU simulator, plus the width-generic bit-sliced
 //!   kernel compiler ([`BitSliceEvaluator`], 64–1024 lanes per
 //!   [`SliceFrame`] block) behind the serving layer's fast execution
-//!   backend, with a tape-locality pass ([`TapeOptions`]/[`TapeStats`]:
-//!   chain fusion, liveness-based slot reuse) and
+//!   backend, with a tape-locality pass ([`TapeStats`]: chain fusion,
+//!   liveness-based slot reuse) and
 //!   runtime-detected `std::arch` SIMD replay kernels
 //!   ([`SimdMode`]/[`SimdLevel`], AVX2/SSE2 on x86_64),
 //! * partitioned execution ([`partitioned`]): a netlist split into
@@ -63,7 +63,7 @@ pub mod verilog;
 pub use cell::Op;
 pub use error::NetlistError;
 pub use eval::{
-    BitSliceEvaluator, Lanes, PackedRows, SimdLevel, SimdMode, SliceFrame, TapeOptions, TapeStats,
+    BitSliceEvaluator, Lanes, PackedRows, SimdLevel, SimdMode, SliceFrame, TapeStats,
     SUPPORTED_SLICE_WORDS,
 };
 pub use levelize::Levels;

@@ -42,8 +42,8 @@
 use crate::cell::Op;
 use crate::error::NetlistError;
 use crate::eval::{
-    check_arity, into_lanes, lane_sink, replay_tape, Lanes, SimdLevel, SliceFrame, SliceInstr,
-    SlotPool, TapeOptions,
+    check_arity, into_lanes, lane_sink, replay_tape, Lanes, SimdLevel, SimdMode, SliceFrame,
+    SliceInstr, SlotPool,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::patch::PatchSet;
@@ -295,7 +295,8 @@ pub struct PartitionedEngine {
 
 impl PartitionedEngine {
     /// Compiles `netlist` into `parts` partition tapes with the default
-    /// contiguous per-level assignment and [`TapeOptions::default`].
+    /// contiguous per-level assignment, on the widest SIMD level this
+    /// host has ([`SimdMode::Auto`]).
     ///
     /// # Errors
     ///
@@ -303,17 +304,17 @@ impl PartitionedEngine {
     /// `1..=`[`MAX_PARTITIONS`].
     pub fn compile(netlist: &Netlist, parts: usize) -> Result<Self, NetlistError> {
         let assignment = PartitionAssignment::contiguous(netlist, parts)?;
-        PartitionedEngine::compile_with(netlist, &assignment, TapeOptions::default())
+        PartitionedEngine::compile_with(netlist, &assignment, SimdMode::Auto)
     }
 
-    /// Compiles `netlist` against an explicit [`PartitionAssignment`]
-    /// and locality options. [`TapeOptions::fuse`] is ignored —
-    /// single-fanout chains span levels, and partition tapes must break
-    /// at every level boundary for the exchange — while `reuse` and
-    /// `simd` apply per partition.
+    /// Compiles `netlist` against an explicit [`PartitionAssignment`],
+    /// with replay kernels no wider than `simd`. Partition tapes recycle
+    /// dead slots but fuse no chains: single-fanout chains span levels,
+    /// and partition tapes must break at every level boundary for the
+    /// exchange.
     ///
     /// Deterministic and purely structural: two compiles of the same
-    /// netlist with the same assignment and options are equal, and
+    /// netlist with the same assignment and ceiling are equal, and
     /// patching never changes the schedule
     /// ([`PartitionedEngine::patched`]).
     ///
@@ -324,7 +325,7 @@ impl PartitionedEngine {
     pub fn compile_with(
         netlist: &Netlist,
         assignment: &PartitionAssignment,
-        options: TapeOptions,
+        simd: SimdMode,
     ) -> Result<Self, NetlistError> {
         let n = netlist.len();
         let parts = assignment.parts;
@@ -434,11 +435,7 @@ impl PartitionedEngine {
                     }
                 }
             }
-            let mut pool = SlotPool {
-                free: Vec::new(),
-                high: 0,
-                reuse: options.reuse,
-            };
+            let mut pool = SlotPool::default();
             let mut slots = vec![NONE; n];
             for &i in netlist.inputs() {
                 let ii = i.index();
@@ -587,7 +584,7 @@ impl PartitionedEngine {
             num_inputs: netlist.inputs().len(),
             num_outputs: netlist.outputs().len(),
             num_cells: n,
-            simd: options.simd.resolve(),
+            simd: simd.resolve(),
             stats,
         })
     }
@@ -1069,8 +1066,8 @@ mod tests {
     }
 
     /// The symbolic model checker accepts every schedule this compiler
-    /// emits — contiguous and adversarial assignments, slot reuse on
-    /// and off — and compilation is deterministic.
+    /// emits — contiguous and adversarial assignments — and compilation
+    /// is deterministic.
     #[test]
     fn schedules_validate_and_compile_deterministically() {
         for seed in 0..4 {
@@ -1082,18 +1079,12 @@ mod tests {
                 assert_eq!(a, b, "seed {seed} parts {parts} not deterministic");
             }
             let assignment = scattered_assignment(&nl, 4, seed);
-            for reuse in [true, false] {
-                let options = TapeOptions {
-                    reuse,
-                    ..TapeOptions::default()
-                };
-                let engine = PartitionedEngine::compile_with(&nl, &assignment, options).unwrap();
-                engine.validate(&nl).unwrap();
-                let inputs = test_inputs(&nl, 130, seed);
-                let want = evaluate(&nl, &inputs).unwrap();
-                let got = engine.evaluate(&inputs).unwrap();
-                assert_eq!(got, want, "adversarial seed {seed} reuse {reuse}");
-            }
+            let engine = PartitionedEngine::compile_with(&nl, &assignment, SimdMode::Auto).unwrap();
+            engine.validate(&nl).unwrap();
+            let inputs = test_inputs(&nl, 130, seed);
+            let want = evaluate(&nl, &inputs).unwrap();
+            let got = engine.evaluate(&inputs).unwrap();
+            assert_eq!(got, want, "adversarial seed {seed}");
         }
     }
 
@@ -1113,8 +1104,7 @@ mod tests {
             maps.extend((0..4).map(|seed| scattered_assignment(&nl, parts, seed)));
             for assignment in &maps {
                 let engine =
-                    PartitionedEngine::compile_with(&nl, assignment, TapeOptions::default())
-                        .unwrap();
+                    PartitionedEngine::compile_with(&nl, assignment, SimdMode::Auto).unwrap();
                 engine.validate(&nl).unwrap();
                 engines.push(engine);
             }
@@ -1197,7 +1187,7 @@ mod tests {
         // Assignment sized for a different netlist.
         let short = PartitionAssignment::from_map(2, vec![0; 1]).unwrap();
         assert!(matches!(
-            PartitionedEngine::compile_with(&nl, &short, TapeOptions::default()),
+            PartitionedEngine::compile_with(&nl, &short, SimdMode::Auto),
             Err(NetlistError::Malformed { .. })
         ));
         assert!(matches!(
@@ -1243,15 +1233,10 @@ mod tests {
     /// exchanges bit-identically on every SIMD level.
     #[test]
     fn every_occupied_word_count_matches_oracle_on_every_simd_level() {
-        use crate::eval::SimdMode;
         let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(2);
         let assignment = PartitionAssignment::contiguous(&nl, 3).unwrap();
         for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
-            let options = TapeOptions {
-                simd,
-                ..TapeOptions::default()
-            };
-            let engine = PartitionedEngine::compile_with(&nl, &assignment, options).unwrap();
+            let engine = PartitionedEngine::compile_with(&nl, &assignment, simd).unwrap();
             let mut frames = engine.frames_with_words(16);
             for occupied in 1..=16usize {
                 for lanes in [64 * occupied - 37, 1024 + 64 * occupied - 37] {

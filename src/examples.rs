@@ -35,8 +35,7 @@
 //! assert_eq!(result.outputs[0].to_bools(), vec![true]); // (1 & 0) ^ 1
 //!
 //! // Same block, bit-sliced backend: bit-identical, faster host replay.
-//! // `words` picks the slice width (1/2/4/8/16 = 64-1024 lanes per pass);
-//! // `Backend::BitSliced64` is the one-word shim.
+//! // `words` picks the slice width (1/2/4/8/16 = 64-1024 lanes per pass).
 //! let sliced = Flow::builder(&nl)
 //!     .config(LpuConfig::new(4, 4))
 //!     .backend(Backend::BitSliced { words: 4 })

@@ -25,9 +25,8 @@
 //! Engines replay on bit-identical [`Backend`]s — the cycle-accurate
 //! machine ([`Backend::Scalar`]) or bit-sliced word kernels at a
 //! selectable width ([`Backend::BitSliced`]` { words }`: 1/2/4/8/16
-//! words per net = 64/128/256/512/1024 lanes per kernel pass, with
-//! [`Backend::BitSliced64`] kept as the one-word shim), selected with
-//! [`FlowBuilder::backend`] — and split into an immutable shared core
+//! words per net = 64/128/256/512/1024 lanes per kernel pass), selected
+//! with [`FlowBuilder::backend`] — and split into an immutable shared core
 //! plus per-worker scratch, so one resident compiled block serves from
 //! any number of threads. [`Engine::run_batches`] shards batch
 //! sequences across scoped threads, and the [`Runtime`] — whose workers
@@ -80,7 +79,7 @@ pub use lbnn_core::{
     ArtifactError, Backend, CompileArtifacts, CompileReport, CompiledModel, CoreError, Engine,
     EngineCore, EngineScratch, Flow, FlowBuilder, FlowOptions, FlowStats, LayerSpec, LpuConfig,
     LpuMachine, ModelScratch, PassReport, PatchDelta, PatchRecord, QueueStats, RequestHandle,
-    Runtime, RuntimeOptions, RuntimeStats, ServingMode, ThroughputReport, WallTiming,
+    Runtime, RuntimeOptions, RuntimeStats, ServingMode, ThroughputReport,
 };
 pub use lbnn_netlist::PatchSet;
 

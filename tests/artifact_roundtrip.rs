@@ -421,7 +421,7 @@ fn patch_delta_round_trips_through_files() {
     let netlist = RandomDag::strict(9, 4, 7).outputs(3).generate(17);
     let flow = Flow::builder(&netlist)
         .config(LpuConfig::new(4, 4))
-        .backend(Backend::BitSliced64)
+        .backend(Backend::BitSliced { words: 1 })
         .compile()
         .unwrap();
     let patches: PatchSet = flow

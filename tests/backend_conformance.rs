@@ -493,14 +493,14 @@ proptest! {
             })
             .collect();
         let assignment = PartitionAssignment::from_map(parts, map).unwrap();
-        let opts = lbnn::netlist::TapeOptions::default();
-        let engine = PartitionedEngine::compile_with(&netlist, &assignment, opts).unwrap();
+        let simd = lbnn::netlist::SimdMode::Auto;
+        let engine = PartitionedEngine::compile_with(&netlist, &assignment, simd).unwrap();
         engine
             .validate(&netlist)
             .expect("schedule transfers every net before use, no live overwrite");
         // Deterministic: an independent compile of the same netlist +
         // assignment is structurally identical.
-        let again = PartitionedEngine::compile_with(&netlist, &assignment, opts).unwrap();
+        let again = PartitionedEngine::compile_with(&netlist, &assignment, simd).unwrap();
         assert_eq!(engine, again, "compilation must be deterministic");
         // And it executes bit-exactly.
         let width = netlist.inputs().len();
@@ -588,45 +588,18 @@ fn partial_micro_batches_conform_on_every_width() {
     }
 }
 
-/// Tape-locality differential sweep (ISSUE 8): the fused, slot-reused
-/// kernel tape must be bit-identical to the oracle with the locality
-/// pass in every configuration — fusion on/off, slot reuse on/off — at
-/// 64–1024 lanes and awkward batch shapes, and (the width differential)
-/// at every occupied-word count 1..=16 of a 1024-lane frame on every
-/// SIMD level: a block is split largest-first into tiles from
-/// `{16, 8, 4, 2, 1}` by how many words it carries (13 = 8 + 4 + 1), so
-/// partial blocks are the only way to the narrow-tile kernels. Options
-/// are passed explicitly ([`lbnn::netlist::TapeOptions`]) — the typed
-/// handle is the only way to reach a non-default configuration.
+/// Tape-locality differential sweep: the fused, slot-reused kernel
+/// tape must be bit-identical to the oracle under every SIMD ceiling —
+/// the one option a tape takes — at 64–1024 lanes and awkward batch
+/// shapes, and (the width differential) at every occupied-word count
+/// 1..=16 of a 1024-lane frame: a block is split largest-first into
+/// tiles from `{16, 8, 4, 2, 1}` by how many words it carries
+/// (13 = 8 + 4 + 1), so partial blocks are the only way to the
+/// narrow-tile kernels.
 #[test]
 fn tape_locality_options_are_bit_identical_at_every_width() {
     use lbnn::netlist::eval::BitSliceEvaluator;
-    use lbnn::netlist::{SimdMode, TapeOptions};
-    let variants = [
-        ("default", TapeOptions::default()),
-        (
-            "fusion off",
-            TapeOptions {
-                fuse: false,
-                ..TapeOptions::default()
-            },
-        ),
-        (
-            "reuse off",
-            TapeOptions {
-                reuse: false,
-                ..TapeOptions::default()
-            },
-        ),
-        (
-            "both off",
-            TapeOptions {
-                fuse: false,
-                reuse: false,
-                ..TapeOptions::default()
-            },
-        ),
-    ];
+    use lbnn::netlist::SimdMode;
     // One ragged block of `k` occupied words, alone and after a full one.
     let occupied_lanes: Vec<usize> = (1..=16)
         .flat_map(|k| [64 * k - 37, 1024 + 64 * k - 37])
@@ -648,13 +621,16 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
         };
         let awkward = with_oracle(&awkward_lane_counts());
         let occupied = with_oracle(&occupied_lanes);
-        for (label, opt) in variants {
-            let sliced = BitSliceEvaluator::compile_with(&netlist, opt);
-            if label == "default" {
-                let stats = sliced.tape_stats();
-                saw_fusion |= stats.fused_instrs > 0;
-                saw_shrink |= stats.frame_slots < stats.frame_slots_unoptimized;
-            }
+        for simd in [
+            SimdMode::Auto,
+            SimdMode::Avx2,
+            SimdMode::Sse2,
+            SimdMode::Off,
+        ] {
+            let sliced = BitSliceEvaluator::compile_with(&netlist, simd);
+            let stats = sliced.tape_stats();
+            saw_fusion |= stats.fused_instrs > 0;
+            saw_shrink |= stats.frame_slots < stats.frame_slots_unoptimized;
             for &words in lbnn::netlist::SUPPORTED_SLICE_WORDS.iter() {
                 let mut frame = sliced.frame_with_words(words);
                 for (b, want) in &awkward {
@@ -662,21 +638,15 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
                     let got = sliced.evaluate_with(b, lanes, &mut frame).unwrap();
                     assert_eq!(
                         &got, want,
-                        "seed {seed} variant `{label}` words {words} lanes {lanes}"
+                        "seed {seed} simd {simd} words {words} lanes {lanes}"
                     );
                 }
             }
-            for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
-                let sliced = BitSliceEvaluator::compile_with(&netlist, TapeOptions { simd, ..opt });
-                let mut frame = sliced.frame_with_words(16);
-                for (b, want) in &occupied {
-                    let lanes = b[0].len();
-                    let got = sliced.evaluate_with(b, lanes, &mut frame).unwrap();
-                    assert_eq!(
-                        &got, want,
-                        "seed {seed} variant `{label}` simd {simd} lanes {lanes}"
-                    );
-                }
+            let mut frame = sliced.frame_with_words(16);
+            for (b, want) in &occupied {
+                let lanes = b[0].len();
+                let got = sliced.evaluate_with(b, lanes, &mut frame).unwrap();
+                assert_eq!(&got, want, "seed {seed} simd {simd} lanes {lanes}");
             }
         }
     }
@@ -691,12 +661,12 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
 /// included. A patched tape (the in-place ANF-mask rewrite behind the
 /// `.lbnnp` hot-reconfiguration flow) must stay bit-identical under
 /// every variant too. Modes are forced through the typed
-/// [`lbnn::netlist::SimdMode`] in `TapeOptions::simd`; the default run
-/// of every other suite exercises the best available path.
+/// [`lbnn::netlist::SimdMode`] ceiling of `compile_with`; the default
+/// run of every other suite exercises the best available path.
 #[test]
 fn simd_dispatch_variants_are_bit_identical_at_every_width() {
     use lbnn::netlist::eval::BitSliceEvaluator;
-    use lbnn::netlist::{PatchSet, SimdMode, TapeOptions};
+    use lbnn::netlist::{PatchSet, SimdMode};
     let modes = [
         SimdMode::Auto,
         SimdMode::Avx2,
@@ -731,11 +701,7 @@ fn simd_dispatch_variants_are_bit_identical_at_every_width() {
             .map(|b| evaluate(&patched_netlist, b).unwrap())
             .collect();
         for mode in modes {
-            let opt = TapeOptions {
-                simd: mode,
-                ..TapeOptions::default()
-            };
-            let sliced = BitSliceEvaluator::compile_with(&netlist, opt);
+            let sliced = BitSliceEvaluator::compile_with(&netlist, mode);
             let patched = sliced.patched(&patches).unwrap();
             // Patching rewrites masks in place, never the dispatch level.
             assert_eq!(

@@ -383,8 +383,10 @@ fn hidden_links_replay_their_read_cones_on_every_width() {
 }
 
 /// A layer that reads none of the outputs before it: the hidden link
-/// replays no instruction on the chain, and the zero-input layer runs
-/// one lane, as an empty `run_batch` does.
+/// replays no instruction on the chain, and the zero-input layer's
+/// constants reach every lane of the batch — on every backend and lane
+/// count, and through a runtime whose micro-batches are wider than one
+/// word. A lone `run_batch(&[])` still answers one lane.
 #[test]
 fn a_link_read_by_a_zero_input_layer_replays_nothing() {
     let mut constants = Netlist::new("constants");
@@ -396,9 +398,11 @@ fn a_link_read_by_a_zero_input_layer_replays_nothing() {
         RandomDag::strict(6, 3, 16).outputs(16).generate(25),
         constants,
     ];
-    for words in WIDTHS {
-        let model = compile(&netlists, sliced(words), 1);
-        assert_eq!(prefixes(&model)[0].0, 0, "{words} words");
+    for backend in [Backend::Scalar].into_iter().chain(WIDTHS.map(sliced)) {
+        let model = compile(&netlists, backend, 1);
+        if backend != Backend::Scalar {
+            assert_eq!(prefixes(&model)[0].0, 0, "{backend}");
+        }
         let lone = model.layers()[1]
             .flow()
             .engine()
@@ -407,26 +411,27 @@ fn a_link_read_by_a_zero_input_layer_replays_nothing() {
             .unwrap();
         assert_eq!(Lanes::unpack_rows(&lone.outputs), vec![vec![true, true]]);
         let mut scratch = ModelScratch::new();
-        for lanes in CONE_LANES {
+        for lanes in LANE_COUNTS {
             let inputs = batch(6, lanes, lanes);
+            let broadcast = vec![Lanes::ones(lanes); 2];
             let got = model.infer_with(&mut scratch, &inputs).unwrap();
             assert_eq!(
                 got.layer_outputs[0],
                 evaluate(&netlists[0], &inputs).unwrap()
             );
-            assert_eq!(
-                got.layer_outputs[1], lone.outputs,
-                "{words} words, {lanes} lanes"
-            );
+            assert_eq!(got.layer_outputs[1], broadcast, "{backend}, {lanes} lanes");
             let streamed = model.infer_batches(&[inputs]).unwrap();
-            assert_eq!(
-                streamed[0].outputs(),
-                lone.outputs,
-                "{words} words, {lanes} lanes"
-            );
+            assert_eq!(streamed[0].outputs(), broadcast, "{backend}, {lanes} lanes");
         }
+        // 1 100 requests outstanding at once: every bit-sliced width
+        // forms micro-batches of more than 64 lanes.
         let runtime = Runtime::from_model(model, RuntimeOptions::default().workers(1)).unwrap();
-        assert_eq!(serve(&runtime, &[vec![true; 6]]), vec![vec![true, true]]);
+        let rows = Lanes::unpack_rows(&batch(6, 1100, 5));
+        let served = serve(&runtime, &rows);
+        assert_eq!(served.len(), rows.len());
+        for (j, row) in served.iter().enumerate() {
+            assert_eq!(row, &[true, true], "{backend}, request {j}");
+        }
     }
 }
 

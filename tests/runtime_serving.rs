@@ -142,7 +142,7 @@ fn assert_batches_partition_requests(stats: &RuntimeStats) {
 fn concurrent_submitters_get_their_own_answers() {
     let netlist = RandomDag::strict(10, 5, 8).outputs(4).generate(77);
     let width = netlist.inputs().len();
-    for backend in [Backend::Scalar, Backend::BitSliced64] {
+    for backend in [Backend::Scalar, Backend::BitSliced { words: 1 }] {
         let flow = Flow::builder(&netlist)
             .config(LpuConfig::new(5, 4))
             .backend(backend)
@@ -193,7 +193,7 @@ fn model_runtime_matches_whole_model_inference() {
         LayerSpec::block("L2", RandomDag::strict(5, 3, 4).outputs(3).generate(22)),
     ];
     let config = LpuConfig::new(4, 4);
-    for backend in [Backend::Scalar, Backend::BitSliced64] {
+    for backend in [Backend::Scalar, Backend::BitSliced { words: 1 }] {
         let options = FlowOptions {
             backend,
             ..Default::default()
@@ -252,11 +252,11 @@ fn batches_served_is_exact_across_all_serving_paths() {
     let mut engine = flow.engine().unwrap();
     engine.run_batches(&batches).unwrap();
     assert_eq!(engine.batches_served(), 10);
-    engine.set_workers(3);
+    let mut engine = engine.with_workers(3);
     engine.run_batches(&batches).unwrap();
     engine.run_batches(&batches).unwrap();
     assert_eq!(engine.batches_served(), 30);
-    engine.set_workers(2);
+    let mut engine = engine.with_workers(2);
     engine.run_batches(&batches).unwrap();
     assert_eq!(engine.batches_served(), 40);
 
@@ -287,7 +287,7 @@ fn backpressure_and_deadline_flush_deliver_every_response() {
     let width = netlist.inputs().len();
     let flow = Flow::builder(&netlist)
         .config(LpuConfig::new(4, 4))
-        .backend(Backend::BitSliced64)
+        .backend(Backend::BitSliced { words: 1 })
         .compile()
         .unwrap();
     let reference = flow.engine().unwrap();
@@ -641,7 +641,7 @@ fn swap_flushes_pending_to_old_core_and_keeps_shed_accounting() {
     let width = netlist.inputs().len();
     let flow = Flow::builder(&netlist)
         .config(LpuConfig::new(4, 4))
-        .backend(Backend::BitSliced64)
+        .backend(Backend::BitSliced { words: 1 })
         .compile()
         .unwrap();
     let patches = negate_outputs(&flow);
