@@ -45,7 +45,7 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lbnn_netlist::eval::{into_lanes, lane_sink};
+use lbnn_netlist::eval::lane_sink;
 use lbnn_netlist::{
     BitSliceEvaluator, Lanes, Netlist, PartitionedEngine, PatchSet, SliceFrame, TapeStats,
     MAX_PARTITIONS, SUPPORTED_SLICE_WORDS,
@@ -488,11 +488,11 @@ impl EngineCore {
         let keep = keep.min(num_outputs);
         kept.clear();
         kept.resize(keep * stride, 0);
-        let mut built = vec![Vec::new(); if columns { num_outputs } else { 0 }];
+        let mut built = Vec::new();
         {
-            let mut build = lane_sink(&mut built, lanes);
+            let mut build = lane_sink(&mut built, if columns { num_outputs } else { 0 }, lanes);
             // Blocks arrive in order: a kept column is stored at the
-            // block's word offset, a built one grows by appending.
+            // block's word offset, a built one is made by `lane_sink`.
             let emitted = if columns { num_outputs } else { keep };
             let sink = |o: usize, base: usize, words: &[u64]| {
                 if o < keep {
@@ -505,7 +505,7 @@ impl EngineCore {
             match &self.kernel {
                 Kernel::Machine => {
                     let inputs: Vec<Lanes> = (0..self.program.num_inputs)
-                        .map(|i| Lanes::from_words(input_words(i)[..stride].to_vec(), lanes))
+                        .map(|i| Lanes::from_slice(&input_words(i)[..stride], lanes))
                         .collect();
                     let mut result =
                         (self.machine).run_with_scratch(&self.program, &inputs, lanes, pass)?;
@@ -528,7 +528,7 @@ impl EngineCore {
         // Functional execution with the scalar path's model-time
         // accounting.
         Ok(RunResult {
-            outputs: into_lanes(built, lanes),
+            outputs: built,
             compute_cycles: self.program.total_cycles,
             clock_cycles: self.program.total_cycles as u64 * self.config().tc() as u64,
             lpe_ops: self.lpe_ops_per_pass,

@@ -8,9 +8,9 @@
 //!
 //! Two evaluation strategies share the [`Lanes`] I/O format:
 //!
-//! * [`evaluate`] — walks the netlist arena directly, one [`Lanes`]
-//!   allocation per net. Simple, and the oracle everything else is tested
-//!   against.
+//! * [`evaluate`] — walks the netlist arena directly, one [`Lanes`] per
+//!   net (a heap block each only past 1024 lanes). Simple, and the oracle
+//!   everything else is tested against.
 //! * [`BitSliceEvaluator`] — compiles the netlist once into a flat tape of
 //!   branch-free ANF word kernels ([`crate::Op::anf_masks`]) over a
 //!   [`SliceFrame`] (a fixed number of `u64` words per net), then replays
@@ -38,6 +38,13 @@ use crate::patch::PatchSet;
 
 /// A packed vector of Boolean lanes (the value of one signal across a batch).
 ///
+/// Up to 1024 lanes (16 words, the widest block a [`SliceFrame`]
+/// replays) live inline, so a batch of ≤ 1024 lanes builds its outputs
+/// with no heap block per column; wider lanes live on the heap. The
+/// price is size: a `Lanes` is 144 bytes whatever its length. Equality,
+/// hashing and `Debug` see only [`Lanes::words`] and [`Lanes::len`],
+/// never the form.
+///
 /// # Example
 ///
 /// ```
@@ -47,46 +54,119 @@ use crate::patch::PatchSet;
 /// assert!(l.get(3));
 /// assert_eq!(l.count_ones(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Lanes {
-    words: Vec<u64>,
+    words: LaneWords,
     len: usize,
+}
+
+/// Words a [`Lanes`] holds inline: one block of the widest slice width.
+const INLINE_WORDS: usize = SUPPORTED_SLICE_WORDS[SUPPORTED_SLICE_WORDS.len() - 1];
+
+/// The words behind a [`Lanes`] of `len` lanes: inline when
+/// `len.div_ceil(64) <= INLINE_WORDS` (the first that many words are the
+/// lanes, the rest zero), on the heap otherwise. The form depends on the
+/// word count alone.
+#[derive(Clone)]
+enum LaneWords {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
+}
+
+impl LaneWords {
+    /// Room for `count` words, `first` at the front: all of them inline,
+    /// or a heap block of capacity `count` that later words append to.
+    #[inline]
+    fn with_first(count: usize, first: &[u64]) -> Self {
+        if count <= INLINE_WORDS {
+            LaneWords::Inline(std::array::from_fn(|i| first.get(i).copied().unwrap_or(0)))
+        } else {
+            let mut words = Vec::with_capacity(count);
+            words.extend_from_slice(first);
+            LaneWords::Heap(words)
+        }
+    }
+
+    /// `count` zero words.
+    fn zeros(count: usize) -> Self {
+        match count <= INLINE_WORDS {
+            true => LaneWords::Inline([0; INLINE_WORDS]),
+            false => LaneWords::Heap(vec![0; count]),
+        }
+    }
+
+    /// Stores `words` at word `base`, right after the words already
+    /// written (a heap column grows by exactly these).
+    #[inline]
+    fn put(&mut self, base: usize, words: &[u64]) {
+        match self {
+            LaneWords::Inline(inline) => inline[base..][..words.len()].copy_from_slice(words),
+            LaneWords::Heap(heap) => {
+                debug_assert_eq!(heap.len(), base, "blocks arrive in order");
+                heap.extend_from_slice(words);
+            }
+        }
+    }
 }
 
 impl Lanes {
     /// Creates `len` lanes, all 0.
     pub fn zeros(len: usize) -> Self {
         Lanes {
-            words: vec![0; len.div_ceil(64)],
+            words: LaneWords::zeros(len.div_ceil(64)),
             len,
         }
     }
 
     /// Creates `len` lanes, all 1.
     pub fn ones(len: usize) -> Self {
-        let mut l = Lanes {
-            words: vec![!0u64; len.div_ceil(64)],
-            len,
-        };
+        let mut l = Lanes::zeros(len);
+        l.words_mut().fill(!0);
         l.mask_tail();
         l
     }
 
     /// Packs a slice of booleans into lanes.
     pub fn from_bools(bits: &[bool]) -> Self {
-        Lanes {
-            words: bits.chunks(64).map(gather_bits).collect(),
-            len: bits.len(),
+        let mut l = Lanes::zeros(bits.len());
+        for (word, chunk) in l.words_mut().iter_mut().zip(bits.chunks(64)) {
+            *word = gather_bits(chunk);
         }
+        l
     }
 
     /// Creates lanes from raw words; bits past `len` are masked off.
-    /// Inlined across crates: `lbnn-core` turns every output column of
-    /// every batch into a `Lanes` through this.
-    #[inline]
+    /// Up to 16 words are copied inline (and `words` freed); more are
+    /// kept as they are.
     pub fn from_words(words: Vec<u64>, len: usize) -> Self {
         assert_eq!(words.len(), len.div_ceil(64), "word count mismatch");
-        let mut l = Lanes { words, len };
+        match words.len() <= INLINE_WORDS {
+            true => Lanes::from_slice(&words, len),
+            false => {
+                let mut l = Lanes {
+                    words: LaneWords::Heap(words),
+                    len,
+                };
+                l.mask_tail();
+                l
+            }
+        }
+    }
+
+    /// [`Lanes::from_words`] from a borrowed column, copied once (no
+    /// heap block up to 16 words): how a column is cut out of a flat
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != len.div_ceil(64)`.
+    #[inline]
+    pub fn from_slice(words: &[u64], len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count mismatch");
+        let mut l = Lanes {
+            words: LaneWords::with_first(words.len(), words),
+            len,
+        };
         l.mask_tail();
         l
     }
@@ -111,7 +191,7 @@ impl Lanes {
     #[inline]
     pub fn get(&self, index: usize) -> bool {
         assert!(index < self.len, "lane {index} out of range {}", self.len);
-        self.words[index / 64] >> (index % 64) & 1 != 0
+        self.words()[index / 64] >> (index % 64) & 1 != 0
     }
 
     /// Sets the lane at `index`.
@@ -123,17 +203,29 @@ impl Lanes {
     pub fn set(&mut self, index: usize, value: bool) {
         assert!(index < self.len, "lane {index} out of range {}", self.len);
         let mask = 1u64 << (index % 64);
+        let word = &mut self.words_mut()[index / 64];
         if value {
-            self.words[index / 64] |= mask;
+            *word |= mask;
         } else {
-            self.words[index / 64] &= !mask;
+            *word &= !mask;
         }
     }
 
     /// The packed words backing the lanes.
     #[inline]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        match &self.words {
+            LaneWords::Inline(words) => &words[..self.len.div_ceil(64)],
+            LaneWords::Heap(words) => words,
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            LaneWords::Inline(words) => &mut words[..self.len.div_ceil(64)],
+            LaneWords::Heap(words) => words,
+        }
     }
 
     /// Transposes per-sample bit rows into per-signal lane columns:
@@ -161,7 +253,7 @@ impl Lanes {
         let mut flat = Vec::new();
         Lanes::pack_rows_into(rows, width, &mut flat);
         (0..width)
-            .map(|i| Lanes::from_words(flat[i * stride..(i + 1) * stride].to_vec(), rows.len()))
+            .map(|i| Lanes::from_slice(&flat[i * stride..(i + 1) * stride], rows.len()))
             .collect()
     }
 
@@ -209,12 +301,12 @@ impl Lanes {
 
     /// Number of lanes set to 1.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Unpacks the lanes into booleans.
     pub fn to_bools(&self) -> Vec<bool> {
-        spread_words(&self.words, self.len)
+        spread_words(self.words(), self.len)
     }
 
     /// Applies a gate operation lane-wise: `self = op(a, b)`. Single-input
@@ -234,9 +326,9 @@ impl Lanes {
     #[inline]
     fn assign_op_inner(&mut self, op: Op, a: &Lanes, b: Option<&Lanes>) {
         let zero: &[u64] = &[];
-        let bw = b.map_or(zero, |b| b.words.as_slice());
-        for (i, w) in self.words.iter_mut().enumerate() {
-            let wa = a.words[i];
+        let (aw, bw) = (a.words(), b.map_or(zero, Lanes::words));
+        for (i, w) in self.words_mut().iter_mut().enumerate() {
+            let wa = aw[i];
             let wb = if bw.is_empty() { 0 } else { bw[i] };
             *w = op.eval_word(wa, wb);
         }
@@ -247,10 +339,34 @@ impl Lanes {
     fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
-            if let Some(last) = self.words.last_mut() {
+            if let Some(last) = self.words_mut().last_mut() {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+impl PartialEq for Lanes {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for Lanes {}
+
+impl std::hash::Hash for Lanes {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.len.hash(state);
+    }
+}
+
+impl std::fmt::Debug for Lanes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lanes")
+            .field("words", &self.words())
+            .field("len", &self.len)
+            .finish()
     }
 }
 
@@ -368,7 +484,7 @@ impl PackedRows {
         for c in columns {
             assert_eq!(c.len(), rows, "inconsistent lane counts across columns");
         }
-        PackedRows::transposed(columns.len(), rows, |i, b| columns[i].words[b])
+        PackedRows::transposed(columns.len(), rows, |i, b| columns[i].words()[b])
     }
 
     /// [`PackedRows::from_columns`] over a flat packed buffer in
@@ -1237,33 +1353,66 @@ pub(crate) fn check_arity(expected: usize, got: usize) -> Result<(), NetlistErro
 
 /// The output sink that builds [`Lanes`] — the one
 /// [`BitSliceEvaluator::evaluate_with`] hands
-/// [`BitSliceEvaluator::eval_blocks`]: appends each block's words to
-/// its column (blocks arrive in order; start every column empty). A
-/// column is allocated on first touch — after the block's replay, so it
-/// is written while its lines are hot and the replay's working set is
-/// not diluted (allocating all columns up front measured 3–5 % slower
-/// end to end) — and for the whole batch at once, so later blocks never
-/// reallocate; its words then become the `Lanes` ([`into_lanes`])
-/// without a second copy.
+/// [`BitSliceEvaluator::eval_blocks`]: `columns` (emptied, with room
+/// for `outputs`) receives one column of `lanes` lanes per output.
+/// Blocks arrive in order (outputs within a block in any order): a
+/// column is made from its first block's words, later blocks are stored
+/// behind them, and the last block masks the tail.
+///
+/// A column of ≤ 16 words (the widest block) is written straight into
+/// its inline `Lanes`, so a batch of ≤ 1024 lanes allocates `columns`
+/// and nothing per output. A wider column is a heap block allocated on
+/// first touch — after the block's replay, so it is written while its
+/// lines are hot and the replay's working set is not diluted
+/// (allocating all heap columns up front measured 3–5 % slower end to
+/// end) — and for the whole batch at once, so later blocks never
+/// reallocate. A zero-lane batch has no blocks: its `outputs` empty
+/// columns are there from the start.
 #[inline]
-pub fn lane_sink(columns: &mut [Vec<u64>], lanes: usize) -> impl FnMut(usize, usize, &[u64]) + '_ {
+pub fn lane_sink(
+    columns: &mut Vec<Lanes>,
+    outputs: usize,
+    lanes: usize,
+) -> impl FnMut(usize, usize, &[u64]) + '_ {
     let stride = lanes.div_ceil(64);
+    columns.clear();
+    columns.reserve_exact(outputs);
+    if stride == 0 {
+        columns.resize(outputs, Lanes::zeros(0));
+    }
     move |o, base, words| {
-        columns[o].reserve(stride - base);
-        columns[o].extend_from_slice(words);
+        let last = base + words.len() == stride;
+        if base == 0 {
+            let mut column = Lanes {
+                words: LaneWords::with_first(stride, words),
+                len: lanes,
+            };
+            if last {
+                column.mask_tail();
+            }
+            match o == columns.len() {
+                true => columns.push(column),
+                false => place(columns, o, column),
+            }
+        } else {
+            let column = &mut columns[o];
+            column.words.put(base, words);
+            if last {
+                column.mask_tail();
+            }
+        }
     }
 }
 
-/// The columns a [`lane_sink`] grew, as [`Lanes`] of `lanes` lanes.
-///
-/// # Panics
-///
-/// Panics if a column does not hold `lanes.div_ceil(64)` words.
-pub fn into_lanes(columns: Vec<Vec<u64>>, lanes: usize) -> Vec<Lanes> {
-    columns
-        .into_iter()
-        .map(|words| Lanes::from_words(words, lanes))
-        .collect()
+/// Stores a column that did not arrive next in order: a partitioned
+/// engine hands its outputs on by partition, so the places of those
+/// still to come are held by empty columns.
+#[cold]
+fn place(columns: &mut Vec<Lanes>, o: usize, column: Lanes) {
+    if o >= columns.len() {
+        columns.resize(o + 1, Lanes::zeros(0));
+    }
+    columns[o] = column;
 }
 
 /// A netlist compiled into a width-generic bit-sliced kernel tape.
@@ -1866,10 +2015,10 @@ impl BitSliceEvaluator {
         frame: &mut SliceFrame,
         input_words: impl Fn(usize) -> &'a [u64],
     ) -> Vec<Lanes> {
-        let mut columns = vec![Vec::new(); self.outputs.len()];
-        let sink = lane_sink(&mut columns, lanes);
+        let mut columns = Vec::new();
+        let sink = lane_sink(&mut columns, self.outputs.len(), lanes);
         self.eval_blocks(lanes, frame, input_words, self.outputs.len(), sink);
-        into_lanes(columns, lanes)
+        columns
     }
 
     /// The block loop behind every batch entry, packed columns in and
@@ -2338,6 +2487,183 @@ mod tests {
         assert_eq!(l.count_ones(), 70);
         assert_eq!(l.words().len(), 2);
         assert_eq!(l.words()[1] >> 6, 0, "tail bits must stay clear");
+    }
+
+    /// The lane counts the inline/heap boundary is pinned at.
+    const LANE_FORM_COUNTS: [usize; 9] = [0, 1, 63, 64, 65, 1023, 1024, 1025, 4096];
+
+    fn hash_of(l: &Lanes) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut hasher = DefaultHasher::new();
+        l.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// `l` in the other form: the same words on the heap when they are
+    /// inline, and inline (which only a test can build) when they are
+    /// not and fit.
+    fn other_form(l: &Lanes) -> Option<Lanes> {
+        let words = match &l.words {
+            LaneWords::Inline(_) => LaneWords::Heap(l.words().to_vec()),
+            LaneWords::Heap(w) if w.len() <= INLINE_WORDS => LaneWords::with_first(w.len(), w),
+            LaneWords::Heap(_) => return None,
+        };
+        Some(Lanes { words, len: l.len })
+    }
+
+    fn is_inline(l: &Lanes) -> bool {
+        matches!(l.words, LaneWords::Inline(_))
+    }
+
+    /// Every word of `l`, padding included, is zero past lane `len`.
+    fn tail_is_clear(l: &Lanes) -> bool {
+        let all: &[u64] = match &l.words {
+            LaneWords::Inline(words) => words,
+            LaneWords::Heap(words) => words,
+        };
+        (l.len..64 * all.len()).all(|k| all[k / 64] >> (k % 64) & 1 == 0)
+    }
+
+    /// One column built by [`lane_sink`] from blocks of `per` words.
+    fn sink_built(words: &[u64], lanes: usize, per: usize) -> Lanes {
+        let mut columns = Vec::new();
+        {
+            let mut sink = lane_sink(&mut columns, 1, lanes);
+            for base in (0..words.len()).step_by(per) {
+                sink(0, base, &words[base..words.len().min(base + per)]);
+            }
+        }
+        columns.pop().unwrap()
+    }
+
+    /// Every constructor, and a sink-built column from blocks of every
+    /// frame width, agree on the value of one column at every lane
+    /// count around the inline boundary; inline and heap forms of one
+    /// value are `==` and hash alike, and no form keeps a tail bit.
+    #[test]
+    fn lane_forms_agree_across_constructors_and_forms() {
+        assert_eq!(std::mem::size_of::<Lanes>(), 144);
+        for lanes in LANE_FORM_COUNTS {
+            let stride = lanes.div_ceil(64);
+            let inline = stride <= INLINE_WORDS;
+            let bits: Vec<bool> = (0..lanes).map(|l| (l * 7 + l / 5) % 3 == 0).collect();
+            let rows: Vec<[bool; 1]> = bits.iter().map(|&b| [b]).collect();
+            let want = Lanes::from_bools(&bits);
+            // Stray bits past `lanes` in the raw words: every entry masks them.
+            let mut raw = want.words().to_vec();
+            if lanes % 64 != 0 {
+                *raw.last_mut().unwrap() |= !0 << (lanes % 64);
+            }
+            let mut forms = vec![
+                ("from_bools", want.clone()),
+                ("from_words", Lanes::from_words(raw.clone(), lanes)),
+                ("from_slice", Lanes::from_slice(&raw, lanes)),
+                ("pack_rows", Lanes::pack_rows(&rows, 1).pop().unwrap()),
+            ];
+            for per in SUPPORTED_SLICE_WORDS {
+                forms.push(("lane_sink", sink_built(&raw, lanes, per)));
+            }
+            for (what, l) in &forms {
+                assert_eq!(is_inline(l), inline, "{what} {lanes}");
+            }
+            let other: Vec<_> = forms
+                .iter()
+                .filter_map(|(what, l)| Some((*what, other_form(l)?)))
+                .collect();
+            forms.extend(other);
+            for (what, l) in &forms {
+                assert_eq!(l, &want, "{what} {lanes}");
+                assert_eq!(hash_of(l), hash_of(&want), "{what} {lanes}");
+                assert_eq!(format!("{l:?}"), format!("{want:?}"), "{what} {lanes}");
+                assert_eq!(
+                    (l.len(), l.words()),
+                    (lanes, want.words()),
+                    "{what} {lanes}"
+                );
+                assert_eq!(l.to_bools(), bits, "{what} {lanes}");
+                assert_eq!(l.count_ones(), want.count_ones(), "{what} {lanes}");
+                assert!((0..lanes).all(|k| l.get(k) == bits[k]), "{what} {lanes}");
+                assert!(tail_is_clear(l), "{what} {lanes}");
+            }
+            for (what, l) in [("zeros", Lanes::zeros(lanes)), ("ones", Lanes::ones(lanes))] {
+                let one = what == "ones";
+                assert_eq!(is_inline(&l), inline, "{what} {lanes}");
+                assert_eq!(
+                    (l.len(), l.words().len()),
+                    (lanes, stride),
+                    "{what} {lanes}"
+                );
+                assert_eq!(
+                    l.count_ones(),
+                    if one { lanes } else { 0 },
+                    "{what} {lanes}"
+                );
+                assert_eq!(l.to_bools(), vec![one; lanes], "{what} {lanes}");
+                assert_eq!(l, Lanes::from_bools(&vec![one; lanes]), "{what} {lanes}");
+                assert!(tail_is_clear(&l), "{what} {lanes}");
+                if let Some(o) = other_form(&l) {
+                    assert_eq!((&o, hash_of(&o)), (&l, hash_of(&l)), "{what} {lanes}");
+                }
+            }
+        }
+    }
+
+    /// A clone is a value: setting lanes of the copy, in either form,
+    /// leaves the original as it was.
+    #[test]
+    fn lane_forms_set_on_a_clone_leaves_the_original() {
+        for lanes in LANE_FORM_COUNTS.into_iter().filter(|&l| l > 0) {
+            let original = Lanes::from_bools(&(0..lanes).map(|l| l % 5 == 1).collect::<Vec<_>>());
+            let before = original.words().to_vec();
+            for mut copy in [Some(original.clone()), other_form(&original)]
+                .into_iter()
+                .flatten()
+            {
+                for k in [0, lanes / 2, lanes - 1] {
+                    copy.set(k, !copy.get(k));
+                }
+                assert_ne!(copy, original, "{lanes}");
+                assert_eq!(original.words(), before, "{lanes}");
+                assert!(tail_is_clear(&copy), "{lanes}");
+            }
+        }
+    }
+
+    /// The sink path against the oracle at every occupied-word count of
+    /// a 16-word block (inline columns written in one block, or in 16
+    /// one-word blocks) and past it (heap columns grown block by
+    /// block), with outputs handed on in order and in reverse.
+    #[test]
+    fn lane_forms_sink_matches_evaluate_at_every_word_count() {
+        let nl = crate::random::RandomDag::loose(6, 4, 7)
+            .outputs(5)
+            .generate(12);
+        let tape = BitSliceEvaluator::compile(&nl);
+        let outputs = tape.num_outputs();
+        let counts = (1..=16).map(|w| 64 * w - 13).chain([1025, 2048]);
+        for lanes in counts {
+            let inputs = patterned_inputs(&nl, lanes, lanes);
+            let want = evaluate(&nl, &inputs).unwrap();
+            for per in [1, 4, 16] {
+                let mut frame = tape.frame_with_words(per);
+                let got = tape.evaluate_with(&inputs, lanes, &mut frame).unwrap();
+                assert_eq!(got, want, "lanes {lanes} per {per}");
+                let mut blocks: Vec<(usize, usize, Vec<u64>)> = Vec::new();
+                let record = |o, base, words: &[u64]| blocks.push((o, base, words.to_vec()));
+                tape.eval_blocks(lanes, &mut frame, |i| inputs[i].words(), outputs, record);
+                let mut reversed = Vec::new();
+                {
+                    let mut sink = lane_sink(&mut reversed, outputs, lanes);
+                    for block in blocks.chunks(outputs) {
+                        block
+                            .iter()
+                            .rev()
+                            .for_each(|(o, base, w)| sink(*o, *base, w));
+                    }
+                }
+                assert_eq!(reversed, want, "lanes {lanes} per {per}, reversed");
+            }
+        }
     }
 
     #[test]
@@ -2899,10 +3225,9 @@ mod tests {
                         for slot in 0..frame.slots() {
                             (0..16).for_each(|w| frame.set_word(slot, w, !(slot * w) as u64));
                         }
-                        let mut columns = vec![Vec::new(); reads];
-                        let sink = lane_sink(&mut columns, lanes);
+                        let mut got = Vec::new();
+                        let sink = lane_sink(&mut got, reads, lanes);
                         tape.eval_blocks(lanes, &mut frame, |i| inputs[i].words(), reads, sink);
-                        let got = into_lanes(columns, lanes);
                         assert_eq!(got, want[..reads], "{what} simd {simd} lanes {lanes}");
                     }
                 }
@@ -2927,13 +3252,13 @@ mod tests {
                 let fresh = BitSliceEvaluator::compile_reading(&patched_nl, reads);
                 assert!(patched == fresh, "{what}: patching {cell:?}");
                 let inputs = patterned_inputs(nl, 200, 5);
-                let mut columns = vec![Vec::new(); reads];
-                let sink = lane_sink(&mut columns, 200);
+                let mut columns = Vec::new();
+                let sink = lane_sink(&mut columns, reads, 200);
                 let mut frame = patched.frame_with_words(2);
                 patched.eval_blocks(200, &mut frame, |i| inputs[i].words(), reads, sink);
                 let want = evaluate(&patched_nl, &inputs).unwrap();
                 assert_eq!(want[..reads], evaluate(nl, &inputs).unwrap()[..reads]);
-                assert_eq!(into_lanes(columns, 200), want[..reads], "{what}");
+                assert_eq!(columns, want[..reads], "{what}");
                 let whole = patched.evaluate_with(&inputs, 200, &mut frame).unwrap();
                 assert_eq!(whole, want, "{what}: the whole patched tape");
                 patched_outside += 1;

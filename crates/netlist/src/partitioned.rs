@@ -42,8 +42,8 @@
 use crate::cell::Op;
 use crate::error::NetlistError;
 use crate::eval::{
-    check_arity, into_lanes, lane_sink, replay_tape, Lanes, SimdLevel, SimdMode, SliceFrame,
-    SliceInstr, SlotPool,
+    check_arity, lane_sink, replay_tape, Lanes, SimdLevel, SimdMode, SliceFrame, SliceInstr,
+    SlotPool,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::patch::PatchSet;
@@ -670,10 +670,10 @@ impl PartitionedEngine {
         for l in inputs {
             assert_eq!(l.len(), lanes, "inconsistent lane counts across inputs");
         }
-        let mut columns = vec![Vec::new(); self.num_outputs];
-        let sink = lane_sink(&mut columns, lanes);
+        let mut columns = Vec::new();
+        let sink = lane_sink(&mut columns, self.num_outputs, lanes);
         self.eval_blocks(lanes, frames, |i| inputs[i].words(), self.num_outputs, sink);
-        Ok(into_lanes(columns, lanes))
+        Ok(columns)
     }
 
     /// Evaluates at 64 lanes per block with fresh frames — the

@@ -13,8 +13,11 @@
 //! serves one 256-output block or a four-layer model.
 //!
 //! `infer_batches` allocates for the outputs somebody reads, not for
-//! every layer's: the final layer's columns and a few vectors around
-//! them per batch.
+//! every layer's: a few vectors per batch around the final layer's
+//! columns, which a batch of ≤ 1024 lanes builds inline.
+//!
+//! `Engine::run_batch` allocates per batch, not per output, up to 1024
+//! lanes; past that each output column is one heap block.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -149,8 +152,9 @@ fn submit_allocates_per_micro_batch_not_per_request() {
 
 /// Outputs of the model's last layer — what a caller of the model reads.
 const FINAL_OUTPUTS: usize = 8;
-/// What an `infer_batches` batch may allocate besides its final output
-/// columns: the vectors that hold them and the result around those.
+/// What an `infer_batches` batch may allocate: the vectors that hold
+/// its final output columns (inline, ≤ 1024 lanes) and the result
+/// around those.
 const PER_BATCH_SLACK: u64 = 4;
 /// What a runtime worker may allocate per micro-batch: the result block,
 /// the next batch's cell, and (amortised) the growth of the latency
@@ -188,11 +192,11 @@ fn model_rows(width: usize, rows: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// `infer_batches` on the calling thread: per batch, the final layer's
-/// columns plus a handful of vectors; per call, the scratch it sizes
-/// once. At the parent commit every layer's outputs (and the cloned
-/// columns joining them) were built and freed per batch — over 200
-/// allocations a batch on this model.
+/// `infer_batches` on the calling thread: per batch, a handful of
+/// vectors and nothing per final output; per call, the scratch it sizes
+/// once. Building and freeing every layer's outputs (and the cloned
+/// columns joining them) per batch took over 200 allocations a batch on
+/// this model; a heap block per final column took 8 more.
 #[test]
 fn infer_batches_allocates_for_the_final_outputs_only() {
     const BATCHES: u64 = 32;
@@ -210,12 +214,53 @@ fn infer_batches_allocates_for_the_final_outputs_only() {
     let spent = allocations() - before;
 
     assert!(
-        spent <= BATCHES * (FINAL_OUTPUTS as u64 + PER_BATCH_SLACK) + PER_CALL,
+        spent <= BATCHES * PER_BATCH_SLACK + PER_CALL,
         "{spent} allocations for {BATCHES} batches of {FINAL_OUTPUTS} final outputs"
     );
     assert!(results
         .iter()
         .all(|r| r.layer_outputs.len() == 1 && r.outputs().len() == FINAL_OUTPUTS));
+}
+
+/// `Engine::run_batch` on a 256-output block: up to 1024 lanes (one
+/// 16-word block, the inline capacity of a `Lanes`) a batch allocates
+/// its output vector and a few buffers, whatever the output count; at
+/// 1025 lanes every column is a heap block of its own. The last case
+/// marks where the inline form ends, so a heap block per column below
+/// it fails here.
+#[test]
+fn run_batch_allocates_per_batch_not_per_output() {
+    const OUTPUTS: usize = 256;
+    /// The output vector (one), with one to spare.
+    const PER_BATCH: u64 = 2;
+    let _serial = serial();
+    let netlist = RandomDag::strict(12, 4, 32).outputs(OUTPUTS).generate(5);
+    let mut engine = Flow::builder(&netlist)
+        .config(LpuConfig::new(8, 4))
+        .backend(Backend::BitSliced { words: 16 })
+        .compile()
+        .unwrap()
+        .into_engine()
+        .unwrap();
+    for lanes in [64, 1024, 1025] {
+        let batch = Lanes::pack_rows(&model_rows(12, lanes), 12);
+        engine.run_batch(&batch).unwrap(); // sizes the engine's scratch
+        let before = allocations();
+        let result = engine.run_batch(&batch).unwrap();
+        let spent = allocations() - before;
+        assert_eq!(
+            result.outputs,
+            evaluate(&netlist, &batch).unwrap(),
+            "{lanes} lanes"
+        );
+        match lanes <= 1024 {
+            true => assert!(spent <= PER_BATCH, "{spent} allocations at {lanes} lanes"),
+            false => assert!(
+                spent >= OUTPUTS as u64,
+                "{spent} allocations for {OUTPUTS} heap columns at {lanes} lanes"
+            ),
+        }
+    }
 }
 
 /// What the runtime's worker allocated while `round` ran, and over how
