@@ -13,6 +13,8 @@
 //! number (e.g. the MLPMixer MAC baseline, which the source publication
 //! ran in large batches).
 
+#![forbid(unsafe_code)]
+
 pub mod logicnets;
 pub mod mac;
 pub mod nulladsp;

@@ -8,6 +8,8 @@
 //! `all`) print paper-vs-reproduced rows. Host performance is measured
 //! by the repository benchmark (`benchmark/`), not here.
 
+#![forbid(unsafe_code)]
+
 use lbnn_core::flow::{Flow, FlowOptions};
 use lbnn_core::lpu::LpuConfig;
 use lbnn_core::model::{CompiledLayer, CompiledModel, ServingMode};

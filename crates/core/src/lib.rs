@@ -74,6 +74,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod compiler;

@@ -35,6 +35,8 @@
 //! assert_eq!(nl.eval_bools(&[true, true, false]), vec![true]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bdd;
 pub mod cube;
 pub mod espresso;

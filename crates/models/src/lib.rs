@@ -15,6 +15,8 @@
 //!   extracts their logic, and provides the pass-counting arithmetic that
 //!   converts one compiled block's cycle count into per-image layer cost.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod workload;
 pub mod zoo;

@@ -27,7 +27,7 @@
 //!   [`SUPPORTED_SLICE_WORDS`] (1/2/4/8/16 words = 64/128/256/512/1024
 //!   lanes) run on monomorphized kernels the compiler can keep
 //!   branch-free and vectorize. On x86_64, wide tiles additionally run
-//!   on explicit `std::arch` SIMD kernels (AVX2/SSE2, picked by runtime
+//!   on explicit `std::arch` SIMD kernels (AVX-512/AVX2/SSE2, picked by runtime
 //!   CPU-feature detection), all bit-identical to the portable scalar
 //!   tiles.
 
@@ -729,10 +729,12 @@ pub const SUPPORTED_SLICE_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
 /// testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
-    /// The widest level this host has (the default).
+    /// The widest level this host has (the default): AVX-512 when the
+    /// host has AVX-512F and AVX-512VL.
     #[default]
     Auto,
-    /// Cap at AVX2 (4 words per vector op).
+    /// Cap at AVX2 (4 words per vector op). On an AVX-512 host this pins
+    /// the AVX2 kernels, which is how differential tests reach them.
     Avx2,
     /// Cap at SSE2 (2 words per vector op; baseline on every x86_64).
     Sse2,
@@ -749,6 +751,12 @@ impl SimdMode {
         {
             match self {
                 SimdMode::Off => SimdLevel::Scalar,
+                SimdMode::Auto
+                    if is_x86_feature_detected!("avx512f")
+                        && is_x86_feature_detected!("avx512vl") =>
+                {
+                    SimdLevel::Avx512
+                }
                 SimdMode::Auto | SimdMode::Avx2 if is_x86_feature_detected!("avx2") => {
                     SimdLevel::Avx2
                 }
@@ -780,6 +788,9 @@ impl std::fmt::Display for SimdMode {
 /// the hot loop never re-detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
+    /// AVX-512F + VL ternary logic: 512-bit vectors for tiles of 8 and
+    /// 16 words, the 256/128-bit VL forms for tiles of 4 and 2.
+    Avx512,
     /// 256-bit vectors: 4 words per op (tiles of 4/8/16 words).
     Avx2,
     /// 128-bit vectors: 2 words per op (tiles of 2 words and up).
@@ -791,6 +802,7 @@ pub enum SimdLevel {
 impl std::fmt::Display for SimdLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
+            SimdLevel::Avx512 => "avx512",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Scalar => "scalar",
@@ -1217,9 +1229,10 @@ fn replay_word(tape: &[SliceInstr], words: &mut [u64], per: usize, base: usize, 
 }
 
 /// Routes one tile of 2, 4, 8 or 16 words to the widest kernel the
-/// resolved SIMD level and the tile width allow; narrow tiles fall
-/// through to the next level down (a 2-word tile can't fill a 256-bit
-/// vector), and everything falls back to the portable scalar tiles.
+/// resolved SIMD level and the tile width allow. AVX-512 covers every
+/// width (its VL forms take the 2- and 4-word tiles); under AVX2 a
+/// 2-word tile falls through to SSE2 (it can't fill a 256-bit vector),
+/// and everything falls back to the portable scalar tiles.
 ///
 /// Every `unsafe` call below relies on the same two facts. `simd` was
 /// resolved by runtime feature detection when the tape was compiled
@@ -1244,6 +1257,22 @@ fn replay_tile_dispatch(
     );
     #[cfg(target_arch = "x86_64")]
     match (simd, tile) {
+        (SimdLevel::Avx512, 16) => {
+            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
+            return unsafe { simd::run_tile_avx512::<16>(tape, words, per, base) };
+        }
+        (SimdLevel::Avx512, 8) => {
+            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
+            return unsafe { simd::run_tile_avx512::<8>(tape, words, per, base) };
+        }
+        (SimdLevel::Avx512, 4) => {
+            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
+            return unsafe { simd::run_tile_avx512::<4>(tape, words, per, base) };
+        }
+        (SimdLevel::Avx512, 2) => {
+            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
+            return unsafe { simd::run_tile_avx512::<2>(tape, words, per, base) };
+        }
         (SimdLevel::Avx2, 16) => {
             // SAFETY: AVX2 detected at tape compile; every span in bounds.
             return unsafe { simd::run_tile_avx2::<16>(tape, words, per, base) };
@@ -1487,9 +1516,9 @@ impl BitSliceEvaluator {
     }
 
     /// Compiles `netlist` into a kernel tape whose replay kernels go no
-    /// wider than `simd` — the ceiling differential tests pin the SSE2
-    /// and portable kernels with on an AVX2 host. The tape itself is the
-    /// same at every level.
+    /// wider than `simd` — the ceiling differential tests pin the AVX2,
+    /// SSE2 and portable kernels with on an AVX-512 host. The tape itself
+    /// is the same at every level.
     ///
     /// The pass is deterministic and purely structural: folding,
     /// fusion, tape order, and slot assignment depend only on the
@@ -2100,7 +2129,7 @@ impl BitSliceEvaluator {
 /// same `out = k0 ^ (k1 & b) ^ (k2 & a) ^ (k3 & a & b)` per word, same
 /// load-both-operands-then-store order per vector group (groups within
 /// a span are disjoint, so an instruction writing the recycled slot of
-/// one of its own operands stays safe) — but processes 2/4 words per
+/// one of its own operands stays safe) — but processes 2/4/8 words per
 /// vector op with the ANF masks broadcast across the vector.
 ///
 /// # Safety
@@ -2113,6 +2142,84 @@ impl BitSliceEvaluator {
 mod simd {
     use super::SliceInstr;
     use std::arch::x86_64::*;
+
+    /// `vpternlogq` immediate for `A ^ (B & C)`: bit `4A + 2B + C` of the
+    /// byte is the result for that input triple.
+    const XOR_AND: i32 = 0x78;
+    /// `vpternlogq` immediate for `(A & B) ^ C`.
+    const AND_XOR: i32 = 0x6A;
+
+    /// The factored ANF as three ternary-logic ops per vector:
+    /// `t = k2 ^ (k3 & b)`, `u = k0 ^ (k1 & b)`, `r = (a & t) ^ u`. The
+    /// immediates encode that evaluation, the same for every cell, so
+    /// the four masks stay data and a patch stays a mask rewrite.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512VL, `TW` must be 2, 4 or
+    /// a multiple of 8, and `slot * per + base + TW <= words.len()` must
+    /// hold for every slot index (`a`, `b`, `out`) on `tape`.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) unsafe fn run_tile_avx512<const TW: usize>(
+        tape: &[SliceInstr],
+        words: &mut [u64],
+        per: usize,
+        base: usize,
+    ) {
+        let p = words.as_mut_ptr();
+        for i in tape {
+            let a0 = i.a as usize * per + base;
+            let b0 = i.b as usize * per + base;
+            let o0 = i.out as usize * per + base;
+            let [k0, k1, k2, k3] = i.k;
+            match TW {
+                2 => {
+                    let (k0, k1) = (_mm_set1_epi64x(k0 as i64), _mm_set1_epi64x(k1 as i64));
+                    let (k2, k3) = (_mm_set1_epi64x(k2 as i64), _mm_set1_epi64x(k3 as i64));
+                    // SAFETY: `TW == 2`, so each 2-word access ends at
+                    // `slot * per + base + TW <= words.len()` (the caller's
+                    // contract); the unaligned forms need no alignment.
+                    let va = _mm_loadu_si128(p.add(a0) as *const __m128i);
+                    let vb = _mm_loadu_si128(p.add(b0) as *const __m128i);
+                    let t = _mm_ternarylogic_epi64::<XOR_AND>(k2, k3, vb);
+                    let u = _mm_ternarylogic_epi64::<XOR_AND>(k0, k1, vb);
+                    let r = _mm_ternarylogic_epi64::<AND_XOR>(va, t, u);
+                    _mm_storeu_si128(p.add(o0) as *mut __m128i, r);
+                }
+                4 => {
+                    let (k0, k1) = (_mm256_set1_epi64x(k0 as i64), _mm256_set1_epi64x(k1 as i64));
+                    let (k2, k3) = (_mm256_set1_epi64x(k2 as i64), _mm256_set1_epi64x(k3 as i64));
+                    // SAFETY: `TW == 4`, so each 4-word access ends at
+                    // `slot * per + base + TW <= words.len()` (the caller's
+                    // contract); the unaligned forms need no alignment.
+                    let va = _mm256_loadu_si256(p.add(a0) as *const __m256i);
+                    let vb = _mm256_loadu_si256(p.add(b0) as *const __m256i);
+                    let t = _mm256_ternarylogic_epi64::<XOR_AND>(k2, k3, vb);
+                    let u = _mm256_ternarylogic_epi64::<XOR_AND>(k0, k1, vb);
+                    let r = _mm256_ternarylogic_epi64::<AND_XOR>(va, t, u);
+                    _mm256_storeu_si256(p.add(o0) as *mut __m256i, r);
+                }
+                _ => {
+                    let (k0, k1) = (_mm512_set1_epi64(k0 as i64), _mm512_set1_epi64(k1 as i64));
+                    let (k2, k3) = (_mm512_set1_epi64(k2 as i64), _mm512_set1_epi64(k3 as i64));
+                    let mut w = 0;
+                    while w < TW {
+                        // SAFETY: `w + 8 <= TW`, so each 8-word access ends
+                        // at or before `slot * per + base + TW <= words.len()`
+                        // (the caller's contract); the unaligned forms need
+                        // no alignment, and `p` is the live `&mut` buffer.
+                        let va = _mm512_loadu_si512(p.add(a0 + w) as *const __m512i);
+                        let vb = _mm512_loadu_si512(p.add(b0 + w) as *const __m512i);
+                        let t = _mm512_ternarylogic_epi64::<XOR_AND>(k2, k3, vb);
+                        let u = _mm512_ternarylogic_epi64::<XOR_AND>(k0, k1, vb);
+                        let r = _mm512_ternarylogic_epi64::<AND_XOR>(va, t, u);
+                        _mm512_storeu_si512(p.add(o0 + w) as *mut __m512i, r);
+                        w += 8;
+                    }
+                }
+            }
+        }
+    }
 
     /// # Safety
     ///
@@ -2388,16 +2495,87 @@ mod tests {
     fn simd_mode_resolves_within_its_ceiling() {
         assert_eq!(SimdMode::Off.resolve(), SimdLevel::Scalar);
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            assert_eq!(SimdMode::Auto.resolve(), SimdLevel::Avx2);
+        {
+            let avx512 =
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl");
+            if avx512 {
+                assert_eq!(SimdMode::Auto.resolve(), SimdLevel::Avx512);
+            } else if is_x86_feature_detected!("avx2") {
+                assert_eq!(SimdMode::Auto.resolve(), SimdLevel::Avx2);
+            }
+            // The AVX2 ceiling pins the AVX2 kernels on an AVX-512 host.
+            if is_x86_feature_detected!("avx2") {
+                assert_eq!(SimdMode::Avx2.resolve(), SimdLevel::Avx2);
+            }
         }
         // Whatever the host, a request never resolves *above* itself.
         assert!(matches!(
             SimdMode::Sse2.resolve(),
             SimdLevel::Sse2 | SimdLevel::Scalar
         ));
+        assert!(matches!(
+            SimdMode::Avx2.resolve(),
+            SimdLevel::Avx2 | SimdLevel::Sse2 | SimdLevel::Scalar
+        ));
         assert_eq!(format!("{}", SimdMode::Avx2), "avx2");
+        assert_eq!(format!("{}", SimdLevel::Avx512), "avx512");
         assert_eq!(format!("{}", SimdLevel::Scalar), "scalar");
+    }
+
+    /// Every tile kernel on every level this host resolves, against the
+    /// portable ANF formula: all 16 mask sets (each `k` all-zero or
+    /// all-one), operands holding all four `(a, b)` bit pairs in every
+    /// word, at every tile width, with an instruction that overwrites
+    /// each of its own operands. A wrong immediate or a swapped operand
+    /// fails here by name, not only through random netlists.
+    #[test]
+    fn every_tile_kernel_evaluates_every_anf_mask_set() {
+        let anf = |k: [u64; 4], a: u64, b: u64| k[0] ^ (k[1] & b) ^ (k[2] & a) ^ (k[3] & a & b);
+        // Low nibbles a = 1100, b = 1010 hold all four pairs; the rest
+        // of each word differs per slot and per word.
+        let word = |slot: usize, w: usize| {
+            let noise = ((slot * 16 + w) as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (noise & !0xf) | [0xc, 0xa][slot]
+        };
+        for mode in [
+            SimdMode::Auto,
+            SimdMode::Avx2,
+            SimdMode::Sse2,
+            SimdMode::Off,
+        ] {
+            let level = mode.resolve();
+            println!("tile kernels: ceiling {mode} exercised level {level}");
+            for tile in [2usize, 4, 8, 16] {
+                // Slots 0 and 1 hold a and b, the tile sits at word `tile`
+                // of a `2 * tile`-word span, and words outside it must
+                // survive untouched.
+                let per = 2 * tile;
+                for code in 0..16u32 {
+                    let k: [u64; 4] =
+                        std::array::from_fn(|j| 0u64.wrapping_sub(u64::from(code >> j & 1)));
+                    for out in [2u32, 0, 1] {
+                        let mut words: Vec<u64> = (0..3 * per)
+                            .map(|i| word((i / per).min(1), i % per))
+                            .collect();
+                        words[2 * per..].fill(u64::MAX);
+                        let before = words.clone();
+                        let tape = [SliceInstr { a: 0, b: 1, out, k }];
+                        replay_tile_dispatch(&tape, level, tile, &mut words, per, tile);
+                        for (i, (&got, &old)) in words.iter().zip(&before).enumerate() {
+                            let (slot, w) = (i / per, i % per);
+                            let want = match slot as u32 == out && w >= tile {
+                                true => anf(k, before[w], before[per + w]),
+                                false => old,
+                            };
+                            assert_eq!(
+                                got, want,
+                                "level {level} tile {tile} masks {code:04b} out {out} slot {slot} word {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Every SIMD dispatch level the host can execute is bit-identical
@@ -2976,7 +3154,12 @@ mod tests {
         let folds = folding_shapes();
         let random = RandomDag::loose(6, 4, 7).outputs(2).generate(11);
         for nl in [&random, &folds] {
-            for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+            for simd in [
+                SimdMode::Auto,
+                SimdMode::Avx2,
+                SimdMode::Sse2,
+                SimdMode::Off,
+            ] {
                 let sliced = BitSliceEvaluator::compile_with(nl, simd);
                 assert_eq!(sliced.tape_stats().tile_words(), 16);
                 let mut frame = sliced.frame_with_words(16);
@@ -3215,7 +3398,12 @@ mod tests {
                     assert!(!tail.iter().any(|&c| cone[c as usize]), "{what}: tail");
                 }
 
-                for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+                for simd in [
+                    SimdMode::Auto,
+                    SimdMode::Avx2,
+                    SimdMode::Sse2,
+                    SimdMode::Off,
+                ] {
                     let tape = BitSliceEvaluator::compile_for(nl, simd, reads);
                     let mut frame = tape.frame_with_words(16);
                     for occupied in 1..=16usize {

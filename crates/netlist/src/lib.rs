@@ -21,7 +21,7 @@
 //!   backend, with a tape-locality pass ([`TapeStats`]: chain fusion,
 //!   liveness-based slot reuse) and
 //!   runtime-detected `std::arch` SIMD replay kernels
-//!   ([`SimdMode`]/[`SimdLevel`], AVX2/SSE2 on x86_64),
+//!   ([`SimdMode`]/[`SimdLevel`], AVX-512/AVX2/SSE2 on x86_64),
 //! * partitioned execution ([`partitioned`]): a netlist split into
 //!   per-partition kernel tapes over smaller frames, with a
 //!   compile-time cross-partition [`ExchangeSchedule`],
@@ -47,17 +47,28 @@
 //! assert_eq!(out, vec![true]);
 //! ```
 
+// `eval` holds the crate's only `unsafe` (the `std::arch` tile kernels
+// and their dispatch); every other module forbids it.
+#[forbid(unsafe_code)]
 pub mod balance;
+#[forbid(unsafe_code)]
 pub mod cell;
+#[forbid(unsafe_code)]
 pub mod error;
 pub mod eval;
+#[forbid(unsafe_code)]
 pub mod levelize;
+#[forbid(unsafe_code)]
 pub mod netlist;
 #[forbid(unsafe_code)]
 pub mod partitioned;
+#[forbid(unsafe_code)]
 pub mod patch;
+#[forbid(unsafe_code)]
 pub mod random;
+#[forbid(unsafe_code)]
 pub mod serdes;
+#[forbid(unsafe_code)]
 pub mod verilog;
 
 pub use cell::Op;

@@ -1235,7 +1235,12 @@ mod tests {
     fn every_occupied_word_count_matches_oracle_on_every_simd_level() {
         let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(2);
         let assignment = PartitionAssignment::contiguous(&nl, 3).unwrap();
-        for simd in [SimdMode::Off, SimdMode::Sse2, SimdMode::Avx2] {
+        for simd in [
+            SimdMode::Auto,
+            SimdMode::Avx2,
+            SimdMode::Sse2,
+            SimdMode::Off,
+        ] {
             let engine = PartitionedEngine::compile_with(&nl, &assignment, simd).unwrap();
             let mut frames = engine.frames_with_words(16);
             for occupied in 1..=16usize {

@@ -28,6 +28,8 @@
 //! assert_eq!(nl.eval_bools(&x), layer.forward(&x));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bnn;
 pub mod conv;
 pub mod extract;

@@ -37,6 +37,7 @@
 //!   the netlist oracle.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::error::Error;
 use std::fmt;

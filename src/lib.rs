@@ -66,6 +66,8 @@
 //! | [`serve`] | `lbnn-serve` | network serving: HTTP + binary protocol, registry, load shedding |
 //! | [`bench`](mod@bench) | `lbnn-bench` | table/figure reproduction harness |
 
+#![forbid(unsafe_code)]
+
 pub use lbnn_baselines as baselines;
 pub use lbnn_bench as bench;
 pub use lbnn_core as core;
