@@ -730,7 +730,7 @@ pub const SUPPORTED_SLICE_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
     /// The widest level this host has (the default): AVX-512 when the
-    /// host has AVX-512F and AVX-512VL.
+    /// host has AVX-512F.
     #[default]
     Auto,
     /// Cap at AVX2 (4 words per vector op). On an AVX-512 host this pins
@@ -751,12 +751,7 @@ impl SimdMode {
         {
             match self {
                 SimdMode::Off => SimdLevel::Scalar,
-                SimdMode::Auto
-                    if is_x86_feature_detected!("avx512f")
-                        && is_x86_feature_detected!("avx512vl") =>
-                {
-                    SimdLevel::Avx512
-                }
+                SimdMode::Auto if is_x86_feature_detected!("avx512f") => SimdLevel::Avx512,
                 SimdMode::Auto | SimdMode::Avx2 if is_x86_feature_detected!("avx2") => {
                     SimdLevel::Avx2
                 }
@@ -788,8 +783,8 @@ impl std::fmt::Display for SimdMode {
 /// the hot loop never re-detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
-    /// AVX-512F + VL ternary logic: 512-bit vectors for tiles of 8 and
-    /// 16 words, the 256/128-bit VL forms for tiles of 4 and 2.
+    /// AVX-512F ternary logic: 512-bit vectors for tiles of 8 and 16
+    /// words; tiles of 4 and 2 words run the AVX2 and SSE2 kernels.
     Avx512,
     /// 256-bit vectors: 4 words per op (tiles of 4/8/16 words).
     Avx2,
@@ -1229,10 +1224,11 @@ fn replay_word(tape: &[SliceInstr], words: &mut [u64], per: usize, base: usize, 
 }
 
 /// Routes one tile of 2, 4, 8 or 16 words to the widest kernel the
-/// resolved SIMD level and the tile width allow. AVX-512 covers every
-/// width (its VL forms take the 2- and 4-word tiles); under AVX2 a
-/// 2-word tile falls through to SSE2 (it can't fill a 256-bit vector),
-/// and everything falls back to the portable scalar tiles.
+/// resolved SIMD level and the tile width allow. A tile narrower than
+/// the level's vector falls through to the next narrower kernel: under
+/// AVX-512 a 4-word tile runs AVX2 (every AVX-512F CPU has it) and a
+/// 2-word tile runs SSE2, as under AVX2; everything falls back to the
+/// portable scalar tiles.
 ///
 /// Every `unsafe` call below relies on the same two facts. `simd` was
 /// resolved by runtime feature detection when the tape was compiled
@@ -1241,6 +1237,7 @@ fn replay_word(tape: &[SliceInstr], words: &mut [u64], per: usize, base: usize, 
 /// and is handed a buffer with `slot * per + per <= words.len()` for
 /// every slot on the tape, so every span a kernel touches satisfies
 /// `slot * per + base + tile <= words.len()`.
+#[allow(unsafe_code)]
 fn replay_tile_dispatch(
     tape: &[SliceInstr],
     simd: SimdLevel,
@@ -1258,20 +1255,12 @@ fn replay_tile_dispatch(
     #[cfg(target_arch = "x86_64")]
     match (simd, tile) {
         (SimdLevel::Avx512, 16) => {
-            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
+            // SAFETY: AVX-512F detected at tape compile; every span in bounds.
             return unsafe { simd::run_tile_avx512::<16>(tape, words, per, base) };
         }
         (SimdLevel::Avx512, 8) => {
-            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
+            // SAFETY: AVX-512F detected at tape compile; every span in bounds.
             return unsafe { simd::run_tile_avx512::<8>(tape, words, per, base) };
-        }
-        (SimdLevel::Avx512, 4) => {
-            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
-            return unsafe { simd::run_tile_avx512::<4>(tape, words, per, base) };
-        }
-        (SimdLevel::Avx512, 2) => {
-            // SAFETY: AVX-512F+VL detected at tape compile; every span in bounds.
-            return unsafe { simd::run_tile_avx512::<2>(tape, words, per, base) };
         }
         (SimdLevel::Avx2, 16) => {
             // SAFETY: AVX2 detected at tape compile; every span in bounds.
@@ -1281,8 +1270,9 @@ fn replay_tile_dispatch(
             // SAFETY: AVX2 detected at tape compile; every span in bounds.
             return unsafe { simd::run_tile_avx2::<8>(tape, words, per, base) };
         }
-        (SimdLevel::Avx2, 4) => {
-            // SAFETY: AVX2 detected at tape compile; every span in bounds.
+        (SimdLevel::Avx512 | SimdLevel::Avx2, 4) => {
+            // SAFETY: AVX2 detected at tape compile (AVX-512F implies it);
+            // every span in bounds.
             return unsafe { simd::run_tile_avx2::<4>(tape, words, per, base) };
         }
         (SimdLevel::Sse2, 16) => {
@@ -1297,7 +1287,7 @@ fn replay_tile_dispatch(
             // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
             return unsafe { simd::run_tile_sse2::<4>(tape, words, per, base) };
         }
-        (SimdLevel::Avx2 | SimdLevel::Sse2, 2) => {
+        (SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2, 2) => {
             // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
             return unsafe { simd::run_tile_sse2::<2>(tape, words, per, base) };
         }
@@ -2139,6 +2129,7 @@ impl BitSliceEvaluator {
 /// slot index on the tape (`TW` a multiple of the vector width) — see
 /// [`replay_tile_dispatch`], the only caller.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod simd {
     use super::SliceInstr;
     use std::arch::x86_64::*;
@@ -2156,10 +2147,10 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512VL, `TW` must be 2, 4 or
-    /// a multiple of 8, and `slot * per + base + TW <= words.len()` must
-    /// hold for every slot index (`a`, `b`, `out`) on `tape`.
-    #[target_feature(enable = "avx512f,avx512vl")]
+    /// The CPU must support AVX-512F, `TW` must be a multiple of 8, and
+    /// `slot * per + base + TW <= words.len()` must hold for every slot
+    /// index (`a`, `b`, `out`) on `tape`.
+    #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn run_tile_avx512<const TW: usize>(
         tape: &[SliceInstr],
         words: &mut [u64],
@@ -2171,52 +2162,23 @@ mod simd {
             let a0 = i.a as usize * per + base;
             let b0 = i.b as usize * per + base;
             let o0 = i.out as usize * per + base;
-            let [k0, k1, k2, k3] = i.k;
-            match TW {
-                2 => {
-                    let (k0, k1) = (_mm_set1_epi64x(k0 as i64), _mm_set1_epi64x(k1 as i64));
-                    let (k2, k3) = (_mm_set1_epi64x(k2 as i64), _mm_set1_epi64x(k3 as i64));
-                    // SAFETY: `TW == 2`, so each 2-word access ends at
-                    // `slot * per + base + TW <= words.len()` (the caller's
-                    // contract); the unaligned forms need no alignment.
-                    let va = _mm_loadu_si128(p.add(a0) as *const __m128i);
-                    let vb = _mm_loadu_si128(p.add(b0) as *const __m128i);
-                    let t = _mm_ternarylogic_epi64::<XOR_AND>(k2, k3, vb);
-                    let u = _mm_ternarylogic_epi64::<XOR_AND>(k0, k1, vb);
-                    let r = _mm_ternarylogic_epi64::<AND_XOR>(va, t, u);
-                    _mm_storeu_si128(p.add(o0) as *mut __m128i, r);
-                }
-                4 => {
-                    let (k0, k1) = (_mm256_set1_epi64x(k0 as i64), _mm256_set1_epi64x(k1 as i64));
-                    let (k2, k3) = (_mm256_set1_epi64x(k2 as i64), _mm256_set1_epi64x(k3 as i64));
-                    // SAFETY: `TW == 4`, so each 4-word access ends at
-                    // `slot * per + base + TW <= words.len()` (the caller's
-                    // contract); the unaligned forms need no alignment.
-                    let va = _mm256_loadu_si256(p.add(a0) as *const __m256i);
-                    let vb = _mm256_loadu_si256(p.add(b0) as *const __m256i);
-                    let t = _mm256_ternarylogic_epi64::<XOR_AND>(k2, k3, vb);
-                    let u = _mm256_ternarylogic_epi64::<XOR_AND>(k0, k1, vb);
-                    let r = _mm256_ternarylogic_epi64::<AND_XOR>(va, t, u);
-                    _mm256_storeu_si256(p.add(o0) as *mut __m256i, r);
-                }
-                _ => {
-                    let (k0, k1) = (_mm512_set1_epi64(k0 as i64), _mm512_set1_epi64(k1 as i64));
-                    let (k2, k3) = (_mm512_set1_epi64(k2 as i64), _mm512_set1_epi64(k3 as i64));
-                    let mut w = 0;
-                    while w < TW {
-                        // SAFETY: `w + 8 <= TW`, so each 8-word access ends
-                        // at or before `slot * per + base + TW <= words.len()`
-                        // (the caller's contract); the unaligned forms need
-                        // no alignment, and `p` is the live `&mut` buffer.
-                        let va = _mm512_loadu_si512(p.add(a0 + w) as *const __m512i);
-                        let vb = _mm512_loadu_si512(p.add(b0 + w) as *const __m512i);
-                        let t = _mm512_ternarylogic_epi64::<XOR_AND>(k2, k3, vb);
-                        let u = _mm512_ternarylogic_epi64::<XOR_AND>(k0, k1, vb);
-                        let r = _mm512_ternarylogic_epi64::<AND_XOR>(va, t, u);
-                        _mm512_storeu_si512(p.add(o0 + w) as *mut __m512i, r);
-                        w += 8;
-                    }
-                }
+            let k0 = _mm512_set1_epi64(i.k[0] as i64);
+            let k1 = _mm512_set1_epi64(i.k[1] as i64);
+            let k2 = _mm512_set1_epi64(i.k[2] as i64);
+            let k3 = _mm512_set1_epi64(i.k[3] as i64);
+            let mut w = 0;
+            while w < TW {
+                // SAFETY: `w + 8 <= TW`, so each 8-word access ends at or
+                // before `slot * per + base + TW <= words.len()` (the
+                // caller's contract); the unaligned load/store forms
+                // need no alignment, and `p` is the live `&mut` buffer.
+                let va = _mm512_loadu_si512(p.add(a0 + w) as *const __m512i);
+                let vb = _mm512_loadu_si512(p.add(b0 + w) as *const __m512i);
+                let t = _mm512_ternarylogic_epi64::<XOR_AND>(k2, k3, vb);
+                let u = _mm512_ternarylogic_epi64::<XOR_AND>(k0, k1, vb);
+                let r = _mm512_ternarylogic_epi64::<AND_XOR>(va, t, u);
+                _mm512_storeu_si512(p.add(o0 + w) as *mut __m512i, r);
+                w += 8;
             }
         }
     }
@@ -2496,9 +2458,7 @@ mod tests {
         assert_eq!(SimdMode::Off.resolve(), SimdLevel::Scalar);
         #[cfg(target_arch = "x86_64")]
         {
-            let avx512 =
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl");
-            if avx512 {
+            if is_x86_feature_detected!("avx512f") {
                 assert_eq!(SimdMode::Auto.resolve(), SimdLevel::Avx512);
             } else if is_x86_feature_detected!("avx2") {
                 assert_eq!(SimdMode::Auto.resolve(), SimdLevel::Avx2);
