@@ -30,7 +30,8 @@
 //!   ([`lbnn_netlist::BitSliceEvaluator`]) at a configurable slice
 //!   width: 1, 2, 4, 8 or 16 `u64` words per net =
 //!   64/128/256/512/1024 samples per kernel pass, the paper's
-//!   word-level parallelism exploited in software (SIMD-accelerated on
+//!   word-level parallelism exploited in software (one compiled tile
+//!   built per target feature, plus an AVX-512 ternary-logic kernel on
 //!   x86_64, see [`lbnn_netlist::SimdMode`]).
 //!
 //! [`Engine::run_batches`] additionally shards a batch sequence across

@@ -22,14 +22,13 @@
 //!   readers' masks, single-fanout chains are fused
 //!   so their intermediates live in an accumulator and dead nets' frame
 //!   slots are recycled by a liveness allocator ([`TapeStats`] reports
-//!   what the pass did). The frame width is
-//!   generic — any `words_per_net ≥ 1` works, and the widths in
+//!   what the pass did). A frame is one of the widths in
 //!   [`SUPPORTED_SLICE_WORDS`] (1/2/4/8/16 words = 64/128/256/512/1024
-//!   lanes) run on monomorphized kernels the compiler can keep
-//!   branch-free and vectorize. On x86_64, wide tiles additionally run
-//!   on explicit `std::arch` SIMD kernels (AVX-512/AVX2/SSE2, picked by runtime
-//!   CPU-feature detection), all bit-identical to the portable scalar
-//!   tiles.
+//!   lanes). Tiles of two or more words run one safe generic kernel the
+//!   compiler vectorizes, built for the target's baseline and for AVX2,
+//!   or at 8 and 16 words on an AVX-512F host the one hand-written
+//!   `std::arch` kernel; the level is picked by runtime CPU-feature
+//!   detection, and every level is bit-identical.
 
 use crate::cell::Op;
 use crate::error::NetlistError;
@@ -711,12 +710,10 @@ pub fn evaluate(netlist: &Netlist, inputs: &[Lanes]) -> Result<Vec<Lanes>, Netli
         .collect())
 }
 
-/// The bit-slice widths with monomorphized branch-free kernels:
-/// 1/2/4/8/16 words per net = 64/128/256/512/1024 lanes per block.
-///
-/// [`BitSliceEvaluator::run_block`] accepts any `words_per_net ≥ 1`
-/// (other widths are chunked into tiles from this set); the serving layer
-/// above restricts its backends to this blessed set.
+/// The slice frame widths: 1/2/4/8/16 words per net =
+/// 64/128/256/512/1024 lanes per block. A [`SliceFrame`] takes these
+/// and no other, so every tile the replay splits a block into sits on a
+/// whole number of its own width in every slot span.
 pub const SUPPORTED_SLICE_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// Requested SIMD policy for the kernel tape
@@ -733,36 +730,28 @@ pub enum SimdMode {
     /// host has AVX-512F.
     #[default]
     Auto,
-    /// Cap at AVX2 (4 words per vector op). On an AVX-512 host this pins
-    /// the AVX2 kernels, which is how differential tests reach them.
+    /// Cap at AVX2. On an AVX-512 host this pins the AVX2 build of the
+    /// compiled tile, which is how differential tests reach it.
     Avx2,
-    /// Cap at SSE2 (2 words per vector op; baseline on every x86_64).
-    Sse2,
-    /// Portable scalar tiles only — no `std::arch` kernels.
+    /// The baseline build of the compiled tile only: no target-feature
+    /// code at all.
     Off,
 }
 
 impl SimdMode {
     /// Clamps the requested mode to what this CPU supports, via runtime
     /// feature detection. On non-x86_64 hosts every mode resolves to
-    /// [`SimdLevel::Scalar`] (the portable tiles are the only kernels).
+    /// [`SimdLevel::Baseline`].
     pub fn resolve(self) -> SimdLevel {
+        // The AVX-512 level runs the AVX2 build below 8 words.
         #[cfg(target_arch = "x86_64")]
-        {
-            match self {
-                SimdMode::Off => SimdLevel::Scalar,
-                SimdMode::Auto if is_x86_feature_detected!("avx512f") => SimdLevel::Avx512,
-                SimdMode::Auto | SimdMode::Avx2 if is_x86_feature_detected!("avx2") => {
-                    SimdLevel::Avx2
-                }
-                // SSE2 is part of the x86_64 baseline: always present.
-                _ => SimdLevel::Sse2,
-            }
+        if self != SimdMode::Off && is_x86_feature_detected!("avx2") {
+            return match self == SimdMode::Auto && is_x86_feature_detected!("avx512f") {
+                true => SimdLevel::Avx512,
+                false => SimdLevel::Avx2,
+            };
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdLevel::Scalar
-        }
+        SimdLevel::Baseline
     }
 }
 
@@ -771,7 +760,6 @@ impl std::fmt::Display for SimdMode {
         f.write_str(match self {
             SimdMode::Auto => "auto",
             SimdMode::Avx2 => "avx2",
-            SimdMode::Sse2 => "sse2",
             SimdMode::Off => "off",
         })
     }
@@ -783,15 +771,13 @@ impl std::fmt::Display for SimdMode {
 /// the hot loop never re-detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
-    /// AVX-512F ternary logic: 512-bit vectors for tiles of 8 and 16
-    /// words; tiles of 4 and 2 words run the AVX2 and SSE2 kernels.
+    /// AVX-512F ternary logic, 512 bits per op, for tiles of 8 and 16
+    /// words; tiles of 4 and 2 words run the AVX2 build.
     Avx512,
-    /// 256-bit vectors: 4 words per op (tiles of 4/8/16 words).
+    /// The compiled tile built with AVX2 enabled: 256 bits per op.
     Avx2,
-    /// 128-bit vectors: 2 words per op (tiles of 2 words and up).
-    Sse2,
-    /// Portable monomorphized tiles (always used for 1-word tiles).
-    Scalar,
+    /// The compiled tile built for the target's baseline (SSE2 on x86_64).
+    Baseline,
 }
 
 impl std::fmt::Display for SimdLevel {
@@ -799,8 +785,7 @@ impl std::fmt::Display for SimdLevel {
         f.write_str(match self {
             SimdLevel::Avx512 => "avx512",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Sse2 => "sse2",
-            SimdLevel::Scalar => "scalar",
+            SimdLevel::Baseline => "baseline",
         })
     }
 }
@@ -884,14 +869,11 @@ impl SliceFrame {
     ///
     /// # Panics
     ///
-    /// Panics if `words_per_net` is zero.
+    /// Panics if `words_per_net` is not in [`SUPPORTED_SLICE_WORDS`].
     pub fn with_width(slots: usize, words_per_net: usize) -> Self {
-        assert!(words_per_net > 0, "a slice frame needs at least one word");
-        let mut frame = SliceFrame {
-            words_per_net,
-            ..SliceFrame::default()
-        };
-        frame.resize_window(slots * words_per_net);
+        let mut frame = SliceFrame::default();
+        frame.set_width(words_per_net);
+        frame.reshape(slots);
         frame
     }
 
@@ -954,9 +936,13 @@ impl SliceFrame {
     ///
     /// # Panics
     ///
-    /// Panics if `words_per_net` is zero.
+    /// Panics if `words_per_net` is not in [`SUPPORTED_SLICE_WORDS`].
     pub fn set_width(&mut self, words_per_net: usize) {
-        assert!(words_per_net > 0, "a slice frame needs at least one word");
+        assert!(
+            SUPPORTED_SLICE_WORDS.contains(&words_per_net),
+            "slice frame width {words_per_net}: a frame is at least one word wide, \
+             and one of {SUPPORTED_SLICE_WORDS:?}"
+        );
         if words_per_net != self.words_per_net {
             let slots = self.slots();
             self.words_per_net = words_per_net;
@@ -1150,16 +1136,19 @@ pub struct TapeStats {
 /// `docs/ARCHITECTURE.md`, "Kernel locality") — and each tile of two or
 /// more words is routed to the widest kernel `simd` allows; a one-word
 /// tile runs [`replay_word`], which keeps the accumulator (slot `acc`)
-/// in a register. Words `active .. per` are neither read nor written —
-/// a batch that fills 1 of a 16-word frame's words pays for one word.
+/// in a register; `per` is a supported width, so every tile starts on a
+/// multiple of its own width. Words `active .. per` are neither read
+/// nor written — a batch that fills 1 of a 16-word frame's words pays
+/// for one word.
 /// This is the shared engine behind [`BitSliceEvaluator::run_block`]
 /// (`active = per`), the block loop's occupied-word replay and the
 /// per-partition segment replay of
 /// [`crate::partitioned::PartitionedEngine`].
 ///
 /// Callers must guarantee every slot index on `tape` satisfies
-/// `slot * per + per <= words.len()` — out-of-range indices panic on
-/// the portable path but are undefined behaviour on the SIMD path.
+/// `slot * per + per <= words.len()`. An out-of-range index panics on
+/// every level but one: on the AVX-512 kernel it is undefined
+/// behaviour.
 ///
 /// # Panics
 ///
@@ -1223,20 +1212,16 @@ fn replay_word(tape: &[SliceInstr], words: &mut [u64], per: usize, base: usize, 
     }
 }
 
-/// Routes one tile of 2, 4, 8 or 16 words to the widest kernel the
-/// resolved SIMD level and the tile width allow. A tile narrower than
-/// the level's vector falls through to the next narrower kernel: under
-/// AVX-512 a 4-word tile runs AVX2 (every AVX-512F CPU has it) and a
-/// 2-word tile runs SSE2, as under AVX2; everything falls back to the
-/// portable scalar tiles.
+/// Routes one tile of 2, 4, 8 or 16 words to its kernel: on the
+/// AVX-512 level 8- and 16-word tiles run the ternary-logic kernel
+/// ([`simd::run_tile_avx512`]), every other tile runs the compiled tile
+/// ([`replay_tile`]), built with AVX2 on the AVX-512 and AVX2 levels.
 ///
-/// Every `unsafe` call below relies on the same two facts. `simd` was
-/// resolved by runtime feature detection when the tape was compiled
-/// ([`SimdMode::resolve`]), so the kernel's target feature is present.
-/// And the caller ([`replay_tape`]) keeps `base + tile <= active <= per`
-/// and is handed a buffer with `slot * per + per <= words.len()` for
-/// every slot on the tape, so every span a kernel touches satisfies
-/// `slot * per + base + tile <= words.len()`.
+/// Each `unsafe` call relies on `simd` having been resolved by runtime
+/// feature detection at tape compile ([`SimdMode::resolve`]). The
+/// AVX-512 kernel also indexes unchecked: [`replay_tape`] keeps
+/// `base + tile <= active <= per` over a buffer with
+/// `slot * per + per <= words.len()` for every slot on the tape.
 #[allow(unsafe_code)]
 fn replay_tile_dispatch(
     tape: &[SliceInstr],
@@ -1246,53 +1231,43 @@ fn replay_tile_dispatch(
     per: usize,
     base: usize,
 ) {
-    debug_assert!(
-        tape.iter()
-            .flat_map(|i| [i.a, i.b, i.out])
-            .all(|slot| slot as usize * per + base + tile <= words.len()),
-        "a tape slot's tile runs past the frame"
-    );
     #[cfg(target_arch = "x86_64")]
     match (simd, tile) {
-        (SimdLevel::Avx512, 16) => {
-            // SAFETY: AVX-512F detected at tape compile; every span in bounds.
-            return unsafe { simd::run_tile_avx512::<16>(tape, words, per, base) };
+        (SimdLevel::Avx512, 8 | 16) => {
+            debug_assert!(
+                tape.iter()
+                    .flat_map(|i| [i.a, i.b, i.out])
+                    .all(|slot| slot as usize * per + base + tile <= words.len()),
+                "a tape slot's tile runs past the frame"
+            );
+            return match tile {
+                // SAFETY: AVX-512F detected at tape compile; every span in bounds.
+                16 => unsafe { simd::run_tile_avx512::<16>(tape, words, per, base) },
+                // SAFETY: AVX-512F detected at tape compile; every span in bounds.
+                _ => unsafe { simd::run_tile_avx512::<8>(tape, words, per, base) },
+            };
         }
-        (SimdLevel::Avx512, 8) => {
-            // SAFETY: AVX-512F detected at tape compile; every span in bounds.
-            return unsafe { simd::run_tile_avx512::<8>(tape, words, per, base) };
+        (SimdLevel::Avx512 | SimdLevel::Avx2, _) => {
+            // SAFETY: both levels resolve only where AVX2 was detected.
+            return unsafe { replay_tile_avx2(tape, tile, words, per, base) };
         }
-        (SimdLevel::Avx2, 16) => {
-            // SAFETY: AVX2 detected at tape compile; every span in bounds.
-            return unsafe { simd::run_tile_avx2::<16>(tape, words, per, base) };
-        }
-        (SimdLevel::Avx2, 8) => {
-            // SAFETY: AVX2 detected at tape compile; every span in bounds.
-            return unsafe { simd::run_tile_avx2::<8>(tape, words, per, base) };
-        }
-        (SimdLevel::Avx512 | SimdLevel::Avx2, 4) => {
-            // SAFETY: AVX2 detected at tape compile (AVX-512F implies it);
-            // every span in bounds.
-            return unsafe { simd::run_tile_avx2::<4>(tape, words, per, base) };
-        }
-        (SimdLevel::Sse2, 16) => {
-            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
-            return unsafe { simd::run_tile_sse2::<16>(tape, words, per, base) };
-        }
-        (SimdLevel::Sse2, 8) => {
-            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
-            return unsafe { simd::run_tile_sse2::<8>(tape, words, per, base) };
-        }
-        (SimdLevel::Sse2, 4) => {
-            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
-            return unsafe { simd::run_tile_sse2::<4>(tape, words, per, base) };
-        }
-        (SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2, 2) => {
-            // SAFETY: SSE2 is the x86_64 baseline; every span in bounds.
-            return unsafe { simd::run_tile_sse2::<2>(tape, words, per, base) };
-        }
-        _ => {}
+        (SimdLevel::Baseline, _) => {}
     }
+    replay_tile_any(tape, tile, words, per, base)
+}
+
+/// [`replay_tile_any`] built with AVX2 enabled: safe code, `unsafe` to
+/// call only because the CPU must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn replay_tile_avx2(tape: &[SliceInstr], tile: usize, words: &mut [u64], per: usize, base: usize) {
+    replay_tile_any(tape, tile, words, per, base)
+}
+
+/// [`replay_tile`] at a width of 2, 4, 8 or 16 words, inlined into each
+/// build so that each vectorizes it for its own target features.
+#[inline(always)]
+fn replay_tile_any(tape: &[SliceInstr], tile: usize, words: &mut [u64], per: usize, base: usize) {
     match tile {
         16 => replay_tile::<16>(tape, words, per, base),
         8 => replay_tile::<8>(tape, words, per, base),
@@ -1301,27 +1276,40 @@ fn replay_tile_dispatch(
     }
 }
 
-/// One tile of the kernel: replays the whole tape over words
-/// `base .. base + TW` of every slot span. The monomorphized `TW`
-/// turns every loop below into straight-line code. The body is
-/// branch-free by construction — the fused-chain accumulator was
-/// resolved to the dedicated scratch slot at compile time, so every
-/// instruction is an unconditional load/load/store (an interior's
-/// write is re-read by the very next instruction, keeping the
-/// accumulator line in L1). Operand spans are loaded in full before
-/// the result is stored, so an instruction may safely write the
-/// recycled slot of one of its own operands.
+/// The compiled tile: replays the whole tape over words
+/// `base .. base + TW` of every slot span. `TW` divides `per` and
+/// `base`, so the buffer is viewed as `TW`-word spans and each operand
+/// is one checked index: a slot past the buffer panics.
+#[inline(always)]
 fn replay_tile<const TW: usize>(tape: &[SliceInstr], words: &mut [u64], per: usize, base: usize) {
+    debug_assert!(per.is_multiple_of(TW) && base.is_multiple_of(TW));
+    let spans = &mut words.as_chunks_mut::<TW>().0[base / TW..];
+    // A full-width tile (every full block) gets a constant stride, so
+    // its index is the slot itself: without this arm the compiled tile
+    // ran 4–15 % behind the hand-written kernels it replaced.
+    match per / TW {
+        1 => replay_spans(tape, spans, 1),
+        stride => replay_spans(tape, spans, stride),
+    }
+}
+
+/// [`replay_tile`]'s tape walk, slot `s` at span `s * stride`: a word
+/// loop the compiler vectorizes, branch-free by construction — the
+/// fused-chain accumulator was resolved to the dedicated scratch slot
+/// at compile time, so every instruction is an unconditional
+/// load/load/store (an interior's write is re-read by the very next
+/// instruction, keeping the accumulator line in L1). Operand spans are
+/// copied out in full before the result is stored, so an instruction
+/// may safely write the recycled slot of one of its own operands.
+#[inline(always)]
+fn replay_spans<const TW: usize>(tape: &[SliceInstr], spans: &mut [[u64; TW]], stride: usize) {
     for i in tape {
-        let a0 = i.a as usize * per + base;
-        let b0 = i.b as usize * per + base;
-        let va: [u64; TW] = std::array::from_fn(|w| words[a0 + w]);
-        let vb: [u64; TW] = std::array::from_fn(|w| words[b0 + w]);
-        let r: [u64; TW] = std::array::from_fn(|w| {
-            i.k[0] ^ (i.k[1] & vb[w]) ^ (i.k[2] & va[w]) ^ (i.k[3] & va[w] & vb[w])
-        });
-        let o0 = i.out as usize * per + base;
-        words[o0..o0 + TW].copy_from_slice(&r);
+        let (a, b) = (spans[i.a as usize * stride], spans[i.b as usize * stride]);
+        let mut r = [0u64; TW];
+        for w in 0..TW {
+            r[w] = i.k[0] ^ (i.k[1] & b[w]) ^ (a[w] & (i.k[2] ^ (i.k[3] & b[w])));
+        }
+        spans[i.out as usize * stride] = r;
     }
 }
 
@@ -1506,9 +1494,9 @@ impl BitSliceEvaluator {
     }
 
     /// Compiles `netlist` into a kernel tape whose replay kernels go no
-    /// wider than `simd` — the ceiling differential tests pin the AVX2,
-    /// SSE2 and portable kernels with on an AVX-512 host. The tape itself
-    /// is the same at every level.
+    /// wider than `simd` — the ceiling differential tests pin the AVX2
+    /// and baseline builds of the compiled tile with on an AVX-512 host.
+    /// The tape itself is the same at every level.
     ///
     /// The pass is deterministic and purely structural: folding,
     /// fusion, tape order, and slot assignment depend only on the
@@ -1918,7 +1906,7 @@ impl BitSliceEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if `words_per_net` is zero.
+    /// Panics if `words_per_net` is not in [`SUPPORTED_SLICE_WORDS`].
     pub fn frame_with_words(&self, words_per_net: usize) -> SliceFrame {
         SliceFrame::with_width(self.slots, words_per_net)
     }
@@ -1930,11 +1918,10 @@ impl BitSliceEvaluator {
     /// compiled input map); afterwards every *live* net's slot holds its
     /// value for all lanes of the block (fused chain interiors never
     /// materialize). [`BitSliceEvaluator::evaluate`] wraps the
-    /// packing/unpacking; this is the raw kernel. Each width from
-    /// [`SUPPORTED_SLICE_WORDS`] is one tile — one walk of the tape by
-    /// a monomorphized kernel whose per-net word loop the compiler
-    /// unrolls — and any other `words_per_net` is chunked largest-first
-    /// from that same set with identical results.
+    /// packing/unpacking; this is the raw kernel. A frame's width, one
+    /// of [`SUPPORTED_SLICE_WORDS`], is one tile — one walk of the tape
+    /// by a monomorphized kernel whose per-net word loop the compiler
+    /// vectorizes.
     ///
     /// # Panics
     ///
@@ -2114,20 +2101,21 @@ impl BitSliceEvaluator {
     }
 }
 
-/// Explicit `std::arch` replays of the ANF word kernel. Each function
-/// mirrors [`replay_tile`] exactly — same tape walk,
-/// same `out = k0 ^ (k1 & b) ^ (k2 & a) ^ (k3 & a & b)` per word, same
-/// load-both-operands-then-store order per vector group (groups within
-/// a span are disjoint, so an instruction writing the recycled slot of
-/// one of its own operands stays safe) — but processes 2/4/8 words per
-/// vector op with the ANF masks broadcast across the vector.
+/// The one hand-written `std::arch` replay of the ANF word kernel: the
+/// AVX-512 ternary-logic tile. It mirrors [`replay_tile`] — same tape
+/// walk, same `out = k0 ^ (k1 & b) ^ (k2 & a) ^ (k3 & a & b)` per word,
+/// operands loaded before the result is stored (per 8-word vector;
+/// vectors within a span are disjoint, so an instruction writing the
+/// recycled slot of one of its own operands stays safe) — with the ANF
+/// masks broadcast across the vector. The compiled tile's own AVX-512
+/// build spends four logic ops per vector on the formula where this
+/// kernel spends three.
 ///
 /// # Safety
 ///
-/// Callers must have verified the target feature via runtime detection,
-/// and must guarantee `slot * per + base + TW <= words.len()` for every
-/// slot index on the tape (`TW` a multiple of the vector width) — see
-/// [`replay_tile_dispatch`], the only caller.
+/// Callers must have verified AVX-512F via runtime detection, and must
+/// guarantee `slot * per + base + TW <= words.len()` for every slot
+/// index on the tape — see [`replay_tile_dispatch`], the only caller.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
@@ -2179,87 +2167,6 @@ mod simd {
                 let r = _mm512_ternarylogic_epi64::<AND_XOR>(va, t, u);
                 _mm512_storeu_si512(p.add(o0 + w) as *mut __m512i, r);
                 w += 8;
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2, `TW` must be a multiple of 4, and
-    /// `slot * per + base + TW <= words.len()` must hold for every slot
-    /// index (`a`, `b`, `out`) on `tape`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_tile_avx2<const TW: usize>(
-        tape: &[SliceInstr],
-        words: &mut [u64],
-        per: usize,
-        base: usize,
-    ) {
-        let p = words.as_mut_ptr();
-        for i in tape {
-            let a0 = i.a as usize * per + base;
-            let b0 = i.b as usize * per + base;
-            let o0 = i.out as usize * per + base;
-            let k0 = _mm256_set1_epi64x(i.k[0] as i64);
-            let k1 = _mm256_set1_epi64x(i.k[1] as i64);
-            let k2 = _mm256_set1_epi64x(i.k[2] as i64);
-            let k3 = _mm256_set1_epi64x(i.k[3] as i64);
-            let mut w = 0;
-            while w < TW {
-                // SAFETY: `w + 4 <= TW`, so each 4-word access ends at or
-                // before `slot * per + base + TW <= words.len()` (the
-                // caller's contract); the unaligned load/store forms
-                // need no alignment, and `p` is the live `&mut` buffer.
-                let va = _mm256_loadu_si256(p.add(a0 + w) as *const __m256i);
-                let vb = _mm256_loadu_si256(p.add(b0 + w) as *const __m256i);
-                // Factored ANF: k0 ^ (k1&b) ^ (a & (k2 ^ (k3&b))).
-                let r = _mm256_xor_si256(
-                    _mm256_xor_si256(k0, _mm256_and_si256(k1, vb)),
-                    _mm256_and_si256(va, _mm256_xor_si256(k2, _mm256_and_si256(k3, vb))),
-                );
-                _mm256_storeu_si256(p.add(o0 + w) as *mut __m256i, r);
-                w += 4;
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `TW` must be a multiple of 2 and
-    /// `slot * per + base + TW <= words.len()` must hold for every slot
-    /// index (`a`, `b`, `out`) on `tape`. (SSE2 itself is part of the
-    /// x86_64 baseline.)
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn run_tile_sse2<const TW: usize>(
-        tape: &[SliceInstr],
-        words: &mut [u64],
-        per: usize,
-        base: usize,
-    ) {
-        let p = words.as_mut_ptr();
-        for i in tape {
-            let a0 = i.a as usize * per + base;
-            let b0 = i.b as usize * per + base;
-            let o0 = i.out as usize * per + base;
-            let k0 = _mm_set1_epi64x(i.k[0] as i64);
-            let k1 = _mm_set1_epi64x(i.k[1] as i64);
-            let k2 = _mm_set1_epi64x(i.k[2] as i64);
-            let k3 = _mm_set1_epi64x(i.k[3] as i64);
-            let mut w = 0;
-            while w < TW {
-                // SAFETY: `w + 2 <= TW`, so each 2-word access ends at or
-                // before `slot * per + base + TW <= words.len()` (the
-                // caller's contract); the unaligned load/store forms
-                // need no alignment, and `p` is the live `&mut` buffer.
-                let va = _mm_loadu_si128(p.add(a0 + w) as *const __m128i);
-                let vb = _mm_loadu_si128(p.add(b0 + w) as *const __m128i);
-                // Factored ANF: k0 ^ (k1&b) ^ (a & (k2 ^ (k3&b))).
-                let r = _mm_xor_si128(
-                    _mm_xor_si128(k0, _mm_and_si128(k1, vb)),
-                    _mm_and_si128(va, _mm_xor_si128(k2, _mm_and_si128(k3, vb))),
-                );
-                _mm_storeu_si128(p.add(o0 + w) as *mut __m128i, r);
-                w += 2;
             }
         }
     }
@@ -2455,7 +2362,7 @@ mod tests {
 
     #[test]
     fn simd_mode_resolves_within_its_ceiling() {
-        assert_eq!(SimdMode::Off.resolve(), SimdLevel::Scalar);
+        assert_eq!(SimdMode::Off.resolve(), SimdLevel::Baseline);
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx512f") {
@@ -2463,23 +2370,19 @@ mod tests {
             } else if is_x86_feature_detected!("avx2") {
                 assert_eq!(SimdMode::Auto.resolve(), SimdLevel::Avx2);
             }
-            // The AVX2 ceiling pins the AVX2 kernels on an AVX-512 host.
+            // The AVX2 ceiling pins the AVX2 build on an AVX-512 host.
             if is_x86_feature_detected!("avx2") {
                 assert_eq!(SimdMode::Avx2.resolve(), SimdLevel::Avx2);
             }
         }
         // Whatever the host, a request never resolves *above* itself.
         assert!(matches!(
-            SimdMode::Sse2.resolve(),
-            SimdLevel::Sse2 | SimdLevel::Scalar
-        ));
-        assert!(matches!(
             SimdMode::Avx2.resolve(),
-            SimdLevel::Avx2 | SimdLevel::Sse2 | SimdLevel::Scalar
+            SimdLevel::Avx2 | SimdLevel::Baseline
         ));
         assert_eq!(format!("{}", SimdMode::Avx2), "avx2");
         assert_eq!(format!("{}", SimdLevel::Avx512), "avx512");
-        assert_eq!(format!("{}", SimdLevel::Scalar), "scalar");
+        assert_eq!(format!("{}", SimdLevel::Baseline), "baseline");
     }
 
     /// Every tile kernel on every level this host resolves, against the
@@ -2497,12 +2400,7 @@ mod tests {
             let noise = ((slot * 16 + w) as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             (noise & !0xf) | [0xc, 0xa][slot]
         };
-        for mode in [
-            SimdMode::Auto,
-            SimdMode::Avx2,
-            SimdMode::Sse2,
-            SimdMode::Off,
-        ] {
+        for mode in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off] {
             let level = mode.resolve();
             println!("tile kernels: ceiling {mode} exercised level {level}");
             for tile in [2usize, 4, 8, 16] {
@@ -2538,18 +2436,36 @@ mod tests {
         }
     }
 
+    /// An `out` span one word past the buffer must panic, not write, at
+    /// every tile width on the levels the `Avx2` and `Off` ceilings
+    /// resolve to (below AVX-512). Each replay is caught and checked;
+    /// the last one is repeated uncaught for its panic message.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_slot_past_the_frame_panics_below_avx512() {
+        let (out, k) = (2, [!0; 4]);
+        let replay = |level: SimdLevel, tile: usize| {
+            let tape = [SliceInstr { a: 0, b: 1, out, k }];
+            replay_tile_dispatch(&tape, level, tile, &mut vec![0; 3 * tile - 1], tile, 0);
+        };
+        let levels = [SimdMode::Avx2.resolve(), SimdMode::Off.resolve()];
+        assert!(!levels.contains(&SimdLevel::Avx512));
+        for level in levels {
+            for tile in [2usize, 4, 8, 16] {
+                let caught = std::panic::catch_unwind(|| replay(level, tile));
+                assert!(caught.is_err(), "{level} tile {tile} wrote past it");
+            }
+        }
+        replay(SimdLevel::Baseline, 16);
+    }
+
     /// Every SIMD dispatch level the host can execute is bit-identical
     /// to the oracle at every supported width, ragged tails included —
     /// the netlist-level half of the conformance satellite.
     #[test]
     fn simd_variants_match_oracle_at_every_width() {
         use crate::random::RandomDag;
-        let modes = [
-            SimdMode::Auto,
-            SimdMode::Avx2,
-            SimdMode::Sse2,
-            SimdMode::Off,
-        ];
+        let modes = [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off];
         for seed in 0..3 {
             let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(seed);
             for mode in modes {
@@ -2603,14 +2519,10 @@ mod tests {
         let a = nl.add_input("a");
         nl.add_output(a, "y");
         let off = BitSliceEvaluator::compile_with(&nl, SimdMode::Off);
-        assert_eq!(off.simd_level(), SimdLevel::Scalar);
-        assert_eq!(off.tape_stats().simd, SimdLevel::Scalar);
+        assert_eq!(off.simd_level(), SimdLevel::Baseline);
+        assert_eq!(off.tape_stats().simd, SimdLevel::Baseline);
         let auto = BitSliceEvaluator::compile_with(&nl, SimdMode::Auto);
-        if cfg!(target_arch = "x86_64") {
-            assert_ne!(auto.simd_level(), SimdLevel::Scalar, "x86_64 has SSE2");
-        } else {
-            assert_eq!(auto.simd_level(), SimdLevel::Scalar);
-        }
+        assert_eq!(auto.tape_stats().simd, SimdMode::Auto.resolve());
     }
 
     #[test]
@@ -2903,9 +2815,8 @@ mod tests {
             let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(seed);
             let sliced = BitSliceEvaluator::compile(&nl);
             // Awkward batch widths per frame width: sub-block, exact
-            // block, multi-block with tail. 3 words per net exercises the
-            // tile-chunked generic path.
-            for words in [1usize, 2, 3, 4, 8] {
+            // block, multi-block with tail.
+            for words in [1usize, 2, 4, 8] {
                 let mut frame = sliced.frame_with_words(words);
                 assert_eq!(frame.lanes(), 64 * words);
                 for lanes in [1usize, 63, 64 * words, 64 * words + 1, 130 * words] {
@@ -2919,16 +2830,15 @@ mod tests {
     }
 
     /// Occupied-word replay: every lane count up to one block plus a
-    /// ragged second one, at every width (3 words = the tile-chunked
-    /// generic path), on ONE frame whose batches alternately grow and
-    /// shrink — so words past a small batch's end hold a bigger batch's
-    /// leftovers, and must never surface.
+    /// ragged second one, at every width, on ONE frame whose batches
+    /// alternately grow and shrink — so words past a small batch's end
+    /// hold a bigger batch's leftovers, and must never surface.
     #[test]
     fn partial_blocks_replay_only_occupied_words() {
         use crate::random::RandomDag;
         let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(2);
         let sliced = BitSliceEvaluator::compile(&nl);
-        for words in [1usize, 2, 3, 4, 8, 16] {
+        for words in SUPPORTED_SLICE_WORDS {
             let mut frame = sliced.frame_with_words(words);
             let max = words * 64 + 65;
             for step in 0..max {
@@ -2996,25 +2906,19 @@ mod tests {
     #[should_panic(expected = "active words exceed the frame width")]
     fn replay_rejects_more_active_words_than_the_frame_has() {
         let mut words = vec![0u64; 8];
-        replay_tape(&[], SimdLevel::Scalar, &mut words, 4, 5, 0);
+        replay_tape(&[], SimdLevel::Baseline, &mut words, 4, 5, 0);
     }
 
     /// Every SIMD ceiling — the one option a tape takes — is
-    /// bit-identical to the oracle, on frame widths outside
-    /// [`SUPPORTED_SLICE_WORDS`] too.
+    /// bit-identical to the oracle.
     #[test]
     fn tape_options_variants_match_oracle() {
         use crate::random::RandomDag;
         for seed in 0..3 {
             let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(seed);
-            for simd in [
-                SimdMode::Auto,
-                SimdMode::Avx2,
-                SimdMode::Sse2,
-                SimdMode::Off,
-            ] {
+            for simd in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off] {
                 let sliced = BitSliceEvaluator::compile_with(&nl, simd);
-                for words in [1usize, 3, 8] {
+                for words in [1usize, 8] {
                     let mut frame = sliced.frame_with_words(words);
                     for lanes in [1usize, 63, 64 * words + 1] {
                         let inputs = patterned_inputs(&nl, lanes, seed as usize);
@@ -3114,12 +3018,7 @@ mod tests {
         let folds = folding_shapes();
         let random = RandomDag::loose(6, 4, 7).outputs(2).generate(11);
         for nl in [&random, &folds] {
-            for simd in [
-                SimdMode::Auto,
-                SimdMode::Avx2,
-                SimdMode::Sse2,
-                SimdMode::Off,
-            ] {
+            for simd in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off] {
                 let sliced = BitSliceEvaluator::compile_with(nl, simd);
                 assert_eq!(sliced.tape_stats().tile_words(), 16);
                 let mut frame = sliced.frame_with_words(16);
@@ -3358,12 +3257,7 @@ mod tests {
                     assert!(!tail.iter().any(|&c| cone[c as usize]), "{what}: tail");
                 }
 
-                for simd in [
-                    SimdMode::Auto,
-                    SimdMode::Avx2,
-                    SimdMode::Sse2,
-                    SimdMode::Off,
-                ] {
+                for simd in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off] {
                     let tape = BitSliceEvaluator::compile_for(nl, simd, reads);
                     let mut frame = tape.frame_with_words(16);
                     for occupied in 1..=16usize {
@@ -3533,7 +3427,7 @@ mod tests {
         fill(&mut frame);
 
         // A width change zeroes every word, in place or in a new buffer.
-        for width in [16usize, 2, 3, 16] {
+        for width in [16usize, 2, 4, 16] {
             frame.set_width(width);
             assert_eq!((frame.slots(), frame.words_per_net()), (33, width));
             assert!(aligned(&frame), "width {width}");
@@ -3571,6 +3465,13 @@ mod tests {
     #[should_panic(expected = "at least one word")]
     fn slice_frame_rejects_zero_width() {
         let _ = SliceFrame::with_width(4, 0);
+    }
+
+    /// Only a supported width puts every tile on its own span grid.
+    #[test]
+    #[should_panic(expected = "slice frame width 3")]
+    fn slice_frame_rejects_an_unsupported_width() {
+        SliceFrame::with_slots(4).set_width(3);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   kernel compiler ([`BitSliceEvaluator`], 64–1024 lanes per
 //!   [`SliceFrame`] block) behind the serving layer's fast execution
 //!   backend, with a tape-locality pass ([`TapeStats`]: chain fusion,
-//!   liveness-based slot reuse) and
-//!   runtime-detected `std::arch` SIMD replay kernels
-//!   ([`SimdMode`]/[`SimdLevel`], AVX-512/AVX2/SSE2 on x86_64),
+//!   liveness-based slot reuse) and runtime-detected replay kernels
+//!   ([`SimdMode`]/[`SimdLevel`]: one compiled tile, built for the
+//!   baseline and for AVX2, and an AVX-512 kernel on x86_64),
 //! * partitioned execution ([`partitioned`]): a netlist split into
 //!   per-partition kernel tapes over smaller frames, with a
 //!   compile-time cross-partition [`ExchangeSchedule`],
@@ -47,9 +47,8 @@
 //! assert_eq!(out, vec![true]);
 //! ```
 
-// The crate's only `unsafe` is the `std::arch` tile kernels in
-// `eval::simd` and their dispatch, `eval::replay_tile_dispatch`; each
-// carries the one `allow`.
+// The crate's only `unsafe` is the AVX-512 kernel in `eval::simd` and
+// the tile dispatch, `eval::replay_tile_dispatch`; each has one `allow`.
 #![deny(unsafe_code)]
 
 pub mod balance;

@@ -626,7 +626,7 @@ impl PartitionedEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `words_per_net` is zero.
+    /// Panics if `words_per_net` is not a supported slice width.
     pub fn frames_with_words(&self, words_per_net: usize) -> Vec<SliceFrame> {
         self.parts
             .iter()
@@ -1235,12 +1235,7 @@ mod tests {
     fn every_occupied_word_count_matches_oracle_on_every_simd_level() {
         let nl = RandomDag::loose(7, 5, 8).outputs(3).generate(2);
         let assignment = PartitionAssignment::contiguous(&nl, 3).unwrap();
-        for simd in [
-            SimdMode::Auto,
-            SimdMode::Avx2,
-            SimdMode::Sse2,
-            SimdMode::Off,
-        ] {
+        for simd in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off] {
             let engine = PartitionedEngine::compile_with(&nl, &assignment, simd).unwrap();
             let mut frames = engine.frames_with_words(16);
             for occupied in 1..=16usize {

@@ -621,12 +621,7 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
         };
         let awkward = with_oracle(&awkward_lane_counts());
         let occupied = with_oracle(&occupied_lanes);
-        for simd in [
-            SimdMode::Auto,
-            SimdMode::Avx2,
-            SimdMode::Sse2,
-            SimdMode::Off,
-        ] {
+        for simd in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off] {
             let sliced = BitSliceEvaluator::compile_with(&netlist, simd);
             let stats = sliced.tape_stats();
             saw_fusion |= stats.fused_instrs > 0;
@@ -655,8 +650,8 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
 }
 
 /// SIMD dispatch differential sweep (ISSUE 9): every dispatch variant —
-/// auto, AVX2/SSE2 ceilings (each clamped to what the host supports),
-/// and scalar-off — must replay the kernel tape bit-identically to the
+/// auto, the AVX2 ceiling (clamped to what the host supports), and the
+/// baseline build (`Off`) — must replay the kernel tape bit-identically to the
 /// oracle at every width and awkward batch shape, ragged final blocks
 /// included. A patched tape (the in-place ANF-mask rewrite behind the
 /// `.lbnnp` hot-reconfiguration flow) must stay bit-identical under
@@ -667,12 +662,7 @@ fn tape_locality_options_are_bit_identical_at_every_width() {
 fn simd_dispatch_variants_are_bit_identical_at_every_width() {
     use lbnn::netlist::eval::BitSliceEvaluator;
     use lbnn::netlist::{PatchSet, SimdMode};
-    let modes = [
-        SimdMode::Auto,
-        SimdMode::Avx2,
-        SimdMode::Sse2,
-        SimdMode::Off,
-    ];
+    let modes = [SimdMode::Auto, SimdMode::Avx2, SimdMode::Off];
     for seed in [11u64, 23] {
         let netlist = RandomDag::strict(9, 5, 8).outputs(4).generate(seed);
         let width = netlist.inputs().len();
