@@ -535,14 +535,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let runtime =
-            match engine.into_runtime(RuntimeOptions::default().workers(args.serve_workers)) {
-                Ok(runtime) => runtime,
-                Err(e) => {
-                    eprintln!("lbnnc: runtime construction failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        let options = RuntimeOptions::default().workers(args.serve_workers);
+        let runtime = match Runtime::from_engine(engine, options) {
+            Ok(runtime) => runtime,
+            Err(e) => {
+                eprintln!("lbnnc: runtime construction failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let width = flow.program.num_inputs;
         let inputs = synthetic_requests(width, requests, 0x5e12_2023);
         println!(

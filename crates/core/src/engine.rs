@@ -5,11 +5,11 @@
 //! [`Engine`] is that steady state as an object, split the way a real
 //! inference server is:
 //!
-//! * [`EngineCore`] — the **immutable, shareable** half: the validated
-//!   [`LpuMachine`], the program, and the one kernel batches replay on
-//!   (the machine itself, a bit-sliced tape, or a partitioned set of
-//!   tapes). An engine holds it behind an `Arc`, so clones and worker
-//!   threads share one resident compiled block.
+//! * an **immutable, shared** half behind the engine's `Arc`: the
+//!   machine configuration, the program, and the one kernel batches
+//!   replay on (the cycle-accurate machine, a bit-sliced tape, or a
+//!   partitioned set of tapes). Clones and runtime workers share one
+//!   resident compiled block;
 //! * [`EngineScratch`] — the **mutable, per-worker** half: snapshot and
 //!   pipeline buffers, retired lane vectors, the bit-slice frames (sized
 //!   to the backend's width on first use). Every executing thread owns
@@ -48,8 +48,8 @@ use std::sync::Arc;
 
 use lbnn_netlist::eval::lane_sink;
 use lbnn_netlist::{
-    BitSliceEvaluator, Lanes, Netlist, PartitionedEngine, PatchSet, SliceFrame, TapeStats,
-    MAX_PARTITIONS, SUPPORTED_SLICE_WORDS,
+    BitSliceEvaluator, Lanes, PartitionedEngine, PatchSet, SliceFrame, TapeStats, MAX_PARTITIONS,
+    SUPPORTED_SLICE_WORDS,
 };
 
 use crate::compiler::program::LpuProgram;
@@ -161,7 +161,7 @@ impl FromStr for Backend {
 /// Rewrites the op of every instruction computing a patched cell,
 /// leaving routing, snapshots and scheduling untouched. A cell
 /// recomputed by several MFG executions is patched at every occurrence.
-/// Shared by [`EngineCore::patch_cells`] (live engines) and
+/// Shared by [`Engine::patch_cells`] (live engines) and
 /// [`Flow::apply_patches`](crate::flow::Flow::apply_patches)
 /// (compile-side patching).
 pub(crate) fn patch_program(program: &mut LpuProgram, patches: &PatchSet) -> Result<(), CoreError> {
@@ -205,23 +205,20 @@ pub(crate) fn patch_program(program: &mut LpuProgram, patches: &PatchSet) -> Res
 /// whatever slice width — runs on it), starts empty and cheap
 /// (`Default`), and amortizes to zero allocation in steady state when
 /// reused across batches. Every thread executing against a shared
-/// [`EngineCore`] owns exactly one.
+/// [`Engine`] owns exactly one.
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     pub(crate) pass: PassScratch,
-    /// One frame per kernel tape: one for a single-tape core, one per
-    /// partition for a partitioned core; unused by the scalar machine.
+    /// One frame per kernel tape: one for a single-tape engine, one per
+    /// partition for a partitioned engine; unused by the scalar machine.
     pub(crate) frames: Vec<SliceFrame>,
-    /// Reusable flat packed-input buffer in [`Lanes::pack_rows_into`]
-    /// layout: a runtime worker transposes each micro-batch's rows into
-    /// it, so steady-state packing allocates nothing.
-    pub(crate) packed: Vec<u64>,
     /// The leading output columns the last pass was asked to keep
-    /// ([`EngineCore::run`]'s `keep`), packed in the same layout: column
-    /// `j` at `[j * stride ..]`, `stride = lanes.div_ceil(64)`. Bits past
-    /// `lanes` in a column's last word are unspecified. This is what
-    /// crosses a model's layer boundary — the next layer's inputs are
-    /// read straight from here ([`crate::model`]).
+    /// ([`Engine::run_with`]'s `keep`), packed in
+    /// [`Lanes::pack_rows_into`] layout: column `j` at `[j * stride ..]`,
+    /// `stride = lanes.div_ceil(64)`. Bits past `lanes` in a column's
+    /// last word are unspecified. This is what crosses a model's layer
+    /// boundary — the next layer's inputs are read straight from here
+    /// ([`crate::model`]).
     pub(crate) kept: Vec<u64>,
 }
 
@@ -232,31 +229,19 @@ impl EngineScratch {
     }
 }
 
-/// What an [`EngineCore`] replays batches on — exactly one per core,
+/// What an [`Engine`] replays batches on — exactly one per engine,
 /// fixed at construction. Every bit-sliced kernel is derived from the
 /// mapped netlist: handed over by the compile pass that built it, or
 /// recompiled (deterministically) by [`Engine::build`].
 #[derive(Debug)]
-pub(crate) enum Kernel {
+enum Kernel {
     /// [`Backend::Scalar`]: the cycle-accurate machine runs the program.
-    Machine,
+    Machine(LpuMachine),
     /// [`Backend::BitSliced`] on one kernel tape.
     Tape(BitSliceEvaluator),
     /// [`Backend::BitSliced`] with `partitions > 1`: N per-partition
     /// tapes with the exchange schedule between levels.
     Partitioned(PartitionedEngine),
-}
-
-impl Kernel {
-    /// The kernel a compile pass already built for a flow, if any.
-    fn prebuilt(
-        tape: Option<BitSliceEvaluator>,
-        partitioned: Option<PartitionedEngine>,
-    ) -> Option<Kernel> {
-        partitioned
-            .map(Kernel::Partitioned)
-            .or(tape.map(Kernel::Tape))
-    }
 }
 
 /// The lane count of a batch handed over as per-input columns; a batch
@@ -295,20 +280,14 @@ pub(crate) fn packed_columns<'a>(
     move |i| &packed[i * stride..(i + 1) * stride]
 }
 
-/// The immutable, shareable half of an [`Engine`]: configuration,
-/// validated machine, program, and the kernel batches replay on.
-///
-/// A core never mutates after construction — every entry point is
-/// `&self`, with all execution state supplied as [`EngineScratch`] — so
-/// one `Arc<EngineCore>` can serve batches from any number of threads
-/// simultaneously. [`Engine`] wraps it with bookkeeping (scratch, worker
-/// count, served-batch counter); the [`crate::runtime::Runtime`] workers
-/// execute against it directly.
+/// The immutable half of an [`Engine`]: what it serves and the kernel
+/// it replays on. It never mutates after construction, so one `Arc` of
+/// it serves batches from any number of threads at once.
 #[derive(Debug)]
-pub struct EngineCore {
-    machine: LpuMachine,
-    /// Shared with the flow the core was built from and with every
-    /// other core built from it.
+struct Core {
+    config: LpuConfig,
+    /// Shared with the flow the engine was built from and with every
+    /// other engine built from it.
     program: Arc<LpuProgram>,
     backend: Backend,
     kernel: Kernel,
@@ -316,245 +295,10 @@ pub struct EngineCore {
     lpe_ops_per_pass: usize,
 }
 
-impl EngineCore {
-    /// The execution backend this core replays batches on.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Lanes one kernel pass of this core natively packs
-    /// ([`Backend::lanes`]): 64–1024 for bit-sliced backends, 64 for
-    /// the scalar machine. The serving runtime's micro-batcher flushes
-    /// at this width.
-    pub fn lane_width(&self) -> usize {
-        self.backend.lanes()
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &LpuConfig {
-        self.machine.config()
-    }
-
-    /// The resident program.
-    pub fn program(&self) -> &LpuProgram {
-        &self.program
-    }
-
-    /// Locality statistics of the resident single kernel tape
-    /// ([`TapeStats`]: fused chains, live frame slots); `None`
-    /// on scalar and partitioned cores, which execute no such tape.
-    pub fn tape_stats(&self) -> Option<TapeStats> {
-        match &self.kernel {
-            Kernel::Tape(tape) => Some(tape.tape_stats()),
-            _ => None,
-        }
-    }
-
-    /// Execution partitions this core serves on: 1 for single-tape and
-    /// scalar cores.
-    pub fn partitions(&self) -> usize {
-        match &self.kernel {
-            Kernel::Partitioned(engine) => engine.num_partitions(),
-            _ => 1,
-        }
-    }
-
-    /// Cut-size and per-partition frame statistics of the resident
-    /// partitioned engine; `None` on unpartitioned cores.
-    pub fn partition_stats(&self) -> Option<lbnn_netlist::PartitionStats> {
-        match &self.kernel {
-            Kernel::Partitioned(engine) => Some(engine.partition_stats()),
-            _ => None,
-        }
-    }
-
-    /// Steady-state clock cycles between batch starts (initiation
-    /// interval × `tc`): back-to-back serving admits a new batch every
-    /// `queue_depth` compute cycles, not every full fill+drain latency.
-    pub fn steady_clock_cycles_per_batch(&self) -> u64 {
-        self.program.queue_depth as u64 * self.config().tc() as u64
-    }
-
-    /// A copy of this core with the logic function of every cell in
-    /// `patches` replaced — the copy-on-write half of hot
-    /// reconfiguration.
-    ///
-    /// Only function payloads move: the scalar program — copied on
-    /// write, the original still shared by whoever else holds it —
-    /// keeps its routing, snapshot and schedule words and has each matching
-    /// [`LpeInstr`](crate::compiler::program::LpeInstr)'s op swapped
-    /// (a cell recomputed by several MFG executions is patched at every
-    /// occurrence), and the bit-sliced kernel tape(s) have the target
-    /// cells' ANF masks rewritten in place
-    /// ([`BitSliceEvaluator::patched`],
-    /// [`PartitionedEngine::patched`]). The original core is untouched,
-    /// so in-flight batches holding the old `Arc` keep executing the old
-    /// function while new submissions see the new one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Netlist`] with
-    /// [`NetlistError::BadPatch`](lbnn_netlist::NetlistError::BadPatch)
-    /// when a replacement's arity disagrees with the instruction it
-    /// rewrites, or
-    /// [`NetlistError::InvalidNode`](lbnn_netlist::NetlistError::InvalidNode)
-    /// when a patched id names no executable cell of this program.
-    pub fn patch_cells(&self, patches: &PatchSet) -> Result<EngineCore, CoreError> {
-        let mut program = Arc::clone(&self.program);
-        patch_program(Arc::make_mut(&mut program), patches)?;
-        let kernel = match &self.kernel {
-            Kernel::Machine => Kernel::Machine,
-            Kernel::Tape(tape) => Kernel::Tape(tape.patched(patches)?),
-            Kernel::Partitioned(engine) => Kernel::Partitioned(engine.patched(patches)?),
-        };
-        Ok(EngineCore {
-            machine: self.machine.clone(),
-            program,
-            backend: self.backend,
-            kernel,
-            lpe_ops_per_pass: self.lpe_ops_per_pass,
-        })
-    }
-
-    /// Runs one batch on the selected backend using caller-owned
-    /// `scratch`.
-    ///
-    /// Does **not** count toward any engine's
-    /// [`batches_served`](Engine::batches_served); use
-    /// [`Engine::run_batch_with`] for counted serving.
-    ///
-    /// # Errors
-    ///
-    /// See [`LpuMachine::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input lane vectors have inconsistent lane counts.
-    pub fn run_batch(
-        &self,
-        scratch: &mut EngineScratch,
-        inputs: &[Lanes],
-    ) -> Result<RunResult, CoreError> {
-        self.check_arity(inputs.len())?;
-        let lanes = column_lanes(inputs);
-        self.run(scratch, lanes, |i| inputs[i].words(), 0, true)
-    }
-
-    /// The arity check every entry makes before it reads a column.
-    pub(crate) fn check_arity(&self, got: usize) -> Result<(), CoreError> {
-        if got != self.program.num_inputs {
-            return Err(CoreError::InputArity {
-                expected: self.program.num_inputs,
-                got,
-            });
-        }
-        Ok(())
-    }
-
-    /// The one body behind every execution path (sequential and sharded
-    /// replay, the runtime micro-batcher, the model chain), so the
-    /// paths cannot diverge: packed columns in, packed columns out.
-    ///
-    /// `input_words(i)` yields input `i`'s packed lane column (at least
-    /// `lanes.div_ceil(64)` words) for each of the program's inputs —
-    /// the caller has checked the arity. The first `keep` output columns
-    /// (capped at the program's output count) are left packed in
-    /// `scratch.kept`; [`RunResult::outputs`] holds every output as
-    /// [`Lanes`] when `columns` is set and is empty otherwise — a pass
-    /// materialises only what its caller reads. The scalar machine
-    /// consumes and produces `Lanes`, so it rebuilds its input columns
-    /// and copies the kept ones out.
-    pub(crate) fn run<'a>(
-        &self,
-        scratch: &mut EngineScratch,
-        lanes: usize,
-        input_words: impl Fn(usize) -> &'a [u64],
-        keep: usize,
-        columns: bool,
-    ) -> Result<RunResult, CoreError> {
-        let EngineScratch {
-            pass, frames, kept, ..
-        } = scratch;
-        // The scratch is shape-agnostic; give it a first frame at this
-        // core's slice width (no-op once matched). Each kernel sizes its
-        // frame(s) from there.
-        if let Backend::BitSliced { words } = self.backend {
-            if frames.is_empty() {
-                frames.push(SliceFrame::default());
-            }
-            frames[0].set_width(words);
-        }
-        let stride = lanes.div_ceil(64);
-        let num_outputs = self.program.outputs.len();
-        let keep = keep.min(num_outputs);
-        kept.clear();
-        kept.resize(keep * stride, 0);
-        let mut built = Vec::new();
-        {
-            let mut build = lane_sink(&mut built, if columns { num_outputs } else { 0 }, lanes);
-            // Blocks arrive in order: a kept column is stored at the
-            // block's word offset, a built one is made by `lane_sink`.
-            let emitted = if columns { num_outputs } else { keep };
-            let sink = |o: usize, base: usize, words: &[u64]| {
-                if o < keep {
-                    kept[o * stride + base..][..words.len()].copy_from_slice(words);
-                }
-                if columns {
-                    build(o, base, words);
-                }
-            };
-            match &self.kernel {
-                Kernel::Machine => {
-                    let inputs: Vec<Lanes> = (0..self.program.num_inputs)
-                        .map(|i| Lanes::from_slice(&input_words(i)[..stride], lanes))
-                        .collect();
-                    let mut result =
-                        (self.machine).run_with_scratch(&self.program, &inputs, lanes, pass)?;
-                    for (o, col) in result.outputs.iter().enumerate().take(keep) {
-                        kept[o * stride..][..stride].copy_from_slice(col.words());
-                    }
-                    if !columns {
-                        result.outputs.clear();
-                    }
-                    return Ok(result);
-                }
-                Kernel::Tape(tape) => {
-                    tape.eval_blocks(lanes, &mut frames[0], input_words, emitted, sink)
-                }
-                Kernel::Partitioned(engine) => {
-                    engine.eval_blocks(lanes, frames, input_words, emitted, sink)
-                }
-            }
-        }
-        // Functional execution with the scalar path's model-time
-        // accounting.
-        Ok(RunResult {
-            outputs: built,
-            compute_cycles: self.program.total_cycles,
-            clock_cycles: self.program.total_cycles as u64 * self.config().tc() as u64,
-            lpe_ops: self.lpe_ops_per_pass,
-            peak_live_snapshots: 0,
-        })
-    }
-}
-
-/// Counts one executed batch toward [`Engine::batches_served`] — the
-/// one place the counter advances, under every serving path; a failed
-/// batch does not count.
-fn count_served(
-    served: &AtomicU64,
-    result: Result<RunResult, CoreError>,
-) -> Result<RunResult, CoreError> {
-    if result.is_ok() {
-        served.fetch_add(1, Ordering::Relaxed);
-    }
-    result
-}
-
 /// A resident, ready-to-serve compiled block.
 ///
 /// Construction validates the configuration and the program/machine shape
-/// once into an immutable [`EngineCore`]; afterwards every
+/// once into an immutable, shared core; afterwards every
 /// [`run_batch`](Engine::run_batch) is a pure replay. The engine's own
 /// buffers (snapshot registers, pipeline registers, retired lane vectors,
 /// bit-slice frames) persist across batches, and
@@ -581,7 +325,7 @@ fn count_served(
 /// # Ok::<(), lbnn_core::CoreError>(())
 /// ```
 pub struct Engine {
-    core: Arc<EngineCore>,
+    core: Arc<Core>,
     /// The engine's own scratch, lent to `&mut self` convenience paths.
     scratch: EngineScratch,
     /// Threads [`Engine::run_batches`] shards over.
@@ -617,71 +361,30 @@ impl Clone for Engine {
 }
 
 impl Engine {
-    /// Builds an engine serving `flow`'s program on `flow`'s backend.
-    /// The program is shared with the flow, not copied
-    /// ([`Engine::program`] is `flow.program`); the kernel a freshly
-    /// compiled flow's `locality` or `exchange` pass built is copied
-    /// (use [`Flow::into_engine`] to move it), and flows loaded from
-    /// serialized artifacts recompile it (deterministically) from the
-    /// mapped netlist.
+    /// Builds an engine serving `flow`'s program on `flow`'s backend;
+    /// the program is shared with the flow, not copied. A
+    /// [`Backend::BitSliced`] engine replays the kernel the flow's
+    /// `locality` or `exchange` pass built (`tape`, `partitioned`) when
+    /// the caller hands it over, and otherwise compiles it from the
+    /// mapped netlist — one tape with the read cone of outputs `..reads`
+    /// first, or with `flow.partitions > 1` a [`PartitionedEngine`].
+    /// Only a [`Backend::Scalar`] engine holds the cycle-accurate
+    /// machine.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadConfig`] if the configuration is unusable,
     /// the program was compiled for a different machine shape, or the
     /// flow's kernel disagrees with its program.
-    pub fn from_flow(flow: &Flow) -> Result<Self, CoreError> {
-        Engine::from_flow_reading(flow, usize::MAX)
-    }
-
-    /// [`Engine::from_flow`] for a caller that hands on only the first
-    /// `reads` outputs (a hidden model layer): a tape compiled here puts
-    /// their read cone first ([`BitSliceEvaluator::compile_reading`]).
-    /// A flow's prebuilt tape is taken as it is.
-    pub(crate) fn from_flow_reading(flow: &Flow, reads: usize) -> Result<Self, CoreError> {
-        Engine::build(
-            flow.config,
-            Arc::clone(&flow.program),
-            flow.backend,
-            Some(&flow.netlist),
-            flow.partitions,
-            Kernel::prebuilt(
-                flow.artifacts.as_ref().and_then(|a| a.tape.clone()),
-                flow.partitioned.clone(),
-            ),
-            reads,
-        )
-    }
-
-    /// Loads a serialized flow artifact ([`Flow::load`]) and goes
-    /// straight to a resident engine on the artifact's recorded backend —
-    /// the "serve anywhere" half of compile-once/serve-anywhere.
-    ///
-    /// # Errors
-    ///
-    /// See [`Flow::load`] and [`Engine::from_flow`].
-    pub fn from_artifact(path: impl AsRef<std::path::Path>) -> Result<Self, CoreError> {
-        Flow::load(path)?.into_engine()
-    }
-
-    /// Shared constructor. A [`Backend::BitSliced`] engine replays
-    /// `prebuilt` when the caller already has the kernel (a freshly
-    /// compiled [`Flow`]; it must come from the same netlist and
-    /// partition count) and otherwise compiles it from `netlist` — one
-    /// tape with the read cone of outputs `..reads` first, or with
-    /// `partitions > 1` a [`PartitionedEngine`]. Scalar engines ignore
-    /// all four (the cycle-accurate machine is its own execution model).
-    pub(crate) fn build(
-        config: LpuConfig,
-        program: Arc<LpuProgram>,
-        backend: Backend,
-        netlist: Option<&Netlist>,
-        partitions: usize,
-        prebuilt: Option<Kernel>,
+    fn build(
+        flow: &Flow,
+        tape: Option<BitSliceEvaluator>,
+        partitioned: Option<PartitionedEngine>,
         reads: usize,
     ) -> Result<Self, CoreError> {
-        let machine = LpuMachine::new(config)?;
-        backend.validate()?;
+        let (config, program, partitions) = (flow.config, &flow.program, flow.partitions);
+        config.validate()?;
+        flow.backend.validate()?;
         if partitions == 0 || partitions > MAX_PARTITIONS {
             return Err(CoreError::BadConfig {
                 reason: format!("partitions must be 1..={MAX_PARTITIONS}, got {partitions}"),
@@ -695,24 +398,19 @@ impl Engine {
                 ),
             });
         }
-        let kernel = match (backend, prebuilt) {
-            (Backend::Scalar, _) => Kernel::Machine,
-            (Backend::BitSliced { .. }, Some(kernel)) => kernel,
-            (Backend::BitSliced { .. }, None) => {
-                let netlist = netlist.ok_or_else(|| CoreError::BadConfig {
-                    reason: "the bit-sliced backend needs the mapped netlist; build the engine \
-                             from a Flow"
-                        .to_string(),
-                })?;
-                if partitions > 1 {
-                    Kernel::Partitioned(PartitionedEngine::compile(netlist, partitions)?)
-                } else {
-                    Kernel::Tape(BitSliceEvaluator::compile_reading(netlist, reads))
-                }
+        let kernel = match (flow.backend, partitioned, tape) {
+            (Backend::Scalar, ..) => Kernel::Machine(LpuMachine::new(config)?),
+            (_, Some(engine), _) => Kernel::Partitioned(engine),
+            (_, None, Some(tape)) => Kernel::Tape(tape),
+            (_, None, None) if partitions > 1 => {
+                Kernel::Partitioned(PartitionedEngine::compile(&flow.netlist, partitions)?)
+            }
+            (_, None, None) => {
+                Kernel::Tape(BitSliceEvaluator::compile_reading(&flow.netlist, reads))
             }
         };
         let shape = match &kernel {
-            Kernel::Machine => None,
+            Kernel::Machine(_) => None,
             Kernel::Tape(tape) => Some((1, tape.num_inputs(), tape.num_outputs())),
             Kernel::Partitioned(engine) => Some((
                 engine.num_partitions(),
@@ -739,19 +437,24 @@ impl Engine {
                 });
             }
         }
-        let lpe_ops_per_pass = program.lpe_op_count();
-        Ok(Engine {
-            core: Arc::new(EngineCore {
-                machine,
-                program,
-                backend,
-                kernel,
-                lpe_ops_per_pass,
-            }),
+        let core = Core {
+            config,
+            program: Arc::clone(program),
+            backend: flow.backend,
+            kernel,
+            lpe_ops_per_pass: program.lpe_op_count(),
+        };
+        Ok(Engine::serving(core, 1))
+    }
+
+    /// A fresh engine (own scratch, counter at 0) serving `core`.
+    fn serving(core: Core, workers: usize) -> Self {
+        Engine {
+            core: Arc::new(core),
             scratch: EngineScratch::default(),
-            workers: 1,
+            workers,
             batches_served: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Sets the worker-thread count used by [`Engine::run_batches`] and
@@ -771,32 +474,57 @@ impl Engine {
         self.workers
     }
 
-    /// The shared immutable core: config, program, backend, kernel tape.
-    pub fn core(&self) -> &Arc<EngineCore> {
-        &self.core
+    /// Whether `self` and `other` serve one resident compiled core.
+    #[cfg(test)]
+    pub(crate) fn shares_core(&self, other: &Engine) -> bool {
+        Arc::ptr_eq(&self.core, &other.core)
     }
 
-    /// A new engine serving this engine's program with the cells in
-    /// `patches` rewritten ([`EngineCore::patch_cells`]).
+    /// A new engine serving this engine's program with the logic
+    /// function of every cell in `patches` replaced — the copy-on-write
+    /// half of hot reconfiguration.
     ///
-    /// Copy-on-write: the patched engine owns a fresh
-    /// [`EngineCore`] and counter, while `self` — and every clone or
-    /// worker holding the old `Arc`'d core — continues serving the old
-    /// functions unchanged. Pair with
+    /// Only function payloads move: the scalar program — copied on
+    /// write, the original still shared by whoever else holds it —
+    /// keeps its routing, snapshot and schedule words and has each matching
+    /// [`LpeInstr`](crate::compiler::program::LpeInstr)'s op swapped
+    /// (a cell recomputed by several MFG executions is patched at every
+    /// occurrence), and the bit-sliced kernel tape(s) have the target
+    /// cells' ANF masks rewritten in place
+    /// ([`BitSliceEvaluator::patched`],
+    /// [`PartitionedEngine::patched`]). The patched engine owns a fresh
+    /// core and counter, while `self` — and every clone or worker
+    /// holding the old core — keeps serving the old functions, so
+    /// in-flight batches finish on the old version while new submissions
+    /// see the new one. Pair with
     /// [`Runtime::swap_engine`](crate::runtime::Runtime::swap_engine)
     /// to move live traffic over atomically.
     ///
     /// # Errors
     ///
-    /// See [`EngineCore::patch_cells`].
+    /// Returns [`CoreError::Netlist`] with
+    /// [`NetlistError::BadPatch`](lbnn_netlist::NetlistError::BadPatch)
+    /// when a replacement's arity disagrees with the instruction it
+    /// rewrites, or
+    /// [`NetlistError::InvalidNode`](lbnn_netlist::NetlistError::InvalidNode)
+    /// when a patched id names no executable cell of this program.
     pub fn patch_cells(&self, patches: &PatchSet) -> Result<Engine, CoreError> {
-        let core = self.core.patch_cells(patches)?;
-        Ok(Engine {
-            core: Arc::new(core),
-            scratch: EngineScratch::default(),
-            workers: self.workers,
-            batches_served: AtomicU64::new(0),
-        })
+        let core = &*self.core;
+        let mut program = Arc::clone(&core.program);
+        patch_program(Arc::make_mut(&mut program), patches)?;
+        let kernel = match &core.kernel {
+            Kernel::Machine(machine) => Kernel::Machine(machine.clone()),
+            Kernel::Tape(tape) => Kernel::Tape(tape.patched(patches)?),
+            Kernel::Partitioned(engine) => Kernel::Partitioned(engine.patched(patches)?),
+        };
+        let core = Core {
+            config: core.config,
+            program,
+            backend: core.backend,
+            kernel,
+            lpe_ops_per_pass: core.lpe_ops_per_pass,
+        };
+        Ok(Engine::serving(core, self.workers))
     }
 
     /// The execution backend this engine replays batches on.
@@ -804,40 +532,57 @@ impl Engine {
         self.core.backend
     }
 
-    /// Locality statistics of the resident kernel tape
-    /// ([`EngineCore::tape_stats`]); `None` on scalar engines.
-    pub fn tape_stats(&self) -> Option<TapeStats> {
-        self.core.tape_stats()
-    }
-
-    /// Execution partitions this engine serves on; see
-    /// [`EngineCore::partitions`].
-    pub fn partitions(&self) -> usize {
-        self.core.partitions()
-    }
-
-    /// Cut-size and per-partition frame statistics; see
-    /// [`EngineCore::partition_stats`].
-    pub fn partition_stats(&self) -> Option<lbnn_netlist::PartitionStats> {
-        self.core.partition_stats()
-    }
-
-    /// Lanes one kernel pass natively packs (64–1024 for bit-sliced
-    /// backends, 64 for the scalar machine); see
-    /// [`EngineCore::lane_width`]. The [`crate::runtime::Runtime`]
-    /// micro-batcher uses this as its default flush target.
+    /// Lanes one kernel pass natively packs ([`Backend::lanes`]): 64–1024
+    /// for bit-sliced backends, 64 for the scalar machine. The
+    /// [`crate::runtime::Runtime`] micro-batcher uses this as its default
+    /// flush target.
     pub fn lane_width(&self) -> usize {
-        self.core.lane_width()
+        self.core.backend.lanes()
     }
 
     /// The machine configuration.
     pub fn config(&self) -> &LpuConfig {
-        self.core.config()
+        &self.core.config
     }
 
     /// The resident program.
     pub fn program(&self) -> &LpuProgram {
-        self.core.program()
+        &self.core.program
+    }
+
+    /// Locality statistics of the resident single kernel tape
+    /// ([`TapeStats`]: fused chains, live frame slots); `None` on scalar
+    /// and partitioned engines, which execute no such tape.
+    pub fn tape_stats(&self) -> Option<TapeStats> {
+        match &self.core.kernel {
+            Kernel::Tape(tape) => Some(tape.tape_stats()),
+            _ => None,
+        }
+    }
+
+    /// Execution partitions this engine serves on: 1 for single-tape and
+    /// scalar engines.
+    pub fn partitions(&self) -> usize {
+        match &self.core.kernel {
+            Kernel::Partitioned(engine) => engine.num_partitions(),
+            _ => 1,
+        }
+    }
+
+    /// Cut-size and per-partition frame statistics of the resident
+    /// partitioned engine; `None` on unpartitioned engines.
+    pub fn partition_stats(&self) -> Option<lbnn_netlist::PartitionStats> {
+        match &self.core.kernel {
+            Kernel::Partitioned(engine) => Some(engine.partition_stats()),
+            _ => None,
+        }
+    }
+
+    /// Steady-state clock cycles between batch starts (initiation
+    /// interval × `tc`): back-to-back serving admits a new batch every
+    /// `queue_depth` compute cycles, not every full fill+drain latency.
+    pub fn steady_clock_cycles_per_batch(&self) -> u64 {
+        self.core.program.queue_depth as u64 * self.core.config.tc() as u64
     }
 
     /// Batches served since construction, across every path — sequential
@@ -859,9 +604,15 @@ impl Engine {
     /// # Errors
     ///
     /// See [`LpuMachine::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input lane vectors have inconsistent lane counts.
     pub fn run_batch(&mut self, inputs: &[Lanes]) -> Result<RunResult, CoreError> {
-        let result = self.core.run_batch(&mut self.scratch, inputs);
-        count_served(&self.batches_served, result)
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.run_batch_with(&mut scratch, inputs);
+        self.scratch = scratch;
+        result
     }
 
     /// Runs one batch through `&self` with caller-owned scratch — the
@@ -872,17 +623,44 @@ impl Engine {
     /// # Errors
     ///
     /// See [`LpuMachine::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input lane vectors have inconsistent lane counts.
     pub fn run_batch_with(
         &self,
         scratch: &mut EngineScratch,
         inputs: &[Lanes],
     ) -> Result<RunResult, CoreError> {
-        count_served(&self.batches_served, self.core.run_batch(scratch, inputs))
+        self.check_arity(inputs.len())?;
+        let lanes = column_lanes(inputs);
+        self.run_with(scratch, lanes, |i| inputs[i].words(), 0, true)
     }
 
-    /// [`EngineCore::run`] through this engine, counted like every other
-    /// serving path — the entry [`crate::model::run_chain`] runs each
-    /// link of a chain through.
+    /// The arity check every entry makes before it reads a column.
+    pub(crate) fn check_arity(&self, got: usize) -> Result<(), CoreError> {
+        let expected = self.core.program.num_inputs;
+        if got != expected {
+            return Err(CoreError::InputArity { expected, got });
+        }
+        Ok(())
+    }
+
+    /// The one body behind every execution path (sequential and sharded
+    /// replay, the runtime micro-batcher, the model chain), so the
+    /// paths cannot diverge: packed columns in, packed columns out, and
+    /// the one place [`batches_served`](Engine::batches_served)
+    /// advances (a failed batch does not count).
+    ///
+    /// `input_words(i)` yields input `i`'s packed lane column (at least
+    /// `lanes.div_ceil(64)` words) for each of the program's inputs —
+    /// the caller has checked the arity. The first `keep` output columns
+    /// (capped at the program's output count) are left packed in
+    /// `scratch.kept`; [`RunResult::outputs`] holds every output as
+    /// [`Lanes`] when `columns` is set and is empty otherwise — a pass
+    /// materialises only what its caller reads. The scalar machine
+    /// consumes and produces `Lanes`, so it rebuilds its input columns
+    /// and copies the kept ones out.
     pub(crate) fn run_with<'a>(
         &self,
         scratch: &mut EngineScratch,
@@ -891,8 +669,72 @@ impl Engine {
         keep: usize,
         columns: bool,
     ) -> Result<RunResult, CoreError> {
-        let result = self.core.run(scratch, lanes, input_words, keep, columns);
-        count_served(&self.batches_served, result)
+        let core = &*self.core;
+        let EngineScratch { pass, frames, kept } = scratch;
+        // The scratch is shape-agnostic; give it a first frame at this
+        // engine's slice width (no-op once matched). Each kernel sizes
+        // its frame(s) from there.
+        if let Backend::BitSliced { words } = core.backend {
+            if frames.is_empty() {
+                frames.push(SliceFrame::default());
+            }
+            frames[0].set_width(words);
+        }
+        let stride = lanes.div_ceil(64);
+        let num_outputs = core.program.outputs.len();
+        let keep = keep.min(num_outputs);
+        kept.clear();
+        kept.resize(keep * stride, 0);
+        let mut built = Vec::new();
+        let machine_run = {
+            let mut build = lane_sink(&mut built, if columns { num_outputs } else { 0 }, lanes);
+            // Blocks arrive in order: a kept column is stored at the
+            // block's word offset, a built one is made by `lane_sink`.
+            let emitted = if columns { num_outputs } else { keep };
+            let sink = |o: usize, base: usize, words: &[u64]| {
+                if o < keep {
+                    kept[o * stride + base..][..words.len()].copy_from_slice(words);
+                }
+                if columns {
+                    build(o, base, words);
+                }
+            };
+            match &core.kernel {
+                Kernel::Machine(machine) => {
+                    let inputs: Vec<Lanes> = (0..core.program.num_inputs)
+                        .map(|i| Lanes::from_slice(&input_words(i)[..stride], lanes))
+                        .collect();
+                    let mut result =
+                        machine.run_with_scratch(&core.program, &inputs, lanes, pass)?;
+                    for (o, col) in result.outputs.iter().enumerate().take(keep) {
+                        kept[o * stride..][..stride].copy_from_slice(col.words());
+                    }
+                    if !columns {
+                        result.outputs.clear();
+                    }
+                    Some(result)
+                }
+                Kernel::Tape(tape) => {
+                    tape.eval_blocks(lanes, &mut frames[0], input_words, emitted, sink);
+                    None
+                }
+                Kernel::Partitioned(engine) => {
+                    engine.eval_blocks(lanes, frames, input_words, emitted, sink);
+                    None
+                }
+            }
+        };
+        // Functional execution reports the scalar path's model-time
+        // accounting.
+        let result = machine_run.unwrap_or_else(|| RunResult {
+            outputs: built,
+            compute_cycles: core.program.total_cycles,
+            clock_cycles: core.program.total_cycles as u64 * core.config.tc() as u64,
+            lpe_ops: core.lpe_ops_per_pass,
+            peak_live_snapshots: 0,
+        });
+        self.batches_served.fetch_add(1, Ordering::Relaxed);
+        Ok(result)
     }
 
     /// Runs a sequence of batches back to back — the paper's steady-state
@@ -914,7 +756,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// A batch that panics (see [`EngineCore::run_batch`]) panics the
+    /// A batch that panics (see [`Engine::run_batch_with`]) panics the
     /// caller, whichever thread ran it; the engine serves the next call.
     pub fn run_batches<B: AsRef<[Lanes]> + Sync>(
         &mut self,
@@ -950,54 +792,45 @@ impl Engine {
         }
         Ok(results)
     }
-
-    /// Steady-state clock cycles between batch starts (initiation
-    /// interval × `tc`): back-to-back serving admits a new batch every
-    /// `queue_depth` compute cycles, not every full fill+drain latency.
-    pub fn steady_clock_cycles_per_batch(&self) -> u64 {
-        self.core.steady_clock_cycles_per_batch()
-    }
 }
 
 impl Flow {
     /// Builds a resident [`Engine`] serving this flow's program on this
-    /// flow's [`Backend`] ([`Engine::from_flow`]: the program is shared).
+    /// flow's [`Backend`]. The program is shared with the flow, not
+    /// copied ([`Engine::program`] is `flow.program`); the kernel a
+    /// freshly compiled flow's `locality` or `exchange` pass built is
+    /// copied (use [`Flow::into_engine`] to move it), and flows loaded
+    /// from serialized artifacts recompile it (deterministically) from
+    /// the mapped netlist.
     ///
     /// # Errors
     ///
-    /// See [`Engine::from_flow`].
+    /// Returns [`CoreError::BadConfig`] if the configuration is unusable,
+    /// the program was compiled for a different machine shape, or the
+    /// flow's kernel disagrees with its program.
     pub fn engine(&self) -> Result<Engine, CoreError> {
-        Engine::from_flow(self)
+        self.engine_reading(usize::MAX)
     }
 
-    /// Converts this flow into a resident [`Engine`], moving the program
-    /// and the compiled kernel (the remaining compiler artifacts are
-    /// dropped).
+    /// [`Flow::engine`] for a caller that hands on only the first
+    /// `reads` outputs (a hidden model layer): a tape compiled here puts
+    /// their read cone first ([`BitSliceEvaluator::compile_reading`]).
+    /// A flow's prebuilt tape is taken as it is.
+    pub(crate) fn engine_reading(&self, reads: usize) -> Result<Engine, CoreError> {
+        let tape = self.artifacts.as_ref().and_then(|a| a.tape.clone());
+        Engine::build(self, tape, self.partitioned.clone(), reads)
+    }
+
+    /// Converts this flow into a resident [`Engine`], moving the compiled
+    /// kernel (the remaining compiler artifacts are dropped).
     ///
     /// # Errors
     ///
-    /// See [`Engine::from_flow`].
-    pub fn into_engine(self) -> Result<Engine, CoreError> {
-        let Flow {
-            netlist,
-            program,
-            config,
-            backend,
-            artifacts,
-            partitions,
-            partitioned,
-            ..
-        } = self;
-        let kernel = Kernel::prebuilt(artifacts.and_then(|a| a.tape), partitioned);
-        Engine::build(
-            config,
-            program,
-            backend,
-            Some(&netlist),
-            partitions,
-            kernel,
-            usize::MAX,
-        )
+    /// See [`Flow::engine`].
+    pub fn into_engine(mut self) -> Result<Engine, CoreError> {
+        let tape = self.artifacts.take().and_then(|a| a.tape);
+        let partitioned = self.partitioned.take();
+        Engine::build(&self, tape, partitioned, usize::MAX)
     }
 
     /// Locality statistics of the kernel tape the `locality` pass
@@ -1082,6 +915,27 @@ mod tests {
         flow.config = LpuConfig::new(8, 4);
         let err = flow.engine().unwrap_err();
         assert!(matches!(err, CoreError::BadConfig { .. }));
+
+        // A config of the right shape that no machine can run is rejected
+        // on every backend, though only the scalar one builds a machine.
+        let backends = [Backend::Scalar].into_iter().chain(
+            SUPPORTED_SLICE_WORDS
+                .iter()
+                .map(|&words| Backend::BitSliced { words }),
+        );
+        for backend in backends {
+            let mut flow = Flow::builder(&nl)
+                .config(LpuConfig::new(4, 4))
+                .backend(backend)
+                .compile()
+                .unwrap();
+            flow.config.freq_mhz = f64::NAN;
+            let err = flow.engine().unwrap_err();
+            assert!(
+                matches!(err, CoreError::BadConfig { .. }),
+                "{backend}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1341,15 +1195,13 @@ mod tests {
             for lanes in [1usize, 64, 100] {
                 let batch = random_batch(&mut rng, nl.inputs().len(), lanes);
                 let got = patched
-                    .core()
-                    .run_batch(&mut EngineScratch::new(), &batch)
+                    .run_batch_with(&mut EngineScratch::new(), &batch)
                     .unwrap();
                 let want = lbnn_netlist::eval::evaluate(&oracle_nl, &batch).unwrap();
                 assert_eq!(got.outputs, want, "{backend} lanes {lanes}");
                 // The original engine still serves the old functions.
                 let old = engine
-                    .core()
-                    .run_batch(&mut EngineScratch::new(), &batch)
+                    .run_batch_with(&mut EngineScratch::new(), &batch)
                     .unwrap();
                 let base = lbnn_netlist::eval::evaluate(&flow.netlist, &batch).unwrap();
                 assert_eq!(old.outputs, base, "{backend} old core lanes {lanes}");
@@ -1378,7 +1230,7 @@ mod tests {
                 .backend(backend)
                 .compile()
                 .unwrap();
-            let engine = Engine::from_flow(&flow).unwrap();
+            let engine = flow.engine().unwrap();
             assert!(std::ptr::eq(engine.program(), &*flow.program), "{backend}");
             let clone = flow.clone();
             assert!(std::ptr::eq(

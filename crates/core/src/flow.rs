@@ -147,10 +147,8 @@ pub struct Flow {
     /// original source does not travel in the artifact.
     pub source: Netlist,
     /// The generated program: the LPU's VLIW image. Shared, not copied,
-    /// by every engine built from this flow ([`Engine::from_flow`]) and
-    /// by every clone of the flow; patching copies it on write.
-    ///
-    /// [`Engine::from_flow`]: crate::engine::Engine::from_flow
+    /// by every engine built from this flow ([`Flow::engine`]) and by
+    /// every clone of the flow; patching copies it on write.
     pub program: Arc<LpuProgram>,
     /// Machine configuration.
     pub config: LpuConfig,

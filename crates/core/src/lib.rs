@@ -88,7 +88,7 @@ pub mod throughput;
 
 pub use artifact::{ArtifactKind, PatchDelta, PatchRecord, PATCH_VERSION};
 pub use compiler::pipeline::{CompileReport, PassReport};
-pub use engine::{Backend, Engine, EngineCore, EngineScratch};
+pub use engine::{Backend, Engine, EngineScratch};
 pub use error::{ArtifactError, CoreError};
 pub use flow::{CompileArtifacts, Flow, FlowBuilder, FlowOptions, FlowStats};
 pub use lpu::{LpuConfig, LpuMachine};

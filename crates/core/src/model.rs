@@ -124,11 +124,11 @@ impl CompiledLayer {
     ///
     /// # Errors
     ///
-    /// See [`Engine::from_flow`] (cannot fail for layers produced by
+    /// See [`Flow::engine`] (cannot fail for layers produced by
     /// [`CompiledModel::compile`] or loaded from a valid artifact).
     pub fn engine(&self) -> Result<&Engine, CoreError> {
         if self.engine.get().is_none() {
-            let built = Engine::from_flow_reading(&self.flow, self.reads)?;
+            let built = self.flow.engine_reading(self.reads)?;
             // A concurrent initializer may have won the race; its engine
             // is equivalent, so ours is simply dropped.
             let _ = self.engine.set(built);
@@ -292,7 +292,7 @@ impl ModelScratch {
 /// caller must match the first link exactly (a mismatch is an
 /// [`CoreError::InputArity`]); between links the chain adapts.
 fn first_layer_lanes(engines: &[&Engine], inputs: &[Lanes]) -> Result<usize, CoreError> {
-    engines[0].core().check_arity(inputs.len())?;
+    engines[0].check_arity(inputs.len())?;
     Ok(column_lanes(inputs))
 }
 
@@ -735,7 +735,7 @@ mod tests {
         assert!(std::ptr::eq(built, model.layers()[0].engine().unwrap()));
         let engines = clone.into_engines().unwrap();
         for (layer, engine) in model.layers().iter().zip(&engines) {
-            assert!(Arc::ptr_eq(engine.core(), layer.engine().unwrap().core()));
+            assert!(engine.shares_core(layer.engine().unwrap()));
             assert!(std::ptr::eq(engine.program(), &*layer.flow().program));
         }
 
@@ -763,7 +763,7 @@ mod tests {
             assert!(Arc::ptr_eq(&program(&patched, 1), &program(&model, 1)));
             let engines = patched.clone().into_engines().unwrap();
             for (layer, engine) in patched.layers().iter().zip(&engines) {
-                assert!(Arc::ptr_eq(engine.core(), layer.engine().unwrap().core()));
+                assert!(engine.shares_core(layer.engine().unwrap()));
                 assert!(std::ptr::eq(engine.program(), &*layer.flow().program));
             }
             let stats = |m: &CompiledModel| m.layers()[0].engine().unwrap().tape_stats();

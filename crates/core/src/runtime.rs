@@ -26,9 +26,8 @@
 //!
 //! * The compiled target is **resident and shared**: a chain of engines
 //!   — one for a block, one per layer for a [`CompiledModel`] — that
-//!   workers execute through `&self`
-//!   ([`EngineCore`](crate::engine::EngineCore) is immutable); only the
-//!   scratch ([`ServeScratch`]) is per-worker.
+//!   workers execute through `&self` (an [`Engine`]'s compiled core is
+//!   immutable); only the scratch ([`ServeScratch`]) is per-worker.
 //! * [`Runtime::submit`] enqueues one *single-sample* request and
 //!   returns a [`RequestHandle`]. The **micro-batch is the unit of
 //!   completion**: `submit` gathers the request's bits into one more
@@ -98,7 +97,7 @@ use std::time::{Duration, Instant};
 
 use lbnn_netlist::PackedRows;
 
-use crate::engine::{packed_columns, Backend, Engine, EngineScratch};
+use crate::engine::{packed_columns, Backend, Engine};
 use crate::error::CoreError;
 use crate::model::{run_chain, Built, CompiledModel, ModelScratch};
 use crate::throughput::QueueStats;
@@ -109,8 +108,10 @@ use crate::throughput::QueueStats;
 /// executes.
 #[derive(Debug, Default)]
 pub struct ServeScratch {
-    /// Its packed-input buffer holds a micro-batch's input columns.
-    pub(crate) engine: EngineScratch,
+    /// A micro-batch's input columns, transposed from its request rows
+    /// in [`Lanes::pack_rows_into`](lbnn_netlist::Lanes::pack_rows_into)
+    /// layout.
+    pub(crate) packed: Vec<u64>,
     /// Per-link scratches of the served chain (frames and the packed
     /// boundaries, the final outputs included).
     pub(crate) model: ModelScratch,
@@ -384,8 +385,8 @@ impl Target {
             hook(rows);
         }
         let lanes = rows.rows();
-        rows.columns_into(&mut scratch.engine.packed);
-        let columns = packed_columns(&scratch.engine.packed, rows.width(), lanes);
+        rows.columns_into(&mut scratch.packed);
+        let columns = packed_columns(&scratch.packed, rows.width(), lanes);
         run_chain(
             &self.engines,
             &mut scratch.model,
@@ -423,9 +424,10 @@ pub struct RuntimeOptions {
     /// request count at which new requests are shed instead of queued.
     /// The default `0` means "auto": `flush_target × (queue_capacity +
     /// workers + 1)` — enough to fill every queued batch slot, every
-    /// worker, and the currently forming micro-batch. [`Runtime::submit`]
-    /// ignores this and blocks (backpressure); `try_submit` is the
-    /// load-shedding entry point network servers use.
+    /// worker, and the currently forming micro-batch; an auto limit past
+    /// `usize::MAX` is a [`CoreError::BadConfig`] at construction.
+    /// [`Runtime::submit`] ignores this and blocks (backpressure);
+    /// `try_submit` is the load-shedding entry point network servers use.
     pub admission_limit: usize,
 }
 
@@ -804,7 +806,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// See [`Runtime::from_engine`] and [`crate::Engine::from_flow`].
+    /// See [`Runtime::from_engine`] and [`crate::Flow::engine`].
     pub fn from_model(model: CompiledModel, options: RuntimeOptions) -> Result<Runtime, CoreError> {
         Runtime::build(Target::new(model.into_engines()?), options)
     }
@@ -830,10 +832,19 @@ impl Runtime {
         };
         // Auto admission limit: every queued batch slot and every worker
         // full of lane-width batches, plus the currently forming batch.
-        let admission_limit = if options.admission_limit == 0 {
-            flush_target * (options.queue_capacity + workers + 1)
-        } else {
-            options.admission_limit
+        let admission_limit = match options.admission_limit {
+            0 => (options.queue_capacity.checked_add(workers))
+                .and_then(|slots| slots.checked_add(1))
+                .and_then(|slots| slots.checked_mul(flush_target))
+                .ok_or_else(|| CoreError::BadConfig {
+                    reason: format!(
+                        "the auto admission limit, flush target {flush_target} × \
+                         (queue_capacity {} + workers {workers} + 1), overflows; \
+                         lower them or set admission_limit",
+                        options.queue_capacity
+                    ),
+                })?,
+            explicit => explicit,
         };
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -922,7 +933,7 @@ impl Runtime {
     /// Returns [`CoreError::BadConfig`] when the replacement's
     /// primary-input count differs from the serving target's — a hot
     /// swap must preserve the request interface (that is what
-    /// [`crate::EngineCore::patch_cells`] and
+    /// [`Engine::patch_cells`] and
     /// [`crate::Flow::apply_delta`] guarantee by construction).
     pub fn swap_engine(&self, engine: Engine) -> Result<u64, CoreError> {
         self.swap_target(Target::new(vec![engine]))
@@ -1287,33 +1298,10 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-impl Engine {
-    /// Converts this engine into a [`Runtime`] serving it — the
-    /// compiled core becomes the pool's shared state.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::from_engine`].
-    pub fn into_runtime(self, options: RuntimeOptions) -> Result<Runtime, CoreError> {
-        Runtime::from_engine(self, options)
-    }
-}
-
-impl CompiledModel {
-    /// Converts this model into a [`Runtime`] serving whole-model
-    /// inference per request.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::from_model`].
-    pub fn into_runtime(self, options: RuntimeOptions) -> Result<Runtime, CoreError> {
-        Runtime::from_model(self, options)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineScratch;
     use crate::flow::Flow;
     use crate::lpu::LpuConfig;
     use lbnn_netlist::random::RandomDag;
@@ -1551,6 +1539,18 @@ mod tests {
         let err =
             Runtime::from_engine(engine, RuntimeOptions::default().queue_capacity(0)).unwrap_err();
         assert!(matches!(err, CoreError::BadConfig { .. }));
+        // An auto admission limit that overflows is rejected, not wrapped.
+        for options in [
+            RuntimeOptions::default().queue_capacity(usize::MAX),
+            RuntimeOptions::default().max_batch(usize::MAX / 2),
+        ] {
+            let engine = flow.engine().unwrap();
+            let err = Runtime::from_engine(engine, options.workers(1)).unwrap_err();
+            assert!(
+                matches!(err, CoreError::BadConfig { .. }),
+                "{options:?}: {err}"
+            );
+        }
     }
 
     /// The default (auto) flush target is the serving engine's lane

@@ -79,9 +79,9 @@ pub use lbnn_serve as serve;
 
 pub use lbnn_core::{
     ArtifactError, Backend, CompileArtifacts, CompileReport, CompiledModel, CoreError, Engine,
-    EngineCore, EngineScratch, Flow, FlowBuilder, FlowOptions, FlowStats, LayerSpec, LpuConfig,
-    LpuMachine, ModelScratch, PassReport, PatchDelta, PatchRecord, QueueStats, RequestHandle,
-    Runtime, RuntimeOptions, RuntimeStats, ServingMode, ThroughputReport,
+    EngineScratch, Flow, FlowBuilder, FlowOptions, FlowStats, LayerSpec, LpuConfig, LpuMachine,
+    ModelScratch, PassReport, PatchDelta, PatchRecord, QueueStats, RequestHandle, Runtime,
+    RuntimeOptions, RuntimeStats, ServingMode, ThroughputReport,
 };
 pub use lbnn_netlist::PatchSet;
 

@@ -8,7 +8,7 @@ use lbnn::models::workload::{model_specs, model_workloads, WorkloadOptions};
 use lbnn::models::zoo;
 use lbnn::netlist::random::RandomDag;
 use lbnn::netlist::Lanes;
-use lbnn::{Backend, CompiledModel, Engine, Flow, FlowOptions, LpuConfig, ServingMode};
+use lbnn::{Backend, CompiledModel, Flow, FlowOptions, LpuConfig, ServingMode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -157,7 +157,7 @@ fn engines_are_independent() {
         .config(LpuConfig::new(5, 3))
         .compile()
         .unwrap();
-    let mut a = Engine::from_flow(&flow).unwrap();
+    let mut a = flow.clone().into_engine().unwrap();
     let mut b = flow.engine().unwrap();
     let mut rng = StdRng::seed_from_u64(21);
     let batches: Vec<Vec<Lanes>> = (0..3)

@@ -203,9 +203,7 @@ fn model_runtime_matches_whole_model_inference() {
         let requests: Vec<Vec<bool>> = (0..70).map(|r| request_bits(width, r, 5)).collect();
         let expect = model.infer(&pack(&requests, width)).unwrap();
 
-        let runtime = model
-            .into_runtime(RuntimeOptions::default().workers(2))
-            .unwrap();
+        let runtime = Runtime::from_model(model, RuntimeOptions::default().workers(2)).unwrap();
         let handles: Vec<RequestHandle> = requests
             .iter()
             .map(|bits| runtime.submit(bits).unwrap())
