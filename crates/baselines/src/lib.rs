@@ -9,9 +9,10 @@
 //! per-layer overheads, memory bandwidth) with constants calibrated once
 //! against the paper's VGG16 row; [`reported`] carries the quoted values
 //! so the benches can print *paper vs model vs our-LPU* side by side.
-//! EXPERIMENTS.md records where an analytic model deviates from a quoted
-//! number (e.g. the MLPMixer MAC baseline, which the source publication
-//! ran in large batches).
+//! Where an analytic model deviates from a quoted number (e.g. the
+//! MLPMixer MAC baseline, which the source publication ran in large
+//! batches) shows in those binaries' output; `ROADMAP.md` plans the
+//! record that explains each gap.
 
 #![forbid(unsafe_code)]
 

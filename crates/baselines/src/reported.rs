@@ -69,19 +69,6 @@ pub fn table3_fps(model: &str, imp: Impl3) -> Option<f64> {
     Some(v)
 }
 
-/// The headline speedups of the paper's abstract/§VI-B, used by tests:
-/// LPU vs (MAC, NullaDSP, XNOR) on VGG16 and LeNet-5.
-pub fn claimed_speedups(model: &str) -> Option<[f64; 3]> {
-    // Raw Table II ratios (the §VI-B prose quotes 14.01x/4.86x/1.95x for
-    // VGG16 and 33.43x/3.93x/4.89x for LeNet-5 on a different
-    // normalization; the table ratios below are what the benches check).
-    match model {
-        "VGG16" => Some([103.99e3 / 0.12e3, 103.99e3 / 0.33e3, 103.99e3 / 0.83e3]),
-        "LENET5" => Some([1035.6e3 / 0.48e3, 1035.6e3 / 4.12e3, 1035.6e3 / 3.31e3]),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,6 @@
-//! Runs every table and figure binary in sequence (the data behind
-//! EXPERIMENTS.md).
+//! Runs every table and figure binary in sequence; their printed
+//! output is the paper reproduction's data (`ROADMAP.md` plans the
+//! document that records it).
 
 use std::process::Command;
 

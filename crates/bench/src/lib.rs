@@ -292,16 +292,6 @@ pub fn fmt_fps_opt(fps: Option<f64>) -> String {
     fps.map_or_else(|| "-".to_string(), fmt_fps)
 }
 
-/// Prints a fixed-width table row.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let row: Vec<String> = cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect();
-    println!("{}", row.join("  "));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -150,16 +150,6 @@ impl LpuProgram {
             .map(VliwInstr::active_lpes)
             .sum()
     }
-
-    /// Instruction-queue occupancy: stored instructions over `n × depth`.
-    pub fn queue_occupancy(&self) -> f64 {
-        let capacity = self.n * self.queue_depth;
-        if capacity == 0 {
-            0.0
-        } else {
-            self.instruction_count() as f64 / capacity as f64
-        }
-    }
 }
 
 #[cfg(test)]

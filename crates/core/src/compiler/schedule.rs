@@ -86,12 +86,6 @@ impl Schedule {
         start + (level - mfg.bottom()) as usize
     }
 
-    /// Compute cycle at which the primary execution's top level completes.
-    pub fn end_cycle(&self, partition: &Partition, id: MfgId) -> usize {
-        let mfg = &partition.mfgs[id.index()];
-        self.primary_start(id) + mfg.depth() - 1
-    }
-
     /// Instruction-queue address of an execution at `(lpv, cycle)` under
     /// the read-address shift register discipline.
     ///

@@ -5,7 +5,7 @@
 //! in tests. Bit `m` of the table is the function value on minterm `m`,
 //! where bit `v` of `m` is the value of variable `v`.
 
-use crate::cube::{Cover, Cube, Literal};
+use crate::cube::{Cover, Literal};
 
 /// A dense truth table over `nvars <= 24` variables.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -207,11 +207,6 @@ impl TruthTable {
         *self == TruthTable::from_cover(cover)
     }
 
-    /// Builds the truth table of one cube.
-    pub fn from_cube(cube: &Cube, nvars: usize) -> Self {
-        TruthTable::from_cover(&Cover::from_cubes(nvars, vec![cube.clone()]))
-    }
-
     fn mask_tail(&mut self) {
         let bits = 1usize << self.nvars;
         let rem = bits % 64;
@@ -226,6 +221,7 @@ impl TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::Cube;
 
     #[test]
     fn constants_and_counting() {

@@ -102,12 +102,6 @@ pub fn synthetic_mnist(seed: u64, n: usize) -> Dataset {
     prototype_dataset(seed, n, 28 * 28, 10, 0.1)
 }
 
-/// CIFAR-10-like: 32×32×3 inputs binarized to one bit per channel value,
-/// 10 classes.
-pub fn synthetic_cifar10(seed: u64, n: usize) -> Dataset {
-    prototype_dataset(seed, n, 32 * 32 * 3, 10, 0.18)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

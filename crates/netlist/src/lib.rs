@@ -47,8 +47,9 @@
 //! assert_eq!(out, vec![true]);
 //! ```
 
-// The crate's only `unsafe` is the AVX-512 kernel in `eval::simd` and
-// the tile dispatch, `eval::replay_tile_dispatch`; each has one `allow`.
+// The crate's only `unsafe` is in `eval/kernel.rs`: the AVX-512 kernel
+// (`mod simd`) and the tile dispatch, each with one `allow`, reached
+// only through that file's checked `Tape`.
 #![deny(unsafe_code)]
 
 pub mod balance;

@@ -112,11 +112,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the module.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Adds a primary input with the given port name and returns its id.
     pub fn add_input(&mut self, name: impl Into<String>) -> NodeId {
         let id = self.push(Op::Input, [NodeId::NONE; 2], Some(name.into()));

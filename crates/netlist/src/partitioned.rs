@@ -42,8 +42,7 @@
 use crate::cell::Op;
 use crate::error::NetlistError;
 use crate::eval::{
-    check_arity, lane_sink, replay_tape, Lanes, SimdLevel, SimdMode, SliceFrame, SliceInstr,
-    SlotPool,
+    check_arity, lane_sink, Lanes, SimdLevel, SimdMode, SliceFrame, SliceInstr, SlotPool, Tape,
 };
 use crate::netlist::{Netlist, NodeId};
 use crate::patch::PatchSet;
@@ -236,8 +235,9 @@ impl PartitionStats {
 /// One partition's share of the compiled netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PartTape {
-    /// This partition's kernel instructions, level-major.
-    tape: Vec<SliceInstr>,
+    /// This partition's kernel instructions, level-major, over a frame
+    /// of its live data slots plus the accumulator slot.
+    tape: Tape,
     /// Netlist node behind each instruction (patch addressing).
     cells: Vec<u32>,
     /// `tape[seg_ends[l - 1] .. seg_ends[l]]` is the level-`l` segment.
@@ -248,8 +248,6 @@ struct PartTape {
     /// `(primary output index, slot)` for every output this partition
     /// owns.
     outputs: Vec<(u32, u32)>,
-    /// Live data slots; the frame adds one accumulator slot on top.
-    frame_slots: usize,
 }
 
 /// A netlist compiled into N per-partition kernel tapes plus the
@@ -560,12 +558,11 @@ impl PartitionedEngine {
                 .map(|(po, o)| (po as u32, slots[o.node.index()]))
                 .collect();
             parts_out.push(PartTape {
-                tape,
+                tape: Tape::new(tape, frame_slots[p] + 1),
                 cells,
                 seg_ends,
                 inputs,
                 outputs,
-                frame_slots: frame_slots[p],
             });
         }
 
@@ -576,7 +573,7 @@ impl PartitionedEngine {
             cut_copies: schedule.num_copies(),
             max_frame_slots: frame_slots.iter().copied().max().unwrap_or(0),
             total_frame_slots: frame_slots.iter().sum(),
-            tape_len: parts_out.iter().map(|p| p.tape.len()).sum(),
+            tape_len: parts_out.iter().map(|p| p.tape.instrs().len()).sum(),
         };
         Ok(PartitionedEngine {
             parts: parts_out,
@@ -630,7 +627,7 @@ impl PartitionedEngine {
     pub fn frames_with_words(&self, words_per_net: usize) -> Vec<SliceFrame> {
         self.parts
             .iter()
-            .map(|p| SliceFrame::with_width(p.frame_slots + 1, words_per_net))
+            .map(|p| SliceFrame::with_width(p.tape.bound(), words_per_net))
             .collect()
     }
 
@@ -641,7 +638,7 @@ impl PartitionedEngine {
         frames.resize_with(self.parts.len(), SliceFrame::default);
         for (frame, part) in frames.iter_mut().zip(&self.parts) {
             frame.set_width(per);
-            frame.reshape(part.frame_slots + 1);
+            frame.reshape(part.tape.bound());
         }
     }
 
@@ -728,14 +725,8 @@ impl PartitionedEngine {
             for (l, copies) in self.schedule.levels.iter().enumerate() {
                 for (part, frame) in self.parts.iter().zip(frames.iter_mut()) {
                     let start = l.checked_sub(1).map_or(0, |k| part.seg_ends[k]);
-                    replay_tape(
-                        &part.tape[start as usize..part.seg_ends[l] as usize],
-                        self.simd,
-                        frame.words_mut(),
-                        per,
-                        avail,
-                        part.frame_slots as u32,
-                    );
+                    let segment = start as usize..part.seg_ends[l] as usize;
+                    part.tape.replay(segment, self.simd, frame, avail);
                 }
                 for c in copies {
                     // A copy always crosses partitions: a net's own
@@ -781,7 +772,7 @@ impl PartitionedEngine {
                 Some(&(p, pos)) if p != NONE => (p as usize, pos as usize),
                 _ => return Err(NetlistError::InvalidNode { id }),
             };
-            out.parts[p].tape[pos].k = op.anf_masks();
+            out.parts[p].tape.set_masks(pos, op.anf_masks());
         }
         Ok(out)
     }
@@ -852,7 +843,7 @@ impl PartitionedEngine {
         let mut frames: Vec<Vec<Option<u32>>> = self
             .parts
             .iter()
-            .map(|p| vec![None; p.frame_slots + 1])
+            .map(|p| vec![None; p.tape.bound()])
             .collect();
         for (p, part) in self.parts.iter().enumerate() {
             if part.seg_ends.len() != self.schedule.levels.len() {
@@ -877,11 +868,11 @@ impl PartitionedEngine {
         for (l, copies) in self.schedule.levels.iter().enumerate() {
             for (p, part) in self.parts.iter().enumerate() {
                 let end = part.seg_ends[l] as usize;
-                if end < seg_starts[p] || end > part.tape.len() {
+                if end < seg_starts[p] || end > part.tape.instrs().len() {
                     return Err(format!("partition {p} segment ends not monotone"));
                 }
                 for pos in seg_starts[p]..end {
-                    let instr = &part.tape[pos];
+                    let instr = &part.tape.instrs()[pos];
                     let y = part.cells[pos] as usize;
                     if y >= n || netlist.node(NodeId::new(y as u32)).op() == Op::Input {
                         return Err(format!("partition {p} instruction {pos} has no cell"));
@@ -912,6 +903,7 @@ impl PartitionedEngine {
                     }
                     let out = *part
                         .tape
+                        .instrs()
                         .get(pos)
                         .map(|i| &i.out)
                         .ok_or("tape bounds".to_string())?;

@@ -104,11 +104,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
     }
-
-    /// Has shutdown been requested?
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
 }
 
 /// Final per-model accounting, reported once the server has drained.

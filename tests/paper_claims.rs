@@ -1,6 +1,6 @@
 //! The paper's headline claims, asserted as integration tests (on reduced
-//! workloads so they run in test builds; the full-size numbers live in
-//! EXPERIMENTS.md / the bench binaries).
+//! workloads so they run in test builds; the full-size numbers are what
+//! the bench binaries print).
 
 use lbnn_baselines::{LogicNets, MacAccelerator, NullaDsp, XnorAccelerator};
 use lbnn_bench::{evaluate_model, evaluate_model_latency};
