@@ -1,13 +1,10 @@
-//! Ablation table for the design choices DESIGN.md calls out: stop-rule
+//! Ablation table for two design choices of the MFG partitioner: stop-rule
 //! variants (paper pseudocode `>= m` vs conditions `> m`) and shared vs
 //! duplicated children — partition sizes, and what one partitioning
 //! costs, printed once (`cargo bench -p lbnn-bench`).
 
 use lbnn_bench::bench_workload_options;
 use lbnn_core::compiler::partition::{partition, PartitionOptions, StopRule};
-use lbnn_core::flow::{Flow, FlowOptions};
-use lbnn_core::lpu::multi::{Assembly, MultiLpu};
-use lbnn_core::lpu::{hetero, LpuConfig};
 use lbnn_models::workload::layer_workload;
 use lbnn_models::zoo;
 use lbnn_netlist::balance::balance;
@@ -51,27 +48,6 @@ fn main() {
             part.mfg_count(),
             part.executed_nodes(),
             start.elapsed().as_secs_f64() * 100.0
-        );
-    }
-
-    // Future-work ablations: heterogeneous LPV sizing and multi-LPU
-    // assemblies on the same block.
-    let config = LpuConfig::new(m, 8);
-    let flow = Flow::builder(&balanced).config(config).compile().unwrap();
-    let proposal = hetero::propose(&flow.program, &config);
-    println!(
-        "ablation hetero: per-LPV LPEs {:?}, LUT saving {:.1}%, FF saving {:.1}%",
-        proposal.lpes_per_lpv,
-        100.0 * proposal.lut_saving,
-        100.0 * proposal.ff_saving
-    );
-    for k in [1usize, 2, 4] {
-        let series = MultiLpu::new(LpuConfig::new(m, 4), Assembly::Series(k))
-            .evaluate(&balanced, &FlowOptions::default())
-            .unwrap();
-        println!(
-            "ablation series x{k}: latency {} clk, II {:.0} clk",
-            series.latency_clk, series.ii_clk
         );
     }
 }

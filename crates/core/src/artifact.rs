@@ -17,6 +17,14 @@
 //! deterministically, so a loaded flow serves bit-identically to the
 //! process that compiled it.
 //!
+//! There is one container kind (since format v6): every image holds a
+//! model, and a flow is stored as the one-layer model it is
+//! ([`CompiledModel::from`]) — named after its mapped netlist, one block
+//! at one site. [`Flow::to_artifact_bytes`] and
+//! `CompiledModel::from(flow).to_artifact_bytes()` are the same bytes,
+//! so either loader reads a flow's file and a delta made against the
+//! flow applies to the model too.
+//!
 //! Artifacts also support **deltas**: a [`PatchDelta`] (`.lbnnp`) is a
 //! checksummed list of per-cell function replacements bound to the
 //! exact base artifact it was made against — see
@@ -26,11 +34,15 @@
 //! ## Container layout
 //!
 //! ```text
-//! ┌──────────────┬─────────┬──────┬─────────────┬─────────┬──────────┐
-//! │ magic        │ version │ kind │ payload len │ payload │ checksum │
-//! │ "LBNNARTF"   │ u32     │ u8   │ u64         │ bytes   │ u64 FNV  │
-//! └──────────────┴─────────┴──────┴─────────────┴─────────┴──────────┘
+//! ┌──────────────┬─────────┬─────────────┬─────────┬──────────┐
+//! │ magic        │ version │ payload len │ payload │ checksum │
+//! │ "LBNNARTF"   │ u32     │ u64         │ bytes   │ u64 FNV  │
+//! └──────────────┴─────────┴─────────────┴─────────┴──────────┘
 //! ```
+//!
+//! The payload is the model: its name, the [`LpuConfig`], the layer
+//! count, then per layer its name, `blocks`, `sites` and flow payload
+//! (length-prefixed).
 //!
 //! The checksum is FNV-1a over everything before it. Validation is
 //! layered so corruption surfaces as the most specific typed error
@@ -40,7 +52,7 @@
 //! `Malformed`. Nothing in this module panics on untrusted bytes.
 //!
 //! ```
-//! use lbnn_core::{Flow, LpuConfig};
+//! use lbnn_core::{CompiledModel, Flow, LpuConfig};
 //! use lbnn_netlist::random::RandomDag;
 //!
 //! let netlist = RandomDag::strict(12, 5, 8).outputs(3).generate(7);
@@ -49,6 +61,8 @@
 //! let loaded = Flow::from_artifact_bytes(&bytes)?;
 //! assert_eq!(loaded.stats, flow.stats);
 //! assert_eq!(loaded.report, flow.report); // pass timings travel along
+//! // The same image is the one-layer model the flow is.
+//! assert_eq!(CompiledModel::from_artifact_bytes(&bytes)?.layers().len(), 1);
 //! # Ok::<(), lbnn_core::CoreError>(())
 //! ```
 
@@ -83,71 +97,12 @@ pub const PATCH_VERSION: u32 = 1;
 /// partition count plus a serialized image of the partitioned kernel
 /// tapes; version 5 dropped that image — an artifact carries the mapped
 /// netlist and the scalar program, and every bit-sliced kernel (single
-/// tape or partitioned) is derived from the netlist at engine build.
+/// tape or partitioned) is derived from the netlist at engine build;
+/// version 6 dropped the container kind byte — every image holds a
+/// model, and a flow is stored as the one-layer model it is.
 /// Older images are rejected with
 /// [`ArtifactError::UnsupportedVersion`].
-pub const ARTIFACT_VERSION: u32 = 5;
-/// Container kind: a single compiled flow.
-const KIND_FLOW: u8 = 1;
-/// Container kind: a whole compiled model (one flow per layer).
-const KIND_MODEL: u8 = 2;
-
-/// What a serialized artifact image contains — readable from the
-/// container header without decoding (or checksumming) the payload, so
-/// a model directory can be scanned cheaply and each file dispatched to
-/// [`Flow::load`] or [`CompiledModel::load`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// One compiled flow ([`Flow::save`]).
-    Flow,
-    /// A whole compiled model ([`CompiledModel::save`]).
-    Model,
-}
-
-impl ArtifactKind {
-    /// Reads the container kind from the first bytes of an artifact
-    /// image. Validates the magic and format version but **not** the
-    /// checksum — that happens when the artifact is actually loaded.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Truncated`] / [`ArtifactError::BadMagic`] /
-    /// [`ArtifactError::UnsupportedVersion`] for a damaged header, and
-    /// [`ArtifactError::Malformed`] for an unknown kind byte.
-    pub fn peek(bytes: &[u8]) -> Result<ArtifactKind, CoreError> {
-        const HEADER: usize = 8 + 4 + 1;
-        if bytes.len() >= 8 && bytes[..8] != MAGIC {
-            return Err(CoreError::Artifact(ArtifactError::BadMagic));
-        }
-        if bytes.len() < HEADER {
-            return Err(CoreError::Artifact(ArtifactError::Truncated {
-                expected: HEADER,
-                got: bytes.len(),
-            }));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != ARTIFACT_VERSION {
-            return Err(CoreError::Artifact(ArtifactError::UnsupportedVersion {
-                found: version,
-                supported: ARTIFACT_VERSION,
-            }));
-        }
-        match bytes[12] {
-            KIND_FLOW => Ok(ArtifactKind::Flow),
-            KIND_MODEL => Ok(ArtifactKind::Model),
-            other => Err(malformed(format!("unknown artifact kind {other}"))),
-        }
-    }
-}
-
-impl std::fmt::Display for ArtifactKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArtifactKind::Flow => write!(f, "flow"),
-            ArtifactKind::Model => write!(f, "model"),
-        }
-    }
-}
+pub const ARTIFACT_VERSION: u32 = 6;
 
 /// FNV-1a 64-bit checksum (dependency-free, deterministic, fast enough
 /// for artifact-sized payloads).
@@ -176,11 +131,10 @@ fn rd<T>(r: Result<T, NetlistError>) -> Result<T, CoreError> {
 // Container envelope
 // ---------------------------------------------------------------------------
 
-fn wrap(kind: u8, payload: &[u8]) -> Vec<u8> {
+fn wrap(payload: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bytes(&MAGIC);
     w.put_u32(ARTIFACT_VERSION);
-    w.put_u8(kind);
     w.put_u64(payload.len() as u64);
     w.put_bytes(payload);
     let mut out = w.into_bytes();
@@ -189,8 +143,8 @@ fn wrap(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-fn unwrap(bytes: &[u8], want_kind: u8) -> Result<&[u8], CoreError> {
-    const HEADER: usize = 8 + 4 + 1 + 8;
+fn unwrap(bytes: &[u8]) -> Result<&[u8], CoreError> {
+    const HEADER: usize = 8 + 4 + 8;
     if bytes.len() < 8 {
         return Err(CoreError::Artifact(ArtifactError::Truncated {
             expected: HEADER + 8,
@@ -213,8 +167,7 @@ fn unwrap(bytes: &[u8], want_kind: u8) -> Result<&[u8], CoreError> {
             supported: ARTIFACT_VERSION,
         }));
     }
-    let kind = bytes[12];
-    let payload_len = u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes")) as usize;
+    let payload_len = u64::from_le_bytes(bytes[12..HEADER].try_into().expect("8 bytes")) as usize;
     let expected = HEADER
         .checked_add(payload_len)
         .and_then(|n| n.checked_add(8))
@@ -238,18 +191,6 @@ fn unwrap(bytes: &[u8], want_kind: u8) -> Result<&[u8], CoreError> {
             stored,
             computed,
         }));
-    }
-    if kind != want_kind {
-        let name = |k| match k {
-            KIND_FLOW => "flow",
-            KIND_MODEL => "model",
-            _ => "unknown",
-        };
-        return Err(malformed(format!(
-            "artifact holds a {} but a {} was requested",
-            name(kind),
-            name(want_kind)
-        )));
     }
     Ok(&bytes[HEADER..HEADER + payload_len])
 }
@@ -616,6 +557,84 @@ fn decode_flow_payload(payload: &[u8]) -> Result<Flow, CoreError> {
 }
 
 // ---------------------------------------------------------------------------
+// Model payload
+// ---------------------------------------------------------------------------
+
+/// One decoded layer: label, blocks, sites, flow.
+type LoadedLayer = (String, u64, u64, Flow);
+
+/// Writes a whole artifact image: the model payload — name, machine,
+/// layer count, then per layer its label, replication counts and flow
+/// payload — in the container. A flow is written here as the one layer
+/// of its model ([`Flow::to_artifact_bytes`]), so there is one image per
+/// compile.
+fn encode_model<'a>(
+    name: &str,
+    config: &LpuConfig,
+    layers: impl ExactSizeIterator<Item = (&'a str, u64, u64, &'a Flow)>,
+) -> Result<Vec<u8>, CoreError> {
+    let mut w = ByteWriter::new();
+    w.put_str(name);
+    write_config(&mut w, config);
+    w.put_u32(layers.len() as u32);
+    for (name, blocks, sites, flow) in layers {
+        w.put_str(name);
+        w.put_u64(blocks);
+        w.put_u64(sites);
+        let flow = encode_flow_payload(flow)?;
+        w.put_u64(flow.len() as u64);
+        w.put_bytes(&flow);
+    }
+    Ok(wrap(&w.into_bytes()))
+}
+
+/// Reads an artifact image back into its model name, machine and layers,
+/// however many there are: each caller checks the count it accepts.
+fn decode_model(bytes: &[u8]) -> Result<(String, LpuConfig, Vec<LoadedLayer>), CoreError> {
+    let mut r = ByteReader::new(unwrap(bytes)?);
+    let name = rd(r.get_str())?;
+    let config = read_config(&mut r)?;
+    let layer_count = rd(r.get_count("layer", 16))?;
+    let mut layers = Vec::with_capacity(layer_count);
+    for _ in 0..layer_count {
+        let layer_name = rd(r.get_str())?;
+        let blocks = rd(r.get_u64())?;
+        let sites = rd(r.get_u64())?;
+        let flow_len = rd(r.get_u64())? as usize;
+        let flow = decode_flow_payload(rd(r.get_bytes(flow_len))?)?;
+        if flow.config != config {
+            return Err(malformed(format!(
+                "layer `{layer_name}` was compiled for a different machine than the model"
+            )));
+        }
+        layers.push((layer_name, blocks, sites, flow));
+    }
+    if !r.is_empty() {
+        return Err(malformed(format!(
+            "{} trailing bytes after model payload",
+            r.remaining()
+        )));
+    }
+    Ok((name, config, layers))
+}
+
+fn write_file(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
+    std::fs::write(path, bytes).map_err(|e| {
+        CoreError::Artifact(ArtifactError::Io {
+            reason: format!("{}: {e}", path.display()),
+        })
+    })
+}
+
+fn read_file(path: &Path) -> Result<Vec<u8>, CoreError> {
+    std::fs::read(path).map_err(|e| {
+        CoreError::Artifact(ArtifactError::Io {
+            reason: format!("{}: {e}", path.display()),
+        })
+    })
+}
+
+// ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
 
@@ -624,16 +643,23 @@ impl Flow {
     /// (netlist + config + backend + encoded program + stats + compile
     /// report) with magic, version and checksum.
     ///
+    /// The image is the one-layer model this flow is
+    /// ([`CompiledModel::from`]): byte for byte what
+    /// [`CompiledModel::to_artifact_bytes`] writes for it, so
+    /// [`CompiledModel::load`] reads it and a delta made against either
+    /// applies to both.
+    ///
     /// # Errors
     ///
     /// Propagates program-encoding failures; see
     /// [`encode_program`].
     pub fn to_artifact_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        Ok(wrap(KIND_FLOW, &encode_flow_payload(self)?))
+        let name = self.netlist.name();
+        encode_model(name, &self.config, std::iter::once((name, 1, 1, self)))
     }
 
     /// Reconstructs a servable flow from [`Flow::to_artifact_bytes`]
-    /// output.
+    /// output, or from any one-layer model image.
     ///
     /// The loaded flow serves bit-identically to the original on either
     /// [`Backend`]; its [`Flow::artifacts`] is `None` (intermediate
@@ -643,9 +669,18 @@ impl Flow {
     /// # Errors
     ///
     /// Typed [`ArtifactError`]s via [`CoreError::Artifact`] for any
-    /// corruption; never panics on untrusted bytes.
+    /// corruption, and [`ArtifactError::Malformed`] for an image of a
+    /// model with more (or fewer) than one layer; never panics on
+    /// untrusted bytes.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<Flow, CoreError> {
-        decode_flow_payload(unwrap(bytes, KIND_FLOW)?)
+        let (_, _, layers) = decode_model(bytes)?;
+        let [(.., flow)] = <[LoadedLayer; 1]>::try_from(layers).map_err(|layers| {
+            malformed(format!(
+                "a flow is a one-layer model, but this image holds {} layers",
+                layers.len()
+            ))
+        })?;
+        Ok(flow)
     }
 
     /// Writes the artifact image to `path`.
@@ -655,12 +690,7 @@ impl Flow {
     /// [`ArtifactError::Io`] on filesystem failure, plus anything
     /// [`Flow::to_artifact_bytes`] reports.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let bytes = self.to_artifact_bytes()?;
-        std::fs::write(path.as_ref(), bytes).map_err(|e| {
-            CoreError::Artifact(ArtifactError::Io {
-                reason: format!("{}: {e}", path.as_ref().display()),
-            })
-        })
+        write_file(path.as_ref(), &self.to_artifact_bytes()?)
     }
 
     /// Reads an artifact image from `path`; see
@@ -671,12 +701,7 @@ impl Flow {
     /// [`ArtifactError::Io`] on filesystem failure, plus anything
     /// [`Flow::from_artifact_bytes`] reports.
     pub fn load(path: impl AsRef<Path>) -> Result<Flow, CoreError> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| {
-            CoreError::Artifact(ArtifactError::Io {
-                reason: format!("{}: {e}", path.as_ref().display()),
-            })
-        })?;
-        Flow::from_artifact_bytes(&bytes)
+        Flow::from_artifact_bytes(&read_file(path.as_ref())?)
     }
 }
 
@@ -688,60 +713,30 @@ impl CompiledModel {
     ///
     /// See [`Flow::to_artifact_bytes`].
     pub fn to_artifact_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        let mut w = ByteWriter::new();
-        w.put_str(self.name());
-        write_config(&mut w, self.config());
-        w.put_u32(self.layers().len() as u32);
-        for layer in self.layers() {
-            w.put_str(layer.name());
-            w.put_u64(layer.blocks());
-            w.put_u64(layer.sites());
-            let flow = encode_flow_payload(layer.flow())?;
-            w.put_u64(flow.len() as u64);
-            w.put_bytes(&flow);
-        }
-        Ok(wrap(KIND_MODEL, &w.into_bytes()))
+        let layers = self.layers().iter();
+        let layers = layers.map(|l| (l.name(), l.blocks(), l.sites(), l.flow()));
+        encode_model(self.name(), self.config(), layers)
     }
 
     /// Reconstructs a servable model from
-    /// [`CompiledModel::to_artifact_bytes`] output. Layer engines are
-    /// rebuilt lazily on the first [`CompiledModel::infer`].
+    /// [`CompiledModel::to_artifact_bytes`] or [`Flow::to_artifact_bytes`]
+    /// output. Layer engines are rebuilt lazily on the first
+    /// [`CompiledModel::infer`].
     ///
     /// # Errors
     ///
     /// Typed [`ArtifactError`]s via [`CoreError::Artifact`]; never
     /// panics on untrusted bytes.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<CompiledModel, CoreError> {
-        let payload = unwrap(bytes, KIND_MODEL)?;
-        let mut r = ByteReader::new(payload);
-        let name = rd(r.get_str())?;
-        let config = read_config(&mut r)?;
-        let layer_count = rd(r.get_count("layer", 16))?;
-        if layer_count == 0 {
+        let (name, config, layers) = decode_model(bytes)?;
+        if layers.is_empty() {
             return Err(malformed("a model artifact needs at least one layer"));
         }
-        let mut layers = Vec::with_capacity(layer_count);
-        for _ in 0..layer_count {
-            let layer_name = rd(r.get_str())?;
-            let blocks = rd(r.get_u64())?;
-            let sites = rd(r.get_u64())?;
-            let flow_len = rd(r.get_u64())? as usize;
-            let flow_bytes = rd(r.get_bytes(flow_len))?;
-            let flow = decode_flow_payload(flow_bytes)?;
-            if flow.config != config {
-                return Err(malformed(format!(
-                    "layer `{layer_name}` was compiled for a different machine than the model"
-                )));
-            }
-            layers.push(CompiledLayer::from_loaded(layer_name, blocks, sites, flow));
-        }
-        if !r.is_empty() {
-            return Err(malformed(format!(
-                "{} trailing bytes after model payload",
-                r.remaining()
-            )));
-        }
-        Ok(CompiledModel::from_parts(name, config, layers))
+        let layers = layers.into_iter();
+        let layers = layers.map(|(name, blocks, sites, flow)| {
+            CompiledLayer::from_loaded(name, blocks, sites, flow)
+        });
+        Ok(CompiledModel::from_parts(name, config, layers.collect()))
     }
 
     /// Writes the model artifact to `path`.
@@ -751,12 +746,7 @@ impl CompiledModel {
     /// [`ArtifactError::Io`] on filesystem failure, plus anything
     /// [`CompiledModel::to_artifact_bytes`] reports.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let bytes = self.to_artifact_bytes()?;
-        std::fs::write(path.as_ref(), bytes).map_err(|e| {
-            CoreError::Artifact(ArtifactError::Io {
-                reason: format!("{}: {e}", path.as_ref().display()),
-            })
-        })
+        write_file(path.as_ref(), &self.to_artifact_bytes()?)
     }
 
     /// Reads a model artifact from `path`; see
@@ -767,12 +757,7 @@ impl CompiledModel {
     /// [`ArtifactError::Io`] on filesystem failure, plus anything
     /// [`CompiledModel::from_artifact_bytes`] reports.
     pub fn load(path: impl AsRef<Path>) -> Result<CompiledModel, CoreError> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| {
-            CoreError::Artifact(ArtifactError::Io {
-                reason: format!("{}: {e}", path.as_ref().display()),
-            })
-        })?;
-        CompiledModel::from_artifact_bytes(&bytes)
+        CompiledModel::from_artifact_bytes(&read_file(path.as_ref())?)
     }
 }
 
@@ -780,12 +765,12 @@ impl CompiledModel {
 // Patch deltas (`.lbnnp`)
 // ---------------------------------------------------------------------------
 
-/// One cell replacement inside a [`PatchDelta`]: layer `layer` (always
-/// 0 for flow artifacts), mapped-netlist node `node`, new function
-/// `op`.
+/// One cell replacement inside a [`PatchDelta`]: layer `layer`,
+/// mapped-netlist node `node`, new function `op`. A flow is layer 0 of
+/// its one-layer model, so a flow's records all name layer 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatchRecord {
-    /// Layer index the cell lives in (0 for single-flow artifacts).
+    /// Layer index the cell lives in (0 for a flow).
     pub layer: u32,
     /// Stable cell id: the node's index in the layer's mapped netlist.
     pub node: NodeId,
@@ -925,17 +910,58 @@ fn image_checksum(image: &[u8]) -> u64 {
     u64::from_le_bytes(image[image.len() - 8..].try_into().expect("8 bytes"))
 }
 
-/// Converts the per-layer patch sets a delta describes into validated
-/// [`PatchSet`]s, mapping validation failures onto
+/// Validates per-layer patch sets against the layers' mapped `netlists`
+/// and serializes them as a `.lbnnp` delta bound to `base`, the
+/// artifact checksum (asked for only once the sets are valid).
+fn encode_delta<'a>(
+    netlists: &[&Netlist],
+    patches: impl IntoIterator<Item = (usize, &'a PatchSet)>,
+    base: impl FnOnce() -> Result<u64, CoreError>,
+) -> Result<Vec<u8>, CoreError> {
+    let mut records = Vec::new();
+    for (layer, set) in patches {
+        let Some(netlist) = netlists.get(layer) else {
+            return Err(CoreError::Artifact(ArtifactError::UnknownCell {
+                layer: layer as u32,
+                node: set.iter().next().map_or(0, |(id, _)| id.index() as u32),
+            }));
+        };
+        set.validate(netlist)?;
+        records.extend(set.iter().map(|(node, op)| PatchRecord {
+            layer: layer as u32,
+            node,
+            op,
+        }));
+    }
+    let delta = PatchDelta {
+        base_checksum: base()?,
+        records,
+    };
+    Ok(delta.to_bytes())
+}
+
+/// Parses a `.lbnnp` delta, checks that it binds to `base` (the
+/// artifact checksum, asked for only once the delta parses), and
+/// converts its records into one validated [`PatchSet`] per layer of
+/// `netlists`, mapping validation failures onto
 /// [`ArtifactError::UnknownCell`] / [`ArtifactError::Malformed`].
-fn patch_sets_by_layer(
-    records: &[PatchRecord],
-    layers: &[&Netlist],
+fn decode_delta(
+    bytes: &[u8],
+    netlists: &[&Netlist],
+    base: impl FnOnce() -> Result<u64, CoreError>,
 ) -> Result<Vec<PatchSet>, CoreError> {
-    let mut sets: Vec<PatchSet> = vec![PatchSet::new(); layers.len()];
-    for r in records {
+    let delta = PatchDelta::from_bytes(bytes)?;
+    let found = base()?;
+    if delta.base_checksum != found {
+        return Err(CoreError::Artifact(ArtifactError::BaseMismatch {
+            expected: delta.base_checksum,
+            found,
+        }));
+    }
+    let mut sets: Vec<PatchSet> = vec![PatchSet::new(); netlists.len()];
+    for r in &delta.records {
         let layer = r.layer as usize;
-        if layer >= layers.len() {
+        if layer >= netlists.len() {
             return Err(CoreError::Artifact(ArtifactError::UnknownCell {
                 layer: r.layer,
                 node: r.node.index() as u32,
@@ -943,7 +969,7 @@ fn patch_sets_by_layer(
         }
         sets[layer].set(r.node, r.op);
     }
-    for (layer, (set, netlist)) in sets.iter().zip(layers).enumerate() {
+    for (layer, (set, netlist)) in sets.iter().zip(netlists).enumerate() {
         set.validate(netlist).map_err(|e| match e {
             NetlistError::InvalidNode { id } | NetlistError::BadPatch { id, .. } => {
                 CoreError::Artifact(ArtifactError::UnknownCell {
@@ -960,7 +986,8 @@ fn patch_sets_by_layer(
 impl Flow {
     /// The FNV-1a checksum of this flow's serialized artifact image —
     /// the identity patch deltas bind to. Stable across
-    /// save/load round trips.
+    /// save/load round trips, and equal to the checksum of the
+    /// one-layer model this flow is ([`CompiledModel::from`]).
     ///
     /// # Errors
     ///
@@ -970,7 +997,8 @@ impl Flow {
     }
 
     /// Serializes `patches` as a `.lbnnp` delta bound to this flow's
-    /// artifact checksum.
+    /// artifact checksum: its records name layer 0, so the delta applies
+    /// to this flow and to its one-layer model alike.
     ///
     /// # Errors
     ///
@@ -978,15 +1006,9 @@ impl Flow {
     /// flow's mapped netlist, plus anything
     /// [`Flow::artifact_checksum`] reports.
     pub fn make_delta(&self, patches: &PatchSet) -> Result<Vec<u8>, CoreError> {
-        patches.validate(&self.netlist)?;
-        let delta = PatchDelta {
-            base_checksum: self.artifact_checksum()?,
-            records: patches
-                .iter()
-                .map(|(node, op)| PatchRecord { layer: 0, node, op })
-                .collect(),
-        };
-        Ok(delta.to_bytes())
+        encode_delta(&[&self.netlist], [(0, patches)], || {
+            self.artifact_checksum()
+        })
     }
 
     /// Applies a `.lbnnp` delta to this flow, returning the patched
@@ -999,15 +1021,7 @@ impl Flow {
     /// a different artifact and [`ArtifactError::UnknownCell`] when it
     /// names a cell this flow does not have.
     pub fn apply_delta(&self, bytes: &[u8]) -> Result<Flow, CoreError> {
-        let delta = PatchDelta::from_bytes(bytes)?;
-        let found = self.artifact_checksum()?;
-        if delta.base_checksum != found {
-            return Err(CoreError::Artifact(ArtifactError::BaseMismatch {
-                expected: delta.base_checksum,
-                found,
-            }));
-        }
-        let sets = patch_sets_by_layer(&delta.records, &[&self.netlist])?;
+        let sets = decode_delta(bytes, &[&self.netlist], || self.artifact_checksum())?;
         self.apply_patches(&sets[0])
     }
 }
@@ -1023,6 +1037,12 @@ impl CompiledModel {
         Ok(image_checksum(&self.to_artifact_bytes()?))
     }
 
+    /// The mapped netlist of every layer, in order: what patch records
+    /// address.
+    fn layer_netlists(&self) -> Vec<&Netlist> {
+        self.layers().iter().map(|l| &l.flow().netlist).collect()
+    }
+
     /// Serializes per-layer patch sets as one `.lbnnp` delta bound to
     /// this model's artifact checksum. `patches` pairs each layer index
     /// with the patch set for that layer's mapped netlist.
@@ -1034,26 +1054,8 @@ impl CompiledModel {
     /// their layer, plus anything [`CompiledModel::artifact_checksum`]
     /// reports.
     pub fn make_delta(&self, patches: &[(usize, PatchSet)]) -> Result<Vec<u8>, CoreError> {
-        let mut records = Vec::new();
-        for (layer, set) in patches {
-            let Some(compiled) = self.layers().get(*layer) else {
-                return Err(CoreError::Artifact(ArtifactError::UnknownCell {
-                    layer: *layer as u32,
-                    node: set.iter().next().map_or(0, |(id, _)| id.index() as u32),
-                }));
-            };
-            set.validate(&compiled.flow().netlist)?;
-            records.extend(set.iter().map(|(node, op)| PatchRecord {
-                layer: *layer as u32,
-                node,
-                op,
-            }));
-        }
-        let delta = PatchDelta {
-            base_checksum: self.artifact_checksum()?,
-            records,
-        };
-        Ok(delta.to_bytes())
+        let patches = patches.iter().map(|(layer, set)| (*layer, set));
+        encode_delta(&self.layer_netlists(), patches, || self.artifact_checksum())
     }
 
     /// Applies a `.lbnnp` delta to this model, returning the patched
@@ -1067,16 +1069,7 @@ impl CompiledModel {
     /// a different artifact and [`ArtifactError::UnknownCell`] when it
     /// names a layer or cell this model does not have.
     pub fn apply_delta(&self, bytes: &[u8]) -> Result<CompiledModel, CoreError> {
-        let delta = PatchDelta::from_bytes(bytes)?;
-        let found = self.artifact_checksum()?;
-        if delta.base_checksum != found {
-            return Err(CoreError::Artifact(ArtifactError::BaseMismatch {
-                expected: delta.base_checksum,
-                found,
-            }));
-        }
-        let netlists: Vec<&Netlist> = self.layers().iter().map(|l| &l.flow().netlist).collect();
-        let sets = patch_sets_by_layer(&delta.records, &netlists)?;
+        let sets = decode_delta(bytes, &self.layer_netlists(), || self.artifact_checksum())?;
         let mut layers = Vec::with_capacity(self.layers().len());
         for (layer, set) in self.layers().iter().zip(&sets) {
             let flow = if set.is_empty() {
@@ -1259,11 +1252,130 @@ mod tests {
             Err(CoreError::Artifact(ArtifactError::Malformed { .. }))
         ));
 
-        // A flow artifact is not a model artifact.
+        // A format-v5 image, of either former kind, is refused by both
+        // loaders before anything else is read.
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let v5 = ArtifactError::UnsupportedVersion {
+            found: 5,
+            supported: ARTIFACT_VERSION,
+        };
+        assert!(matches!(Flow::from_artifact_bytes(&old), Err(CoreError::Artifact(e)) if e == v5));
         assert!(matches!(
-            CompiledModel::from_artifact_bytes(&bytes),
-            Err(CoreError::Artifact(ArtifactError::Malformed { .. }))
+            CompiledModel::from_artifact_bytes(&old),
+            Err(CoreError::Artifact(e)) if e == v5
         ));
+    }
+
+    #[test]
+    fn a_saved_flow_loads_as_its_one_layer_model() {
+        let flow = compile(16, Backend::BitSliced { words: 2 });
+        let path =
+            std::env::temp_dir().join(format!("lbnn-artifact-model-{}.lbnn", std::process::id()));
+        flow.save(&path).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let model = CompiledModel::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(model.layers().len(), 1);
+        let layer = &model.layers()[0];
+        assert_eq!((layer.blocks(), layer.sites()), (1, 1));
+        assert_eq!(layer.name(), flow.netlist.name());
+        assert_eq!(model.name(), flow.netlist.name());
+        // One image per compile: the file, the loaded model's image and
+        // the converted flow's image are the same bytes.
+        assert_eq!(model.to_artifact_bytes().unwrap(), file);
+        let converted = CompiledModel::from(flow.clone());
+        assert_eq!(converted.to_artifact_bytes().unwrap(), file);
+        let mut engine = flow.engine().unwrap();
+        for lanes in [1usize, 64, 130] {
+            let b = batch(flow.program.num_inputs, lanes, 29);
+            let want = engine.run_batch(&b).unwrap().outputs;
+            assert_eq!(
+                model.infer(&b).unwrap().outputs(),
+                &want[..],
+                "lanes {lanes}"
+            );
+            assert_eq!(
+                converted.infer(&b).unwrap().outputs(),
+                &want[..],
+                "lanes {lanes}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flow_delta_applies_to_its_model() {
+        let flow = compile(17, Backend::BitSliced { words: 1 });
+        let patches = negating_patches(&flow, 3);
+        let delta = flow.make_delta(&patches).unwrap();
+        let model = CompiledModel::from_artifact_bytes(&flow.to_artifact_bytes().unwrap()).unwrap();
+        assert_eq!(
+            model.artifact_checksum().unwrap(),
+            flow.artifact_checksum().unwrap()
+        );
+        // The model writes the same delta for the same cells of layer 0.
+        assert_eq!(model.make_delta(&[(0, patches.clone())]).unwrap(), delta);
+        let patched_model = model.apply_delta(&delta).unwrap();
+        let patched_flow = flow.apply_delta(&delta).unwrap();
+        assert_eq!(
+            patched_model.to_artifact_bytes().unwrap(),
+            patched_flow.to_artifact_bytes().unwrap()
+        );
+        let b = batch(flow.program.num_inputs, 100, 43);
+        assert_eq!(
+            patched_model.infer(&b).unwrap().outputs(),
+            &patched_flow
+                .engine()
+                .unwrap()
+                .run_batch(&b)
+                .unwrap()
+                .outputs[..]
+        );
+    }
+
+    /// A byte past a layer's partition count but inside its declared
+    /// flow payload is the flow payload's own error, not the model's.
+    #[test]
+    fn a_byte_past_the_partition_count_is_malformed() {
+        let flow = compile(18, Backend::Scalar);
+        let name = flow.netlist.name();
+        let mut payload = encode_flow_payload(&flow).unwrap();
+        payload.push(0);
+        let mut w = ByteWriter::new();
+        w.put_str(name);
+        write_config(&mut w, &flow.config);
+        w.put_u32(1);
+        w.put_str(name);
+        w.put_u64(1);
+        w.put_u64(1);
+        w.put_u64(payload.len() as u64);
+        w.put_bytes(&payload);
+        let err = Flow::from_artifact_bytes(&wrap(&w.into_bytes())).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Artifact(ArtifactError::Malformed { reason }) if reason.contains("after flow payload")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_flow_is_exactly_one_layer() {
+        let config = LpuConfig::new(6, 4);
+        let layer = |seed| {
+            let nl = RandomDag::strict(14, 5, 10).outputs(4).generate(seed);
+            crate::model::LayerSpec::block(format!("l{seed}"), nl)
+        };
+        let model = CompiledModel::compile(
+            "two",
+            vec![layer(1), layer(2)],
+            &config,
+            &crate::flow::FlowOptions::default(),
+        )
+        .unwrap();
+        let err = Flow::from_artifact_bytes(&model.to_artifact_bytes().unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Artifact(ArtifactError::Malformed { reason }) if reason.contains("holds 2 layers")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub mod model;
 pub mod runtime;
 pub mod throughput;
 
-pub use artifact::{ArtifactKind, PatchDelta, PatchRecord, PATCH_VERSION};
+pub use artifact::{PatchDelta, PatchRecord, PATCH_VERSION};
 pub use compiler::pipeline::{CompileReport, PassReport};
 pub use engine::{Backend, Engine, EngineScratch};
 pub use error::{ArtifactError, CoreError};

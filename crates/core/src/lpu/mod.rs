@@ -8,13 +8,9 @@
 //! rest briefly in snapshot registers, under compiler control.
 
 pub mod config;
-pub mod hetero;
 pub mod machine;
-pub mod multi;
 pub mod resource;
 
 pub use config::LpuConfig;
-pub use hetero::{profile, propose, HeteroProposal, LpvProfile};
 pub use machine::{LpuMachine, PassScratch, RunResult};
-pub use multi::{Assembly, MultiLpu};
 pub use resource::{ResourceReport, Vu9pCapacity};

@@ -101,9 +101,10 @@ pub struct CompiledLayer {
 }
 
 impl CompiledLayer {
-    /// Rebuilds a layer from artifact parts ([`crate::artifact`]); the
-    /// engine is re-created lazily on first inference, and
-    /// [`CompiledModel::from_parts`] sets what the chain reads.
+    /// Rebuilds a layer from artifact parts ([`crate::artifact`]) or
+    /// wraps a flow ([`CompiledModel::from`]); the engine is built
+    /// lazily on first inference, and [`CompiledModel::from_parts`] sets
+    /// what the chain reads.
     pub(crate) fn from_loaded(name: String, blocks: u64, sites: u64, flow: Flow) -> Self {
         CompiledLayer {
             name,
@@ -398,6 +399,20 @@ pub struct CompiledModel {
     name: String,
     config: LpuConfig,
     layers: Arc<[CompiledLayer]>,
+}
+
+/// A flow is the one-layer model it is: the model and its layer take
+/// the mapped netlist's name, and the block is not replicated
+/// (`blocks = sites = 1`). The model's artifact image is the flow's
+/// ([`Flow::to_artifact_bytes`]), byte for byte, and the layer serves
+/// bit-identically to [`Flow::engine`].
+impl From<Flow> for CompiledModel {
+    fn from(flow: Flow) -> CompiledModel {
+        let name = flow.netlist.name().to_string();
+        let config = flow.config;
+        let layer = CompiledLayer::from_loaded(name.clone(), 1, 1, flow);
+        CompiledModel::from_parts(name, config, vec![layer])
+    }
 }
 
 impl CompiledModel {

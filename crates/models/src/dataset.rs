@@ -4,7 +4,7 @@
 //! here; these generators produce datasets with the same dimensionality
 //! and class count, built from random class prototypes plus bit-flip
 //! noise — learnable structure that exercises the same training and
-//! extraction paths (see DESIGN.md, substitutions table).
+//! extraction paths the real data would.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -22,9 +22,10 @@
 //! ```
 //!
 //! * [`ModelRegistry`] scans a directory of `*.lbnn` artifacts
-//!   (`name@version.lbnn`), loads flows and whole models alike
-//!   ([`ArtifactKind::peek`](lbnn_core::ArtifactKind::peek)), and gives
-//!   each its own [`Runtime`](lbnn_core::Runtime).
+//!   (`name@version.lbnn`), loads each as a
+//!   [`CompiledModel`](lbnn_core::CompiledModel) — a saved flow is the
+//!   one-layer model it is — and gives each its own
+//!   [`Runtime`](lbnn_core::Runtime).
 //! * [`Server`] serves both protocols on one port, tracks per-model and
 //!   per-endpoint [`metrics`] (`GET /metrics`, `GET /models`), sheds
 //!   load per model when a runtime saturates, and drains gracefully:

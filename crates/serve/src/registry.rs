@@ -3,11 +3,11 @@
 //! A model directory is the unit of deployment: every `*.lbnn` file in
 //! it (non-recursive) becomes one served model. The file stem carries
 //! the identity — `xor@3.lbnn` serves as `xor@3`; a stem without `@`
-//! gets version `1`. Both artifact kinds load transparently
-//! ([`ArtifactKind::peek`] dispatches before decoding): a flow becomes
-//! a single-block model, a compiled model a multi-layer one. Each entry
-//! owns a dedicated [`Runtime`] — models are isolated, so one model's
-//! saturation sheds *its* traffic while its neighbours keep serving.
+//! gets version `1`. Every artifact loads as a [`CompiledModel`]: a
+//! saved flow is the one-layer model it is, so one decoder and one
+//! patch path serve both. Each entry owns a dedicated [`Runtime`] —
+//! models are isolated, so one model's saturation sheds *its* traffic
+//! while its neighbours keep serving.
 //!
 //! Resolution accepts `name@version` (exact) or bare `name` (the latest
 //! version: numeric descending when both versions are integers,
@@ -19,25 +19,10 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-use lbnn_core::{
-    ArtifactKind, CompiledModel, CoreError, Flow, Runtime, RuntimeOptions, RuntimeStats,
-};
+use lbnn_core::{CompiledModel, CoreError, Runtime, RuntimeOptions, RuntimeStats};
 
 use crate::metrics::ModelMetrics;
 use crate::ServeError;
-
-/// The compiled base a [`ModelEntry`] serves, retained so `.lbnnp`
-/// deltas can be applied against it at any time
-/// ([`ModelEntry::apply_patch`]). After a successful patch the stored
-/// source *is* the patched artifact: deltas chain, each binding to the
-/// checksum of whatever the entry currently serves.
-enum ModelSource {
-    /// A single-block flow artifact (boxed: a `Flow` is an order of
-    /// magnitude larger than the `CompiledModel` handle).
-    Flow(Box<Flow>),
-    /// A multi-layer compiled model artifact.
-    Model(CompiledModel),
-}
 
 /// One served model: identity, its dedicated runtime, and counters.
 pub struct ModelEntry {
@@ -55,9 +40,12 @@ pub struct ModelEntry {
     pub runtime: Runtime,
     /// Request counters for this model.
     pub metrics: ModelMetrics,
-    /// The served artifact, kept for live patching. The mutex
-    /// serializes patch application; serving never touches it.
-    source: Mutex<ModelSource>,
+    /// The served artifact, kept so `.lbnnp` deltas can be applied
+    /// against it at any time ([`ModelEntry::apply_patch`]). After a
+    /// successful patch it *is* the patched artifact: deltas chain, each
+    /// binding to the checksum of whatever the entry currently serves.
+    /// The mutex serializes patch application; serving never touches it.
+    source: Mutex<CompiledModel>,
 }
 
 impl std::fmt::Debug for ModelEntry {
@@ -129,20 +117,9 @@ impl ModelEntry {
     /// entry keeps serving its current version unchanged on any error.
     pub fn apply_patch(&self, delta: &[u8]) -> Result<u64, ServeError> {
         let mut source = self.source.lock().expect("model source lock");
-        let version = match &*source {
-            ModelSource::Flow(flow) => {
-                let patched = flow.apply_delta(delta)?;
-                let version = self.runtime.swap_engine(patched.engine()?)?;
-                *source = ModelSource::Flow(Box::new(patched));
-                version
-            }
-            ModelSource::Model(model) => {
-                let patched = model.apply_delta(delta)?;
-                let version = self.runtime.swap_model(patched.clone())?;
-                *source = ModelSource::Model(patched);
-                version
-            }
-        };
+        let patched = source.apply_delta(delta)?;
+        let version = self.runtime.swap_model(patched.clone())?;
+        *source = patched;
         Ok(version)
     }
 }
@@ -178,7 +155,8 @@ impl std::fmt::Debug for ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// Build an empty registry (populate with the `insert_*` methods).
+    /// Build an empty registry (populate with
+    /// [`ModelRegistry::insert_model`]).
     pub fn new() -> ModelRegistry {
         ModelRegistry {
             entries: Vec::new(),
@@ -213,22 +191,13 @@ impl ModelRegistry {
         let mut registry = ModelRegistry::new();
         for path in with_extension("lbnn") {
             let (name, version) = parse_model_stem(utf8_stem(path)?)?;
-            // Read once: what is decoded is what was peeked at.
-            let bytes = read(path)?;
-            let load_err = |source: CoreError| ServeError::Artifact {
-                path: path.display().to_string(),
-                source,
-            };
-            match ArtifactKind::peek(&bytes).map_err(load_err)? {
-                ArtifactKind::Flow => {
-                    let flow = Flow::from_artifact_bytes(&bytes).map_err(load_err)?;
-                    registry.insert_flow(&name, &version, flow, *options)?;
+            let model = CompiledModel::from_artifact_bytes(&read(path)?).map_err(|source| {
+                ServeError::Artifact {
+                    path: path.display().to_string(),
+                    source,
                 }
-                ArtifactKind::Model => {
-                    let model = CompiledModel::from_artifact_bytes(&bytes).map_err(load_err)?;
-                    registry.insert_model(&name, &version, model, *options)?;
-                }
-            }
+            })?;
+            registry.insert_model(&name, &version, model, *options)?;
         }
         if registry.entries.is_empty() {
             return Err(ServeError::EmptyRegistry {
@@ -278,72 +247,15 @@ impl ModelRegistry {
         entry.apply_patch(delta)
     }
 
-    /// Register a single-block [`Flow`] under `name@version`.
-    pub fn insert_flow(
-        &mut self,
-        name: &str,
-        version: &str,
-        flow: Flow,
-        options: RuntimeOptions,
-    ) -> Result<(), ServeError> {
-        let num_inputs = flow.program.num_inputs;
-        let num_outputs = flow.program.outputs.len();
-        let backend = flow.backend.to_string();
-        let runtime = Runtime::from_engine(flow.engine()?, options)?;
-        self.insert_entry(
-            name,
-            version,
-            num_inputs,
-            num_outputs,
-            backend,
-            runtime,
-            ModelSource::Flow(Box::new(flow)),
-        )
-    }
-
-    /// Register a multi-layer [`CompiledModel`] under `name@version`.
+    /// Register a [`CompiledModel`] under `name@version` (a single
+    /// compiled block registers as its one-layer model,
+    /// `CompiledModel::from(flow)`).
     pub fn insert_model(
         &mut self,
         name: &str,
         version: &str,
         model: CompiledModel,
         options: RuntimeOptions,
-    ) -> Result<(), ServeError> {
-        let layers = model.layers();
-        let num_inputs = layers
-            .first()
-            .map(|l| l.flow().program.num_inputs)
-            .unwrap_or(0);
-        let num_outputs = layers
-            .last()
-            .map(|l| l.flow().program.outputs.len())
-            .unwrap_or(0);
-        let backend = layers
-            .first()
-            .map(|l| l.backend().to_string())
-            .unwrap_or_default();
-        let runtime = Runtime::from_model(model.clone(), options)?;
-        self.insert_entry(
-            name,
-            version,
-            num_inputs,
-            num_outputs,
-            backend,
-            runtime,
-            ModelSource::Model(model),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn insert_entry(
-        &mut self,
-        name: &str,
-        version: &str,
-        num_inputs: usize,
-        num_outputs: usize,
-        backend: String,
-        runtime: Runtime,
-        source: ModelSource,
     ) -> Result<(), ServeError> {
         let id = format!("{name}@{version}");
         if self.by_id.contains_key(&id) {
@@ -352,16 +264,20 @@ impl ModelRegistry {
                 version: version.to_string(),
             });
         }
+        // A model has at least one layer: the first takes the requests,
+        // the last answers them.
+        let layers = model.layers();
+        let (first, last) = (&layers[0], &layers[layers.len() - 1]);
         let index = self.entries.len();
         self.entries.push(ModelEntry {
             name: name.to_string(),
             version: version.to_string(),
-            num_inputs,
-            num_outputs,
-            backend,
-            runtime,
+            num_inputs: first.flow().program.num_inputs,
+            num_outputs: last.flow().program.outputs.len(),
+            backend: first.backend().to_string(),
+            runtime: Runtime::from_model(model.clone(), options)?,
             metrics: ModelMetrics::default(),
-            source: Mutex::new(source),
+            source: Mutex::new(model),
         });
         self.by_id.insert(id, index);
         match self.latest.get(name) {
@@ -445,7 +361,7 @@ fn version_newer(a: &str, b: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbnn_core::LpuConfig;
+    use lbnn_core::{Flow, LpuConfig};
     use lbnn_netlist::random::RandomDag;
 
     fn tiny_flow(seed: u64) -> Flow {
@@ -506,16 +422,16 @@ mod tests {
         let mut registry = ModelRegistry::new();
         let options = RuntimeOptions::default();
         registry
-            .insert_flow("xor", "1", tiny_flow(1), options)
+            .insert_model("xor", "1", tiny_flow(1).into(), options)
             .unwrap();
         registry
-            .insert_flow("xor", "10", tiny_flow(2), options)
+            .insert_model("xor", "10", tiny_flow(2).into(), options)
             .unwrap();
         registry
-            .insert_flow("xor", "9", tiny_flow(3), options)
+            .insert_model("xor", "9", tiny_flow(3).into(), options)
             .unwrap();
         registry
-            .insert_flow("and", "2", tiny_flow(4), options)
+            .insert_model("and", "2", tiny_flow(4).into(), options)
             .unwrap();
         assert_eq!(registry.resolve("xor@9").unwrap().version, "9");
         // Bare name → numerically-latest version, not lexicographic max.
@@ -531,10 +447,10 @@ mod tests {
         let mut registry = ModelRegistry::new();
         let options = RuntimeOptions::default();
         registry
-            .insert_flow("m", "1", tiny_flow(1), options)
+            .insert_model("m", "1", tiny_flow(1).into(), options)
             .unwrap();
         let err = registry
-            .insert_flow("m", "1", tiny_flow(2), options)
+            .insert_model("m", "1", tiny_flow(2).into(), options)
             .unwrap_err();
         assert!(matches!(err, ServeError::DuplicateModel { .. }));
     }
@@ -543,7 +459,7 @@ mod tests {
     fn infer_matches_direct_runtime_and_counts_outcomes() {
         let mut registry = ModelRegistry::new();
         registry
-            .insert_flow("m", "1", tiny_flow(5), RuntimeOptions::default())
+            .insert_model("m", "1", tiny_flow(5).into(), RuntimeOptions::default())
             .unwrap();
         let entry = registry.resolve("m").unwrap();
         let bits: Vec<bool> = (0..entry.num_inputs).map(|i| i % 3 == 0).collect();
@@ -594,7 +510,7 @@ mod tests {
 
         let mut registry = ModelRegistry::new();
         registry
-            .insert_flow("m", "1", flow, RuntimeOptions::default())
+            .insert_model("m", "1", flow.into(), RuntimeOptions::default())
             .unwrap();
         let entry = registry.resolve("m").unwrap();
         let before = match entry.infer(&bits) {
@@ -673,6 +589,44 @@ mod tests {
         std::fs::write(dir.join("ghost@1.lbnnp"), &delta).unwrap();
         let err = ModelRegistry::load_dir(&dir, &RuntimeOptions::default()).unwrap_err();
         assert!(matches!(err, ServeError::BadModelName { .. }), "{err:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flow's file is its one-layer model's file: a delta made
+    /// against the flow patches the model written from it at load, and
+    /// the model's delta patches the flow's file.
+    #[test]
+    fn a_flow_delta_patches_its_model_file_and_back() {
+        let dir = std::env::temp_dir().join(format!("lbnn-serve-one-kind-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let flow = tiny_flow(12);
+        let patches = negate_output_gates(&flow);
+        let model = CompiledModel::from(flow.clone());
+        model.save(dir.join("as_model@1.lbnn")).unwrap();
+        let flow_delta = flow.make_delta(&patches).unwrap();
+        std::fs::write(dir.join("as_model@1.lbnnp"), flow_delta).unwrap();
+        flow.save(dir.join("as_flow@1.lbnn")).unwrap();
+        let model_delta = model.make_delta(&[(0, patches.clone())]).unwrap();
+        std::fs::write(dir.join("as_flow@1.lbnnp"), model_delta).unwrap();
+
+        let registry = ModelRegistry::load_dir(&dir, &RuntimeOptions::default()).unwrap();
+        let bits: Vec<bool> = (0..flow.program.num_inputs).map(|i| i % 4 != 1).collect();
+        let base_want = flow.netlist.eval_bools(&bits);
+        let want = flow
+            .apply_patches(&patches)
+            .unwrap()
+            .netlist
+            .eval_bools(&bits);
+        assert_ne!(base_want, want, "patch must be observable");
+        for id in ["as_model@1", "as_flow@1"] {
+            let entry = registry.resolve(id).unwrap();
+            assert_eq!(entry.stats().version, 1, "{id}: startup patch must swap");
+            match entry.infer(&bits) {
+                InferOutcome::Ok(out) => assert_eq!(out, want, "{id}"),
+                other => panic!("{id}: unexpected outcome: {other:?}"),
+            }
+        }
+        registry.drain_all();
         std::fs::remove_dir_all(&dir).ok();
     }
 

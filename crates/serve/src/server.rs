@@ -31,6 +31,8 @@
 //! drained. Every request that was accepted gets its response; nothing
 //! is dropped. A peer that has stopped reading cannot hold the drain up:
 //! its connection thread gives up after the 2 s write timeout and closes.
+//! Nor can a peer that has stopped sending hold a connection slot: a
+//! connection that receives no byte for 30 s is closed.
 //!
 //! ## Sockets
 //!
@@ -46,7 +48,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lbnn_core::RuntimeStats;
 
@@ -60,6 +62,43 @@ use crate::ServeError;
 /// the shutdown flag. Short enough for a snappy drain, long enough to
 /// stay off the scheduler.
 const READ_TICK: Duration = Duration::from_millis(50);
+
+/// How long a connection may receive no byte at all before its thread
+/// closes it. Without a limit, `max_connections` peers that connect and
+/// send nothing would hold every connection slot, and the server would
+/// refuse every later client. Checked once per [`READ_TICK`].
+#[cfg(not(test))]
+const IDLE_LIMIT: Duration = Duration::from_secs(30);
+#[cfg(test)]
+const IDLE_LIMIT: Duration = Duration::from_millis(300);
+
+/// The idle clock of one connection: since when its read loop has seen
+/// no byte arrive, judged at each read-timeout tick.
+#[derive(Default)]
+struct IdleClock {
+    /// When the quiet began, and how many bytes were buffered then.
+    quiet: Option<(Instant, usize)>,
+}
+
+impl IdleClock {
+    /// A request was read whole: the peer is not idle.
+    fn heard(&mut self) {
+        self.quiet = None;
+    }
+
+    /// A read timed out with `held` bytes buffered. True once no byte
+    /// has arrived for [`IDLE_LIMIT`]; bytes that arrived since the last
+    /// tick (the buffer changed) restart the clock.
+    fn expired(&mut self, held: usize) -> bool {
+        match self.quiet {
+            Some((since, seen)) if seen == held => since.elapsed() >= IDLE_LIMIT,
+            _ => {
+                self.quiet = Some((Instant::now(), held));
+                false
+            }
+        }
+    }
+}
 
 /// Socket write timeout: how long a peer may take no bytes at all before
 /// its connection thread stops waiting on it and closes. Responses are
@@ -326,6 +365,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut buf: Vec<u8> = Vec::new();
     // Accumulate 4 bytes to sniff; HTTP methods never start with "LBNB".
     let mut chunk = [0u8; 4096];
+    let mut idle = IdleClock::default();
     loop {
         if buf.len() >= 4 {
             break;
@@ -338,7 +378,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if shared.shutdown.load(Ordering::Acquire) {
+                if shared.shutdown.load(Ordering::Acquire) || idle.expired(buf.len()) {
                     return;
                 }
             }
@@ -366,9 +406,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 fn serve_binary(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
     // One response frame at a time, built whole and reused.
     let mut out = Vec::new();
+    let mut idle = IdleClock::default();
     loop {
         match wire::read_frame(&mut stream, &mut buf) {
             FrameOutcome::Ready(payload) => {
+                idle.heard();
                 shared
                     .metrics
                     .binary_requests
@@ -421,9 +463,12 @@ fn serve_binary(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
                 }
             }
             FrameOutcome::NeedMore => {
-                // Only hang up between frames, never mid-frame: a request
-                // already on the wire still gets its response.
-                if shared.shutdown.load(Ordering::Acquire) && buf.is_empty() {
+                // Drain hangs up only between frames, never mid-frame: a
+                // request already on the wire still gets its response. A
+                // peer that stalls mid-frame is idle all the same.
+                if (shared.shutdown.load(Ordering::Acquire) && buf.is_empty())
+                    || idle.expired(buf.len())
+                {
                     return;
                 }
             }
@@ -451,9 +496,11 @@ fn serve_binary(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
 fn serve_http(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
     // One response (head + body) at a time, built whole and reused.
     let mut out = Vec::new();
+    let mut idle = IdleClock::default();
     loop {
         match http::read_request(&mut stream, &mut buf, &shared.limits) {
             ReadOutcome::Ready(req) => {
+                idle.heard();
                 shared.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
                 let draining = shared.shutdown.load(Ordering::Acquire);
                 let keep_alive = req.keep_alive && !draining;
@@ -467,7 +514,9 @@ fn serve_http(mut stream: TcpStream, mut buf: Vec<u8>, shared: &Shared) {
                 }
             }
             ReadOutcome::NeedMore => {
-                if shared.shutdown.load(Ordering::Acquire) && buf.is_empty() {
+                if (shared.shutdown.load(Ordering::Acquire) && buf.is_empty())
+                    || idle.expired(buf.len())
+                {
                     return;
                 }
             }
@@ -629,7 +678,7 @@ mod tests {
             .unwrap();
         let mut registry = ModelRegistry::new();
         registry
-            .insert_flow("t", "1", flow, RuntimeOptions::default())
+            .insert_model("t", "1", flow.into(), RuntimeOptions::default())
             .unwrap();
         registry
     }
@@ -728,7 +777,7 @@ mod tests {
 
         let mut registry = ModelRegistry::new();
         registry
-            .insert_flow("p", "1", flow, RuntimeOptions::default())
+            .insert_model("p", "1", flow.into(), RuntimeOptions::default())
             .unwrap();
         let (addr, handle, join) = start(registry);
 
@@ -760,6 +809,35 @@ mod tests {
         );
         handle.shutdown();
         join.join().unwrap();
+    }
+
+    /// A peer that connects and sends nothing is closed after
+    /// [`IDLE_LIMIT`], so it cannot hold the only connection slot.
+    #[test]
+    fn an_idle_connection_gives_up_its_slot() {
+        let options = ServerOptions {
+            max_connections: 1,
+            ..ServerOptions::default()
+        };
+        let server = Server::bind("127.0.0.1:0", tiny_registry(), options).unwrap();
+        let (addr, handle) = (server.local_addr(), server.handle());
+        let join = std::thread::spawn(move || server.serve().unwrap());
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.set_read_timeout(Some(IDLE_LIMIT * 10)).unwrap();
+        // The server hangs up on the silent peer: end of stream, not a
+        // read timeout.
+        assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0);
+        // Its thread gives the slot back just after closing the socket.
+        std::thread::sleep(READ_TICK * 2);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(IDLE_LIMIT * 10)).unwrap();
+        write!(stream, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 200"), "got: {out:?}");
+        handle.shutdown();
+        let report = join.join().unwrap();
+        assert_eq!(report.connections_refused, 0);
     }
 
     #[test]

@@ -312,8 +312,8 @@ fn partitioned_artifact_v5_recompiles_its_engine_and_rejects_corruption() {
     // image), with the declared payload length and checksum fixed up.
     let mut long = bytes[..body].to_vec();
     long.push(0);
-    let payload_len = (long.len() - 21) as u64; // 21-byte container header
-    long[13..21].copy_from_slice(&payload_len.to_le_bytes());
+    let payload_len = (long.len() - 20) as u64; // 20-byte container header
+    long[12..20].copy_from_slice(&payload_len.to_le_bytes());
     long.extend_from_slice(&[0u8; 8]);
     let err = Flow::from_artifact_bytes(&reseal(long)).unwrap_err();
     assert!(
@@ -329,7 +329,7 @@ fn partitioned_artifact_v5_recompiles_its_engine_and_rejects_corruption() {
             err,
             CoreError::Artifact(ArtifactError::UnsupportedVersion {
                 found: 4,
-                supported: 5
+                supported: 6
             })
         ),
         "{err:?}"

@@ -84,7 +84,7 @@ fn malformed_http_gets_400_and_client_errors_get_4xx() {
     let (flow, _) = compiled(1);
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
 
@@ -127,7 +127,7 @@ fn oversized_bodies_and_heads_are_rejected() {
     let (flow, _) = compiled(2);
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let options = ServerOptions {
         limits: WireLimits {
@@ -156,7 +156,7 @@ fn binary_protocol_round_trips_and_rejects_bad_frames() {
     let num_inputs = flow.program.num_inputs;
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
 
@@ -218,7 +218,7 @@ fn http_keep_alive_serves_pipelined_requests_on_one_connection() {
     let num_inputs = flow.program.num_inputs;
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
 
@@ -264,7 +264,7 @@ fn concurrent_clients_match_the_scalar_oracle_bit_for_bit() {
     let num_inputs = flow.program.num_inputs;
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
     let addr = server.addr;
@@ -371,15 +371,15 @@ fn saturated_model_sheds_while_its_neighbour_keeps_serving() {
     // it collide — and the loser is shed — whenever their requests
     // overlap. Model B: ordinary options.
     registry
-        .insert_flow(
+        .insert_model(
             "a",
             "1",
-            flow_a,
+            flow_a.into(),
             RuntimeOptions::default().admission_limit(1),
         )
         .unwrap();
     registry
-        .insert_flow("b", "1", flow_b, RuntimeOptions::default())
+        .insert_model("b", "1", flow_b.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
     let addr = server.addr;
@@ -477,7 +477,7 @@ fn sequential_requests_do_not_wait_on_a_timer() {
     let num_inputs = flow.program.num_inputs;
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
     let request = |r: usize| -> Vec<bool> { (0..num_inputs).map(|i| (i + r) % 3 == 1).collect() };
@@ -563,7 +563,7 @@ fn a_client_that_never_reads_cannot_block_shutdown() {
     let (flow, _) = compiled(10);
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
 
@@ -613,7 +613,7 @@ fn graceful_shutdown_answers_every_accepted_request() {
     let num_inputs = flow.program.num_inputs;
     let mut registry = ModelRegistry::new();
     registry
-        .insert_flow("m", "1", flow, RuntimeOptions::default())
+        .insert_model("m", "1", flow.into(), RuntimeOptions::default())
         .unwrap();
     let server = TestServer::start(registry, ServerOptions::default());
 
