@@ -659,7 +659,10 @@ impl Flow {
     }
 
     /// Reconstructs a servable flow from [`Flow::to_artifact_bytes`]
-    /// output, or from any one-layer model image.
+    /// output: a one-layer model image whose model and layer are both
+    /// named after the netlist and replicated once, as a flow writes it.
+    /// So the loaded flow writes the same image back, and a delta made
+    /// against the file applies to it.
     ///
     /// The loaded flow serves bit-identically to the original on either
     /// [`Backend`]; its [`Flow::artifacts`] is `None` (intermediate
@@ -670,16 +673,34 @@ impl Flow {
     ///
     /// Typed [`ArtifactError`]s via [`CoreError::Artifact`] for any
     /// corruption, and [`ArtifactError::Malformed`] for an image of a
-    /// model with more (or fewer) than one layer; never panics on
-    /// untrusted bytes.
+    /// model with more (or fewer) than one layer, or of a one-layer
+    /// model that is not a flow's own (its names and counts would be
+    /// lost: load it with [`CompiledModel::from_artifact_bytes`]);
+    /// never panics on untrusted bytes.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<Flow, CoreError> {
-        let (_, _, layers) = decode_model(bytes)?;
-        let [(.., flow)] = <[LoadedLayer; 1]>::try_from(layers).map_err(|layers| {
-            malformed(format!(
-                "a flow is a one-layer model, but this image holds {} layers",
-                layers.len()
-            ))
-        })?;
+        let (name, _, layers) = decode_model(bytes)?;
+        let [(layer, blocks, sites, flow)] =
+            <[LoadedLayer; 1]>::try_from(layers).map_err(|layers| {
+                malformed(format!(
+                    "a flow is a one-layer model, but this image holds {} layers",
+                    layers.len()
+                ))
+            })?;
+        let own = flow.netlist.name();
+        for (field, value) in [("model name", &name), ("layer name", &layer)] {
+            if value != own {
+                return Err(malformed(format!(
+                    "not a flow's image: its {field} is `{value}`, not the netlist's `{own}`"
+                )));
+            }
+        }
+        for (field, value) in [("blocks", blocks), ("sites", sites)] {
+            if value != 1 {
+                return Err(malformed(format!(
+                    "not a flow's image: its layer has {field} = {value}, not 1"
+                )));
+            }
+        }
         Ok(flow)
     }
 
@@ -1374,6 +1395,56 @@ mod tests {
         let err = Flow::from_artifact_bytes(&model.to_artifact_bytes().unwrap()).unwrap_err();
         assert!(
             matches!(&err, CoreError::Artifact(ArtifactError::Malformed { reason }) if reason.contains("holds 2 layers")),
+            "{err}"
+        );
+    }
+
+    /// A one-layer model loads as a flow only if the image is a flow's
+    /// own: a flow would drop any other name or count, so saving it
+    /// would write another image and the file's deltas would not apply.
+    #[test]
+    fn a_flow_refuses_a_one_layer_model_it_would_rewrite() {
+        let flow = compile(19, Backend::BitSliced { words: 1 });
+        let own = flow.netlist.name();
+        let image = |model: &str, layer: &str, blocks, sites| {
+            encode_model(
+                model,
+                &flow.config,
+                std::iter::once((layer, blocks, sites, &flow)),
+            )
+            .unwrap()
+        };
+        let bytes = image(own, own, 1, 1);
+        assert_eq!(bytes, flow.to_artifact_bytes().unwrap());
+        let loaded = Flow::from_artifact_bytes(&bytes).unwrap();
+        assert_eq!(loaded.to_artifact_bytes().unwrap(), bytes);
+        for (bytes, field) in [
+            (image("named", own, 1, 1), "model name"),
+            (image(own, "L1", 1, 1), "layer name"),
+            (image(own, own, 2, 1), "blocks"),
+            (image(own, own, 1, 3), "sites"),
+        ] {
+            let err = Flow::from_artifact_bytes(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Artifact(ArtifactError::Malformed { reason }) if reason.contains(field)),
+                "{field}: {err}"
+            );
+            // The model it is still loads, and writes the file back.
+            let model = CompiledModel::from_artifact_bytes(&bytes).unwrap();
+            assert_eq!(model.to_artifact_bytes().unwrap(), bytes);
+        }
+        // A model compiled from a named layer is one such image.
+        let nl = RandomDag::strict(14, 5, 10).outputs(4).generate(19);
+        let model = CompiledModel::compile(
+            "named",
+            vec![crate::model::LayerSpec::block("L1", nl)],
+            &flow.config,
+            &crate::flow::FlowOptions::default(),
+        )
+        .unwrap();
+        let err = Flow::from_artifact_bytes(&model.to_artifact_bytes().unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Artifact(ArtifactError::Malformed { reason }) if reason.contains("model name is `named`")),
             "{err}"
         );
     }

@@ -71,7 +71,13 @@
 //!   of unbounded memory growth).
 //! * The runtime measures what serving layers must report: submit→
 //!   response latency percentiles (p50/p95/p99) and peak queue depth
-//!   ([`QueueStats`]), surfaced through [`Runtime::stats`].
+//!   ([`QueueStats`]), surfaced through [`Runtime::stats`]. Latency is
+//!   *sampled*: one request in `STAMP_EVERY` (31, by submission index,
+//!   the first always) carries a submit time, so the submitting thread
+//!   reads the clock once per 31 requests, and the worker counts the
+//!   stamped spans of a batch in a fixed log-bucket histogram (within
+//!   1 %) under the lock it takes once per batch. `stats()` walks that
+//!   array's cumulative counts: no sort, no allocation.
 //! * The served target is **hot-swappable**: [`Runtime::swap_engine`] /
 //!   [`Runtime::swap_model`] atomically replace the compiled core
 //!   (version `vN` → `vN+1`) under live traffic: in one critical section
@@ -251,7 +257,9 @@ impl RequestHandle {
     /// Returns the execution error of the micro-batch that carried this
     /// request (every request of a failed batch receives the error).
     pub fn wait(self) -> Result<Vec<bool>, CoreError> {
-        if self.poll {
+        // The clock is read only when there is something to wait for: a
+        // response already published costs no deadline.
+        if self.poll && self.cell.result.get().is_none() {
             let give_up = Instant::now() + POLL_BEFORE_PARK;
             while self.cell.result.get().is_none() && Instant::now() < give_up {
                 std::thread::yield_now();
@@ -284,8 +292,9 @@ struct Batch {
     /// Request `j`'s input bits, gathered into row `j` (one bit per
     /// primary input).
     rows: PackedRows,
-    /// Request `j`'s submit time, for its latency sample.
-    submitted: Vec<Instant>,
+    /// The submit times of the batch's stamped requests
+    /// ([`STAMP_EVERY`]), in lane order: one latency sample each.
+    stamps: Vec<Instant>,
     cell: Arc<BatchCell>,
 }
 
@@ -295,7 +304,7 @@ impl Batch {
     fn new(width: usize, expect: usize) -> Batch {
         Batch {
             rows: PackedRows::with_capacity(width, expect),
-            submitted: Vec::with_capacity(expect),
+            stamps: Vec::with_capacity(expect.div_ceil(STAMP_EVERY as usize)),
             cell: Arc::new(BatchCell::new()),
         }
     }
@@ -309,26 +318,27 @@ impl Batch {
     /// (`runtime_saturated`).
     fn recycled(mut self) -> Batch {
         self.rows.clear();
-        self.submitted.clear();
+        self.stamps.clear();
         self.cell = Arc::new(BatchCell::new());
         self
     }
 
-    /// Appends one request and returns its lane.
-    fn push(&mut self, bits: &[bool], now: Instant) -> usize {
-        let lane = self.submitted.len();
+    /// Appends one request, with its submit time if it is stamped, and
+    /// returns its lane.
+    fn push(&mut self, bits: &[bool], stamp: Option<Instant>) -> usize {
+        let lane = self.len();
         self.rows.push_row(bits);
-        self.submitted.push(now);
+        self.stamps.extend(stamp);
         lane
     }
 
     /// Requests accepted so far.
     fn len(&self) -> usize {
-        self.submitted.len()
+        self.rows.rows()
     }
 
     fn is_empty(&self) -> bool {
-        self.submitted.is_empty()
+        self.len() == 0
     }
 }
 
@@ -511,7 +521,8 @@ pub struct RuntimeStats {
     pub completed_current: u64,
     /// Requests completed on superseded serving versions.
     pub completed_prior: u64,
-    /// Queue depth and submit→response latency percentiles.
+    /// Queue depth and submit→response latency percentiles, over the
+    /// stamped requests (one in 31, the first always), each within 1 %.
     pub queue: QueueStats,
     /// Wall-clock span from first submit to last response, in
     /// microseconds.
@@ -617,44 +628,109 @@ impl Shared {
     }
 }
 
-/// Latency samples kept for percentile estimation, bounded so a
-/// long-lived runtime's memory (and `stats()` sort cost) cannot grow
-/// with total traffic: reservoir sampling (Algorithm R) over all
-/// completions, deterministic via an internal xorshift stream.
-struct LatencyReservoir {
-    samples: Vec<f64>,
-    seen: u64,
-    rng: u64,
+/// One request in this many carries a submit time — the request whose
+/// submission index ([`RequestHandle::id`]) is a multiple of it, so the
+/// first always does — and only those are timed. A clock read costs
+/// about as much as the rest of a request's bookkeeping under the state
+/// lock, and a saturated runtime is bound by its submitting thread. The
+/// stride is odd, hence coprime with every lane width: over
+/// `STAMP_EVERY` full batches every lane position is stamped equally
+/// often, so the sample is not biased towards the first requests of a
+/// batch (the ones that waited longest for it to fill).
+const STAMP_EVERY: u64 = 31;
+
+/// Sub-buckets per power of two of [`LatencyHistogram`]: its buckets
+/// are `1/64` of their value wide, so a bucket's midpoint is within
+/// `1/128` (0.8 %) of every latency it counts.
+const SUB_BUCKET_BITS: u32 = 6;
+/// Latencies from `2^36` ns (about 69 s) up share the top bucket.
+const TOP_BITS: u32 = 36;
+/// Buckets of [`LatencyHistogram`]: nanoseconds below `2 × 64` one
+/// each, then 64 per power of two up to [`TOP_BITS`].
+const LATENCY_BUCKETS: usize = ((TOP_BITS - SUB_BUCKET_BITS + 1) << SUB_BUCKET_BITS) as usize;
+
+/// Submit→response latencies, counted in fixed log-spaced buckets: a
+/// sample is one array increment, and a percentile is one walk of the
+/// cumulative counts — no sort and no allocation, whatever the traffic
+/// served.
+struct LatencyHistogram {
+    /// Samples per bucket ([`latency_bucket`]).
+    counts: [u64; LATENCY_BUCKETS],
+    /// Samples recorded: the sum of `counts`.
+    recorded: u64,
 }
 
-/// Reservoir capacity: enough resolution for a stable p99 while keeping
-/// `stats()` O(1) in total requests served.
-const LATENCY_SAMPLE_CAP: usize = 4096;
-
-impl Default for LatencyReservoir {
+impl Default for LatencyHistogram {
     fn default() -> Self {
-        LatencyReservoir {
-            samples: Vec::new(),
-            seen: 0,
-            rng: 0x9e37_79b9_7f4a_7c15,
+        LatencyHistogram {
+            counts: [0; LATENCY_BUCKETS],
+            recorded: 0,
         }
     }
 }
 
-impl LatencyReservoir {
-    fn record(&mut self, value_us: f64) {
-        self.seen += 1;
-        if self.samples.len() < LATENCY_SAMPLE_CAP {
-            self.samples.push(value_us);
-            return;
+/// The bucket counting a latency of `ns` nanoseconds: below `2 × 64` the
+/// value itself; above, its power of two and the 6 bits below the
+/// leading one.
+fn latency_bucket(ns: u64) -> usize {
+    let ns = ns.min((1 << TOP_BITS) - 1);
+    let sub = 1 << SUB_BUCKET_BITS;
+    if ns < sub {
+        return ns as usize;
+    }
+    let shift = ns.ilog2() - SUB_BUCKET_BITS;
+    ((u64::from(shift) << SUB_BUCKET_BITS) + (ns >> shift)) as usize
+}
+
+/// The latency a bucket reports, in microseconds: the midpoint of the
+/// nanoseconds it counts.
+fn bucket_us(bucket: usize) -> f64 {
+    let sub = 1 << SUB_BUCKET_BITS;
+    if bucket < sub {
+        return bucket as f64 / 1e3;
+    }
+    let shift = (bucket >> SUB_BUCKET_BITS) - 1;
+    let low = ((bucket & (sub - 1)) + sub) << shift;
+    (low as f64 + ((1u64 << shift) - 1) as f64 / 2.0) / 1e3
+}
+
+impl LatencyHistogram {
+    fn record(&mut self, waited: Duration) {
+        let ns = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
+        self.counts[latency_bucket(ns)] += 1;
+        self.recorded += 1;
+    }
+
+    /// Nearest-rank percentiles `qs` (ascending fractions) in
+    /// microseconds, in one walk of the cumulative counts; all 0 when
+    /// nothing has been recorded. The walk adds up 64 buckets at a time
+    /// and steps bucket by bucket only through the 64 a rank falls in.
+    fn percentiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        let mut found = [0.0; N];
+        if self.recorded == 0 {
+            return found;
         }
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let slot = (self.rng % self.seen) as usize;
-        if slot < LATENCY_SAMPLE_CAP {
-            self.samples[slot] = value_us;
+        let ranks = qs.map(|q| ((q * self.recorded as f64).ceil() as u64).clamp(1, self.recorded));
+        let (mut next, mut seen) = (0, 0);
+        let sub = 1 << SUB_BUCKET_BITS;
+        for (run, counts) in self.counts.chunks_exact(sub).enumerate() {
+            if next == N {
+                break;
+            }
+            let total: u64 = counts.iter().sum();
+            if seen + total < ranks[next] {
+                seen += total;
+                continue;
+            }
+            for (bucket, &count) in (run * sub..).zip(counts) {
+                seen += count;
+                while next < N && seen >= ranks[next] {
+                    found[next] = bucket_us(bucket);
+                    next += 1;
+                }
+            }
         }
+        found
     }
 }
 
@@ -662,9 +738,12 @@ impl LatencyReservoir {
 /// per batch.
 #[derive(Default)]
 struct Completions {
-    latencies_us: LatencyReservoir,
-    /// The latest response: the end of the span
-    /// [`RuntimeStats::elapsed_us`] reports.
+    /// The stamped requests' submit→response spans.
+    latencies: LatencyHistogram,
+    /// The earliest stamp — the first request's, once its batch has run:
+    /// the start of the span [`RuntimeStats::elapsed_us`] reports.
+    first_submit: Option<Instant>,
+    /// The latest response: the end of that span.
     last_response: Option<Instant>,
     /// The serving version (a swap writes it here while it still holds
     /// the state lock).
@@ -679,7 +758,6 @@ struct Completions {
 #[derive(Default)]
 struct StatsShared {
     completions: Mutex<Completions>,
-    requests: AtomicU64,
     micro_batches: AtomicU64,
     full_flushes: AtomicU64,
     deadline_flushes: AtomicU64,
@@ -687,37 +765,34 @@ struct StatsShared {
     lanes_served: AtomicU64,
     in_flight: AtomicUsize,
     peak_in_flight: AtomicUsize,
-    /// The first submit: the start of the span
-    /// [`RuntimeStats::elapsed_us`] reports.
-    first_submit: OnceLock<Instant>,
 }
 
 impl StatsShared {
-    fn note_submit(&self, now: Instant) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+    fn note_submit(&self) {
         let depth = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         // Once the peak has settled this is a load of a line nobody
         // writes, not a read-modify-write per request.
         if depth > self.peak_in_flight.load(Ordering::Relaxed) {
             self.peak_in_flight.fetch_max(depth, Ordering::Relaxed);
         }
-        self.first_submit.get_or_init(|| now);
     }
 
-    /// Accounts one executed micro-batch that left under `version`,
-    /// whose requests were submitted at `submitted` and answered at
-    /// `now`.
-    fn note_completion(&self, submitted: &[Instant], version: u64, now: Instant) {
+    /// Accounts one executed micro-batch of `count` requests that left
+    /// under `version`, answered at `now`; `stamps` are the submit times
+    /// of its stamped requests, in submission order.
+    fn note_completion(&self, stamps: &[Instant], count: usize, version: u64, now: Instant) {
         let mut done = lock(&self.completions);
-        for &at in submitted {
-            let waited = now.duration_since(at).as_secs_f64() * 1e6;
-            done.latencies_us.record(waited);
+        for &at in stamps {
+            done.latencies.record(now.duration_since(at));
+        }
+        if let Some(&first) = stamps.first() {
+            done.first_submit = Some(done.first_submit.map_or(first, |at| at.min(first)));
         }
         done.last_response = Some(done.last_response.map_or(now, |at| at.max(now)));
         if version == done.version {
-            done.current += submitted.len() as u64;
+            done.current += count as u64;
         } else {
-            done.prior += submitted.len() as u64;
+            done.prior += count as u64;
         }
     }
 }
@@ -1006,16 +1081,16 @@ impl Runtime {
                 got: bits.len(),
             });
         }
-        let now = Instant::now();
         let shared = &*self.shared;
-        shared.stats.note_submit(now);
+        shared.stats.note_submit();
         let mut st = lock(&shared.state);
         while st.pending.len() + 1 >= st.flush_target && st.ready.len() >= shared.capacity {
             st = wait(&shared.not_full, st);
         }
         let id = st.next_id;
         st.next_id += 1;
-        let lane = st.pending.push(bits, now);
+        let stamp = id.is_multiple_of(STAMP_EVERY).then(Instant::now);
+        let lane = st.pending.push(bits, stamp);
         let handle = RequestHandle {
             cell: Arc::clone(&st.pending.cell),
             lane,
@@ -1118,26 +1193,26 @@ impl Runtime {
     /// A snapshot of the runtime's serving statistics.
     pub fn stats(&self) -> RuntimeStats {
         let stats = &self.shared.stats;
-        let (mut latencies, last_response, version, current, prior) = {
+        let ([p50_us, p95_us, p99_us], span, version, current, prior) = {
             let done = lock(&stats.completions);
-            let latencies = done.latencies_us.samples.clone();
             (
-                latencies,
-                done.last_response,
+                done.latencies.percentiles([0.50, 0.95, 0.99]),
+                done.first_submit.zip(done.last_response),
                 done.version,
                 done.current,
                 done.prior,
             )
         };
-        latencies.sort_by(f64::total_cmp);
+        // Read after the completions, so a snapshot never shows more
+        // requests completed than submitted.
+        let requests = lock(&self.shared.state).next_id;
         let micro_batches = stats.micro_batches.load(Ordering::Relaxed);
         let lanes = stats.lanes_served.load(Ordering::Relaxed);
-        let elapsed_us = match (stats.first_submit.get(), last_response) {
-            (Some(&first), Some(last)) => last.duration_since(first).as_secs_f64() * 1e6,
-            _ => 0.0,
-        };
+        let elapsed_us = span.map_or(0.0, |(first, last)| {
+            last.duration_since(first).as_secs_f64() * 1e6
+        });
         RuntimeStats {
-            requests: stats.requests.load(Ordering::Relaxed),
+            requests,
             micro_batches,
             full_flushes: stats.full_flushes.load(Ordering::Relaxed),
             deadline_flushes: stats.deadline_flushes.load(Ordering::Relaxed),
@@ -1155,9 +1230,9 @@ impl Runtime {
             completed_prior: prior,
             queue: QueueStats {
                 peak_depth: stats.peak_in_flight.load(Ordering::Relaxed),
-                p50_us: percentile(&latencies, 0.50),
-                p95_us: percentile(&latencies, 0.95),
-                p99_us: percentile(&latencies, 0.99),
+                p50_us,
+                p95_us,
+                p99_us,
             },
             elapsed_us,
             requests_per_sec: if elapsed_us > 0.0 {
@@ -1281,21 +1356,12 @@ fn run_batch(shared: &Shared, scratch: &mut ServeScratch, job: Ready) -> Batch {
     stats
         .lanes_served
         .fetch_add(count as u64, Ordering::Relaxed);
-    stats.note_completion(&batch.submitted, version, Instant::now());
+    stats.note_completion(&batch.stamps, count, version, Instant::now());
     batch.cell.publish(outcome);
     // Only now are the requests truly resolved: retire them from the
     // in-flight gauge (this is what `drain` waits on).
     stats.in_flight.fetch_sub(count, Ordering::Release);
     batch
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample (0 for empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 #[cfg(test)]
@@ -2114,13 +2180,126 @@ mod tests {
         handle.wait().unwrap();
     }
 
+    fn histogram_of(latencies_ns: impl IntoIterator<Item = u64>) -> LatencyHistogram {
+        let mut histogram = LatencyHistogram::default();
+        for ns in latencies_ns {
+            histogram.record(Duration::from_nanos(ns));
+        }
+        histogram
+    }
+
+    /// Below 128 ns every nanosecond has a bucket, so the ranks are
+    /// exact.
     #[test]
     fn percentiles_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&sorted, 0.50), 5.0);
-        assert_eq!(percentile(&sorted, 0.95), 10.0);
-        assert_eq!(percentile(&sorted, 0.99), 10.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[42.0], 0.99), 42.0);
+        let histogram = histogram_of((1..=10).map(|k| 10 * k));
+        let at = |q| histogram.percentiles([q])[0];
+        assert_eq!(at(0.50), 0.050);
+        assert_eq!(at(0.95), 0.100);
+        assert_eq!(at(0.99), 0.100);
+        assert_eq!(at(0.10), 0.010);
+        assert_eq!(histogram_of([42]).percentiles([0.99]), [0.042]);
+    }
+
+    #[test]
+    fn latency_histogram_is_within_one_percent_at_every_decade() {
+        let decades_us = [0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 6e7];
+        for us in decades_us {
+            // The value itself and its neighbours: the worst case of a
+            // bucket is at either edge.
+            for ns in [us * 1e3 - 1.0, us * 1e3, us * 1e3 + 1.0] {
+                let [p50] = histogram_of([ns as u64]).percentiles([0.5]);
+                let error = (p50 * 1e3 - ns).abs() / ns;
+                assert!(error <= 0.01, "{ns} ns reads {p50} µs ({error})");
+            }
+        }
+        // Both edges of every bucket, up to the top one.
+        for shift in 0..TOP_BITS - SUB_BUCKET_BITS {
+            for lead in 1 << SUB_BUCKET_BITS..2 << SUB_BUCKET_BITS {
+                let low: u64 = lead << shift;
+                for ns in [low, low + (1 << shift) - 1] {
+                    let read = bucket_us(latency_bucket(ns)) * 1e3;
+                    assert!((read - ns as f64).abs() / ns as f64 <= 0.01, "{ns} ns");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn latency_histogram_percentiles_are_ordered() {
+        assert_eq!(
+            LatencyHistogram::default().percentiles([0.5, 0.99]),
+            [0.0; 2]
+        );
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let spread = histogram_of((0..10_000).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % 50_000_000
+        }));
+        let [p50, p95, p99] = spread.percentiles([0.50, 0.95, 0.99]);
+        assert!(0.0 < p50 && p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
+        // Uniform over 0–50 ms.
+        assert!((p50 - 25e3).abs() < 1.5e3 && (p99 - 49.5e3).abs() < 1.5e3);
+    }
+
+    #[test]
+    fn latency_histogram_clamps_past_its_top_bucket() {
+        let top = bucket_us(LATENCY_BUCKETS - 1);
+        assert!(top >= 60e6, "the top bucket reads {top} µs");
+        let histogram = histogram_of([u64::MAX, 3_600_000_000_000, 1 << TOP_BITS]);
+        assert_eq!(histogram.percentiles([0.01, 0.99]), [top; 2]);
+        let mut long = LatencyHistogram::default();
+        long.record(Duration::MAX);
+        assert_eq!(long.percentiles([0.5]), [top]);
+    }
+
+    /// The first request is always stamped: one request on its own is
+    /// one latency sample and the span `elapsed_us` measures.
+    #[test]
+    fn a_lone_request_is_timed() {
+        let flow = compiled(Backend::BitSliced { words: 1 }, 5);
+        let runtime =
+            Runtime::from_engine(flow.engine().unwrap(), RuntimeOptions::default()).unwrap();
+        let handle = runtime
+            .submit(&request_bits(flow.program.num_inputs, 1))
+            .unwrap();
+        handle.wait().unwrap();
+        let stats = runtime.stats();
+        assert_eq!(stats.requests, 1);
+        assert!(stats.queue.p50_us > 0.0, "{:?}", stats.queue);
+        assert!(stats.queue.p50_us <= stats.queue.p99_us);
+        assert!(stats.elapsed_us > 0.0);
+    }
+
+    /// `n` sequential submits carry `ceil(n / STAMP_EVERY)` stamps, each
+    /// one latency sample, whatever batches they were served in.
+    #[test]
+    fn one_request_in_stamp_every_is_timed() {
+        let flow = compiled(Backend::BitSliced { words: 1 }, 6);
+        let width = flow.program.num_inputs;
+        let runtime = Runtime::from_engine(
+            flow.engine().unwrap(),
+            RuntimeOptions::default().workers(1).max_batch(16),
+        )
+        .unwrap();
+        let mut submitted = 0;
+        for n in [1, 30, 31, 32, 100] {
+            let handles: Vec<RequestHandle> = (0..n)
+                .map(|i| runtime.submit(&request_bits(width, i)).unwrap())
+                .collect();
+            for handle in handles {
+                handle.wait().unwrap();
+            }
+            submitted += n;
+            let recorded = lock(&runtime.shared.stats.completions).latencies.recorded;
+            assert_eq!(
+                recorded,
+                submitted.div_ceil(STAMP_EVERY),
+                "{submitted} submits"
+            );
+            assert_eq!(runtime.stats().requests, submitted);
+        }
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! * [`ModelMetrics`] — per registry entry: requests by outcome
 //!   (ok / shed / bad-request / failed). Latency percentiles are *not*
-//!   duplicated here — the runtime already keeps a reservoir
+//!   duplicated here — the runtime already counts the submit→response
+//!   span of one request in 31 in a fixed log-bucket histogram
 //!   ([`QueueStats`](lbnn_core::QueueStats)); the renderers pull from
-//!   `Runtime::stats()` at scrape time.
+//!   `Runtime::stats()` at scrape time, which reads it in place.
 //! * [`ServerMetrics`] — per listener: connections by protocol,
 //!   requests by endpoint family, protocol errors.
 //!

@@ -7,6 +7,9 @@
 //! batch's cell when its request fills one) — no job, and not a slot and
 //! a bit vector for every request.
 //!
+//! `Runtime::stats` allocates nothing: the latency percentiles are read
+//! from one fixed histogram in place, not from a copied, sorted sample.
+//!
 //! A runtime worker allocates per micro-batch, not per output: rows in,
 //! rows out, every column in between packed in its reused scratch — the
 //! result block it publishes and the next batch's cell, whether it
@@ -150,15 +153,47 @@ fn submit_allocates_per_micro_batch_not_per_request() {
     );
 }
 
+/// `Runtime::stats` on a runtime that has timed thousands of requests:
+/// no allocation, however many it has timed. It cloned and sorted a
+/// 4096-sample vector per call before the histogram.
+#[test]
+fn stats_allocates_nothing() {
+    let _serial = serial();
+    let netlist = RandomDag::strict(12, 6, 24).outputs(8).generate(43);
+    let flow = Flow::builder(&netlist)
+        .config(LpuConfig::new(4, 4))
+        .compile()
+        .unwrap();
+    let runtime = Runtime::from_engine(
+        flow.into_engine().unwrap(),
+        RuntimeOptions::default().workers(1),
+    )
+    .unwrap();
+    let requests = model_rows(12, 2048);
+    for _ in 0..64 {
+        round_of(&requests, 8)(&runtime);
+    }
+
+    let before = allocations();
+    let stats = runtime.stats();
+    let spent = allocations() - before;
+
+    assert_eq!(stats.requests, 64 * 2048);
+    assert!(stats.queue.p50_us > 0.0 && stats.queue.p50_us <= stats.queue.p99_us);
+    assert_eq!(
+        spent, 0,
+        "{spent} allocations in one stats() call ({stats:?})"
+    );
+}
+
 /// Outputs of the model's last layer — what a caller of the model reads.
 const FINAL_OUTPUTS: usize = 8;
 /// What an `infer_batches` batch may allocate: the vectors that hold
 /// its final output columns (inline, ≤ 1024 lanes) and the result
 /// around those.
 const PER_BATCH_SLACK: u64 = 4;
-/// What a runtime worker may allocate per micro-batch: the result block,
-/// the next batch's cell, and (amortised) the growth of the latency
-/// reservoir.
+/// What a runtime worker may allocate per micro-batch: the result block
+/// and the next batch's cell, with one to spare.
 const PER_MICRO_BATCH: u64 = 3;
 
 /// Four layers, 64 outputs on each of the three hidden ones: a pass that
