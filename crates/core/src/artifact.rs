@@ -74,7 +74,7 @@ use lbnn_netlist::{
     Levels, Netlist, NetlistError, NodeId, Op, PatchSet, MAX_PARTITIONS, SUPPORTED_SLICE_WORDS,
 };
 
-use crate::compiler::isa::{decode_program, encode_program, EncodedProgram, InstrFormat};
+use crate::compiler::isa::{decode_program, encode_program, image_format, EncodedProgram};
 use crate::compiler::pipeline::{CompileReport, PassReport};
 use crate::compiler::program::{InputSlot, OutputTap};
 use crate::engine::Backend;
@@ -362,7 +362,10 @@ fn read_encoded_program(r: &mut ByteReader<'_>) -> Result<EncodedProgram, CoreEr
     let queue_depth = rd(r.get_u64())? as usize;
     let total_cycles = rd(r.get_u64())? as usize;
     let num_inputs = rd(r.get_u64())? as usize;
-    if n.saturating_mul(queue_depth) > r.remaining() {
+    let format = image_format(m)?;
+    // Every LPV stores `queue_depth` slot flags; an LPV is counted as at
+    // least one byte so an empty queue cannot declare unbounded LPVs.
+    if n.saturating_mul(queue_depth.max(1)) > r.remaining() {
         return Err(malformed(format!(
             "program declares {n} x {queue_depth} queue slots, larger than the image"
         )));
@@ -402,7 +405,7 @@ fn read_encoded_program(r: &mut ByteReader<'_>) -> Result<EncodedProgram, CoreEr
         words.push(queue);
     }
     Ok(EncodedProgram {
-        format: InstrFormat::new(m),
+        format,
         n,
         queue_depth,
         total_cycles,
@@ -736,7 +739,9 @@ impl CompiledModel {
     pub fn to_artifact_bytes(&self) -> Result<Vec<u8>, CoreError> {
         let layers = self.layers().iter();
         let layers = layers.map(|l| (l.name(), l.blocks(), l.sites(), l.flow()));
-        encode_model(self.name(), self.config(), layers)
+        let bytes = encode_model(self.name(), self.config(), layers)?;
+        self.checksum.get_or_init(|| image_checksum(&bytes));
+        Ok(bytes)
     }
 
     /// Reconstructs a servable model from
@@ -757,7 +762,9 @@ impl CompiledModel {
         let layers = layers.map(|(name, blocks, sites, flow)| {
             CompiledLayer::from_loaded(name, blocks, sites, flow)
         });
-        Ok(CompiledModel::from_parts(name, config, layers.collect()))
+        let model = CompiledModel::from_parts(name, config, layers.collect());
+        model.checksum.get_or_init(|| image_checksum(bytes));
+        Ok(model)
     }
 
     /// Writes the model artifact to `path`.
@@ -1010,6 +1017,10 @@ impl Flow {
     /// save/load round trips, and equal to the checksum of the
     /// one-layer model this flow is ([`CompiledModel::from`]).
     ///
+    /// Unlike [`CompiledModel::artifact_checksum`] this is not cached:
+    /// a flow's fields are public, so any edit can change the image, and
+    /// every call serializes the flow again.
+    ///
     /// # Errors
     ///
     /// See [`Flow::to_artifact_bytes`].
@@ -1051,11 +1062,23 @@ impl CompiledModel {
     /// The FNV-1a checksum of this model's serialized artifact image —
     /// the identity patch deltas bind to.
     ///
+    /// The model is immutable, so the value is learned once and shared
+    /// by its clones: a loaded model takes the trailer of the image it
+    /// was read from, a saved one the trailer it wrote, and any other
+    /// serializes itself on the first call only. [`make_delta`] and
+    /// [`apply_delta`] therefore serialize a model at most once.
+    ///
+    /// [`make_delta`]: CompiledModel::make_delta
+    /// [`apply_delta`]: CompiledModel::apply_delta
+    ///
     /// # Errors
     ///
     /// See [`CompiledModel::to_artifact_bytes`].
     pub fn artifact_checksum(&self) -> Result<u64, CoreError> {
-        Ok(image_checksum(&self.to_artifact_bytes()?))
+        match self.checksum.get() {
+            Some(&checksum) => Ok(checksum),
+            None => Ok(image_checksum(&self.to_artifact_bytes()?)),
+        }
     }
 
     /// The mapped netlist of every layer, in order: what patch records
@@ -1351,6 +1374,82 @@ mod tests {
                 .run_batch(&b)
                 .unwrap()
                 .outputs[..]
+        );
+    }
+
+    /// `image` with the u64 at `at` replaced and the trailer recomputed,
+    /// as anyone can: only the structural checks stand in the way.
+    fn forge(image: &[u8], at: usize, value: u64) -> Vec<u8> {
+        let mut forged = image.to_vec();
+        forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let body = forged.len() - 8;
+        let checksum = fnv1a64(&forged[..body]);
+        forged[body..].copy_from_slice(&checksum.to_le_bytes());
+        forged
+    }
+
+    #[test]
+    fn a_forged_program_shape_fails_fast_through_the_loader() {
+        let flow = compile(5, Backend::Scalar);
+        let image = flow.to_artifact_bytes().unwrap();
+        // The encoded program opens with m, n, queue depth, total cycles.
+        let p = &flow.program;
+        let header: Vec<u8> = [p.m, p.n, p.queue_depth, p.total_cycles]
+            .iter()
+            .flat_map(|&v| (v as u64).to_le_bytes())
+            .collect();
+        let at = image
+            .windows(header.len())
+            .position(|w| w == header)
+            .expect("program header in the image");
+        for (field, value) in [(3, 1u64 << 62), (3, u64::MAX), (0, 1 << 40), (0, u64::MAX)] {
+            let forged = forge(&image, at + 8 * field, value);
+            let start = std::time::Instant::now();
+            let result = CompiledModel::from_artifact_bytes(&forged);
+            assert!(
+                matches!(
+                    result,
+                    Err(CoreError::Artifact(ArtifactError::Malformed { .. }))
+                ),
+                "field {field} = {value}: {result:?}"
+            );
+            // A walk over the declared cycles or an allocation per
+            // declared LPE would take seconds or abort; a check takes
+            // microseconds.
+            assert!(start.elapsed().as_secs_f64() < 0.5, "{:?}", start.elapsed());
+        }
+    }
+
+    #[test]
+    fn a_model_learns_its_checksum_once_and_shares_it() {
+        let model = CompiledModel::from(compile(21, Backend::BitSliced { words: 1 }));
+        let clone = model.clone();
+        assert!(
+            model.checksum.get().is_none(),
+            "a compile serializes nothing"
+        );
+        let image = model.to_artifact_bytes().unwrap();
+        assert_eq!(clone.checksum.get(), Some(&image_checksum(&image)));
+
+        // A loaded model takes its file's trailer without re-serializing.
+        let loaded = CompiledModel::from_artifact_bytes(&image).unwrap();
+        assert_eq!(loaded.checksum.get(), Some(&image_checksum(&image)));
+        assert_eq!(
+            loaded.artifact_checksum().unwrap(),
+            model.artifact_checksum().unwrap()
+        );
+
+        // A patched model is a new image with a checksum of its own.
+        let patches = negating_patches(loaded.layers()[0].flow(), 2);
+        let patched = loaded
+            .apply_delta(&loaded.make_delta(&[(0, patches)]).unwrap())
+            .unwrap();
+        assert!(patched.checksum.get().is_none());
+        let checksum = patched.artifact_checksum().unwrap();
+        assert_ne!(checksum, loaded.artifact_checksum().unwrap());
+        assert_eq!(
+            checksum,
+            image_checksum(&patched.to_artifact_bytes().unwrap())
         );
     }
 

@@ -233,6 +233,15 @@ pub fn generate(
         });
     }
 
+    // The last cycle is one past the last execution (`address + lpv`),
+    // plus one drain cycle: `decode_program` rejects any image declaring
+    // more than this.
+    assert!(
+        schedule.total_cycles <= n + schedule.queue_depth,
+        "a pass of {} cycles outlasts n + queue depth = {}",
+        schedule.total_cycles,
+        n + schedule.queue_depth
+    );
     Ok(LpuProgram {
         m,
         n,

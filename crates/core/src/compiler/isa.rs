@@ -19,6 +19,15 @@
 //! so the decoder reconstructs addresses with a running counter. Constant
 //! operands use the payload's low bit for the value.
 //!
+//! Each LPE lane and each route-in port is built as one integer and
+//! written as one field (at most 64 bits up to `m = 2^26`); the snapshot
+//! mask is written 64 ports at a time from a bitset. The bits are the
+//! same as writing every sub-field on its own, so images are unchanged;
+//! the decoder pulls and splits the same fields. An image declaring a
+//! shape codegen never emits — an `m` past that bound, a slot shorter
+//! than a word, more than `n + queue_depth` cycles — is a typed error
+//! before anything is allocated or walked.
+//!
 //! An [`EncodedProgram`] is **self-contained**: alongside the instruction
 //! words it carries the data-buffer metadata the hardware keeps outside
 //! the instruction store (input-buffer layout, output taps, cycle counts),
@@ -120,51 +129,64 @@ impl EncodedProgram {
     }
 }
 
-/// Little-endian bit writer over a `Vec<u64>`.
+/// Largest `m` the format packs: its LPE lane (`9 + 2·log2(2m)` bits) and
+/// route-in port (`1 + log2(m)` bits) each fit one 64-bit field, which is
+/// how [`encode_program`] writes them and [`decode_program`] reads them.
+const MAX_M: usize = 1 << 26;
+
+/// The format of an image that declares `m` LPEs per LPV, or `Malformed`
+/// if no program of this workspace has that shape — checked before any
+/// width is computed (`2m` overflows near `usize::MAX`) or allocated.
+pub(crate) fn image_format(m: usize) -> Result<InstrFormat, CoreError> {
+    if m == 0 || m > MAX_M {
+        return Err(CoreError::Artifact(ArtifactError::Malformed {
+            reason: format!("image declares m = {m}, outside 1..={MAX_M}"),
+        }));
+    }
+    Ok(InstrFormat::new(m))
+}
+
+/// Low `bits` set (`bits <= 64`).
+fn mask(bits: usize) -> u64 {
+    if bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
+/// Little-endian bit writer over a word buffer sized up front.
 struct BitWriter {
     words: Vec<u64>,
     pos: usize,
 }
 
 impl BitWriter {
-    fn new() -> Self {
+    fn with_bits(bits: usize) -> Self {
         BitWriter {
-            words: Vec::new(),
+            words: vec![0; bits.div_ceil(64)],
             pos: 0,
         }
     }
 
+    /// Appends the low `bits` of `value` (a field of at most 64 bits).
     fn push(&mut self, value: u64, bits: usize) {
-        debug_assert!(bits <= 64);
         debug_assert!(
-            bits == 64 || value < (1u64 << bits),
+            bits <= 64 && value & !mask(bits) == 0,
             "value overflows field"
         );
-        let mut remaining = bits;
-        let mut v = value;
-        while remaining > 0 {
-            let word = self.pos / 64;
-            let off = self.pos % 64;
-            if word >= self.words.len() {
-                self.words.push(0);
-            }
-            let take = remaining.min(64 - off);
-            let mask = if take == 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            self.words[word] |= (v & mask) << off;
-            v >>= take % 64; // take == 64 only with off == 0, ending the loop
-            self.pos += take;
-            remaining -= take;
+        let (word, off) = (self.pos / 64, self.pos % 64);
+        self.words[word] |= value << off;
+        if off + bits > 64 {
+            self.words[word + 1] |= value >> (64 - off);
         }
+        self.pos += bits;
     }
 }
 
-/// Little-endian bit reader. Reads past the end of the image surface as
-/// [`ArtifactError::Truncated`], never a panic — decoding must survive
-/// corrupt bytes.
+/// Little-endian bit reader over one queue slot. [`decode_program`]
+/// checks that the slot holds a whole word before it reads, so a pull
+/// never runs past the end.
 struct BitReader<'a> {
     words: &'a [u64],
     pos: usize,
@@ -175,53 +197,78 @@ impl<'a> BitReader<'a> {
         BitReader { words, pos: 0 }
     }
 
-    fn pull(&mut self, bits: usize) -> Result<u64, CoreError> {
-        if self.pos + bits > self.words.len() * 64 {
-            return Err(CoreError::Artifact(ArtifactError::Truncated {
-                expected: (self.pos + bits).div_ceil(64) * 8,
-                got: self.words.len() * 8,
-            }));
+    /// Reads the next field of `bits <= 64` bits.
+    fn pull(&mut self, bits: usize) -> u64 {
+        let (word, off) = (self.pos / 64, self.pos % 64);
+        let mut value = self.words[word] >> off;
+        if off + bits > 64 {
+            value |= self.words[word + 1] << (64 - off);
         }
-        let mut value = 0u64;
-        let mut got = 0usize;
-        while got < bits {
-            let word = self.pos / 64;
-            let off = self.pos % 64;
-            let take = (bits - got).min(64 - off);
-            let chunk = (self.words[word] >> off)
-                & if take == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << take) - 1
-                };
-            value |= chunk << got;
-            got += take;
-            self.pos += take;
-        }
-        Ok(value)
+        self.pos += bits;
+        value & mask(bits)
     }
 }
 
-fn encode_operand(w: &mut BitWriter, fmt: &InstrFormat, src: OperandSrc) {
-    match src {
-        OperandSrc::Route(p) => {
-            w.push(TAG_ROUTE, 2);
-            w.push(u64::from(p), fmt.payload_bits);
-        }
-        OperandSrc::Snapshot(p) => {
-            w.push(TAG_SNAPSHOT, 2);
-            w.push(u64::from(p), fmt.payload_bits);
-        }
-        OperandSrc::Input(_) => {
-            // Sequential counter addressing: no payload stored.
-            w.push(TAG_INPUT, 2);
-            w.push(0, fmt.payload_bits);
-        }
-        OperandSrc::Const(v) => {
-            w.push(TAG_CONST, 2);
-            w.push(u64::from(v), fmt.payload_bits);
+/// One operand field: the 2-bit tag, then the payload.
+fn operand_field(fmt: &InstrFormat, src: OperandSrc) -> u64 {
+    let (tag, payload) = match src {
+        OperandSrc::Route(p) => (TAG_ROUTE, u64::from(p)),
+        OperandSrc::Snapshot(p) => (TAG_SNAPSHOT, u64::from(p)),
+        // Sequential counter addressing: no payload stored.
+        OperandSrc::Input(_) => (TAG_INPUT, 0),
+        OperandSrc::Const(v) => (TAG_CONST, u64::from(v)),
+    };
+    debug_assert!(payload >> fmt.payload_bits == 0, "payload overflows field");
+    tag | payload << 2
+}
+
+/// One LPE lane: valid bit, opcode, operand `a`, operand `b` (an absent
+/// `b` is the constant 0). An idle lane is all zeros.
+fn lane_field(fmt: &InstrFormat, lpe: Option<&LpeInstr>) -> u64 {
+    let Some(li) = lpe else { return 0 };
+    let operand = 2 + fmt.payload_bits;
+    let b = li.b.unwrap_or(OperandSrc::Const(false));
+    1 | opcode(li.op) << 1 | operand_field(fmt, li.a) << 5 | operand_field(fmt, b) << (5 + operand)
+}
+
+/// The operand an operand field names. Input addresses are placeholders
+/// until [`decode_program`]'s counter walk.
+fn operand_src(field: u64) -> OperandSrc {
+    let payload = field >> 2;
+    match field & 3 {
+        TAG_ROUTE => OperandSrc::Route(payload as u16),
+        TAG_SNAPSHOT => OperandSrc::Snapshot(payload as u16),
+        TAG_INPUT => OperandSrc::Input(u32::MAX),
+        _ => OperandSrc::Const(payload & 1 == 1),
+    }
+}
+
+/// Encodes one occupied queue slot: `m` lane fields, `2m` port fields,
+/// then the snapshot mask, 64 ports per field, from `latch` (a scratch
+/// bitset of `2m` bits, left zeroed).
+fn encode_slot(fmt: &InstrFormat, instr: &VliwInstr, latch: &mut [u64]) -> Vec<u64> {
+    let ports = 2 * fmt.m;
+    let mut w = BitWriter::with_bits(fmt.word_bits());
+    for lpe in &instr.lpes {
+        w.push(lane_field(fmt, lpe.as_ref()), fmt.lpe_bits());
+    }
+    for src in &instr.route_in[..ports] {
+        w.push(
+            src.map_or(0, |s| 1 | u64::from(s) << 1),
+            1 + fmt.source_bits,
+        );
+    }
+    for &port in &instr.snapshot_writes {
+        let port = usize::from(port);
+        if port < ports {
+            latch[port / 64] |= 1 << (port % 64);
         }
     }
+    for (i, word) in latch.iter_mut().enumerate() {
+        w.push(std::mem::take(word), (ports - 64 * i).min(64));
+    }
+    debug_assert_eq!(w.pos, fmt.word_bits());
+    w.words
 }
 
 /// Encodes a program into its self-contained bit-packed image.
@@ -231,55 +278,25 @@ fn encode_operand(w: &mut BitWriter, fmt: &InstrFormat, src: OperandSrc) {
 /// Returns [`CoreError::BadConfig`] if a field overflows its width
 /// (cannot happen for programs generated by this workspace's codegen).
 pub fn encode_program(program: &LpuProgram) -> Result<EncodedProgram, CoreError> {
-    let fmt = InstrFormat::new(program.m);
-    let mut words = Vec::with_capacity(program.n);
-    for lpv in 0..program.n {
-        let mut queue = Vec::with_capacity(program.queue_depth);
-        for addr in 0..program.queue_depth {
-            let instr = program.queues[lpv][addr].as_ref();
-            queue.push(instr.map(|instr| {
-                let mut w = BitWriter::new();
-                for lpe in &instr.lpes {
-                    match lpe {
-                        None => {
-                            w.push(0, 1);
-                            w.push(0, 4 + 2 * (2 + fmt.payload_bits));
-                        }
-                        Some(li) => {
-                            w.push(1, 1);
-                            w.push(opcode(li.op), 4);
-                            encode_operand(&mut w, &fmt, li.a);
-                            match li.b {
-                                Some(b) => encode_operand(&mut w, &fmt, b),
-                                None => {
-                                    w.push(TAG_CONST, 2);
-                                    w.push(0, fmt.payload_bits);
-                                }
-                            }
-                        }
-                    }
-                }
-                for port in 0..2 * program.m {
-                    match instr.route_in[port] {
-                        Some(src) => {
-                            w.push(1, 1);
-                            w.push(u64::from(src), fmt.source_bits);
-                        }
-                        None => {
-                            w.push(0, 1);
-                            w.push(0, fmt.source_bits);
-                        }
-                    }
-                }
-                for port in 0..2 * program.m {
-                    let latch = instr.snapshot_writes.contains(&(port as u16));
-                    w.push(u64::from(latch), 1);
-                }
-                w.words
-            }));
-        }
-        words.push(queue);
+    if program.m > MAX_M {
+        return Err(CoreError::BadConfig {
+            reason: format!("m = {} does not fit the instruction format", program.m),
+        });
     }
+    let fmt = InstrFormat::new(program.m);
+    let mut latch = vec![0u64; (2 * program.m).div_ceil(64)];
+    let words = program.queues[..program.n]
+        .iter()
+        .map(|queue| {
+            queue[..program.queue_depth]
+                .iter()
+                .map(|slot| {
+                    slot.as_ref()
+                        .map(|instr| encode_slot(&fmt, instr, &mut latch))
+                })
+                .collect()
+        })
+        .collect();
     Ok(EncodedProgram {
         format: fmt,
         n: program.n,
@@ -290,6 +307,50 @@ pub fn encode_program(program: &LpuProgram) -> Result<EncodedProgram, CoreError>
         outputs: program.outputs.clone(),
         words,
     })
+}
+
+/// Decodes one occupied queue slot, whose length [`decode_program`] has
+/// checked.
+fn decode_slot(fmt: &InstrFormat, bits: &[u64]) -> Result<VliwInstr, CoreError> {
+    let m = fmt.m;
+    let operand = 2 + fmt.payload_bits;
+    let mut r = BitReader::new(bits);
+    let mut instr = VliwInstr::empty(m);
+    for lane in instr.lpes.iter_mut() {
+        let field = r.pull(fmt.lpe_bits());
+        if field & 1 == 0 {
+            continue;
+        }
+        let code = field >> 1 & 0xF;
+        let op = op_from_code(code).ok_or_else(|| {
+            CoreError::Artifact(ArtifactError::Malformed {
+                reason: format!("bad opcode {code} in instruction image"),
+            })
+        })?;
+        let b = operand_src(field >> (5 + operand) & mask(operand));
+        *lane = Some(LpeInstr {
+            op,
+            a: operand_src(field >> 5 & mask(operand)),
+            b: (op.arity() == 2).then_some(b),
+            node: NodeId::new(0), // diagnostic only
+        });
+    }
+    for route in instr.route_in.iter_mut() {
+        let field = r.pull(1 + fmt.source_bits);
+        if field & 1 == 1 {
+            *route = Some((field >> 1) as u16);
+        }
+    }
+    for base in (0..2 * m).step_by(64) {
+        let mut latch = r.pull((2 * m - base).min(64));
+        while latch != 0 {
+            instr
+                .snapshot_writes
+                .push((base + latch.trailing_zeros() as usize) as u16);
+            latch &= latch - 1;
+        }
+    }
+    Ok(instr)
 }
 
 /// Decodes a self-contained program image back to an executable
@@ -305,11 +366,20 @@ pub fn encode_program(program: &LpuProgram) -> Result<EncodedProgram, CoreError>
 ///
 /// Returns [`CoreError::Artifact`] for truncated or structurally
 /// inconsistent images and malformed opcodes — corrupt images are typed
-/// errors, never panics.
+/// errors, never panics. The declared shape is checked before anything
+/// is allocated or walked: `m` must fit the format, every occupied slot
+/// must hold a whole word, and a pass may last at most `n + queue_depth`
+/// cycles (what codegen emits at most).
 pub fn decode_program(encoded: &EncodedProgram) -> Result<LpuProgram, CoreError> {
-    let fmt = encoded.format;
-    let m = fmt.m;
     let malformed = |reason: String| CoreError::Artifact(ArtifactError::Malformed { reason });
+    let fmt = image_format(encoded.format.m)?;
+    if encoded.format != fmt {
+        return Err(malformed(format!(
+            "image format {:?} is not the format of m = {}",
+            encoded.format, fmt.m
+        )));
+    }
+    let m = fmt.m;
     if encoded.words.len() != encoded.n {
         return Err(malformed(format!(
             "image stores {} LPV queues but declares n = {}",
@@ -317,6 +387,14 @@ pub fn decode_program(encoded: &EncodedProgram) -> Result<LpuProgram, CoreError>
             encoded.n
         )));
     }
+    let max_cycles = encoded.n.saturating_add(encoded.queue_depth);
+    if encoded.total_cycles > max_cycles {
+        return Err(malformed(format!(
+            "image declares {} cycles, more than n + queue depth = {max_cycles}",
+            encoded.total_cycles
+        )));
+    }
+    let slot_words = fmt.word_bits().div_ceil(64);
     let mut queues: Vec<Vec<Option<VliwInstr>>> = Vec::with_capacity(encoded.n);
     for (lpv, lpv_words) in encoded.words.iter().enumerate() {
         if lpv_words.len() != encoded.queue_depth {
@@ -328,58 +406,16 @@ pub fn decode_program(encoded: &EncodedProgram) -> Result<LpuProgram, CoreError>
         }
         let mut queue = Vec::with_capacity(encoded.queue_depth);
         for slot in lpv_words {
-            match slot {
-                None => queue.push(None),
-                Some(bits) => {
-                    let mut r = BitReader::new(bits);
-                    let mut instr = VliwInstr::empty(m);
-                    // LPE lanes (operand sources first pass; input
-                    // addresses patched below by the counter walk).
-                    for lpe in 0..m {
-                        let valid = r.pull(1)? == 1;
-                        if !valid {
-                            r.pull(4 + 2 * (2 + fmt.payload_bits))?;
-                            continue;
-                        }
-                        let code = r.pull(4)?;
-                        let op = op_from_code(code).ok_or_else(|| {
-                            malformed(format!("bad opcode {code} in instruction image"))
-                        })?;
-                        let pull_operand = |r: &mut BitReader| -> Result<OperandSrc, CoreError> {
-                            let tag = r.pull(2)?;
-                            let payload = r.pull(fmt.payload_bits)?;
-                            Ok(match tag {
-                                TAG_ROUTE => OperandSrc::Route(payload as u16),
-                                TAG_SNAPSHOT => OperandSrc::Snapshot(payload as u16),
-                                TAG_INPUT => OperandSrc::Input(u32::MAX),
-                                _ => OperandSrc::Const(payload & 1 == 1),
-                            })
-                        };
-                        let a = pull_operand(&mut r)?;
-                        let b_raw = pull_operand(&mut r)?;
-                        let b = if op.arity() == 2 { Some(b_raw) } else { None };
-                        instr.lpes[lpe] = Some(LpeInstr {
-                            op,
-                            a,
-                            b,
-                            node: NodeId::new(0), // diagnostic only
-                        });
-                    }
-                    for port in 0..2 * m {
-                        let valid = r.pull(1)? == 1;
-                        let src = r.pull(fmt.source_bits)?;
-                        if valid {
-                            instr.route_in[port] = Some(src as u16);
-                        }
-                    }
-                    for port in 0..2 * m {
-                        if r.pull(1)? == 1 {
-                            instr.snapshot_writes.push(port as u16);
-                        }
-                    }
-                    queue.push(Some(instr));
+            queue.push(match slot {
+                None => None,
+                Some(bits) if bits.len() < slot_words => {
+                    return Err(CoreError::Artifact(ArtifactError::Truncated {
+                        expected: slot_words * 8,
+                        got: bits.len() * 8,
+                    }));
                 }
-            }
+                Some(bits) => Some(decode_slot(&fmt, bits)?),
+            });
         }
         queues.push(queue);
     }
@@ -395,23 +431,19 @@ pub fn decode_program(encoded: &EncodedProgram) -> Result<LpuProgram, CoreError>
         num_inputs: encoded.num_inputs,
     };
 
-    // Reconstruct sequential input-buffer addresses (§V-B counter).
+    // Reconstruct sequential input-buffer addresses (§V-B counter): at
+    // compute cycle `c`, LPV `lpv` executes address `c − lpv`, so the walk
+    // visits only the LPVs with an address inside the queue.
     let mut counter = 0u32;
     for cycle in 0..program.total_cycles {
-        for lpv in 0..program.n {
-            if cycle < lpv {
-                continue;
-            }
-            let addr = cycle - lpv;
-            if addr >= program.queue_depth {
-                continue;
-            }
-            if let Some(instr) = program.queues[lpv][addr].as_mut() {
+        let first = (cycle + 1).saturating_sub(program.queue_depth);
+        for lpv in first..program.n.min(cycle + 1) {
+            if let Some(instr) = program.queues[lpv][cycle - lpv].as_mut() {
                 for li in instr.lpes.iter_mut().flatten() {
                     for slot in [Some(&mut li.a), li.b.as_mut()].into_iter().flatten() {
                         if matches!(slot, OperandSrc::Input(_)) {
                             *slot = OperandSrc::Input(counter);
-                            counter += 1;
+                            counter = counter.saturating_add(1);
                         }
                     }
                 }
@@ -437,6 +469,158 @@ mod tests {
     use lbnn_netlist::Lanes;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// The image as the layout above reads, built one bit at a time: the
+    /// oracle the packed encoder must match bit for bit.
+    fn reference_slot(fmt: &InstrFormat, instr: &VliwInstr) -> Vec<u64> {
+        let mut bits: Vec<bool> = Vec::new();
+        let mut put = |value: u64, width: usize| {
+            bits.extend((0..width).map(|i| value >> i & 1 == 1));
+        };
+        let operand = |put: &mut dyn FnMut(u64, usize), src: OperandSrc| {
+            let (tag, payload) = match src {
+                OperandSrc::Route(p) => (TAG_ROUTE, u64::from(p)),
+                OperandSrc::Snapshot(p) => (TAG_SNAPSHOT, u64::from(p)),
+                OperandSrc::Input(_) => (TAG_INPUT, 0),
+                OperandSrc::Const(v) => (TAG_CONST, u64::from(v)),
+            };
+            put(tag, 2);
+            put(payload, fmt.payload_bits);
+        };
+        for lpe in &instr.lpes {
+            match lpe {
+                None => put(0, fmt.lpe_bits()),
+                Some(li) => {
+                    put(1, 1);
+                    put(opcode(li.op), 4);
+                    operand(&mut put, li.a);
+                    operand(&mut put, li.b.unwrap_or(OperandSrc::Const(false)));
+                }
+            }
+        }
+        for port in 0..2 * fmt.m {
+            match instr.route_in[port] {
+                Some(src) => put(1 | u64::from(src) << 1, 1 + fmt.source_bits),
+                None => put(0, 1 + fmt.source_bits),
+            }
+        }
+        for port in 0..2 * fmt.m {
+            put(u64::from(instr.snapshot_writes.contains(&(port as u16))), 1);
+        }
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        words
+    }
+
+    /// Compiles a random DAG for an `m`-LPE machine.
+    fn program_for(m: usize, seed: u64) -> LpuProgram {
+        let nl = RandomDag::loose(3 * m + 4, 6, 2 * m + 4)
+            .outputs(5)
+            .generate(seed);
+        let config = LpuConfig::new(m, 4);
+        let flow = Flow::builder(&nl).config(config).compile().unwrap();
+        (*flow.program).clone()
+    }
+
+    #[test]
+    fn packed_fields_are_the_bits_of_the_layout_at_every_width() {
+        for m in [2usize, 3, 4, 8, 16, 64] {
+            let program = program_for(m, m as u64);
+            let fmt = InstrFormat::new(m);
+            let encoded = encode_program(&program).unwrap();
+            let mut slots = 0;
+            for (queue, words) in program.queues.iter().zip(&encoded.words) {
+                for (instr, word) in queue.iter().zip(words) {
+                    assert_eq!(instr.is_some(), word.is_some());
+                    if let (Some(instr), Some(word)) = (instr, word) {
+                        assert_eq!(word, &reference_slot(&fmt, instr), "m = {m}");
+                        slots += 1;
+                    }
+                }
+            }
+            assert!(slots > 0);
+            // encode -> decode -> encode is the identity on the image.
+            let again = encode_program(&decode_program(&encoded).unwrap()).unwrap();
+            assert_eq!(again, encoded, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn the_format_packs_up_to_its_largest_m() {
+        let fits = InstrFormat::new(MAX_M);
+        assert!(fits.lpe_bits() <= 64 && fits.source_bits < 64);
+        assert!(InstrFormat::new(MAX_M + 1).lpe_bits() > 64);
+        for m in [0, MAX_M + 1, usize::MAX] {
+            assert!(matches!(
+                image_format(m),
+                Err(CoreError::Artifact(ArtifactError::Malformed { .. }))
+            ));
+        }
+    }
+
+    /// Decoding `image` must fail with a typed artifact error, quickly.
+    fn rejects_fast(image: &EncodedProgram) -> ArtifactError {
+        let start = std::time::Instant::now();
+        let err = match decode_program(image) {
+            Err(CoreError::Artifact(err)) => err,
+            other => panic!("expected a typed artifact error, got {other:?}"),
+        };
+        // A walk over the declared cycles or an allocation per declared
+        // LPE would take seconds or abort; a check takes microseconds.
+        assert!(start.elapsed().as_secs_f64() < 0.5, "{:?}", start.elapsed());
+        err
+    }
+
+    #[test]
+    fn a_declared_cycle_count_past_the_queues_is_malformed() {
+        let mut image = encode_program(&program_for(4, 1)).unwrap();
+        let bound = image.n + image.queue_depth;
+        assert!(image.total_cycles <= bound);
+        for cycles in [bound + 1, 1 << 28, usize::MAX] {
+            image.total_cycles = cycles;
+            assert!(matches!(
+                rejects_fast(&image),
+                ArtifactError::Malformed { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn a_declared_m_past_the_format_is_rejected_before_allocating() {
+        let mut image = encode_program(&program_for(4, 2)).unwrap();
+        image.format = InstrFormat::new(1 << 40);
+        assert!(matches!(
+            rejects_fast(&image),
+            ArtifactError::Malformed { .. }
+        ));
+        // A format that disagrees with its own `m` is malformed too.
+        let mut image = encode_program(&program_for(4, 2)).unwrap();
+        image.format.payload_bits = 60;
+        assert!(matches!(
+            rejects_fast(&image),
+            ArtifactError::Malformed { .. }
+        ));
+    }
+
+    #[test]
+    fn a_slot_cut_mid_lane_is_truncated() {
+        let mut image = encode_program(&program_for(64, 3)).unwrap();
+        let fmt = image.format;
+        // 10 of the slot's 39 words end inside lane 27.
+        assert_eq!(fmt.word_bits().div_ceil(64), 39);
+        assert_ne!(640 % fmt.lpe_bits(), 0);
+        let slot = image.words.iter_mut().flatten().flatten().next().unwrap();
+        slot.truncate(10);
+        assert!(matches!(
+            rejects_fast(&image),
+            ArtifactError::Truncated {
+                expected: 312,
+                got: 80
+            }
+        ));
+    }
 
     #[test]
     fn word_width_formula() {

@@ -7,9 +7,9 @@
 //! the effect; the benches regenerate those figures.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use lbnn_netlist::NodeId;
+use lbnn_netlist::{IdHashMap, NodeId};
 
 use crate::compiler::mfg::{Mfg, MfgId};
 use crate::compiler::partition::Partition;
@@ -250,8 +250,8 @@ pub fn merge_mfgs(partition: &Partition, m: usize) -> (Partition, MergeStats) {
     // Rebuild the parent-scoped producer map and the PO producer map. When
     // merged parents read one node from different duplicated children, the
     // lowest resolved child id wins, whatever the hash map's order.
-    let mut producer_of: HashMap<(MfgId, NodeId), MfgId> =
-        HashMap::with_capacity(partition.producer_of.len());
+    let mut producer_of: IdHashMap<(MfgId, NodeId), MfgId> =
+        IdHashMap::with_capacity_and_hasher(partition.producer_of.len(), Default::default());
     for (&(parent, node), &child) in &partition.producer_of {
         let child = resolve(child);
         producer_of
@@ -259,7 +259,7 @@ pub fn merge_mfgs(partition: &Partition, m: usize) -> (Partition, MergeStats) {
             .and_modify(|c| *c = (*c).min(child))
             .or_insert(child);
     }
-    let po_producer: HashMap<NodeId, MfgId> = partition
+    let po_producer: IdHashMap<NodeId, MfgId> = partition
         .po_producer
         .iter()
         .map(|(&node, &id)| (node, resolve(id)))

@@ -7,9 +7,9 @@
 //! outputs, extracting an MFG per root and recursing into the extracted
 //! MFG's input nodes, until the primary inputs are reached.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use lbnn_netlist::{Levels, Netlist, NodeId, Op};
+use lbnn_netlist::{IdHashMap, Levels, Netlist, NodeId, Op};
 
 use crate::compiler::mfg::{Mfg, MfgId};
 use crate::error::CoreError;
@@ -76,9 +76,9 @@ pub struct Partition {
     /// MFGs rooted at primary-output nodes.
     pub po_mfgs: Vec<MfgId>,
     /// `(parent, input node) → child MFG` producing that input value.
-    pub producer_of: HashMap<(MfgId, NodeId), MfgId>,
+    pub producer_of: IdHashMap<(MfgId, NodeId), MfgId>,
     /// `PO node → MFG` computing it.
-    pub po_producer: HashMap<NodeId, MfgId>,
+    pub po_producer: IdHashMap<NodeId, MfgId>,
 }
 
 impl Partition {
@@ -269,8 +269,9 @@ pub fn partition(
     let mut mfg_of_root: Vec<u32> = vec![NONE; netlist.len()];
     let mut po_mfgs: Vec<MfgId> = Vec::new();
     let mut is_po_mfg: Vec<bool> = Vec::new();
-    let mut producer_of: HashMap<(MfgId, NodeId), MfgId> = HashMap::new();
-    let mut po_producer: HashMap<NodeId, MfgId> = HashMap::with_capacity(netlist.outputs().len());
+    let mut producer_of: IdHashMap<(MfgId, NodeId), MfgId> = IdHashMap::default();
+    let mut po_producer: IdHashMap<NodeId, MfgId> =
+        IdHashMap::with_capacity_and_hasher(netlist.outputs().len(), Default::default());
 
     // The MFG rooted at `root`: the one extracted before when `share`,
     // else a fresh cone.

@@ -225,9 +225,17 @@ pub(crate) fn run(
     let gates_opt = optimized.gate_count();
     let (balanced, balance_buffers) = cx.pass("balance", "gates", Some(gates_opt), || {
         let guarded = buffer_level0_outputs(optimized);
-        let (balanced, bal_stats) = balance(&guarded);
+        // A netlist that is balanced already (a banded DAG, a mapped
+        // netlist compiled again) is its own balanced form: `balance`
+        // would rebuild it node for node and insert nothing.
+        let (balanced, buffers) = if Levels::compute(&guarded).is_fully_balanced(&guarded) {
+            (guarded, 0)
+        } else {
+            let (balanced, bal_stats) = balance(&guarded);
+            (balanced, bal_stats.total())
+        };
         let gates = balanced.gate_count();
-        Ok(((balanced, bal_stats.total()), gates))
+        Ok(((balanced, buffers), gates))
     })?;
 
     // 3. Levelize the balanced netlist.

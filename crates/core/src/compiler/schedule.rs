@@ -27,7 +27,7 @@
 //! the blocked family, and ultimately the flow re-partitions with
 //! duplicated cones (the paper's condition (3) overlap).
 
-use std::collections::{HashMap, HashSet};
+use lbnn_netlist::{IdHashMap, IdHashSet};
 
 use crate::compiler::mfg::MfgId;
 use crate::compiler::partition::Partition;
@@ -53,7 +53,7 @@ pub struct Schedule {
     pub executions: Vec<Vec<usize>>,
     /// `(parent, child) → delivery cycle`: when the child's top-level
     /// results arrive at the parent's bottom LPV for that parent.
-    pub delivery: HashMap<(MfgId, MfgId), usize>,
+    pub delivery: IdHashMap<(MfgId, MfgId), usize>,
     /// LPE offset of each MFG's bottom level (non-bottom levels start at
     /// LPE 0). Offsets keep concurrently-resident operand sets of
     /// different MFGs in disjoint snapshot registers.
@@ -163,10 +163,10 @@ struct Window {
 /// Working state of one scheduling attempt.
 struct Attempt {
     executions: Vec<Vec<usize>>,
-    delivery: HashMap<(MfgId, MfgId), usize>,
+    delivery: IdHashMap<(MfgId, MfgId), usize>,
     offset: Vec<usize>,
-    busy: HashSet<(usize, usize)>,
-    windows: HashMap<usize, Vec<Window>>,
+    busy: IdHashSet<(usize, usize)>,
+    windows: IdHashMap<usize, Vec<Window>>,
     max_cycle: usize,
     max_addr: usize,
 }
@@ -175,10 +175,10 @@ impl Attempt {
     fn new(count: usize) -> Self {
         Attempt {
             executions: vec![Vec::new(); count],
-            delivery: HashMap::new(),
+            delivery: IdHashMap::default(),
             offset: vec![0; count],
-            busy: HashSet::new(),
-            windows: HashMap::new(),
+            busy: IdHashSet::default(),
+            windows: IdHashMap::default(),
             max_cycle: 0,
             max_addr: 0,
         }
@@ -192,7 +192,7 @@ impl Attempt {
         d: usize,
         s: usize,
         n: usize,
-        extra: &HashSet<(usize, usize)>,
+        extra: &IdHashSet<(usize, usize)>,
     ) -> bool {
         (0..d).all(|i| {
             let slot = (lpv_of_level(b + i as u32, n), s + i);
@@ -299,13 +299,13 @@ pub fn schedule_spacetime(
                 if s > horizon {
                     break false;
                 }
-                if !at.diagonal_free(b, depth, s, num_lpvs, &HashSet::new()) {
+                if !at.diagonal_free(b, depth, s, num_lpvs, &IdHashSet::default()) {
                     s += 1;
                     continue;
                 }
                 // Tentatively place movable children as late as possible
                 // with delivery ≤ s (latest-first keeps windows short).
-                let mut tentative: HashSet<(usize, usize)> = HashSet::new();
+                let mut tentative: IdHashSet<(usize, usize)> = IdHashSet::default();
                 // Reserve the parent's own diagonal first.
                 for i in 0..depth {
                     tentative.insert((lpv_of_level(b + i as u32, num_lpvs), s + i));
@@ -583,7 +583,7 @@ mod tests {
             }
         }
         // Residency windows with port ranges pairwise compatible.
-        let mut wins: HashMap<usize, Vec<(usize, usize, usize, usize)>> = HashMap::new();
+        let mut wins: IdHashMap<usize, Vec<(usize, usize, usize, usize)>> = IdHashMap::default();
         for (i, mfg) in part.mfgs.iter().enumerate() {
             let kids = &part.children[i];
             if kids.is_empty() {

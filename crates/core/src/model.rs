@@ -399,6 +399,11 @@ pub struct CompiledModel {
     name: String,
     config: LpuConfig,
     layers: Arc<[CompiledLayer]>,
+    /// The artifact checksum ([`CompiledModel::artifact_checksum`]),
+    /// learned at most once: the model is immutable, so its image never
+    /// changes. Set by the first save, by the load that read the image,
+    /// or by the first call; clones share it.
+    pub(crate) checksum: Arc<OnceLock<u64>>,
 }
 
 /// A flow is the one-layer model it is: the model and its layer take
@@ -468,6 +473,7 @@ impl CompiledModel {
             name: name.into(),
             config: *config,
             layers: layers.into(),
+            checksum: Arc::default(),
         })
     }
 
@@ -486,6 +492,7 @@ impl CompiledModel {
             name,
             config,
             layers: layers.into(),
+            checksum: Arc::default(),
         }
     }
 

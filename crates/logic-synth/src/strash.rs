@@ -5,9 +5,9 @@
 //! constants folded through the network, buffers and double inverters
 //! collapsed, and unreachable gates dropped.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 
-use lbnn_netlist::{Netlist, NodeId, Op};
+use lbnn_netlist::{IdHashMap, Netlist, NodeId, Op};
 
 /// Statistics reported by [`strash`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,7 +43,7 @@ struct Scratch {
     /// `(scratch id, source id)` of every primary input, in order.
     inputs: Vec<(NodeId, NodeId)>,
     consts: [Option<NodeId>; 2],
-    hash: HashMap<(Op, NodeId, NodeId), NodeId>,
+    hash: IdHashMap<(Op, NodeId, NodeId), NodeId>,
 }
 
 impl Scratch {
@@ -129,7 +129,7 @@ pub fn strash(netlist: &Netlist) -> (Netlist, StrashStats) {
         cells: Vec::with_capacity(netlist.len()),
         inputs: Vec::with_capacity(netlist.inputs().len()),
         consts: [None, None],
-        hash: HashMap::with_capacity(netlist.len()),
+        hash: IdHashMap::with_capacity_and_hasher(netlist.len(), Default::default()),
     };
     let mut remap: Vec<NodeId> = Vec::with_capacity(netlist.len());
 

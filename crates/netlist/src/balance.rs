@@ -100,6 +100,24 @@ fn lift(
 mod tests {
     use super::*;
 
+    /// `compiler::pipeline` skips `balance` on a netlist that is fully
+    /// balanced already; this is why that is exact.
+    #[test]
+    fn a_balanced_netlist_balances_to_itself() {
+        for seed in 0..4 {
+            let (once, _) = balance(
+                &crate::random::RandomDag::loose(12, 5, 9)
+                    .outputs(4)
+                    .generate(seed),
+            );
+            assert!(Levels::compute(&once).is_fully_balanced(&once));
+            let (twice, stats) = balance(&once);
+            assert_eq!(stats.total(), 0);
+            assert_eq!(twice, once);
+            assert_eq!(twice.to_bytes(), once.to_bytes());
+        }
+    }
+
     #[test]
     fn balance_skewed_and_tree() {
         // y = ((a & b) & c) & d — a maximally skewed tree.

@@ -56,6 +56,7 @@ pub mod balance;
 pub mod cell;
 pub mod error;
 pub mod eval;
+pub mod idhash;
 pub mod levelize;
 pub mod netlist;
 pub mod partitioned;
@@ -70,6 +71,7 @@ pub use eval::{
     BitSliceEvaluator, Lanes, PackedRows, SimdLevel, SimdMode, SliceFrame, TapeStats,
     SUPPORTED_SLICE_WORDS,
 };
+pub use idhash::{IdHashMap, IdHashSet, IdHasher};
 pub use levelize::Levels;
 pub use netlist::{Netlist, Node, NodeId};
 pub use partitioned::{

@@ -574,3 +574,55 @@ fn corrupted_patch_deltas_report_typed_errors() {
     }
     assert!(flow.engine().is_ok(), "base flow unharmed by the sweep");
 }
+
+/// The patch set the checked-in delta carries: in layer 0 the first
+/// three two-input cells, in layer 1 the first two, each negated.
+fn fixture_patches(model: &CompiledModel) -> Vec<(usize, lbnn::PatchSet)> {
+    [(0usize, 3usize), (1, 2)]
+        .into_iter()
+        .map(|(layer, n)| {
+            let set = model.layers()[layer]
+                .flow()
+                .netlist
+                .iter()
+                .filter(|(_, node)| node.op().is_gate2())
+                .take(n)
+                .map(|(id, node)| (id, node.op().negated().unwrap()))
+                .collect();
+            (layer, set)
+        })
+        .collect()
+}
+
+/// `tests/data/model_v6.lbnn` (a two-layer model) and
+/// `model_v6.lbnnp` (a delta against it) were written by the v6 encoder
+/// that pushed every sub-field of the VLIW image on its own, before
+/// lanes and ports were packed whole. Packing changed no bit: the image
+/// loads and re-saves byte for byte, its cached checksum is the file's
+/// trailer, the old delta applies, and a delta made now is the same
+/// bytes as the old one — so it applies to the old build too.
+#[test]
+fn images_and_deltas_written_field_by_field_still_hold() {
+    let data = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let image = std::fs::read(data.join("model_v6.lbnn")).unwrap();
+    let old_delta = std::fs::read(data.join("model_v6.lbnnp")).unwrap();
+    let model = CompiledModel::from_artifact_bytes(&image).unwrap();
+    let trailer = u64::from_le_bytes(image[image.len() - 8..].try_into().unwrap());
+    assert_eq!(model.artifact_checksum().unwrap(), trailer);
+    assert_eq!(model.to_artifact_bytes().unwrap(), image);
+
+    let patches = fixture_patches(&model);
+    assert_eq!(model.make_delta(&patches).unwrap(), old_delta);
+    let patched = model.apply_delta(&old_delta).unwrap();
+
+    // The patched model answers what its patched netlists compute.
+    let mut rng = StdRng::seed_from_u64(6);
+    let inputs = random_lanes(&mut rng, 10, 128);
+    let mut want = inputs.clone();
+    for (layer, set) in &patches {
+        let mut netlist = model.layers()[*layer].flow().netlist.clone();
+        netlist.apply_patches(set).unwrap();
+        want = lbnn::netlist::eval::evaluate(&netlist, &want).unwrap();
+    }
+    assert_eq!(patched.infer(&inputs).unwrap().outputs(), &want[..]);
+}
