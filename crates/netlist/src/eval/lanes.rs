@@ -45,17 +45,23 @@ pub(super) enum LaneWords {
 }
 
 impl LaneWords {
-    /// Room for `count` words, `first` at the front: all of them inline,
-    /// or a heap block of capacity `count` that later words append to.
+    /// Room for `count` words and none written yet: all of them inline
+    /// (zero), or an empty heap block of capacity `count` that words
+    /// are appended to ([`LaneWords::put`]).
+    #[inline]
+    fn room(count: usize) -> Self {
+        match count <= INLINE_WORDS {
+            true => LaneWords::Inline([0; INLINE_WORDS]),
+            false => LaneWords::Heap(Vec::with_capacity(count)),
+        }
+    }
+
+    /// [`LaneWords::room`] for `count` words, `first` at the front.
     #[inline]
     pub(super) fn with_first(count: usize, first: &[u64]) -> Self {
-        if count <= INLINE_WORDS {
-            LaneWords::Inline(std::array::from_fn(|i| first.get(i).copied().unwrap_or(0)))
-        } else {
-            let mut words = Vec::with_capacity(count);
-            words.extend_from_slice(first);
-            LaneWords::Heap(words)
-        }
+        let mut words = LaneWords::room(count);
+        words.put(0, first);
+        words
     }
 
     /// `count` zero words.
@@ -67,10 +73,13 @@ impl LaneWords {
     }
 
     /// Stores `words` at word `base`, right after the words already
-    /// written (a heap column grows by exactly these).
+    /// written (a heap column grows by exactly these). One inline word
+    /// is a plain store; more are one copy (a `memcpy` call, which
+    /// measured faster at 2–16 words than fixed-size moves).
     #[inline]
     fn put(&mut self, base: usize, words: &[u64]) {
         match self {
+            LaneWords::Inline(inline) if words.len() == 1 => inline[base] = words[0],
             LaneWords::Inline(inline) => inline[base..][..words.len()].copy_from_slice(words),
             LaneWords::Heap(heap) => {
                 debug_assert_eq!(heap.len(), base, "blocks arrive in order");
@@ -304,6 +313,19 @@ impl Lanes {
             *w = op.eval_word(wa, wb);
         }
         self.mask_tail();
+    }
+
+    /// Stores `word` as the last word, its bits past `len` cleared — how
+    /// the output sink ends a column: from the block it was handed, not
+    /// by reading back the word it has just copied.
+    #[inline]
+    fn end_with(&mut self, word: u64) {
+        let rem = self.len % 64;
+        if rem != 0 {
+            if let Some(last) = self.words_mut().last_mut() {
+                *last = word & ((1u64 << rem) - 1);
+            }
+        }
     }
 
     #[inline]
@@ -613,19 +635,28 @@ pub fn spread_bits(word: u64, out: &mut [bool]) {
 /// [`BitSliceEvaluator::evaluate_with`] hands
 /// [`BitSliceEvaluator::eval_blocks`]: `columns` (emptied, with room
 /// for `outputs`) receives one column of `lanes` lanes per output.
-/// Blocks arrive in order (outputs within a block in any order): a
-/// column is made from its first block's words, later blocks are stored
-/// behind them, and the last block masks the tail.
+/// Blocks arrive in order (outputs within a block in any order).
 ///
-/// A column of ≤ 16 words (the widest block) is written straight into
-/// its inline `Lanes`, so a batch of ≤ 1024 lanes allocates `columns`
-/// and nothing per output. A wider column is a heap block allocated on
-/// first touch — after the block's replay, so it is written while its
-/// lines are hot and the replay's working set is not diluted
-/// (allocating all heap columns up front measured 3–5 % slower end to
-/// end) — and for the whole batch at once, so later blocks never
-/// reallocate. A zero-lane batch has no blocks: its `outputs` empty
-/// columns are there from the start.
+/// An inline column handed over in order is built in its place in
+/// `columns`: its first block pushes an empty column, whose 16 zero
+/// words are stored straight into `columns`; every block, the first
+/// included, is copied into it there; and the block that ends the
+/// column writes the last word masked from its own words, not by
+/// reading back the word just copied. A heap column, or one handed over
+/// out of order, starts as an empty column built beside `columns` and
+/// moved in. Building every column beside `columns` and moving its 144
+/// bytes in cost 18–33 ns a column at every width; in place it costs
+/// 10–18 (`docs/ARCHITECTURE.md`, "Building a result column in its
+/// place").
+///
+/// A column of ≤ 16 words (the widest block) is inline, so a batch of
+/// ≤ 1024 lanes allocates `columns` and nothing per output. A wider
+/// column's heap block is allocated on first touch — after the block's
+/// replay, so it is written while its lines are hot and the replay's
+/// working set is not diluted (allocating all heap columns up front
+/// measured 3–5 % slower end to end) — and for the whole batch at
+/// once, so later blocks never reallocate. A zero-lane batch has no
+/// blocks: its `outputs` empty columns are there from the start.
 #[inline]
 pub fn lane_sink(
     columns: &mut Vec<Lanes>,
@@ -639,25 +670,30 @@ pub fn lane_sink(
         columns.resize(outputs, Lanes::zeros(0));
     }
     move |o, base, words| {
-        let last = base + words.len() == stride;
         if base == 0 {
-            let mut column = Lanes {
-                words: LaneWords::with_first(stride, words),
-                len: lanes,
-            };
-            if last {
-                column.mask_tail();
+            let in_order = o == columns.len();
+            if in_order && stride <= INLINE_WORDS {
+                // Its own push, so the zeros are stored straight into
+                // `columns` rather than assembled beside it and moved.
+                columns.push(Lanes {
+                    words: LaneWords::Inline([0; INLINE_WORDS]),
+                    len: lanes,
+                });
+            } else {
+                let column = Lanes {
+                    words: LaneWords::room(stride),
+                    len: lanes,
+                };
+                match in_order {
+                    true => columns.push(column),
+                    false => place(columns, o, column),
+                }
             }
-            match o == columns.len() {
-                true => columns.push(column),
-                false => place(columns, o, column),
-            }
-        } else {
-            let column = &mut columns[o];
-            column.words.put(base, words);
-            if last {
-                column.mask_tail();
-            }
+        }
+        let column = &mut columns[o];
+        column.words.put(base, words);
+        if base + words.len() == stride {
+            column.end_with(words[words.len() - 1]);
         }
     }
 }

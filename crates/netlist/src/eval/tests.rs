@@ -292,7 +292,7 @@ fn ones_masks_tail() {
 }
 
 /// The lane counts the inline/heap boundary is pinned at.
-const LANE_FORM_COUNTS: [usize; 9] = [0, 1, 63, 64, 65, 1023, 1024, 1025, 4096];
+const LANE_FORM_COUNTS: [usize; 12] = [0, 1, 63, 64, 65, 128, 256, 512, 1023, 1024, 1025, 4096];
 
 fn hash_of(l: &Lanes) -> u64 {
     use std::hash::{DefaultHasher, Hash, Hasher};
@@ -433,8 +433,9 @@ fn lane_forms_set_on_a_clone_leaves_the_original() {
 
 /// The sink path against the oracle at every occupied-word count of
 /// a 16-word block (inline columns written in one block, or in 16
-/// one-word blocks) and past it (heap columns grown block by
-/// block), with outputs handed on in order and in reverse.
+/// one-word blocks), at the full block, and past it (heap columns
+/// grown block by block), with outputs handed on in order and in
+/// reverse.
 #[test]
 fn lane_forms_sink_matches_evaluate_at_every_word_count() {
     let nl = crate::random::RandomDag::loose(6, 4, 7)
@@ -442,7 +443,7 @@ fn lane_forms_sink_matches_evaluate_at_every_word_count() {
         .generate(12);
     let tape = BitSliceEvaluator::compile(&nl);
     let outputs = tape.num_outputs();
-    let counts = (1..=16).map(|w| 64 * w - 13).chain([1025, 2048]);
+    let counts = (1..=16).map(|w| 64 * w - 13).chain([1024, 1025, 2048]);
     for lanes in counts {
         let inputs = patterned_inputs(&nl, lanes, lanes);
         let want = evaluate(&nl, &inputs).unwrap();
@@ -464,6 +465,61 @@ fn lane_forms_sink_matches_evaluate_at_every_word_count() {
                 }
             }
             assert_eq!(reversed, want, "lanes {lanes} per {per}, reversed");
+        }
+    }
+}
+
+/// Hands `outputs` columns of `lanes` lanes to [`lane_sink`] in blocks
+/// of `per` words, in order; word `w` of output `o` is `word(o, w)`.
+fn sink_all(
+    columns: &mut Vec<Lanes>,
+    outputs: usize,
+    lanes: usize,
+    per: usize,
+    word: impl Fn(usize, usize) -> u64,
+) {
+    let stride = lanes.div_ceil(64);
+    let mut sink = lane_sink(columns, outputs, lanes);
+    for base in (0..stride).step_by(per) {
+        for o in 0..outputs {
+            let block: Vec<u64> = (base..stride.min(base + per)).map(|w| word(o, w)).collect();
+            sink(o, base, &block);
+        }
+    }
+}
+
+/// A result vector reused after a full 1024-lane batch of all-ones
+/// columns: every column of a narrower batch is built anew, so no word
+/// of the earlier batch shows in it, padding included, and stray bits
+/// past the lanes in the handed-over words are masked.
+#[test]
+fn lane_forms_a_reused_sink_keeps_no_stale_words() {
+    const OUTPUTS: usize = 8;
+    let mut columns = Vec::new();
+    for lanes in [64usize, 1000] {
+        let stride = lanes.div_ceil(64);
+        let stray = match lanes % 64 {
+            0 => 0,
+            rem => !0 << rem,
+        };
+        let want: Vec<Lanes> = (0..OUTPUTS)
+            .map(|o| {
+                Lanes::from_bools(&(0..lanes).map(|l| (l * 5 + o) % 3 == 0).collect::<Vec<_>>())
+            })
+            .collect();
+        for per in SUPPORTED_SLICE_WORDS {
+            sink_all(&mut columns, OUTPUTS, 1024, 16, |_, _| !0);
+            assert!(columns.iter().all(|c| c.count_ones() == 1024));
+            let word =
+                |o: usize, w: usize| want[o].words()[w] | if w + 1 == stride { stray } else { 0 };
+            sink_all(&mut columns, OUTPUTS, lanes, per, word);
+            assert_eq!(columns.len(), OUTPUTS, "lanes {lanes} per {per}");
+            for (got, want) in columns.iter().zip(&want) {
+                assert_eq!(got, want, "lanes {lanes} per {per}");
+                assert_eq!(hash_of(got), hash_of(want), "lanes {lanes} per {per}");
+                assert!(is_inline(got), "lanes {lanes} per {per}");
+                assert!(tail_is_clear(got), "lanes {lanes} per {per}");
+            }
         }
     }
 }

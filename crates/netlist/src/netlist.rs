@@ -418,6 +418,13 @@ impl Netlist {
         );
     }
 
+    /// Room for `nodes` more nodes, so a reader that knows the count
+    /// grows the arena once.
+    pub(crate) fn reserve_nodes(&mut self, nodes: usize) {
+        self.nodes.reserve_exact(nodes);
+        self.names.reserve_exact(nodes);
+    }
+
     fn push(&mut self, op: Op, fanin: [NodeId; 2], name: Option<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { op, fanin });

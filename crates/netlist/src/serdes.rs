@@ -272,6 +272,7 @@ pub fn read_netlist(r: &mut ByteReader<'_>) -> Result<Netlist, NetlistError> {
     let name = r.get_str()?;
     let mut nl = Netlist::new(name);
     let node_count = r.get_count("node", 2)?;
+    nl.reserve_nodes(node_count);
     for i in 0..node_count {
         let code = r.get_u8()?;
         let op = Op::from_code(code)
@@ -314,8 +315,13 @@ pub fn read_netlist(r: &mut ByteReader<'_>) -> Result<Netlist, NetlistError> {
         }
         nl.add_output(NodeId::new(node as u32), po_name);
     }
-    nl.validate()
-        .map_err(|e| malformed(format!("reconstructed netlist is invalid: {e}")))?;
+    // Every fanin was checked below its node and every output inside
+    // the arena as it was read, so of `Netlist::validate` only the
+    // output count is left to check.
+    if nl.outputs().is_empty() {
+        let e = NetlistError::NoOutputs;
+        return Err(malformed(format!("reconstructed netlist is invalid: {e}")));
+    }
     Ok(nl)
 }
 
@@ -415,6 +421,51 @@ mod tests {
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert!(r.is_empty());
         assert!(r.get_u8().is_err());
+    }
+
+    /// A hand-written image: unnamed nodes with the given fanins, and
+    /// outputs at the given nodes.
+    fn forged(nodes: &[(Op, &[u32])], outputs: &[u32]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_str("forged");
+        w.put_u32(nodes.len() as u32);
+        for &(op, fanins) in nodes {
+            w.put_u8(op.code());
+            w.put_u8(0);
+            fanins.iter().for_each(|&f| w.put_u32(f));
+        }
+        w.put_u32(outputs.len() as u32);
+        for &node in outputs {
+            w.put_u32(node);
+            w.put_str("y");
+        }
+        w.into_bytes()
+    }
+
+    /// The structural checks the reader makes as it reads, each with
+    /// its own `Malformed` reason.
+    #[test]
+    fn forged_structure_is_malformed() {
+        let reason = |bytes: Vec<u8>| match Netlist::from_bytes(&bytes) {
+            Err(NetlistError::Malformed { reason }) => reason,
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        let input = (Op::Input, &[][..]);
+        for fanins in [[0, 1], [0, 2]] {
+            let got = reason(forged(&[input, (Op::And, &fanins)], &[1]));
+            assert!(got.contains("breaks topological order"), "{got}");
+        }
+        let got = reason(forged(&[input, input], &[2]));
+        assert!(got.contains("points at missing node 2"), "{got}");
+        let not = (Op::Not, &[0][..]);
+        let no_outputs = NetlistError::NoOutputs;
+        let got = reason(forged(&[input, not], &[]));
+        assert_eq!(
+            got,
+            format!("reconstructed netlist is invalid: {no_outputs}")
+        );
+        let nl = Netlist::from_bytes(&forged(&[input, not], &[1])).unwrap();
+        assert_eq!((nl.len(), nl.outputs().len()), (2, 1));
     }
 
     #[test]

@@ -259,7 +259,8 @@ fn infer_batches_allocates_for_the_final_outputs_only() {
 
 /// `Engine::run_batch` on a 256-output block: up to 1024 lanes (one
 /// 16-word block, the inline capacity of a `Lanes`) a batch allocates
-/// its output vector and a few buffers, whatever the output count; at
+/// its output vector and a few buffers, whatever the output count —
+/// a ragged 16-word batch (1000 lanes) included; at
 /// 1025 lanes every column is a heap block of its own. The last case
 /// marks where the inline form ends, so a heap block per column below
 /// it fails here.
@@ -277,7 +278,7 @@ fn run_batch_allocates_per_batch_not_per_output() {
         .unwrap()
         .into_engine()
         .unwrap();
-    for lanes in [64, 1024, 1025] {
+    for lanes in [64, 1000, 1024, 1025] {
         let batch = Lanes::pack_rows(&model_rows(12, lanes), 12);
         engine.run_batch(&batch).unwrap(); // sizes the engine's scratch
         let before = allocations();
