@@ -15,13 +15,12 @@
 //!                       bitsliced:<64|128|256|512|1024> (bit-sliced
 //!                       lane width); with --from-artifact, overrides the
 //!                       recorded backend (all serve bit-identically)
-//!   --partitions <N>    split the bit-sliced kernel tape into N
-//!                       partitions with a compile-time cross-partition
-//!                       exchange schedule (1..=64, default 1), replayed
-//!                       on one thread: smaller per-partition frames, no
-//!                       measured gain over the single tape (both replay
-//!                       a block at full width); ignored by the scalar
-//!                       backend
+//!   --partitions <N>    also compile an N-way exchange plan (per-partition
+//!                       tapes plus the cross-partition exchange
+//!                       schedule, 1..=64, default 1) and print its
+//!                       stats for inspection; engines, --serve and
+//!                       --verify run the single tape; ignored by the
+//!                       scalar backend
 //!   --no-merge          skip the MFG merging procedure (Algorithm 3)
 //!   --no-opt            skip logic optimization
 //!   --geq               use the pseudocode stop rule (>= m) instead of > m

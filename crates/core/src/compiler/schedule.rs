@@ -507,10 +507,6 @@ mod tests {
     use lbnn_netlist::random::RandomDag;
     use lbnn_netlist::Levels;
 
-    pub(crate) fn schedule_random_pub(seed: u64, m: usize, n: usize) -> (Partition, Schedule) {
-        schedule_random(seed, m, n)
-    }
-
     fn schedule_random(seed: u64, m: usize, n: usize) -> (Partition, Schedule) {
         let nl = RandomDag::strict(4 * m, 8, 2 * m).outputs(4).generate(seed);
         let lv = Levels::compute(&nl);
@@ -716,85 +712,5 @@ mod tests {
     fn zero_lpvs_rejected() {
         let (part, _) = schedule_random(4, 8, 4);
         assert!(schedule_spacetime(&part, 0, 8).is_err());
-    }
-}
-
-#[cfg(test)]
-mod feasibility_probe {
-    use super::*;
-    use crate::compiler::merge::merge_mfgs;
-    use crate::compiler::partition::{partition, PartitionOptions};
-    use lbnn_netlist::random::RandomDag;
-    use lbnn_netlist::Levels;
-
-    #[test]
-    #[ignore]
-    fn probe() {
-        for &(inputs, depth, width, m, n) in &[
-            (32usize, 10usize, 24usize, 8usize, 4usize),
-            (32, 8, 16, 8, 4),
-            (24, 10, 12, 8, 4),
-            (24, 6, 18, 6, 3),
-            (24, 10, 18, 6, 3),
-            (16, 8, 12, 6, 3),
-            (8, 11, 4, 6, 3),
-            (32, 10, 24, 8, 8),
-            (32, 10, 24, 8, 16),
-        ] {
-            let mut ok_shared = 0;
-            let mut ok_dup = 0;
-            let mut fail = 0;
-            for seed in 0..6 {
-                let nl = RandomDag::strict(inputs, depth, width)
-                    .outputs(4)
-                    .generate(seed);
-                let lv = Levels::compute(&nl);
-                let raw = partition(&nl, &lv, m, PartitionOptions::default()).unwrap();
-                let (part, _) = merge_mfgs(&raw, m);
-                if schedule_spacetime(&part, n, m).is_ok() {
-                    ok_shared += 1;
-                    continue;
-                }
-                let raw = partition(
-                    &nl,
-                    &lv,
-                    m,
-                    PartitionOptions {
-                        duplicate_children: true,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let (part, _) = merge_mfgs(&raw, m);
-                if schedule_spacetime(&part, n, m).is_ok() {
-                    ok_dup += 1;
-                } else {
-                    fail += 1;
-                }
-            }
-            eprintln!("cfg ({inputs},{depth},{width},m={m},n={n}): shared {ok_shared}, dup {ok_dup}, fail {fail}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod dbg {
-    use crate::compiler::mfg::MfgId;
-
-    #[test]
-    #[ignore]
-    fn dbg_most_recent() {
-        let (part, sched) = super::tests::schedule_random_pub(0, 8, 4);
-        for (p, kids) in part.children.iter().enumerate() {
-            let p_id = MfgId(p as u32);
-            let s_p = sched.primary_start(p_id);
-            for &c in kids {
-                let d = sched.delivery[&(p_id, c)];
-                eprintln!(
-                    "parent {p} start {s_p} child {c:?} delivery {d} deferredness exec_count {}",
-                    sched.executions[c.index()].len()
-                );
-            }
-        }
     }
 }

@@ -7,11 +7,10 @@
 //!
 //! * an **immutable, shared** half behind the engine's `Arc`: the
 //!   machine configuration, the program, and the one kernel batches
-//!   replay on (the cycle-accurate machine, a bit-sliced tape, or a
-//!   partitioned set of tapes). Clones and runtime workers share one
-//!   resident compiled block;
+//!   replay on (the cycle-accurate machine or a bit-sliced tape).
+//!   Clones and runtime workers share one resident compiled block;
 //! * [`EngineScratch`] — the **mutable, per-worker** half: snapshot and
-//!   pipeline buffers, retired lane vectors, the bit-slice frames (sized
+//!   pipeline buffers, retired lane vectors, the bit-slice frame (sized
 //!   to the backend's width on first use). Every executing thread owns
 //!   its own.
 //!
@@ -34,22 +33,18 @@
 //!   built per target feature, plus an AVX-512 ternary-logic kernel on
 //!   x86_64, see [`lbnn_netlist::SimdMode`]).
 //!
-//! [`Engine::run_batches`] additionally shards a batch sequence across
-//! scoped threads — one contiguous run of borrowed batches and one fresh
-//! scratch each, through the same [`Engine::run_batch_with`] — with
-//! results merged back in input order. The engine owns no thread: the
-//! only persistent ones in this crate are a `Runtime`'s workers.
+//! An engine replays its kernel on the calling thread and owns no
+//! thread: the only persistent ones in this crate are a `Runtime`'s
+//! workers.
 
 use std::fmt;
-use std::panic::resume_unwind;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lbnn_netlist::eval::lane_sink;
 use lbnn_netlist::{
-    BitSliceEvaluator, Lanes, PartitionedEngine, PatchSet, SliceFrame, TapeStats, MAX_PARTITIONS,
-    SUPPORTED_SLICE_WORDS,
+    BitSliceEvaluator, Lanes, PatchSet, SliceFrame, TapeStats, SUPPORTED_SLICE_WORDS,
 };
 
 use crate::compiler::program::LpuProgram;
@@ -199,7 +194,7 @@ pub(crate) fn patch_program(program: &mut LpuProgram, patches: &PatchSet) -> Res
 }
 
 /// Per-worker mutable execution state: the scalar machine's pass buffers
-/// plus the bit-slice frames.
+/// plus the bit-slice frame.
 ///
 /// A scratch is shape-agnostic (it reshapes to whatever program — and
 /// whatever slice width — runs on it), starts empty and cheap
@@ -209,9 +204,8 @@ pub(crate) fn patch_program(program: &mut LpuProgram, patches: &PatchSet) -> Res
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     pub(crate) pass: PassScratch,
-    /// One frame per kernel tape: one for a single-tape engine, one per
-    /// partition for a partitioned engine; unused by the scalar machine.
-    pub(crate) frames: Vec<SliceFrame>,
+    /// The bit-sliced tape's frame; unused by the scalar machine.
+    pub(crate) frame: SliceFrame,
     /// The leading output columns the last pass was asked to keep
     /// ([`Engine::run_with`]'s `keep`), packed in
     /// [`Lanes::pack_rows_into`] layout: column `j` at `[j * stride ..]`,
@@ -230,8 +224,8 @@ impl EngineScratch {
 }
 
 /// What an [`Engine`] replays batches on — exactly one per engine,
-/// fixed at construction. Every bit-sliced kernel is derived from the
-/// mapped netlist: handed over by the compile pass that built it, or
+/// fixed at construction. The bit-sliced tape is derived from the
+/// mapped netlist: handed over by the `locality` pass that built it, or
 /// recompiled (deterministically) by [`Engine::build`].
 #[derive(Debug)]
 enum Kernel {
@@ -239,9 +233,6 @@ enum Kernel {
     Machine(LpuMachine),
     /// [`Backend::BitSliced`] on one kernel tape.
     Tape(BitSliceEvaluator),
-    /// [`Backend::BitSliced`] with `partitions > 1`: N per-partition
-    /// tapes with the exchange schedule between levels.
-    Partitioned(PartitionedEngine),
 }
 
 /// The lane count of a batch handed over as per-input columns; a batch
@@ -301,7 +292,7 @@ struct Core {
 /// once into an immutable, shared core; afterwards every
 /// [`run_batch`](Engine::run_batch) is a pure replay. The engine's own
 /// buffers (snapshot registers, pipeline registers, retired lane vectors,
-/// bit-slice frames) persist across batches, and
+/// the bit-slice frame) persist across batches, and
 /// [`run_batch_with`](Engine::run_batch_with) serves with caller-owned
 /// scratch through `&self`, so one engine can serve from many threads.
 ///
@@ -328,8 +319,6 @@ pub struct Engine {
     core: Arc<Core>,
     /// The engine's own scratch, lent to `&mut self` convenience paths.
     scratch: EngineScratch,
-    /// Threads [`Engine::run_batches`] shards over.
-    workers: usize,
     /// Batches served since construction; incremented exactly once per
     /// executed batch by every serving path (atomic so `&self` paths can
     /// count from any thread).
@@ -340,7 +329,6 @@ impl fmt::Debug for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("core", &self.core)
-            .field("workers", &self.workers)
             .field("batches_served", &self.batches_served())
             .finish_non_exhaustive()
     }
@@ -354,7 +342,6 @@ impl Clone for Engine {
         Engine {
             core: Arc::clone(&self.core),
             scratch: EngineScratch::default(),
-            workers: self.workers,
             batches_served: AtomicU64::new(self.batches_served()),
         }
     }
@@ -363,13 +350,12 @@ impl Clone for Engine {
 impl Engine {
     /// Builds an engine serving `flow`'s program on `flow`'s backend;
     /// the program is shared with the flow, not copied. A
-    /// [`Backend::BitSliced`] engine replays the kernel the flow's
-    /// `locality` or `exchange` pass built (`tape`, `partitioned`) when
-    /// the caller hands it over, and otherwise compiles it from the
-    /// mapped netlist — one tape with the read cone of outputs `..reads`
-    /// first, or with `flow.partitions > 1` a [`PartitionedEngine`].
-    /// Only a [`Backend::Scalar`] engine holds the cycle-accurate
-    /// machine.
+    /// [`Backend::BitSliced`] engine replays the tape the flow's
+    /// `locality` pass built when the caller hands it over, and
+    /// otherwise compiles one from the mapped netlist with the read cone
+    /// of outputs `..reads` first — whatever `flow.partitions` says, as
+    /// the partitioned exchange plan is for inspection only. Only a
+    /// [`Backend::Scalar`] engine holds the cycle-accurate machine.
     ///
     /// # Errors
     ///
@@ -379,17 +365,11 @@ impl Engine {
     fn build(
         flow: &Flow,
         tape: Option<BitSliceEvaluator>,
-        partitioned: Option<PartitionedEngine>,
         reads: usize,
     ) -> Result<Self, CoreError> {
-        let (config, program, partitions) = (flow.config, &flow.program, flow.partitions);
+        let (config, program) = (flow.config, &flow.program);
         config.validate()?;
         flow.backend.validate()?;
-        if partitions == 0 || partitions > MAX_PARTITIONS {
-            return Err(CoreError::BadConfig {
-                reason: format!("partitions must be 1..={MAX_PARTITIONS}, got {partitions}"),
-            });
-        }
         if program.m != config.m || program.n != config.n {
             return Err(CoreError::BadConfig {
                 reason: format!(
@@ -398,34 +378,14 @@ impl Engine {
                 ),
             });
         }
-        let kernel = match (flow.backend, partitioned, tape) {
-            (Backend::Scalar, ..) => Kernel::Machine(LpuMachine::new(config)?),
-            (_, Some(engine), _) => Kernel::Partitioned(engine),
-            (_, None, Some(tape)) => Kernel::Tape(tape),
-            (_, None, None) if partitions > 1 => {
-                Kernel::Partitioned(PartitionedEngine::compile(&flow.netlist, partitions)?)
-            }
-            (_, None, None) => {
-                Kernel::Tape(BitSliceEvaluator::compile_reading(&flow.netlist, reads))
-            }
+        let kernel = match flow.backend {
+            Backend::Scalar => Kernel::Machine(LpuMachine::new(config)?),
+            Backend::BitSliced { .. } => Kernel::Tape(
+                tape.unwrap_or_else(|| BitSliceEvaluator::compile_reading(&flow.netlist, reads)),
+            ),
         };
-        let shape = match &kernel {
-            Kernel::Machine(_) => None,
-            Kernel::Tape(tape) => Some((1, tape.num_inputs(), tape.num_outputs())),
-            Kernel::Partitioned(engine) => Some((
-                engine.num_partitions(),
-                engine.num_inputs(),
-                engine.num_outputs(),
-            )),
-        };
-        if let Some((parts, ins, outs)) = shape {
-            if parts != partitions {
-                return Err(CoreError::BadConfig {
-                    reason: format!(
-                        "flow declares {partitions} partitions but its kernel has {parts}"
-                    ),
-                });
-            }
+        if let Kernel::Tape(tape) = &kernel {
+            let (ins, outs) = (tape.num_inputs(), tape.num_outputs());
             if ins != program.num_inputs || outs != program.outputs.len() {
                 return Err(CoreError::BadConfig {
                     reason: format!(
@@ -444,34 +404,24 @@ impl Engine {
             kernel,
             lpe_ops_per_pass: program.lpe_op_count(),
         };
-        Ok(Engine::serving(core, 1))
+        Ok(Engine::serving(core))
     }
 
     /// A fresh engine (own scratch, counter at 0) serving `core`.
-    fn serving(core: Core, workers: usize) -> Self {
+    fn serving(core: Core) -> Self {
         Engine {
             core: Arc::new(core),
             scratch: EngineScratch::default(),
-            workers,
             batches_served: AtomicU64::new(0),
         }
     }
 
-    /// Sets the worker-thread count used by [`Engine::run_batches`] and
-    /// returns the engine (builder style). `0` means "one per available
-    /// CPU".
+    /// Returns the engine unchanged: an engine serves on the calling
+    /// thread, whatever the count. To serve from several threads, start
+    /// a [`crate::runtime::Runtime`].
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = match workers {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            explicit => explicit,
-        };
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
-    }
-
-    /// The worker-thread count [`Engine::run_batches`] shards over.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Whether `self` and `other` serve one resident compiled core.
@@ -489,10 +439,9 @@ impl Engine {
     /// keeps its routing, snapshot and schedule words and has each matching
     /// [`LpeInstr`](crate::compiler::program::LpeInstr)'s op swapped
     /// (a cell recomputed by several MFG executions is patched at every
-    /// occurrence), and the bit-sliced kernel tape(s) have the target
+    /// occurrence), and the bit-sliced kernel tape has the target
     /// cells' ANF masks rewritten in place
-    /// ([`BitSliceEvaluator::patched`],
-    /// [`PartitionedEngine::patched`]). The patched engine owns a fresh
+    /// ([`BitSliceEvaluator::patched`]). The patched engine owns a fresh
     /// core and counter, while `self` — and every clone or worker
     /// holding the old core — keeps serving the old functions, so
     /// in-flight batches finish on the old version while new submissions
@@ -515,7 +464,6 @@ impl Engine {
         let kernel = match &core.kernel {
             Kernel::Machine(machine) => Kernel::Machine(machine.clone()),
             Kernel::Tape(tape) => Kernel::Tape(tape.patched(patches)?),
-            Kernel::Partitioned(engine) => Kernel::Partitioned(engine.patched(patches)?),
         };
         let core = Core {
             config: core.config,
@@ -524,7 +472,7 @@ impl Engine {
             kernel,
             lpe_ops_per_pass: core.lpe_ops_per_pass,
         };
-        Ok(Engine::serving(core, self.workers))
+        Ok(Engine::serving(core))
     }
 
     /// The execution backend this engine replays batches on.
@@ -550,31 +498,13 @@ impl Engine {
         &self.core.program
     }
 
-    /// Locality statistics of the resident single kernel tape
-    /// ([`TapeStats`]: fused chains, live frame slots); `None` on scalar
-    /// and partitioned engines, which execute no such tape.
+    /// Locality statistics of the resident kernel tape ([`TapeStats`]:
+    /// fused chains, live frame slots); `None` on scalar engines, which
+    /// execute no tape.
     pub fn tape_stats(&self) -> Option<TapeStats> {
         match &self.core.kernel {
+            Kernel::Machine(_) => None,
             Kernel::Tape(tape) => Some(tape.tape_stats()),
-            _ => None,
-        }
-    }
-
-    /// Execution partitions this engine serves on: 1 for single-tape and
-    /// scalar engines.
-    pub fn partitions(&self) -> usize {
-        match &self.core.kernel {
-            Kernel::Partitioned(engine) => engine.num_partitions(),
-            _ => 1,
-        }
-    }
-
-    /// Cut-size and per-partition frame statistics of the resident
-    /// partitioned engine; `None` on unpartitioned engines.
-    pub fn partition_stats(&self) -> Option<lbnn_netlist::PartitionStats> {
-        match &self.core.kernel {
-            Kernel::Partitioned(engine) => Some(engine.partition_stats()),
-            _ => None,
         }
     }
 
@@ -587,7 +517,7 @@ impl Engine {
 
     /// Batches served since construction, across every path — sequential
     /// [`run_batch`](Engine::run_batch), caller-scratch
-    /// [`run_batch_with`](Engine::run_batch_with), the shards of
+    /// [`run_batch_with`](Engine::run_batch_with),
     /// [`run_batches`](Engine::run_batches), and
     /// [`crate::runtime::Runtime`] micro-batches — each executed batch
     /// counted exactly once (failed batches do not count).
@@ -646,8 +576,8 @@ impl Engine {
         Ok(())
     }
 
-    /// The one body behind every execution path (sequential and sharded
-    /// replay, the runtime micro-batcher, the model chain), so the
+    /// The one body behind every execution path (batch replay, the
+    /// runtime micro-batcher, the model chain), so the
     /// paths cannot diverge: packed columns in, packed columns out, and
     /// the one place [`batches_served`](Engine::batches_served)
     /// advances (a failed batch does not count).
@@ -670,15 +600,11 @@ impl Engine {
         columns: bool,
     ) -> Result<RunResult, CoreError> {
         let core = &*self.core;
-        let EngineScratch { pass, frames, kept } = scratch;
-        // The scratch is shape-agnostic; give it a first frame at this
-        // engine's slice width (no-op once matched). Each kernel sizes
-        // its frame(s) from there.
+        let EngineScratch { pass, frame, kept } = scratch;
+        // The scratch is shape-agnostic; set its frame to this engine's
+        // slice width (no-op once matched). The tape sizes it from there.
         if let Backend::BitSliced { words } = core.backend {
-            if frames.is_empty() {
-                frames.push(SliceFrame::default());
-            }
-            frames[0].set_width(words);
+            frame.set_width(words);
         }
         let stride = lanes.div_ceil(64);
         let num_outputs = core.program.outputs.len();
@@ -715,11 +641,7 @@ impl Engine {
                     Some(result)
                 }
                 Kernel::Tape(tape) => {
-                    tape.eval_blocks(lanes, &mut frames[0], input_words, emitted, sink);
-                    None
-                }
-                Kernel::Partitioned(engine) => {
-                    engine.eval_blocks(lanes, frames, input_words, emitted, sink);
+                    tape.eval_blocks(lanes, frame, input_words, emitted, sink);
                     None
                 }
             }
@@ -737,71 +659,36 @@ impl Engine {
         Ok(result)
     }
 
-    /// Runs a sequence of batches back to back — the paper's steady-state
-    /// serving loop — returning one result per batch, in input order.
-    ///
-    /// With [`workers`](Engine::workers) > 1 the sequence is sharded into
-    /// contiguous chunks, one scoped thread each — the batches borrowed,
-    /// a fresh scratch per shard, every batch through
-    /// [`run_batch_with`](Engine::run_batch_with) — and the merged
-    /// results are indistinguishable from sequential execution.
+    /// Runs a sequence of batches back to back on the calling thread —
+    /// the paper's steady-state serving loop — returning one result per
+    /// batch, in input order.
     ///
     /// # Errors
     ///
-    /// Returns the first batch error in input order. Sequentially,
-    /// execution stops right there; with multiple workers, batches in
-    /// later shards may already have executed (and count toward
-    /// [`batches_served`](Engine::batches_served)) before the error is
-    /// reported.
+    /// Returns the first batch error; execution stops right there.
     ///
     /// # Panics
     ///
-    /// A batch that panics (see [`Engine::run_batch_with`]) panics the
-    /// caller, whichever thread ran it; the engine serves the next call.
-    pub fn run_batches<B: AsRef<[Lanes]> + Sync>(
+    /// A batch that panics (see [`Engine::run_batch`]) panics the
+    /// caller; the engine serves the next call.
+    pub fn run_batches<B: AsRef<[Lanes]>>(
         &mut self,
         batches: &[B],
     ) -> Result<Vec<RunResult>, CoreError> {
-        let workers = self.workers.clamp(1, batches.len().max(1));
-        if workers == 1 {
-            return (batches.iter())
-                .map(|batch| self.run_batch(batch.as_ref()))
-                .collect();
-        }
-        let engine = &*self;
-        // A shard stops at its first error; joined in shard order, the
-        // first error seen is the first in input order.
-        let shards: Vec<Result<Vec<RunResult>, CoreError>> = std::thread::scope(|scope| {
-            let running: Vec<_> = (batches.chunks(batches.len().div_ceil(workers)))
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let mut scratch = EngineScratch::new();
-                        (shard.iter())
-                            .map(|batch| engine.run_batch_with(&mut scratch, batch.as_ref()))
-                            .collect()
-                    })
-                })
-                .collect();
-            (running.into_iter())
-                .map(|shard| shard.join().unwrap_or_else(|panic| resume_unwind(panic)))
-                .collect()
-        });
-        let mut results = Vec::with_capacity(batches.len());
-        for shard in shards {
-            results.extend(shard?);
-        }
-        Ok(results)
+        (batches.iter())
+            .map(|batch| self.run_batch(batch.as_ref()))
+            .collect()
     }
 }
 
 impl Flow {
     /// Builds a resident [`Engine`] serving this flow's program on this
     /// flow's [`Backend`]. The program is shared with the flow, not
-    /// copied ([`Engine::program`] is `flow.program`); the kernel a
-    /// freshly compiled flow's `locality` or `exchange` pass built is
-    /// copied (use [`Flow::into_engine`] to move it), and flows loaded
-    /// from serialized artifacts recompile it (deterministically) from
-    /// the mapped netlist.
+    /// copied ([`Engine::program`] is `flow.program`); the tape a freshly
+    /// compiled flow's `locality` pass built is copied (use
+    /// [`Flow::into_engine`] to move it), and flows without one — loaded
+    /// from serialized artifacts, or compiled with `partitions > 1` —
+    /// compile it (deterministically) from the mapped netlist.
     ///
     /// # Errors
     ///
@@ -818,7 +705,7 @@ impl Flow {
     /// A flow's prebuilt tape is taken as it is.
     pub(crate) fn engine_reading(&self, reads: usize) -> Result<Engine, CoreError> {
         let tape = self.artifacts.as_ref().and_then(|a| a.tape.clone());
-        Engine::build(self, tape, self.partitioned.clone(), reads)
+        Engine::build(self, tape, reads)
     }
 
     /// Converts this flow into a resident [`Engine`], moving the compiled
@@ -829,8 +716,7 @@ impl Flow {
     /// See [`Flow::engine`].
     pub fn into_engine(mut self) -> Result<Engine, CoreError> {
         let tape = self.artifacts.take().and_then(|a| a.tape);
-        let partitioned = self.partitioned.take();
-        Engine::build(&self, tape, partitioned, usize::MAX)
+        Engine::build(&self, tape, usize::MAX)
     }
 
     /// Locality statistics of the kernel tape the `locality` pass
@@ -992,44 +878,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_run_batches_preserves_input_order() {
-        let nl = RandomDag::strict(10, 5, 8).outputs(3).generate(7);
-        for backend in [
-            Backend::Scalar,
-            Backend::BitSliced { words: 1 },
-            Backend::BitSliced { words: 16 },
-        ] {
-            let flow = Flow::builder(&nl)
-                .config(LpuConfig::new(5, 4))
-                .backend(backend)
-                .compile()
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(17);
-            // Distinguishable batches (different lane widths + contents).
-            let batches: Vec<Vec<Lanes>> = (0..13)
-                .map(|i| random_batch(&mut rng, nl.inputs().len(), 40 + i))
-                .collect();
-            let mut sequential = flow.engine().unwrap();
-            let expect = sequential.run_batches(&batches).unwrap();
-            // Every split of the thirteen, one shard and more workers
-            // than batches included.
-            for workers in [1usize, 2, 3, 5, 8, 32] {
-                let mut sharded = flow.engine().unwrap().with_workers(workers);
-                assert_eq!(sharded.workers(), workers);
-                let got = sharded.run_batches(&batches).unwrap();
-                assert_eq!(got.len(), expect.len());
-                for (g, e) in got.iter().zip(&expect) {
-                    assert_eq!(g.outputs, e.outputs, "{backend} x{workers}");
-                }
-                assert_eq!(sharded.batches_served(), batches.len() as u64);
-            }
-        }
-    }
-
-    /// Regression (Issue 4 satellite): every executed batch counts
-    /// exactly once, across repeated sharded calls, worker-count changes,
-    /// and the `&self` caller-scratch path.
+    /// Regression: every executed batch counts exactly once, across
+    /// repeated calls and the `&self` caller-scratch path.
     #[test]
     fn batches_served_counts_each_batch_exactly_once() {
         let nl = RandomDag::strict(8, 4, 6).outputs(2).generate(4);
@@ -1041,26 +891,23 @@ mod tests {
         let batches: Vec<Vec<Lanes>> = (0..7)
             .map(|_| random_batch(&mut rng, nl.inputs().len(), 24))
             .collect();
-        let mut engine = flow.engine().unwrap().with_workers(3);
+        let mut engine = flow.engine().unwrap();
         engine.run_batches(&batches).unwrap();
-        assert_eq!(engine.batches_served(), 7, "first sharded run");
+        assert_eq!(engine.batches_served(), 7, "first run");
         engine.run_batches(&batches).unwrap();
         assert_eq!(engine.batches_served(), 14, "a second call counts once");
-        let mut engine = engine.with_workers(5);
-        engine.run_batches(&batches).unwrap();
-        assert_eq!(engine.batches_served(), 21, "another shard count");
         let mut scratch = EngineScratch::new();
         engine.run_batch_with(&mut scratch, &batches[0]).unwrap();
         assert_eq!(
             engine.batches_served(),
-            22,
+            15,
             "caller-scratch path counts once"
         );
         // A clone counts independently from its snapshot.
         let mut fork = engine.clone();
         fork.run_batch(&batches[0]).unwrap();
-        assert_eq!(fork.batches_served(), 23);
-        assert_eq!(engine.batches_served(), 22);
+        assert_eq!(fork.batches_served(), 16);
+        assert_eq!(engine.batches_served(), 15);
     }
 
     #[test]
@@ -1100,29 +947,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_batches_reports_first_error_in_input_order() {
+    fn run_batches_stops_at_the_first_error_in_input_order() {
         let (flow, mut batches) = seven_batches();
         let mut rng = StdRng::seed_from_u64(6);
-        // Three shards of 3 + 3 + 1: one failure in the second, another
-        // (distinguishable) in the third.
+        // Two distinguishable failures: the earlier one is reported.
         batches[4] = random_batch(&mut rng, 1, 16);
         batches[6] = random_batch(&mut rng, 2, 16);
-        let mut engine = flow.engine().unwrap().with_workers(3);
+        let mut engine = flow.engine().unwrap();
         let err = engine.run_batches(&batches).unwrap_err();
         assert!(matches!(err, CoreError::InputArity { got: 1, .. }), "{err}");
-        // The first shard ran whole, the second up to its failure.
+        // The batches before the failure ran; none after it did.
         assert_eq!(engine.batches_served(), 4);
     }
 
-    /// A batch that panics in a shard panics the caller with the batch's
-    /// own message, and leaves the engine serving.
+    /// A batch that panics panics the caller with the batch's own
+    /// message, and leaves the engine serving.
     #[test]
-    fn a_panicking_shard_propagates_and_the_engine_serves_on() {
+    fn a_panicking_batch_propagates_and_the_engine_serves_on() {
         let (flow, mut batches) = seven_batches();
         let expect = flow.engine().unwrap().run_batches(&batches).unwrap();
         let healthy = batches.clone();
         batches[5][0] = Lanes::from_bools(&[true; 3]); // ragged columns
-        let mut engine = flow.engine().unwrap().with_workers(3);
+        let mut engine = flow.engine().unwrap();
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.run_batches(&batches)
         }))
@@ -1303,14 +1149,28 @@ mod tests {
         ));
     }
 
+    /// A flow compiled at `partitions > 1` carries an exchange plan but
+    /// no tape; its engine compiles and serves the single tape.
     #[test]
-    fn workers_zero_means_available_parallelism() {
-        let nl = RandomDag::strict(8, 4, 6).outputs(2).generate(1);
+    fn an_engine_from_a_partitioned_flow_serves_the_single_tape() {
+        let nl = RandomDag::strict(16, 6, 12).outputs(4).generate(8);
         let flow = Flow::builder(&nl)
-            .config(LpuConfig::new(4, 4))
+            .config(LpuConfig::new(8, 4))
+            .backend(Backend::BitSliced { words: 2 })
+            .partitions(3)
             .compile()
             .unwrap();
-        let engine = flow.engine().unwrap().with_workers(0);
-        assert!(engine.workers() >= 1);
+        assert!(flow.partitioned.is_some());
+        let want = BitSliceEvaluator::compile(&flow.netlist).tape_stats();
+        let mut rng = StdRng::seed_from_u64(12);
+        for mut engine in [flow.engine().unwrap(), flow.clone().into_engine().unwrap()] {
+            assert_eq!(engine.tape_stats(), Some(want));
+            for lanes in [1usize, 128, 300] {
+                let batch = random_batch(&mut rng, nl.inputs().len(), lanes);
+                let got = engine.run_batch(&batch).unwrap();
+                let oracle = lbnn_netlist::eval::evaluate(&flow.netlist, &batch).unwrap();
+                assert_eq!(got.outputs, oracle, "lanes {lanes}");
+            }
+        }
     }
 }

@@ -52,11 +52,12 @@ pub struct FlowOptions {
     pub partition: PartitionOptions,
     /// Execution backend engines built from this flow will use.
     pub backend: Backend,
-    /// Execution partitions for bit-sliced backends: `1` (default)
-    /// serves on one kernel tape; `2..=`[`lbnn_netlist::MAX_PARTITIONS`]
-    /// compiles per-partition tapes plus an exchange schedule and
-    /// serves on a [`PartitionedEngine`]. Scalar backends ignore the
-    /// knob (the cycle-accurate machine is its own execution model).
+    /// Partitions of the exchange plan for bit-sliced backends: `1`
+    /// (default) compiles none; `2..=`[`lbnn_netlist::MAX_PARTITIONS`]
+    /// compiles per-partition tapes plus an exchange schedule
+    /// ([`Flow::partitioned`]) for inspection. Engines serve the single
+    /// tape whatever the count. Scalar backends ignore the knob (the
+    /// cycle-accurate machine is its own execution model).
     pub partitions: usize,
 }
 
@@ -130,9 +131,10 @@ pub struct CompileArtifacts {
     pub schedule: Schedule,
     /// The fused, slot-renumbered bit-sliced kernel tape the `locality`
     /// pass compiled (single-tape bit-sliced flows only; `None` for
-    /// scalar flows and for `partitions > 1`, whose kernel is
-    /// [`Flow::partitioned`]). Engines built from this flow reuse it
-    /// instead of recompiling; [`Flow::apply_patches`] keeps it in sync.
+    /// scalar flows and for `partitions > 1`, whose pass compiles
+    /// [`Flow::partitioned`] instead). Engines built from this flow
+    /// reuse it instead of recompiling; [`Flow::apply_patches`] keeps it
+    /// in sync.
     pub tape: Option<BitSliceEvaluator>,
 }
 
@@ -159,13 +161,14 @@ pub struct Flow {
     /// Per-pass wall times and stat deltas of the compile that produced
     /// this flow (persisted across [`Flow::save`]/[`Flow::load`]).
     pub report: CompileReport,
-    /// Execution partitions ([`FlowOptions::partitions`]).
+    /// Partitions of the exchange plan ([`FlowOptions::partitions`]).
     pub partitions: usize,
-    /// The partitioned engine compiled by the `exchange` pass
-    /// when `partitions > 1` on a bit-sliced backend. Like the tape in
-    /// [`Flow::artifacts`] it does not travel in serialized artifacts:
-    /// a loaded flow has `None` here and its engine recompiles the same
-    /// (deterministic) schedule from the mapped netlist.
+    /// The exchange plan the `exchange` pass compiled when
+    /// `partitions > 1` on a bit-sliced backend, kept for inspection:
+    /// engines serve the single tape, which they compile from the mapped
+    /// netlist. It does not travel in serialized artifacts: a loaded
+    /// flow has `None` here, and [`PartitionedEngine::compile`] of the
+    /// mapped netlist rebuilds the same (deterministic) plan.
     pub partitioned: Option<PartitionedEngine>,
     /// Intermediate compiler artifacts; `None` on flows loaded from a
     /// serialized artifact.
@@ -240,8 +243,9 @@ impl<'a> FlowBuilder<'a> {
         self
     }
 
-    /// Splits execution across `partitions` kernel tapes with a
-    /// compile-time cross-partition exchange schedule
+    /// Also compiles a `partitions`-way exchange plan — per-partition
+    /// kernel tapes and their cross-partition exchange schedule — for
+    /// inspection; engines serve the single tape
     /// ([`FlowOptions::partitions`]). Counts outside
     /// `1..=`[`lbnn_netlist::MAX_PARTITIONS`] fail
     /// [`FlowBuilder::compile`] with [`CoreError::BadConfig`].
@@ -368,7 +372,7 @@ impl Flow {
             }),
             None => None,
         };
-        // Same for the partitioned engine: patch every partition
+        // Same for the exchange plan: patch every partition
         // tape in place, structure untouched.
         let partitioned = self
             .partitioned

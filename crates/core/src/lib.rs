@@ -43,8 +43,8 @@
 //!   selectable width ([`Backend::BitSliced`]` { words }`, 1/2/4/8/16
 //!   words per net = 64/128/256/512/1024 lanes per kernel pass) — selected
 //!   via [`FlowBuilder::backend`](flow::FlowBuilder::backend).
-//!   [`Engine::run_batches`] shards batch sequences across scoped
-//!   threads, and the [`Runtime`] — whose workers are the crate's only
+//!   [`Engine::run_batches`] replays batch sequences on the calling
+//!   thread, and the [`Runtime`] — whose workers are the crate's only
 //!   persistent threads — serves *individual* requests: one state
 //!   behind one lock holding the forming batch and a bounded queue of
 //!   full ones (backpressure), work-conserving micro-batching to the

@@ -5,8 +5,8 @@
 //! This is a classic hash-consed BDD package (unique table + computed
 //! table, complement-free, natural variable order) sufficient to check
 //! netlist-vs-netlist equivalence for every circuit this workspace
-//! produces, and used by [`crate::synth`]'s verification helpers and the
-//! test suites.
+//! produces. Only this crate's property tests use it today; the
+//! compiler pipeline does not.
 
 use std::collections::HashMap;
 

@@ -17,8 +17,8 @@
 //! * [`techmap`] — inverter absorption into the LPE cell library
 //!   (`NOT(AND) → NAND` etc.) and final mapping checks;
 //! * [`synth`] — the combined `optimize` pipeline used by the compiler flow;
-//! * [`bdd`] — a hash-consed ROBDD package used as the scalable
-//!   equivalence oracle for everything above.
+//! * [`bdd`] — a hash-consed ROBDD package, the scalable equivalence
+//!   oracle this crate's property tests check everything above with.
 //!
 //! ## Example: minimize and map a function
 //!

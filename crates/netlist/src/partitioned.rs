@@ -16,9 +16,8 @@
 //! partition replays its level-`l` tape segment over its own
 //! [`SliceFrame`], then the level's exchange copies run, then level
 //! `l + 1` starts. Partitioning is a locality transform, not a
-//! threading model — cores are used by batch-level workers
-//! (`Runtime`, `Engine::with_workers` in `lbnn-core`), never inside a
-//! batch.
+//! threading model — cores are used by the batch-level workers of a
+//! `Runtime` in `lbnn-core`, never inside a batch.
 //!
 //! What it buys, measured: nothing on one thread. The per-partition
 //! frames are a fraction of the single-engine frame, and while tiles

@@ -28,8 +28,8 @@
 //! words per net = 64/128/256/512/1024 lanes per kernel pass), selected
 //! with [`FlowBuilder::backend`] — and split into an immutable shared core
 //! plus per-worker scratch, so one resident compiled block serves from
-//! any number of threads. [`Engine::run_batches`] shards batch
-//! sequences across scoped threads, and the [`Runtime`] — whose workers
+//! any number of threads. [`Engine::run_batches`] replays batch
+//! sequences on the calling thread, and the [`Runtime`] — whose workers
 //! are the only persistent threads — serves individual requests through
 //! one bounded state with dynamic micro-batching to the engine's lane
 //! width and measured latency percentiles. `docs/ARCHITECTURE.md` maps the crate layers end to

@@ -243,31 +243,3 @@ fn compiled_model_infer_is_backend_independent() {
     assert_eq!(a.layer_outputs, b.layer_outputs);
     assert_eq!(a.clock_cycles, b.clock_cycles);
 }
-
-/// Threaded batch sharding returns results in input order, bit-identical
-/// to sequential serving, on both backends.
-#[test]
-fn threaded_sharding_is_bit_identical_and_ordered() {
-    let netlist = RandomDag::strict(18, 6, 12).outputs(4).generate(12);
-    for backend in [Backend::Scalar, Backend::BitSliced { words: 1 }] {
-        let flow = Flow::builder(&netlist)
-            .config(LpuConfig::new(8, 4))
-            .backend(backend)
-            .compile()
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(55);
-        let batches: Vec<Vec<Lanes>> = (0..9)
-            .map(|i| random_lanes(&mut rng, netlist.inputs().len(), 32 + 8 * i))
-            .collect();
-        let mut sequential = flow.engine().unwrap();
-        let expect = sequential.run_batches(&batches).unwrap();
-        let mut sharded = flow.engine().unwrap().with_workers(2);
-        let got = sharded.run_batches(&batches).unwrap();
-        assert_eq!(got.len(), expect.len());
-        for (g, e) in got.iter().zip(&expect) {
-            assert_eq!(g.outputs, e.outputs, "backend {backend}");
-        }
-        assert_eq!(sharded.workers(), 2);
-        assert_eq!(sharded.batches_served(), 9);
-    }
-}

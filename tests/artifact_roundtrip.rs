@@ -254,11 +254,12 @@ fn corrupted_files_report_typed_errors() {
 }
 
 /// Artifact v5: a partitioned flow's artifact carries the mapped netlist
-/// and the partition count, not the engine. The loaded flow recompiles
-/// exactly the engine the fresh compile built and serves bit-identically
-/// to the oracle; a bad partition count or bytes past the count are
-/// typed `ArtifactError`s, and a v4 image (which carried an engine
-/// image) is refused by version, never mis-parsed.
+/// and the partition count, not the exchange plan. Its mapped netlist
+/// recompiles exactly the plan the fresh compile built, and the loaded
+/// flow serves bit-identically to the oracle; a bad partition count or
+/// bytes past the count are typed `ArtifactError`s, and a v4 image
+/// (which carried an engine image) is refused by version, never
+/// mis-parsed.
 #[test]
 fn partitioned_artifact_v5_recompiles_its_engine_and_rejects_corruption() {
     use lbnn::netlist::eval::evaluate;
@@ -277,16 +278,13 @@ fn partitioned_artifact_v5_recompiles_its_engine_and_rejects_corruption() {
     assert_eq!(
         PartitionedEngine::compile(&loaded.netlist, 3).ok(),
         flow.partitioned,
-        "the recompile is the engine the exchange pass built"
+        "the recompile is the plan the exchange pass built"
     );
     // Saving the loaded flow reproduces the image byte for byte, so
     // patch deltas bind to either.
     assert_eq!(loaded.to_artifact_bytes().unwrap(), bytes);
     let mut fresh = flow.engine().unwrap();
     let mut re = loaded.engine().unwrap();
-    assert_eq!(re.partitions(), 3);
-    assert_eq!(re.partition_stats(), fresh.partition_stats());
-    assert!(re.partition_stats().is_some());
     let mut rng = StdRng::seed_from_u64(5);
     let batch = random_lanes(&mut rng, netlist.inputs().len(), 130);
     let oracle = evaluate(&netlist, &batch).unwrap();

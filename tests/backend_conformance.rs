@@ -1,10 +1,10 @@
 //! Cross-backend differential conformance: every available execution
 //! backend/width must serve **bit-identically to the sequential scalar
 //! oracle** (direct netlist evaluation) on every serving path —
-//! `Engine::run_batch`, `Engine::run_batches` (sequential and sharded),
-//! and `Runtime::submit` — for random netlists, the shipped example
-//! netlists, non-multiple-of-width tail batches, and zero-length
-//! batches, on both direct-compile and artifact-reload flows.
+//! `Engine::run_batch`, `Engine::run_batches` and `Runtime::submit` —
+//! for random netlists, the shipped example netlists,
+//! non-multiple-of-width tail batches, and zero-length batches, on both
+//! direct-compile and artifact-reload flows.
 //!
 //! This is the single generic harness that pins a new backend or a new
 //! slice width the moment it exists: add it to [`all_backends`] and
@@ -97,18 +97,14 @@ fn assert_conformance(netlist: &Netlist, config: LpuConfig, seed: u64, reload: b
             );
         }
 
-        // Path 2: the whole sequence back to back, sequential and
-        // sharded across scoped threads.
-        for workers in [1usize, 3] {
-            let mut engine = flow.engine().unwrap().with_workers(workers);
-            let results = engine.run_batches(&batches).unwrap();
-            assert_eq!(results.len(), batches.len());
-            for (got, want) in results.iter().zip(&oracle) {
-                assert_eq!(
-                    &got.outputs, want,
-                    "{backend} run_batches x{workers} (reload {reload})"
-                );
-            }
+        // Path 2: the whole sequence back to back.
+        let results = flow.engine().unwrap().run_batches(&batches).unwrap();
+        assert_eq!(results.len(), batches.len());
+        for (got, want) in results.iter().zip(&oracle) {
+            assert_eq!(
+                &got.outputs, want,
+                "{backend} run_batches (reload {reload})"
+            );
         }
     }
 }
@@ -177,8 +173,7 @@ fn partition_counts() -> [usize; 5] {
 
 /// Compiles `netlist` for `backend` split into `parts` partitions,
 /// optionally bouncing the flow through its serialized artifact (which
-/// carries the partition count, not the engine: a reloaded flow's
-/// engine recompiles the exchange schedule).
+/// carries the partition count, not the exchange plan).
 fn partitioned_flow(
     netlist: &Netlist,
     config: LpuConfig,
@@ -205,20 +200,18 @@ fn partitioned_flow(
     assert_eq!(
         flow.partitioned.is_some(),
         parts > 1 && !reload,
-        "{backend} x{parts} (reload {reload}): only a fresh split compile carries its engine"
+        "{backend} x{parts} (reload {reload}): only a fresh split compile carries its exchange plan"
     );
-    let engine = flow.engine().unwrap();
-    assert_eq!(engine.partitions(), parts);
-    assert_eq!(engine.partition_stats().is_some(), parts > 1);
     flow
 }
 
-/// The partition-differential harness core (ISSUE 10): for every slice
-/// width × partition count, the partitioned engine must serve
-/// bit-identically to both the scalar `evaluate` oracle and the
+/// The partition-differential harness core: for every slice width ×
+/// partition count, the flow's engine (which serves the single tape) and
+/// its exchange plan ([`Flow::partitioned`], fresh compiles only) must
+/// evaluate bit-identically to both the scalar `evaluate` oracle and the
 /// unpartitioned single-engine flow of the same width, through
-/// `run_batch` and sequential + sharded `run_batches`, on ragged and
-/// zero-length batches, direct-compile and artifact-reload.
+/// `run_batch` and `run_batches`, on ragged and zero-length batches,
+/// direct-compile and artifact-reload.
 fn assert_partition_conformance(netlist: &Netlist, config: LpuConfig, seed: u64, reload: bool) {
     let width = netlist.inputs().len();
     let batches: Vec<Vec<Lanes>> = awkward_lane_counts()
@@ -257,15 +250,20 @@ fn assert_partition_conformance(netlist: &Netlist, config: LpuConfig, seed: u64,
                     b.first().map_or(0, Lanes::len)
                 );
             }
-            for workers in [1usize, 3] {
-                let mut engine = flow.engine().unwrap().with_workers(workers);
-                let results = engine.run_batches(&batches).unwrap();
-                assert_eq!(results.len(), batches.len());
-                for (got, want) in results.iter().zip(&single_outputs) {
-                    assert_eq!(
-                        &got.outputs, want,
-                        "{backend} x{parts} run_batches x{workers} (reload {reload})"
-                    );
+            let results = flow.engine().unwrap().run_batches(&batches).unwrap();
+            assert_eq!(results.len(), batches.len());
+            for (got, want) in results.iter().zip(&single_outputs) {
+                assert_eq!(
+                    &got.outputs, want,
+                    "{backend} x{parts} run_batches (reload {reload})"
+                );
+            }
+            if let Some(plan) = &flow.partitioned {
+                let mut frames = plan.frames_with_words(words);
+                for (b, want) in batches.iter().zip(&single_outputs) {
+                    let lanes = b.first().map_or(0, Lanes::len);
+                    let got = plan.evaluate_with(b, lanes, &mut frames).unwrap();
+                    assert_eq!(&got, want, "{backend} x{parts} exchange plan lanes {lanes}");
                 }
             }
         }
@@ -274,7 +272,7 @@ fn assert_partition_conformance(netlist: &Netlist, config: LpuConfig, seed: u64,
 
 /// Runtime conformance across partition counts: individual submits
 /// through the micro-batching worker pool resolve bit-identically to
-/// the oracle when the resident engine executes partitioned tapes.
+/// the oracle whatever partition count the flow was compiled at.
 fn assert_partition_runtime_conformance(
     netlist: &Netlist,
     config: LpuConfig,
@@ -358,8 +356,8 @@ proptest! {
         assert_runtime_conformance(&netlist, LpuConfig::new(5, 4), seed, reload);
     }
 
-    /// The ISSUE 10 acceptance invariant on random netlists: partitioned
-    /// execution is bit-identical to the single-engine and scalar
+    /// The partition-count invariant on random netlists: engines and
+    /// exchange plans are bit-identical to the single-engine and scalar
     /// oracles at every slice width × partition count {1,2,3,8,64},
     /// through every engine-batch path, direct and reloaded. (Looser
     /// DAGs than the strict generator: more cross-level nets means a
@@ -383,8 +381,8 @@ proptest! {
         assert_partition_conformance(&netlist, LpuConfig::new(6, 4), seed, reload);
     }
 
-    /// Runtime submits over partitioned engines resolve bit-identically
-    /// to the oracle at every width × partition count.
+    /// Runtime submits over engines of partitioned flows resolve
+    /// bit-identically to the oracle at every width × partition count.
     #[test]
     fn partitioned_runtime_matches_the_oracle_on_random_netlists(
         seed in 0u64..1000,
@@ -422,9 +420,8 @@ fn shipped_example_netlists_conform_on_every_backend() {
     );
 }
 
-/// Every shipped example netlist conforms under partitioned execution
-/// too — every width × partition count, direct and reloaded, plus the
-/// runtime path.
+/// Every shipped example netlist conforms at every partition count too
+/// — every width, direct and reloaded, plus the runtime path.
 #[test]
 fn shipped_example_netlists_conform_partitioned() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data");

@@ -16,7 +16,7 @@
 
 use lbnn::netlist::eval::evaluate;
 use lbnn::netlist::random::RandomDag;
-use lbnn::netlist::{Lanes, Netlist, NodeId, Op, PatchSet};
+use lbnn::netlist::{Lanes, Netlist, NodeId, Op, PartitionedEngine, PatchSet};
 use lbnn::{Backend, EngineScratch, Flow, LpuConfig, RequestHandle, Runtime, RuntimeOptions};
 use proptest::prelude::*;
 
@@ -408,12 +408,13 @@ fn patching_inside_a_fused_chain_matches_fresh_compile() {
     }
 }
 
-/// ISSUE 10: patching a *partitioned* engine rewrites the owning
-/// partition's tape in place — the per-partition slot spaces and the
-/// exchange schedule are structural, so live-patch and delta routes must
-/// stay bit-identical to a fresh compile of the patched netlist at the
-/// same partition count, and the base partitioned flow must stay
-/// untouched.
+/// Patching a *partitioned* flow rewrites the owning partition's tape
+/// of its exchange plan in place — the per-partition slot spaces and the
+/// exchange schedule are structural, so [`Flow::apply_patches`] must
+/// yield exactly the plan a fresh compile of the patched netlist builds.
+/// The live-patch and delta routes must serve bit-identically to a
+/// fresh compile at the same partition count, and the base partitioned
+/// flow must stay untouched.
 fn assert_partitioned_patch_conformance(
     netlist: &Netlist,
     config: LpuConfig,
@@ -442,17 +443,16 @@ fn assert_partitioned_patch_conformance(
         .merge(false)
         .compile()
         .unwrap();
+    assert_eq!(
+        flow.apply_patches(&patches).unwrap().partitioned,
+        Some(PartitionedEngine::compile(&patched_netlist, parts).unwrap()),
+        "patched plan differs from a fresh one (words {words} parts {parts})"
+    );
     // The fresh compile may re-map; pin it to the netlist oracle
     // instead of comparing engines structurally.
     let live = flow.engine().unwrap().patch_cells(&patches).unwrap();
     let delta = flow.make_delta(&patches).unwrap();
     let via_delta = flow.apply_delta(&delta).unwrap().into_engine().unwrap();
-    assert_eq!(
-        live.partitions(),
-        parts,
-        "live patch must keep the partition count"
-    );
-    assert_eq!(via_delta.partitions(), parts);
 
     let lanes_full = backend.lanes();
     for lanes in [1usize, lanes_full / 2 + 3, 2 * lanes_full + 5] {

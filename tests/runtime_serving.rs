@@ -223,9 +223,8 @@ fn model_runtime_matches_whole_model_inference() {
     }
 }
 
-/// Regression (ISSUE 4 satellite): `batches_served` counts every batch
-/// exactly once whether batches flow through the sequential path,
-/// scoped shards (at two worker counts, twice at one), or the runtime's
+/// Regression: `batches_served` counts every batch exactly once whether
+/// batches flow through repeated `run_batches` calls or the runtime's
 /// micro-batcher.
 #[test]
 fn batches_served_is_exact_across_all_serving_paths() {
@@ -246,17 +245,13 @@ fn batches_served_is_exact_across_all_serving_paths() {
         })
         .collect();
 
-    // Sequential, sharded (twice), sharded at another worker count.
+    // Three sequential calls.
     let mut engine = flow.engine().unwrap();
     engine.run_batches(&batches).unwrap();
     assert_eq!(engine.batches_served(), 10);
-    let mut engine = engine.with_workers(3);
     engine.run_batches(&batches).unwrap();
     engine.run_batches(&batches).unwrap();
     assert_eq!(engine.batches_served(), 30);
-    let mut engine = engine.with_workers(2);
-    engine.run_batches(&batches).unwrap();
-    assert_eq!(engine.batches_served(), 40);
 
     // Runtime path: every micro-batch is accounted exactly once, however
     // the 96 requests were cut (at least the three 32-lane batches the
@@ -474,13 +469,12 @@ fn hot_swap_under_traffic_never_tears_or_drops() {
     assert_eq!(got, patched_want[1][7], "post-swap requests serve v1");
 }
 
-/// ISSUE 10: `swap_engine` across a *partition-count change* under
-/// concurrent traffic. v0 serves a single-tape engine, v1 a 3-way
-/// partitioned engine of the negated netlist, v2 an 8-way partitioned
-/// engine of the original netlist — every response must be
+/// `swap_engine` across a *partition-count change* under concurrent
+/// traffic. v0 serves the engine of a single-partition flow, v1 that of
+/// a 3-way partitioned flow of the negated netlist, v2 that of an 8-way
+/// partitioned flow of the original netlist — every response must be
 /// bit-identical to exactly one version's fresh-compile oracle (never
-/// torn), and the post-swap runtime must report the new partition count
-/// while serving the new bits.
+/// torn), and the post-swap runtime must serve the new bits.
 #[test]
 fn hot_swap_across_partition_count_change_under_traffic() {
     const THREADS: usize = 3;
@@ -602,7 +596,6 @@ fn hot_swap_across_partition_count_change_under_traffic() {
         .compile()
         .unwrap();
     let v2_engine = v2_flow.engine().unwrap();
-    assert_eq!(v2_engine.partitions(), 8);
     assert_eq!(runtime.swap_engine(v2_engine).unwrap(), 2);
     let handles: Vec<RequestHandle> = (0..PER_THREAD)
         .map(|r| {
